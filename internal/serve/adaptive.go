@@ -23,7 +23,7 @@ import (
 //     counts through adapt.Imbalance / adapt.LoadController.Plan and
 //     steals queued jobs from hot shards into idle ones, never moving a
 //     job whose (tenant, key) has a queued sibling (co-queued same-key
-//     jobs keep their queue order; see stealJobs) and never onto a
+//     jobs keep their queue order; see stealJobsInto) and never onto a
 //     shard where the tenant's code image is not resident;
 //   - overload control: when the admission-to-execution wait EWMA
 //     crosses LatencyBudget, the shed level rises and dispatchers drop

@@ -87,14 +87,27 @@ func TestOverloadControllerLevelDynamics(t *testing.T) {
 	}
 }
 
-// stealTenant builds a detached tenant handle for shard-level tests.
+// stealTenant builds a detached tenant handle for shard-level tests,
+// with the solo stage every real tenant has.
 func stealTenant(hash uint64, shards int, resident bool) *Tenant {
 	t := &Tenant{hash: hash, resident: make([]atomic.Bool, shards)}
+	t.solo = &Pipeline{t: t, name: "solo", stages: []*pipeStage{{name: "handler", last: true}}}
 	for i := range t.resident {
 		t.resident[i].Store(resident)
 	}
 	return t
 }
+
+// testJob is the one place tests build a Job by hand: a detached record
+// shaped the way construct shapes a plain submission — a real (solo)
+// stage, never nil — for shard- and ring-level tests that queue and
+// steal jobs without ever finishing them.
+func testJob(tn *Tenant, req Request) *Job {
+	return &Job{tenant: tn, req: req, stage: tn.solo.stages[0]}
+}
+
+// enqueue offers one job to a shard the way admit does: a group of one.
+func enqueue(sh *shard, j *Job) bool { return sh.enqueueMany([]*Job{j}) == 1 }
 
 func queueKeys(sh *shard) []uint64 {
 	r := &sh.ring
@@ -116,14 +129,14 @@ func TestStealJobsPreservesSameKeyOrder(t *testing.T) {
 	src, dst := newShard(0, 64), newShard(1, 64)
 	tn := stealTenant(42, 2, true)
 	for _, k := range []uint64{1, 2, 2, 3, 4, 2, 5} {
-		if !src.enqueue(&Job{tenant: tn, req: Request{Key: k}}) {
+		if !enqueue(src, testJob(tn, Request{Key: k})) {
 			t.Fatal("enqueue failed")
 		}
 	}
 	// Singleton keys are 1, 3, 4, 5; stealing 3 must take the newest
 	// three of those (3, 4, 5) and leave every key-2 job in place, in
 	// order.
-	if moved := stealJobs(src, dst, 3); moved != 3 {
+	if moved := stealJobsInto(src, dst, 3, &stealScratch{}); moved != 3 {
 		t.Fatalf("moved %d jobs, want 3", moved)
 	}
 	wantSrc := []uint64{1, 2, 2, 2}
@@ -140,10 +153,10 @@ func TestStealJobsPreservesSameKeyOrder(t *testing.T) {
 		}
 	}
 	// Nothing left to steal: every remaining duplicate key must stay.
-	if moved := stealJobs(src, dst, 10); moved != 1 { // only key 1 is singleton
+	if moved := stealJobsInto(src, dst, 10, &stealScratch{}); moved != 1 { // only key 1 is singleton
 		t.Fatalf("second steal moved %d, want 1 (only the singleton key 1)", moved)
 	}
-	if moved := stealJobs(src, dst, 10); moved != 0 {
+	if moved := stealJobsInto(src, dst, 10, &stealScratch{}); moved != 0 {
 		t.Fatalf("third steal moved %d duplicate-key jobs, want 0", moved)
 	}
 }
@@ -153,14 +166,14 @@ func TestStealJobsRespectsResidency(t *testing.T) {
 	cold := stealTenant(7, 2, false)
 	cold.resident[0].Store(true) // resident at home only
 	for k := uint64(0); k < 8; k++ {
-		src.enqueue(&Job{tenant: cold, req: Request{Key: k}})
+		enqueue(src, testJob(cold, Request{Key: k}))
 	}
-	if moved := stealJobs(src, dst, 8); moved != 0 {
+	if moved := stealJobsInto(src, dst, 8, &stealScratch{}); moved != 0 {
 		t.Fatalf("stole %d jobs onto a shard without the tenant's image, want 0", moved)
 	}
 	warm := stealTenant(9, 2, true)
-	src.enqueue(&Job{tenant: warm, req: Request{Key: 100}})
-	if moved := stealJobs(src, dst, 8); moved != 1 {
+	enqueue(src, testJob(warm, Request{Key: 100}))
+	if moved := stealJobsInto(src, dst, 8, &stealScratch{}); moved != 1 {
 		t.Fatalf("moved %d, want exactly the resident tenant's job", moved)
 	}
 }
@@ -169,18 +182,18 @@ func TestStealJobsRespectsCapacityAndShutdown(t *testing.T) {
 	src, dst := newShard(0, 64), newShard(1, 4)
 	tn := stealTenant(3, 2, true)
 	for k := uint64(0); k < 16; k++ {
-		src.enqueue(&Job{tenant: tn, req: Request{Key: k}})
+		enqueue(src, testJob(tn, Request{Key: k}))
 	}
-	dst.enqueue(&Job{tenant: tn, req: Request{Key: 1000}})
+	enqueue(dst, testJob(tn, Request{Key: 1000}))
 	// Destination has 3 free slots: a request for 10 moves at most 3.
-	if moved := stealJobs(src, dst, 10); moved != 3 {
+	if moved := stealJobsInto(src, dst, 10, &stealScratch{}); moved != 3 {
 		t.Fatalf("moved %d into a shard with 3 free slots, want 3", moved)
 	}
 	dst.shutdown()
-	if moved := stealJobs(src, dst, 10); moved != 0 {
+	if moved := stealJobsInto(src, dst, 10, &stealScratch{}); moved != 0 {
 		t.Fatalf("stole %d jobs into a shut shard, want 0", moved)
 	}
-	if moved := stealJobs(src, src, 10); moved != 0 {
+	if moved := stealJobsInto(src, src, 10, &stealScratch{}); moved != 0 {
 		t.Fatalf("self-steal moved %d, want 0", moved)
 	}
 }

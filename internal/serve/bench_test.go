@@ -9,11 +9,10 @@ import (
 	"repro/internal/litlx"
 )
 
-// The admission benchmarks compare the v2 handle path (identity
-// resolved once at registration: no map lookup, no string hashing per
-// call) against the legacy string-keyed shim, and single submits
-// against shard-grouped bursts. Handlers are no-ops and the queues are
-// deep, so the measured cost is admission itself.
+// The admission benchmarks measure the handle path (identity resolved
+// once at registration: no map lookup, no string hashing per call):
+// single submits, shard-grouped bursts, and flows. Handlers are no-ops
+// and the queues are deep, so the measured cost is admission itself.
 
 func newBenchServer(b *testing.B) (*Server, *Tenant) {
 	b.Helper()
@@ -51,27 +50,10 @@ func newBenchServer(b *testing.B) (*Server, *Tenant) {
 	return s, tn
 }
 
-// The Resolve pair isolates the per-call work the handle API removes:
-// the legacy surface pays a sync.Map lookup (which hashes the tenant
-// name string) on every submission before routing; the handle has its
-// identity bound at registration and goes straight to shard routing.
-// The end-to-end Submit pair below includes queueing and dispatcher
-// contention, which dominate and are common to both surfaces.
-
-func BenchmarkResolveLegacyString(b *testing.B) {
-	s, _ := newBenchServer(b)
-	var sink int
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tn, ok := s.Tenant("bench")
-		if !ok {
-			b.Fatal("tenant vanished")
-		}
-		sink += shardIndex(tn.hash, uint64(i), len(s.shards))
-	}
-	_ = sink
-}
+// BenchmarkResolveHandle is the routing floor: the handle has its
+// identity bound at registration, so a submission goes straight to
+// shard routing. The end-to-end Submit benchmarks below add queueing
+// and dispatcher contention, which dominate.
 
 func BenchmarkResolveHandle(b *testing.B) {
 	s, tn := newBenchServer(b)
@@ -133,17 +115,6 @@ func BenchmarkSubmitHandleSketch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for tn.SubmitFunc(Request{Key: uint64(i)}, done) == ErrOverload {
-		}
-	}
-}
-
-func BenchmarkSubmitLegacyString(b *testing.B) {
-	s, _ := newBenchServer(b)
-	done := func(Result) {}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for s.SubmitFunc("bench", uint64(i), nil, time.Time{}, done) == ErrOverload {
 		}
 	}
 }
@@ -284,12 +255,12 @@ func BenchmarkSubmitOpenLoopP99(b *testing.B) {
 func BenchmarkRingPushPop(b *testing.B) {
 	var r jobRing
 	r.init(1 << 10)
-	j := &Job{}
+	one := []*Job{testJob(stealTenant(1, 1, true), Request{})}
 	buf := make([]*Job, 0, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.push(j)
+		r.pushMany(one) // a single submit is a group of one
 		r.consMu.Lock()
 		buf, _ = r.popMany(1, buf[:0])
 		r.consMu.Unlock()
@@ -302,8 +273,9 @@ func BenchmarkRingBatchDrain(b *testing.B) {
 	var r jobRing
 	r.init(1 << 10)
 	jobs := make([]*Job, batch)
+	tn := stealTenant(1, 1, true)
 	for i := range jobs {
-		jobs[i] = &Job{}
+		jobs[i] = testJob(tn, Request{})
 	}
 	buf := make([]*Job, 0, batch)
 	b.ReportAllocs()

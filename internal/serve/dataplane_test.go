@@ -214,23 +214,23 @@ func TestStealJobsRespectsDataResidency(t *testing.T) {
 	src, dst := newShard(0, 64), newShard(1, 64)
 	src.locale, dst.locale = 0, 1
 	for k := uint64(0); k < 8; k++ {
-		src.enqueue(&Job{tenant: tn, req: Request{Key: k, WorkingSet: []mem.ObjID{obj}}})
+		enqueue(src, testJob(tn, Request{Key: k, WorkingSet: []mem.ObjID{obj}}))
 	}
-	if moved := stealJobs(src, dst, 8); moved != 0 {
+	if moved := stealJobsInto(src, dst, 8, &stealScratch{}); moved != 0 {
 		t.Fatalf("stole %d jobs onto a locale missing their working set, want 0", moved)
 	}
 	// Once the object has a valid replica at the destination's locale,
 	// the same jobs are fair game.
 	space.Replicate(obj, 1)
-	if moved := stealJobs(src, dst, 8); moved != 8 {
+	if moved := stealJobsInto(src, dst, 8, &stealScratch{}); moved != 8 {
 		t.Fatalf("moved %d after replication, want 8", moved)
 	}
 	// A write invalidates the replica: back to unstealable.
 	for k := uint64(8); k < 12; k++ {
-		src.enqueue(&Job{tenant: tn, req: Request{Key: k, WorkingSet: []mem.ObjID{obj}}})
+		enqueue(src, testJob(tn, Request{Key: k, WorkingSet: []mem.ObjID{obj}}))
 	}
 	space.WriteAccess(0, obj, 0)
-	if moved := stealJobs(src, dst, 8); moved != 0 {
+	if moved := stealJobsInto(src, dst, 8, &stealScratch{}); moved != 0 {
 		t.Fatalf("stole %d jobs after invalidation, want 0", moved)
 	}
 }

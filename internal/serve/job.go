@@ -124,51 +124,74 @@ type Result struct {
 	Total    time.Duration // admission to completion, queue wait included
 }
 
+// sink is where a job's Result goes — the one completion form. finishJob
+// (and refuse, for surfaces that promise a uniform Result instead of an
+// error) calls resolve exactly once per job; idx is the job's Job.idx.
+// Every implementer is pointer-shaped, so storing one in a Job never
+// allocates: *Ticket, callbackSink, indexedSink, elemSink, *flowState.
+type sink interface {
+	resolve(idx int32, r Result)
+}
+
+// callbackSink is SubmitFunc's / SubmitFlowFunc's plain callback.
+type callbackSink func(Result)
+
+func (f callbackSink) resolve(_ int32, r Result) { f(r) }
+
+// indexedSink is a burst's shared callback: one func for the whole
+// SubmitManyFunc call, told apart by the request's index in the burst.
+type indexedSink func(int, Result)
+
+func (f indexedSink) resolve(idx int32, r Result) { f(int(idx), r) }
+
+// elemSink is one fan-out element's result future. A failed element
+// carries its error onto the future's error channel, riding future.All
+// to the join.
+type elemSink struct{ fut *future.Future[Result] }
+
+func (e elemSink) resolve(_ int32, r Result) {
+	var ferr error
+	if r.Status == StatusFailed {
+		ferr = r.Err
+	}
+	e.fut.Resolve(r, ferr)
+}
+
 // Job is one admitted unit of work, queued on a shard until a
-// dispatcher drains it. Job records are pooled (shard.newJob /
-// Server.releaseJob): finishJob routes the Result through exactly one
-// of the completion forms below, then zeroes the record and recycles
-// it, so the steady-state request path allocates no Job and leaks no
-// field between generations.
+// dispatcher drains it. Job records are pooled: Server.construct is the
+// only place one is taken and filled, finishJob (or refuse) hands the
+// Result to the sink and recycles the record zeroed, so the steady-state
+// request path allocates no Job and leaks no field between generations.
 type Job struct {
 	tenant   *Tenant
 	req      Request // Deadline already defaulted; zero means none
 	enqueued time.Time
-	// Exactly one completion form is set per job; finishJob dispatches
-	// on it. done is the plain single-submit callback; doneMany+doneIdx
-	// carry a burst's shared indexed callback (so a SubmitMany needs no
-	// closure per request); elemFut is a fan-out element's result future
-	// (resolved directly, no closure). Flow stage jobs with none of
-	// these route through flow/stage to Pipeline.complete.
-	done     func(Result)
-	doneMany func(int, Result)
-	doneIdx  int32
-	elemFut  *future.Future[Result]
 	// stage is the compiled pipeline stage this job executes — the
 	// tenant's solo stage for plain submits, a Pipeline stage for flow
-	// jobs. It carries the handler and the per-stage instruments. Nil
-	// only for detached test jobs, which fall back to the tenant handler.
+	// jobs. It carries the handler and the per-stage instruments; never
+	// nil.
 	stage *pipeStage
+	// sink receives the Result; idx tells it which of its requests this
+	// is: the position in a burst, the stage index of a scalar flow job,
+	// the element index of a fan-out job (zero for plain submits).
+	sink sink
+	idx  int32
 	// flow is the owning flow's state for pipeline jobs (nil for plain
-	// submits): the done-exactly-once guard and the flow-scoped
-	// deadline/priority the stage inherited.
+	// submits). The job holds one reference on it from construct to the
+	// end of finishJob / refuse.
 	flow *flowState
 	// ft is the sampled trace context the job's lifecycle events append
 	// to; nil (the common case — unsampled, or observability off) makes
 	// every emission point a single pointer check.
 	ft *FlowTrace
-	// elem is the job's fan-out element index plus one (0 for scalar
-	// stage executions), packed into each event's Arg via spanArg.
-	elem int32
 }
 
-// spanArg packs the job's stage/element context for its trace events;
-// zero (no stage context) only for detached test jobs.
+// spanArg packs the job's stage/element context for its trace events.
 func (j *Job) spanArg() int64 {
-	if j.stage == nil {
-		return 0
+	if j.stage.fanout {
+		return spanArg(j.stage.idx, j.idx+1)
 	}
-	return spanArg(j.stage.idx, j.elem)
+	return spanArg(j.stage.idx, 0)
 }
 
 // routeHash identifies the job's (tenant, key) routing pair — the same
@@ -185,19 +208,14 @@ func (j *Job) routeHash() uint64 {
 // rebalancer's data-residency gate, the data analogue of the code gate
 // in Tenant.residentAt: a steal must never trade queue wait for a
 // string of remote accesses the home locale would have served locally.
-// Jobs without a working set (or detached test jobs without a server)
-// fit anywhere.
+// Jobs without a working set fit anywhere.
 func (j *Job) dataResidentAt(loc mem.Locale) bool {
 	if len(j.req.WorkingSet) == 0 {
 		return true
 	}
-	s := j.tenant.srv
-	if s == nil || s.space == nil {
-		return true
-	}
 	// One lock acquisition for the whole set, no allocation — this sits
 	// inside the rebalancer's per-candidate loop.
-	return s.space.AllValidAt(j.req.WorkingSet, loc)
+	return j.tenant.srv.space.AllValidAt(j.req.WorkingSet, loc)
 }
 
 // Ticket follows a submitted request — or a submitted flow — to
@@ -211,6 +229,9 @@ type Ticket struct {
 	// the final result itself.
 	stages []*future.Future[Result]
 }
+
+// resolve makes a ticket the sink of the request (or flow) it follows.
+func (t *Ticket) resolve(_ int32, r Result) { t.cell.Put(r) }
 
 // Wait blocks until the request (for flows: the final stage) resolves
 // and returns its result.

@@ -248,19 +248,21 @@ func (p *Pipeline) StageStats() []StageStats {
 // futures, and the done-exactly-once terminal guard.
 //
 // Flow states are pooled. Reclamation is refcounted: the count starts
-// at 1 (the terminal reference, dropped by finish/finishOK/finishRemote
-// after the done callback) and each live stage job holds one more
-// (taken at job creation, dropped by releaseJob). The state recycles
-// only when both are gone, so a straggling shed element of an
-// already-failed fan-out can never touch a reused flow. The futs slice
-// is NOT pooled — it escapes to the submitter (Ticket.StageFuture).
+// at 1 (the terminal reference, dropped by terminate after the done
+// sink) and each live stage job holds one more (taken by construct,
+// dropped at the end of finishJob / refuse). The state recycles only
+// when both are gone, so a straggling shed element of an already-failed
+// fan-out can never touch a reused flow. The futs slice is NOT pooled —
+// it escapes to the submitter (Ticket.StageFuture).
+//
+// A flow is also the sink of its own scalar stage jobs (see resolve).
 type flowState struct {
 	p        *Pipeline
 	key      uint64
 	deadline time.Time
 	priority int
 	enqueued time.Time
-	done     func(Result)
+	done     sink // the flow's terminal Result goes here: a ticket or a callback
 	finished atomic.Bool
 	refs     atomic.Int32
 	futs     []*future.Future[Result]
@@ -283,9 +285,10 @@ func newFlowState() *flowState {
 func (fl *flowState) ref() { fl.refs.Add(1) }
 
 // unref drops one reference; the last one zeroes the state field by
-// field (the atomics forbid a struct assignment) and recycles it.
+// field (the atomics forbid a struct assignment) and recycles it. A nil
+// flow (a plain submission's job) has nothing to drop.
 func (fl *flowState) unref() {
-	if fl.refs.Add(-1) != 0 {
+	if fl == nil || fl.refs.Add(-1) != 0 {
 		return
 	}
 	fl.p = nil
@@ -304,7 +307,6 @@ func (fl *flowState) unref() {
 // the pooled argument of the detached hop SGT, so advancing a flow
 // spawns without a closure or activation allocation.
 type stageHop struct {
-	p   *Pipeline
 	fl  *flowState
 	st  *pipeStage
 	sh  *shard
@@ -318,10 +320,10 @@ var hopPool sync.Pool
 // one, and the terminal reference is still held), so fl is valid here.
 func runStageHop(_ *core.SGT, a any) {
 	h := a.(*stageHop)
-	p, fl, st, sh, req := h.p, h.fl, h.st, h.sh, h.req
+	fl, st, sh, req := h.fl, h.st, h.sh, h.req
 	*h = stageHop{}
 	hopPool.Put(h)
-	p.submitStage(fl, st, sh, req)
+	fl.p.submitStage(fl, st, sh, req)
 }
 
 // SubmitFlow admits one flow through the pipeline and returns a ticket
@@ -335,7 +337,7 @@ func runStageHop(_ *core.SGT, a any) {
 // StatusRejected final result instead.
 func (t *Tenant) SubmitFlow(p *Pipeline, req Request) (*Ticket, error) {
 	tk := &Ticket{}
-	futs, err := t.SubmitFlowFunc(p, req, func(r Result) { tk.cell.Put(r) })
+	futs, err := t.submitFlow(p, req, tk)
 	if err != nil {
 		return nil, err
 	}
@@ -347,75 +349,71 @@ func (t *Tenant) SubmitFlow(p *Pipeline, req Request) (*Ticket, error) {
 // done is invoked exactly once with the flow's terminal result. It
 // returns the per-stage result futures.
 func (t *Tenant) SubmitFlowFunc(p *Pipeline, req Request, done func(Result)) ([]*future.Future[Result], error) {
+	return t.submitFlow(p, req, callbackSink(done))
+}
+
+// submitFlow creates the flow state and admits stage 0 — one scalar job
+// or one fan-out — through the same construct/admit core plain submits
+// use.
+func (t *Tenant) submitFlow(p *Pipeline, req Request, done sink) ([]*future.Future[Result], error) {
 	if p == nil || p.t != t {
 		return nil, errors.New("serve: pipeline was not built by this tenant (use Tenant.NewPipeline)")
 	}
 	s := t.srv
 	if s.closed.Load() {
+		// Checked before the flow exists: a Map-first fan-out refused
+		// element by element could not be unwound into an error.
 		return nil, ErrClosed
 	}
-	now := time.Now()
-	if req.Deadline.IsZero() && s.cfg.DefaultDeadline != 0 {
-		req.Deadline = now.Add(s.cfg.DefaultDeadline)
+	st := p.stages[0]
+	parts, sliced := req.Payload.([]any)
+	if st.fanout && !sliced {
+		return nil, fmt.Errorf("serve: pipeline %q stage %q fans out over []any, payload is %T",
+			p.name, st.name, req.Payload)
 	}
+	now := time.Now()
+	s.defaultDeadline(&req, now)
 	fl := newFlowState()
 	fl.p, fl.key, fl.deadline, fl.priority = p, req.Key, req.Deadline, req.Priority
 	fl.enqueued, fl.done = now, done
 	fl.ft = s.obs.sample(t, p, req.Key)
-	n := len(p.stages)
-	rt := s.sys.RT
 	// The futures (and their slice) escape to the caller, so they are
 	// allocated fresh per flow; everything else on this path recycles.
 	// futs is captured locally because the flow may complete — and fl
 	// recycle — before this function returns.
-	futs := make([]*future.Future[Result], n)
-	for i := 0; i < n; i++ {
-		futs[i] = future.Pending[Result](rt)
+	futs := make([]*future.Future[Result], len(p.stages))
+	for i := range futs {
+		futs[i] = future.Pending[Result](s.sys.RT)
 	}
 	fl.futs = futs
-	st := p.stages[0]
+	// Count the flow before it can possibly complete.
+	s.flowSub.Inc()
 	if st.fanout {
-		parts, ok := req.Payload.([]any)
-		if !ok {
-			fl.unref() // the flow never existed
-			return nil, fmt.Errorf("serve: pipeline %q stage %q fans out over []any, payload is %T",
-				p.name, st.name, req.Payload)
-		}
-		s.flowSub.Inc()
 		p.fanOut(fl, st, parts, &req)
 		return futs, nil
 	}
-	sreq := p.stageRequest(fl, st, req.Payload)
-	// Stage 0 has no previous output: the submitted request's own set
-	// declarations stand in wherever the stage derives nothing (its Key
-	// already does — stageRequest defaults to the flow key).
-	if st.reads == nil {
-		sreq.WorkingSet = req.WorkingSet
-	}
-	if st.writes == nil {
-		sreq.WriteSet = req.WriteSet
-	}
-	sh := s.routeShard(t, &sreq)
-	j := sh.newJob()
-	j.tenant, j.req, j.enqueued, j.stage, j.flow, j.ft = t, sreq, now, st, fl, fl.ft
-	fl.ref()
-	// Count the flow before it can possibly complete; a refused stage 0
-	// means the flow never existed, so the count rolls back.
-	s.flowSub.Inc()
-	s.flowStages.Inc()
-	if err := s.admit(t, sh, j); err != nil {
+	sreq := p.stageRequest(fl, st, req.Payload, &req)
+	if err := s.submit(t, st, fl, sreq, now, nil, fl, 0, false); err != nil {
+		// A refused scalar stage 0 means the flow never existed: the
+		// count rolls back and the terminal reference goes (refuse
+		// already dropped the job's and sealed the trace).
 		s.flowSub.Add(-1)
-		s.flowStages.Add(-1)
-		fl.unref() // terminal reference: nothing ran, the flow was never admitted
+		fl.unref()
 		return nil, err
 	}
 	return futs, nil
 }
 
 // stageRequest derives one stage's admission request from its input
-// value, inheriting the flow-scoped key, deadline, and priority.
-func (p *Pipeline) stageRequest(fl *flowState, st *pipeStage, v any) Request {
+// value, inheriting the flow-scoped key, deadline, and priority. from is
+// the submitted Request at stage 0 — which has no previous output, so
+// the request's own set declarations stand in wherever the stage
+// derives nothing — and nil for every later stage.
+func (p *Pipeline) stageRequest(fl *flowState, st *pipeStage, v any, from *Request) Request {
 	req := Request{Key: fl.key, Payload: v, Deadline: fl.deadline, Priority: fl.priority}
+	if from != nil {
+		req.WorkingSet, req.WriteSet = from.WorkingSet, from.WriteSet
+	}
 	if st.key != nil {
 		req.Key = st.key(v)
 	}
@@ -428,32 +426,40 @@ func (p *Pipeline) stageRequest(fl *flowState, st *pipeStage, v any) Request {
 	return req
 }
 
-// complete is a scalar stage job's done callback: it runs where the
-// job resolved — the executing SGT, or the dispatcher for sheds.
-func (p *Pipeline) complete(fl *flowState, st *pipeStage, r Result) {
+// count folds one finished job into its stage's outcome counters —
+// called by finishJob for every job, scalar or fan-out element (Map
+// stages therefore count per element). The tenant's solo stage has no
+// counters: its outcomes are the tenant counters.
+func (st *pipeStage) count(r Result) {
+	if st.done == nil {
+		return
+	}
 	switch r.Status {
 	case StatusOK:
-		if st.done != nil {
-			st.done.Inc()
-		}
+		st.done.Inc()
+		// Continuous compilation: an element's service time is the
+		// chunk-cost observation the scatter planner learns from (no-op
+		// unless the controller instrumented the stage).
+		st.observeElem(r)
 	case StatusShed:
-		if st.shed != nil {
-			st.shed.Inc()
-		}
+		st.shed.Inc()
 	default:
-		if st.failed != nil {
-			st.failed.Inc()
-		}
+		st.failed.Inc()
 	}
-	if r.Status != StatusOK {
-		p.finish(fl, st.idx, r)
+}
+
+// resolve is where stage idx's Result lands — from finishJob for a
+// scalar stage job (the flow is its sink; this runs where the job
+// resolved: the executing SGT, or the dispatcher for sheds), from join
+// for a Map stage. A non-OK result, or the last stage's, ends the flow;
+// anything else chains to the next stage.
+func (fl *flowState) resolve(idx int32, r Result) {
+	st := fl.p.stages[idx]
+	if r.Status != StatusOK || st.last {
+		fl.terminate(st.idx, r)
 		return
 	}
-	if st.last {
-		p.finishOK(fl, r)
-		return
-	}
-	p.chain(fl, st, r)
+	fl.p.chain(fl, st, r)
 }
 
 // RemoteRouter is the cluster layer's hook into flow chaining
@@ -484,7 +490,7 @@ func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result) {
 		fl.futs[st.idx].Resolve(r, nil)
 		parts, ok := r.Value.([]any)
 		if !ok {
-			p.finish(fl, next.idx, Result{Status: StatusFailed,
+			fl.terminate(next.idx, Result{Status: StatusFailed,
 				Err: fmt.Errorf("serve: pipeline %q stage %q fans out over []any, stage %q produced %T",
 					p.name, next.name, st.name, r.Value)})
 			return
@@ -502,10 +508,11 @@ func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result) {
 		// the closure must keep the state out of the pool forever — a
 		// flow that went remote is reclaimed by the GC, never recycled,
 		// and a duplicate finish lands on the finished guard, not on a
-		// reused record.
+		// reused record. The parcel's terminal result resolves every
+		// future from the hand-off stage onward.
 		fl.ref()
 		if rr.ForwardStage(p.t, p, next.idx, r.Value, fl.key, fl.deadline, fl.priority,
-			func(final Result) { p.finishRemote(fl, next.idx, final) }) {
+			func(final Result) { fl.terminate(next.idx, final) }) {
 			if fl.ft != nil {
 				fl.ft.add(trace.KindRemoteHop, 0, 0, spanArg(next.idx, 0),
 					fmt.Sprintf("%s -> %s (remote)", st.name, next.name))
@@ -514,7 +521,7 @@ func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result) {
 		}
 		fl.unref() // declined: the router holds no finisher
 	}
-	req := p.stageRequest(fl, next, r.Value)
+	req := p.stageRequest(fl, next, r.Value, nil)
 	sh := s.routeShard(p.t, &req)
 	if fl.ft != nil {
 		// The hop is attributed to its destination: the shard (and
@@ -532,76 +539,28 @@ func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result) {
 	if h == nil {
 		h = &stageHop{}
 	}
-	h.p, h.fl, h.st, h.sh, h.req = p, fl, next, sh, req
+	h.fl, h.st, h.sh, h.req = fl, next, sh, req
 	s.sys.RT.GoAtDetached(int(sh.locale), 0, runStageHop, h)
 }
 
-// finishRemote terminates a flow whose remaining stages ran on another
-// node: the completion parcel's terminal result resolves every future
-// from the hand-off stage onward and fires the flow's done callback,
-// exactly once — the same guard local terminals use, so a racing local
-// shed and a remote completion cannot both land.
-func (p *Pipeline) finishRemote(fl *flowState, from int, r Result) {
-	if fl.finished.Swap(true) {
-		return
-	}
-	s := p.t.srv
-	r.Priority = fl.priority
-	r.Total = time.Since(fl.enqueued)
-	var ferr error
-	if r.Status == StatusFailed {
-		ferr = r.Err
-	}
-	for i := from; i < len(p.stages); i++ {
-		fl.futs[i].Resolve(r, ferr)
-	}
-	switch r.Status {
-	case StatusOK:
-		s.flowDone.Inc()
-	case StatusShed:
-		s.flowShed.Inc()
-	case StatusRejected:
-		s.flowRej.Inc()
-	default:
-		s.flowFail.Inc()
-	}
-	s.obs.finishFlow(fl.ft, r.Status)
-	fl.done(r)
-	fl.unref() // terminal reference
-}
-
-// submitStage admits one scalar stage job at its routed shard; an
-// admission refusal past stage 0 terminates the flow with
-// StatusRejected (earlier stages already ran, so the uniform-Result
-// surface is the only honest one).
+// submitStage admits one scalar stage job at the shard its hop was
+// routed to. An admission refusal past stage 0 is delivered to the sink,
+// ending the flow with StatusRejected: earlier stages already ran, so
+// the uniform-Result surface is the only honest one.
 func (p *Pipeline) submitStage(fl *flowState, st *pipeStage, sh *shard, req Request) {
-	s := p.t.srv
-	j := sh.newJob()
-	j.tenant, j.req, j.enqueued, j.stage, j.flow, j.ft = p.t, req, time.Now(), st, fl, fl.ft
-	fl.ref()
-	s.flowStages.Inc()
-	if err := s.admit(p.t, sh, j); err != nil {
-		// admit released the job (dropping its flow reference); the
-		// terminal reference still pins fl for the finish below.
-		s.flowStages.Add(-1)
-		p.finish(fl, st.idx, Result{Status: StatusRejected, Err: err})
-	}
+	_ = p.t.srv.submit(p.t, st, fl, req, time.Now(), sh, fl, int32(st.idx), true)
 }
 
 // fanOut admits one stage job per element of a Map stage's input, all
 // issued from the producing shard, each routed by its own derived
 // declarations. future.All fans the element futures back in: the join
 // continuation runs at the last-resolved element's locale. inherit is
-// the submitted Request for a Map-first stage 0 — its own declarations
-// stand in for derivations the stage doesn't define, exactly like the
-// scalar stage-0 path — and nil for every later stage.
+// the submitted Request for a Map-first stage 0 and nil for every later
+// stage (see stageRequest).
 func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Request) {
 	s := p.t.srv
-	if st.fanouts != nil {
-		st.fanouts.Add(int64(len(parts)))
-	}
 	if len(parts) == 0 {
-		p.joinDone(fl, st, Result{Status: StatusOK, Value: []any{}})
+		fl.resolve(int32(st.idx), Result{Status: StatusOK, Value: []any{}})
 		return
 	}
 	rt := s.sys.RT
@@ -632,62 +591,39 @@ func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Re
 	}
 	now := time.Now()
 	for i, part := range parts {
-		req := p.stageRequest(fl, st, part)
-		if inherit != nil {
-			if st.reads == nil {
-				req.WorkingSet = inherit.WorkingSet
-			}
-			if st.writes == nil {
-				req.WriteSet = inherit.WriteSet
-			}
-		}
+		req := p.stageRequest(fl, st, part, inherit)
 		var sh *shard
 		if targets != nil && len(req.WorkingSet) == 0 {
 			sh = s.shards[(*targets)[i]]
-		} else {
-			sh = s.routeShard(p.t, &req)
 		}
+		// The element's future is the job's sink, so the fan-out admits N
+		// elements with zero closures; a refused element resolves its
+		// future StatusRejected through the same sink.
+		sh, j := s.construct(p.t, st, fl, req, now, sh, elemSink{elems[i]}, int32(i))
 		if fl.ft != nil {
 			// Per-element hop: each fan-out element routes independently,
 			// so each records its own destination shard and locale.
-			fl.ft.add(trace.KindStageHop, sh.id, sh.locale, spanArg(st.idx, int32(i+1)),
+			fl.ft.add(trace.KindStageHop, sh.id, sh.locale, j.spanArg(),
 				fmt.Sprintf("%s fan-out [%d/%d]", st.name, i, len(parts)))
 		}
-		// The element's future rides on the job itself (finishJob
-		// resolves it — a failed element's error rides the future error
-		// channel through All to the join), so the fan-out admits N
-		// elements with zero closures.
-		j := sh.newJob()
-		j.tenant, j.req, j.enqueued, j.stage, j.flow = p.t, req, now, st, fl
-		j.ft, j.elem, j.elemFut = fl.ft, int32(i+1), elems[i]
-		fl.ref()
-		s.flowStages.Inc()
-		s.flowFan.Inc()
-		if err := s.admit(p.t, sh, j); err != nil {
-			s.flowStages.Add(-1)
-			s.flowFan.Add(-1)
-			if st.fanouts != nil {
-				st.fanouts.Add(-1)
-			}
-			elems[i].Resolve(Result{Status: StatusRejected, Err: err}, nil)
-		}
+		s.admit(sh, []*Job{j}, true)
 	}
 }
 
 // join fans a Map stage's element results back in. A future-level error
 // (a failed element) fails the flow; otherwise the first non-OK element
-// in input order decides the flow's fate, and an all-OK set advances as
-// the []any of element values.
+// in input order decides the flow's fate, and an all-OK set advances —
+// exactly like a scalar stage's result — as the []any of element values.
 func (p *Pipeline) join(fl *flowState, st *pipeStage, rs []Result, err error) {
 	if err != nil {
-		p.finish(fl, st.idx, Result{Status: StatusFailed, Err: err})
+		fl.resolve(int32(st.idx), Result{Status: StatusFailed, Err: err})
 		return
 	}
 	vals := make([]any, len(rs))
 	var wait time.Duration
 	for i, r := range rs {
 		if r.Status != StatusOK {
-			p.finish(fl, st.idx, r)
+			fl.resolve(int32(st.idx), r)
 			return
 		}
 		vals[i] = r.Value
@@ -695,37 +631,34 @@ func (p *Pipeline) join(fl *flowState, st *pipeStage, rs []Result, err error) {
 			wait = r.Wait
 		}
 	}
-	p.joinDone(fl, st, Result{Status: StatusOK, Value: vals, Wait: wait})
+	fl.resolve(int32(st.idx), Result{Status: StatusOK, Value: vals, Wait: wait})
 }
 
-// joinDone advances a completed Map stage exactly like a scalar one.
-func (p *Pipeline) joinDone(fl *flowState, st *pipeStage, r Result) {
-	if st.last {
-		p.finishOK(fl, r)
-		return
-	}
-	p.chain(fl, st, r)
-}
-
-// finish terminates a flow with a non-OK result, exactly once: the
-// terminal result resolves the originating stage's future and every
-// downstream future — a mid-pipeline shed is visible as StatusShed at
-// each of them — and then the flow's done callback fires.
-func (p *Pipeline) finish(fl *flowState, from int, r Result) {
+// terminate is the one flow terminal: local success, a shed or failure
+// mid-pipeline, a refusal past stage 0, and a remote completion parcel
+// all end here, exactly once — the finished guard makes a racing local
+// shed and a late or duplicate remote completion harmless. The terminal
+// result, stamped with the flow's priority and admission-to-completion
+// Total, resolves every stage future from `from` onward (a mid-pipeline
+// shed is visible as StatusShed at each of them; a failure also rides
+// the futures' error channel), then the flow's done sink hears it.
+func (fl *flowState) terminate(from int, r Result) {
 	if fl.finished.Swap(true) {
 		return
 	}
-	s := p.t.srv
+	s := fl.p.t.srv
 	r.Priority = fl.priority
 	r.Total = time.Since(fl.enqueued)
 	var ferr error
 	if r.Status == StatusFailed {
 		ferr = r.Err
 	}
-	for i := from; i < len(p.stages); i++ {
-		fl.futs[i].Resolve(r, ferr)
+	for _, fut := range fl.futs[from:] {
+		fut.Resolve(r, ferr)
 	}
 	switch r.Status {
+	case StatusOK:
+		s.flowDone.Inc()
 	case StatusShed:
 		s.flowShed.Inc()
 	case StatusRejected:
@@ -734,24 +667,6 @@ func (p *Pipeline) finish(fl *flowState, from int, r Result) {
 		s.flowFail.Inc()
 	}
 	s.obs.finishFlow(fl.ft, r.Status)
-	fl.done(r)
-	fl.unref() // terminal reference
-}
-
-// finishOK completes a flow whose last stage succeeded: the final
-// stage future resolves with the stage result, and the done callback
-// receives it with the flow's full admission-to-completion Total.
-func (p *Pipeline) finishOK(fl *flowState, r Result) {
-	if fl.finished.Swap(true) {
-		return
-	}
-	s := p.t.srv
-	fl.futs[len(p.stages)-1].Resolve(r, nil)
-	final := r
-	final.Priority = fl.priority
-	final.Total = time.Since(fl.enqueued)
-	s.flowDone.Inc()
-	s.obs.finishFlow(fl.ft, StatusOK)
-	fl.done(final)
+	fl.done.resolve(0, r)
 	fl.unref() // terminal reference
 }

@@ -261,34 +261,6 @@ func TestPipelineStageErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestPipelineStagePanicFails(t *testing.T) {
-	sys := newTestSystem(t)
-	defer sys.Close()
-	s := New(sys, Config{Shards: 2})
-	defer s.Close()
-	tn, err := s.RegisterTenant(TenantConfig{
-		Name:    "t",
-		Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := tn.NewPipeline("panicking",
-		echoStage("a"),
-		Stage{Name: "kaboom", Handler: func(*Ctx, Request) (any, error) { panic("kaboom") }},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk, err := tn.SubmitFlow(p, Request{Payload: "x"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := tk.Wait(); res.Status != StatusFailed || res.Err == nil {
-		t.Fatalf("panicking flow = %+v, want StatusFailed", res)
-	}
-}
-
 func TestPipelineExpiredDeadlineShedsAllStages(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
@@ -309,13 +281,11 @@ func TestPipelineExpiredDeadlineShedsAllStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var doneCalls atomic.Int64
 	var final Result
 	var wg sync.WaitGroup
 	wg.Add(1)
 	futs, err := tn.SubmitFlowFunc(p, Request{Payload: "x", Deadline: time.Now().Add(-time.Millisecond)},
 		func(r Result) {
-			doneCalls.Add(1)
 			final = r
 			wg.Done()
 		})
@@ -333,10 +303,6 @@ func TestPipelineExpiredDeadlineShedsAllStages(t *testing.T) {
 		if err != nil || r.Status != StatusShed {
 			t.Errorf("stage %d future = %v / %v, want shed", i, r.Status, err)
 		}
-	}
-	time.Sleep(10 * time.Millisecond) // any double-done would land by now
-	if n := doneCalls.Load(); n != 1 {
-		t.Fatalf("done ran %d times, want exactly once", n)
 	}
 	if st := s.Stats(); st.Flow.Shed != 1 {
 		t.Errorf("flow stats = %+v, want one shed flow", st.Flow)
@@ -504,16 +470,16 @@ func TestPipelineMapFirstInheritsRequestSets(t *testing.T) {
 	}
 }
 
-// TestLegacySubmitZeroDeadlineNotShed is the regression test for the
-// legacy string-keyed shim: a zero deadline means "no deadline" — jobs
-// must wait out any queue depth rather than being shed on admission or
-// drain.
+// TestLegacySubmitZeroDeadlineNotShed pins a promise older than the
+// handle API (the name is kept so its history stays findable): a zero
+// deadline means "no deadline" — jobs must wait out any queue depth
+// rather than being shed on admission or drain.
 func TestLegacySubmitZeroDeadlineNotShed(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
 	s := New(sys, Config{Shards: 1, Batch: 4, InflightBatches: 1})
 	defer s.Close()
-	_, err := s.RegisterTenant(TenantConfig{
+	tn, err := s.RegisterTenant(TenantConfig{
 		Name: "t",
 		Handler: func(_ *Ctx, req Request) (any, error) {
 			time.Sleep(200 * time.Microsecond) // force real queueing
@@ -525,7 +491,7 @@ func TestLegacySubmitZeroDeadlineNotShed(t *testing.T) {
 	}
 	tickets := make([]*Ticket, 64)
 	for i := range tickets {
-		tk, err := s.Submit("t", uint64(i), nil, time.Time{})
+		tk, err := tn.Submit(Request{Key: uint64(i), Deadline: time.Time{}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -586,27 +552,6 @@ func TestNewPipelineValidation(t *testing.T) {
 	}
 	if _, err := other.NewPipeline("p", Stage{Handler: ok}); err != nil {
 		t.Errorf("pipeline names are per tenant, got %v", err)
-	}
-}
-
-func TestSubmitFlowClosedServer(t *testing.T) {
-	sys := newTestSystem(t)
-	defer sys.Close()
-	s := New(sys, Config{Shards: 2})
-	tn, err := s.RegisterTenant(TenantConfig{
-		Name:    "t",
-		Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := tn.NewPipeline("p", echoStage("a"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Close()
-	if _, err := tn.SubmitFlow(p, Request{Payload: "x"}); !errors.Is(err, ErrClosed) {
-		t.Errorf("SubmitFlow after Close = %v, want ErrClosed", err)
 	}
 }
 
@@ -853,12 +798,8 @@ func TestPipelineRemoteRouterFinishResolvesRemainingStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var done atomic.Int32
 	results := make(chan Result, 4)
-	futs, err := tn.SubmitFlowFunc(p, Request{Key: 9, Payload: "x"}, func(r Result) {
-		done.Add(1)
-		results <- r
-	})
+	futs, err := tn.SubmitFlowFunc(p, Request{Key: 9, Payload: "x"}, func(r Result) { results <- r })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -887,7 +828,8 @@ func TestPipelineRemoteRouterFinishResolvesRemainingStages(t *testing.T) {
 		t.Fatalf("flow finished %+v before the remote completion", r)
 	case <-time.After(20 * time.Millisecond):
 	}
-	// The remote completion resolves stages 1..2 and the flow, once.
+	// The remote completion resolves stages 1..2 and the flow (a late
+	// duplicate is dropped: TestEveryRequestResolvesExactlyOnce).
 	final := Result{Status: StatusOK, Value: "xabc-remote"}
 	router.finish[0](final)
 	r := <-results
@@ -899,12 +841,6 @@ func TestPipelineRemoteRouterFinishResolvesRemainingStages(t *testing.T) {
 		if err != nil || ri.Value.(string) != "xabc-remote" {
 			t.Fatalf("stage %d = %+v, %v; want remote terminal", i, ri, err)
 		}
-	}
-	// A duplicate completion (late parcel, retry) must be dropped.
-	router.finish[0](Result{Status: StatusFailed, Err: errors.New("dup")})
-	time.Sleep(20 * time.Millisecond)
-	if got := done.Load(); got != 1 {
-		t.Fatalf("done fired %d times, want exactly 1", got)
 	}
 	st := s.Stats()
 	if st.Flow.Completed != 1 {

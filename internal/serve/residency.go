@@ -245,15 +245,3 @@ func (s *Server) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 	s.tenants.Store(cfg.Name, t)
 	return t, nil
 }
-
-// TenantModel returns the modeled cold/warm first-request cycle counts
-// for a registered tenant (zeros when the tenant has no code image).
-// It is the string-keyed shim over Tenant.Model.
-func (s *Server) TenantModel(name string) (coldCycles, warmCycles int64, err error) {
-	t, ok := s.Tenant(name)
-	if !ok {
-		return 0, 0, fmt.Errorf("serve: unknown tenant %q", name)
-	}
-	coldCycles, warmCycles = t.Model()
-	return coldCycles, warmCycles, nil
-}

@@ -129,26 +129,9 @@ func (r *jobRing) publish(pos uint64, j *Job) {
 	c.seq.Store(pos + 1)
 }
 
-// push admits one job; false means full or shut (the caller sheds).
-func (r *jobRing) push(j *Job) bool {
-	if !r.begin() {
-		return false
-	}
-	n, pos, wasEmpty := r.reserve(1)
-	if n == 0 {
-		r.end()
-		return false
-	}
-	r.publish(pos, j)
-	r.end()
-	if wasEmpty {
-		r.signal()
-	}
-	return true
-}
-
 // pushMany admits the longest prefix of jobs that fits and returns its
-// length (0 when shut or full) — one reservation, one signal at most.
+// length (0 when shut or full, and the caller sheds) — one reservation,
+// one signal at most. A single submit is a group of one.
 func (r *jobRing) pushMany(jobs []*Job) int {
 	if len(jobs) == 0 || !r.begin() {
 		return 0

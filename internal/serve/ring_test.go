@@ -49,8 +49,8 @@ func TestRingConcurrentExactlyOnce(t *testing.T) {
 			if p%2 == 0 {
 				// Single-push producer: retry refusals (queue full).
 				for i := 0; i < perProd; i++ {
-					j := &Job{tenant: tn, req: Request{Key: base + uint64(i)}}
-					for !sh.enqueue(j) {
+					j := testJob(tn, Request{Key: base + uint64(i)})
+					for !enqueue(sh, j) {
 						runtime.Gosched()
 					}
 				}
@@ -59,7 +59,7 @@ func TestRingConcurrentExactlyOnce(t *testing.T) {
 			// Burst producer: enqueueMany admits a prefix; re-offer the rest.
 			jobs := make([]*Job, perProd)
 			for i := range jobs {
-				jobs[i] = &Job{tenant: tn, req: Request{Key: base + uint64(i)}}
+				jobs[i] = testJob(tn, Request{Key: base + uint64(i)})
 			}
 			for len(jobs) > 0 {
 				n := sh.enqueueMany(jobs)
@@ -133,8 +133,8 @@ func TestRingStealStress(t *testing.T) {
 			defer wg.Done()
 			per := total / 4
 			for i := 0; i < per; i++ {
-				j := &Job{tenant: tn, req: Request{Key: uint64(p*per + i)}}
-				for !src.enqueue(j) {
+				j := testJob(tn, Request{Key: uint64(p*per + i)})
+				for !enqueue(src, j) {
 					runtime.Gosched()
 				}
 			}
@@ -184,8 +184,8 @@ func TestRingShutdownDuringProduce(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			for i := 0; ; i++ {
-				j := &Job{tenant: tn, req: Request{Key: uint64(i)}}
-				if sh.enqueue(j) {
+				j := testJob(tn, Request{Key: uint64(i)})
+				if enqueue(sh, j) {
 					admitted.Add(1)
 				} else if sh.ring.shut.Load() {
 					return
@@ -210,9 +210,9 @@ func TestRingShutdownDuringProduce(t *testing.T) {
 func TestRingSpuriousWakeups(t *testing.T) {
 	sh := newShard(0, 64)
 	tn := stealTenant(5, 1, true)
-	job := func(k uint64) *Job { return &Job{tenant: tn, req: Request{Key: k}} }
+	job := func(k uint64) *Job { return testJob(tn, Request{Key: k}) }
 
-	if !sh.enqueue(job(0)) {
+	if !enqueue(sh, job(0)) {
 		t.Fatal("enqueue refused on an empty ring")
 	}
 	if got := sh.ring.wakes.Load(); got != 1 {
@@ -220,7 +220,7 @@ func TestRingSpuriousWakeups(t *testing.T) {
 	}
 	// Five more onto a non-empty ring: coalesced, zero new signals.
 	for k := uint64(1); k <= 5; k++ {
-		sh.enqueue(job(k))
+		enqueue(sh, job(k))
 	}
 	if got := sh.ring.wakes.Load(); got != 1 {
 		t.Fatalf("enqueues onto a non-empty ring raised wakeups to %d, want 1", got)
@@ -249,39 +249,34 @@ func TestRingSpuriousWakeups(t *testing.T) {
 }
 
 // TestJobRecycleNoFieldLeak asserts the pool-reuse hygiene contract: a
-// released Job carries nothing — no tenant, no callback, no flow, no
-// trace — into its next generation.
+// recycled Job carries nothing — no tenant, no stage, no sink, no flow,
+// no trace — into its next generation.
 func TestJobRecycleNoFieldLeak(t *testing.T) {
 	sh := newShard(0, 8)
-	s := &Server{}
 	j := sh.newJob()
-	fl := newFlowState()
-	fl.ref() // the job's reference, dropped by releaseJob
-	j.tenant = stealTenant(1, 1, true)
+	tn := stealTenant(1, 1, true)
+	j.tenant = tn
 	j.req = Request{Key: 42, Payload: "p", Deadline: time.Now(), Priority: 3,
 		WorkingSet: []mem.ObjID{1}, WriteSet: []mem.ObjID{2}}
 	j.enqueued = time.Now()
-	j.done = func(Result) {}
-	j.doneMany = func(int, Result) {}
-	j.doneIdx = 7
-	j.elemFut = nil
-	j.flow = fl
+	j.stage = tn.solo.stages[0]
+	j.sink = callbackSink(func(Result) {})
+	j.idx = 7
+	j.flow = newFlowState()
 	j.ft = &FlowTrace{}
-	j.elem = 3
 
-	s.releaseJob(sh, j)
-	// The pool may hand back any record; the one we released must be
+	sh.recycle(j)
+	// The pool may hand back any record; the one we recycled must be
 	// clean regardless, and we still hold the pointer.
-	if j.tenant != nil || j.done != nil || j.doneMany != nil || j.doneIdx != 0 ||
-		j.elemFut != nil || j.stage != nil || j.flow != nil || j.ft != nil || j.elem != 0 {
-		t.Fatalf("released job leaked fields: %+v", j)
+	if j.tenant != nil || j.stage != nil || j.sink != nil || j.idx != 0 || j.flow != nil || j.ft != nil {
+		t.Fatalf("recycled job leaked fields: %+v", j)
 	}
 	if j.req.Key != 0 || j.req.Payload != nil || j.req.WorkingSet != nil ||
 		j.req.WriteSet != nil || j.req.Priority != 0 || !j.req.Deadline.IsZero() {
-		t.Fatalf("released job leaked request fields: %+v", j.req)
+		t.Fatalf("recycled job leaked request fields: %+v", j.req)
 	}
 	if !j.enqueued.IsZero() {
-		t.Fatal("released job leaked enqueue timestamp")
+		t.Fatal("recycled job leaked enqueue timestamp")
 	}
 }
 
@@ -295,7 +290,7 @@ func TestFlowStateRecycleNoFieldLeak(t *testing.T) {
 	fl.deadline = time.Now()
 	fl.priority = 2
 	fl.enqueued = time.Now()
-	fl.done = func(Result) {}
+	fl.done = callbackSink(func(Result) {})
 	fl.futs = nil
 	fl.ft = &FlowTrace{}
 	fl.finished.Store(true)

@@ -70,13 +70,35 @@
 //     before any traffic. Mechanism in internal/serve/contc; wiring in
 //     compile.go.
 //
-// The v2 surface is handle-based: RegisterTenant returns a *Tenant
-// whose Submit/SubmitFunc/SubmitMany methods carry the resolved
+// The surface is handle-based: RegisterTenant returns a *Tenant whose
+// Submit/SubmitFunc/SubmitMany/SubmitFlow methods carry the resolved
 // identity, so the per-request hot path performs no map lookup and no
 // string hashing. Handlers are error-aware — func(*Ctx, Request) (any,
 // error) — and compose through Middleware chains (server-wide and
-// per-tenant), resolved once at registration. The legacy string-keyed
-// Server.Submit/SubmitFunc survive as thin shims over the handle path.
+// per-tenant), resolved once at registration.
+//
+// Every request, whichever surface submitted it, lives one lifecycle,
+// and each step is one function:
+//
+//	route      routeShard     (tenant, key) hash, or the working set's home locale
+//	construct  construct      the only place a Job is built (deadline default, key
+//	                          sketch, trace context, flow reference, shard.newJob)
+//	admit      admit          one ring reservation per shard group; counts acceptance
+//	refuse     refuse         full shard or closing server; counts rejection, seals
+//	                          the trace, delivers StatusRejected or returns the error
+//	ring       jobRing        bounded MPSC queue (ring.go)
+//	drain      dispatch       the shard's dispatcher LGT takes a batch (shard.drain)
+//	                          and sheds what expired in the queue or ranks below the
+//	                          overload level
+//	batch SGT  runBatch       one detached SGT per drained batch; stages working sets
+//	execute    execute        runs the stage's handler, or sheds (shed) a job whose
+//	                          deadline passed after draining
+//	sink       finishJob      counts the stage outcome, hands the Result to Job.sink:
+//	                          a *Ticket, a callback, a burst's indexed callback, a
+//	                          fan-out element's future, or the flow (flowState.resolve)
+//	release    shard.recycle  record zeroed and pooled before the sink runs; the
+//	                          job's flow reference dropped after
+//	terminal   terminate      the one place a flow ends, local or remote, exactly once
 //
 // Accounting flows through the system's internal/monitor instance:
 // servers and tenants publish counters under the "serve." prefix.
@@ -438,7 +460,7 @@ func (s *Server) Tenant(name string) (*Tenant, bool) {
 // queues in either case.
 func (t *Tenant) Submit(req Request) (*Ticket, error) {
 	tk := &Ticket{}
-	if err := t.SubmitFunc(req, func(r Result) { tk.cell.Put(r) }); err != nil {
+	if err := t.srv.submit(t, t.solo.stages[0], nil, req, time.Now(), nil, tk, 0, false); err != nil {
 		return nil, err
 	}
 	return tk, nil
@@ -452,63 +474,153 @@ func (t *Tenant) Submit(req Request) (*Ticket, error) {
 // executes as the tenant's degenerate one-stage pipeline (Tenant.Solo)
 // — the same admission core flows run on.
 func (t *Tenant) SubmitFunc(req Request, done func(Result)) error {
-	s := t.srv
-	if s.closed.Load() {
-		return ErrClosed
+	return t.srv.submit(t, t.solo.stages[0], nil, req, time.Now(), nil, callbackSink(done), 0, false)
+}
+
+// construct is the one place a job record is built. Every surface —
+// plain submits, bursts, a flow's stage 0, stage hops, fan-out elements
+// — hands it the stage to run, that stage's request, and the sink. A
+// plain submission (fl nil) gets the server's default deadline, feeds
+// the tenant's key sketch (wait-free, zero allocations), and draws its
+// own trace sample; a flow job inherits all three from its flow, takes
+// its reference on it, and is counted as a stage job — refuse undoes
+// both. The request is routed here unless the caller already holds its
+// shard (a landed stage hop, a scatter-planned element).
+func (s *Server) construct(t *Tenant, st *pipeStage, fl *flowState, req Request, now time.Time, sh *shard, sk sink, idx int32) (*shard, *Job) {
+	var ft *FlowTrace
+	if fl == nil {
+		s.defaultDeadline(&req, now)
+		if t.sketch != nil {
+			t.sketch.Update(req.Key)
+		}
+		ft = s.obs.sample(t, t.solo, req.Key)
+	} else {
+		fl.ref()
+		ft = fl.ft
+		s.flowStages.Inc()
+		if st.fanout {
+			s.flowFan.Inc()
+			st.fanouts.Inc()
+		}
 	}
-	now := time.Now()
+	if sh == nil {
+		sh = s.routeShard(t, &req)
+	}
+	j := sh.newJob()
+	j.tenant, j.req, j.enqueued, j.stage, j.sink, j.idx, j.flow, j.ft = t, req, now, st, sk, idx, fl, ft
+	return sh, j
+}
+
+// defaultDeadline applies Config.DefaultDeadline to a submission that
+// carries no deadline of its own.
+func (s *Server) defaultDeadline(req *Request, now time.Time) {
 	if req.Deadline.IsZero() && s.cfg.DefaultDeadline != 0 {
 		req.Deadline = now.Add(s.cfg.DefaultDeadline)
 	}
-	if t.sketch != nil {
-		// Continuous compilation: fold the key into the tenant's
-		// distribution sketch. Wait-free, zero allocations.
-		t.sketch.Update(req.Key)
-	}
-	sh := s.routeShard(t, &req)
-	j := sh.newJob()
-	j.tenant, j.req, j.enqueued, j.done, j.stage = t, req, now, done, t.solo.stages[0]
-	j.ft = s.obs.sample(t, t.solo, req.Key)
-	return s.admit(t, sh, j)
 }
 
-// admit enqueues one prepared job at its routed shard, keeping the
-// admission accounting in one place for every submission surface —
-// single submits, bursts, and pipeline stage jobs alike. On refusal
-// the job record is released back to the shard's pool (no completion
-// form fires); the caller owns any flow-level rollback.
-func (s *Server) admit(t *Tenant, sh *shard, j *Job) error {
-	// Capture what the success bookkeeping needs BEFORE enqueue: the
-	// moment the job enters the ring it is drainable, and by the time
-	// enqueue returns it may already have executed and been recycled.
-	ft, arg := j.ft, j.spanArg()
-	if !sh.enqueue(j) {
-		// Shards only refuse when full or shut; Close sets s.closed
-		// before shutting shards, so the flag distinguishes the two.
-		if s.closed.Load() {
-			s.releaseJob(sh, j)
-			return ErrClosed
-		}
-		t.rej.Inc()
-		s.rejected.Inc()
-		if j.ft != nil {
-			j.ft.add(trace.KindFail, sh.id, sh.locale, j.spanArg(), "admission refused: shard queue full")
-			if j.flow == nil {
-				s.obs.finishFlow(j.ft, StatusRejected)
+// submit constructs one job and offers it to its shard; see construct
+// and admit for the parameters.
+func (s *Server) submit(t *Tenant, st *pipeStage, fl *flowState, req Request, now time.Time, sh *shard, sk sink, idx int32, deliver bool) error {
+	sh, j := s.construct(t, st, fl, req, now, sh, sk, idx)
+	_, err := s.admit(sh, []*Job{j}, deliver)
+	return err
+}
+
+// admitMark is the trace context of one sampled job in an admit group.
+type admitMark struct {
+	pos int
+	ft  *FlowTrace
+	arg int64
+}
+
+// admit offers constructed jobs of one tenant, all routed to sh, to the
+// shard's ring in one reservation — a burst pays each destination
+// shard's tail CAS once — and returns how many the ring took. That is
+// always a prefix, so the earlier requests of a burst win the slots; the
+// rest go to refuse, and err says why (nil when everything fit). This is
+// the one place acceptance is accounted, for every submission surface.
+func (s *Server) admit(sh *shard, g []*Job, deliver bool) (n int, err error) {
+	t := g[0].tenant
+	// Capture what the admit events need BEFORE enqueue: the moment a job
+	// enters the ring it is drainable, and by the time enqueueMany returns
+	// it may already have executed and been recycled.
+	var buf [4]admitMark
+	marks := buf[:0]
+	if s.obs != nil {
+		for i, j := range g {
+			if j.ft != nil {
+				marks = append(marks, admitMark{i, j.ft, j.spanArg()})
 			}
 		}
-		s.releaseJob(sh, j)
-		return ErrOverload
 	}
-	t.acc.Inc()
-	s.accepted.Inc()
-	ft.add(trace.KindAdmit, sh.id, sh.locale, arg, "") // nil-safe
-	return nil
+	if !s.closed.Load() {
+		n = sh.enqueueMany(g)
+	}
+	if n > 0 {
+		t.acc.Add(int64(n))
+		s.accepted.Add(int64(n))
+		for _, m := range marks {
+			if m.pos < n {
+				m.ft.add(trace.KindAdmit, sh.id, sh.locale, m.arg, "")
+			}
+		}
+	}
+	if n == len(g) {
+		return n, nil
+	}
+	// Shards only refuse when full or shut; Close sets s.closed before
+	// shutting shards, so the flag distinguishes the two.
+	err = ErrOverload
+	if s.closed.Load() {
+		err = ErrClosed
+	}
+	for _, j := range g[n:] {
+		s.refuse(sh, j, err, deliver)
+	}
+	return n, err
+}
+
+// refuse is the one refusal path: a job its shard would not take is
+// accounted, traced and recycled here, whichever surface built it. Only
+// backpressure counts as a rejection — a closed server refuses with
+// ErrClosed without inflating the rejected counters. deliver is what
+// the surface promised its caller: a uniform Result (bursts, stage hops,
+// fan-out elements: the sink hears StatusRejected) or an error return
+// (single submits and a flow's scalar stage 0: the sink never fires).
+func (s *Server) refuse(sh *shard, j *Job, err error, deliver bool) {
+	if err == ErrOverload {
+		j.tenant.rej.Inc()
+		s.rejected.Inc()
+	}
+	if j.flow != nil {
+		// Undo construct's stage-job accounting: this job never existed.
+		s.flowStages.Add(-1)
+		if j.stage.fanout {
+			s.flowFan.Add(-1)
+			j.stage.fanouts.Add(-1)
+		}
+	}
+	if j.ft != nil {
+		j.ft.add(trace.KindFail, sh.id, sh.locale, j.spanArg(), "admission refused: "+err.Error())
+		if j.flow == nil || !deliver {
+			// No flow terminal will hear of this refusal — a plain
+			// submission, or a flow that never started — so the trace
+			// ends here.
+			s.obs.finishFlow(j.ft, StatusRejected)
+		}
+	}
+	sk, idx, pri, fl := j.sink, j.idx, j.req.Priority, j.flow
+	sh.recycle(j)
+	if deliver {
+		sk.resolve(idx, Result{Status: StatusRejected, Err: err, Priority: pri})
+	}
+	fl.unref()
 }
 
 // SubmitMany admits a burst of requests as a unit, grouping them by
-// destination shard so each shard lock is taken at most once per call.
-// Every request gets a ticket: refused ones (full shard or closed
+// destination shard so each shard's ring is reserved at most once per
+// call. Every request gets a ticket: refused ones (full shard or closed
 // server) resolve immediately with StatusRejected and Err set to
 // ErrOverload or ErrClosed, so a burst's outcomes are uniform Results
 // rather than a special-cased error.
@@ -521,23 +633,17 @@ func (t *Tenant) SubmitMany(reqs []Request) []*Ticket {
 	return tickets
 }
 
-// manyScratch is SubmitManyFunc's reusable working memory: the routed
-// jobs, their destination shards, and the counting-sort scaffolding
-// that groups a burst into per-shard contiguous runs. Pooled package-
-// wide (submitters are arbitrary goroutines), so a steady stream of
-// bursts allocates nothing once the pool is warm.
+// manyScratch is SubmitManyFunc's reusable working memory: the
+// constructed jobs, their destination shards, and the counting-sort
+// scaffolding that groups a burst into per-shard contiguous runs. Pooled
+// package-wide (submitters are arbitrary goroutines), so a steady stream
+// of bursts allocates nothing once the pool is warm.
 type manyScratch struct {
 	jobs    []*Job
 	home    []int32
 	counts  []int32
 	next    []int32
 	grouped []*Job
-	// fts/args mirror grouped: the trace context and span argument of
-	// each grouped job, captured BEFORE enqueueMany — an admitted job may
-	// execute and be recycled before the call returns, so the admit
-	// events must never read the Job again.
-	fts  []*FlowTrace
-	args []int64
 }
 
 var manyPool sync.Pool
@@ -545,13 +651,8 @@ var manyPool sync.Pool
 // release clears the job pointers (so the pool never pins a recycled
 // Job's next life) and returns the scratch.
 func (m *manyScratch) release() {
-	for i := range m.jobs {
-		m.jobs[i] = nil
-	}
-	for i := range m.grouped {
-		m.grouped[i] = nil
-		m.fts[i] = nil
-	}
+	clear(m.jobs)
+	clear(m.grouped)
 	manyPool.Put(m)
 }
 
@@ -564,23 +665,17 @@ func getManyScratch(nreqs, nshards int) *manyScratch {
 		m.jobs = make([]*Job, nreqs)
 		m.home = make([]int32, nreqs)
 		m.grouped = make([]*Job, nreqs)
-		m.fts = make([]*FlowTrace, nreqs)
-		m.args = make([]int64, nreqs)
 	}
 	m.jobs = m.jobs[:nreqs]
 	m.home = m.home[:nreqs]
 	m.grouped = m.grouped[:nreqs]
-	m.fts = m.fts[:nreqs]
-	m.args = m.args[:nreqs]
 	if cap(m.counts) < nshards {
 		m.counts = make([]int32, nshards)
 		m.next = make([]int32, nshards)
 	}
 	m.counts = m.counts[:nshards]
 	m.next = m.next[:nshards]
-	for i := range m.counts {
-		m.counts[i] = 0
-	}
+	clear(m.counts)
 	return m
 }
 
@@ -595,32 +690,11 @@ func (t *Tenant) SubmitManyFunc(reqs []Request, done func(i int, r Result)) int 
 	if len(reqs) == 0 {
 		return 0
 	}
-	if len(reqs) == 1 {
-		// A burst of one needs no grouping scaffolding: defer to the
-		// single-submit path, translating its errors into the uniform
-		// per-request outcome this surface promises.
-		if err := t.SubmitFunc(reqs[0], func(r Result) { done(0, r) }); err != nil {
-			done(0, Result{Status: StatusRejected, Err: err, Priority: reqs[0].Priority})
-			return 0
-		}
-		return 1
-	}
 	now := time.Now()
-	nshards := len(s.shards)
-	m := getManyScratch(len(reqs), nshards)
+	m := getManyScratch(len(reqs), len(s.shards))
 	defer m.release()
 	for i, r := range reqs {
-		if r.Deadline.IsZero() && s.cfg.DefaultDeadline != 0 {
-			r.Deadline = now.Add(s.cfg.DefaultDeadline)
-		}
-		if t.sketch != nil {
-			t.sketch.Update(r.Key)
-		}
-		sh := s.routeShard(t, &r)
-		j := sh.newJob()
-		j.tenant, j.req, j.enqueued, j.stage = t, r, now, t.solo.stages[0]
-		j.doneMany, j.doneIdx = done, int32(i)
-		j.ft = s.obs.sample(t, t.solo, r.Key)
+		sh, j := s.construct(t, t.solo.stages[0], nil, r, now, nil, indexedSink(done), int32(i))
 		m.jobs[i] = j
 		m.home[i] = int32(sh.id)
 		m.counts[sh.id]++
@@ -632,83 +706,19 @@ func (t *Tenant) SubmitManyFunc(reqs []Request, done func(i int, r Result)) int 
 		sum += c
 	}
 	for i, j := range m.jobs {
-		gi := m.next[m.home[i]]
-		m.grouped[gi] = j
-		m.fts[gi] = j.ft
-		m.args[gi] = j.spanArg()
+		m.grouped[m.next[m.home[i]]] = j
 		m.next[m.home[i]]++
 	}
 	accepted := 0
-	for si := 0; si < nshards; si++ {
-		if m.counts[si] == 0 {
+	for si, c := range m.counts {
+		if c == 0 {
 			continue
 		}
 		// After the scatter pass next[si] is one past the group's end.
-		g := m.grouped[m.next[si]-m.counts[si] : m.next[si]]
-		var acc int
-		if !s.closed.Load() {
-			acc = s.shards[si].enqueueMany(g)
-		}
-		accepted += acc
-		if acc > 0 {
-			t.acc.Add(int64(acc))
-			s.accepted.Add(int64(acc))
-			if s.obs != nil {
-				// Captured contexts, not the jobs: the admitted prefix may
-				// already be executing (or recycled) on its shard.
-				sh := s.shards[si]
-				lo := int(m.next[si] - m.counts[si])
-				for gi := lo; gi < lo+acc; gi++ {
-					m.fts[gi].add(trace.KindAdmit, sh.id, sh.locale, m.args[gi], "") // nil-safe
-				}
-			}
-		}
-		if acc == len(g) {
-			continue
-		}
-		// Only backpressure counts as a rejection in the accounting, the
-		// same as the single-submit path: a closed server refuses with
-		// ErrClosed but does not inflate the rejected counters.
-		errv := ErrOverload
-		if s.closed.Load() {
-			errv = ErrClosed
-		} else {
-			t.rej.Add(int64(len(g) - acc))
-			s.rejected.Add(int64(len(g) - acc))
-		}
-		sh := s.shards[si]
-		for _, j := range g[acc:] {
-			if j.ft != nil {
-				j.ft.add(trace.KindFail, sh.id, sh.locale, j.spanArg(), "admission refused: "+errv.Error())
-				s.obs.finishFlow(j.ft, StatusRejected)
-			}
-			idx, pri := int(j.doneIdx), j.req.Priority
-			s.releaseJob(sh, j)
-			done(idx, Result{Status: StatusRejected, Err: errv, Priority: pri})
-		}
+		n, _ := s.admit(s.shards[si], m.grouped[m.next[si]-c:m.next[si]], true)
+		accepted += n
 	}
 	return accepted
-}
-
-// Submit is the legacy string-keyed surface: it resolves the tenant by
-// name on every call, then defers to the handle path. New code should
-// hold the *Tenant from RegisterTenant and call Tenant.Submit.
-func (s *Server) Submit(tenantName string, key uint64, payload any, deadline time.Time) (*Ticket, error) {
-	t, ok := s.Tenant(tenantName)
-	if !ok {
-		return nil, fmt.Errorf("serve: unknown tenant %q", tenantName)
-	}
-	return t.Submit(Request{Key: key, Payload: payload, Deadline: deadline})
-}
-
-// SubmitFunc is the legacy string-keyed SubmitFunc; a thin shim over
-// Tenant.SubmitFunc.
-func (s *Server) SubmitFunc(tenantName string, key uint64, payload any, deadline time.Time, done func(Result)) error {
-	t, ok := s.Tenant(tenantName)
-	if !ok {
-		return fmt.Errorf("serve: unknown tenant %q", tenantName)
-	}
-	return t.SubmitFunc(Request{Key: key, Payload: payload, Deadline: deadline}, done)
 }
 
 // execute runs one admitted request on the batch SGT, paying the
@@ -757,17 +767,14 @@ func (s *Server) execute(sg *core.SGT, sh *shard, j *Job, ctx *Ctx, now time.Tim
 	// Per-stage locality accounting: whether this stage execution was
 	// served entirely from local copies — the signal pipeline routing
 	// declarations exist to maximize.
-	if j.stage != nil && j.stage.localExec != nil {
+	if j.stage.localExec != nil {
 		if remote {
 			j.stage.remoteExec.Inc()
 		} else {
 			j.stage.localExec.Inc()
 		}
 	}
-	handler := t.handler
-	if j.stage != nil {
-		handler = j.stage.handler
-	}
+	handler := j.stage.handler
 	if j.flow == nil && t.fast != nil {
 		// Continuous compilation: a promoted (tenant, key) runs its
 		// compiled fast-path handler — one slot load, guarded by the
@@ -828,83 +835,26 @@ func (s *Server) execute(sg *core.SGT, sh *shard, j *Job, ctx *Ctx, now time.Tim
 		} else {
 			j.ft.add(trace.KindComplete, sh.id, sh.locale, j.spanArg(), "")
 		}
-		if j.flow == nil {
-			// Solo jobs have no pipeline terminal path: seal here. Flow
-			// stage jobs leave sealing to finish/finishOK.
-			s.obs.finishFlow(j.ft, res.Status)
-		}
 	}
 	s.finishJob(sh, j, res)
 }
 
-// finishJob delivers a job's Result through whichever completion form
-// the job carries, then recycles the record. Exactly one invocation per
-// job — the done-exactly-once guarantee now has a single exit point.
-// The record is released before user callbacks run where possible so a
-// callback that resubmits can reuse it immediately; flow paths release
-// after, because the flow's refcount (held per live job) must outlast
-// Pipeline.complete / the element resolution.
+// finishJob is the one completion path, run exactly once per admitted
+// job: the stage counts the outcome, a plain submission's trace is
+// sealed (flow jobs leave that to the flow terminal), and the Result
+// goes to the job's sink. The record is recycled BEFORE the sink runs,
+// so a user callback that resubmits can reuse it immediately; the job's
+// flow reference is dropped AFTER, so the flow state outlasts whatever
+// the sink does with it (chain the next stage, resolve the join).
 func (s *Server) finishJob(sh *shard, j *Job, res Result) {
-	switch {
-	case j.elemFut != nil:
-		// Fan-out element: per-stage outcome counters, then resolve the
-		// element future — a failed element carries its error onto the
-		// future's error channel, riding future.All to the join.
-		st := j.stage
-		var ferr error
-		switch res.Status {
-		case StatusOK:
-			if st != nil && st.done != nil {
-				st.done.Inc()
-			}
-			if st != nil {
-				// Continuous compilation: the element's service time is
-				// the chunk-cost observation the scatter planner learns
-				// from (no-op unless the controller instrumented the stage).
-				st.observeElem(res)
-			}
-		case StatusShed:
-			if st != nil && st.shed != nil {
-				st.shed.Inc()
-			}
-		default:
-			if st != nil && st.failed != nil {
-				st.failed.Inc()
-			}
-			ferr = res.Err
-		}
-		fut := j.elemFut
-		fut.Resolve(res, ferr)
-		s.releaseJob(sh, j)
-	case j.flow != nil:
-		// Scalar stage job: the pipeline decides what happens next. The
-		// job's flow reference is dropped by releaseJob afterwards, so
-		// the flow state is pinned for the whole of complete.
-		fl, st := j.flow, j.stage
-		fl.p.complete(fl, st, res)
-		s.releaseJob(sh, j)
-	case j.doneMany != nil:
-		dm, idx := j.doneMany, int(j.doneIdx)
-		s.releaseJob(sh, j)
-		dm(idx, res)
-	default:
-		d := j.done
-		s.releaseJob(sh, j)
-		d(res)
+	j.stage.count(res)
+	if j.flow == nil {
+		s.obs.finishFlow(j.ft, res.Status)
 	}
-}
-
-// releaseJob zeroes a job record and returns it to the shard's pool
-// (the executing shard's — a stolen job recycles where it ran). The
-// flow reference is dropped only after the record is cleared, so a
-// recycled job can never resolve a stale ticket or pin a dead flow.
-func (s *Server) releaseJob(sh *shard, j *Job) {
-	fl := j.flow
-	*j = Job{}
-	sh.jobs.Put(j)
-	if fl != nil {
-		fl.unref()
-	}
+	sk, idx, fl := j.sink, j.idx, j.flow
+	sh.recycle(j)
+	sk.resolve(idx, res)
+	fl.unref()
 }
 
 // shed completes an expired job without running its handler. cause is
@@ -918,9 +868,6 @@ func (s *Server) shed(sh *shard, j *Job, now time.Time, cause string) {
 	if j.ft != nil {
 		j.ft.add(trace.KindAdapt, sh.id, sh.locale, j.spanArg(), cause)
 		j.ft.add(trace.KindShed, sh.id, sh.locale, j.spanArg(), "")
-		if j.flow == nil {
-			s.obs.finishFlow(j.ft, StatusShed)
-		}
 	}
 	age := now.Sub(j.enqueued)
 	s.finishJob(sh, j, Result{Status: StatusShed, Wait: age, Total: age, Priority: j.req.Priority})

@@ -24,9 +24,9 @@ type shard struct {
 	locale mem.Locale // where the dispatcher LGT and its batch SGTs run
 	ring   jobRing
 	ctrl   *batchController // nil unless Config.Adapt is enabled
-	// jobs recycles this shard's Job records: admission takes one from
-	// here, finishJob zeroes and returns it, so the steady-state submit
-	// path allocates nothing.
+	// jobs recycles this shard's Job records: construct takes one from
+	// here (newJob), finishJob or refuse returns it zeroed (recycle), so
+	// the steady-state submit path allocates nothing.
 	jobs sync.Pool
 	// Always-on drain instruments (atomic, alloc-free): the queue depth
 	// seen at each drain and the size of each dispatched batch. They
@@ -41,7 +41,7 @@ func newShard(id, depth int) *shard {
 }
 
 // newJob takes a recycled Job record (or a fresh one while the pool
-// warms up). Fields are zero on return — releaseJob clears them.
+// warms up). Fields are zero on return — recycle clears them.
 func (sh *shard) newJob() *Job {
 	j, _ := sh.jobs.Get().(*Job)
 	if j == nil {
@@ -50,16 +50,22 @@ func (sh *shard) newJob() *Job {
 	return j
 }
 
-// enqueue admits j, or refuses when the queue is at capacity or the
-// server is closing (backpressure: the caller sheds at admission rather
-// than queueing unboundedly).
-func (sh *shard) enqueue(j *Job) bool { return sh.ring.push(j) }
+// recycle zeroes a job record and returns it to this shard's pool (the
+// executing shard's — a stolen job recycles where it ran). Callers copy
+// out the sink and the flow reference first, and use them only after:
+// a recycled record can never resolve a stale sink or pin a dead flow.
+func (sh *shard) recycle(j *Job) {
+	*j = Job{}
+	sh.jobs.Put(j)
+}
 
 // enqueueMany admits as many of jobs as fit in one ring reservation and
-// returns the accepted prefix length (0 when shut). This is the burst
-// analogue of enqueue: a SubmitMany call pays each destination shard's
-// tail CAS once, not once per request, and wakes its dispatcher at most
-// once — exactly on the empty→non-empty transition.
+// returns the accepted prefix length (0 when shut): the rest are refused
+// because the queue is at capacity or the server is closing
+// (backpressure: the caller sheds at admission rather than queueing
+// unboundedly). A SubmitMany call pays each destination shard's tail CAS
+// once, not once per request, and wakes its dispatcher at most once —
+// exactly on the empty→non-empty transition.
 func (sh *shard) enqueueMany(jobs []*Job) int { return sh.ring.pushMany(jobs) }
 
 // drain blocks until at least one job is queued, then removes and
@@ -114,12 +120,6 @@ func (sh *shard) shutdown() { sh.ring.shutdown() }
 type stealScratch struct {
 	siblings map[uint64]int
 	pos      []uint64
-}
-
-// stealJobs is the scratch-less form for tests and one-off callers.
-func stealJobs(src, dst *shard, want int) int {
-	var sc stealScratch
-	return stealJobsInto(src, dst, want, &sc)
 }
 
 // stealJobsInto moves up to want queued jobs from src's ring onto dst —
@@ -218,7 +218,7 @@ func stealJobsInto(src, dst *shard, want int, sc *stealScratch) int {
 		// is published to dst it is drainable there, and the destination
 		// dispatcher may execute and recycle it while this loop is still
 		// running — after publish the job must never be touched again.
-		if j.stage != nil && j.stage.steals != nil {
+		if j.stage.steals != nil {
 			j.stage.steals.Inc()
 		}
 		if j.flow != nil {
