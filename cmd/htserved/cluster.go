@@ -57,8 +57,7 @@ func runCluster(o clusterOpts) {
 	}
 	tr, err := netparcel.Listen(parcel.NodeID("ht@"+o.listen), o.listen, netparcel.Config{})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "htserved: -listen:", err)
-		os.Exit(1)
+		fatal("-listen:", err)
 	}
 	node, err := cluster.NewNode(cluster.Config{
 		Transport: tr,
@@ -68,14 +67,12 @@ func runCluster(o clusterOpts) {
 		Recover:   cluster.RecoverConfig{FlowTimeout: o.flowTimeout},
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "htserved:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	defer node.Close()
 	pipe, err := registerClusterDemo(node, o.imgKB, o.work, o.locales)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "htserved:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("cluster: node %s listening on %s (%d global locales)\n",
 		node.Self(), node.Transport().Addr(), o.locales)
@@ -88,8 +85,7 @@ func runCluster(o clusterOpts) {
 				break
 			}
 			if time.Now().After(deadline) {
-				fmt.Fprintln(os.Stderr, "htserved: -join:", err)
-				os.Exit(1)
+				fatal("-join:", err)
 			}
 			time.Sleep(200 * time.Millisecond)
 		}

@@ -21,22 +21,24 @@
 // and replicating hot objects; the localhot scenario concentrates
 // traffic on the locale-0 objects to show it off.
 //
-// -compile (requires -adapt) engages the continuous-compilation
-// controller: per-tenant key sketches on the admission path, hot-key
-// fast paths (each tenant's specialized handler form, a quarter of the
-// general handler's cost), and learned fan-out scatter plans. The
+// -compile engages the continuous-compilation controller (with or
+// without -adapt: the control loop runs whichever controllers are on):
+// per-tenant key sketches on the admission path, hot-key fast paths
+// (each tenant's specialized handler form, a quarter of the general
+// handler's cost), and learned fan-out scatter plans. The
 // shift scenario — a hot-key regime change at the midpoint — is the
 // drift traffic it exists for. -hints-file persists the learned policy
 // as a hints script at exit and loads it at startup when present, so a
 // second run starts warm (the paper's knowledge database surviving
 // recompilation).
 //
-// -pipeline swaps the single-request generators for open-loop dataflow
-// flows: a dedicated tenant compiles a 3-stage fan-out pipeline (parse
-// a hot locale-0 document, enrich -fan parts against element blocks on
-// the other locales, aggregate into a locale-0 result), every stage
-// routed by its declared working set, and the report covers whole
-// flows plus per-stage done/shed/steal/locality accounting.
+// -pipeline swaps the single-request generators for a seeded script of
+// dataflow flows: a dedicated tenant compiles a 3-stage fan-out
+// pipeline (parse a hot locale-0 document, enrich -fan parts against
+// element blocks on the other locales, aggregate into a locale-0
+// result), every stage routed by its declared working set, and the
+// report covers whole flows plus per-stage done/shed/steal/locality
+// accounting.
 //
 // -listen turns the process into one node of a real cluster
 // (internal/cluster) on the TCP parcel transport: -join enters an
@@ -96,7 +98,7 @@ func main() {
 		scenario = flag.String("scenario", "", "play a deterministic scenario script instead of the open-loop generator: bursty | ramp | hotkey | sameshard | localhot | shift")
 		hotFrac  = flag.Float64("hotfrac", 0.8, "hot-key fraction for -scenario hotkey, hot-object fraction for -scenario localhot and open-loop -locality")
 		locality = flag.Bool("locality", false, "engage the data plane: working-set routing, batch staging, and the locality loop (requires -adapt)")
-		compile  = flag.Bool("compile", false, "engage the continuous-compilation controller: key sketches, hot-key fast paths, learned scatter plans (requires -adapt)")
+		compile  = flag.Bool("compile", false, "engage the continuous-compilation controller: key sketches, hot-key fast paths, learned scatter plans")
 		hintsF   = flag.String("hints-file", "", "persist the learned policy to this hints script at exit, loading it first when it exists (requires -compile)")
 		objects  = flag.Int("objects", 16, "data objects per tenant for -locality / -scenario localhot")
 		pipeline = flag.Bool("pipeline", false, "drive 3-stage fan-out dataflow flows (parse -> enrich -> aggregate) through Tenant.SubmitFlow; stages route by their declared working sets")
@@ -114,69 +116,30 @@ func main() {
 	)
 	flag.Parse()
 
-	if *tenants < 1 {
-		fmt.Fprintln(os.Stderr, "htserved: -tenants must be >= 1")
-		os.Exit(2)
-	}
-	if *join != "" && *listen == "" {
-		fmt.Fprintln(os.Stderr, "htserved: -join requires -listen (a joining node must be reachable itself)")
-		os.Exit(2)
-	}
-	if *nodes < 1 {
-		fmt.Fprintln(os.Stderr, "htserved: -nodes must be >= 1")
-		os.Exit(2)
-	}
-	if *nodes > 1 && *listen == "" {
-		fmt.Fprintln(os.Stderr, "htserved: -nodes > 1 requires -listen (a multi-node cluster needs a transport address)")
-		os.Exit(2)
-	}
-	if *rate < 0 || (*rate == 0 && *listen == "") {
-		fmt.Fprintln(os.Stderr, "htserved: -rate must be > 0 (0 is allowed only in cluster mode: host without driving load)")
-		os.Exit(2)
-	}
-	if *duration <= 0 {
-		fmt.Fprintln(os.Stderr, "htserved: -duration must be > 0")
-		os.Exit(2)
-	}
-	if *locales < 1 {
-		fmt.Fprintln(os.Stderr, "htserved: -locales must be >= 1")
-		os.Exit(2)
-	}
-	if *shards < 1 {
-		fmt.Fprintln(os.Stderr, "htserved: -shards must be >= 1")
-		os.Exit(2)
-	}
-	if *locality && !*adapt {
-		fmt.Fprintln(os.Stderr, "htserved: -locality requires -adapt (the locality loop is an adaptivity controller)")
-		os.Exit(2)
-	}
-	if *compile && !*adapt {
-		fmt.Fprintln(os.Stderr, "htserved: -compile requires -adapt (continuous compilation shares the adaptivity control loop)")
-		os.Exit(2)
-	}
-	if *hintsF != "" && !*compile {
-		fmt.Fprintln(os.Stderr, "htserved: -hints-file requires -compile (there is no learned policy to persist otherwise)")
-		os.Exit(2)
-	}
-	if (*locality || *scenario == "localhot") && *objects < 2 {
-		fmt.Fprintln(os.Stderr, "htserved: -objects must be >= 2 for the data plane")
-		os.Exit(2)
-	}
-	if *pipeline && *scenario != "" {
-		fmt.Fprintln(os.Stderr, "htserved: -pipeline and -scenario are exclusive load modes")
-		os.Exit(2)
-	}
-	if *pipeline && *fan < 1 {
-		fmt.Fprintln(os.Stderr, "htserved: -fan must be >= 1")
-		os.Exit(2)
-	}
-	if *observe < 0 || *observe > 1 {
-		fmt.Fprintln(os.Stderr, "htserved: -observe must be in [0,1]")
-		os.Exit(2)
-	}
-	if *dumpTr && *observe == 0 {
-		fmt.Fprintln(os.Stderr, "htserved: -dump-traces requires -observe > 0 (nothing is recorded otherwise)")
-		os.Exit(2)
+	for _, check := range []struct {
+		bad bool
+		msg string
+	}{
+		{*tenants < 1, "-tenants must be >= 1"},
+		{*join != "" && *listen == "", "-join requires -listen (a joining node must be reachable itself)"},
+		{*nodes < 1, "-nodes must be >= 1"},
+		{*nodes > 1 && *listen == "", "-nodes > 1 requires -listen (a multi-node cluster needs a transport address)"},
+		{*rate < 0 || (*rate == 0 && *listen == ""), "-rate must be > 0 (0 is allowed only in cluster mode: host without driving load)"},
+		{*duration <= 0, "-duration must be > 0"},
+		{*locales < 1, "-locales must be >= 1"},
+		{*shards < 1, "-shards must be >= 1"},
+		{*locality && !*adapt, "-locality requires -adapt (the locality loop is an adaptivity controller)"},
+		{*hintsF != "" && !*compile, "-hints-file requires -compile (there is no learned policy to persist otherwise)"},
+		{(*locality || *scenario == "localhot") && *objects < 2, "-objects must be >= 2 for the data plane"},
+		{*pipeline && *scenario != "", "-pipeline and -scenario are exclusive load modes"},
+		{*pipeline && *fan < 1, "-fan must be >= 1"},
+		{*observe < 0 || *observe > 1, "-observe must be in [0,1]"},
+		{*dumpTr && *observe == 0, "-dump-traces requires -observe > 0 (nothing is recorded otherwise)"},
+	} {
+		if check.bad {
+			fmt.Fprintln(os.Stderr, "htserved:", check.msg)
+			os.Exit(2)
+		}
 	}
 
 	if *listen != "" {
@@ -193,8 +156,7 @@ func main() {
 
 	sys, err := litlx.New(litlx.Config{Locales: *locales, WorkersPerLocale: *workers})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "htserved:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	defer sys.Close()
 	cfg := serve.Config{Shards: *shards, QueueDepth: *depth, Batch: *batch}
@@ -210,13 +172,11 @@ func main() {
 			db := hints.NewDB()
 			if data, err := os.ReadFile(*hintsF); err == nil {
 				if perr := hints.ParseScriptString(string(data), db); perr != nil {
-					fmt.Fprintf(os.Stderr, "htserved: -hints-file %s: %v\n", *hintsF, perr)
-					os.Exit(1)
+					fatal("-hints-file", *hintsF+":", perr)
 				}
 				fmt.Printf("loaded hints script %s: warm start\n", *hintsF)
 			} else if !os.IsNotExist(err) {
-				fmt.Fprintln(os.Stderr, "htserved:", err)
-				os.Exit(1)
+				fatal(err)
 			}
 			ccfg.DB = db
 		}
@@ -307,8 +267,7 @@ func main() {
 		}
 		tn, err := srv.RegisterTenant(tc)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "htserved:", err)
-			os.Exit(1)
+			fatal(err)
 		}
 		handles[i] = tn
 	}
@@ -319,17 +278,8 @@ func main() {
 	var rep serve.LoadReport
 	if *scenario != "" {
 		// Scenario mode: a deterministic seeded script replaces the
-		// wall-clock generator. -rate and -duration still size it: one
-		// virtual tick is 1ms of play time.
-		const tick = time.Millisecond
-		ticks := int(*duration / tick)
-		if ticks < 1 {
-			ticks = 1
-		}
-		perTick := int(*rate * tick.Seconds())
-		if perTick < 1 {
-			perTick = 1
-		}
+		// wall-clock generator; -rate and -duration still size it.
+		tick, ticks, perTick := scriptGrid(*rate, *duration)
 		var sc serve.Scenario
 		switch *scenario {
 		case "bursty":
@@ -412,34 +362,28 @@ func main() {
 	tab.AddRow("max latency", rep.Max)
 	fmt.Println(tab.String())
 
-	st := srv.Stats()
+	st, as := srv.Stats(), srv.AdaptStats()
 	fmt.Printf("server: %d batches for %d jobs (%.1f jobs/batch), %d cold code transfers, latency EWMA %.0fus\n",
-		st.Batches, st.Done, float64(st.Done)/float64(max64(st.Batches, 1)), st.CodeTransfers, st.LatencyEWMAus)
+		st.Batches, st.Done, float64(st.Done)/float64(max(st.Batches, 1)), st.CodeTransfers, st.LatencyEWMAus)
 	if *adapt {
-		as := srv.AdaptStats()
 		fmt.Printf("adapt: %d steals over %d rebalances, batch bounds %v (%d grows, %d shrinks), "+
 			"%d low-priority sheds at level %d, wait EWMA %.0fus, imbalance %.2f\n",
 			as.Steals, as.Rebalances, as.BatchSizes, as.BatchGrows, as.BatchShrinks,
-			as.ShedLowPriority, as.ShedLevel, as.WaitEWMAus, as.Imbalance)
+			as.ShedLowPriority, as.ShedLevel, st.WaitEWMAus, as.Imbalance)
 	}
 	if *compile {
-		as := srv.AdaptStats()
 		fmt.Printf("compile: %d plans (%d swaps), %d hot-key promotions / %d demotions, "+
 			"%d fast-path hits, %d scattered elements\n",
 			as.CompilePlans, as.CompileSwaps, as.HotPromotions, as.HotDemotions,
 			as.FastPathHits, as.ScatteredElems)
 		if *hintsF != "" {
-			f, err := os.Create(*hintsF)
+			script, err := srv.HintsDB().ScriptString()
+			if err == nil {
+				err = os.WriteFile(*hintsF, []byte(script), 0o644)
+			}
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "htserved:", err)
-				os.Exit(1)
+				fatal(err)
 			}
-			if err := srv.HintsDB().WriteScript(f); err != nil {
-				f.Close()
-				fmt.Fprintln(os.Stderr, "htserved:", err)
-				os.Exit(1)
-			}
-			f.Close()
 			fmt.Printf("wrote learned policy to %s\n", *hintsF)
 		}
 	}
@@ -447,7 +391,7 @@ func main() {
 		fmt.Printf("data: %d accesses (%.1f%% remote), modeled cost %d, %d staged, "+
 			"%d migrations, %d replications\n",
 			sp.Reads+sp.Writes, 100*sys.Space.RemoteFraction(), sp.TotalCost,
-			st.DataStaged, st.Migrations, st.Replications)
+			st.DataStaged, as.Migrations, as.Replications)
 	}
 	if ob := srv.Snapshot().Observe; ob.Enabled {
 		fmt.Printf("observe: %d traced flows (rate %.3g), %d in flight recorder, %d adapt events (%d dropped)\n",
@@ -480,8 +424,7 @@ func serveDebugHTTP(srv *serve.Server, addr string) {
 	})
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "htserved: -http:", err)
-		os.Exit(1)
+		fatal("-http:", err)
 	}
 	fmt.Printf("debug endpoints on http://%s/debug/serve/metrics\n", ln.Addr())
 	go func() { _ = http.Serve(ln, nil) }()
@@ -491,8 +434,8 @@ func serveDebugHTTP(srv *serve.Server, addr string) {
 // the V4-shaped object set (a hot document and result at locale 0,
 // element blocks spread across the remaining locales), compiles a
 // 3-stage fan-out pipeline whose stages declare their working sets, and
-// the open-loop flow generator offers whole flows at -rate. Each stage
-// burns -work spin units; -loose is the per-flow deadline the pipeline
+// a seeded steady script offers whole flows at -rate. Each stage burns
+// -work spin units; -loose is the per-flow deadline the pipeline
 // propagates to every stage.
 func runPipelineFlows(sys *litlx.System, srv *serve.Server, rate float64, duration time.Duration,
 	fan, locales int, work int64, keys uint64, deadline time.Duration, seed uint64) {
@@ -512,8 +455,7 @@ func runPipelineFlows(sys *litlx.System, srv *serve.Server, rate float64, durati
 		Objects: specs,
 	})
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "htserved:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	objs := tn.Objects()
 	doc, elems, result := objs[0:1], objs[1:fan+1], objs[fan+1:fan+2]
@@ -544,15 +486,16 @@ func runPipelineFlows(sys *litlx.System, srv *serve.Server, rate float64, durati
 			}},
 	)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "htserved:", err)
-		os.Exit(1)
+		fatal(err)
 	}
 	fmt.Printf("offering %.0f flows/s for %v through a 3-stage fan-out pipeline (width %d, locality-routed stages)...\n",
 		rate, duration, fan)
-	rep := serve.RunFlows(srv, serve.FlowLoadConfig{
-		Pipeline: pl, Rate: rate, Duration: duration,
-		KeySpace: keys, Deadline: deadline, Seed: seed,
-	})
+	tick, ticks, perTick := scriptGrid(rate, duration)
+	sc := serve.BurstyScenario(seed, 1, ticks, perTick, 0, 0, keys)
+	if deadline > 0 {
+		sc = sc.WithDeadline(int(deadline / tick))
+	}
+	rep := serve.PlayScenario(srv, sc, serve.PlayConfig{Tenants: []*serve.Tenant{tn}, Tick: tick, Flow: pl})
 
 	tab := stats.NewTable("htserved pipeline flow report", "metric", "value")
 	tab.AddRow("flows offered", rep.Offered)
@@ -579,9 +522,20 @@ func runPipelineFlows(sys *litlx.System, srv *serve.Server, rate float64, durati
 	}
 }
 
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
+// fatal reports a startup or runtime failure and exits 1 (flag misuse
+// exits 2, from main's check table).
+func fatal(args ...any) {
+	fmt.Fprintln(os.Stderr, append([]any{"htserved:"}, args...)...)
+	os.Exit(1)
+}
+
+// scriptGrid sizes a seeded script from -rate and -duration: 1ms ticks
+// of rate/1000 arrivals each, or — below 1000/s, where that rounds to
+// nothing — one arrival per tick of 1/rate.
+func scriptGrid(rate float64, duration time.Duration) (tick time.Duration, ticks, perTick int) {
+	tick = time.Millisecond
+	if rate*tick.Seconds() < 1 {
+		tick = time.Duration(float64(time.Second) / rate)
 	}
-	return b
+	return tick, max(1, int(duration/tick)), max(1, int(rate*tick.Seconds()))
 }

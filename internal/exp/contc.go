@@ -92,8 +92,9 @@ func ExpContinuousCompile(scale int) *Result {
 		var out arm
 		if compile {
 			// Early checkpoint, before any traffic: only a warm start can
-			// have installed a plan by now.
-			time.Sleep(4 * every)
+			// have installed a plan by now. 40 periods, not a handful: on
+			// a loaded 2-CPU box the loop's first pass can be 2ms late.
+			time.Sleep(40 * every)
 			out.early = srv.AdaptStats().CompilePlans
 			out.warmed = srv.CompileDecisions()
 		}
@@ -160,7 +161,7 @@ func ExpContinuousCompile(scale int) *Result {
 		}
 		var out arm
 		if compile {
-			time.Sleep(4 * every)
+			time.Sleep(40 * every)
 			out.early = srv.AdaptStats().HotPromotions
 			out.warmed = srv.CompileDecisions()
 		}

@@ -55,7 +55,7 @@ func ExpDataLocality(scale int) *Result {
 	}
 	sc := serve.LocalHotScenario(31, 1, ticks, perTick, objects, hot, 0.75, 0.3, 1024)
 
-	run := func(dataPlane bool) (serve.LoadReport, serve.Stats, mem.SpaceStats) {
+	run := func(dataPlane bool) (serve.LoadReport, serve.Snapshot, mem.SpaceStats) {
 		sys, err := litlx.New(litlx.Config{Locales: locales, WorkersPerLocale: 8})
 		if err != nil {
 			panic(err)
@@ -86,10 +86,10 @@ func ExpDataLocality(scale int) *Result {
 			panic(err)
 		}
 		rep := serve.PlayScenario(srv, sc, serve.PlayConfig{Tenants: []*serve.Tenant{tn}, Tick: tick})
-		return rep, srv.Stats(), sys.Space.Stats()
+		return rep, srv.Snapshot(), sys.Space.Stats()
 	}
 
-	var stats [2]serve.Stats
+	var stats [2]serve.Snapshot
 	var spaces [2]mem.SpaceStats
 	for i, dataPlane := range []bool{false, true} {
 		rep, st, sp := run(dataPlane)
@@ -104,19 +104,19 @@ func ExpDataLocality(scale int) *Result {
 			remoteFrac = float64(sp.RemoteReads+sp.RemoteWrites) / float64(total)
 		}
 		res.Table.AddRow(label, rep.Offered, rep.Completed,
-			sp.TotalCost, remoteFrac, st.WaitEWMAus,
-			st.DataStaged, st.Migrations, st.Replications)
+			sp.TotalCost, remoteFrac, st.Stats.WaitEWMAus,
+			st.Stats.DataStaged, st.Adapt.Migrations, st.Adapt.Replications)
 		prefix := "hash_"
 		if dataPlane {
 			prefix = "locality_"
 		}
 		res.Metrics[prefix+"access_cost"] = float64(sp.TotalCost)
 		res.Metrics[prefix+"remote_frac"] = remoteFrac
-		res.Metrics[prefix+"wait_us"] = st.WaitEWMAus
+		res.Metrics[prefix+"wait_us"] = st.Stats.WaitEWMAus
 	}
-	res.Metrics["migrations"] = float64(stats[1].Migrations)
-	res.Metrics["replications"] = float64(stats[1].Replications)
-	res.Metrics["staged"] = float64(stats[1].DataStaged)
+	res.Metrics["migrations"] = float64(stats[1].Adapt.Migrations)
+	res.Metrics["replications"] = float64(stats[1].Adapt.Replications)
+	res.Metrics["staged"] = float64(stats[1].Stats.DataStaged)
 	if spaces[1].TotalCost > 0 {
 		res.Metrics["access_cost_ratio"] = float64(spaces[0].TotalCost) / float64(spaces[1].TotalCost)
 	}
@@ -125,14 +125,14 @@ func ExpDataLocality(scale int) *Result {
 	// engage (staging and the locality loop moved data, witnessed by the
 	// monitor-backed counters) and must beat hash routing on modeled
 	// access cost. The baseline must not touch any of it.
-	if stats[0].DataStaged != 0 || stats[0].Migrations != 0 || stats[0].Replications != 0 {
+	if stats[0].Stats.DataStaged != 0 || stats[0].Adapt.Migrations != 0 || stats[0].Adapt.Replications != 0 {
 		panic(fmt.Sprintf("exp V3: hash-routed baseline moved data (staged %d, migrations %d, replications %d)",
-			stats[0].DataStaged, stats[0].Migrations, stats[0].Replications))
+			stats[0].Stats.DataStaged, stats[0].Adapt.Migrations, stats[0].Adapt.Replications))
 	}
-	if stats[1].DataStaged == 0 {
+	if stats[1].Stats.DataStaged == 0 {
 		panic("exp V3: data-plane run staged nothing")
 	}
-	if stats[1].Migrations == 0 {
+	if stats[1].Adapt.Migrations == 0 {
 		panic("exp V3: locality loop migrated nothing")
 	}
 	if spaces[1].TotalCost >= spaces[0].TotalCost {

@@ -12,8 +12,11 @@ import (
 
 // AdaptConfig switches on the serve layer's closed adaptivity loop —
 // the paper's always-on-monitoring-feeds-controllers design (Section 2)
-// applied to request serving. Three controllers run against the live
-// monitor instruments:
+// applied to request serving. Four controllers run against the live
+// monitor instruments (Config.Compile adds a fifth, see CompileConfig).
+// The batch tuner runs on each dispatcher; the other three are entries
+// of the server's control plane, one clocked loop that fires each
+// controller at its own period:
 //
 //   - batch sizing: each dispatcher retunes its drain bound from a
 //     per-shard queue-depth EWMA, growing batches while the backlog
@@ -107,38 +110,105 @@ func (a AdaptConfig) withDefaults(base Config) AdaptConfig {
 // batchLatencyBounds bucket one batch's service time in microseconds.
 var batchLatencyBounds = []float64{100, 250, 500, 1000, 2500, 5000, 10000, 25000, 50000, 100000}
 
+// controller is one entry of the server's control plane: a decision
+// pass the loop runs every period. Behind each once is a struct that
+// owns its instruments and scratch, and whose counters AdaptStats reads
+// — the loop knows none of them by name.
+type controller struct {
+	every time.Duration
+	next  time.Time // the pass is due once now >= next
+	once  func(now time.Time)
+}
+
+// install adds a controller whose first pass is due one period from now.
+func (s *Server) install(every time.Duration, once func(time.Time)) {
+	s.controllers = append(s.controllers, controller{every: every, next: time.Now().Add(every), once: once})
+}
+
+// step runs every controller due at now. The control loop calls it with
+// the ticker's time; tests drive it with synthetic times. Due times
+// advance by whole periods so a controller keeps its own cadence
+// whatever the loop's period is, and a stalled loop skips the periods it
+// missed instead of bursting through them.
+func (s *Server) step(now time.Time) {
+	for i := range s.controllers {
+		c := &s.controllers[i]
+		if now.Before(c.next) {
+			continue
+		}
+		c.once(now)
+		if c.next = c.next.Add(c.every); !c.next.After(now) {
+			c.next = now.Add(c.every)
+		}
+	}
+}
+
+// period is the control loop's ticker period: the smallest installed one.
+func (s *Server) period() time.Duration {
+	period := s.controllers[0].every
+	for _, c := range s.controllers[1:] {
+		period = min(period, c.every)
+	}
+	return period
+}
+
+// controlLoop is the control plane's one clock, stepping the
+// controllers until Close.
+func (s *Server) controlLoop() {
+	defer s.control.Done()
+	t := time.NewTicker(s.period())
+	defer t.Stop()
+	for {
+		select {
+		case <-s.quit:
+			return
+		case now := <-t.C:
+			s.step(now)
+		}
+	}
+}
+
+// decide records one control-plane decision on the adapt timeline (see
+// observe.go) — the only caller of observer.adapt, for the loop's
+// controllers and the per-shard batch tuners alike. producer is the
+// deciding shard's id, or len(shards) for the loop. The label is
+// formatted only when an observer is listening.
+func (s *Server) decide(producer int, locale mem.Locale, format string, args ...any) {
+	if s.obs != nil {
+		s.obs.adapt(producer, locale, fmt.Sprintf(format, args...))
+	}
+}
+
 // batchController retunes one shard's drain bound. The dispatcher reads
 // batch() before every drain and feeds the observed queue depth back
 // through observeDepth; the batch SGT reports its service time through
 // observeLatency. All state is monitor-backed, so Snapshot exposes the
 // same signals the controller acts on.
 type batchController struct {
+	srv      *Server // retunes land on the adapt timeline through srv.decide
+	sh       *shard
 	min, max int
 	budgetUS float64
 	cur      atomic.Int64
 	depth    *monitor.EWMA      // queue depth at drain time
 	lat      *monitor.Histogram // batch service latency, microseconds
-	grow     *monitor.Counter   // server-wide serve.adapt.batch_grow
-	shrink   *monitor.Counter   // server-wide serve.adapt.batch_shrink
-	obs      *observer          // nil unless Config.Observe: retunes land on the adapt timeline
-	shard    int
-	locale   mem.Locale
+	// Server-wide retune counters, shared by every shard's controller.
+	grow, shrink *monitor.Counter
 }
 
-func newBatchController(mon *monitor.Monitor, shard int, cfg Config, obs *observer, locale mem.Locale) *batchController {
+func newBatchController(s *Server, sh *shard, grow, shrink *monitor.Counter) *batchController {
 	c := &batchController{
-		min:      cfg.Adapt.BatchMin,
-		max:      cfg.Adapt.BatchMax,
-		budgetUS: float64(cfg.Adapt.LatencyBudget) / float64(time.Microsecond),
-		depth:    mon.EWMA(fmt.Sprintf("serve.shard%02d.depth", shard), 0.2),
-		lat:      mon.Histogram(fmt.Sprintf("serve.shard%02d.batch_us", shard), batchLatencyBounds),
-		grow:     mon.Counter("serve.adapt.batch_grow"),
-		shrink:   mon.Counter("serve.adapt.batch_shrink"),
-		obs:      obs,
-		shard:    shard,
-		locale:   locale,
+		srv:      s,
+		sh:       sh,
+		min:      s.cfg.Adapt.BatchMin,
+		max:      s.cfg.Adapt.BatchMax,
+		budgetUS: float64(s.cfg.Adapt.LatencyBudget) / float64(time.Microsecond),
+		depth:    s.sys.Mon.EWMA(fmt.Sprintf("serve.shard%02d.depth", sh.id), 0.2),
+		lat:      s.sys.Mon.Histogram(fmt.Sprintf("serve.shard%02d.batch_us", sh.id), batchLatencyBounds),
+		grow:     grow,
+		shrink:   shrink,
 	}
-	start := cfg.Batch
+	start := s.cfg.Batch
 	if start < c.min {
 		start = c.min
 	}
@@ -168,10 +238,7 @@ func (c *batchController) observeDepth(d int) {
 		}
 		c.cur.Store(int64(next))
 		c.grow.Inc()
-		if c.obs != nil {
-			c.obs.adapt(c.shard, c.locale,
-				fmt.Sprintf("batch grow %d -> %d (depth ewma %.1f)", cur, next, e))
-		}
+		c.srv.decide(c.sh.id, c.sh.locale, "batch grow %d -> %d (depth ewma %.1f)", cur, next, e)
 	case cur > c.min && (e*4 <= float64(cur) || !c.latencyHeadroom()):
 		next := cur / 2
 		if next < c.min {
@@ -179,10 +246,7 @@ func (c *batchController) observeDepth(d int) {
 		}
 		c.cur.Store(int64(next))
 		c.shrink.Inc()
-		if c.obs != nil {
-			c.obs.adapt(c.shard, c.locale,
-				fmt.Sprintf("batch shrink %d -> %d (depth ewma %.1f)", cur, next, e))
-		}
+		c.srv.decide(c.sh.id, c.sh.locale, "batch shrink %d -> %d (depth ewma %.1f)", cur, next, e)
 	}
 }
 
@@ -203,29 +267,39 @@ func (c *batchController) latencyHeadroom() bool {
 // time, so overload sheds the least important work earliest instead of
 // letting every queue run to its deadline.
 type overloadController struct {
+	srv      *Server
 	budgetUS float64
 	maxLevel int32
 	level    atomic.Int32
+	shed     *monitor.Counter // jobs the level dropped; counted by Server.shedLow
 }
 
-func newOverloadController(a AdaptConfig) *overloadController {
+func newOverloadController(s *Server) *overloadController {
 	return &overloadController{
-		budgetUS: float64(a.LatencyBudget) / float64(time.Microsecond),
-		maxLevel: int32(a.MaxShedLevel),
+		srv:      s,
+		budgetUS: float64(s.cfg.Adapt.LatencyBudget) / float64(time.Microsecond),
+		maxLevel: int32(s.cfg.Adapt.MaxShedLevel),
+		shed:     s.sys.Mon.Counter("serve.adapt.shed_lowpri"),
 	}
 }
 
-// update moves the shed level one step per control tick: up while the
-// wait EWMA exceeds the budget, down once it has recovered to half.
-// One step at a time keeps the loop stable (no flapping on one noisy
-// sample — the EWMA smooths the input, the single step damps the output).
-func (o *overloadController) update(waitUS float64) {
-	switch l := o.level.Load(); {
-	case waitUS > o.budgetUS && l < o.maxLevel:
-		o.level.Store(l + 1)
-	case waitUS < o.budgetUS/2 && l > 0:
-		o.level.Store(l - 1)
+// once moves the shed level one step per pass: up while the server's
+// wait EWMA exceeds the budget, down once it has recovered to half. One
+// step at a time keeps the loop stable (no flapping on one noisy sample
+// — the EWMA smooths the input, the single step damps the output).
+func (o *overloadController) once(time.Time) {
+	wait, prev := o.srv.waitUS.Value(), o.level.Load()
+	cur := prev
+	switch {
+	case wait > o.budgetUS && prev < o.maxLevel:
+		cur++
+	case wait < o.budgetUS/2 && prev > 0:
+		cur--
+	default:
+		return
 	}
+	o.level.Store(cur)
+	o.srv.decide(len(o.srv.shards), 0, "overload shed level %d -> %d (wait ewma %.0fus)", prev, cur, wait)
 }
 
 // shedLevel is the current priority floor; jobs below it are shed.
@@ -238,128 +312,88 @@ func (o *overloadController) shedLevel() int {
 	return int(o.level.Load())
 }
 
-// controlLoop is the serve layer's periodic controller: every
-// RebalanceEvery it reevaluates the overload level and rebalances the
-// shards, and every LocalityEvery it rebalances the data plane. It runs
-// until Close.
-func (s *Server) controlLoop() {
-	defer s.control.Done()
-	// The base period is the adaptivity cadence; with adaptivity off the
-	// loop exists only for the continuous compiler, so its cadence is
-	// the period.
-	period := s.cfg.Adapt.RebalanceEvery
-	if period <= 0 {
-		period = s.cfg.Compile.Every
-	}
-	t := time.NewTicker(period)
-	defer t.Stop()
-	// The locality and continuous-compilation loops share the control
-	// ticker: each fires once per its own multiple of the base period
-	// rather than on its own timer, so Close has exactly one loop to
-	// stop.
-	localityTicks := 0
-	if s.locality != nil {
-		localityTicks = int(s.cfg.Adapt.LocalityEvery / period)
-		if localityTicks < 1 {
-			localityTicks = 1
-		}
-	}
-	compileTicks := 0
-	if s.comp != nil {
-		compileTicks = int(s.cfg.Compile.Every / period)
-		if compileTicks < 1 {
-			compileTicks = 1
-		}
-	}
-	tick := 0
-	for {
-		select {
-		case <-s.quit:
-			return
-		case <-t.C:
-		}
-		if s.load != nil {
-			s.adaptOnce()
-		}
-		tick++
-		if localityTicks > 0 && tick%localityTicks == 0 {
-			s.localityOnce()
-		}
-		if compileTicks > 0 && tick%compileTicks == 0 {
-			s.compileOnce()
-		}
+// rebalanceController measures shard imbalance and steals queued jobs
+// per the load controller's migration plan. The pending snapshot and the
+// steal working memory live here (the loop serializes passes), so the
+// common nothing-to-do pass allocates nothing.
+type rebalanceController struct {
+	srv                *Server
+	load               adapt.LoadController
+	imbalance          *monitor.EWMA
+	steals, rebalances *monitor.Counter
+	pending            []int
+	scratch            stealScratch
+}
+
+func newRebalanceController(s *Server) *rebalanceController {
+	return &rebalanceController{
+		srv:        s,
+		load:       adapt.LoadController{ImbalanceThreshold: s.cfg.Adapt.StealThreshold},
+		imbalance:  s.sys.Mon.EWMA("serve.adapt.imbalance", 0.2),
+		steals:     s.sys.Mon.Counter("serve.adapt.steals"),
+		rebalances: s.sys.Mon.Counter("serve.adapt.rebalances"),
+		pending:    make([]int, len(s.shards)),
 	}
 }
 
-// localityOnce runs one locality-loop iteration: apply the locality
-// manager's migrate/replicate plan over the shared space and decay its
-// access counters, publishing the movements to the monitor. Split out
-// so tests and experiments can drive the loop deterministically.
-func (s *Server) localityOnce() {
-	if s.locality == nil {
-		return
+func (r *rebalanceController) once(time.Time) {
+	shards := r.srv.shards
+	for i, sh := range shards {
+		r.pending[i] = sh.pending()
 	}
-	actions, _ := s.locality.Rebalance()
-	for _, a := range actions {
-		switch a.Kind {
-		case "migrate":
-			s.migrations.Inc()
-		case "replicate":
-			s.replications.Inc()
-		}
-		if s.obs != nil {
-			s.obs.adapt(len(s.shards), a.To,
-				fmt.Sprintf("locality %s obj %d -> locale %d", a.Kind, a.Obj, a.To))
-		}
-	}
-}
-
-// adaptOnce runs one control iteration: refresh the overload level from
-// the wait EWMA, then measure shard imbalance and steal per the load
-// controller's migration plan. Split out so tests can drive the loop
-// deterministically.
-func (s *Server) adaptOnce() {
-	// The control loop's own decisions are attributed to producer
-	// len(shards) on the adapt timeline — one id past the shard range.
-	ctl := len(s.shards)
-	wait := s.waitUS.Value()
-	prevLevel := s.overload.shedLevel()
-	s.overload.update(wait)
-	if cur := s.overload.shedLevel(); cur != prevLevel && s.obs != nil {
-		s.obs.adapt(ctl, 0,
-			fmt.Sprintf("overload shed level %d -> %d (wait ewma %.0fus)", prevLevel, cur, wait))
-	}
-	// The pending snapshot and steal scratch are hoisted onto the server
-	// (adaptOnce runs only on the control loop): the common nothing-to-do
-	// tick allocates nothing.
-	if cap(s.pendingBuf) < len(s.shards) {
-		s.pendingBuf = make([]int, len(s.shards))
-	}
-	pending := s.pendingBuf[:len(s.shards)]
-	for i, sh := range s.shards {
-		pending[i] = sh.pending()
-	}
-	imb := adapt.Imbalance(pending)
-	s.imbalance.Observe(imb)
-	if imb <= s.load.ImbalanceThreshold {
+	imb := adapt.Imbalance(r.pending)
+	r.imbalance.Observe(imb)
+	if imb <= r.load.ImbalanceThreshold {
 		return
 	}
 	moved := 0
-	for _, p := range s.load.Plan(pending) {
-		n := stealJobsInto(s.shards[p.From], s.shards[p.To], p.Count, &s.stealSc)
+	for _, p := range r.load.Plan(r.pending) {
+		n := stealJobsInto(shards[p.From], shards[p.To], p.Count, &r.scratch)
 		moved += n
-		if n > 0 && s.obs != nil {
-			s.obs.adapt(ctl, s.shards[p.To].locale,
-				fmt.Sprintf("rebalance: stole %d jobs shard %d -> %d (imbalance %.2f)", n, p.From, p.To, imb))
+		if n > 0 {
+			r.srv.decide(len(shards), shards[p.To].locale,
+				"rebalance: stole %d jobs shard %d -> %d (imbalance %.2f)", n, p.From, p.To, imb)
 		}
 	}
 	if moved > 0 {
-		s.steals.Add(int64(moved))
-		s.rebalances.Inc()
+		r.steals.Add(int64(moved))
+		r.rebalances.Inc()
 	}
 }
 
-// AdaptStats is a point-in-time view of the adaptivity loop.
+// localityController applies the system's locality manager's
+// migrate/replicate plan over the shared space and decays its access
+// counters. The serve layer is one of possibly many feeders of the
+// space; the decision policy lives in internal/adapt.
+type localityController struct {
+	srv                      *Server
+	migrations, replications *monitor.Counter
+}
+
+func newLocalityController(s *Server) *localityController {
+	return &localityController{
+		srv:          s,
+		migrations:   s.sys.Mon.Counter("serve.adapt.migrations"),
+		replications: s.sys.Mon.Counter("serve.adapt.replications"),
+	}
+}
+
+func (l *localityController) once(time.Time) {
+	actions, _ := l.srv.sys.Locality.Rebalance()
+	for _, a := range actions {
+		switch a.Kind {
+		case "migrate":
+			l.migrations.Inc()
+		case "replicate":
+			l.replications.Inc()
+		}
+		l.srv.decide(len(l.srv.shards), a.To, "locality %s obj %d -> locale %d", a.Kind, a.Obj, a.To)
+	}
+}
+
+// AdaptStats is a point-in-time view of the control plane, read off
+// the controllers that own each counter; a counter here appears on no
+// other stats struct (Stats.Steals is the one documented mirror).
 type AdaptStats struct {
 	// Enabled mirrors Config.Adapt.Enabled.
 	Enabled bool
@@ -370,22 +404,21 @@ type AdaptStats struct {
 	Pending []int
 	// BatchGrows / BatchShrinks count batch-bound retunes.
 	BatchGrows, BatchShrinks int64
-	// Steals counts jobs moved between shards; Rebalances counts
-	// control ticks that moved at least one. StageSteals is the subset
-	// of steals that moved pipeline stage jobs (flows rebalance like
-	// any other work).
-	Steals, Rebalances, StageSteals int64
+	// Steals counts jobs moved between shards (Stats.Flow.StageSteals is
+	// the subset that were pipeline stage jobs); Rebalances counts
+	// control passes that moved at least one.
+	Steals, Rebalances int64
+	// Imbalance is the smoothed max/mean pending ratio the rebalancer
+	// steers by.
+	Imbalance float64
 	// Migrations / Replications count the locality loop's data
 	// movements across the shared space (zero unless Adapt.Locality).
 	Migrations, Replications int64
-	// ShedLevel is the current overload priority floor;
-	// ShedLowPriority counts jobs it dropped.
+	// ShedLevel is the current overload priority floor, steered by
+	// Stats.WaitEWMAus; ShedLowPriority counts jobs it dropped (they
+	// also count in Stats.Shed).
 	ShedLevel       int
 	ShedLowPriority int64
-	// WaitEWMAus is the admission-to-execution wait estimate the
-	// overload controller steers by; Imbalance is the smoothed max/mean
-	// pending ratio the rebalancer steers by.
-	WaitEWMAus, Imbalance float64
 	// Continuous-compilation loop (all zero when Config.Compile is
 	// off). CompilePlans counts installed scatter plans (warm restores
 	// included), CompileSwaps the subset that replaced a live plan after
@@ -399,39 +432,36 @@ type AdaptStats struct {
 	FastPathHits, ScatteredElems int64
 }
 
-// AdaptStats snapshots the adaptivity loop's inputs and outputs.
+// AdaptStats snapshots the control plane's inputs and outputs.
 func (s *Server) AdaptStats() AdaptStats {
 	st := AdaptStats{
-		Enabled:         s.cfg.Adapt.Enabled,
-		BatchSizes:      make([]int, len(s.shards)),
-		Pending:         make([]int, len(s.shards)),
-		BatchGrows:      s.batchGrow.Value(),
-		BatchShrinks:    s.batchShrink.Value(),
-		Steals:          s.steals.Value(),
-		Rebalances:      s.rebalances.Value(),
-		StageSteals:     s.flowSteals.Value(),
-		Migrations:      s.migrations.Value(),
-		Replications:    s.replications.Value(),
-		ShedLevel:       s.overload.shedLevel(),
-		ShedLowPriority: s.shedLowPri.Value(),
-		WaitEWMAus:      s.waitUS.Value(),
-		CompileEnabled:  s.cfg.Compile.Enabled,
-		CompilePlans:    s.compPlans.Value(),
-		CompileSwaps:    s.compSwaps.Value(),
-		HotPromotions:   s.compPromote.Value(),
-		HotDemotions:    s.compDemote.Value(),
-		FastPathHits:    s.compFastHits.Value(),
-		ScatteredElems:  s.compScatter.Value(),
+		Enabled:        s.cfg.Adapt.Enabled,
+		BatchSizes:     make([]int, len(s.shards)),
+		Pending:        make([]int, len(s.shards)),
+		CompileEnabled: s.cfg.Compile.Enabled,
 	}
-	if s.imbalance != nil {
-		st.Imbalance = s.imbalance.Value()
+	if o := s.overload; o != nil {
+		st.ShedLevel, st.ShedLowPriority = o.shedLevel(), o.shed.Value()
+	}
+	if r := s.rebalance; r != nil {
+		st.Steals, st.Rebalances = r.steals.Value(), r.rebalances.Value()
+		st.Imbalance = r.imbalance.Value()
+	}
+	if l := s.localize; l != nil {
+		st.Migrations, st.Replications = l.migrations.Value(), l.replications.Value()
+	}
+	if c := s.comp; c != nil {
+		st.CompilePlans, st.CompileSwaps = c.plans.Value(), c.swaps.Value()
+		st.HotPromotions, st.HotDemotions = c.promotions.Value(), c.demotions.Value()
+		st.FastPathHits, st.ScatteredElems = c.fastHits.Value(), c.scattered.Value()
 	}
 	for i, sh := range s.shards {
 		st.Pending[i] = sh.pending()
+		st.BatchSizes[i] = s.cfg.Batch
 		if sh.ctrl != nil {
 			st.BatchSizes[i] = sh.ctrl.batch()
-		} else {
-			st.BatchSizes[i] = s.cfg.Batch
+			// Every shard's tuner shares the server-wide retune counters.
+			st.BatchGrows, st.BatchShrinks = sh.ctrl.grow.Value(), sh.ctrl.shrink.Value()
 		}
 	}
 	return st

@@ -1,10 +1,13 @@
 package serve
 
 import (
+	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/litlx"
 	"repro/internal/monitor"
 )
 
@@ -13,7 +16,8 @@ func newTestBatchController(min, max, start int, budget time.Duration) *batchCon
 		Batch: start,
 		Adapt: AdaptConfig{Enabled: true, BatchMin: min, BatchMax: max, LatencyBudget: budget},
 	}.withDefaults()
-	return newBatchController(monitor.New(), 0, cfg, nil, 0)
+	srv := &Server{cfg: cfg, sys: &litlx.System{Mon: monitor.New()}}
+	return newBatchController(srv, &shard{}, srv.sys.Mon.Counter("grow"), srv.sys.Mon.Counter("shrink"))
 }
 
 func TestBatchControllerGrowsOnBacklog(t *testing.T) {
@@ -57,25 +61,32 @@ func TestBatchControllerShrinksOnLatencyBreach(t *testing.T) {
 }
 
 func TestOverloadControllerLevelDynamics(t *testing.T) {
-	o := newOverloadController(AdaptConfig{LatencyBudget: time.Millisecond, MaxShedLevel: 3})
+	// An alpha-1 estimator reports exactly the last wait observed, so each
+	// pass sees the wait the test dictates.
+	srv := &Server{waitUS: monitor.NewEWMA(1)}
+	o := &overloadController{srv: srv, budgetUS: 1000, maxLevel: 3} // 1ms budget
+	pass := func(waitUS float64) {
+		srv.waitUS.Observe(waitUS)
+		o.once(time.Time{})
+	}
 	if o.shedLevel() != 0 {
 		t.Fatalf("initial shed level = %d", o.shedLevel())
 	}
-	// Sustained breach climbs one step per tick, capped at MaxShedLevel.
+	// Sustained breach climbs one step per pass, capped at MaxShedLevel.
 	for i := 0; i < 10; i++ {
-		o.update(5000) // 5ms wait against a 1ms budget
+		pass(5000) // 5ms wait against a 1ms budget
 	}
 	if got := o.shedLevel(); got != 3 {
 		t.Errorf("shed level after sustained breach = %d, want capped at 3", got)
 	}
 	// Hovering between budget/2 and budget holds the level (hysteresis).
-	o.update(800)
+	pass(800)
 	if got := o.shedLevel(); got != 3 {
 		t.Errorf("shed level in hysteresis band moved to %d", got)
 	}
 	// Recovery below half the budget decays back to zero.
 	for i := 0; i < 10; i++ {
-		o.update(100)
+		pass(100)
 	}
 	if got := o.shedLevel(); got != 0 {
 		t.Errorf("shed level after recovery = %d, want 0", got)
@@ -84,6 +95,77 @@ func TestOverloadControllerLevelDynamics(t *testing.T) {
 	var off *overloadController
 	if off.shedLevel() != 0 {
 		t.Error("nil overload controller must report level 0")
+	}
+}
+
+// TestControlPlaneCadence drives step over synthetic times (no sleeps,
+// the loop stopped) and counts each controller's passes: every
+// controller keeps its own period, whatever the loop's ticker period —
+// the smallest installed one — happens to be. The old loop rounded each
+// period to a whole number of RebalanceEvery ticks (500us ran at 1ms,
+// 2.5ms at 2ms).
+func TestControlPlaneCadence(t *testing.T) {
+	const us = time.Microsecond
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		period time.Duration
+		want   []int // passes over 10ms, in install order
+	}{
+		{
+			name: "overload+rebalance 1ms, locality 2.5ms, compile 500us",
+			cfg: Config{
+				Adapt:   AdaptConfig{Enabled: true, RebalanceEvery: 1000 * us, Locality: true, LocalityEvery: 2500 * us},
+				Compile: CompileConfig{Enabled: true, Every: 500 * us},
+			},
+			period: 500 * us,
+			want:   []int{10, 10, 4, 20},
+		},
+		{
+			name:   "adapt off, compile on (exp V7)",
+			cfg:    Config{Compile: CompileConfig{Enabled: true, Every: 2000 * us}},
+			period: 2000 * us,
+			want:   []int{5},
+		},
+		{
+			name:   "a period that is no multiple of the ticker's",
+			cfg:    Config{Adapt: AdaptConfig{Enabled: true, RebalanceEvery: 1000 * us, Locality: true, LocalityEvery: 2500 * us}},
+			period: 1000 * us,
+			want:   []int{10, 10, 4},
+		},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			sys := newTestSystem(t)
+			defer sys.Close()
+			tc.cfg.Shards = 2
+			s := New(sys, tc.cfg)
+			s.Close() // stops the loop: the test owns the controllers from here
+			if got := s.period(); got != tc.period {
+				t.Fatalf("loop period = %v, want %v", got, tc.period)
+			}
+			base := time.Unix(0, 0)
+			runs := make([]int, len(s.controllers))
+			for i := range s.controllers {
+				c := &s.controllers[i]
+				c.next = base.Add(c.every)
+				c.once = func(time.Time) { runs[i]++ }
+			}
+			for now := base.Add(tc.period); !now.After(base.Add(10 * time.Millisecond)); now = now.Add(tc.period) {
+				s.step(now)
+			}
+			if !reflect.DeepEqual(runs, tc.want) {
+				t.Fatalf("passes over 10ms = %v, want %v", runs, tc.want)
+			}
+			// A stalled loop skips the periods it missed: one pass each,
+			// not a catch-up burst.
+			s.step(base.Add(time.Second))
+			s.step(base.Add(time.Second))
+			for i, n := range runs {
+				if n != tc.want[i]+1 {
+					t.Errorf("controller %d ran %d times after a 1s stall, want %d", i, n, tc.want[i]+1)
+				}
+			}
+		})
 	}
 }
 
@@ -250,19 +332,19 @@ func TestOverloadShedsLowPriorityOnly(t *testing.T) {
 		time.Sleep(100 * time.Microsecond)
 	}
 	s.Close()
-	st := s.Stats()
-	if st.ShedLowPriority == 0 {
-		t.Fatalf("overload controller never shed (stats %+v)", st)
+	st, as := s.Stats(), s.AdaptStats()
+	if as.ShedLowPriority == 0 {
+		t.Fatalf("overload controller never shed (stats %+v)", as)
 	}
 	if hiShed.Load() != 0 {
 		t.Errorf("%d jobs with priority >= MaxShedLevel were shed", hiShed.Load())
 	}
-	if loShed.Load() != st.ShedLowPriority {
+	if loShed.Load() != as.ShedLowPriority {
 		t.Errorf("shed accounting: results saw %d low-priority sheds, counter says %d",
-			loShed.Load(), st.ShedLowPriority)
+			loShed.Load(), as.ShedLowPriority)
 	}
-	if st.Shed != st.ShedLowPriority {
-		t.Errorf("deadline-less run shed %d total but %d low-priority; they must match", st.Shed, st.ShedLowPriority)
+	if st.Shed != as.ShedLowPriority {
+		t.Errorf("deadline-less run shed %d total but %d low-priority; they must match", st.Shed, as.ShedLowPriority)
 	}
 	if hiDone.Load() == 0 {
 		t.Error("no high-priority job completed")
@@ -356,12 +438,12 @@ func TestNegativePriorityRunsWithAdaptOff(t *testing.T) {
 	if res := tk.Wait(); res.Status != StatusOK || res.Priority != -1 {
 		t.Fatalf("negative-priority job on a static server = %+v, want ok with priority echoed", res)
 	}
-	if st := s.Stats(); st.Shed != 0 || st.ShedLowPriority != 0 {
-		t.Errorf("static server shed by priority: %+v", st)
+	if st, as := s.Stats(), s.AdaptStats(); st.Shed != 0 || as.ShedLowPriority != 0 {
+		t.Errorf("static server shed by priority: %+v %+v", st, as)
 	}
 }
 
-func TestAdaptOnceStealsFromHotShard(t *testing.T) {
+func TestRebalanceOnceStealsFromHotShard(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
 	// Adaptivity on, but with an effectively-disabled background loop so
@@ -398,15 +480,17 @@ func TestAdaptOnceStealsFromHotShard(t *testing.T) {
 		}
 		queued++
 	}
-	s.adaptOnce()
-	st := s.Stats()
-	if st.Steals == 0 {
-		t.Fatalf("adaptOnce stole nothing from a 400-deep hot shard (pending %v)", s.AdaptStats().Pending)
+	s.rebalance.once(time.Now())
+	as := s.AdaptStats()
+	if as.Steals == 0 {
+		t.Fatalf("the rebalance pass stole nothing from a 400-deep hot shard (pending %v)", as.Pending)
 	}
-	if st.Rebalances == 0 {
+	if as.Rebalances == 0 {
 		t.Error("rebalance counter did not move")
 	}
-	as := s.AdaptStats()
+	if st := s.Stats(); st.Steals != as.Steals {
+		t.Errorf("Stats.Steals = %d does not mirror AdaptStats.Steals = %d", st.Steals, as.Steals)
+	}
 	spread := 0
 	for i, p := range as.Pending {
 		if i != home && p > 0 {
@@ -419,5 +503,125 @@ func TestAdaptOnceStealsFromHotShard(t *testing.T) {
 	close(block)
 	for wg.Load() > 0 {
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// controlPlaneReaders maps every control-plane and flow instrument in
+// the monitor registry to the one Snapshot field that publishes it.
+// TestStatsSnapshotOneReaderPerCounter holds the table to the registry
+// and to the structs in both directions.
+var controlPlaneReaders = map[string]string{
+	"serve.adapt.batch_grow":   "Adapt.BatchGrows",
+	"serve.adapt.batch_shrink": "Adapt.BatchShrinks",
+	"serve.adapt.steals":       "Adapt.Steals", // Stats.Steals is its documented mirror
+	"serve.adapt.rebalances":   "Adapt.Rebalances",
+	"serve.adapt.imbalance":    "Adapt.Imbalance",
+	"serve.adapt.shed_lowpri":  "Adapt.ShedLowPriority",
+	"serve.adapt.migrations":   "Adapt.Migrations",
+	"serve.adapt.replications": "Adapt.Replications",
+	"serve.contc.plans":        "Adapt.CompilePlans",
+	"serve.contc.swaps":        "Adapt.CompileSwaps",
+	"serve.contc.promotions":   "Adapt.HotPromotions",
+	"serve.contc.demotions":    "Adapt.HotDemotions",
+	"serve.contc.fast_hits":    "Adapt.FastPathHits",
+	"serve.contc.scattered":    "Adapt.ScatteredElems",
+	"serve.flow.submitted":     "Stats.Flow.Submitted",
+	"serve.flow.completed":     "Stats.Flow.Completed",
+	"serve.flow.shed":          "Stats.Flow.Shed",
+	"serve.flow.failed":        "Stats.Flow.Failed",
+	"serve.flow.rejected":      "Stats.Flow.Rejected",
+	"serve.flow.stage_jobs":    "Stats.Flow.StageJobs",
+	"serve.flow.fanout":        "Stats.Flow.FanOut",
+	"serve.flow.stage_steals":  "Stats.Flow.StageSteals",
+}
+
+// TestStatsSnapshotOneReaderPerCounter runs adaptive, compile and flow
+// traffic together, then checks that every serve.adapt.* / serve.contc.*
+// / serve.flow.* instrument in the registry is published by exactly one
+// Snapshot field, with the registry's value — and that AdaptStats and
+// FlowStats carry no counter the registry does not back. A counter can
+// therefore be neither added without a reader nor published twice.
+func TestStatsSnapshotOneReaderPerCounter(t *testing.T) {
+	sys := newLocaleSystem(t, 2)
+	defer sys.Close()
+	s := New(sys, Config{
+		Shards: 4, QueueDepth: 512, Batch: 4,
+		Adapt:   AdaptConfig{Enabled: true, RebalanceEvery: 200 * time.Microsecond, Locality: true, LatencyBudget: time.Second},
+		Compile: CompileConfig{Enabled: true, Every: 400 * time.Microsecond, MinSamples: 16, HotKeyMin: 16},
+	})
+	defer s.Close()
+	tn, err := s.RegisterTenant(TenantConfig{
+		Name: "t",
+		Handler: func(_ *Ctx, req Request) (any, error) {
+			time.Sleep(20 * time.Microsecond)
+			return req.Payload, nil
+		},
+		Specialize: func(uint64) Handler {
+			return func(_ *Ctx, req Request) (any, error) { return req.Payload, nil }
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := tn.NewPipeline("scan", Stage{Name: "map", Map: true,
+		Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	PlayScenario(s, HotKeyScenario(7, 1, 40, 20, 256, 0.5), PlayConfig{Tenants: []*Tenant{tn}, Tick: 250 * time.Microsecond})
+	PlayScenario(s, BurstyScenario(7, 1, 40, 4, 0, 0, 1), PlayConfig{
+		Tenants: []*Tenant{tn}, Tick: 250 * time.Microsecond, Flow: p,
+		FlowPayload: func(Arrival) any { return []any{1, 2, 3, 4, 5, 6, 7, 8} },
+	})
+	s.Close()
+
+	snap, reg := reflect.ValueOf(s.Snapshot()), sys.Mon.Snapshot()
+	field := func(path string) reflect.Value {
+		v := snap
+		for _, name := range strings.Split(path, ".") {
+			if v = v.FieldByName(name); !v.IsValid() {
+				t.Fatalf("reader table names %s, which Snapshot does not have", path)
+			}
+		}
+		return v
+	}
+	claimed := map[string]string{} // field path -> registry name
+	check := func(name string, want float64) {
+		if !strings.HasPrefix(name, "serve.adapt.") && !strings.HasPrefix(name, "serve.contc.") && !strings.HasPrefix(name, "serve.flow.") {
+			return
+		}
+		path, ok := controlPlaneReaders[name]
+		if !ok {
+			t.Errorf("%s is in the registry but no Snapshot field publishes it", name)
+			return
+		}
+		if prev, dup := claimed[path]; dup {
+			t.Errorf("%s publishes both %s and %s", path, prev, name)
+		}
+		claimed[path] = name
+		got := field(path)
+		if got.CanInt() && float64(got.Int()) != want || got.CanFloat() && got.Float() != want {
+			t.Errorf("%s = %v, registry %s = %v", path, got, name, want)
+		}
+	}
+	for name, v := range reg.Counters {
+		check(name, float64(v))
+	}
+	for name, v := range reg.EWMAs {
+		check(name, v)
+	}
+	if len(claimed) != len(controlPlaneReaders) {
+		t.Errorf("the run resolved %d of the %d instruments in the reader table", len(claimed), len(controlPlaneReaders))
+	}
+	// The other direction: every int64/float64 field of the two structs
+	// is one of those readers.
+	for _, root := range []string{"Adapt", "Stats.Flow"} {
+		v := field(root)
+		for i := 0; i < v.NumField(); i++ {
+			k, path := v.Field(i).Kind(), root+"."+v.Type().Field(i).Name
+			if (k == reflect.Int64 || k == reflect.Float64) && claimed[path] == "" {
+				t.Errorf("%s is published but backed by no registry instrument", path)
+			}
+		}
 	}
 }

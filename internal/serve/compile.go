@@ -1,7 +1,7 @@
 package serve
 
 // This file wires the continuous-compilation controller (Config.Compile,
-// the fifth adaptivity controller) into the server. The mechanism —
+// the control plane's fourth loop entry) into the server. The mechanism —
 // key sketch, fan-out planner, decision log — lives in
 // internal/serve/contc; this file owns the serve-side state it drives:
 // the per-tenant admission sketch, the (tenant, key) fast-path slot
@@ -25,7 +25,7 @@ import (
 	"time"
 
 	"repro/internal/hints"
-	"repro/internal/mem"
+	"repro/internal/monitor"
 	"repro/internal/serve/contc"
 )
 
@@ -41,9 +41,9 @@ type CompileConfig struct {
 	// pass a DB loaded from a persisted script (hints.ParseScript) to
 	// start warm, and export it with hints.DB.WriteScript at shutdown.
 	DB *hints.DB
-	// Every is the controller cadence (default 8*Adapt.RebalanceEvery
-	// when the adaptivity loop is on, else 2ms). The controller shares
-	// the adapt control loop's ticker, firing once per Every.
+	// Every is the controller's period on the server's control loop
+	// (default 8*Adapt.RebalanceEvery when the adaptivity loop is on,
+	// else 2ms).
 	Every time.Duration
 	// MinSamples is the fan-out element observations a stage must
 	// accumulate — since its last plan — before the controller will
@@ -102,30 +102,49 @@ func (c CompileConfig) withDefaults(base Config) CompileConfig {
 
 // compileController is the serve-side state of the continuous
 // compiler. Its mutable fields are touched only from the control loop
-// (compileOnce serializes there, like adaptOnce); everything the hot
-// path reads — sketch counters, fast slots, scatter plans — is atomic.
+// (which serializes once, like every controller's pass); everything the
+// hot path reads — sketch counters, fast slots, scatter plans, the two
+// hit counters — is atomic.
 type compileController struct {
+	srv     *Server
 	cfg     CompileConfig
 	db      *hints.DB
 	planner *contc.Planner
 	log     *contc.Log
-	version atomic.Uint64 // bumped per installed plan; audit ordering
 	tick    int64
 	warmed  map[string]bool // tenants whose warm-start pass already ran
+
+	plans, swaps, promotions, demotions *monitor.Counter
+	// fastHits is counted by execute, scattered by fanOut.
+	fastHits, scattered *monitor.Counter
 }
 
-func newCompileController(cfg CompileConfig, s *Server) *compileController {
-	db := cfg.DB
+func newCompileController(s *Server) *compileController {
+	db := s.cfg.Compile.DB
 	if db == nil {
 		db = hints.NewDB()
 	}
+	mon := s.sys.Mon
 	return &compileController{
-		cfg:     cfg,
-		db:      db,
-		planner: contc.NewPlanner(db, s.sys.Mon),
-		log:     contc.NewLog(512),
-		warmed:  make(map[string]bool),
+		srv:        s,
+		cfg:        s.cfg.Compile,
+		db:         db,
+		planner:    contc.NewPlanner(db, mon),
+		log:        contc.NewLog(512),
+		warmed:     make(map[string]bool),
+		plans:      mon.Counter("serve.contc.plans"),
+		swaps:      mon.Counter("serve.contc.swaps"),
+		promotions: mon.Counter("serve.contc.promotions"),
+		demotions:  mon.Counter("serve.contc.demotions"),
+		fastHits:   mon.Counter("serve.contc.fast_hits"),
+		scattered:  mon.Counter("serve.contc.scattered"),
 	}
+}
+
+// record logs one decision and emits its label on the adapt timeline:
+// the label is rendered from the logged record, so the two cannot drift.
+func (c *compileController) record(d contc.Decision) {
+	c.srv.decide(len(c.srv.shards), 0, "contc %v", c.log.Add(d))
 }
 
 // HintsDB returns the controller's knowledge database (nil when
@@ -213,7 +232,6 @@ func (ft *fastTable) installed() []uint64 {
 // re-planning.
 type scatterPlan struct {
 	plan      *contc.Plan
-	version   uint64
 	samplesAt int64
 }
 
@@ -252,31 +270,26 @@ func scatterTargets(sp *scatterPlan, n, shards int) *[]int {
 // ---------------------------------------------------------------------
 // The controller itself.
 
-// compileOnce runs one continuous-compilation iteration over every
-// tenant: refresh hot-key promotions from the admission sketch, and
-// (re)plan each instrumented Map stage's scatter from its observed
-// element-cost statistics. Split out so tests and experiments can drive
-// the loop deterministically, exactly like adaptOnce/localityOnce.
-func (s *Server) compileOnce() {
-	c := s.comp
-	if c == nil {
-		return
-	}
+// once runs one continuous-compilation pass over every tenant: refresh
+// hot-key promotions from the admission sketch, and (re)plan each
+// instrumented Map stage's scatter from its observed element-cost
+// statistics.
+func (c *compileController) once(time.Time) {
 	c.tick++
 	decay := c.tick%int64(c.cfg.DecayEvery) == 0
-	s.tenants.Range(func(_, v any) bool {
+	c.srv.tenants.Range(func(_, v any) bool {
 		t := v.(*Tenant)
 		if t.sketch == nil {
 			return true
 		}
-		s.compileHotKeys(t)
+		c.hotKeys(t)
 		if decay {
 			t.sketch.Decay()
 		}
 		for _, p := range t.pipelines() {
 			for _, st := range p.stages {
 				if st.costUS != nil {
-					s.compileStage(t, p, st)
+					c.planStage(t, p, st)
 				}
 			}
 		}
@@ -289,30 +302,29 @@ func stageHintName(t *Tenant, p *Pipeline, st *pipeStage) string {
 	return "contc." + t.name + "." + p.name + "." + st.name
 }
 
-// compileStage (re)plans one Map stage's scatter. First call with a
+// planStage (re)plans one Map stage's scatter. First call with a
 // persisted hint installs the learned plan immediately — the warm
 // start; otherwise the stage must accumulate MinSamples fresh element
 // observations, and an installed plan is only swapped when the observed
 // cost statistics drifted beyond the config thresholds.
-func (s *Server) compileStage(t *Tenant, p *Pipeline, st *pipeStage) {
-	c := s.comp
+func (c *compileController) planStage(t *Tenant, p *Pipeline, st *pipeStage) {
+	shards := len(c.srv.shards)
 	name := stageHintName(t, p, st)
 	cur := st.scatter.Load()
 	n := st.costN.Value()
 	if cur == nil {
 		if h, ok := c.db.Hint(name); ok {
-			if strat := hints.ParamString(h.Params, "strategy", ""); strat != "" {
-				if f, okf := contc.FactoryFor(strat); okf {
-					mean, _ := c.db.Fact(name + ".mean_us")
-					cv, _ := c.db.Fact(name + ".cv")
-					plan := &contc.Plan{
-						Strategy: strat, Factory: f,
-						Fan:     hints.ParamInt(h.Params, "fan", 0),
-						Workers: len(s.shards), MeanUS: mean, CV: cv,
-					}
-					s.installPlan(t, p, st, plan, n, contc.KindWarmPlan, "restored from hints db")
-					return
+			strat := hints.ParamString(h.Params, "strategy", "")
+			if f, okf := contc.FactoryFor(strat); okf {
+				mean, _ := c.db.Fact(name + ".mean_us")
+				cv, _ := c.db.Fact(name + ".cv")
+				plan := &contc.Plan{
+					Strategy: strat, Factory: f,
+					Fan:     hints.ParamInt(h.Params, "fan", 0),
+					Workers: shards, MeanUS: mean, CV: cv,
 				}
+				c.installPlan(t, p, st, plan, n, contc.KindWarmPlan, "restored from hints db")
+				return
 			}
 		}
 	}
@@ -339,32 +351,30 @@ func (s *Server) compileStage(t *Tenant, p *Pipeline, st *pipeStage) {
 			return // within the planned-against regime: keep the plan
 		}
 	}
-	plan := c.planner.Plan(name, fan, len(s.shards), mean, cv)
+	plan := c.planner.Plan(name, fan, shards, mean, cv)
 	if cur != nil && cur.plan != nil && plan.Strategy == cur.plan.Strategy {
 		// Same strategy under the new statistics: refresh the basis the
 		// drift test compares against, without counting a swap.
-		st.scatter.Store(&scatterPlan{plan: plan, version: cur.version, samplesAt: n})
+		st.scatter.Store(&scatterPlan{plan: plan, samplesAt: n})
 		return
 	}
 	kind := contc.KindPlan
 	if cur != nil {
 		kind = contc.KindReplan
 	}
-	s.installPlan(t, p, st, plan, n,
+	c.installPlan(t, p, st, plan, n,
 		kind, fmt.Sprintf("mean %.0fus cv %.2f fan %d", mean, cv, fan))
 }
 
 // installPlan publishes a scatter plan and records the decision
 // everywhere it must land: the stage's atomic slot (the hot path),
-// counters, the decision log, the flight-recorder adapt timeline, and
-// the hints DB (facts + a runtime hint) for warm restarts.
-func (s *Server) installPlan(t *Tenant, p *Pipeline, st *pipeStage, plan *contc.Plan, n int64, kind, reason string) {
-	c := s.comp
-	v := c.version.Add(1)
-	st.scatter.Store(&scatterPlan{plan: plan, version: v, samplesAt: n})
-	s.compPlans.Inc()
+// counters, the decision log and adapt timeline (record), and the hints
+// DB (facts + a runtime hint) for warm restarts.
+func (c *compileController) installPlan(t *Tenant, p *Pipeline, st *pipeStage, plan *contc.Plan, n int64, kind, reason string) {
+	st.scatter.Store(&scatterPlan{plan: plan, samplesAt: n})
+	c.plans.Inc()
 	if kind == contc.KindReplan {
-		s.compSwaps.Inc()
+		c.swaps.Inc()
 	}
 	name := stageHintName(t, p, st)
 	c.db.SetFact(name+".mean_us", plan.MeanUS)
@@ -382,21 +392,18 @@ func (s *Server) installPlan(t *Tenant, p *Pipeline, st *pipeStage, plan *contc.
 			"fan":      strconv.Itoa(plan.Fan),
 		},
 	})
-	c.log.Add(contc.Decision{
+	c.record(contc.Decision{
 		Kind: kind, Tenant: t.name, Pipeline: p.name, Stage: st.name,
 		Strategy: plan.Strategy, Fan: plan.Fan, MeanUS: plan.MeanUS, CV: plan.CV,
 		Reason: reason,
 	})
-	s.obs.adapt(len(s.shards), mem.Locale(0),
-		fmt.Sprintf("contc %s %s/%s/%s -> %s (%s)", kind, t.name, p.name, st.name, plan.Strategy, reason))
 }
 
-// compileHotKeys reconciles one tenant's fast-path slots with its
-// sketch: warm-restore the persisted hot set on the first pass, promote
-// keys whose frequency estimate crossed HotKeyMin, demote installed
-// keys that cooled below half of it.
-func (s *Server) compileHotKeys(t *Tenant) {
-	c := s.comp
+// hotKeys reconciles one tenant's fast-path slots with its sketch:
+// warm-restore the persisted hot set on the first pass, promote keys
+// whose frequency estimate crossed HotKeyMin, demote installed keys that
+// cooled below half of it.
+func (c *compileController) hotKeys(t *Tenant) {
 	hname := "contc.hot." + t.name
 	warmPass := !c.warmed[t.name]
 	if warmPass {
@@ -404,7 +411,7 @@ func (s *Server) compileHotKeys(t *Tenant) {
 		if h, ok := c.db.Hint(hname); ok {
 			for _, ks := range strings.Split(hints.ParamString(h.Params, "keys", ""), ",") {
 				if key, err := strconv.ParseUint(ks, 10, 64); err == nil {
-					s.promoteKey(t, key, 0, contc.KindWarmPromote)
+					c.promoteKey(t, key, 0, contc.KindWarmPromote)
 				}
 			}
 		}
@@ -413,7 +420,7 @@ func (s *Server) compileHotKeys(t *Tenant) {
 		if kc.Count < c.cfg.HotKeyMin {
 			break
 		}
-		s.promoteKey(t, kc.Key, kc.Count, contc.KindPromote)
+		c.promoteKey(t, kc.Key, kc.Count, contc.KindPromote)
 	}
 	if warmPass {
 		// Warm-restored keys have no sketch evidence yet — demoting them
@@ -430,47 +437,44 @@ func (s *Server) compileHotKeys(t *Tenant) {
 		}
 		if t.sketch.Estimate(sl.key) < c.cfg.HotKeyMin/2 {
 			t.fast.slots[i].Store(nil)
-			s.compDemote.Inc()
+			c.demotions.Inc()
 			changed = true
-			c.log.Add(contc.Decision{Kind: contc.KindDemote, Tenant: t.name, Key: sl.key, Reason: "key cooled"})
-			s.obs.adapt(len(s.shards), mem.Locale(0),
-				fmt.Sprintf("contc demote %s key %d (cooled)", t.name, sl.key))
+			c.record(contc.Decision{Kind: contc.KindDemote, Tenant: t.name, Key: sl.key, Reason: "key cooled"})
 		}
 	}
 	if changed {
-		s.persistHotSet(t, hname)
+		c.persistHotSet(t, hname)
 	}
 }
 
 // promoteKey installs a fast-path slot for (t, key) unless one is
 // already resident. The handler is the tenant's Specialize hook when it
 // provides one (composed into the same middleware chains the plain
-// handler runs), else the composed handler itself — the slot then still
-// models specialization: dispatch skips the stage indirection.
-func (s *Server) promoteKey(t *Tenant, key uint64, count int64, kind string) {
+// handler runs), else the solo stage's composed handler itself — the
+// slot then still models specialization: dispatch skips the stage
+// indirection.
+func (c *compileController) promoteKey(t *Tenant, key uint64, count int64, kind string) {
 	idx := t.fast.index(key)
 	epoch := t.fast.epoch.Load()
 	if sl := t.fast.slots[idx].Load(); sl != nil && sl.epoch == epoch {
 		return // occupied: same key resident, or a collision — hotter key keeps it
 	}
-	h := t.handler
+	h := t.solo.stages[0].handler
 	if t.specialize != nil {
 		if sp := t.specialize(key); sp != nil {
-			h = composeMiddleware(sp, t.mw, s.cfg.Middleware)
+			h = composeMiddleware(sp, t.mw, c.srv.cfg.Middleware)
 		}
 	}
 	t.fast.slots[idx].Store(&fastSlot{key: key, epoch: epoch, handler: h})
-	s.compPromote.Inc()
-	s.comp.log.Add(contc.Decision{Kind: kind, Tenant: t.name, Key: key,
+	c.promotions.Inc()
+	c.record(contc.Decision{Kind: kind, Tenant: t.name, Key: key,
 		Reason: fmt.Sprintf("sketch count %d", count)})
-	s.obs.adapt(len(s.shards), mem.Locale(0),
-		fmt.Sprintf("contc %s %s key %d (count %d)", kind, t.name, key, count))
-	s.persistHotSet(t, "contc.hot."+t.name)
+	c.persistHotSet(t, "contc.hot."+t.name)
 }
 
 // persistHotSet records the tenant's resident hot keys in the hints DB
 // so a restart re-installs them before any traffic is sketched.
-func (s *Server) persistHotSet(t *Tenant, hname string) {
+func (c *compileController) persistHotSet(t *Tenant, hname string) {
 	keys := t.fast.installed()
 	if len(keys) == 0 {
 		return
@@ -479,9 +483,9 @@ func (s *Server) persistHotSet(t *Tenant, hname string) {
 	for i, k := range keys {
 		parts[i] = strconv.FormatUint(k, 10)
 	}
-	_ = s.comp.db.AddHint(&hints.Hint{
+	_ = c.db.AddHint(&hints.Hint{
 		Name: hname, Target: hints.TargetRuntime, Category: hints.CatAccess,
 		Priority: 60, Params: map[string]string{"keys": strings.Join(parts, ",")},
 	})
-	s.comp.db.SetFact(hname+".count", float64(len(keys)))
+	c.db.SetFact(hname+".count", float64(len(keys)))
 }

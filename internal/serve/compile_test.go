@@ -2,6 +2,8 @@ package serve
 
 import (
 	"fmt"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -12,7 +14,7 @@ import (
 
 // testCompileConfig is a controller configuration for deterministic
 // tests: the control loop never fires on its own (Every is an hour), so
-// tests drive compileOnce by hand, exactly like the adaptOnce tests.
+// tests drive the controller's pass by hand, like the rebalance tests.
 func testCompileConfig() CompileConfig {
 	return CompileConfig{
 		Enabled:    true,
@@ -68,7 +70,10 @@ func TestCompileDisabledIsInert(t *testing.T) {
 	if s.HintsDB() != nil || s.CompileDecisions() != nil {
 		t.Fatal("disabled server exposes compile controller state")
 	}
-	s.compileOnce() // must be a no-op, not a panic
+	if len(s.controllers) != 0 || s.quit != nil {
+		t.Fatalf("disabled server installed %d controllers (loop started: %v)", len(s.controllers), s.quit != nil)
+	}
+	s.step(time.Now().Add(time.Hour)) // nothing installed: a no-op, not a panic
 	for i := 0; i < 64; i++ {
 		tk, err := tn.Submit(Request{Key: uint64(i % 4)})
 		if err != nil {
@@ -78,12 +83,23 @@ func TestCompileDisabledIsInert(t *testing.T) {
 			t.Fatalf("status %v", res.Status)
 		}
 	}
-	st := s.Stats()
-	if st.CompilePlans != 0 || st.FastPathHits != 0 {
-		t.Fatalf("disabled server counted compile work: %+v", st)
+	// With Adapt and Compile both off the control plane does not exist:
+	// AdaptStats is zero apart from the per-shard slices, and no
+	// control-plane instrument was ever resolved.
+	as := s.AdaptStats()
+	as.BatchSizes, as.Pending = nil, nil
+	if !reflect.DeepEqual(as, AdaptStats{}) {
+		t.Fatalf("disabled server reports control-plane state: %+v", as)
 	}
-	if as := s.AdaptStats(); as.CompileEnabled {
-		t.Fatalf("AdaptStats reports compile enabled: %+v", as)
+	reg := sys.Mon.Snapshot()
+	names := reg.Names() // counters; the control plane's one EWMA is checked by name
+	if _, ok := reg.EWMAs["serve.adapt.imbalance"]; ok {
+		names = append(names, "serve.adapt.imbalance")
+	}
+	for _, name := range names {
+		if strings.HasPrefix(name, "serve.adapt.") || strings.HasPrefix(name, "serve.contc.") {
+			t.Errorf("disabled server resolved %s", name)
+		}
 	}
 }
 
@@ -138,7 +154,7 @@ func TestCompileHotKeyPromoteDemote(t *testing.T) {
 			t.Fatalf("pre-promotion handler returned %q", got)
 		}
 	}
-	s.compileOnce()
+	s.comp.once(time.Now())
 	if as := s.AdaptStats(); as.HotPromotions < 1 {
 		t.Fatalf("no promotion after hot traffic: %+v", as)
 	}
@@ -148,14 +164,14 @@ func TestCompileHotKeyPromoteDemote(t *testing.T) {
 	if got := submit(7); got != "slow" {
 		t.Fatalf("cold key took the fast path: %q", got)
 	}
-	if s.Stats().FastPathHits < 1 {
+	if s.AdaptStats().FastPathHits < 1 {
 		t.Fatal("fast-path hit not counted")
 	}
 	// DecayEvery=1 halves the sketch every tick; the estimate must fall
 	// below HotKeyMin/2 and demote within a handful of ticks.
 	demoted := false
 	for i := 0; i < 20 && !demoted; i++ {
-		s.compileOnce()
+		s.comp.once(time.Now())
 		for _, d := range s.CompileDecisions() {
 			if d.Kind == "demote" && d.Key == 42 {
 				demoted = true
@@ -195,7 +211,7 @@ func TestCompileScatterPlanRoutesFanout(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		st.observeElem(okElem(100))
 	}
-	s.compileOnce()
+	s.comp.once(time.Now())
 	if st.scatter.Load() == nil {
 		t.Fatal("no scatter plan installed")
 	}
@@ -246,7 +262,7 @@ func TestCompilePolicySwitchDeterministic(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			st.observeElem(okElem(100))
 		}
-		s.compileOnce()
+		s.comp.once(time.Now())
 		// Phase two: heavy-tailed (one 3000us element per nine 20us ones)
 		// -> the EWMA cv blows past the 0.5 drift bound -> re-plan.
 		for i := 0; i < 400; i++ {
@@ -256,7 +272,7 @@ func TestCompilePolicySwitchDeterministic(t *testing.T) {
 			}
 			st.observeElem(okElem(us))
 		}
-		s.compileOnce()
+		s.comp.once(time.Now())
 		var out []string
 		for _, d := range s.CompileDecisions() {
 			out = append(out, fmt.Sprintf("%s %s/%s/%s %s", d.Kind, d.Tenant, d.Pipeline, d.Stage, d.Strategy))
@@ -333,7 +349,7 @@ func TestCompileShiftScenarioDeterministic(t *testing.T) {
 			t.Fatal(err)
 		}
 		PlayScenario(s, sc, PlayConfig{Tenants: []*Tenant{tn}, Tick: 100 * time.Microsecond})
-		s.compileOnce()
+		s.comp.once(time.Now())
 		var out []string
 		for _, d := range s.CompileDecisions() {
 			out = append(out, fmt.Sprintf("%s %s key=%d", d.Kind, d.Tenant, d.Key))
@@ -387,7 +403,7 @@ func TestCompileWarmStartFromHints(t *testing.T) {
 		}
 		tk.Wait()
 	}
-	s.compileOnce()
+	s.comp.once(time.Now())
 	if as := s.AdaptStats(); as.CompilePlans < 1 || as.HotPromotions < 1 {
 		t.Fatalf("nothing learned to persist: %+v", as)
 	}
@@ -411,7 +427,7 @@ func TestCompileWarmStartFromHints(t *testing.T) {
 		Stage{Name: "map", Map: true, Handler: func(_ *Ctx, req Request) (any, error) { return nil, nil }}); err != nil {
 		t.Fatal(err)
 	}
-	s2.compileOnce() // zero traffic, zero observations: warm start only
+	s2.comp.once(time.Now()) // zero traffic, zero observations: warm start only
 	var warmPlan, warmPromote bool
 	for _, d := range s2.CompileDecisions() {
 		switch d.Kind {

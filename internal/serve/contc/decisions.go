@@ -1,6 +1,7 @@
 package contc
 
 import (
+	"fmt"
 	"sync"
 	"time"
 )
@@ -31,6 +32,16 @@ type Decision struct {
 	MeanUS   float64
 	CV       float64
 	Reason   string
+}
+
+// String renders the decision as its one-line timeline label: what
+// moved, for whom, and why. The serve layer's adapt timeline prints
+// exactly this, so a logged record and its label cannot disagree.
+func (d Decision) String() string {
+	if d.Stage == "" {
+		return fmt.Sprintf("%s %s key %d (%s)", d.Kind, d.Tenant, d.Key, d.Reason)
+	}
+	return fmt.Sprintf("%s %s/%s/%s -> %s (%s)", d.Kind, d.Tenant, d.Pipeline, d.Stage, d.Strategy, d.Reason)
 }
 
 // Log is a bounded ring of decisions. Safe for concurrent use.

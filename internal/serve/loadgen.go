@@ -186,134 +186,50 @@ func RunLoad(s *Server, cfg LoadConfig) LoadReport {
 	col := newCollector(cfg.MaxSamples)
 
 	// Burst mode accumulates one wakeup's arrivals per tenant and admits
-	// each group as a unit.
-	var pending [][]Request
-	var flush func()
-	if cfg.Burst {
-		pending = make([][]Request, len(handles))
-		flush = func() {
-			for ti, reqs := range pending {
-				if len(reqs) == 0 {
-					continue
-				}
-				col.expect(len(reqs))
-				handles[ti].SubmitManyFunc(reqs, col.doneIdx)
-				pending[ti] = pending[ti][:0]
-			}
-		}
-	}
+	// each group as a unit; otherwise the groups stay empty.
+	pending := make([][]Request, len(handles))
 
-	offered, start := openLoop(cfg.Rate, cfg.Duration, func(now time.Time) {
-		ti := pickTenant(rng)
-		key := rng.Uint64() % cfg.KeySpace
-		var deadline time.Time
-		if cfg.TightFrac > 0 && rng.Float64() < cfg.TightFrac {
-			deadline = now.Add(cfg.Tight)
-		} else if cfg.Loose > 0 {
-			deadline = now.Add(cfg.Loose)
-		}
-		req := Request{Key: key, Deadline: deadline}
-		if cfg.WorkingSet != nil {
-			req.WorkingSet, req.WriteSet = cfg.WorkingSet(ti, rng)
-		}
-		if cfg.Burst {
-			pending[ti] = append(pending[ti], req)
-			return
-		}
-		col.expect(1)
-		if err := handles[ti].SubmitFunc(req, col.done); err != nil {
-			col.done(Result{Status: StatusRejected, Err: err})
-		}
-	}, flush)
-	col.drain()
-	return col.report(offered, time.Since(start))
-}
-
-// openLoop paces an open-loop arrival process at rate arrivals/second
-// for duration: offer runs once per arrival with the wakeup's
-// timestamp, and flush (optional) once per wakeup after its arrivals —
-// the burst-admission hook. It returns the offered count and the
-// loop's start time, the report's elapsed baseline.
-func openLoop(rate float64, duration time.Duration, offer func(now time.Time), flush func()) (offered int64, start time.Time) {
-	start = time.Now()
-	last := start
-	owed := 0.0
-	for {
-		now := time.Now()
-		if now.Sub(start) >= duration {
-			return offered, start
-		}
-		owed += rate * now.Sub(last).Seconds()
+	// Open loop: each wakeup offers the arrivals the target rate owes
+	// since the last one, regardless of how the server is coping.
+	var offered int64
+	start := time.Now()
+	last, owed := start, 0.0
+	for now := start; now.Sub(start) < cfg.Duration; now = time.Now() {
+		owed += cfg.Rate * now.Sub(last).Seconds()
 		last = now
 		for ; owed >= 1; owed-- {
 			offered++
-			offer(now)
+			ti := pickTenant(rng)
+			key := rng.Uint64() % cfg.KeySpace
+			var deadline time.Time
+			if cfg.TightFrac > 0 && rng.Float64() < cfg.TightFrac {
+				deadline = now.Add(cfg.Tight)
+			} else if cfg.Loose > 0 {
+				deadline = now.Add(cfg.Loose)
+			}
+			req := Request{Key: key, Deadline: deadline}
+			if cfg.WorkingSet != nil {
+				req.WorkingSet, req.WriteSet = cfg.WorkingSet(ti, rng)
+			}
+			if cfg.Burst {
+				pending[ti] = append(pending[ti], req)
+				continue
+			}
+			col.expect(1)
+			if err := handles[ti].SubmitFunc(req, col.done); err != nil {
+				col.done(Result{Status: StatusRejected, Err: err})
+			}
 		}
-		if flush != nil {
-			flush()
+		for ti, reqs := range pending {
+			if len(reqs) == 0 {
+				continue
+			}
+			col.expect(len(reqs))
+			handles[ti].SubmitManyFunc(reqs, col.doneIdx)
+			pending[ti] = pending[ti][:0]
 		}
 		time.Sleep(200 * time.Microsecond)
 	}
-}
-
-// FlowLoadConfig parameterizes the open-loop flow generator: the
-// dataflow-pipeline analogue of LoadConfig, offering whole flows at a
-// target rate regardless of how the server is coping.
-type FlowLoadConfig struct {
-	// Pipeline is the compiled plan every flow runs (required).
-	Pipeline *Pipeline
-	// Rate is the target arrival rate in flows/second.
-	Rate float64
-	// Duration is how long arrivals are generated.
-	Duration time.Duration
-	// KeySpace is the number of distinct flow keys (default 1024).
-	KeySpace uint64
-	// Payload builds each flow's initial payload from its key (nil
-	// submits the key itself; a Map-first pipeline needs a []any).
-	Payload func(key uint64, rng *stats.RNG) any
-	// Deadline, when non-zero, is applied to every flow relative to its
-	// submission — the pipeline propagates it to every stage.
-	Deadline time.Duration
-	// Seed fixes the generator's randomness.
-	Seed uint64
-	// MaxSamples bounds the latency reservoir (default 1<<20).
-	MaxSamples int
-}
-
-// RunFlows drives the server with an open-loop stream of pipeline
-// flows and blocks until every offered flow has resolved. The report
-// counts flow terminal outcomes: Completed/Shed/Failed are flow-level,
-// and latency quantiles cover whole flows, first admission to final
-// stage.
-func RunFlows(s *Server, cfg FlowLoadConfig) LoadReport {
-	if cfg.Pipeline == nil {
-		panic("serve: RunFlows: no pipeline")
-	}
-	if cfg.Pipeline.t.srv != s {
-		// A misdirected harness is programmer error: the caller would
-		// drive one server and read another's stats.
-		panic("serve: RunFlows: pipeline belongs to a different server")
-	}
-	if cfg.KeySpace == 0 {
-		cfg.KeySpace = 1024
-	}
-	tn := cfg.Pipeline.t
-	rng := stats.NewRNG(cfg.Seed | 1)
-	col := newCollector(cfg.MaxSamples)
-	offered, start := openLoop(cfg.Rate, cfg.Duration, func(now time.Time) {
-		key := rng.Uint64() % cfg.KeySpace
-		req := Request{Key: key, Payload: any(key)}
-		if cfg.Payload != nil {
-			req.Payload = cfg.Payload(key, rng)
-		}
-		if cfg.Deadline > 0 {
-			req.Deadline = now.Add(cfg.Deadline)
-		}
-		col.expect(1)
-		if _, err := tn.SubmitFlowFunc(cfg.Pipeline, req, col.done); err != nil {
-			col.done(Result{Status: StatusRejected, Err: err})
-		}
-	}, nil)
 	col.drain()
 	return col.report(offered, time.Since(start))
 }

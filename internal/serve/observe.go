@@ -125,11 +125,9 @@ func (o *observer) sample(t *Tenant, p *Pipeline, key uint64) *FlowTrace {
 
 // adapt records one controller decision on the shared timeline.
 // producer is the deciding shard's id, or the server's control-loop
-// producer (len(shards)) for global controllers.
+// producer (len(shards)) for global controllers. Server.decide is its
+// only caller, and does the nil check before formatting the label.
 func (o *observer) adapt(producer int, locale mem.Locale, label string) {
-	if o == nil {
-		return
-	}
 	o.tracer.Emit(producer, trace.Event{
 		Time: time.Now().UnixNano(), Kind: trace.KindAdapt,
 		Locale: int(locale), Label: label,

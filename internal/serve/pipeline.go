@@ -130,8 +130,10 @@ func (t *Tenant) NewPipeline(name string, stages ...Stage) (*Pipeline, error) {
 	// accounting.
 	t.pipeMu.Lock()
 	defer t.pipeMu.Unlock()
-	if t.pipes[name] {
-		return nil, fmt.Errorf("serve: tenant %q already has a pipeline %q", t.name, name)
+	for _, q := range t.pipes {
+		if q.name == name {
+			return nil, fmt.Errorf("serve: tenant %q already has a pipeline %q", t.name, name)
+		}
 	}
 	p := &Pipeline{t: t, name: name}
 	mon := t.srv.sys.Mon
@@ -174,15 +176,7 @@ func (t *Tenant) NewPipeline(name string, stages ...Stage) (*Pipeline, error) {
 		}
 		p.stages = append(p.stages, ps)
 	}
-	if t.pipes == nil {
-		t.pipes = make(map[string]bool)
-	}
-	t.pipes[name] = true
-	if t.srv.comp != nil {
-		// The continuous-compilation controller walks this list each
-		// tick; only a compile-enabled server maintains it.
-		t.pipeList = append(t.pipeList, p)
-	}
+	t.pipes = append(t.pipes, p)
 	return p, nil
 }
 
@@ -586,7 +580,7 @@ func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Re
 	var targets *[]int
 	if sp := st.scatter.Load(); sp != nil {
 		targets = scatterTargets(sp, len(parts), len(s.shards))
-		s.compScatter.Add(int64(len(parts)))
+		s.comp.scattered.Add(int64(len(parts)))
 		defer targetPool.Put(targets)
 	}
 	now := time.Now()

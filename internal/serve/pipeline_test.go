@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/mem"
-	"repro/internal/stats"
 )
 
 // echoStage builds a scalar stage appending its tag to a string input.
@@ -631,41 +630,17 @@ func TestPlayScenarioFlows(t *testing.T) {
 	if rep.Offered != int64(sc.Offered()) {
 		t.Fatalf("offered %d, want %d", rep.Offered, sc.Offered())
 	}
+	if rep.Completed+rep.Rejected+rep.Shed+rep.Failed != rep.Offered {
+		t.Errorf("flow outcomes do not add up: %+v", rep)
+	}
 	if rep.Completed != rep.Offered {
 		t.Fatalf("report = %+v, want all flows completed", rep)
 	}
+	if rep.P50 <= 0 || rep.P99 < rep.P50 || rep.Max < rep.P99 {
+		t.Errorf("flow latency quantiles not populated: %+v", rep)
+	}
 	if st := s.Stats(); st.Flow.Completed != rep.Completed || st.Flow.StageJobs != 2*rep.Completed {
 		t.Errorf("flow stats = %+v for %d flows", st.Flow, rep.Completed)
-	}
-}
-
-func TestRunFlowsReport(t *testing.T) {
-	sys := newTestSystem(t)
-	defer sys.Close()
-	s := New(sys, Config{Shards: 4})
-	defer s.Close()
-	tn, err := s.RegisterTenant(TenantConfig{
-		Name:    "t",
-		Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := tn.NewPipeline("p", echoStage("a"), echoStage("b"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep := RunFlows(s, FlowLoadConfig{
-		Pipeline: p,
-		Rate:     2000,
-		Duration: 100 * time.Millisecond,
-		Payload:  func(key uint64, _ *stats.RNG) any { return "x" },
-	})
-	if rep.Offered == 0 || rep.Completed == 0 {
-		t.Fatalf("flow load report = %+v, want offered+completed > 0", rep)
-	}
-	if rep.Completed+rep.Rejected+rep.Shed+rep.Failed != rep.Offered {
-		t.Errorf("flow outcomes do not add up: %+v", rep)
 	}
 }
 

@@ -193,7 +193,6 @@ func (s *Server) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 		srv:      s,
 		name:     cfg.Name,
 		hash:     fnv64a(cfg.Name),
-		handler:  h,
 		mw:       append([]Middleware(nil), cfg.Middleware...),
 		codeSize: cfg.CodeSize,
 		resident: make([]atomic.Bool, len(s.shards)),

@@ -45,7 +45,8 @@
 //     jobs from hot shards via adapt.LoadController (preserving
 //     same-key admission order and tenant code residency), and an
 //     overload controller sheds low-Request.Priority work when the
-//     wait EWMA crosses the latency budget. See AdaptConfig.
+//     wait EWMA crosses the latency budget. See AdaptConfig, and the
+//     control-plane map below.
 //   - dataflow pipelines (Tenant.NewPipeline / SubmitFlow) — multi-stage
 //     flows compiled once from Stage declarations (handler + routing
 //     derivation) whose intermediate values are error-carrying futures
@@ -56,10 +57,10 @@
 //     stage. Plain Submit is the degenerate one-stage pipeline
 //     (Tenant.Solo). See pipeline.go.
 //   - continuous compilation (Config.Compile) — the paper's other loop,
-//     the fifth adaptivity controller: admission folds every key into a
-//     per-tenant count-min/top-K sketch (wait-free, zero allocations),
-//     and the controller re-optimizes running tenants from that feedback
-//     — Map fan-outs are modeled as loopir nests, run through
+//     one more entry of the same control plane: admission folds every
+//     key into a per-tenant count-min/top-K sketch (wait-free, zero
+//     allocations), and the controller re-optimizes running tenants
+//     from that feedback — Map fan-outs are modeled as loopir nests, run through
 //     internal/compiler, and scattered across shards by the winning
 //     sched.Factory (re-planned when the observed element-cost regime
 //     drifts); hot (tenant, key) pairs are promoted to compiled
@@ -100,8 +101,30 @@
 //	                          job's flow reference dropped after
 //	terminal   terminate      the one place a flow ends, local or remote, exactly once
 //
+// Every adaptive decision comes from one control plane (adaptive.go,
+// compile.go). Four controllers are entries of one clocked loop — step
+// runs each at its own period, nothing else knows them by name — and
+// the batch tuner runs on each dispatcher. Each owns its instruments,
+// reports through one emitter (decide, onto the adapt timeline), is
+// read by AdaptStats, and reaches the hot path through one nil-checked
+// read:
+//
+//	controller  input                      decision              counters (AdaptStats)        hot path reads
+//	batch       serve.shardNN.depth,       drain bound x2 / /2   BatchGrows, BatchShrinks     sh.ctrl.batch() in dispatch
+//	            serve.shardNN.batch_us
+//	overload    serve.wait_us              shed level +-1        ShedLevel, ShedLowPriority   s.overload.shedLevel() in dispatch
+//	rebalance   shard.pending()            steal plan            Steals, Rebalances,          (moves queued jobs between rings)
+//	                                                             Imbalance
+//	localize    mem.Space access stats     migrate / replicate   Migrations, Replications     space.ReadAccess in execute
+//	compile     tenant key sketch,         promote / demote,     HotPromotions, HotDemotions, t.fast.lookup in execute,
+//	            stage elem_us estimators   plan / replan         CompilePlans, CompileSwaps,  st.scatter.Load in fanOut
+//	                                                             FastPathHits, ScatteredElems
+//
 // Accounting flows through the system's internal/monitor instance:
-// servers and tenants publish counters under the "serve." prefix.
+// servers and tenants publish counters under the "serve." prefix, and
+// each control-plane and flow counter is published by exactly one field
+// of Stats, FlowStats or AdaptStats (Stats.Steals, which mirrors
+// AdaptStats.Steals, is the one exception).
 //
 // Close the server before closing or waiting on the underlying system —
 // dispatcher LGTs run until Close.
@@ -114,7 +137,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/core"
 	"repro/internal/litlx"
 	"repro/internal/mem"
@@ -166,8 +188,8 @@ type Config struct {
 	// export (see ObserveConfig). Zero value: off — the hot path pays a
 	// single nil check and no extra allocations.
 	Observe ObserveConfig
-	// Compile configures the continuous-compilation controller (the
-	// fifth adaptivity controller, see CompileConfig): per-tenant key
+	// Compile configures the continuous-compilation controller (one more
+	// entry of the control plane, see CompileConfig): per-tenant key
 	// sketching at admission, learned scatter plans for Map fan-outs,
 	// hot-key fast paths at dispatch, decisions persisted as hints.
 	// Zero value: off — each touch point is one nil check.
@@ -248,29 +270,17 @@ type Server struct {
 	flowSub, flowDone, flowShed, flowFail, flowRej *monitor.Counter
 	flowStages, flowFan, flowSteals                *monitor.Counter
 
-	// Adaptivity loop (nil / unused when Config.Adapt is off).
-	load                     *adapt.LoadController
-	overload                 *overloadController
-	locality                 *adapt.LocalityManager
-	imbalance                *monitor.EWMA
-	steals, rebalances       *monitor.Counter
-	batchGrow, batchShrink   *monitor.Counter
-	shedLowPri               *monitor.Counter
-	migrations, replications *monitor.Counter
-	quit                     chan struct{}
-	control                  sync.WaitGroup
-
-	// Continuous compilation (comp nil when Config.Compile is off; the
-	// counters resolve unconditionally so Stats never branches).
-	comp                                          *compileController
-	compPlans, compSwaps, compPromote, compDemote *monitor.Counter
-	compFastHits, compScatter                     *monitor.Counter
-
-	// Rebalancer scratch: the control loop serializes adaptOnce, so its
-	// pending snapshot and the steal working memory are hoisted here —
-	// a tick that moves nothing allocates nothing.
-	pendingBuf []int
-	stealSc    stealScratch
+	// Control plane (adaptive.go, compile.go): each controller is nil
+	// unless its config is on, and owns its own instruments and scratch.
+	// controllers lists the installed ones with their periods, in the
+	// order the loop steps them: overload, rebalance, localize, comp.
+	overload    *overloadController
+	rebalance   *rebalanceController
+	localize    *localityController
+	comp        *compileController
+	controllers []controller
+	quit        chan struct{}
+	control     sync.WaitGroup
 }
 
 // Tenant is the handle for one registered traffic source: its resolved
@@ -281,11 +291,10 @@ type Tenant struct {
 	srv           *Server
 	name          string
 	hash          uint64
-	handler       Handler      // middleware-composed chain
 	mw            []Middleware // per-tenant chain, kept for pipeline compilation
 	solo          *Pipeline    // the degenerate one-stage pipeline Submit executes
 	pipeMu        sync.Mutex   // guards pipes (NewPipeline registrations)
-	pipes         map[string]bool
+	pipes         []*Pipeline  // in registration order; the compile controller walks a snapshot
 	codeSize      int
 	model         percolate.CodeModel
 	transferUnits int64         // spin units modeling one cold code fetch
@@ -297,19 +306,17 @@ type Tenant struct {
 
 	// Continuous-compilation state (all nil when Config.Compile is off):
 	// the admission-path key sketch, the dispatch-side fast-path slots,
-	// the Specialize hook, and the pipeline list the controller walks.
+	// and the Specialize hook.
 	sketch     *contc.KeySketch
 	fast       *fastTable
 	specialize func(key uint64) Handler
-	pipeList   []*Pipeline // guarded by pipeMu; controller snapshots via pipelines()
 }
 
-// pipelines snapshots the tenant's registered pipelines (nil when the
-// continuous-compilation controller is off — only it maintains the list).
+// pipelines snapshots the tenant's registered pipelines.
 func (t *Tenant) pipelines() []*Pipeline {
 	t.pipeMu.Lock()
 	defer t.pipeMu.Unlock()
-	return append([]*Pipeline(nil), t.pipeList...)
+	return append([]*Pipeline(nil), t.pipes...)
 }
 
 // Name returns the tenant's registered name.
@@ -366,21 +373,6 @@ func New(sys *litlx.System, cfg Config) *Server {
 		flowStages: sys.Mon.Counter("serve.flow.stage_jobs"),
 		flowFan:    sys.Mon.Counter("serve.flow.fanout"),
 		flowSteals: sys.Mon.Counter("serve.flow.stage_steals"),
-
-		steals:       sys.Mon.Counter("serve.adapt.steals"),
-		rebalances:   sys.Mon.Counter("serve.adapt.rebalances"),
-		batchGrow:    sys.Mon.Counter("serve.adapt.batch_grow"),
-		batchShrink:  sys.Mon.Counter("serve.adapt.batch_shrink"),
-		shedLowPri:   sys.Mon.Counter("serve.adapt.shed_lowpri"),
-		migrations:   sys.Mon.Counter("serve.adapt.migrations"),
-		replications: sys.Mon.Counter("serve.adapt.replications"),
-
-		compPlans:    sys.Mon.Counter("serve.contc.plans"),
-		compSwaps:    sys.Mon.Counter("serve.contc.swaps"),
-		compPromote:  sys.Mon.Counter("serve.contc.promotions"),
-		compDemote:   sys.Mon.Counter("serve.contc.demotions"),
-		compFastHits: sys.Mon.Counter("serve.contc.fast_hits"),
-		compScatter:  sys.Mon.Counter("serve.contc.scattered"),
 	}
 	s.res = newResidency()
 	if cfg.Observe.enabled() {
@@ -389,24 +381,6 @@ func New(sys *litlx.System, cfg Config) *Server {
 			s.publishExpvar()
 		}
 	}
-	if cfg.Adapt.Enabled {
-		s.load = adapt.NewLoadController()
-		s.load.ImbalanceThreshold = cfg.Adapt.StealThreshold
-		s.overload = newOverloadController(cfg.Adapt)
-		s.imbalance = sys.Mon.EWMA("serve.adapt.imbalance", 0.2)
-		if cfg.Adapt.Locality {
-			// Drive the system's own locality controller: the serve
-			// layer is one of possibly many feeders of the shared space,
-			// and the decision policy lives in internal/adapt.
-			s.locality = sys.Locality
-		}
-	}
-	if cfg.Compile.Enabled {
-		s.comp = newCompileController(cfg.Compile, s)
-	}
-	if cfg.Adapt.Enabled || cfg.Compile.Enabled {
-		s.quit = make(chan struct{})
-	}
 	locales := sys.Locales()
 	s.byLocale = make([][]*shard, locales)
 	for i := 0; i < cfg.Shards; i++ {
@@ -414,15 +388,33 @@ func New(sys *litlx.System, cfg Config) *Server {
 		sh.locale = mem.Locale(i % locales)
 		sh.qdepth = sys.Mon.Histogram(fmt.Sprintf("serve.shard%02d.queue_depth", i), queueDepthBounds)
 		sh.bsize = sys.Mon.Histogram(fmt.Sprintf("serve.shard%02d.batch_size", i), batchSizeBounds)
-		if cfg.Adapt.Enabled {
-			sh.ctrl = newBatchController(sys.Mon, i, cfg, s.obs, mem.Locale(i%locales))
-		}
 		s.shards = append(s.shards, sh)
 		s.byLocale[sh.locale] = append(s.byLocale[sh.locale], sh)
+	}
+	if a := cfg.Adapt; a.Enabled {
+		grow, shrink := sys.Mon.Counter("serve.adapt.batch_grow"), sys.Mon.Counter("serve.adapt.batch_shrink")
+		for _, sh := range s.shards {
+			sh.ctrl = newBatchController(s, sh, grow, shrink)
+		}
+		s.overload = newOverloadController(s)
+		s.install(a.RebalanceEvery, s.overload.once)
+		s.rebalance = newRebalanceController(s)
+		s.install(a.RebalanceEvery, s.rebalance.once)
+		if a.Locality {
+			s.localize = newLocalityController(s)
+			s.install(a.LocalityEvery, s.localize.once)
+		}
+	}
+	if cfg.Compile.Enabled {
+		s.comp = newCompileController(s)
+		s.install(cfg.Compile.Every, s.comp.once)
+	}
+	for _, sh := range s.shards {
 		s.dispatchers.Add(1)
 		sys.SpawnLGT(int(sh.locale), func(l *core.LGT) { s.dispatch(l, sh) })
 	}
-	if s.quit != nil {
+	if len(s.controllers) > 0 {
+		s.quit = make(chan struct{})
 		s.control.Add(1)
 		go s.controlLoop()
 	}
@@ -781,7 +773,7 @@ func (s *Server) execute(sg *core.SGT, sh *shard, j *Job, ctx *Ctx, now time.Tim
 		// table's epoch (see fastTable.lookup).
 		if fh := t.fast.lookup(j.req.Key); fh != nil {
 			handler = fh
-			s.compFastHits.Inc()
+			s.comp.fastHits.Inc()
 		}
 	}
 	res := Result{Wait: now.Sub(j.enqueued), Priority: j.req.Priority}
@@ -883,7 +875,7 @@ func (s *Server) shedLow(sh *shard, j *Job, now time.Time, level int) {
 	// queue age, so once the backlog clears the estimate falls and the
 	// controller lets traffic back in.
 	s.waitUS.Observe(float64(now.Sub(j.enqueued)) / float64(time.Microsecond))
-	s.shedLowPri.Inc()
+	s.overload.shed.Inc()
 	cause := ""
 	if j.ft != nil {
 		cause = fmt.Sprintf("overload: priority %d below shed level %d", j.req.Priority, level)
@@ -900,7 +892,7 @@ func (s *Server) Close() {
 		return
 	}
 	if s.quit != nil {
-		// Stop the control loop before shutting shards so no steal races
+		// Stop the control plane before shutting shards so no steal races
 		// the drain of the tails.
 		close(s.quit)
 		s.control.Wait()
@@ -923,24 +915,18 @@ type Stats struct {
 	// replicated into a dispatcher's locale ahead of a batch
 	// (Config.Data.Stage).
 	DataStaged int64
-	// Steals / Rebalances / ShedLowPriority count the adaptivity
-	// loop's actions (zero when Config.Adapt is off; ShedLowPriority
-	// jobs also count in Shed).
-	Steals, Rebalances, ShedLowPriority int64
-	// Migrations / Replications count the locality loop's data
-	// movements (zero unless Config.Adapt.Locality is on).
-	Migrations, Replications int64
-	// CompilePlans / FastPathHits summarize the continuous-compilation
-	// controller (zero when Config.Compile is off); AdaptStats breaks
-	// the loop down further.
-	CompilePlans, FastPathHits int64
+	// Steals mirrors AdaptStats.Steals, the rebalancer's count of jobs
+	// moved between shards — the one counter published on two structs,
+	// kept because the benchmark harness reads it here. Every other
+	// control-plane counter is on AdaptStats only.
+	Steals int64
 	// Flow aggregates the dataflow-pipeline path (Tenant.SubmitFlow).
 	// Stage jobs also count in the per-job fields above (Accepted, Done,
 	// Shed, ...): a flow is bookkept as one flow plus its stage jobs.
 	Flow          FlowStats
 	LatencyEWMAus float64
 	// WaitEWMAus is the smoothed admission-to-execution wait — the
-	// signal the overload controller steers by.
+	// signal the overload controller steers by (AdaptStats.ShedLevel).
 	WaitEWMAus float64
 }
 
@@ -956,7 +942,7 @@ type FlowStats struct {
 	// FanOut counts Map-stage elements among them.
 	StageJobs, FanOut int64
 	// StageSteals counts flow stage jobs the rebalancer moved between
-	// shards (also counted in Stats.Steals).
+	// shards (also counted in AdaptStats.Steals).
 	StageSteals int64
 }
 
@@ -973,22 +959,15 @@ func (st Stats) InFlight() int64 { return st.Accepted - st.Done - st.Shed }
 // Stats snapshots the server-level accounting.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Rejected:        s.rejected.Value(),
-		Shed:            s.shedc.Value(),
-		Done:            s.done.Value(),
-		Failed:          s.failed.Value(),
-		Batches:         s.batches.Value(),
-		CodeTransfers:   s.codexfer.Value(),
-		DataStaged:      s.datastage.Value(),
-		Steals:          s.steals.Value(),
-		Rebalances:      s.rebalances.Value(),
-		ShedLowPriority: s.shedLowPri.Value(),
-		Migrations:      s.migrations.Value(),
-		Replications:    s.replications.Value(),
-		CompilePlans:    s.compPlans.Value(),
-		FastPathHits:    s.compFastHits.Value(),
-		LatencyEWMAus:   s.latencyUS.Value(),
-		WaitEWMAus:      s.waitUS.Value(),
+		Rejected:      s.rejected.Value(),
+		Shed:          s.shedc.Value(),
+		Done:          s.done.Value(),
+		Failed:        s.failed.Value(),
+		Batches:       s.batches.Value(),
+		CodeTransfers: s.codexfer.Value(),
+		DataStaged:    s.datastage.Value(),
+		LatencyEWMAus: s.latencyUS.Value(),
+		WaitEWMAus:    s.waitUS.Value(),
 		Flow: FlowStats{
 			Completed:   s.flowDone.Value(),
 			Shed:        s.flowShed.Value(),
@@ -998,6 +977,9 @@ func (s *Server) Stats() Stats {
 			FanOut:      s.flowFan.Value(),
 			StageSteals: s.flowSteals.Value(),
 		},
+	}
+	if s.rebalance != nil {
+		st.Steals = s.rebalance.steals.Value()
 	}
 	// Accepted (and Flow.Submitted) is read last: a job increments
 	// accepted before it can ever count as done or shed, so reading

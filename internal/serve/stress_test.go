@@ -206,15 +206,13 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 		t.Errorf("in-flight %d at quiescence", st.InFlight())
 	}
 	for name, want := range map[string]int64{
-		"serve.accepted":          st.Accepted,
-		"serve.rejected":          st.Rejected,
-		"serve.shed":              st.Shed,
-		"serve.done":              st.Done,
-		"serve.failed":            st.Failed,
-		"serve.batches":           st.Batches,
-		"serve.adapt.steals":      st.Steals,
-		"serve.adapt.rebalances":  st.Rebalances,
-		"serve.adapt.shed_lowpri": st.ShedLowPriority,
+		"serve.accepted":     st.Accepted,
+		"serve.rejected":     st.Rejected,
+		"serve.shed":         st.Shed,
+		"serve.done":         st.Done,
+		"serve.failed":       st.Failed,
+		"serve.batches":      st.Batches,
+		"serve.adapt.steals": st.Steals,
 	} {
 		if got := snap.Counters[name]; got != want {
 			t.Errorf("snapshot %s = %d, Stats reports %d", name, got, want)
