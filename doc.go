@@ -53,7 +53,7 @@
 // assigned by a consistent-hash ring over a small join/leave membership
 // protocol. Parcels between nodes ride the parcel.Transport interface —
 // the in-process parcel.Fabric for deterministic replay, or
-// internal/cluster/netparcel's length-prefixed TCP+gob transport with
+// internal/cluster/netparcel's binary-framed TCP transport with
 // per-peer connection pooling, write coalescing, and bounded
 // outstanding-call windows. Admission routes across node boundaries,
 // pipeline flows chain machine-to-machine with done-exactly-once

@@ -130,7 +130,7 @@ type Node struct {
 
 	tenantsMu sync.RWMutex
 	tenants   map[string]*Tenant
-	pipes     map[string]*Pipeline // "tenant/pipeline"
+	pipes     map[pipeKey]*Pipeline
 
 	// pending holds the records of flows this node originated and shipped
 	// away; a completion parcel pops its entry exactly once, and the
@@ -177,7 +177,7 @@ func NewNode(cfg Config) (*Node, error) {
 		locales: cfg.System.Locales,
 		members: make(map[parcel.NodeID]string),
 		tenants: make(map[string]*Tenant),
-		pipes:   make(map[string]*Pipeline),
+		pipes:   make(map[pipeKey]*Pipeline),
 		pending: make(map[uint64]*pendingFlow),
 		clock:   cfg.Clock,
 		detCfg:  cfg.Detect,
@@ -265,7 +265,7 @@ func (n *Node) registerHandlers() {
 	n.t.Handle("cluster.leave", n.handleLeave)
 	n.t.Handle("cluster.stage", n.handleStage)
 	n.t.Handle("cluster.complete", n.handleComplete)
-	n.t.Handle("cluster.fetchcode", n.handleFetchCode)
+	n.t.Handle("cluster.fetchcode", n.handleFetch)
 	n.t.Handle("cluster.fetch", n.handleFetch)
 	n.t.Handle("cluster.stats", n.handleStats)
 	n.t.Handle("cluster.trace", n.handleTrace)
@@ -348,22 +348,35 @@ func (n *Node) handleJoin(_ parcel.NodeID, body []byte) ([]byte, error) {
 		return nil, errors.New("cluster: join without id or address")
 	}
 	n.mu.Lock()
-	n.epoch++
 	n.members[parcel.NodeID(jr.ID)] = jr.Addr
+	ml := n.reshapeLocked()
+	n.mu.Unlock()
+	n.dialMissing(ml.Members)
+	go n.syncReplicas()
+	return n.broadcast(ml, jr.ID)
+}
+
+// reshapeLocked follows a change to n.members (n.mu held): it bumps the
+// epoch, rebuilds the ring, and returns the new member list.
+func (n *Node) reshapeLocked() memberMsg {
+	n.epoch++
 	n.ring = NewRing(n.locales, memberIDs(n.members))
 	ml := memberMsg{Epoch: n.epoch, Members: make(map[string]string, len(n.members))}
 	for id, addr := range n.members {
 		ml.Members[string(id)] = addr
 	}
-	n.mu.Unlock()
-	n.dialMissing(ml.Members)
-	go n.syncReplicas()
+	return ml
+}
+
+// broadcast sends a member list to every member but this node and skip,
+// and returns its encoding (the join and leave replies).
+func (n *Node) broadcast(ml memberMsg, skip string) ([]byte, error) {
 	payload, err := encode(ml)
 	if err != nil {
 		return nil, err
 	}
 	for id := range ml.Members {
-		if id != string(n.self) && id != jr.ID {
+		if id != string(n.self) && id != skip {
 			_ = n.t.Send(parcel.NodeID(id), "cluster.members", payload)
 		}
 	}
@@ -396,24 +409,10 @@ func (n *Node) handleLeave(_ parcel.NodeID, body []byte) ([]byte, error) {
 		return nil, nil
 	}
 	delete(n.members, parcel.NodeID(jr.ID))
-	n.epoch++
-	n.ring = NewRing(n.locales, memberIDs(n.members))
-	ml := memberMsg{Epoch: n.epoch, Members: make(map[string]string, len(n.members))}
-	for id, addr := range n.members {
-		ml.Members[string(id)] = addr
-	}
+	ml := n.reshapeLocked()
 	n.mu.Unlock()
 	go n.syncReplicas()
-	payload, err := encode(ml)
-	if err != nil {
-		return nil, err
-	}
-	for id := range ml.Members {
-		if id != string(n.self) {
-			_ = n.t.Send(parcel.NodeID(id), "cluster.members", payload)
-		}
-	}
-	return payload, nil
+	return n.broadcast(ml, "")
 }
 
 // install adopts a member list (force skips the epoch freshness gate —

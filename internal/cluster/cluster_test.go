@@ -41,7 +41,7 @@ func newTestCluster(t *testing.T, count, locales int, traceFlows bool) ([]*Node,
 	return nodes, pipes
 }
 
-func registerTestPipe(t *testing.T, n *Node) *Pipeline {
+func registerTestPipe(t testing.TB, n *Node) *Pipeline {
 	t.Helper()
 	inc := func(_ *serve.Ctx, req serve.Request) (any, error) {
 		return req.Payload.(int) + 1, nil

@@ -1,0 +1,311 @@
+package cluster
+
+import (
+	"fmt"
+	"math"
+	"reflect"
+	"strings"
+	"testing"
+
+	"repro/internal/serve"
+)
+
+// codecPoint is a payload type registered with RegisterType: it rides
+// the opaque tag.
+type codecPoint struct{ X, Y int }
+
+// unregisteredPayload is never registered, so it cannot cross the wire.
+type unregisteredPayload struct{ N int }
+
+func init() { RegisterType(codecPoint{}) }
+
+// codecValues are the table test's values, each with the tag it must
+// travel under; they also seed the fuzz targets.
+var codecValues = []struct {
+	v   any
+	tag byte
+}{
+	{nil, tagNil},
+	{int(math.MinInt64), byte(reflect.Int)},
+	{int(math.MaxInt64), byte(reflect.Int)},
+	{int8(math.MinInt8), byte(reflect.Int8)},
+	{int16(math.MinInt16), byte(reflect.Int16)},
+	{int32(math.MinInt32), byte(reflect.Int32)},
+	{int64(math.MinInt64), byte(reflect.Int64)},
+	{uint(math.MaxUint), byte(reflect.Uint)},
+	{uint8(math.MaxUint8), byte(reflect.Uint8)},
+	{uint16(math.MaxUint16), byte(reflect.Uint16)},
+	{uint32(math.MaxUint32), byte(reflect.Uint32)},
+	{uint64(math.MaxUint64), byte(reflect.Uint64)},
+	{float32(-1.5), byte(reflect.Float32)},
+	{math.NaN(), byte(reflect.Float64)},
+	{math.Inf(-1), byte(reflect.Float64)},
+	{math.Copysign(0, -1), byte(reflect.Float64)},
+	{"", tagString},
+	{"héllo, wire", tagString},
+	{true, byte(reflect.Bool)},
+	{false, byte(reflect.Bool)},
+	{[]byte(nil), tagBytes},
+	{[]byte{}, tagBytes},
+	{[]byte{0, 1, 255}, tagBytes},
+	{[]int(nil), tagInts},
+	{[]int{math.MinInt64, 0, math.MaxInt64}, tagInts},
+	{[]string(nil), tagStrings},
+	{[]string{"", "a", "bc"}, tagStrings},
+	{[]float64(nil), tagFloats},
+	{[]float64{math.NaN(), -0.5, math.MaxFloat64}, tagFloats},
+	{map[string]int(nil), tagMapInt},
+	{map[string]int{"a": -1, "": math.MaxInt64}, tagMapInt},
+	{map[string]string(nil), tagMapString},
+	{map[string]string{}, tagMapString},
+	{map[string]string{"k": "v", "": ""}, tagMapString},
+	{map[string]any{"n": 1, "s": "x", "b": []byte{1}}, tagOpaque},
+	{[]any{1, "x", 2.5}, tagOpaque},
+	{codecPoint{X: -3, Y: 4}, tagOpaque},
+}
+
+// sameValue reports whether two decoded values are the same: equal
+// dynamic types and the same Go-syntax rendering, which tells nil from
+// empty, -0 from 0, and treats NaN as equal to itself.
+func sameValue(a, b any) bool {
+	return reflect.TypeOf(a) == reflect.TypeOf(b) && fmt.Sprintf("%#v", a) == fmt.Sprintf("%#v", b)
+}
+
+func TestCodecValueRoundTrip(t *testing.T) {
+	for _, c := range codecValues {
+		b, err := appendValue(nil, c.v)
+		if err != nil {
+			t.Fatalf("%#v: encode: %v", c.v, err)
+		}
+		if b[0] != c.tag {
+			t.Errorf("%#v (%T) encoded under tag %d, want %d", c.v, c.v, b[0], c.tag)
+		}
+		got, err := decodeValue(b)
+		if err != nil {
+			t.Fatalf("%#v: decode: %v", c.v, err)
+		}
+		if !sameValue(got, c.v) {
+			t.Errorf("round trip of %T %#v gave %T %#v", c.v, c.v, got, got)
+		}
+	}
+}
+
+func TestCodecCopiesBytesOnEncode(t *testing.T) {
+	src := []byte{1, 2, 3}
+	b, err := appendValue(nil, src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src[0] = 9
+	if got, _ := decodeValue(b); !sameValue(got, []byte{1, 2, 3}) {
+		t.Fatalf("decoded %v after the source changed, want the bytes at encode time", got)
+	}
+}
+
+func TestCodecMessagesRoundTrip(t *testing.T) {
+	sp := stageMsg{Flow: math.MaxUint64, FlowEpoch: 7, Origin: "node-2", Tenant: "chain", Pipe: "p",
+		Stage: 2, Key: 1 << 63, Deadline: -5, Priority: math.MinInt64}
+	b, err := encodeStage(&sp, []byte("payload"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, vb, err := decodeStage(b)
+	if err != nil || got != sp {
+		t.Fatalf("stage round trip = %+v, %v; want %+v", got, err, sp)
+	}
+	if v, err := decodeValue(vb); err != nil || !sameValue(v, []byte("payload")) {
+		t.Fatalf("stage value = %#v, %v", v, err)
+	}
+
+	cm := completeMsg{Flow: 3, FlowEpoch: 1, Status: uint8(serve.StatusFailed), Err: "boom"}
+	b, err = encodeComplete(&cm, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gotc, vb, err := decodeComplete(b)
+	if err != nil || gotc != cm {
+		t.Fatalf("completion round trip = %+v, %v; want %+v", gotc, err, cm)
+	}
+	if v, err := decodeValue(vb); err != nil || v != nil {
+		t.Fatalf("completion value = %#v, %v; want nil", v, err)
+	}
+}
+
+// TestCodecRejectsMalformed feeds every strict prefix of real
+// encodings, trailing garbage, unknown tags and oversize counts: each
+// must fail with an error, never panic.
+func TestCodecRejectsMalformed(t *testing.T) {
+	for _, c := range codecValues {
+		b, _ := appendValue(nil, c.v)
+		for i := 0; i < len(b); i++ {
+			if _, err := decodeValue(b[:i]); err == nil {
+				t.Errorf("%T: prefix of %d/%d bytes decoded without error", c.v, i, len(b))
+			}
+		}
+		if _, err := decodeValue(append(b, 0)); err == nil {
+			t.Errorf("%T: trailing byte accepted", c.v)
+		}
+	}
+	for _, bad := range [][]byte{
+		{tagOpaque + 1},
+		{255},
+		{byte(reflect.Int8), 1, 2},               // 8-byte payload cut short
+		{tagBytes, 0xff, 0xff, 0xff, 0xff, 0x0f}, // count far beyond the body
+		{tagInts, 3, 1, 2, 3},                    // 2 ints promised, 3 bytes given
+		{tagOpaque, 2, 0xde, 0xad},               // not a gob stream
+	} {
+		if v, err := decodeValue(bad); err == nil {
+			t.Errorf("% x decoded to %#v without error", bad, v)
+		}
+	}
+	sb, _ := encodeStage(&stageMsg{Origin: "o", Tenant: "t", Pipe: "p"}, 1)
+	cb, _ := encodeComplete(&completeMsg{Err: "e"}, 1)
+	for i := 0; i < len(sb)-9; i++ { // the value is the last 9 bytes
+		if _, _, err := decodeStage(sb[:i]); err == nil {
+			t.Errorf("stage prefix of %d/%d bytes decoded without error", i, len(sb))
+		}
+	}
+	for i := 0; i < len(cb)-9; i++ {
+		if _, _, err := decodeComplete(cb[:i]); err == nil {
+			t.Errorf("completion prefix of %d/%d bytes decoded without error", i, len(cb))
+		}
+	}
+}
+
+// TestUnregisteredPayloadDegrades pins the codec's degrade paths on two
+// fabric nodes. A flow whose input cannot be encoded does not ship: it
+// runs at its origin. A stage whose result cannot be encoded resolves
+// the flow StatusFailed, naming RegisterType.
+func TestUnregisteredPayloadDegrades(t *testing.T) {
+	handler := func(_ *serve.Ctx, req serve.Request) (any, error) {
+		if i, ok := req.Payload.(int); ok {
+			return unregisteredPayload{N: i}, nil
+		}
+		return req.Payload, nil
+	}
+	_, nodes, pipes := recoveryPair(t, handler, nil)
+	key := keyOwnedBy(nodes[0], pipes[0], nodes[1].Self())
+
+	tk, err := pipes[0].Submit(serve.Request{Key: key, Payload: unregisteredPayload{N: 5}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := tk.Wait(); r.Status != serve.StatusOK || r.Value != (unregisteredPayload{N: 5}) {
+		t.Fatalf("forward path resolved %v %#v (%v), want OK with the payload", r.Status, r.Value, r.Err)
+	}
+	if fw, rs := nodes[0].Stats().ForwardedStages, nodes[1].Stats().RemoteStages; fw != 0 || rs != 0 {
+		t.Fatalf("unencodable input shipped: forwarded %d, remote stages %d; want it run at the origin", fw, rs)
+	}
+
+	tk, err = pipes[0].Submit(serve.Request{Key: key, Payload: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tk.Wait()
+	if r.Status != serve.StatusFailed || r.Err == nil || !strings.Contains(r.Err.Error(), "see RegisterType") {
+		t.Fatalf("result path resolved %v (%v), want StatusFailed naming RegisterType", r.Status, r.Err)
+	}
+	if rs := nodes[1].Stats().RemoteStages; rs != 1 {
+		t.Fatalf("remote stages = %d, want the int-input stage run on the remote owner", rs)
+	}
+}
+
+// codecSeeds are real stage and completion parcels, one per table
+// value, for the fuzz targets' corpora.
+func codecSeeds() (stages, completes, values [][]byte) {
+	for i, c := range codecValues {
+		sp := stageMsg{Flow: uint64(i), FlowEpoch: uint32(i % 3), Origin: "node-2", Tenant: "chain",
+			Pipe: "chain", Stage: i % 3, Key: uint64(i) * 0x9E3779B97F4A7C15, Deadline: int64(i), Priority: i % 2}
+		cm := completeMsg{Flow: uint64(i), FlowEpoch: 1, Status: uint8(i % 6), Err: strings.Repeat("e", i%2)}
+		sb, _ := encodeStage(&sp, c.v)
+		cb, _ := encodeComplete(&cm, c.v)
+		vb, _ := appendValue(nil, c.v)
+		stages, completes, values = append(stages, sb), append(completes, cb), append(values, vb)
+	}
+	return stages, completes, values
+}
+
+// checkValueRoundTrip re-encodes a successfully decoded value and
+// decodes it again: the result must be the same value. An opaque value
+// is gob's to round-trip, so only its type is checked, and one gob
+// decoded but cannot encode again (a nil inside a []any) is skipped.
+func checkValueRoundTrip(t *testing.T, vb []byte, v any) {
+	b, err := appendValue(nil, v)
+	if err != nil {
+		if vb[0] == tagOpaque {
+			return
+		}
+		t.Fatalf("decoded %#v does not re-encode: %v", v, err)
+	}
+	v2, err := decodeValue(b)
+	if err != nil {
+		t.Fatalf("re-encoded %#v does not decode: %v", v, err)
+	}
+	if vb[0] == tagOpaque {
+		if reflect.TypeOf(v) != reflect.TypeOf(v2) {
+			t.Fatalf("opaque round trip changed %T to %T", v, v2)
+		}
+		return
+	}
+	if !sameValue(v, v2) {
+		t.Fatalf("round trip changed %#v to %#v", v, v2)
+	}
+}
+
+func FuzzDecodeValue(f *testing.F) {
+	_, _, values := codecSeeds()
+	for _, b := range values {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if v, err := decodeValue(b); err == nil {
+			checkValueRoundTrip(t, b, v)
+		}
+	})
+}
+
+func FuzzDecodeStage(f *testing.F) {
+	stages, _, _ := codecSeeds()
+	for _, b := range stages {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		sp, vb, err := decodeStage(b)
+		if err != nil {
+			return
+		}
+		b2, err := encodeStage(&sp, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sp2, _, err := decodeStage(b2); err != nil || sp2 != sp {
+			t.Fatalf("stage round trip = %+v, %v; want %+v", sp2, err, sp)
+		}
+		if v, err := decodeValue(vb); err == nil {
+			checkValueRoundTrip(t, vb, v)
+		}
+	})
+}
+
+func FuzzDecodeComplete(f *testing.F) {
+	_, completes, _ := codecSeeds()
+	for _, b := range completes {
+		f.Add(b)
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		cm, vb, err := decodeComplete(b)
+		if err != nil {
+			return
+		}
+		b2, err := encodeComplete(&cm, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cm2, _, err := decodeComplete(b2); err != nil || cm2 != cm {
+			t.Fatalf("completion round trip = %+v, %v; want %+v", cm2, err, cm)
+		}
+		if v, err := decodeValue(vb); err == nil {
+			checkValueRoundTrip(t, vb, v)
+		}
+	})
+}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"fmt"
 	"time"
 
 	"repro/internal/adapt"
@@ -93,27 +92,16 @@ func (n *Node) evict(dead parcel.NodeID) {
 	}
 	oldRing := n.ring
 	delete(n.members, dead)
-	n.epoch++
-	n.ring = NewRing(n.locales, memberIDs(n.members))
+	ml := n.reshapeLocked()
 	newRing := n.ring
-	ml := memberMsg{Epoch: n.epoch, Members: make(map[string]string, len(n.members))}
-	for id, addr := range n.members {
-		ml.Members[string(id)] = addr
-	}
 	n.mu.Unlock()
 	n.evictions.Add(1)
 	// Flow id 0 is never allocated (nextFlow starts at 1), so membership
 	// events trace under it without colliding with any real flow.
 	n.traces.record(n.self, 0, trace.KindAdapt,
-		fmt.Sprintf("evicted %s after %d missed heartbeats; ring rebalanced onto %d members",
-			dead, n.detCfg.Misses, len(ml.Members)))
-	if payload, err := encode(ml); err == nil {
-		for id := range ml.Members {
-			if id != string(n.self) {
-				_ = n.t.Send(parcel.NodeID(id), "cluster.members", payload)
-			}
-		}
-	}
+		"evicted %s after %d missed heartbeats; ring rebalanced onto %d members",
+		dead, n.detCfg.Misses, len(ml.Members))
+	_, _ = n.broadcast(ml, "") // a member list (strings only) always encodes
 	n.recoverAfter(dead, oldRing, newRing)
 	n.syncReplicas()
 }
@@ -167,7 +155,7 @@ func (n *Node) recoverAfter(dead parcel.NodeID, oldRing, newRing *Ring) {
 	if len(actions) > 0 {
 		n.rehomedObjects.Add(int64(len(actions)))
 		n.traces.record(n.self, 0, trace.KindAdapt,
-			fmt.Sprintf("rehomed %d objects off locales lost with %s", len(actions), dead))
+			"rehomed %d objects off locales lost with %s", len(actions), dead)
 	}
 }
 

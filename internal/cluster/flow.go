@@ -80,7 +80,7 @@ func (t *Tenant) NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		p.routes = append([]StageRoute(nil), cfg.Routes...)
 	}
 	t.n.tenantsMu.Lock()
-	t.n.pipes[t.name+"/"+cfg.Name] = p
+	t.n.pipes[pipeKey{t.name, cfg.Name}] = p
 	t.n.tenantsMu.Unlock()
 	return p, nil
 }
@@ -99,11 +99,14 @@ func (p *Pipeline) route(stage int, v any, flowKey uint64) (uint64, []string) {
 	return flowKey, nil
 }
 
+// pipeKey names a compiled cluster pipeline: tenant and pipeline name.
+type pipeKey struct{ tenant, name string }
+
 // pipeline looks a compiled cluster pipeline up by tenant and name.
 func (n *Node) pipeline(tenant, name string) *Pipeline {
 	n.tenantsMu.RLock()
 	defer n.tenantsMu.RUnlock()
-	return n.pipes[tenant+"/"+name]
+	return n.pipes[pipeKey{tenant, name}]
 }
 
 // Ticket follows one cluster flow to its terminal result.
@@ -130,17 +133,18 @@ func (p *Pipeline) Submit(req serve.Request) (*Ticket, error) {
 
 // pendingFlow is the origin-side record of one shipped flow: the finish
 // callback a completion resolves, plus everything recovery needs to
-// re-route the flow if its executor dies — the last stage parcel (value
-// retained), the decoded stage input for re-keying, the destination it
-// was shipped to, and the recovery timer. epoch is the current
-// FlowEpoch; completions carrying an older epoch are zombies' and drop.
+// re-route the flow if its executor dies — the last stage parcel's
+// fields, the stage input (re-keyed and re-encoded on every re-route),
+// the destination it was shipped to, and the recovery timer. The
+// encoded parcel itself is not kept: its receiver owns those bytes and
+// may have changed them in place. msg.FlowEpoch is the current epoch;
+// completions carrying an older one are zombies' and drop.
 type pendingFlow struct {
 	fin      func(serve.Result)
 	p        *Pipeline
-	msg      stageMsg // last parcel this origin shipped (Value retained)
-	v        any      // decoded stage input, for route re-keying
+	msg      stageMsg // last parcel this origin shipped
+	v        any      // its stage input
 	dest     parcel.NodeID
-	epoch    uint32
 	attempts int
 	deadline time.Time // the flow's own deadline; zero = none
 	timer    *time.Timer
@@ -162,15 +166,7 @@ func (p *Pipeline) SubmitFunc(req serve.Request, done func(serve.Result)) error 
 	}
 	key0, _ := p.route(0, req.Payload, req.Key)
 	if owner, _ := n.ownerOf(p.t.hash, key0); owner != n.self {
-		if n.shipStage(p, owner, stageMsg{
-			Origin:   string(n.self),
-			Tenant:   p.t.name,
-			Pipe:     p.name,
-			Stage:    0,
-			Key:      req.Key,
-			Deadline: deadlineNS(req.Deadline),
-			Priority: req.Priority,
-		}, req.Payload, finish) {
+		if n.shipStage(p, owner, 0, req, finish) {
 			n.flowsOriginated.Add(1)
 			return nil
 		}
@@ -184,20 +180,16 @@ func (p *Pipeline) SubmitFunc(req serve.Request, done func(serve.Result)) error 
 }
 
 // shipStage encodes and sends one stage parcel carrying a flow this
-// node originates, registering its finish callback under a fresh flow
-// id and arming the recovery timer that guarantees the flow resolves
-// even if the destination dies. Returns false (nothing registered,
-// nothing sent) when the value cannot cross the wire or the peer is
-// unreachable.
-func (n *Node) shipStage(p *Pipeline, dest parcel.NodeID, sp stageMsg, v any, finish func(serve.Result)) bool {
-	body, err := encodeValue(v)
-	if err != nil {
-		return false
-	}
-	sp.Value = body
-	flow := n.nextFlow.Add(1)
-	sp.Flow = flow
-	pb, err := encode(sp)
+// node originates — stage onward, req's payload as the stage input —
+// registering its finish callback under a fresh flow id and arming the
+// recovery timer that guarantees the flow resolves even if the
+// destination dies. Returns false (nothing registered, nothing sent)
+// when the value cannot cross the wire or the peer is unreachable.
+func (n *Node) shipStage(p *Pipeline, dest parcel.NodeID, stage int, req serve.Request, finish func(serve.Result)) bool {
+	flow, v := n.nextFlow.Add(1), req.Payload
+	sp := stageMsg{Flow: flow, Origin: string(n.self), Tenant: p.t.name, Pipe: p.name, Stage: stage,
+		Key: req.Key, Deadline: deadlineNS(req.Deadline), Priority: req.Priority}
+	pb, err := encodeStage(&sp, v)
 	if err != nil {
 		return false
 	}
@@ -221,7 +213,7 @@ func (n *Node) shipStage(p *Pipeline, dest parcel.NodeID, sp stageMsg, v any, fi
 	}
 	n.forwardedStages.Add(1)
 	n.traces.record(n.self, flow, trace.KindRemoteHop,
-		fmt.Sprintf("%s/%s stage %d: %s -> %s", sp.Tenant, sp.Pipe, sp.Stage, n.self, dest))
+		"%s/%s stage %d: %s -> %s", sp.Tenant, sp.Pipe, sp.Stage, n.self, dest)
 	return true
 }
 
@@ -280,12 +272,8 @@ func (n *Node) recoverFlow(flow uint64) {
 		return
 	}
 	pf.attempts++
-	pf.epoch++
-	attempt := pf.attempts
-	sp := pf.msg
-	sp.FlowEpoch = pf.epoch
-	pf.msg = sp
-	p, v := pf.p, pf.v
+	pf.msg.FlowEpoch++
+	sp, p, v, attempt := pf.msg, pf.p, pf.v, pf.attempts
 	skey, _ := p.route(sp.Stage, v, sp.Key)
 	owner, _ := n.ownerOf(p.t.hash, skey)
 	pf.dest = owner
@@ -295,9 +283,9 @@ func (n *Node) recoverFlow(flow uint64) {
 	n.pendingMu.Unlock()
 	n.recoveredFlows.Add(1)
 	n.traces.record(n.self, flow, trace.KindAdapt,
-		fmt.Sprintf("recovery: attempt %d re-routes stage %d to %s (epoch %d)", attempt, sp.Stage, owner, sp.FlowEpoch))
+		"recovery: attempt %d re-routes stage %d to %s (epoch %d)", attempt, sp.Stage, owner, sp.FlowEpoch)
 	if owner != n.self {
-		if pb, err := encode(sp); err == nil && n.t.Send(owner, "cluster.stage", pb) == nil {
+		if pb, err := encodeStage(&sp, v); err == nil && n.t.Send(owner, "cluster.stage", pb) == nil {
 			n.forwardedStages.Add(1)
 			return
 		}
@@ -326,23 +314,15 @@ func (n *Node) ForwardStage(st *serve.Tenant, sp *serve.Pipeline, next int, v an
 	if owner == n.self {
 		return false
 	}
-	return n.shipStage(p, owner, stageMsg{
-		Origin:   string(n.self),
-		Tenant:   p.t.name,
-		Pipe:     p.name,
-		Stage:    next,
-		Key:      key,
-		Deadline: deadlineNS(deadline),
-		Priority: priority,
-	}, v, finish)
+	return n.shipStage(p, owner, next, serve.Request{Key: key, Payload: v, Deadline: deadline, Priority: priority}, finish)
 }
 
 // handleStage executes one arriving stage parcel. It runs on a
 // transport delivery goroutine; the stage itself is admitted through
 // the node's serve layer like any local work.
 func (n *Node) handleStage(_ parcel.NodeID, body []byte) ([]byte, error) {
-	var sp stageMsg
-	if err := decode(body, &sp); err != nil {
+	sp, vb, err := decodeStage(body)
+	if err != nil {
 		return nil, err
 	}
 	origin := parcel.NodeID(sp.Origin)
@@ -353,7 +333,7 @@ func (n *Node) handleStage(_ parcel.NodeID, body []byte) ([]byte, error) {
 				n.self, sp.Tenant, sp.Pipe, sp.Stage)})
 		return nil, nil
 	}
-	v, err := decodeValue(sp.Value)
+	v, err := decodeValue(vb)
 	if err != nil {
 		n.completeFlow(origin, sp.Flow, sp.FlowEpoch, serve.Result{Status: serve.StatusFailed,
 			Err: fmt.Errorf("cluster: stage %d value: %w", sp.Stage, err)})
@@ -385,7 +365,7 @@ func (n *Node) execStage(p *Pipeline, sp stageMsg, v any) {
 	_, globals := p.route(sp.Stage, v, sp.Key)
 	p.t.ensureResident(origin, globals)
 	n.traces.record(origin, sp.Flow, trace.KindDispatch,
-		fmt.Sprintf("%s/%s stage %d @ %s", sp.Tenant, sp.Pipe, sp.Stage, n.self))
+		"%s/%s stage %d @ %s", sp.Tenant, sp.Pipe, sp.Stage, n.self)
 	req := serve.Request{Key: sp.Key, Payload: v, Deadline: deadline, Priority: sp.Priority}
 	_, err := p.t.st.SubmitFlowFunc(p.stagePipes[sp.Stage], req, func(r serve.Result) {
 		n.advance(p, sp, r)
@@ -411,23 +391,21 @@ func (n *Node) advance(p *Pipeline, sp stageMsg, r serve.Result) {
 	owner, _ := n.ownerOf(p.t.hash, key)
 	sp.Stage = next
 	if owner != n.self {
-		body, err := encodeValue(r.Value)
+		pb, err := encodeStage(&sp, r.Value)
 		if err != nil {
 			n.completeFlow(origin, sp.Flow, sp.FlowEpoch, serve.Result{Status: serve.StatusFailed,
 				Err: fmt.Errorf("cluster: stage %d value does not encode: %w (see RegisterType)", next, err)})
 			return
 		}
-		sp.Value = body
-		if pb, err := encode(sp); err == nil && n.t.Send(owner, "cluster.stage", pb) == nil {
+		if n.t.Send(owner, "cluster.stage", pb) == nil {
 			n.forwardedStages.Add(1)
 			n.traces.record(origin, sp.Flow, trace.KindRemoteHop,
-				fmt.Sprintf("%s/%s stage %d: %s -> %s", sp.Tenant, sp.Pipe, next, n.self, owner))
+				"%s/%s stage %d: %s -> %s", sp.Tenant, sp.Pipe, next, n.self, owner)
 			return
 		}
 		// The owner became unreachable (left, crashed): degrade to local
 		// execution rather than losing the flow.
 	}
-	sp.Value = nil
 	n.execStage(p, sp, r.Value)
 }
 
@@ -444,18 +422,15 @@ func (n *Node) completeFlow(origin parcel.NodeID, flow uint64, epoch uint32, r s
 	if r.Err != nil {
 		cm.Err = r.Err.Error()
 	}
-	if r.Status == serve.StatusOK && r.Value != nil {
-		body, err := encodeValue(r.Value)
-		if err != nil {
-			cm.Status = uint8(serve.StatusFailed)
-			cm.Err = fmt.Sprintf("cluster: result value does not encode: %v (see RegisterType)", err)
-		} else {
-			cm.Value = body
-		}
+	var v any
+	if r.Status == serve.StatusOK {
+		v = r.Value
 	}
-	body, err := encode(cm)
+	body, err := encodeComplete(&cm, v)
 	if err != nil {
-		return
+		cm.Status = uint8(serve.StatusFailed)
+		cm.Err = fmt.Sprintf("cluster: result value does not encode: %v (see RegisterType)", err)
+		body, _ = encodeComplete(&cm, nil) // a nil value always encodes
 	}
 	// A send failure means the origin is gone; its pending entry resolves
 	// at its own Close.
@@ -468,8 +443,8 @@ func (n *Node) completeFlow(origin parcel.NodeID, flow uint64, epoch uint32, r s
 // StatusFailed with a descriptive error instead of minting a status the
 // serve layer does not define.
 func (n *Node) handleComplete(from parcel.NodeID, body []byte) ([]byte, error) {
-	var cm completeMsg
-	if err := decode(body, &cm); err != nil {
+	cm, vb, err := decodeComplete(body)
+	if err != nil {
 		return nil, err
 	}
 	var r serve.Result
@@ -482,18 +457,15 @@ func (n *Node) handleComplete(from parcel.NodeID, body []byte) ([]byte, error) {
 		if cm.Err != "" {
 			r.Err = errors.New(cm.Err)
 		}
-		if len(cm.Value) > 0 {
-			v, err := decodeValue(cm.Value)
-			if err != nil {
-				r.Status = serve.StatusFailed
-				r.Err = fmt.Errorf("cluster: completion value: %w", err)
-			} else {
-				r.Value = v
-			}
+		v, err := decodeValue(vb)
+		if err != nil {
+			r.Status = serve.StatusFailed
+			r.Err = fmt.Errorf("cluster: completion value: %w", err)
+		} else {
+			r.Value = v
 		}
 	}
-	n.traces.record(n.self, cm.Flow, trace.KindComplete,
-		fmt.Sprintf("completion from %s: %s", from, r.Status))
+	n.traces.record(n.self, cm.Flow, trace.KindComplete, "completion from %s: %s", from, r.Status)
 	n.finishFlow(cm.Flow, cm.FlowEpoch, r)
 	return nil, nil
 }
@@ -507,7 +479,7 @@ func (n *Node) handleComplete(from parcel.NodeID, body []byte) ([]byte, error) {
 func (n *Node) finishFlow(flow uint64, epoch uint32, r serve.Result) {
 	n.pendingMu.Lock()
 	pf := n.pending[flow]
-	if pf != nil && pf.epoch != epoch {
+	if pf != nil && pf.msg.FlowEpoch != epoch {
 		n.pendingMu.Unlock()
 		n.staleCompletions.Add(1)
 		return

@@ -1,8 +1,19 @@
 // Package netparcel carries parcels between cluster nodes over TCP: the
-// real-wire implementation of parcel.Transport. Frames are
-// length-prefixed gob — a 4-byte big-endian body length, then one
-// gob-encoded frame — so a reader never depends on gob's internal
-// buffering to find message boundaries.
+// real-wire implementation of parcel.Transport. A frame is a small
+// binary header and the parcel body, written straight into the
+// connection's buffered writer:
+//
+//	length  u32 big-endian: the byte count of everything after it
+//	kind    u8: hello, send, call or reply
+//	seq     uvarint, call and reply only: matches a reply to its call
+//	text    uvarint length + bytes: the method (hello: the sender's
+//	        NodeID; reply: the handler's error, empty on success)
+//	body    the rest (hello: the sender's dialable address)
+//
+// so a send costs 6 bytes plus the method name on top of its body. The
+// reader finds frame boundaries from the length prefix alone and reads
+// each frame into one fresh buffer: the body a handler (or a Call's
+// caller) receives is its own to keep or modify.
 //
 // Each peer gets a small connection pool (ConnsPerPeer). Writers
 // coalesce: frames queue on a per-connection channel and the writer
@@ -16,9 +27,7 @@ package netparcel
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -39,15 +48,14 @@ const (
 	kindReply
 )
 
-// frame is the unit on the wire.
+// frame is the unit on the wire. Text is the method of a send or call,
+// the sender's NodeID in a hello (whose Body is its dialable address),
+// and the handler's error in a reply (empty for success).
 type frame struct {
-	Kind   uint8
-	Seq    uint64
-	From   string // sender NodeID (hello); unused on other kinds
-	Addr   string // sender's dialable address (hello)
-	Method string
-	Body   []byte
-	Err    string // reply only: handler error, empty for success
+	Kind uint8
+	Seq  uint64
+	Text string
+	Body []byte
 }
 
 // Config tunes a transport; the zero value is usable.
@@ -118,10 +126,15 @@ type peer struct {
 	sem   chan struct{} // outstanding-call window
 }
 
-// wconn is one live connection with its coalescing writer queue.
+// wconn is one live connection: its buffered reader and writer (the
+// hello exchange uses them directly, then the read loop and the
+// coalescing writer take over) and the writer's queue.
 type wconn struct {
 	c      net.Conn
+	br     *bufio.Reader
+	bw     *bufio.Writer
 	out    chan frame
+	done   chan struct{} // closed by shut: the queue is dead
 	closed atomic.Bool
 	tr     *Transport
 }
@@ -214,31 +227,32 @@ func (t *Transport) dialOne(addr string) (parcel.NodeID, error) {
 	}
 	// Hello out, hello back: both sides learn who is on the wire before
 	// any parcel rides it.
-	hello := frame{Kind: kindHello, From: string(t.self), Addr: t.Addr()}
-	if err := writeFrame(c, &hello, &t.bytesSent); err != nil {
+	w := t.newConn(c)
+	if err := w.hello(); err != nil {
 		c.Close()
 		return "", err
 	}
-	// Read the hello unbuffered: a buffered reader could slurp bytes of
-	// the frames that follow it, which belong to the connection's real
-	// read loop.
-	reply, err := readFrame(c, &t.bytesRecv)
+	reply, err := readFrame(w.br, &t.bytesRecv)
 	if err != nil {
 		c.Close()
 		return "", fmt.Errorf("netparcel: hello to %s: %w", addr, err)
 	}
-	if reply.Kind != kindHello || reply.From == "" {
+	if reply.Kind != kindHello || reply.Text == "" {
 		c.Close()
 		return "", fmt.Errorf("netparcel: bad hello from %s", addr)
 	}
-	id := parcel.NodeID(reply.From)
-	t.addConn(id, c)
+	id := parcel.NodeID(reply.Text)
+	t.addConn(id, w)
 	return id, nil
+}
+
+func (t *Transport) newConn(c net.Conn) *wconn {
+	return &wconn{c: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c), out: make(chan frame, 512), done: make(chan struct{}), tr: t}
 }
 
 // addConn registers a live, hello-complete connection under the peer and
 // starts its reader and coalescing writer.
-func (t *Transport) addConn(id parcel.NodeID, c net.Conn) *wconn {
+func (t *Transport) addConn(id parcel.NodeID, w *wconn) {
 	t.mu.Lock()
 	p, ok := t.peers[id]
 	if !ok {
@@ -246,14 +260,12 @@ func (t *Transport) addConn(id parcel.NodeID, c net.Conn) *wconn {
 		t.peers[id] = p
 	}
 	t.mu.Unlock()
-	w := &wconn{c: c, out: make(chan frame, 512), tr: t}
 	p.mu.Lock()
 	p.conns = append(p.conns, w)
 	p.mu.Unlock()
 	t.wg.Add(2)
 	go w.writeLoop(&t.wg)
 	go t.readLoop(w, id)
-	return w
 }
 
 // accept admits inbound connections: the dialer's hello names it, we
@@ -266,19 +278,17 @@ func (t *Transport) accept() {
 			return // listener closed
 		}
 		go func(c net.Conn) {
-			// Unbuffered for the same reason as Dial: nothing past the
-			// hello may be consumed here.
-			h, err := readFrame(c, &t.bytesRecv)
-			if err != nil || h.Kind != kindHello || h.From == "" {
+			w := t.newConn(c)
+			h, err := readFrame(w.br, &t.bytesRecv)
+			if err != nil || h.Kind != kindHello || h.Text == "" {
 				c.Close()
 				return
 			}
-			back := frame{Kind: kindHello, From: string(t.self), Addr: t.Addr()}
-			if err := writeFrame(c, &back, &t.bytesSent); err != nil {
+			if err := w.hello(); err != nil {
 				c.Close()
 				return
 			}
-			t.addConn(parcel.NodeID(h.From), c)
+			t.addConn(parcel.NodeID(h.Text), w)
 		}(c)
 	}
 }
@@ -290,9 +300,8 @@ func (t *Transport) accept() {
 // the wire and a frame burst never explodes the goroutine count.
 func (t *Transport) readLoop(w *wconn, from parcel.NodeID) {
 	defer t.wg.Done()
-	br := bufio.NewReader(w.c)
 	for {
-		f, err := readFrame(br, &t.bytesRecv)
+		f, err := readFrame(w.br, &t.bytesRecv)
 		if err != nil {
 			w.shut()
 			t.failPending(w)
@@ -305,20 +314,20 @@ func (t *Transport) readLoop(w *wconn, from parcel.NodeID) {
 			}
 		case kindSend:
 			t.parcelsRecv.Add(1)
-			if h, ok := t.handler(f.Method); ok {
+			if h, ok := t.handler(f.Text); ok {
 				body := f.Body
 				t.dispatch(func() { _, _ = h(from, body) })
 			}
 		case kindCall:
 			t.parcelsRecv.Add(1)
-			h, ok := t.handler(f.Method)
+			h, ok := t.handler(f.Text)
 			seq, body := f.Seq, f.Body
 			t.dispatch(func() {
 				rep := frame{Kind: kindReply, Seq: seq}
 				if !ok {
-					rep.Err = fmt.Sprintf("netparcel: node %s has no handler %q", t.self, f.Method)
+					rep.Text = fmt.Sprintf("netparcel: node %s has no handler %q", t.self, f.Text)
 				} else if v, err := h(from, body); err != nil {
-					rep.Err = err.Error()
+					rep.Text = err.Error()
 				} else {
 					rep.Body = v
 				}
@@ -413,7 +422,7 @@ func (t *Transport) Send(dest parcel.NodeID, method string, body []byte) error {
 			t.parcelsSent.Add(1)
 			time.AfterFunc(d, func() {
 				if w, err := p.pick(); err == nil {
-					_ = w.enqueue(frame{Kind: kindSend, Method: method, Body: body})
+					_ = w.enqueue(frame{Kind: kindSend, Text: method, Body: body})
 				}
 			})
 			return nil
@@ -424,7 +433,7 @@ func (t *Transport) Send(dest parcel.NodeID, method string, body []byte) error {
 		return err
 	}
 	t.parcelsSent.Add(1)
-	return w.enqueue(frame{Kind: kindSend, Method: method, Body: body})
+	return w.enqueue(frame{Kind: kindSend, Text: method, Body: body})
 }
 
 // Call performs a split transaction: the frame ships to dest, the
@@ -450,14 +459,14 @@ func (t *Transport) Call(dest parcel.NodeID, method string, body []byte) ([]byte
 	t.pending.Store(seq, pendingCall{w: w, ch: ch})
 	t.parcelsSent.Add(1)
 	t.calls.Add(1)
-	if err := w.enqueue(frame{Kind: kindCall, Seq: seq, Method: method, Body: body}); err != nil {
+	if err := w.enqueue(frame{Kind: kindCall, Seq: seq, Text: method, Body: body}); err != nil {
 		t.pending.Delete(seq)
 		return nil, err
 	}
 	select {
 	case f := <-ch:
-		if f.Err != "" {
-			return nil, errors.New(f.Err)
+		if f.Text != "" {
+			return nil, errors.New(f.Text)
 		}
 		return f.Body, nil
 	case <-time.After(t.cfg.CallTimeout):
@@ -500,7 +509,7 @@ func (t *Transport) failPending(w *wconn) {
 			return true
 		}
 		if _, ok := t.pending.LoadAndDelete(k); ok {
-			pc.ch <- frame{Kind: kindReply, Err: errClosed.Error()}
+			pc.ch <- frame{Kind: kindReply, Text: errClosed.Error()}
 		}
 		return true
 	})
@@ -529,127 +538,123 @@ func (t *Transport) Close() error {
 }
 
 // enqueue queues one frame for the coalescing writer.
-func (w *wconn) enqueue(f frame) (err error) {
+func (w *wconn) enqueue(f frame) error {
 	if w.closed.Load() {
 		return errClosed
 	}
-	// shut() may close the queue between the check and the send; the
-	// recovered panic is the close signal.
-	defer func() {
-		if recover() != nil {
-			err = errClosed
-		}
-	}()
-	w.out <- f
-	return nil
+	select {
+	case w.out <- f:
+		return nil
+	case <-w.done:
+		return errClosed
+	}
 }
 
-// shut closes the connection and its queue exactly once.
+// shut closes the connection and kills its queue exactly once. The
+// queue channel itself is never closed, so an enqueue racing shut
+// cannot send on a closed channel: it sees done instead, and whatever
+// is still queued is dropped with the connection.
 func (w *wconn) shut() {
 	if w.closed.Swap(true) {
 		return
 	}
 	w.c.Close()
-	close(w.out)
+	close(w.done)
 }
 
-// writeLoop is the coalescing writer: it encodes every frame pending on
+// writeLoop is the coalescing writer: it writes every frame pending on
 // the queue into the buffered writer and flushes once when the queue
 // goes empty — N queued frames, one flush.
 func (w *wconn) writeLoop(wg *sync.WaitGroup) {
 	defer wg.Done()
-	bw := bufio.NewWriter(w.c)
-	var scratch bytes.Buffer
-	write := func(f frame) bool {
-		scratch.Reset()
-		if err := gob.NewEncoder(&scratch).Encode(f); err != nil {
-			return false
-		}
-		var hdr [4]byte
-		binary.BigEndian.PutUint32(hdr[:], uint32(scratch.Len()))
-		if _, err := bw.Write(hdr[:]); err != nil {
-			return false
-		}
-		if _, err := bw.Write(scratch.Bytes()); err != nil {
-			return false
-		}
-		w.tr.bytesSent.Add(int64(4 + scratch.Len()))
-		return true
-	}
-	for f := range w.out {
-		if !write(f) {
-			w.shut()
-			for range w.out { // drain so enqueuers don't block
-			}
+	for {
+		var f frame
+		select {
+		case f = <-w.out:
+		case <-w.done:
 			return
 		}
-	coalesce:
-		for {
-			select {
-			case f2, ok := <-w.out:
-				if !ok {
-					bw.Flush()
-					return
-				}
-				if !write(f2) {
-					w.shut()
-					for range w.out {
-					}
-					return
-				}
-			default:
-				break coalesce
-			}
+		err := writeFrame(w.bw, &f, &w.tr.bytesSent)
+		for err == nil && len(w.out) > 0 { // this loop is the only receiver
+			f = <-w.out
+			err = writeFrame(w.bw, &f, &w.tr.bytesSent)
 		}
-		if err := bw.Flush(); err != nil {
+		if err == nil {
+			err = w.bw.Flush()
+		}
+		if err != nil {
 			w.shut()
-			for range w.out {
-			}
 			return
 		}
 	}
-	bw.Flush()
 }
 
-// writeFrame writes one length-prefixed frame directly (hello path,
-// before the coalescing writer exists).
-func writeFrame(c net.Conn, f *frame, sent *atomic.Int64) error {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(*f); err != nil {
+// hello writes and flushes this transport's hello (the connection
+// setup path, before the coalescing writer runs).
+func (w *wconn) hello() error {
+	hello := frame{Kind: kindHello, Text: string(w.tr.self), Body: []byte(w.tr.Addr())}
+	if err := writeFrame(w.bw, &hello, &w.tr.bytesSent); err != nil {
 		return err
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(buf.Len()))
-	if _, err := c.Write(hdr[:]); err != nil {
-		return err
+	return w.bw.Flush()
+}
+
+// writeFrame writes one frame's header and body, adding the bytes
+// written to sent.
+func writeFrame(bw *bufio.Writer, f *frame, sent *atomic.Int64) error {
+	var buf [4 + 1 + 2*binary.MaxVarintLen64]byte
+	hdr := append(buf[:4], f.Kind)
+	if f.Kind == kindCall || f.Kind == kindReply {
+		hdr = binary.AppendUvarint(hdr, f.Seq)
 	}
-	_, err := c.Write(buf.Bytes())
-	sent.Add(int64(4 + buf.Len()))
+	hdr = binary.AppendUvarint(hdr, uint64(len(f.Text)))
+	n := len(hdr) + len(f.Text) + len(f.Body)
+	binary.BigEndian.PutUint32(hdr, uint32(n-4))
+	bw.Write(hdr)
+	bw.WriteString(f.Text)
+	_, err := bw.Write(f.Body) // bufio keeps the first error
+	sent.Add(int64(n))
 	return err
 }
 
-// maxFrame bounds one frame body: a corrupt length prefix must not
-// allocate gigabytes.
+// maxFrame bounds one frame: a corrupt length prefix must not allocate
+// gigabytes.
 const maxFrame = 64 << 20
 
-// readFrame reads one length-prefixed frame.
-func readFrame(r io.Reader, recv *atomic.Int64) (frame, error) {
+var errBadFrame = errors.New("netparcel: malformed frame")
+
+// readFrame reads one frame into a fresh buffer, which the returned
+// Body aliases, adding the bytes read to recv.
+func readFrame(br *bufio.Reader, recv *atomic.Int64) (frame, error) {
 	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if _, err := io.ReadFull(br, hdr[:]); err != nil {
 		return frame{}, err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
 		return frame{}, fmt.Errorf("netparcel: frame of %d bytes exceeds limit", n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	b := make([]byte, n)
+	if _, err := io.ReadFull(br, b); err != nil {
 		return frame{}, err
 	}
 	recv.Add(int64(4 + n))
-	var f frame
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&f); err != nil {
-		return frame{}, err
+	if len(b) == 0 || b[0] > kindReply {
+		return frame{}, errBadFrame
 	}
+	f := frame{Kind: b[0]}
+	b = b[1:]
+	if f.Kind == kindCall || f.Kind == kindReply {
+		seq, k := binary.Uvarint(b)
+		if k <= 0 {
+			return frame{}, errBadFrame
+		}
+		f.Seq, b = seq, b[k:]
+	}
+	l, k := binary.Uvarint(b)
+	if k <= 0 || l > uint64(len(b)-k) {
+		return frame{}, errBadFrame
+	}
+	f.Text, f.Body = string(b[k:k+int(l)]), b[k+int(l):]
 	return f, nil
 }

@@ -152,6 +152,46 @@ func TestZombieCompletionDroppedByEpoch(t *testing.T) {
 	}
 }
 
+// TestRecoveryReencodesMutatedInput re-routes a flow whose first
+// executor changed its []byte input in place. On the fabric that input
+// aliases the very parcel bytes the origin sent, so a re-route must
+// re-encode the origin's own copy of the value: the second attempt has
+// to see the bytes as submitted, not as the first attempt left them.
+func TestRecoveryReencodesMutatedInput(t *testing.T) {
+	var calls atomic.Int32
+	mutated, release := make(chan struct{}), make(chan struct{})
+	handler := func(_ *serve.Ctx, req serve.Request) (any, error) {
+		b := req.Payload.([]byte)
+		b[0]++
+		if calls.Add(1) == 1 {
+			close(mutated)
+			<-release // hold attempt 1 until the origin has re-routed past it
+		}
+		return b, nil
+	}
+	_, nodes, pipes := recoveryPair(t, handler, func(i int, cfg *Config) {
+		cfg.Recover = RecoverConfig{FlowTimeout: -1} // timers off: the test fires recovery itself
+	})
+	key := keyOwnedBy(nodes[0], pipes[0], nodes[1].Self())
+	tk, err := pipes[0].Submit(serve.Request{Key: key, Payload: []byte{10, 20, 30}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-mutated
+	nodes[0].recoverFlow(1) // epoch 1: ships the stage to n1 again
+	close(release)          // attempt 1's completion is now stale
+	r := tk.Wait()
+	if r.Status != serve.StatusOK {
+		t.Fatalf("flow resolved %v (%v), want OK", r.Status, r.Err)
+	}
+	if got, _ := r.Value.([]byte); string(got) != string([]byte{11, 20, 30}) {
+		t.Fatalf("second attempt returned %v, want [11 20 30]: it ran on bytes the first attempt changed", r.Value)
+	}
+	if c := calls.Load(); c != 2 {
+		t.Fatalf("handler ran %d times, want 2", c)
+	}
+}
+
 // TestCompletionRacesRecoveryTimer runs the handler latency right at
 // the recovery timeout so completions and recovery firings race
 // constantly; every flow must still resolve exactly once.

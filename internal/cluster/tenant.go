@@ -56,11 +56,7 @@ type Tenant struct {
 	hash     uint64
 	codeSize int
 	replicas int
-	globals  map[string]GlobalObject
-	// objIDs are the globals' entries in the node-local mem.Space
-	// directory, homed at their global locale — the handle replication
-	// and re-homing act on.
-	objIDs map[string]mem.ObjID
+	globals  map[string]*global
 
 	// resident tracks what this node already holds, single-flight: the
 	// first stage needing an image or object fetches it, concurrent
@@ -74,20 +70,29 @@ type fetchState struct {
 	err  error
 }
 
+// global is one declared GlobalObject as this node holds it.
+type global struct {
+	GlobalObject
+	// id is the object's entry in the node-local mem.Space directory,
+	// homed at its global locale — the handle replication and re-homing
+	// act on.
+	id mem.ObjID
+	// key is the object's residency key, "obj/<name>".
+	key string
+}
+
 // RegisterTenant installs a tenant on this node and returns its cluster
 // handle. The underlying serve tenant is registered too (Tenant.Local).
 func (n *Node) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
-	seen := make(map[string]bool, len(cfg.Globals))
-	globals := make(map[string]GlobalObject, len(cfg.Globals))
+	globals := make(map[string]*global, len(cfg.Globals))
 	auto := 0 // round-robin counter over AutoHome globals only
 	for i, g := range cfg.Globals {
 		if g.Name == "" {
 			return nil, fmt.Errorf("cluster: tenant %q global %d has no name", cfg.Serve.Name, i)
 		}
-		if seen[g.Name] {
+		if _, dup := globals[g.Name]; dup {
 			return nil, fmt.Errorf("cluster: tenant %q declares global %q twice", cfg.Serve.Name, g.Name)
 		}
-		seen[g.Name] = true
 		if g.Home == serve.AutoHome {
 			// Round-robin over the AutoHome entries themselves — counting
 			// explicitly-homed globals into the stride would skip locales
@@ -99,7 +104,7 @@ func (n *Node) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 			return nil, fmt.Errorf("cluster: tenant %q global %q homed at locale %d, have %d locales",
 				cfg.Serve.Name, g.Name, g.Home, n.locales)
 		}
-		globals[g.Name] = g
+		globals[g.Name] = &global{GlobalObject: g, key: "obj/" + g.Name}
 	}
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
@@ -116,11 +121,10 @@ func (n *Node) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 		codeSize: cfg.Serve.CodeSize,
 		replicas: cfg.Replicas,
 		globals:  globals,
-		objIDs:   make(map[string]mem.ObjID, len(globals)),
 		resident: make(map[string]*fetchState),
 	}
-	for name, g := range globals {
-		t.objIDs[name] = n.sys.Space.Alloc(mem.Locale(g.Home), g.Size)
+	for _, g := range globals {
+		g.id = n.sys.Space.Alloc(mem.Locale(g.Home), g.Size)
 	}
 	n.tenantsMu.Lock()
 	n.tenants[t.name] = t
@@ -151,13 +155,9 @@ func (n *Node) tenant(name string) *Tenant {
 func (t *Tenant) ensureResident(origin parcel.NodeID, globals []string) {
 	n := t.n
 	if t.codeSize > 0 && origin != n.self {
-		body, err := encode(fetchMsg{Tenant: t.name})
-		if err == nil {
-			_ = t.fetchOnce("code", &n.codeFetches, func() (int, error) {
-				reply, err := n.t.Call(origin, "cluster.fetchcode", body)
-				return len(reply), err
-			})
-		}
+		_ = t.fetchOnce("code", &n.codeFetches, func() (int, error) {
+			return t.fetch(origin, "cluster.fetchcode", "")
+		})
 	}
 	for _, name := range globals {
 		g, ok := t.globals[name]
@@ -167,18 +167,24 @@ func (t *Tenant) ensureResident(origin parcel.NodeID, globals []string) {
 		owner, _ := n.Ring().Owner(g.Home)
 		if owner == n.self {
 			// The home is ours: resident by definition, no wire.
-			_ = t.fetchOnce("obj/"+name, nil, nil)
+			_ = t.fetchOnce(g.key, nil, nil)
 			continue
 		}
-		body, err := encode(fetchMsg{Tenant: t.name, Object: name})
-		if err != nil {
-			continue
-		}
-		_ = t.fetchOnce("obj/"+name, &n.objectFetches, func() (int, error) {
-			reply, err := n.t.Call(owner, "cluster.fetch", body)
-			return len(reply), err
+		_ = t.fetchOnce(g.key, &n.objectFetches, func() (int, error) {
+			return t.fetch(owner, "cluster.fetch", name)
 		})
 	}
+}
+
+// fetch makes one percolation transfer from src — the tenant's code
+// image, or the named global object — and returns its size.
+func (t *Tenant) fetch(src parcel.NodeID, method, object string) (int, error) {
+	body, err := encode(fetchMsg{Tenant: t.name, Object: object})
+	if err != nil {
+		return 0, err
+	}
+	reply, err := t.n.t.Call(src, method, body)
+	return len(reply), err
 }
 
 // fetchOnce runs fetch at most once per key: the first caller transfers
@@ -212,21 +218,6 @@ func (t *Tenant) fetchOnce(key string, counter *atomic.Int64, fetch func() (int,
 	return fs.err
 }
 
-// handleFetchCode serves a tenant's code image to a percolating peer.
-// The image content is synthetic (the data plane is modeled); the bytes
-// and their wire cost are real.
-func (n *Node) handleFetchCode(_ parcel.NodeID, body []byte) ([]byte, error) {
-	var fm fetchMsg
-	if err := decode(body, &fm); err != nil {
-		return nil, err
-	}
-	t := n.tenant(fm.Tenant)
-	if t == nil {
-		return nil, fmt.Errorf("cluster: node %s has no tenant %q", n.self, fm.Tenant)
-	}
-	return make([]byte, t.codeSize), nil
-}
-
 // syncReplicas re-derives this node's replica duties from the current
 // ring: for every global whose replica set (the home's owner plus the
 // next Replicas-1 ring successors) includes this node, a copy is
@@ -254,16 +245,11 @@ func (t *Tenant) syncReplicas() {
 			continue // primary (resident by definition) or not in the set
 		}
 		if len(owned) > 0 {
-			n.sys.Space.Replicate(t.objIDs[name], mem.Locale(owned[0]))
-		}
-		body, err := encode(fetchMsg{Tenant: t.name, Object: name})
-		if err != nil {
-			continue
+			n.sys.Space.Replicate(g.id, mem.Locale(owned[0]))
 		}
 		primary := owners[0]
-		_ = t.fetchOnce("obj/"+name, &n.objectFetches, func() (int, error) {
-			reply, err := n.t.Call(primary, "cluster.fetch", body)
-			return len(reply), err
+		_ = t.fetchOnce(g.key, &n.objectFetches, func() (int, error) {
+			return t.fetch(primary, "cluster.fetch", name)
 		})
 	}
 }
@@ -299,20 +285,15 @@ func (t *Tenant) recoverGlobals(dead parcel.NodeID, oldRing, newRing *Ring) {
 			continue
 		}
 		n.rehomedObjects.Add(1)
-		body, err := encode(fetchMsg{Tenant: t.name, Object: name})
-		if err != nil {
-			continue
-		}
 		src := t.anySurvivor(dead)
 		if src == "" {
 			// No peer left to fetch from: resident by fiat (we are the
 			// whole cluster now).
-			_ = t.fetchOnce("obj/"+name, nil, nil)
+			_ = t.fetchOnce(g.key, nil, nil)
 			continue
 		}
-		_ = t.fetchOnce("obj/"+name, &n.objectFetches, func() (int, error) {
-			reply, err := n.t.Call(src, "cluster.fetch", body)
-			return len(reply), err
+		_ = t.fetchOnce(g.key, &n.objectFetches, func() (int, error) {
+			return t.fetch(src, "cluster.fetch", name)
 		})
 	}
 }
@@ -327,7 +308,10 @@ func (t *Tenant) anySurvivor(dead parcel.NodeID) parcel.NodeID {
 	return ""
 }
 
-// handleFetch serves one global object to a percolating peer.
+// handleFetch serves a percolating peer one transfer: the tenant's
+// code image ("cluster.fetchcode", Object empty) or one global object
+// ("cluster.fetch"). The content is synthetic (the data plane is
+// modeled); the bytes and their wire cost are real.
 func (n *Node) handleFetch(_ parcel.NodeID, body []byte) ([]byte, error) {
 	var fm fetchMsg
 	if err := decode(body, &fm); err != nil {
@@ -336,6 +320,9 @@ func (n *Node) handleFetch(_ parcel.NodeID, body []byte) ([]byte, error) {
 	t := n.tenant(fm.Tenant)
 	if t == nil {
 		return nil, fmt.Errorf("cluster: node %s has no tenant %q", n.self, fm.Tenant)
+	}
+	if fm.Object == "" {
+		return make([]byte, t.codeSize), nil
 	}
 	g, ok := t.globals[fm.Object]
 	if !ok {

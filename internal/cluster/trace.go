@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"sync"
 	"time"
 
@@ -51,11 +52,13 @@ func newFlowTraces(self parcel.NodeID) *flowTraces {
 	}
 }
 
-// record appends one cross-node event to the flow's record.
-func (ft *flowTraces) record(origin parcel.NodeID, flow uint64, kind trace.Kind, label string) {
+// record appends one cross-node event to the flow's record, its label
+// formatted from format and args only when the store is on.
+func (ft *flowTraces) record(origin parcel.NodeID, flow uint64, kind trace.Kind, format string, args ...any) {
 	if ft == nil {
 		return
 	}
+	label := fmt.Sprintf(format, args...)
 	now := time.Now().UnixNano()
 	key := traceKey{origin: origin, flow: flow}
 	ft.mu.Lock()

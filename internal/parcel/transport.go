@@ -19,9 +19,9 @@ import (
 //
 // Two implementations exist: the in-process Fabric below, which keeps
 // every "node" in one address space so clustered scenarios replay
-// deterministically next to the SimNet cost twin, and the length-prefixed
-// TCP+gob transport in internal/cluster/netparcel, which carries the same
-// frames between machines.
+// deterministically next to the SimNet cost twin, and the TCP transport
+// in internal/cluster/netparcel, which carries the same parcels between
+// machines in binary length-prefixed frames.
 
 // NodeID names one transport endpoint (one cluster node).
 type NodeID string
@@ -34,7 +34,10 @@ var ErrTransportClosed = errors.New("parcel: transport closed")
 
 // TransportHandler processes one inbound transport parcel. The returned
 // bytes are the reply for Call deliveries (ignored for Send); a non-nil
-// error fails the caller's Call.
+// error fails the caller's Call. The handler owns body: it may keep it,
+// alias it into decoded values, and modify it in place. The in-process
+// fabric hands over the sender's own slice, which is why a sender must
+// not touch a body after Send.
 type TransportHandler func(from NodeID, body []byte) ([]byte, error)
 
 // TransportStats counts a transport's traffic: real bytes on the wire
@@ -50,6 +53,9 @@ type TransportStats struct {
 //
 // Send is one-way and asynchronous; Call is a split transaction that
 // blocks the caller until the reply (or the handler's error) comes back.
+// Passing a body to Send or Call hands it over: the caller must not
+// modify it afterwards (a Send may still be writing it, and the
+// receiving handler owns it). A Call's reply belongs to the caller.
 // Handle installs the handler for a method name; handlers must be
 // installed before peers start sending to them. Dial makes the node at
 // addr reachable and returns its NodeID — for the in-process fabric the
