@@ -53,9 +53,9 @@
 // assigned by a consistent-hash ring over a small join/leave membership
 // protocol. Parcels between nodes ride the parcel.Transport interface —
 // the in-process parcel.Fabric for deterministic replay, or
-// internal/cluster/netparcel's binary-framed TCP transport with
-// per-peer connection pooling, write coalescing, and bounded
-// outstanding-call windows. Admission routes across node boundaries,
+// internal/cluster/netparcel's binary-framed TCP transport with one
+// connection per peer, sender-side combined writes, one-way parcels run
+// on the read loop, and bounded outstanding-call windows. Admission routes across node boundaries,
 // pipeline flows chain machine-to-machine with done-exactly-once
 // completion parcels, code images and global objects percolate as real
 // bytes (single-flight, counted), and flow traces stitch across nodes

@@ -384,13 +384,14 @@ func (n *Node) broadcast(ml memberMsg, skip string) ([]byte, error) {
 }
 
 // handleMembers installs a broadcast member list if it is fresher than
-// what this node holds.
+// what this node holds. Install dials and may fetch, so it runs off the
+// delivery goroutine; the epoch gate orders racing installs.
 func (n *Node) handleMembers(_ parcel.NodeID, body []byte) ([]byte, error) {
 	var ml memberMsg
 	if err := decode(body, &ml); err != nil {
 		return nil, err
 	}
-	n.install(ml, false)
+	go n.install(ml, false)
 	return nil, nil
 }
 

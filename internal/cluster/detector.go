@@ -98,9 +98,11 @@ func (n *Node) evict(dead parcel.NodeID) {
 	n.evictions.Add(1)
 	// Flow id 0 is never allocated (nextFlow starts at 1), so membership
 	// events trace under it without colliding with any real flow.
-	n.traces.record(n.self, 0, trace.KindAdapt,
-		"evicted %s after %d missed heartbeats; ring rebalanced onto %d members",
-		dead, n.detCfg.Misses, len(ml.Members))
+	if n.traces != nil {
+		n.traces.record(n.self, 0, trace.KindAdapt,
+			"evicted %s after %d missed heartbeats; ring rebalanced onto %d members",
+			dead, n.detCfg.Misses, len(ml.Members))
+	}
 	_, _ = n.broadcast(ml, "") // a member list (strings only) always encodes
 	n.recoverAfter(dead, oldRing, newRing)
 	n.syncReplicas()
@@ -154,8 +156,10 @@ func (n *Node) recoverAfter(dead parcel.NodeID, oldRing, newRing *Ring) {
 	actions, _ := lm.ReHome(lostLocales, n.fallbackLocale(newRing, lost))
 	if len(actions) > 0 {
 		n.rehomedObjects.Add(int64(len(actions)))
-		n.traces.record(n.self, 0, trace.KindAdapt,
-			"rehomed %d objects off locales lost with %s", len(actions), dead)
+		if n.traces != nil {
+			n.traces.record(n.self, 0, trace.KindAdapt,
+				"rehomed %d objects off locales lost with %s", len(actions), dead)
+		}
 	}
 }
 

@@ -154,7 +154,8 @@ type pendingFlow struct {
 // terminal result. Admission itself is ring-routed: when stage 0's home
 // locale belongs to another node, the whole flow ships there as a stage
 // parcel instead of admitting locally, and done fires when the
-// completion parcel returns.
+// completion parcel returns. done may then run on a transport delivery
+// goroutine, and must not block.
 func (p *Pipeline) SubmitFunc(req serve.Request, done func(serve.Result)) error {
 	n := p.n
 	if n.closed.Load() {
@@ -212,8 +213,10 @@ func (n *Node) shipStage(p *Pipeline, dest parcel.NodeID, stage int, req serve.R
 		return false
 	}
 	n.forwardedStages.Add(1)
-	n.traces.record(n.self, flow, trace.KindRemoteHop,
-		"%s/%s stage %d: %s -> %s", sp.Tenant, sp.Pipe, sp.Stage, n.self, dest)
+	if n.traces != nil {
+		n.traces.record(n.self, flow, trace.KindRemoteHop,
+			"%s/%s stage %d: %s -> %s", sp.Tenant, sp.Pipe, sp.Stage, n.self, dest)
+	}
 	return true
 }
 
@@ -257,7 +260,9 @@ func (n *Node) recoverFlow(flow uint64) {
 		delete(n.pending, flow)
 		n.pendingMu.Unlock()
 		n.recoveredFlows.Add(1)
-		n.traces.record(n.self, flow, trace.KindAdapt, "recovery: flow deadline passed, shed")
+		if n.traces != nil {
+			n.traces.record(n.self, flow, trace.KindAdapt, "recovery: flow deadline passed, shed")
+		}
 		pf.fin(serve.Result{Status: serve.StatusShed,
 			Err: fmt.Errorf("cluster: flow %d missed its deadline during recovery from %s", flow, pf.dest)})
 		return
@@ -282,8 +287,10 @@ func (n *Node) recoverFlow(flow uint64) {
 	}
 	n.pendingMu.Unlock()
 	n.recoveredFlows.Add(1)
-	n.traces.record(n.self, flow, trace.KindAdapt,
-		"recovery: attempt %d re-routes stage %d to %s (epoch %d)", attempt, sp.Stage, owner, sp.FlowEpoch)
+	if n.traces != nil {
+		n.traces.record(n.self, flow, trace.KindAdapt,
+			"recovery: attempt %d re-routes stage %d to %s (epoch %d)", attempt, sp.Stage, owner, sp.FlowEpoch)
+	}
 	if owner != n.self {
 		if pb, err := encodeStage(&sp, v); err == nil && n.t.Send(owner, "cluster.stage", pb) == nil {
 			n.forwardedStages.Add(1)
@@ -317,9 +324,12 @@ func (n *Node) ForwardStage(st *serve.Tenant, sp *serve.Pipeline, next int, v an
 	return n.shipStage(p, owner, next, serve.Request{Key: key, Payload: v, Deadline: deadline, Priority: priority}, finish)
 }
 
-// handleStage executes one arriving stage parcel. It runs on a
-// transport delivery goroutine; the stage itself is admitted through
-// the node's serve layer like any local work.
+// handleStage executes one arriving stage parcel. It runs on the
+// transport's delivery goroutine, which must not block: when the code
+// image and the stage's globals are already resident the stage is
+// admitted right here (serve admission refuses rather than waits);
+// otherwise the stage runs on its own goroutine, because its fetch is a
+// Call whose reply may arrive on this very delivery goroutine.
 func (n *Node) handleStage(_ parcel.NodeID, body []byte) ([]byte, error) {
 	sp, vb, err := decodeStage(body)
 	if err != nil {
@@ -339,7 +349,11 @@ func (n *Node) handleStage(_ parcel.NodeID, body []byte) ([]byte, error) {
 			Err: fmt.Errorf("cluster: stage %d value: %w", sp.Stage, err)})
 		return nil, nil
 	}
-	n.execStage(p, sp, v)
+	if _, globals := p.route(sp.Stage, v, sp.Key); p.t.warm(origin, globals) {
+		n.execStage(p, sp, v)
+	} else {
+		go n.execStage(p, sp, v)
+	}
 	return nil, nil
 }
 
@@ -364,8 +378,10 @@ func (n *Node) execStage(p *Pipeline, sp stageMsg, v any) {
 	}
 	_, globals := p.route(sp.Stage, v, sp.Key)
 	p.t.ensureResident(origin, globals)
-	n.traces.record(origin, sp.Flow, trace.KindDispatch,
-		"%s/%s stage %d @ %s", sp.Tenant, sp.Pipe, sp.Stage, n.self)
+	if n.traces != nil {
+		n.traces.record(origin, sp.Flow, trace.KindDispatch,
+			"%s/%s stage %d @ %s", sp.Tenant, sp.Pipe, sp.Stage, n.self)
+	}
 	req := serve.Request{Key: sp.Key, Payload: v, Deadline: deadline, Priority: sp.Priority}
 	_, err := p.t.st.SubmitFlowFunc(p.stagePipes[sp.Stage], req, func(r serve.Result) {
 		n.advance(p, sp, r)
@@ -399,8 +415,10 @@ func (n *Node) advance(p *Pipeline, sp stageMsg, r serve.Result) {
 		}
 		if n.t.Send(owner, "cluster.stage", pb) == nil {
 			n.forwardedStages.Add(1)
-			n.traces.record(origin, sp.Flow, trace.KindRemoteHop,
-				"%s/%s stage %d: %s -> %s", sp.Tenant, sp.Pipe, next, n.self, owner)
+			if n.traces != nil {
+				n.traces.record(origin, sp.Flow, trace.KindRemoteHop,
+					"%s/%s stage %d: %s -> %s", sp.Tenant, sp.Pipe, next, n.self, owner)
+			}
 			return
 		}
 		// The owner became unreachable (left, crashed): degrade to local
@@ -437,7 +455,8 @@ func (n *Node) completeFlow(origin parcel.NodeID, flow uint64, epoch uint32, r s
 	_ = n.t.Send(origin, "cluster.complete", body)
 }
 
-// handleComplete resolves a completion parcel at the flow's origin.
+// handleComplete resolves a completion parcel at the flow's origin,
+// right on the delivery goroutine: finishing a flow never blocks.
 // The status byte is wire input and is range-checked before it becomes
 // a serve.Status: a corrupt or out-of-range byte resolves the flow
 // StatusFailed with a descriptive error instead of minting a status the
@@ -465,7 +484,9 @@ func (n *Node) handleComplete(from parcel.NodeID, body []byte) ([]byte, error) {
 			r.Value = v
 		}
 	}
-	n.traces.record(n.self, cm.Flow, trace.KindComplete, "completion from %s: %s", from, r.Status)
+	if n.traces != nil {
+		n.traces.record(n.self, cm.Flow, trace.KindComplete, "completion from %s: %s", from, r.Status)
+	}
 	n.finishFlow(cm.Flow, cm.FlowEpoch, r)
 	return nil, nil
 }

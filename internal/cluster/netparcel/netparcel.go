@@ -15,14 +15,27 @@
 // each frame into one fresh buffer: the body a handler (or a Call's
 // caller) receives is its own to keep or modify.
 //
-// Each peer gets a small connection pool (ConnsPerPeer). Writers
-// coalesce: frames queue on a per-connection channel and the writer
-// goroutine encodes everything pending before flushing the buffered
-// writer once — a burst of stage hand-offs or percolation fetches pays
-// one syscall, the way a parcel batch amortizes round trips. Calls are
-// split transactions matched by sequence number, bounded per peer by an
-// outstanding-call window (Window) so a slow peer backpressures its
-// callers instead of accumulating unbounded in-flight state.
+// Each peer sends on one connection. There is no writer goroutine: the
+// sender writes. Under the connection's mutex a Send that finds no
+// flusher becomes it — it writes its own frame plus every frame other
+// senders queued meanwhile into the buffered writer, flushes once, and
+// repeats until the queue is dry — while a Send that finds a flusher
+// queues its frame and returns. A burst of stage hand-offs or
+// percolation fetches still pays one syscall, the way a parcel batch
+// amortizes round trips, and no sender waits on another's syscall.
+//
+// The parcel starts its thread where it lands: a one-way frame's
+// handler runs on the connection's read loop itself, so a stage parcel
+// goes from the sender's goroutine to the destination shard with no
+// hand-off in between (parcel.TransportHandler states what that asks of
+// a handler). The read loop never becomes a flusher — two read loops
+// blocked writing into each other's full socket buffers would deadlock
+// the pair — so a Send issued while a one-way delivery runs hands its
+// flush to a one-shot goroutine. Calls, which reply and may block, run
+// on a bounded worker pool; they are split transactions matched by
+// sequence number, bounded per peer by an outstanding-call window
+// (Window) so a slow peer backpressures its callers instead of
+// accumulating unbounded in-flight state.
 package netparcel
 
 import (
@@ -60,8 +73,6 @@ type frame struct {
 
 // Config tunes a transport; the zero value is usable.
 type Config struct {
-	// ConnsPerPeer is the connection-pool size per peer (default 2).
-	ConnsPerPeer int
 	// Window bounds outstanding calls per peer (default 256).
 	Window int
 	// CallTimeout fails a call whose reply has not arrived (default 30s)
@@ -70,9 +81,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.ConnsPerPeer <= 0 {
-		c.ConnsPerPeer = 2
-	}
 	if c.Window <= 0 {
 		c.Window = 256
 	}
@@ -90,6 +98,7 @@ type Transport struct {
 
 	mu       sync.RWMutex
 	peers    map[parcel.NodeID]*peer
+	conns    map[*wconn]struct{} // every live connection, for Close
 	handlers map[string]parcel.TransportHandler
 	closed   atomic.Bool
 	wg       sync.WaitGroup
@@ -102,12 +111,17 @@ type Transport struct {
 	// scenarios run identically on real sockets.
 	faults atomic.Pointer[parcel.Faults]
 
-	// Inbound handler execution runs through a bounded worker pool
-	// (hworkers <= cfg.Window): a burst of frames from one peer queues
-	// here instead of spawning one goroutine per frame.
+	// Call handlers run through a bounded worker pool (hworkers <=
+	// cfg.Window): a burst of calls from one peer queues here instead of
+	// spawning one goroutine per frame.
 	hmu      sync.Mutex
 	hqueue   []htask
 	hworkers int
+
+	// inline counts one-way deliveries running on read loops right now.
+	// While it is non-zero a Send that would become a flusher hands the
+	// flush to a goroutine instead, so a read loop never blocks in write.
+	inline atomic.Int32
 
 	bytesSent, bytesRecv     atomic.Int64
 	parcelsSent, parcelsRecv atomic.Int64
@@ -117,26 +131,27 @@ type Transport struct {
 // htask is one queued inbound handler invocation.
 type htask func()
 
-// peer is the pooled connection state for one remote node.
+// peer is one remote node: the connection sends to it go out on and its
+// outstanding-call window. Both are guarded by Transport.mu.
 type peer struct {
-	id    parcel.NodeID
-	mu    sync.Mutex
-	conns []*wconn
-	next  atomic.Uint64 // round-robin pool index
-	sem   chan struct{} // outstanding-call window
+	w   *wconn
+	sem chan struct{}
 }
 
-// wconn is one live connection: its buffered reader and writer (the
-// hello exchange uses them directly, then the read loop and the
-// coalescing writer take over) and the writer's queue.
+// wconn is one live connection. The read loop owns br; bw belongs to
+// whichever sender is the flusher (the hello exchange uses both before
+// either runs), and mu guards the queue and the flusher hand-off.
 type wconn struct {
 	c      net.Conn
 	br     *bufio.Reader
 	bw     *bufio.Writer
-	out    chan frame
-	done   chan struct{} // closed by shut: the queue is dead
-	closed atomic.Bool
 	tr     *Transport
+	closed atomic.Bool
+
+	mu       sync.Mutex
+	queue    []frame // frames waiting for the flusher
+	spare    []frame // the flusher's previous batch, reused as the next queue
+	flushing bool
 }
 
 // pendingCall is one outstanding Call: the reply channel and the
@@ -161,6 +176,7 @@ func Listen(self parcel.NodeID, addr string, cfg Config) (*Transport, error) {
 		cfg:      cfg.withDefaults(),
 		ln:       ln,
 		peers:    make(map[parcel.NodeID]*peer),
+		conns:    make(map[*wconn]struct{}),
 		handlers: make(map[string]parcel.TransportHandler),
 	}
 	t.wg.Add(1)
@@ -192,32 +208,9 @@ func (t *Transport) handler(method string) (parcel.TransportHandler, bool) {
 }
 
 // Dial connects to the node listening at addr, exchanges hellos, and
-// returns its NodeID, opening ConnsPerPeer pooled connections. Dialing
-// an already-pooled peer is a no-op beyond the first connection.
+// returns its NodeID. The connection becomes the peer's sending
+// connection unless the peer already has a live one.
 func (t *Transport) Dial(addr string) (parcel.NodeID, error) {
-	id, err := t.dialOne(addr)
-	if err != nil {
-		return "", err
-	}
-	for {
-		t.mu.RLock()
-		p := t.peers[id]
-		t.mu.RUnlock()
-		p.mu.Lock()
-		n := len(p.conns)
-		p.mu.Unlock()
-		if n >= t.cfg.ConnsPerPeer {
-			return id, nil
-		}
-		if _, err := t.dialOne(addr); err != nil {
-			// One live connection is enough to serve traffic.
-			return id, nil
-		}
-	}
-}
-
-// dialOne opens one hello-complete connection to addr.
-func (t *Transport) dialOne(addr string) (parcel.NodeID, error) {
 	if t.closed.Load() {
 		return "", errClosed
 	}
@@ -242,34 +235,43 @@ func (t *Transport) dialOne(addr string) (parcel.NodeID, error) {
 		return "", fmt.Errorf("netparcel: bad hello from %s", addr)
 	}
 	id := parcel.NodeID(reply.Text)
-	t.addConn(id, w)
+	if err := t.addConn(id, w); err != nil {
+		return "", err
+	}
 	return id, nil
 }
 
 func (t *Transport) newConn(c net.Conn) *wconn {
-	return &wconn{c: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c), out: make(chan frame, 512), done: make(chan struct{}), tr: t}
+	return &wconn{c: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c), tr: t}
 }
 
-// addConn registers a live, hello-complete connection under the peer and
-// starts its reader and coalescing writer.
-func (t *Transport) addConn(id parcel.NodeID, w *wconn) {
+// addConn registers a live, hello-complete connection and starts its
+// read loop. It becomes the peer's sending connection when the peer has
+// no live one; otherwise (both sides dialed at once) it is only read,
+// and carries replies to the calls that arrive on it.
+func (t *Transport) addConn(id parcel.NodeID, w *wconn) error {
 	t.mu.Lock()
+	defer t.mu.Unlock()
+	if t.closed.Load() {
+		w.shut()
+		return errClosed
+	}
 	p, ok := t.peers[id]
 	if !ok {
-		p = &peer{id: id, sem: make(chan struct{}, t.cfg.Window)}
+		p = &peer{sem: make(chan struct{}, t.cfg.Window)}
 		t.peers[id] = p
 	}
-	t.mu.Unlock()
-	p.mu.Lock()
-	p.conns = append(p.conns, w)
-	p.mu.Unlock()
-	t.wg.Add(2)
-	go w.writeLoop(&t.wg)
+	if p.w == nil || p.w.closed.Load() {
+		p.w = w
+	}
+	t.conns[w] = struct{}{}
+	t.wg.Add(1)
 	go t.readLoop(w, id)
+	return nil
 }
 
 // accept admits inbound connections: the dialer's hello names it, we
-// hello back, and the connection joins that peer's pool.
+// hello back, and the connection is registered under that peer.
 func (t *Transport) accept() {
 	defer t.wg.Done()
 	for {
@@ -288,22 +290,27 @@ func (t *Transport) accept() {
 				c.Close()
 				return
 			}
-			t.addConn(parcel.NodeID(h.Text), w)
+			_ = t.addConn(parcel.NodeID(h.Text), w)
 		}(c)
 	}
 }
 
-// readLoop drains one connection: replies resolve pending calls
-// inline (so a reply is never stuck behind handler work — the pool's
-// deadlock guard), everything else dispatches to the method handler
-// through the bounded worker pool so a blocking handler never stalls
-// the wire and a frame burst never explodes the goroutine count.
+// readLoop drains one connection. Replies resolve pending calls and
+// one-way frames run their handler, both right here: a reply is never
+// stuck behind handler work (the pool's deadlock guard), and a one-way
+// parcel starts its work with no goroutine hand-off. Calls dispatch to
+// the bounded worker pool, because their handlers may block — and a
+// handler that Calls back over this connection needs this loop live to
+// read its reply.
 func (t *Transport) readLoop(w *wconn, from parcel.NodeID) {
 	defer t.wg.Done()
 	for {
 		f, err := readFrame(w.br, &t.bytesRecv)
 		if err != nil {
 			w.shut()
+			t.mu.Lock()
+			delete(t.conns, w)
+			t.mu.Unlock()
 			t.failPending(w)
 			return
 		}
@@ -315,8 +322,9 @@ func (t *Transport) readLoop(w *wconn, from parcel.NodeID) {
 		case kindSend:
 			t.parcelsRecv.Add(1)
 			if h, ok := t.handler(f.Text); ok {
-				body := f.Body
-				t.dispatch(func() { _, _ = h(from, body) })
+				t.inline.Add(1)
+				_, _ = h(from, f.Body)
+				t.inline.Add(-1)
 			}
 		case kindCall:
 			t.parcelsRecv.Add(1)
@@ -331,16 +339,15 @@ func (t *Transport) readLoop(w *wconn, from parcel.NodeID) {
 				} else {
 					rep.Body = v
 				}
-				w.enqueue(rep)
+				_ = w.send(rep)
 			})
 		}
 	}
 }
 
-// dispatch queues one handler invocation for the bounded worker pool,
-// growing the pool lazily up to Config.Window workers. Queueing never
-// blocks the read loop — a handler that Calls back over the same
-// connection depends on that loop staying live for its reply.
+// dispatch queues one call handler invocation for the bounded worker
+// pool, growing the pool lazily up to Config.Window workers. Queueing
+// never blocks the read loop.
 func (t *Transport) dispatch(fn htask) {
 	t.hmu.Lock()
 	t.hqueue = append(t.hqueue, fn)
@@ -368,34 +375,26 @@ func (t *Transport) handlerWorker() {
 	}
 }
 
-// peerFor returns the connected peer or an error; it never dials — the
-// cluster membership layer owns who is reachable.
-func (t *Transport) peerFor(dest parcel.NodeID) (*peer, error) {
+// route returns dest's peer and the connection sends to it go out on.
+// It never dials — the cluster membership layer owns who is reachable.
+func (t *Transport) route(dest parcel.NodeID) (*peer, *wconn, error) {
 	if t.closed.Load() {
-		return nil, errClosed
+		return nil, nil, errClosed
 	}
 	t.mu.RLock()
 	p, ok := t.peers[dest]
+	var w *wconn
+	if ok {
+		w = p.w
+	}
 	t.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", parcel.ErrUnknownPeer, dest)
+		return nil, nil, fmt.Errorf("%w: %s", parcel.ErrUnknownPeer, dest)
 	}
-	return p, nil
-}
-
-// pick round-robins the pool, pruning dead connections.
-func (p *peer) pick() (*wconn, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for len(p.conns) > 0 {
-		i := int(p.next.Add(1)) % len(p.conns)
-		w := p.conns[i]
-		if !w.closed.Load() {
-			return w, nil
-		}
-		p.conns = append(p.conns[:i], p.conns[i+1:]...)
+	if w.closed.Load() {
+		return nil, nil, fmt.Errorf("%w: %s (no live connection)", parcel.ErrUnknownPeer, dest)
 	}
-	return nil, fmt.Errorf("%w: %s (no live connections)", parcel.ErrUnknownPeer, p.id)
+	return p, w, nil
 }
 
 // InjectFaults attaches a fault injector consulted before every Send
@@ -405,12 +404,13 @@ func (t *Transport) InjectFaults(f *parcel.Faults) { t.faults.Store(f) }
 
 // Send delivers a one-way parcel. Injected faults apply: a partition or
 // crash fails the send, a drop loses it silently, a delay postpones the
-// enqueue.
+// write.
 func (t *Transport) Send(dest parcel.NodeID, method string, body []byte) error {
-	p, err := t.peerFor(dest)
+	_, w, err := t.route(dest)
 	if err != nil {
 		return err
 	}
+	f := frame{Kind: kindSend, Text: method, Body: body}
 	if fl := t.faults.Load(); fl != nil {
 		if fl.Blocked(t.self, dest) {
 			return fmt.Errorf("%w: %s", parcel.ErrPartitioned, dest)
@@ -421,19 +421,15 @@ func (t *Transport) Send(dest parcel.NodeID, method string, body []byte) error {
 		if d := fl.SendDelay(); d > 0 {
 			t.parcelsSent.Add(1)
 			time.AfterFunc(d, func() {
-				if w, err := p.pick(); err == nil {
-					_ = w.enqueue(frame{Kind: kindSend, Text: method, Body: body})
+				if _, w, err := t.route(dest); err == nil {
+					_ = w.send(f)
 				}
 			})
 			return nil
 		}
 	}
-	w, err := p.pick()
-	if err != nil {
-		return err
-	}
 	t.parcelsSent.Add(1)
-	return w.enqueue(frame{Kind: kindSend, Text: method, Body: body})
+	return w.send(f)
 }
 
 // Call performs a split transaction: the frame ships to dest, the
@@ -441,7 +437,7 @@ func (t *Transport) Send(dest parcel.NodeID, method string, body []byte) error {
 // to one peer are bounded by the window; callers beyond it block until a
 // slot frees, which is the transport's backpressure.
 func (t *Transport) Call(dest parcel.NodeID, method string, body []byte) ([]byte, error) {
-	p, err := t.peerFor(dest)
+	p, w, err := t.route(dest)
 	if err != nil {
 		return nil, err
 	}
@@ -450,16 +446,12 @@ func (t *Transport) Call(dest parcel.NodeID, method string, body []byte) ([]byte
 	}
 	p.sem <- struct{}{}
 	defer func() { <-p.sem }()
-	w, err := p.pick()
-	if err != nil {
-		return nil, err
-	}
 	seq := t.seq.Add(1)
 	ch := make(chan frame, 1)
 	t.pending.Store(seq, pendingCall{w: w, ch: ch})
 	t.parcelsSent.Add(1)
 	t.calls.Add(1)
-	if err := w.enqueue(frame{Kind: kindCall, Seq: seq, Text: method, Body: body}); err != nil {
+	if err := w.send(frame{Kind: kindCall, Seq: seq, Text: method, Body: body}); err != nil {
 		t.pending.Delete(seq)
 		return nil, err
 	}
@@ -515,21 +507,16 @@ func (t *Transport) failPending(w *wconn) {
 	})
 }
 
-// Close shuts the listener and every pooled connection, fails every
-// outstanding call, and waits for the reader/writer goroutines to
-// drain.
+// Close shuts the listener and every connection, fails every
+// outstanding call, and waits for the read loops to drain.
 func (t *Transport) Close() error {
 	if t.closed.Swap(true) {
 		return nil
 	}
 	t.ln.Close()
 	t.mu.Lock()
-	for _, p := range t.peers {
-		p.mu.Lock()
-		for _, w := range p.conns {
-			w.shut()
-		}
-		p.mu.Unlock()
+	for w := range t.conns {
+		w.shut()
 	}
 	t.mu.Unlock()
 	t.failPending(nil)
@@ -537,60 +524,72 @@ func (t *Transport) Close() error {
 	return nil
 }
 
-// enqueue queues one frame for the coalescing writer.
-func (w *wconn) enqueue(f frame) error {
+// send queues f and, when no sender is flushing the connection, becomes
+// the flusher. A send issued while a one-way delivery runs on a read
+// loop hands its flush to a one-shot goroutine instead: the read loop
+// must never block in write, or two of them writing into each other's
+// full socket buffers deadlock the pair.
+func (w *wconn) send(f frame) error {
+	w.mu.Lock()
 	if w.closed.Load() {
+		w.mu.Unlock()
 		return errClosed
 	}
-	select {
-	case w.out <- f:
+	w.queue = append(w.queue, f)
+	if w.flushing {
+		w.mu.Unlock()
 		return nil
-	case <-w.done:
-		return errClosed
 	}
+	w.flushing = true
+	w.mu.Unlock()
+	if w.tr.inline.Load() > 0 {
+		go w.flush()
+	} else {
+		w.flush()
+	}
+	return nil
 }
 
-// shut closes the connection and kills its queue exactly once. The
-// queue channel itself is never closed, so an enqueue racing shut
-// cannot send on a closed channel: it sees done instead, and whatever
-// is still queued is dropped with the connection.
-func (w *wconn) shut() {
-	if w.closed.Swap(true) {
-		return
-	}
-	w.c.Close()
-	close(w.done)
-}
-
-// writeLoop is the coalescing writer: it writes every frame pending on
-// the queue into the buffered writer and flushes once when the queue
-// goes empty — N queued frames, one flush.
-func (w *wconn) writeLoop(wg *sync.WaitGroup) {
-	defer wg.Done()
-	for {
-		var f frame
-		select {
-		case f = <-w.out:
-		case <-w.done:
-			return
-		}
-		err := writeFrame(w.bw, &f, &w.tr.bytesSent)
-		for err == nil && len(w.out) > 0 { // this loop is the only receiver
-			f = <-w.out
-			err = writeFrame(w.bw, &f, &w.tr.bytesSent)
+// flush is the flat-combining writer: it takes everything queued,
+// writes it into the buffered writer, flushes once, and repeats until
+// the queue is dry — N frames, one flush. Frames still queued when the
+// connection dies are dropped with it.
+func (w *wconn) flush() {
+	w.mu.Lock()
+	for len(w.queue) > 0 && !w.closed.Load() {
+		batch := w.queue
+		w.queue = w.spare[:0]
+		w.mu.Unlock()
+		var err error
+		for i := range batch {
+			if err == nil {
+				err = writeFrame(w.bw, &batch[i], &w.tr.bytesSent)
+			}
+			batch[i] = frame{} // release the body
 		}
 		if err == nil {
 			err = w.bw.Flush()
 		}
 		if err != nil {
 			w.shut()
-			return
 		}
+		w.mu.Lock()
+		w.spare = batch
+	}
+	w.flushing = false
+	w.mu.Unlock()
+}
+
+// shut closes the connection exactly once; a send that has not queued
+// yet sees closed and fails.
+func (w *wconn) shut() {
+	if !w.closed.Swap(true) {
+		w.c.Close()
 	}
 }
 
 // hello writes and flushes this transport's hello (the connection
-// setup path, before the coalescing writer runs).
+// setup path, before any sender or the read loop runs).
 func (w *wconn) hello() error {
 	hello := frame{Kind: kindHello, Text: string(w.tr.self), Body: []byte(w.tr.Addr())}
 	if err := writeFrame(w.bw, &hello, &w.tr.bytesSent); err != nil {

@@ -1,7 +1,9 @@
 package netparcel
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -215,8 +217,10 @@ func TestCloseUnblocksCallers(t *testing.T) {
 }
 
 func TestHandlerPoolBoundsGoroutinesUnderBurst(t *testing.T) {
+	// The caller's window (default 256) admits far more calls than the
+	// callee's pool (8) may run at once.
 	const window = 8
-	a, err := Listen("pa", "127.0.0.1:0", Config{Window: window})
+	a, err := Listen("pa", "127.0.0.1:0", Config{})
 	if err != nil {
 		t.Fatalf("listen a: %v", err)
 	}
@@ -230,11 +234,11 @@ func TestHandlerPoolBoundsGoroutinesUnderBurst(t *testing.T) {
 		t.Fatalf("dial: %v", err)
 	}
 
-	// The handler parks until released, so every queued frame that got a
+	// The handler parks until released, so every queued call that got a
 	// worker is visibly "in handler" at once — the pool bound is the max
 	// of that gauge.
-	const burst = 1000
-	var inHandler, maxInHandler, ran atomic.Int64
+	const burst = 200
+	var inHandler, maxInHandler atomic.Int64
 	release := make(chan struct{})
 	b.Handle("burst", func(parcel.NodeID, []byte) ([]byte, error) {
 		cur := inHandler.Add(1)
@@ -246,13 +250,14 @@ func TestHandlerPoolBoundsGoroutinesUnderBurst(t *testing.T) {
 		}
 		<-release
 		inHandler.Add(-1)
-		ran.Add(1)
 		return nil, nil
 	})
+	errs := make(chan error, burst)
 	for i := 0; i < burst; i++ {
-		if err := a.Send("pb", "burst", []byte{1}); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
+		go func() {
+			_, err := a.Call("pb", "burst", []byte{1})
+			errs <- err
+		}()
 	}
 	// Let the burst land and the pool saturate.
 	deadline := time.Now().Add(5 * time.Second)
@@ -267,12 +272,16 @@ func TestHandlerPoolBoundsGoroutinesUnderBurst(t *testing.T) {
 		t.Fatalf("burst ran %d handlers concurrently, want <= %d (Config.Window)", got, window)
 	}
 	close(release)
-	deadline = time.Now().Add(10 * time.Second)
-	for ran.Load() != burst {
-		if time.Now().After(deadline) {
-			t.Fatalf("only %d/%d burst frames ran after release", ran.Load(), burst)
+	timeout := time.After(10 * time.Second)
+	for i := 0; i < burst; i++ {
+		select {
+		case err := <-errs:
+			if err != nil {
+				t.Fatalf("burst call: %v", err)
+			}
+		case <-timeout:
+			t.Fatalf("only %d/%d burst calls returned after release", i, burst)
 		}
-		time.Sleep(time.Millisecond)
 	}
 	if got := maxInHandler.Load(); got > window {
 		t.Fatalf("pool exceeded its bound after release: %d > %d", got, window)
@@ -280,18 +289,24 @@ func TestHandlerPoolBoundsGoroutinesUnderBurst(t *testing.T) {
 }
 
 func TestHandlerPoolStillAnswersCallsWhileSaturated(t *testing.T) {
-	// With every pool worker parked in a blocked handler, a Call from the
-	// saturated side must still complete: replies resolve inline on the
-	// read loop, never through the pool.
+	// With every pool worker parked in a blocked call handler, a Call from
+	// the saturated side must still complete: replies resolve inline on
+	// the read loop, never through the pool.
 	a, b := newPair(t) // default window
 	block := make(chan struct{})
 	defer close(block)
-	b.Handle("park", func(parcel.NodeID, []byte) ([]byte, error) { <-block; return nil, nil })
+	var parked atomic.Int64
+	b.Handle("park", func(parcel.NodeID, []byte) ([]byte, error) { parked.Add(1); <-block; return nil, nil })
 	a.Handle("echo", func(_ parcel.NodeID, body []byte) ([]byte, error) { return body, nil })
 	for i := 0; i < 256; i++ { // default Window
-		if err := a.Send("b", "park", nil); err != nil {
-			t.Fatalf("send %d: %v", i, err)
+		go a.Call("b", "park", nil)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for parked.Load() < 256 {
+		if time.Now().After(deadline) {
+			t.Fatalf("only %d/256 pool workers parked", parked.Load())
 		}
+		time.Sleep(time.Millisecond)
 	}
 	done := make(chan error, 1)
 	go func() {
@@ -308,6 +323,86 @@ func TestHandlerPoolStillAnswersCallsWhileSaturated(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("call from saturated node never completed — reply stuck behind the pool")
+	}
+}
+
+// TestSendsArriveInOrder sends one-way frames from one goroutine over
+// one connection: they are delivered in send order.
+func TestSendsArriveInOrder(t *testing.T) {
+	a, b := newPair(t)
+	const n = 10000
+	var next uint32
+	done := make(chan error, 1)
+	b.Handle("seq", func(_ parcel.NodeID, body []byte) ([]byte, error) {
+		if got := binary.LittleEndian.Uint32(body); got != next {
+			done <- fmt.Errorf("frame %d delivered where %d was due", got, next)
+		} else if next++; next == n {
+			done <- nil
+		}
+		return nil, nil
+	})
+	for i := uint32(0); i < n; i++ {
+		if err := a.Send("b", "seq", binary.LittleEndian.AppendUint32(nil, i)); err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("not every frame arrived")
+	}
+}
+
+// TestInlineEchoStormCompletes bounces 16 KiB bodies between two
+// transports whose one-way handlers re-Send what they receive, from the
+// read loop, with 512 bodies in flight from each side — far more than
+// the loopback socket buffers hold. A read loop that flushed its own
+// sends would block writing into a full socket while its peer's read
+// loop did the same, and the storm would stop.
+func TestInlineEchoStormCompletes(t *testing.T) {
+	a, b := newPair(t)
+	const (
+		inFlight = 512
+		bounces  = 20
+		size     = 16 << 10
+	)
+	var landed, finished atomic.Int64
+	bounce := func(self *Transport, back parcel.NodeID) parcel.TransportHandler {
+		return func(_ parcel.NodeID, body []byte) ([]byte, error) {
+			landed.Add(1)
+			if body[0]++; body[0] == bounces {
+				finished.Add(1)
+				return nil, nil
+			}
+			if err := self.Send(back, "bounce", body); err != nil {
+				t.Errorf("re-send: %v", err)
+			}
+			return nil, nil
+		}
+	}
+	a.Handle("bounce", bounce(a, "b"))
+	b.Handle("bounce", bounce(b, "a"))
+	for i := 0; i < inFlight; i++ {
+		if err := a.Send("b", "bounce", make([]byte, size)); err != nil {
+			t.Fatalf("send a->b %d: %v", i, err)
+		}
+		if err := b.Send("a", "bounce", make([]byte, size)); err != nil {
+			t.Fatalf("send b->a %d: %v", i, err)
+		}
+	}
+	// Every bounce must land within 10 s of the one before it.
+	last, stalled := landed.Load(), time.Now()
+	for finished.Load() < 2*inFlight {
+		if now := landed.Load(); now != last {
+			last, stalled = now, time.Now()
+		} else if time.Since(stalled) > 10*time.Second {
+			t.Fatalf("storm stalled: %d/%d bounces landed, %d/%d bodies finished",
+				now, 2*inFlight*bounces, finished.Load(), 2*inFlight)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

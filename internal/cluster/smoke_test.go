@@ -3,6 +3,7 @@ package cluster
 import (
 	"fmt"
 	"testing"
+	"time"
 
 	"repro/internal/cluster/netparcel"
 	"repro/internal/litlx"
@@ -73,4 +74,78 @@ func TestTwoNodeSmoke(t *testing.T) {
 	}
 	t.Logf("n0: %+v", s0)
 	t.Logf("n1: %+v", s1)
+}
+
+// TestColdStageFetchesOffReadLoop ships a flow's first stage to a node
+// that holds neither the tenant's code image nor the stage's global,
+// both of which live on the origin. The stage parcel arrives on the
+// executor's read loop for its one connection to the origin, and the
+// replies to its two fetches come back on that same read loop — so the
+// fetch must run off it, or the flow hangs until the call timeout.
+func TestColdStageFetchesOffReadLoop(t *testing.T) {
+	const locales = 8
+	nodes := make([]*Node, 2)
+	pipes := make([]*Pipeline, 2)
+	for i := range nodes {
+		tr, err := netparcel.Listen(parcel.NodeID(fmt.Sprintf("cold%d", i)), "127.0.0.1:0", netparcel.Config{})
+		if err != nil {
+			t.Fatalf("listen node %d: %v", i, err)
+		}
+		node, err := NewNode(Config{
+			Transport: tr,
+			System:    litlx.Config{Locales: locales, WorkersPerLocale: 1, Seed: uint64(i) + 1},
+			Serve:     serve.Config{Shards: locales},
+		})
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		t.Cleanup(node.Close)
+		inc := func(_ *serve.Ctx, req serve.Request) (any, error) { return req.Payload.(int) + 1, nil }
+		tn, err := node.RegisterTenant(TenantConfig{
+			Serve:   serve.TenantConfig{Name: "cold", Handler: inc, CodeSize: 2 << 10},
+			Globals: []GlobalObject{{Name: "dict", Size: 512, Home: 1}},
+		})
+		if err != nil {
+			t.Fatalf("register tenant: %v", err)
+		}
+		// One stage, keyed by its input, reading the global.
+		pipes[i], err = tn.NewPipeline(PipelineConfig{
+			Name:   "one",
+			Stages: []serve.Stage{{Name: "a", Handler: inc}},
+			Routes: []StageRoute{func(v any) (uint64, []string) { return uint64(v.(int)), []string{"dict"} }},
+		})
+		if err != nil {
+			t.Fatalf("new pipeline: %v", err)
+		}
+		nodes[i] = node
+	}
+	if err := nodes[1].Join(nodes[0].Transport().Addr()); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	// These ids split the ring 4/4 and home "dict" (locale 1) on cold0,
+	// the origin; the stage goes to the first key cold1 owns.
+	origin, exec, p := nodes[0], nodes[1], pipes[0]
+	if home, _ := origin.Ring().Owner(1); home != origin.Self() || len(exec.OwnedLocales()) == 0 {
+		t.Fatalf("placement changed: locale 1 owned by %s, executor owns %v", home, exec.OwnedLocales())
+	}
+	owner := func(key int) parcel.NodeID { o, _ := origin.ownerOf(p.t.hash, uint64(key)); return o }
+	key := 0
+	for owner(key) != exec.Self() {
+		key++
+	}
+	res := make(chan serve.Result, 1)
+	if err := p.SubmitFunc(serve.Request{Payload: key}, func(r serve.Result) { res <- r }); err != nil {
+		t.Fatalf("submit: %v", err)
+	}
+	select {
+	case r := <-res:
+		if r.Status != serve.StatusOK || r.Value != key+1 {
+			t.Fatalf("flow resolved %v value %v err %v, want StatusOK value %d", r.Status, r.Value, r.Err, key+1)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("flow did not resolve within 5s: the cold stage fetched on the read loop that must deliver its replies")
+	}
+	if st := exec.Stats(); st.CodeFetches != 1 || st.ObjectFetches != 1 {
+		t.Errorf("executor fetched code %d and objects %d times, want 1 and 1", st.CodeFetches, st.ObjectFetches)
+	}
 }

@@ -176,6 +176,36 @@ func (t *Tenant) ensureResident(origin parcel.NodeID, globals []string) {
 	}
 }
 
+// warm reports, without blocking, whether ensureResident(origin,
+// globals) would return at once: the code image (when it would come
+// from another node) and every named global have a successful fetch
+// entry — the only kind fetchOnce never deletes.
+func (t *Tenant) warm(origin parcel.NodeID, globals []string) bool {
+	settled := func(key string) bool {
+		fs, ok := t.resident[key]
+		if !ok {
+			return false
+		}
+		select {
+		case <-fs.done:
+			return fs.err == nil
+		default:
+			return false
+		}
+	}
+	t.resMu.Lock()
+	defer t.resMu.Unlock()
+	if t.codeSize > 0 && origin != t.n.self && !settled("code") {
+		return false
+	}
+	for _, name := range globals {
+		if g, ok := t.globals[name]; ok && !settled(g.key) {
+			return false
+		}
+	}
+	return true
+}
+
 // fetch makes one percolation transfer from src — the tenant's code
 // image, or the named global object — and returns its size.
 func (t *Tenant) fetch(src parcel.NodeID, method, object string) (int, error) {

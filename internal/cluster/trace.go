@@ -36,7 +36,9 @@ type flowRec struct {
 }
 
 // flowTraces is one node's bounded per-flow event store. A nil
-// *flowTraces (TraceFlows off) drops everything at one pointer check.
+// *flowTraces (TraceFlows off) drops everything at one pointer check;
+// callers make that check before calling record, so tracing off does
+// not even box the label arguments.
 type flowTraces struct {
 	producer int // stable per-node producer id for merge tie-breaks
 

@@ -5,8 +5,11 @@
 package integration
 
 import (
+	"context"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/adapt"
 	"repro/internal/apps/neuro"
@@ -233,12 +236,28 @@ func TestLoadControllerAgainstRuntime(t *testing.T) {
 		t.Fatalf("policy = %q", p)
 	}
 	// And global stealing indeed completes skewed work with migrations.
+	// Locale 0's workers hold their tasks on a gate that the first task
+	// running on locale 1 opens, so they cannot drain the queue before a
+	// thief steals; the deadline turns a missing steal into a failure
+	// instead of a hang.
 	mon := monitor.New()
 	rt := core.NewRuntime(core.Config{Locales: 2, WorkersPerLocale: 2, Steal: core.StealGlobal, Monitor: mon})
 	defer rt.Shutdown()
+	gate := make(chan struct{})
+	var open sync.Once
+	deadline, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	var n atomic.Int64
 	for i := 0; i < 200; i++ {
 		rt.GoAt(0, 0, func(s *core.SGT) {
+			if s.ExecLocale() == 0 {
+				select {
+				case <-gate:
+				case <-deadline.Done():
+				}
+			} else {
+				open.Do(func() { close(gate) })
+			}
 			x := 0
 			for j := 0; j < 50000; j++ {
 				x += j
@@ -250,6 +269,11 @@ func TestLoadControllerAgainstRuntime(t *testing.T) {
 	rt.Wait()
 	if n.Load() != 200 {
 		t.Errorf("ran %d tasks", n.Load())
+	}
+	select {
+	case <-gate:
+	default:
+		t.Fatal("no task ran on locale 1 within 10s under global stealing")
 	}
 	if mon.Counter("core.migrations").Value() == 0 {
 		t.Error("expected migrations under skew with global stealing")

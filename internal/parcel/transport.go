@@ -37,7 +37,10 @@ var ErrTransportClosed = errors.New("parcel: transport closed")
 // error fails the caller's Call. The handler owns body: it may keep it,
 // alias it into decoded values, and modify it in place. The in-process
 // fabric hands over the sender's own slice, which is why a sender must
-// not touch a body after Send.
+// not touch a body after Send. A handler delivered by Send runs on the
+// transport's delivery goroutine and must not block; a handler that
+// might block (a Call back to the sender, a lock held across I/O) hands
+// its own work off to another goroutine.
 type TransportHandler func(from NodeID, body []byte) ([]byte, error)
 
 // TransportStats counts a transport's traffic: real bytes on the wire
