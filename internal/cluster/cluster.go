@@ -12,11 +12,13 @@
 //   - admission — Pipeline.Submit routes a flow's first stage by the
 //     ring; a flow whose home locale lives on another node ships there
 //     as a stage parcel instead of admitting locally;
-//   - flow chaining — the Node implements serve.RemoteRouter, so a
-//     pipeline flow executing locally hands off machine-to-machine at
-//     any scalar stage boundary whose next stage the ring homes
-//     elsewhere; the origin's stage futures resolve when the completion
-//     parcel returns, exactly once;
+//   - flow chaining — a cluster Pipeline is one serve pipeline per
+//     node, and every flow carries a serve.RemoteRouter, so a flow
+//     hands off machine-to-machine at any scalar stage boundary whose
+//     next stage the ring homes elsewhere; an arriving stage parcel
+//     enters the receiving node's pipeline at that stage, and the
+//     origin's flow resolves when the completion parcel returns,
+//     exactly once;
 //   - percolation — a node executing a stage for a tenant it has not
 //     served before fetches the tenant's code image from the flow's
 //     origin, and each declared global object from the owner of its
@@ -68,8 +70,7 @@ type Config struct {
 	// the size of the global locale space the ring partitions (default 4
 	// when zero) — every node must use the same value.
 	System litlx.Config
-	// Serve configures the node's serve.Server. Config.Remote is
-	// overwritten: the node wires itself in as the RemoteRouter.
+	// Serve configures the node's serve.Server.
 	Serve serve.Config
 	// TraceFlows retains bounded per-flow records of cross-node hops and
 	// remote stage executions, served to peers for StitchFlow. Off by
@@ -83,9 +84,11 @@ type Config struct {
 	// the invariant that no Ticket.Wait blocks forever holds out of the
 	// box; set FlowTimeout negative to disable.
 	Recover RecoverConfig
-	// Clock is the node's time source (default time.Now). Stage-deadline
-	// checks and recovery decisions read it, so tests and scenario
-	// harnesses can steer shedding deterministically.
+	// Clock is the node's time source (default time.Now). The deadline
+	// check on a stage parcel's arrival and recovery decisions read it,
+	// so tests and scenario harnesses can steer shedding
+	// deterministically; stages the node then chains locally are shed
+	// by serve's own deadline check.
 	Clock func() time.Time
 }
 
@@ -203,7 +206,6 @@ func NewNode(cfg Config) (*Node, error) {
 		return nil, err
 	}
 	n.sys = sys
-	cfg.Serve.Remote = n
 	n.srv = serve.New(sys, cfg.Serve)
 	n.members[n.self] = cfg.Transport.Addr()
 	n.ring = NewRing(n.locales, []parcel.NodeID{n.self})
@@ -501,13 +503,16 @@ type Stats struct {
 	// FlowsOriginated counts flows submitted through this node's cluster
 	// pipelines; FlowsCompleted those that have resolved here.
 	FlowsOriginated, FlowsCompleted int64
-	// ForwardedStages counts stage parcels this node shipped to another
-	// node — at admission, at a chain boundary, or advancing a flow it
-	// was executing.
+	// ForwardedStages counts stage parcels this node sent to another
+	// node, one per successful send — at admission, at a stage boundary
+	// of a flow it originated, or onward from a flow that arrived here.
 	ForwardedStages int64
-	// RemoteStages counts stage parcels executed here on behalf of
-	// another node's flow; LocalStages counts stage parcels the ring
-	// routed back to their own origin.
+	// RemoteStages and LocalStages count the stages this node ran for
+	// flows that arrived by stage parcel: the entry stage plus each
+	// stage the node then chained locally. RemoteStages covers other
+	// nodes' flows; LocalStages flows the ring routed back to this
+	// node, their origin. Stages an origin runs before it first ships
+	// the flow are not counted.
 	RemoteStages, LocalStages int64
 	// CodeFetches / ObjectFetches count percolation transfers this node
 	// pulled over the wire (single-flight: at most one per image or

@@ -11,18 +11,20 @@ import (
 	"repro/internal/trace"
 )
 
-// This file threads SubmitFlow across machines. A cluster Pipeline
-// compiles twice on every node: the full serve pipeline (what a locally
-// originated flow runs on, chained by the serve layer with this Node as
-// its RemoteRouter) and one single-stage serve pipeline per stage (what
-// a stage parcel executes when the flow arrives from another node).
-// Hand-offs are stage parcels; the flow then chains machine-to-machine
-// — each executing node advances the flow itself, forwarding to the
-// next stage's owner or running it locally — and the terminal result
-// returns to the origin as one completion parcel. Done-exactly-once
-// holds by construction: the completion pops the origin's pending entry
-// under a lock (at most one winner), and the serve layer's flowState
-// guard backs the locally-chained case.
+// This file threads SubmitFlow across machines. A cluster Pipeline is
+// one serve pipeline, built the same on every node, and serve's own
+// chaining runs its stages wherever the flow is. Each flow carries the
+// serve.RemoteRouter that decides its hand-offs: the *Pipeline for a
+// flow this node originates, an arrival record for a flow a stage
+// parcel brought here. At a scalar stage boundary whose next stage the
+// ring homes on another node, the router ships the rest of the flow
+// there as a stage parcel, and that node enters its own serve pipeline
+// at the stage (SubmitFlowAt). The flow thus chains machine-to-machine
+// without revisiting its origin, and the terminal result returns to the
+// origin as one completion parcel. Done-exactly-once holds by
+// construction: the completion pops the origin's pending entry under a
+// lock (at most one winner), and the serve layer's flowState guard
+// backs the locally-chained case.
 
 // StageRoute derives one stage's cluster routing from its input value:
 // the key that mixes onto the global locale space (the ring then names
@@ -46,19 +48,17 @@ type PipelineConfig struct {
 // concurrent submissions. Build the same pipeline (same tenant, name,
 // stages) on every node.
 type Pipeline struct {
-	n          *Node
-	t          *Tenant
-	name       string
-	sp         *serve.Pipeline   // full pipeline: locally admitted flows
-	stagePipes []*serve.Pipeline // one per stage: remote stage execution
-	routes     []StageRoute
+	n      *Node
+	t      *Tenant
+	name   string
+	sp     *serve.Pipeline // every stage this node runs, whoever admitted the flow
+	routes []StageRoute
 }
 
-// NewPipeline compiles a cluster pipeline for the tenant. Alongside the
-// full serve pipeline it registers one single-stage pipeline per stage
-// (named "<name>.s<i>"), the execution vehicle for arriving stage
-// parcels — each runs the stage under the node's own admission,
-// batching, and adaptivity exactly like local work.
+// NewPipeline compiles a cluster pipeline for the tenant: one serve
+// pipeline, which runs both the flows this node admits and the stages
+// that arrive by parcel — under the node's own admission, batching, and
+// adaptivity exactly like local work.
 func (t *Tenant) NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if len(cfg.Routes) != 0 && len(cfg.Routes) != len(cfg.Stages) {
 		return nil, fmt.Errorf("cluster: pipeline %q has %d stages but %d routes",
@@ -69,13 +69,6 @@ func (t *Tenant) NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		return nil, err
 	}
 	p := &Pipeline{n: t.n, t: t, name: cfg.Name, sp: sp}
-	for i, st := range cfg.Stages {
-		solo, err := t.st.NewPipeline(fmt.Sprintf("%s.s%d", cfg.Name, i), st)
-		if err != nil {
-			return nil, err
-		}
-		p.stagePipes = append(p.stagePipes, solo)
-	}
 	if len(cfg.Routes) > 0 {
 		p.routes = append([]StageRoute(nil), cfg.Routes...)
 	}
@@ -165,31 +158,40 @@ func (p *Pipeline) SubmitFunc(req serve.Request, done func(serve.Result)) error 
 		n.flowsCompleted.Add(1)
 		done(r)
 	}
-	key0, _ := p.route(0, req.Payload, req.Key)
-	if owner, _ := n.ownerOf(p.t.hash, key0); owner != n.self {
-		if n.shipStage(p, owner, 0, req, finish) {
-			n.flowsOriginated.Add(1)
-			return nil
+	// Stage 0 homed here, or it could not ship (encode failure, peer
+	// just left): admit locally.
+	if !p.ForwardStage(0, req.Payload, req.Key, req.Deadline, req.Priority, finish) {
+		if err := p.t.st.SubmitFlowAt(p.sp, 0, req, p, finish); err != nil {
+			return err
 		}
-		// Could not ship (encode failure, peer just left): admit locally.
-	}
-	if _, err := p.t.st.SubmitFlowFunc(p.sp, req, finish); err != nil {
-		return err
 	}
 	n.flowsOriginated.Add(1)
 	return nil
 }
 
-// shipStage encodes and sends one stage parcel carrying a flow this
-// node originates — stage onward, req's payload as the stage input —
-// registering its finish callback under a fresh flow id and arming the
-// recovery timer that guarantees the flow resolves even if the
-// destination dies. Returns false (nothing registered, nothing sent)
-// when the value cannot cross the wire or the peer is unreachable.
-func (n *Node) shipStage(p *Pipeline, dest parcel.NodeID, stage int, req serve.Request, finish func(serve.Result)) bool {
-	flow, v := n.nextFlow.Add(1), req.Payload
-	sp := stageMsg{Flow: flow, Origin: string(n.self), Tenant: p.t.name, Pipe: p.name, Stage: stage,
-		Key: req.Key, Deadline: deadlineNS(req.Deadline), Priority: req.Priority}
+// ForwardStage is the serve.RemoteRouter of the flows this node
+// originates, consulted at admission (stage 0) and at every scalar stage
+// boundary. When the ring homes stage next on another node, it ships
+// the remainder of the flow there as a stage parcel — v the stage's
+// input — registering finish under a fresh flow id, to be resolved by
+// the completion parcel, and arming the recovery timer that guarantees
+// the flow resolves even if the destination dies. It returns false
+// (nothing registered, nothing sent) when the stage is homed here, the
+// value cannot cross the wire, or the peer is unreachable.
+func (p *Pipeline) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int,
+	finish func(serve.Result)) bool {
+	n := p.n
+	if n.closed.Load() {
+		return false
+	}
+	skey, _ := p.route(next, v, key)
+	dest, _ := n.ownerOf(p.t.hash, skey)
+	if dest == n.self {
+		return false
+	}
+	flow := n.nextFlow.Add(1)
+	sp := stageMsg{Flow: flow, Origin: string(n.self), Tenant: p.t.name, Pipe: p.name, Stage: next,
+		Key: key, Deadline: deadlineNS(deadline), Priority: priority}
 	pb, err := encodeStage(&sp, v)
 	if err != nil {
 		return false
@@ -279,7 +281,7 @@ func (n *Node) recoverFlow(flow uint64) {
 	pf.attempts++
 	pf.msg.FlowEpoch++
 	sp, p, v, attempt := pf.msg, pf.p, pf.v, pf.attempts
-	skey, _ := p.route(sp.Stage, v, sp.Key)
+	skey, globals := p.route(sp.Stage, v, sp.Key)
 	owner, _ := n.ownerOf(p.t.hash, skey)
 	pf.dest = owner
 	if d := n.recoverDelay(pf.deadline); d > 0 {
@@ -299,29 +301,7 @@ func (n *Node) recoverFlow(flow uint64) {
 		// The new owner is unreachable too: run the stage here rather than
 		// burning the remaining attempts against a dead wire.
 	}
-	n.execStage(p, sp, v)
-}
-
-// ForwardStage implements serve.RemoteRouter: the serve layer consults
-// it at every scalar stage boundary of a locally executing flow. When
-// the ring homes the next stage on another node, the remainder of the
-// flow ships there and the serve layer's remaining futures resolve via
-// finish when the completion parcel returns.
-func (n *Node) ForwardStage(st *serve.Tenant, sp *serve.Pipeline, next int, v any,
-	key uint64, deadline time.Time, priority int, finish func(serve.Result)) bool {
-	if n.closed.Load() {
-		return false
-	}
-	p := n.pipeline(st.Name(), sp.Name())
-	if p == nil {
-		return false // not a cluster pipeline (solo submits, stage pipes)
-	}
-	skey, _ := p.route(next, v, key)
-	owner, _ := n.ownerOf(p.t.hash, skey)
-	if owner == n.self {
-		return false
-	}
-	return n.shipStage(p, owner, next, serve.Request{Key: key, Payload: v, Deadline: deadline, Priority: priority}, finish)
+	n.enter(p, sp, v, globals)
 }
 
 // handleStage executes one arriving stage parcel. It runs on the
@@ -350,81 +330,93 @@ func (n *Node) handleStage(_ parcel.NodeID, body []byte) ([]byte, error) {
 		return nil, nil
 	}
 	if _, globals := p.route(sp.Stage, v, sp.Key); p.t.warm(origin, globals) {
-		n.execStage(p, sp, v)
+		n.enter(p, sp, v, globals)
 	} else {
-		go n.execStage(p, sp, v)
+		go n.enter(p, sp, v, globals)
 	}
 	return nil, nil
 }
 
-// execStage runs stage sp.Stage of a forwarded flow on this node:
-// deadline check (against the node's own clock, so harnesses that
-// inject one steer shedding deterministically), percolation, then the
-// single-stage pipeline under local admission. Its completion advances
-// the flow.
-func (n *Node) execStage(p *Pipeline, sp stageMsg, v any) {
+// enter starts an arrived flow in this node's serve pipeline at stage
+// sp.Stage, whose routing named globals: a deadline check against the
+// node's own clock (so harnesses that inject one steer shedding
+// deterministically; stages chained here afterwards are shed by serve's
+// own deadline check), then the stage is counted, percolated and
+// traced, and serve chains the rest with an arrival as the router.
+func (n *Node) enter(p *Pipeline, sp stageMsg, v any, globals []string) {
 	origin := parcel.NodeID(sp.Origin)
 	deadline := nsTime(sp.Deadline)
-	if !deadline.IsZero() {
-		if now := n.now(); now.After(deadline) {
-			n.completeFlow(origin, sp.Flow, sp.FlowEpoch, serve.Result{Status: serve.StatusShed})
-			return
-		}
+	if !deadline.IsZero() && n.now().After(deadline) {
+		n.completeFlow(origin, sp.Flow, sp.FlowEpoch, serve.Result{Status: serve.StatusShed})
+		return
 	}
-	if origin != n.self {
-		n.remoteStages.Add(1)
-	} else {
-		n.localStages.Add(1)
-	}
-	_, globals := p.route(sp.Stage, v, sp.Key)
-	p.t.ensureResident(origin, globals)
-	if n.traces != nil {
-		n.traces.record(origin, sp.Flow, trace.KindDispatch,
-			"%s/%s stage %d @ %s", sp.Tenant, sp.Pipe, sp.Stage, n.self)
-	}
+	a := &arrival{p: p, origin: origin, flow: sp.Flow, epoch: sp.FlowEpoch}
+	a.run(sp.Stage, globals)
 	req := serve.Request{Key: sp.Key, Payload: v, Deadline: deadline, Priority: sp.Priority}
-	_, err := p.t.st.SubmitFlowFunc(p.stagePipes[sp.Stage], req, func(r serve.Result) {
-		n.advance(p, sp, r)
-	})
-	if err != nil {
+	if err := p.t.st.SubmitFlowAt(p.sp, sp.Stage, req, a, a.done); err != nil {
 		n.completeFlow(origin, sp.Flow, sp.FlowEpoch, serve.Result{Status: serve.StatusRejected, Err: err})
 	}
 }
 
-// advance moves a forwarded flow past a finished stage: a terminal
-// result (non-OK, or the last stage) completes back to the origin;
-// otherwise the next stage routes by the current ring — executing here
-// or shipping onward, so a flow chains machine-to-machine without ever
-// revisiting its origin mid-flight.
-func (n *Node) advance(p *Pipeline, sp stageMsg, r serve.Result) {
-	origin := parcel.NodeID(sp.Origin)
-	if r.Status != serve.StatusOK || sp.Stage >= p.Len()-1 {
-		n.completeFlow(origin, sp.Flow, sp.FlowEpoch, r)
-		return
-	}
-	next := sp.Stage + 1
-	key, _ := p.route(next, r.Value, sp.Key)
-	owner, _ := n.ownerOf(p.t.hash, key)
-	sp.Stage = next
-	if owner != n.self {
-		pb, err := encodeStage(&sp, r.Value)
-		if err != nil {
-			n.completeFlow(origin, sp.Flow, sp.FlowEpoch, serve.Result{Status: serve.StatusFailed,
-				Err: fmt.Errorf("cluster: stage %d value does not encode: %w (see RegisterType)", next, err)})
-			return
-		}
-		if n.t.Send(owner, "cluster.stage", pb) == nil {
+// arrival is the serve.RemoteRouter of a flow a stage parcel brought to
+// this node. It ships onward under the flow's own (origin, flow, epoch)
+// with no pending entry — the completion goes straight to the origin —
+// and when it declines (the ring says here, or the parcel cannot be
+// sent) the stage runs where it is. Its done returns the terminal
+// result to the origin unless the flow shipped on.
+type arrival struct {
+	p       *Pipeline
+	origin  parcel.NodeID
+	flow    uint64
+	epoch   uint32
+	shipped bool
+}
+
+func (a *arrival) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int,
+	finish func(serve.Result)) bool {
+	p, n := a.p, a.p.n
+	skey, globals := p.route(next, v, key)
+	if owner, _ := n.ownerOf(p.t.hash, skey); owner != n.self {
+		sp := stageMsg{Flow: a.flow, FlowEpoch: a.epoch, Origin: string(a.origin), Tenant: p.t.name,
+			Pipe: p.name, Stage: next, Key: key, Deadline: deadlineNS(deadline), Priority: priority}
+		if pb, err := encodeStage(&sp, v); err == nil && n.t.Send(owner, "cluster.stage", pb) == nil {
 			n.forwardedStages.Add(1)
 			if n.traces != nil {
-				n.traces.record(origin, sp.Flow, trace.KindRemoteHop,
-					"%s/%s stage %d: %s -> %s", sp.Tenant, sp.Pipe, next, n.self, owner)
+				n.traces.record(a.origin, a.flow, trace.KindRemoteHop,
+					"%s/%s stage %d: %s -> %s", p.t.name, p.name, next, n.self, owner)
 			}
-			return
+			// The flow's result now reaches the origin from elsewhere: end
+			// the local flow without a completion parcel.
+			a.shipped = true
+			finish(serve.Result{Status: serve.StatusOK})
+			return true
 		}
-		// The owner became unreachable (left, crashed): degrade to local
-		// execution rather than losing the flow.
 	}
-	n.execStage(p, sp, r.Value)
+	a.run(next, globals)
+	return false
+}
+
+// run accounts one stage of the arrived flow that executes on this
+// node: counted by whether the flow is this node's own, its globals
+// made resident, the execution traced.
+func (a *arrival) run(stage int, globals []string) {
+	p, n := a.p, a.p.n
+	if a.origin != n.self {
+		n.remoteStages.Add(1)
+	} else {
+		n.localStages.Add(1)
+	}
+	p.t.ensureResident(a.origin, globals)
+	if n.traces != nil {
+		n.traces.record(a.origin, a.flow, trace.KindDispatch, "%s/%s stage %d @ %s", p.t.name, p.name, stage, n.self)
+	}
+}
+
+// done is the arrived flow's terminal sink.
+func (a *arrival) done(r serve.Result) {
+	if !a.shipped {
+		a.p.n.completeFlow(a.origin, a.flow, a.epoch, r)
+	}
 }
 
 // completeFlow returns a forwarded flow's terminal result to its

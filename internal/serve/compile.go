@@ -173,17 +173,14 @@ func (s *Server) CompileDecisions() []contc.Decision {
 // promotion and demotion swap whole slots.
 type fastSlot struct {
 	key     uint64
-	epoch   uint32
 	handler Handler
 }
 
 // fastTable is a tenant's fast-path slots, indexed by a key hash with
 // no probing — at most one candidate slot per key, so the dispatch-side
-// check is one load and two compares. epoch is the cheap version check:
-// bumping it invalidates every slot at once (used when the learned
-// state is reset), without touching the slots themselves.
+// check is one load and one compare. A slot is invalidated by swapping
+// or nil-ing it.
 type fastTable struct {
-	epoch atomic.Uint32
 	mask  uint64
 	slots []atomic.Pointer[fastSlot]
 }
@@ -206,7 +203,7 @@ func (ft *fastTable) index(key uint64) uint64 {
 // zero allocations, one pointer load on the common miss.
 func (ft *fastTable) lookup(key uint64) Handler {
 	sl := ft.slots[ft.index(key)].Load()
-	if sl == nil || sl.key != key || sl.epoch != ft.epoch.Load() {
+	if sl == nil || sl.key != key {
 		return nil
 	}
 	return sl.handler
@@ -216,7 +213,7 @@ func (ft *fastTable) lookup(key uint64) Handler {
 func (ft *fastTable) installed() []uint64 {
 	var keys []uint64
 	for i := range ft.slots {
-		if sl := ft.slots[i].Load(); sl != nil && sl.epoch == ft.epoch.Load() {
+		if sl := ft.slots[i].Load(); sl != nil {
 			keys = append(keys, sl.key)
 		}
 	}
@@ -432,7 +429,7 @@ func (c *compileController) hotKeys(t *Tenant) {
 	changed := false
 	for i := range t.fast.slots {
 		sl := t.fast.slots[i].Load()
-		if sl == nil || sl.epoch != t.fast.epoch.Load() {
+		if sl == nil {
 			continue
 		}
 		if t.sketch.Estimate(sl.key) < c.cfg.HotKeyMin/2 {
@@ -455,8 +452,7 @@ func (c *compileController) hotKeys(t *Tenant) {
 // indirection.
 func (c *compileController) promoteKey(t *Tenant, key uint64, count int64, kind string) {
 	idx := t.fast.index(key)
-	epoch := t.fast.epoch.Load()
-	if sl := t.fast.slots[idx].Load(); sl != nil && sl.epoch == epoch {
+	if sl := t.fast.slots[idx].Load(); sl != nil {
 		return // occupied: same key resident, or a collision — hotter key keeps it
 	}
 	h := t.solo.stages[0].handler
@@ -465,7 +461,7 @@ func (c *compileController) promoteKey(t *Tenant, key uint64, count int64, kind 
 			h = composeMiddleware(sp, t.mw, c.srv.cfg.Middleware)
 		}
 	}
-	t.fast.slots[idx].Store(&fastSlot{key: key, epoch: epoch, handler: h})
+	t.fast.slots[idx].Store(&fastSlot{key: key, handler: h})
 	c.promotions.Inc()
 	c.record(contc.Decision{Kind: kind, Tenant: t.name, Key: key,
 		Reason: fmt.Sprintf("sketch count %d", count)})

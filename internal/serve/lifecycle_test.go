@@ -20,18 +20,23 @@ import (
 type sinkKind int
 
 const (
-	kindTicket     sinkKind = iota // Tenant.Submit
-	kindCallback                   // Tenant.SubmitFunc
-	kindIndexed                    // Tenant.SubmitManyFunc, a burst of three
-	kindElement                    // a flow whose stage b is a Map over three elements
-	kindFlowLocal                  // a flow whose scalar stage b chains in-process
-	kindFlowRemote                 // a flow whose stage b a fake RemoteRouter takes
+	kindTicket      sinkKind = iota // Tenant.Submit
+	kindCallback                    // Tenant.SubmitFunc
+	kindIndexed                     // Tenant.SubmitManyFunc, a burst of three
+	kindElement                     // a flow whose stage b is a Map over three elements
+	kindFlowLocal                   // a flow whose scalar stage b chains in-process
+	kindFlowRemote                  // a flow whose stage b a fake RemoteRouter takes
+	kindFlowEntered                 // a flow entered at stage b (SubmitFlowAt)
 	numSinkKinds
 )
 
-var sinkKindNames = [numSinkKinds]string{"ticket", "callback", "indexed", "element", "flow-local", "flow-remote"}
+var sinkKindNames = [numSinkKinds]string{"ticket", "callback", "indexed", "element", "flow-local", "flow-remote", "flow-entered"}
 
 func (k sinkKind) flow() bool { return k >= kindElement }
+
+// direct reports whether the job under test is the first one its
+// submission admits, so a refusal of it surfaces at submission.
+func (k sinkKind) direct() bool { return !k.flow() || k == kindFlowEntered }
 
 type outcome int
 
@@ -74,8 +79,7 @@ type parcelRouter struct {
 	wg     sync.WaitGroup
 }
 
-func (pr *parcelRouter) ForwardStage(_ *Tenant, _ *Pipeline, _ int, _ any,
-	_ uint64, _ time.Time, _ int, finish func(Result)) bool {
+func (pr *parcelRouter) ForwardStage(_ int, _ any, _ uint64, _ time.Time, _ int, finish func(Result)) bool {
 	pr.wg.Add(1)
 	go func() {
 		defer pr.wg.Done()
@@ -115,9 +119,6 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 		Observe: ObserveConfig{SampleRate: 1, RingSize: 64},
 	}
 	router := &parcelRouter{result: out.want()}
-	if kind == kindFlowRemote {
-		cfg.Remote = router
-	}
 	s := New(sys, cfg)
 	defer s.Close()
 
@@ -204,7 +205,7 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 			}
 		}
 	}
-	if out == outClose && !kind.flow() {
+	if out == outClose && kind.direct() {
 		s.Close()
 	}
 
@@ -252,12 +253,21 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 			t.Fatal(err)
 		}
 		go func() { resolve(0, tk.Wait()) }()
+	case kindFlowRemote:
+		if err := tn.SubmitFlowAt(pipe, 0, flowReq, router, func(r Result) { resolve(0, r) }); err != nil {
+			t.Fatal(err)
+		}
+	case kindFlowEntered:
+		err := tn.SubmitFlowAt(pipe, 1, flowReq, nil, func(r Result) { resolve(0, r) })
+		if viaErr = err != nil; viaErr {
+			refusedWith(err)
+		}
 	default:
 		if _, err := tn.SubmitFlowFunc(pipe, flowReq, func(r Result) { resolve(0, r) }); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if out == outClose && kind.flow() {
+	if out == outClose && !kind.direct() {
 		// Close lands while stage a is executing: stage b's admission is
 		// what the closing server refuses.
 		<-inA
@@ -278,7 +288,7 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 	s.Close()
 
 	want := out.want()
-	if wantErr := (out == outOverload || out == outClose) && !kind.flow() && kind != kindIndexed; viaErr != wantErr {
+	if wantErr := (out == outOverload || out == outClose) && kind.direct() && kind != kindIndexed; viaErr != wantErr {
 		t.Errorf("refusal surfaced as an error = %v, want %v", viaErr, wantErr)
 	}
 	for i := 0; i < n; i++ {
@@ -313,7 +323,7 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 	// Where exactly one job is under test, its trace names which of the
 	// two shed sites ended it.
 	if cause := map[outcome]string{outShedQueue: "in queue", outShedDrain: "before execution"}[out]; cause != "" &&
-		(kind == kindTicket || kind == kindCallback || kind == kindFlowLocal) {
+		(kind == kindTicket || kind == kindCallback || kind == kindFlowLocal || kind == kindFlowEntered) {
 		found := false
 		for _, ft := range s.Recorder().Failures() {
 			for _, e := range ft.Events() {

@@ -3,7 +3,8 @@ package serve
 // This file is the dataflow-pipeline surface: multi-stage flows whose
 // intermediate values are futures chained shard-to-shard. A Pipeline is
 // compiled once from Stage declarations (handler + routing derivation);
-// Tenant.SubmitFlow admits stage 0 and from there every hand-off
+// Tenant.SubmitFlow admits stage 0 (Tenant.SubmitFlowAt a later stage,
+// for a flow arriving from another node) and from there every hand-off
 // happens at the producing shard — the stage's result resolves a
 // future.Future buffered there, and the continuation ships the value to
 // the next stage's routed locale with ThenSpawn. No intermediate result
@@ -260,6 +261,9 @@ type flowState struct {
 	finished atomic.Bool
 	refs     atomic.Int32
 	futs     []*future.Future[Result]
+	// router decides the flow's cross-node hand-offs (nil: every stage
+	// stays in this process); see SubmitFlowAt.
+	router RemoteRouter
 	// ft is the flow's sampled trace context (nil when unsampled);
 	// every stage job of the flow shares it.
 	ft *FlowTrace
@@ -293,6 +297,7 @@ func (fl *flowState) unref() {
 	fl.done = nil
 	fl.finished.Store(false)
 	fl.futs = nil
+	fl.router = nil
 	fl.ft = nil
 	flowPool.Put(fl)
 }
@@ -331,7 +336,7 @@ func runStageHop(_ *core.SGT, a any) {
 // StatusRejected final result instead.
 func (t *Tenant) SubmitFlow(p *Pipeline, req Request) (*Ticket, error) {
 	tk := &Ticket{}
-	futs, err := t.submitFlow(p, req, tk)
+	futs, err := t.submitFlow(p, 0, req, nil, tk, true)
 	if err != nil {
 		return nil, err
 	}
@@ -343,15 +348,34 @@ func (t *Tenant) SubmitFlow(p *Pipeline, req Request) (*Ticket, error) {
 // done is invoked exactly once with the flow's terminal result. It
 // returns the per-stage result futures.
 func (t *Tenant) SubmitFlowFunc(p *Pipeline, req Request, done func(Result)) ([]*future.Future[Result], error) {
-	return t.submitFlow(p, req, callbackSink(done))
+	return t.submitFlow(p, 0, req, nil, callbackSink(done), true)
 }
 
-// submitFlow creates the flow state and admits stage 0 — one scalar job
-// or one fan-out — through the same construct/admit core plain submits
+// SubmitFlowAt admits a flow that enters p at stage from, with
+// req.Payload as that stage's input — a flow begun elsewhere, such as
+// one a stage parcel carries to this node. It admits stage from exactly
+// as SubmitFlow admits stage 0 (refusals likewise), and serve's own
+// chaining runs the stages after it. rr, when non-nil, is the flow's
+// RemoteRouter: it is consulted at every later scalar stage boundary
+// and may ship the rest of the flow to another node. done is invoked
+// exactly once with the terminal result; no stage futures are made, as
+// nobody could read them.
+func (t *Tenant) SubmitFlowAt(p *Pipeline, from int, req Request, rr RemoteRouter, done func(Result)) error {
+	_, err := t.submitFlow(p, from, req, rr, callbackSink(done), false)
+	return err
+}
+
+// submitFlow creates the flow state — with per-stage result futures
+// when the caller returns them — and admits stage from (one scalar job
+// or one fan-out) through the same construct/admit core plain submits
 // use.
-func (t *Tenant) submitFlow(p *Pipeline, req Request, done sink) ([]*future.Future[Result], error) {
+func (t *Tenant) submitFlow(p *Pipeline, from int, req Request, rr RemoteRouter, done sink,
+	futures bool) ([]*future.Future[Result], error) {
 	if p == nil || p.t != t {
 		return nil, errors.New("serve: pipeline was not built by this tenant (use Tenant.NewPipeline)")
+	}
+	if from < 0 || from >= len(p.stages) {
+		return nil, fmt.Errorf("serve: pipeline %q has no stage %d", p.name, from)
 	}
 	s := t.srv
 	if s.closed.Load() {
@@ -359,7 +383,7 @@ func (t *Tenant) submitFlow(p *Pipeline, req Request, done sink) ([]*future.Futu
 		// element by element could not be unwound into an error.
 		return nil, ErrClosed
 	}
-	st := p.stages[0]
+	st := p.stages[from]
 	parts, sliced := req.Payload.([]any)
 	if st.fanout && !sliced {
 		return nil, fmt.Errorf("serve: pipeline %q stage %q fans out over []any, payload is %T",
@@ -369,15 +393,18 @@ func (t *Tenant) submitFlow(p *Pipeline, req Request, done sink) ([]*future.Futu
 	s.defaultDeadline(&req, now)
 	fl := newFlowState()
 	fl.p, fl.key, fl.deadline, fl.priority = p, req.Key, req.Deadline, req.Priority
-	fl.enqueued, fl.done = now, done
+	fl.enqueued, fl.done, fl.router = now, done, rr
 	fl.ft = s.obs.sample(t, p, req.Key)
 	// The futures (and their slice) escape to the caller, so they are
 	// allocated fresh per flow; everything else on this path recycles.
 	// futs is captured locally because the flow may complete — and fl
 	// recycle — before this function returns.
-	futs := make([]*future.Future[Result], len(p.stages))
-	for i := range futs {
-		futs[i] = future.Pending[Result](s.sys.RT)
+	var futs []*future.Future[Result]
+	if futures {
+		futs = make([]*future.Future[Result], len(p.stages))
+		for i := range futs {
+			futs[i] = future.Pending[Result](s.sys.RT)
+		}
 	}
 	fl.futs = futs
 	// Count the flow before it can possibly complete.
@@ -387,8 +414,8 @@ func (t *Tenant) submitFlow(p *Pipeline, req Request, done sink) ([]*future.Futu
 		return futs, nil
 	}
 	sreq := p.stageRequest(fl, st, req.Payload, &req)
-	if err := s.submit(t, st, fl, sreq, now, nil, fl, 0, false); err != nil {
-		// A refused scalar stage 0 means the flow never existed: the
+	if err := s.submit(t, st, fl, sreq, now, nil, fl, int32(from), false); err != nil {
+		// A refused scalar entry stage means the flow never existed: the
 		// count rolls back and the terminal reference goes (refuse
 		// already dropped the job's and sealed the trace).
 		s.flowSub.Add(-1)
@@ -456,32 +483,37 @@ func (fl *flowState) resolve(idx int32, r Result) {
 	fl.p.chain(fl, st, r)
 }
 
-// RemoteRouter is the cluster layer's hook into flow chaining
-// (Config.Remote). ForwardStage is consulted at every scalar stage
+// RemoteRouter is the cluster layer's hook into flow chaining: one is
+// passed per flow (SubmitFlowAt), so it already knows the flow's tenant
+// and pipeline. ForwardStage is consulted at every scalar stage
 // boundary with the flow's routing inputs; it runs at the producing
 // shard, where the previous stage just resolved. Returning false leaves
 // the hop in-process. Returning true means the router shipped the
 // remainder of the flow to another node; it must then invoke finish
-// exactly once — typically when its completion parcel arrives — with the
-// flow's terminal Result, which resolves every remaining stage future
-// and the flow's done callback on this node.
+// exactly once — when its completion parcel arrives, or at once when
+// the result goes elsewhere — with the flow's terminal Result, which
+// resolves every remaining stage future and the flow's done callback on
+// this node.
 type RemoteRouter interface {
-	ForwardStage(t *Tenant, p *Pipeline, next int, v any, key uint64,
-		deadline time.Time, priority int, finish func(Result)) bool
+	ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, finish func(Result)) bool
 }
 
 // chain advances an OK stage result to the next stage. It runs at the
 // producing shard: the stage future resolves here, and the buffered
 // continuation ships the value to the next stage's routed locale with
-// ThenSpawn — the submitter never sees the intermediate value. Under a
-// cluster (Config.Remote) the next locale may live on another machine:
-// the router takes the flow, and the hand-off is recorded as a
-// remote-hop trace event.
+// ThenSpawn — the submitter never sees the intermediate value. A flow
+// with a RemoteRouter may continue on another machine: the router takes
+// the flow, and the hand-off is recorded as a remote-hop trace event.
 func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result) {
 	s := p.t.srv
 	next := p.stages[st.idx+1]
-	if next.fanout {
+	// Resolve the producing stage before routing onward: a remote
+	// hand-off's completion parcel may race this shard, and the remote
+	// finisher only touches futures from next onward.
+	if fl.futs != nil {
 		fl.futs[st.idx].Resolve(r, nil)
+	}
+	if next.fanout {
 		parts, ok := r.Value.([]any)
 		if !ok {
 			fl.terminate(next.idx, Result{Status: StatusFailed,
@@ -492,11 +524,7 @@ func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result) {
 		p.fanOut(fl, next, parts, nil)
 		return
 	}
-	// Resolve the producing stage before routing onward: a remote
-	// hand-off's completion parcel may race this shard, and the remote
-	// finisher only touches futures from next onward.
-	fl.futs[st.idx].Resolve(r, nil)
-	if rr := s.cfg.Remote; rr != nil {
+	if rr := fl.router; rr != nil {
 		// Pin the flow before handing its finisher to the router: a
 		// remote completion parcel can arrive late, or twice (retry), so
 		// the closure must keep the state out of the pool forever — a
@@ -505,7 +533,7 @@ func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result) {
 		// reused record. The parcel's terminal result resolves every
 		// future from the hand-off stage onward.
 		fl.ref()
-		if rr.ForwardStage(p.t, p, next.idx, r.Value, fl.key, fl.deadline, fl.priority,
+		if rr.ForwardStage(next.idx, r.Value, fl.key, fl.deadline, fl.priority,
 			func(final Result) { fl.terminate(next.idx, final) }) {
 			if fl.ft != nil {
 				fl.ft.add(trace.KindRemoteHop, 0, 0, spanArg(next.idx, 0),
@@ -647,8 +675,8 @@ func (fl *flowState) terminate(from int, r Result) {
 	if r.Status == StatusFailed {
 		ferr = r.Err
 	}
-	for _, fut := range fl.futs[from:] {
-		fut.Resolve(r, ferr)
+	for i := from; i < len(fl.futs); i++ { // none for a SubmitFlowAt flow
+		fl.futs[i].Resolve(r, ferr)
 	}
 	switch r.Status {
 	case StatusOK:

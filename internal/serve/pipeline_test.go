@@ -745,8 +745,7 @@ type stallRouter struct {
 	finish []func(Result)
 }
 
-func (sr *stallRouter) ForwardStage(_ *Tenant, _ *Pipeline, next int, _ any,
-	_ uint64, _ time.Time, _ int, finish func(Result)) bool {
+func (sr *stallRouter) ForwardStage(next int, _ any, _ uint64, _ time.Time, _ int, finish func(Result)) bool {
 	if next != sr.at {
 		return false
 	}
@@ -760,7 +759,7 @@ func TestPipelineRemoteRouterFinishResolvesRemainingStages(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
 	router := &stallRouter{at: 1}
-	s := New(sys, Config{Shards: 4, Remote: router})
+	s := New(sys, Config{Shards: 4})
 	defer s.Close()
 	tn, err := s.RegisterTenant(TenantConfig{
 		Name:    "t",
@@ -774,7 +773,10 @@ func TestPipelineRemoteRouterFinishResolvesRemainingStages(t *testing.T) {
 		t.Fatal(err)
 	}
 	results := make(chan Result, 4)
-	futs, err := tn.SubmitFlowFunc(p, Request{Key: 9, Payload: "x"}, func(r Result) { results <- r })
+	// The flow's router is passed at entry, as SubmitFlowAt does; the
+	// unexported form also makes and returns the futures under test.
+	futs, err := tn.submitFlow(p, 0, Request{Key: 9, Payload: "x"}, router,
+		callbackSink(func(r Result) { results <- r }), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -827,7 +829,7 @@ func TestPipelineRemoteRouterDeclinesStaysLocal(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
 	router := &stallRouter{at: -1} // declines every boundary
-	s := New(sys, Config{Shards: 4, Remote: router})
+	s := New(sys, Config{Shards: 4})
 	defer s.Close()
 	tn, err := s.RegisterTenant(TenantConfig{
 		Name:    "t",
@@ -840,12 +842,74 @@ func TestPipelineRemoteRouterDeclinesStaysLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, err := tn.SubmitFlow(p, Request{Key: 3, Payload: "x"})
+	results := make(chan Result, 1)
+	if err := tn.SubmitFlowAt(p, 0, Request{Key: 3, Payload: "x"}, router, func(r Result) { results <- r }); err != nil {
+		t.Fatal(err)
+	}
+	r := <-results
+	if r.Status != StatusOK || r.Value.(string) != "xabc" {
+		t.Fatalf("declined-router flow = %+v, want local xabc", r)
+	}
+}
+
+// hopRecord is what a RemoteRouter was asked at one stage boundary.
+type hopRecord struct {
+	next     int
+	v        any
+	key      uint64
+	deadline time.Time
+	priority int
+}
+
+// recordRouter declines every hand-off and records what it was asked.
+type recordRouter struct{ asked chan hopRecord }
+
+func (rr recordRouter) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, _ func(Result)) bool {
+	rr.asked <- hopRecord{next, v, key, deadline, priority}
+	return false
+}
+
+// TestSubmitFlowAtRouterSeesEnteredFlow enters a flow mid-pipeline: the
+// entry stage runs on the given input, the router passed at entry is
+// consulted at the next boundary with the entered flow's key, deadline
+// and priority, and declining keeps the rest of the flow local.
+func TestSubmitFlowAtRouterSeesEnteredFlow(t *testing.T) {
+	sys := newTestSystem(t)
+	defer sys.Close()
+	s := New(sys, Config{Shards: 4})
+	defer s.Close()
+	tn, err := s.RegisterTenant(TenantConfig{
+		Name:    "t",
+		Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil },
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := tk.Wait()
-	if r.Status != StatusOK || r.Value.(string) != "xabc" {
-		t.Fatalf("declined-router flow = %+v, want local xabc", r)
+	p, err := tn.NewPipeline("abc", echoStage("a"), echoStage("b"), echoStage("c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Room for every boundary of the pipeline, so a router consulted
+	// too often fails the count below instead of blocking the flow.
+	router := recordRouter{asked: make(chan hopRecord, p.Len())}
+	deadline := time.Now().Add(time.Hour).Round(0)
+	results := make(chan Result, 1)
+	err = tn.SubmitFlowAt(p, 1, Request{Key: 77, Payload: "x", Deadline: deadline, Priority: 2}, router,
+		func(r Result) { results <- r })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := <-results; r.Status != StatusOK || r.Value.(string) != "xbc" {
+		t.Fatalf("entered flow = %+v, want xbc (stages b and c only)", r)
+	}
+	if len(router.asked) != 1 {
+		t.Fatalf("router consulted %d times, want once (the b -> c boundary)", len(router.asked))
+	}
+	want := hopRecord{next: 2, v: "xb", key: 77, deadline: deadline, priority: 2}
+	if got := <-router.asked; got != want {
+		t.Errorf("router asked %+v, want %+v", got, want)
+	}
+	if err := tn.SubmitFlowAt(p, 3, Request{}, nil, func(Result) {}); err == nil {
+		t.Error("entering past the last stage was accepted")
 	}
 }

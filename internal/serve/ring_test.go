@@ -292,12 +292,13 @@ func TestFlowStateRecycleNoFieldLeak(t *testing.T) {
 	fl.enqueued = time.Now()
 	fl.done = callbackSink(func(Result) {})
 	fl.futs = nil
+	fl.router = &stallRouter{}
 	fl.ft = &FlowTrace{}
 	fl.finished.Store(true)
 
 	fl.unref() // terminal reference: recycles
 	if fl.p != nil || fl.key != 0 || fl.priority != 0 || fl.done != nil ||
-		fl.futs != nil || fl.ft != nil {
+		fl.futs != nil || fl.router != nil || fl.ft != nil {
 		t.Fatalf("recycled flow state leaked fields: %+v", fl)
 	}
 	if !fl.deadline.IsZero() || !fl.enqueued.IsZero() {

@@ -99,6 +99,9 @@
 //	                          fan-out element's future, or the flow (flowState.resolve)
 //	release    shard.recycle  record zeroed and pooled before the sink runs; the
 //	                          job's flow reference dropped after
+//	hand-off   chain          the next scalar stage: the flow's own RemoteRouter
+//	                          (SubmitFlowAt) may ship it to another node, else a
+//	                          stage-hop SGT admits it at its routed locale
 //	terminal   terminate      the one place a flow ends, local or remote, exactly once
 //
 // Every adaptive decision comes from one control plane (adaptive.go,
@@ -194,15 +197,6 @@ type Config struct {
 	// hot-key fast paths at dispatch, decisions persisted as hints.
 	// Zero value: off — each touch point is one nil check.
 	Compile CompileConfig
-	// Remote, when non-nil, lets a cluster layer (internal/cluster) take
-	// over a flow at a scalar stage boundary: before chaining the next
-	// stage locally, the pipeline asks the router whether the stage's
-	// home locale lives on another node; if it does, the router ships the
-	// remainder of the flow over its parcel transport and the local stage
-	// futures resolve when the completion parcel returns. Nil (the
-	// default) keeps every stage in this process — the single-node path
-	// is unchanged.
-	Remote RemoteRouter
 }
 
 // DataConfig switches on the serving path's locale-aware data plane.
@@ -769,8 +763,8 @@ func (s *Server) execute(sg *core.SGT, sh *shard, j *Job, ctx *Ctx, now time.Tim
 	handler := j.stage.handler
 	if j.flow == nil && t.fast != nil {
 		// Continuous compilation: a promoted (tenant, key) runs its
-		// compiled fast-path handler — one slot load, guarded by the
-		// table's epoch (see fastTable.lookup).
+		// compiled fast-path handler — one slot load and a key compare
+		// (see fastTable.lookup).
 		if fh := t.fast.lookup(j.req.Key); fh != nil {
 			handler = fh
 			s.comp.fastHits.Inc()
