@@ -80,3 +80,21 @@ func BenchmarkStealThroughput(b *testing.B) {
 	done.SetTarget(b.N)
 	done.Wait()
 }
+
+// BenchmarkSGTSpawnDetachedPingPong measures one detached spawn on an
+// idle pool, end to end, in the shape of the serve layer's per-batch
+// spawn: an outside goroutine calls GoAtDetached on a 2-locale ×
+// 2-worker pool and waits for the body to signal back before the next
+// spawn, so every spawn finds its target worker parked.
+func BenchmarkSGTSpawnDetachedPingPong(b *testing.B) {
+	rt := NewRuntime(Config{Locales: 2, WorkersPerLocale: 2})
+	defer rt.Shutdown()
+	back := make(chan struct{}, 1)
+	signal := func(_ *SGT, arg any) { arg.(chan struct{}) <- struct{}{} }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rt.GoAtDetached(i&1, 0, signal, back)
+		<-back
+	}
+}

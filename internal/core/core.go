@@ -23,18 +23,23 @@ type Runtime struct {
 	arena   *mem.FrameArena
 	workers []*worker
 
+	// pending counts outstanding LGTs + SGTs. It is atomic so spawn and
+	// finish never take mu: mu and cond serve only the zero crossing
+	// (taskFinished broadcasts under mu) and the Wait callers.
+	pending atomic.Int64
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast when pending reaches zero
-	pending int64      // outstanding LGTs + SGTs
-	parked  []*worker  // stack of idle workers waiting for wake
 
 	stop    chan struct{}
-	stopped bool
+	stopped atomic.Bool // set once by Shutdown; submit panics after it
 	wg      sync.WaitGroup
 
-	// Thread ids are atomic, not mutex-guarded: id assignment sits on
-	// every spawn path, including the serve layer's per-batch detached
-	// spawns, and must not contend with the quiescence lock.
+	// sgtSpawn and sgtDone are the per-SGT monitor counters, resolved
+	// once here so spawn and finish skip the monitor's name lookup.
+	sgtSpawn, sgtDone *monitor.Counter
+
+	// Thread ids are atomic: id assignment sits on every spawn path,
+	// including the serve layer's per-batch detached spawns.
 	nextLGT atomic.Int64
 	nextSGT atomic.Int64
 	rr      atomic.Int64 // round-robin cursor for external submissions
@@ -65,11 +70,13 @@ func NewRuntime(cfg Config) *Runtime {
 		cfg.Seed = 1
 	}
 	rt := &Runtime{
-		cfg:    cfg,
-		mon:    cfg.Monitor,
-		tracer: cfg.Tracer,
-		arena:  mem.NewFrameArena(),
-		stop:   make(chan struct{}),
+		cfg:      cfg,
+		mon:      cfg.Monitor,
+		tracer:   cfg.Tracer,
+		arena:    mem.NewFrameArena(),
+		stop:     make(chan struct{}),
+		sgtSpawn: cfg.Monitor.Counter("core.sgt.spawn"),
+		sgtDone:  cfg.Monitor.Counter("core.sgt.done"),
 	}
 	rt.cond = sync.NewCond(&rt.mu)
 	total := cfg.Locales * cfg.WorkersPerLocale
@@ -100,33 +107,30 @@ func (rt *Runtime) Monitor() *monitor.Monitor { return rt.mon }
 // Workers returns the total number of workers.
 func (rt *Runtime) Workers() int { return len(rt.workers) }
 
-// taskStarted accounts a new outstanding thread (LGT or SGT).
-func (rt *Runtime) taskStarted() {
-	rt.mu.Lock()
-	rt.pending++
-	rt.mu.Unlock()
-}
+// taskStarted accounts a new outstanding thread (LGT or SGT). It is one
+// atomic add: spawning never takes mu.
+func (rt *Runtime) taskStarted() { rt.pending.Add(1) }
 
-// taskFinished retires one outstanding thread, waking Wait callers at
-// quiescence.
+// taskFinished retires one outstanding thread. Only the decrement that
+// reaches zero takes mu, to broadcast to Wait callers; Wait reads
+// pending under mu, so the broadcast cannot slip between its check and
+// its cond.Wait.
 func (rt *Runtime) taskFinished() {
-	rt.mu.Lock()
-	rt.pending--
-	if rt.pending == 0 {
+	switch n := rt.pending.Add(-1); {
+	case n == 0:
+		rt.mu.Lock()
 		rt.cond.Broadcast()
-	}
-	if rt.pending < 0 {
 		rt.mu.Unlock()
+	case n < 0:
 		panic("core: pending went negative")
 	}
-	rt.mu.Unlock()
 }
 
 // Wait blocks until no LGTs or SGTs are outstanding. Work submitted
 // after quiescence requires another Wait.
 func (rt *Runtime) Wait() {
 	rt.mu.Lock()
-	for rt.pending != 0 {
+	for rt.pending.Load() != 0 {
 		rt.cond.Wait()
 	}
 	rt.mu.Unlock()
@@ -136,33 +140,19 @@ func (rt *Runtime) Wait() {
 // idempotent. Submitting work after Shutdown panics.
 func (rt *Runtime) Shutdown() {
 	rt.Wait()
-	rt.mu.Lock()
-	if rt.stopped {
-		rt.mu.Unlock()
+	if rt.stopped.Swap(true) {
 		return
 	}
-	rt.stopped = true
-	rt.mu.Unlock()
 	close(rt.stop)
-	for _, w := range rt.workers {
-		select {
-		case w.wake <- struct{}{}:
-		default:
-		}
-	}
 	rt.wg.Wait()
 }
 
 // submit enqueues an SGT. from is the submitting worker (nil when the
 // submission comes from outside the pool, e.g. an LGT goroutine).
 func (rt *Runtime) submit(s *SGT, from *worker) {
-	rt.mu.Lock()
-	if rt.stopped {
-		rt.mu.Unlock()
+	if rt.stopped.Load() {
 		panic("core: submit after Shutdown")
 	}
-	rt.mu.Unlock()
-
 	var target *worker
 	if from != nil && from.locale == s.locale {
 		target = from
@@ -176,44 +166,50 @@ func (rt *Runtime) submit(s *SGT, from *worker) {
 	rt.notify(target)
 }
 
-// notify wakes the target worker and, when stealing is enabled, one
-// parked thief so surplus work spreads.
+// notify wakes the workers that should see a push onto target's deque:
+// always target, and one parked thief only when target is busy (not
+// parked), so an idle target takes its work alone. The thief scan tries
+// target's own locale first, starting at the worker after target and
+// wrapping, then (StealGlobal only) the other locales, so a steal stays
+// local when it can.
+//
+// Liveness does not depend on the thief: target always receives a token
+// and wake is buffered, so a target between its last empty check and
+// its select still sees the push. A busy target pops its own deque when
+// its current SGT returns; the thief only spreads surplus work sooner.
+// A worker that is never chosen cannot miss work either: it publishes
+// parked before its steal scan (see worker.loop), so either that scan
+// sees the push or this notify sees the flag.
 func (rt *Runtime) notify(target *worker) {
+	idle := target.parked.Swap(false)
 	select {
 	case target.wake <- struct{}{}:
 	default:
 	}
-	if rt.cfg.Steal == StealNone {
+	policy := rt.cfg.Steal
+	if idle || policy == StealNone {
 		return
 	}
-	rt.mu.Lock()
-	var thief *worker
-	for len(rt.parked) > 0 {
-		w := rt.parked[len(rt.parked)-1]
-		rt.parked = rt.parked[:len(rt.parked)-1]
-		w.isParked = false
-		if w != target {
-			thief = w
-			break
-		}
-	}
-	rt.mu.Unlock()
-	if thief != nil {
-		select {
-		case thief.wake <- struct{}{}:
+	wpl, n := rt.cfg.WorkersPerLocale, len(rt.workers)
+	base := target.locale * wpl
+	for i := 1; i < n; i++ {
+		var w *worker
+		switch {
+		case i < wpl:
+			w = rt.workers[base+(target.id-base+i)%wpl]
+		case policy == StealLocal:
+			return
 		default:
+			w = rt.workers[(base+i)%n]
+		}
+		if w.parked.CompareAndSwap(true, false) {
+			select {
+			case w.wake <- struct{}{}:
+			default:
+			}
+			return
 		}
 	}
-}
-
-// park registers w as idle; it will be woken by notify or Shutdown.
-func (rt *Runtime) park(w *worker) {
-	rt.mu.Lock()
-	if !w.isParked {
-		w.isParked = true
-		rt.parked = append(rt.parked, w)
-	}
-	rt.mu.Unlock()
 }
 
 // String summarizes the runtime for debugging.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -305,5 +306,120 @@ func TestRuntimeString(t *testing.T) {
 	want := "Runtime(locales=2 workers/locale=3 steal=local)"
 	if rt.String() != want {
 		t.Errorf("String = %q, want %q", rt.String(), want)
+	}
+}
+
+// TestBusyWorkerWakesThief pins notify's thief rule: a push onto a busy
+// worker wakes a parked one, of the busy worker's own locale when it has
+// one. A blocks its worker on a gate and spawns B onto that same
+// worker's deque; only B opens the gate, so B must be stolen and run by
+// another worker. Each round makes the next locale-0 worker the busy
+// one. The deadline turns a lost thief wake into a failure rather than
+// a hang.
+func TestBusyWorkerWakesThief(t *testing.T) {
+	for _, locales := range []int{1, 2} {
+		mon := monitor.New()
+		rt := newTestRT(t, Config{Locales: locales, WorkersPerLocale: 2, Steal: StealGlobal, Monitor: mon})
+		for round := 0; round < 2; round++ {
+			// Start from a parked pool, so only notify can wake a thief (a
+			// worker still starting up would find B on its own first scan).
+			for _, w := range rt.workers {
+				for !w.parked.Load() {
+					time.Sleep(time.Millisecond)
+				}
+			}
+			gate := make(chan struct{})
+			var ranA, ranB *worker
+			var opened bool
+			rt.Go(func(a *SGT) {
+				ranA = a.curWorker()
+				a.Spawn(func(b *SGT) {
+					ranB = b.curWorker()
+					close(gate)
+				})
+				select {
+				case <-gate:
+					opened = true
+				case <-time.After(5 * time.Second):
+					// Return so this worker pops B itself, and the test fails.
+				}
+			})
+			rt.Wait()
+			if !opened {
+				t.Fatalf("locales=%d round %d: B did not run while A held its worker: no thief was woken", locales, round)
+			}
+			if ranA == ranB || ranA.locale != ranB.locale {
+				t.Errorf("locales=%d round %d: A ran on worker %d, B on %d; want B stolen within the locale",
+					locales, round, ranA.id, ranB.id)
+			}
+		}
+		if v := mon.Counter("core.steal.remote").Value(); v != 0 {
+			t.Errorf("locales=%d: remote steals = %d, want 0", locales, v)
+		}
+	}
+}
+
+// TestWaitRacesNestedSpawns checks the lock-free pending count against
+// Wait: producers spawn nested SGT chains across locales and detached
+// SGTs while another goroutine loops on Wait. Once every producer has
+// returned, one more Wait must mean every spawned SGT has completed.
+func TestWaitRacesNestedSpawns(t *testing.T) {
+	mon := monitor.New()
+	rt := NewRuntime(Config{Locales: 2, WorkersPerLocale: 2, Steal: StealGlobal, Monitor: mon})
+	const producers, roots, depth = 4, 50, 4
+	var ran atomic.Int64
+	var chain func(s *SGT, left int)
+	chain = func(s *SGT, left int) {
+		ran.Add(1)
+		if left > 0 {
+			// Alternate same-worker pushes with cross-locale spawns.
+			s.SpawnAt((s.Locale()+left)%2, 0, func(c *SGT) { chain(c, left-1) })
+		}
+	}
+	detached := func(_ *SGT, _ any) { ran.Add(1) }
+
+	stop := make(chan struct{})
+	waiterDone := make(chan struct{})
+	go func() {
+		defer close(waiterDone)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				rt.Wait()
+			}
+		}
+	}()
+	var wg sync.WaitGroup
+	for p := 0; p < producers; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			for i := 0; i < roots; i++ {
+				rt.GoAt((p+i)%2, 0, func(s *SGT) { chain(s, depth) })
+				rt.GoAtDetached(i%2, 0, detached, nil)
+			}
+		}(p)
+	}
+	wg.Wait()
+	rt.Wait()
+	close(stop)
+	<-waiterDone
+
+	want := int64(producers * roots * (depth + 2))
+	if got := ran.Load(); got != want {
+		t.Errorf("completed %d SGT bodies after Wait, want %d", got, want)
+	}
+	spawned, done := mon.Counter("core.sgt.spawn").Value(), mon.Counter("core.sgt.done").Value()
+	if spawned != want || done != spawned {
+		t.Errorf("core.sgt.spawn = %d, core.sgt.done = %d, want both %d", spawned, done, want)
+	}
+	shut := make(chan struct{})
+	go func() { rt.Shutdown(); close(shut) }()
+	select {
+	case <-shut:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Shutdown did not return")
 	}
 }

@@ -71,7 +71,7 @@ func (rt *Runtime) GoAt(locale, frameSize int, fn func(*SGT)) *SGT {
 	s := rt.newSGT(locale, frameSize, fn)
 	s.scheduled = true
 	rt.taskStarted()
-	rt.mon.Counter("core.sgt.spawn").Inc()
+	rt.sgtSpawn.Inc()
 	rt.tracer.Emit(locale, trace.Event{Kind: trace.KindThreadSpawn, Locale: locale, Arg: s.id})
 	rt.submit(s, nil)
 	return s
@@ -105,7 +105,7 @@ func (rt *Runtime) GoAtDetached(locale, frameSize int, fn func(*SGT, any), arg a
 		s.frame = rt.arena.Get(frameSize)
 	}
 	rt.taskStarted()
-	rt.mon.Counter("core.sgt.spawn").Inc()
+	rt.sgtSpawn.Inc()
 	rt.tracer.Emit(locale, trace.Event{Kind: trace.KindThreadSpawn, Locale: locale, Arg: s.id})
 	rt.submit(s, nil)
 }
@@ -123,7 +123,7 @@ func (s *SGT) SpawnAt(locale, frameSize int, fn func(*SGT)) *SGT {
 	child := rt.newSGT(locale, frameSize, fn)
 	child.scheduled = true
 	rt.taskStarted()
-	rt.mon.Counter("core.sgt.spawn").Inc()
+	rt.sgtSpawn.Inc()
 	rt.tracer.Emit(locale, trace.Event{Kind: trace.KindThreadSpawn, Locale: locale, Arg: child.id})
 	rt.submit(child, s.curWorker())
 	return child
@@ -247,7 +247,7 @@ func (s *SGT) finish() {
 		rt.arena.Put(s.frame)
 		s.frame = nil
 	}
-	rt.mon.Counter("core.sgt.done").Inc()
+	rt.sgtDone.Inc()
 	rt.tracer.Emit(s.locale, trace.Event{Kind: trace.KindThreadEnd, Locale: s.locale, Arg: s.id})
 	if s.done != nil {
 		s.done.Put(struct{}{})

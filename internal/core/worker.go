@@ -2,6 +2,7 @@ package core
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/stats"
 	"repro/internal/trace"
@@ -19,8 +20,11 @@ type worker struct {
 	mu    sync.Mutex
 	deque []*SGT
 
-	wake     chan struct{}
-	isParked bool
+	// wake carries one buffered token per notify; parked is set while
+	// the worker looks for work it has not got and cleared by whoever
+	// wakes it (notify swaps it off before sending the token).
+	wake   chan struct{}
+	parked atomic.Bool
 }
 
 // push adds an SGT to the owner end of the deque.
@@ -59,25 +63,31 @@ func (w *worker) stealFrom() *SGT {
 	return s
 }
 
-// loop is the worker body.
+// loop is the worker body: run its own deque newest-first, and when
+// that is empty publish parked, try to steal, and sleep on wake only if
+// the steal found nothing. Setting parked before the steal scan closes
+// the lost-thief window: a spawner pushes and then reads parked, so
+// either the scan sees the push or notify sees the flag. A token that
+// arrives after the scan succeeded costs one spurious loop, no more.
+// Shutdown closes stop only after quiescence (Wait), so there is no
+// work left to drain when it fires.
 func (w *worker) loop() {
 	defer w.rt.wg.Done()
 	for {
 		s := w.pop()
 		if s == nil {
-			s = w.trySteal()
+			w.parked.Store(true)
+			if s = w.trySteal(); s == nil {
+				select {
+				case <-w.wake:
+				case <-w.rt.stop:
+					return
+				}
+			}
+			w.parked.Store(false)
 		}
 		if s != nil {
 			w.run(s)
-			continue
-		}
-		// Shutdown closes stop only after quiescence (Wait), so there is
-		// no work left to drain when it fires.
-		w.rt.park(w)
-		select {
-		case <-w.wake:
-		case <-w.rt.stop:
-			return
 		}
 	}
 }
