@@ -4,8 +4,9 @@ package main
 // cluster node on the real TCP parcel transport. Every node registers
 // the same demo tenant and 3-stage pipeline (symmetric registration,
 // like parcel handlers), waits for the membership to reach -nodes, then
-// drives -rate flows/s for -duration — or, at -rate 0, just hosts its
-// locale range and serves stages forwarded by peers. Stage routes
+// plays an open script of -rate flows/s for -duration through the
+// cluster pipeline — or, at -rate 0, just hosts its locale range and
+// serves stages forwarded by peers. Stage routes
 // re-key from the stage value, so one flow's stages spread across the
 // ring and a multi-node run moves real parcels, code images, and
 // objects over the sockets.
@@ -19,8 +20,6 @@ package main
 import (
 	"fmt"
 	"os"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -29,7 +28,6 @@ import (
 	"repro/internal/parcel"
 	"repro/internal/serve"
 	"repro/internal/spinwork"
-	"repro/internal/stats"
 )
 
 type clusterOpts struct {
@@ -104,37 +102,19 @@ func runCluster(o clusterOpts) {
 		fmt.Printf("cluster: membership complete: %v\n", node.Members())
 	}
 
-	var offered, ok, shed, failed int64
+	var rep serve.LoadReport
 	if o.rate > 0 {
-		fmt.Printf("offering %.0f flows/s for %v through the cluster pipeline...\n", o.rate, o.duration)
-		var wg sync.WaitGroup
-		interval := time.Duration(float64(time.Second) / o.rate)
-		if interval <= 0 {
-			interval = time.Microsecond
-		}
-		end := time.Now().Add(o.duration)
-		rng := stats.NewRNG(o.seed)
-		for i := 0; time.Now().Before(end); i++ {
-			wg.Add(1)
-			offered++
-			err := pipe.SubmitFunc(serve.Request{Key: rng.Uint64(), Payload: i}, func(r serve.Result) {
-				switch r.Status {
-				case serve.StatusOK:
-					atomic.AddInt64(&ok, 1)
-				case serve.StatusShed:
-					atomic.AddInt64(&shed, 1)
-				default:
-					atomic.AddInt64(&failed, 1)
-				}
-				wg.Done()
-			})
-			if err != nil {
-				offered--
-				wg.Done()
-			}
-			time.Sleep(interval)
-		}
-		wg.Wait()
+		tick, ticks, perTick := scriptGrid(o.rate, o.duration)
+		sc := serve.OpenLoopScenario(o.seed, 1, ticks, perTick, 0, 1<<32)
+		fmt.Printf("playing %d flows over %d ticks of %v through the cluster pipeline...\n", sc.Offered(), sc.Ticks, tick)
+		tn, _ := node.Serve().Tenant("demo") // registered by registerClusterDemo
+		rep = serve.PlayScenario(node.Serve(), sc, serve.PlayConfig{
+			Tenants: []*serve.Tenant{tn}, Tick: tick,
+			Submit: func(a serve.Arrival, req serve.Request, done func(serve.Result)) error {
+				req.Payload = int(a.Key) // the demo stages add one to an int
+				return pipe.SubmitFunc(req, done)
+			},
+		})
 	} else {
 		// Host-only: own the locale range, serve forwarded stages.
 		fmt.Printf("hosting locales %v for %v...\n", node.OwnedLocales(), o.duration)
@@ -150,9 +130,9 @@ func runCluster(o clusterOpts) {
 		percolate += st.PercolateBytes
 		wire += st.Wire.BytesSent
 	}
-	fmt.Printf("cluster: members=%d owned_locales=%d flows=%d ok=%d shed=%d failed=%d "+
+	fmt.Printf("cluster: members=%d owned_locales=%d flows=%d ok=%d rejected=%d shed=%d failed=%d "+
 		"remote_stages=%d forwarded=%d fetches=%d percolate_bytes=%d wire_bytes=%d\n",
-		len(node.Members()), len(node.OwnedLocales()), offered, ok, shed, failed,
+		len(node.Members()), len(node.OwnedLocales()), rep.Offered, rep.Completed, rep.Rejected, rep.Shed, rep.Failed,
 		remote, forwarded, fetches, percolate, wire)
 	for _, st := range sts {
 		fmt.Printf("  node %s: owned=%d remote_stages=%d local_stages=%d forwarded=%d "+

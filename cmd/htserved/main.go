@@ -1,25 +1,26 @@
 // Command htserved runs the parcel-driven job service layer
-// (internal/serve) against a synthetic open-loop load generator and
+// (internal/serve) against a deterministic seeded load script and
 // reports throughput, latency quantiles, shed rate, and cold-vs-warm
 // first-request latency. It is the serving-path harness: sharded
 // admission, request batching, deadline shedding, and percolation
 // warm-up, all on one shared litlx.System. Tenants are driven through
-// the v2 handle API (identity resolved once at registration); -burst
-// admits each wakeup's arrivals through the shard-grouped SubmitMany
-// path.
+// the v2 handle API (identity resolved once at registration), each
+// tick's arrivals admitted through the shard-grouped SubmitMany path.
 //
-// -adapt closes the adaptivity loop (per-shard adaptive batch sizing,
-// the stealing rebalancer, priority-aware overload shedding) and
-// -scenario swaps the wall-clock generator for one of the deterministic
-// seeded scripts (bursty | ramp | hotkey | sameshard | localhot), so
-// one command line compares static and adaptive configs on identical
-// traffic. -locality (requires -adapt) engages the locale-aware data
-// plane on top: each tenant registers -objects data objects in the
-// shared space (the first quarter homed together at locale 0, the rest
-// round-robin), requests routed by their declared working set's home,
-// batches staged ahead of execution, and the locality loop migrating
-// and replicating hot objects; the localhot scenario concentrates
-// traffic on the locale-0 objects to show it off.
+// -scenario picks the script, sized by -rate and -duration: open (the
+// default: steady traffic over Zipf-skewed tenants) | bursty | ramp |
+// hotkey | sameshard | localhot | shift; -tightfrac, -tight and -loose
+// give every script its deadline mix. -adapt closes the adaptivity loop
+// (per-shard adaptive batch sizing, the stealing rebalancer,
+// priority-aware overload shedding), so one command line compares
+// static and adaptive configs on identical traffic. -locality (requires
+// -adapt) engages the locale-aware data plane on top: each tenant
+// registers -objects data objects in the shared space (the first
+// quarter homed together at locale 0, the rest round-robin), requests
+// routed by their declared working set's home, batches staged ahead of
+// execution, and the locality loop migrating and replicating hot
+// objects; the localhot scenario concentrates traffic on the locale-0
+// objects to show it off, and is what open plays under -locality.
 //
 // -compile engages the continuous-compilation controller (with or
 // without -adapt: the control loop runs whichever controllers are on):
@@ -32,13 +33,12 @@
 // second run starts warm (the paper's knowledge database surviving
 // recompilation).
 //
-// -pipeline swaps the single-request generators for a seeded script of
-// dataflow flows: a dedicated tenant compiles a 3-stage fan-out
-// pipeline (parse a hot locale-0 document, enrich -fan parts against
-// element blocks on the other locales, aggregate into a locale-0
-// result), every stage routed by its declared working set, and the
-// report covers whole flows plus per-stage done/shed/steal/locality
-// accounting.
+// -pipeline plays an open script of dataflow flows instead of single
+// requests: a dedicated tenant compiles a 3-stage fan-out pipeline
+// (parse a hot locale-0 document, enrich -fan parts against element
+// blocks on the other locales, aggregate into a locale-0 result),
+// every stage routed by its declared working set, and the report
+// covers whole flows plus per-stage done/shed/steal/locality accounting.
 //
 // -listen turns the process into one node of a real cluster
 // (internal/cluster) on the TCP parcel transport: -join enters an
@@ -92,11 +92,10 @@ func main() {
 		tfrac    = flag.Float64("tightfrac", 0.5, "fraction of jobs with the tight deadline")
 		imgKB    = flag.Int("image-kb", 1024, "tenant handler code image size (KB)")
 		warmFrac = flag.Float64("warmfrac", 0.5, "fraction of tenants percolated at registration")
-		burst    = flag.Bool("burst", false, "admit each wakeup's arrivals as shard-grouped bursts (SubmitMany)")
 		seed     = flag.Uint64("seed", 1, "generator seed")
 		adapt    = flag.Bool("adapt", false, "enable the adaptivity loop (adaptive batching, shard stealing, overload shedding)")
-		scenario = flag.String("scenario", "", "play a deterministic scenario script instead of the open-loop generator: bursty | ramp | hotkey | sameshard | localhot | shift")
-		hotFrac  = flag.Float64("hotfrac", 0.8, "hot-key fraction for -scenario hotkey, hot-object fraction for -scenario localhot and open-loop -locality")
+		scenario = flag.String("scenario", "open", "deterministic seeded load script: open | bursty | ramp | hotkey | sameshard | localhot | shift (open plays localhot under -locality)")
+		hotFrac  = flag.Float64("hotfrac", 0.8, "hot-key fraction for -scenario hotkey and shift, hot-object fraction for -scenario localhot")
 		locality = flag.Bool("locality", false, "engage the data plane: working-set routing, batch staging, and the locality loop (requires -adapt)")
 		compile  = flag.Bool("compile", false, "engage the continuous-compilation controller: key sketches, hot-key fast paths, learned scatter plans")
 		hintsF   = flag.String("hints-file", "", "persist the learned policy to this hints script at exit, loading it first when it exists (requires -compile)")
@@ -131,7 +130,7 @@ func main() {
 		{*locality && !*adapt, "-locality requires -adapt (the locality loop is an adaptivity controller)"},
 		{*hintsF != "" && !*compile, "-hints-file requires -compile (there is no learned policy to persist otherwise)"},
 		{(*locality || *scenario == "localhot") && *objects < 2, "-objects must be >= 2 for the data plane"},
-		{*pipeline && *scenario != "", "-pipeline and -scenario are exclusive load modes"},
+		{*pipeline && *scenario != "open", "-pipeline and -scenario are exclusive load modes"},
 		{*pipeline && *fan < 1, "-fan must be >= 1"},
 		{*observe < 0 || *observe > 1, "-observe must be in [0,1]"},
 		{*dumpTr && *observe == 0, "-dump-traces requires -observe > 0 (nothing is recorded otherwise)"},
@@ -210,8 +209,13 @@ func main() {
 		serveDebugHTTP(srv, *httpAddr)
 	}
 
+	tick, ticks, perTick := scriptGrid(*rate, *duration)
+	withDeadlines := func(sc serve.Scenario) serve.Scenario {
+		return sc.WithDeadline(*seed, *tfrac, ticksOf(*tight, tick), ticksOf(*loose, tick))
+	}
 	if *pipeline {
-		runPipelineFlows(sys, srv, *rate, *duration, *fan, *locales, *work, *keys, *loose, *seed)
+		sc := withDeadlines(serve.OpenLoopScenario(*seed, 1, ticks, perTick, 0, *keys))
+		runPipelineFlows(sys, srv, sc, tick, *fan, *locales, *work)
 		return
 	}
 
@@ -275,79 +279,36 @@ func main() {
 	fmt.Printf("htserved: %d tenants (%d warm) on %d shards, image %dKB "+
 		"(modeled first request: cold %d cycles, warm %d cycles)\n",
 		*tenants, warmed, *shards, *imgKB, coldC, warmC)
-	var rep serve.LoadReport
-	if *scenario != "" {
-		// Scenario mode: a deterministic seeded script replaces the
-		// wall-clock generator; -rate and -duration still size it.
-		tick, ticks, perTick := scriptGrid(*rate, *duration)
-		var sc serve.Scenario
-		switch *scenario {
-		case "bursty":
-			sc = serve.BurstyScenario(*seed, *tenants, ticks, perTick, 10, 8*perTick, *keys)
-		case "ramp":
-			sc = serve.RampScenario(*seed, *tenants, ticks, 2*perTick, *keys)
-		case "hotkey":
-			sc = serve.HotKeyScenario(*seed, *tenants, ticks, perTick, *keys, *hotFrac)
-		case "sameshard":
-			sc = serve.SameShardScenario(*seed, ticks, perTick, *shards, names[0])
-		case "localhot":
-			sc = serve.LocalHotScenario(*seed, *tenants, ticks, perTick, *objects, hotObjs, *hotFrac, 0.3, *keys)
-		case "shift":
-			sc = serve.ShiftScenario(*seed, *tenants, ticks, perTick, *keys, *hotFrac)
-		default:
-			fmt.Fprintf(os.Stderr, "htserved: unknown -scenario %q\n", *scenario)
-			os.Exit(2)
-		}
-		if *loose > 0 {
-			sc = sc.WithDeadline(int(*loose / tick))
-		}
-		fmt.Printf("playing scenario %q: %d arrivals over %d ticks of %v (adapt=%v)...\n",
-			sc.Name, sc.Offered(), sc.Ticks, tick, *adapt)
-		rep = serve.PlayScenario(srv, sc, serve.PlayConfig{Tenants: handles, Tick: tick})
-	} else {
-		mode := "per-request"
-		if *burst {
-			mode = "burst (SubmitMany)"
-		}
-		fmt.Printf("offering %.0f jobs/s for %v (open loop, skew %.2f, %s admission, adapt=%v, locality=%v)...\n",
-			*rate, *duration, *skew, mode, *adapt, *locality)
-		lcfg := serve.LoadConfig{
-			Rate:      *rate,
-			Duration:  *duration,
-			Tenants:   names,
-			Skew:      *skew,
-			KeySpace:  *keys,
-			TightFrac: *tfrac,
-			Tight:     *tight,
-			Loose:     *loose,
-			Burst:     *burst,
-			Seed:      *seed,
-		}
-		if *locality {
-			// Open-loop requests declare localhot-shaped working sets —
-			// hotfrac of them read a hot (locale-0) object plus a sidecar,
-			// 30% writing the sidecar — so the data plane engages without
-			// a scenario script.
-			objIDs := make([][]mem.ObjID, len(handles))
-			for i, tn := range handles {
-				objIDs[i] = tn.Objects()
-			}
-			lcfg.WorkingSet = func(ti int, rng *stats.RNG) ([]mem.ObjID, []mem.ObjID) {
-				objs := objIDs[ti]
-				if rng.Float64() < *hotFrac {
-					primary := objs[rng.Intn(hotObjs)]
-					sidecar := objs[hotObjs+rng.Intn(len(objs)-hotObjs)]
-					reads := []mem.ObjID{primary, sidecar}
-					if rng.Float64() < 0.3 {
-						return reads, []mem.ObjID{sidecar}
-					}
-					return reads, nil
-				}
-				return []mem.ObjID{objs[rng.Intn(len(objs))]}, nil
-			}
-		}
-		rep = serve.RunLoad(srv, lcfg)
+	name := *scenario
+	if name == "open" && *locality {
+		// Open traffic that declares working sets: hotfrac of it reads a
+		// hot (locale-0) object plus a sidecar, 30% writing the sidecar.
+		name = "localhot"
 	}
+	var sc serve.Scenario
+	switch name {
+	case "open":
+		sc = serve.OpenLoopScenario(*seed, *tenants, ticks, perTick, *skew, *keys)
+	case "bursty":
+		sc = serve.BurstyScenario(*seed, *tenants, ticks, perTick, 10, 8*perTick, *keys)
+	case "ramp":
+		sc = serve.RampScenario(*seed, *tenants, ticks, 2*perTick, *keys)
+	case "hotkey":
+		sc = serve.HotKeyScenario(*seed, *tenants, ticks, perTick, *keys, *hotFrac)
+	case "sameshard":
+		sc = serve.SameShardScenario(*seed, ticks, perTick, *shards, names[0])
+	case "localhot":
+		sc = serve.LocalHotScenario(*seed, *tenants, ticks, perTick, *objects, hotObjs, *hotFrac, 0.3, *keys)
+	case "shift":
+		sc = serve.ShiftScenario(*seed, *tenants, ticks, perTick, *keys, *hotFrac)
+	default:
+		fmt.Fprintf(os.Stderr, "htserved: unknown -scenario %q\n", *scenario)
+		os.Exit(2)
+	}
+	sc = withDeadlines(sc)
+	fmt.Printf("playing scenario %q: %d arrivals over %d ticks of %v (adapt=%v, locality=%v)...\n",
+		sc.Name, sc.Offered(), sc.Ticks, tick, *adapt, *locality)
+	rep := serve.PlayScenario(srv, sc, serve.PlayConfig{Tenants: handles, Tick: tick})
 
 	tab := stats.NewTable("htserved load report", "metric", "value")
 	tab.AddRow("offered", rep.Offered)
@@ -434,11 +395,11 @@ func serveDebugHTTP(srv *serve.Server, addr string) {
 // the V4-shaped object set (a hot document and result at locale 0,
 // element blocks spread across the remaining locales), compiles a
 // 3-stage fan-out pipeline whose stages declare their working sets, and
-// a seeded steady script offers whole flows at -rate. Each stage burns
-// -work spin units; -loose is the per-flow deadline the pipeline
-// propagates to every stage.
-func runPipelineFlows(sys *litlx.System, srv *serve.Server, rate float64, duration time.Duration,
-	fan, locales int, work int64, keys uint64, deadline time.Duration, seed uint64) {
+// plays sc with every arrival submitted as a whole flow. Each stage
+// burns -work spin units; an arrival's deadline is its flow's, which the
+// pipeline propagates to every stage.
+func runPipelineFlows(sys *litlx.System, srv *serve.Server, sc serve.Scenario, tick time.Duration,
+	fan, locales int, work int64) {
 	specs := make([]serve.DataObject, fan+2)
 	specs[0] = serve.DataObject{Size: 2048, Home: 0}
 	for j := 1; j <= fan; j++ {
@@ -488,14 +449,16 @@ func runPipelineFlows(sys *litlx.System, srv *serve.Server, rate float64, durati
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Printf("offering %.0f flows/s for %v through a 3-stage fan-out pipeline (width %d, locality-routed stages)...\n",
-		rate, duration, fan)
-	tick, ticks, perTick := scriptGrid(rate, duration)
-	sc := serve.BurstyScenario(seed, 1, ticks, perTick, 0, 0, keys)
-	if deadline > 0 {
-		sc = sc.WithDeadline(int(deadline / tick))
-	}
-	rep := serve.PlayScenario(srv, sc, serve.PlayConfig{Tenants: []*serve.Tenant{tn}, Tick: tick, Flow: pl})
+	fmt.Printf("playing %d flows over %d ticks of %v through a 3-stage fan-out pipeline (width %d, locality-routed stages)...\n",
+		sc.Offered(), sc.Ticks, tick, fan)
+	rep := serve.PlayScenario(srv, sc, serve.PlayConfig{
+		Tenants: []*serve.Tenant{tn}, Tick: tick,
+		Submit: func(a serve.Arrival, req serve.Request, done func(serve.Result)) error {
+			req.Payload = a.Key
+			_, err := tn.SubmitFlowFunc(pl, req, done)
+			return err
+		},
+	})
 
 	tab := stats.NewTable("htserved pipeline flow report", "metric", "value")
 	tab.AddRow("flows offered", rep.Offered)
@@ -538,4 +501,14 @@ func scriptGrid(rate float64, duration time.Duration) (tick time.Duration, ticks
 		tick = time.Duration(float64(time.Second) / rate)
 	}
 	return tick, max(1, int(duration/tick)), max(1, int(rate*tick.Seconds()))
+}
+
+// ticksOf converts a deadline flag to whole ticks of a script, rounding
+// up: a positive duration shorter than a tick is one tick, never "no
+// deadline".
+func ticksOf(d, tick time.Duration) int {
+	if d <= 0 {
+		return 0
+	}
+	return int((d + tick - 1) / tick)
 }

@@ -78,9 +78,9 @@
 //	                    cross-node flows and percolation; netparcel is
 //	                    the TCP transport
 //	cmd/htvmbench     — regenerates every experiment table
-//	cmd/htserved      — the job server under synthetic open-loop load,
-//	                    deterministic scenario scripts (-scenario,
-//	                    -adapt, -locality), or dataflow flows (-pipeline);
+//	cmd/htserved      — the job server under deterministic seeded
+//	                    scenario scripts (-scenario, -adapt, -locality),
+//	                    single requests or dataflow flows (-pipeline);
 //	                    -observe/-http expose traces and metrics over
 //	                    /debug/serve/ endpoints
 //	cmd/litlxc        — the LITL-X script compiler/driver

@@ -35,7 +35,7 @@ type SGT struct {
 	scheduled   bool // queued or running
 	completed   bool
 
-	execLocale int // locale of the worker that last ran it
+	execLocale int                   // locale of the worker that last ran it
 	done       *syncx.Cell[struct{}] // nil for detached SGTs
 	failure    interface{}           // first panic value from main or a fiber
 }

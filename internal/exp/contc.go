@@ -100,13 +100,15 @@ func ExpContinuousCompile(scale int) *Result {
 		}
 		sc := serve.BurstyScenario(31, 1, ticks, 2, 0, 0, 1) // keys=1: every flow shares key 0
 		out.rep = serve.PlayScenario(srv, sc, serve.PlayConfig{
-			Tenants: []*serve.Tenant{tn}, Tick: tick, Flow: pl,
-			FlowPayload: func(serve.Arrival) any {
+			Tenants: []*serve.Tenant{tn}, Tick: tick,
+			Submit: func(_ serve.Arrival, req serve.Request, done func(serve.Result)) error {
 				elems := make([]any, fan)
 				for i := range elems {
 					elems[i] = i
 				}
-				return elems
+				req.Payload = elems
+				_, err := tn.SubmitFlowFunc(pl, req, done)
+				return err
 			},
 		})
 		out.as = srv.AdaptStats()

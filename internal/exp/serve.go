@@ -14,7 +14,7 @@ func init() {
 }
 
 // ExpServeLoadtest is the serve-loadtest experiment: the parcel-driven
-// job service layer (internal/serve) under synthetic open-loop load.
+// job service layer (internal/serve) under a seeded open-loop script.
 // It reports three regimes — nominal load, overload (where bounded
 // queues must shed rather than collapse), and first-request latency
 // cold versus warm (percolation warm-up, Section 3.2 applied to
@@ -37,18 +37,17 @@ func ExpServeLoadtest(scale int) *Result {
 	// CPU work, so capacity is worker-bound and overload is reachable
 	// even on a single-core machine).
 	const handlerUnits = 1000
-	tenants := make([]string, 16)
+	tenants := make([]*serve.Tenant, 16)
 	for i := range tenants {
-		tenants[i] = fmt.Sprintf("tenant%02d", i)
-		if _, err := srv.RegisterTenant(serve.TenantConfig{
-			Name: tenants[i],
+		tn, err := srv.RegisterTenant(serve.TenantConfig{
+			Name: fmt.Sprintf("tenant%02d", i),
 			Handler: func(_ *serve.Ctx, req serve.Request) (any, error) {
 				spinWork(handlerUnits)
 				return req.Key, nil
 			},
-		}); err != nil {
-			panic(err)
-		}
+		})
+		must(err)
+		tenants[i] = tn
 	}
 
 	// First-request probes: same handler image size, cold tenants
@@ -100,25 +99,21 @@ func ExpServeLoadtest(scale int) *Result {
 	// overload rate scales with the machine's parallelism: capacity is
 	// roughly cores/handler-time (~2000 jobs/s per core at 0.5ms), so
 	// 8000/s per core keeps the offered load ~4x over capacity whether
-	// this runs on one core or sixteen. The overload leg submits in
-	// burst mode, exercising the shard-grouped SubmitMany admission.
+	// this runs on one core or sixteen. Both legs play a seeded open
+	// script and admit each tick's arrivals as shard-grouped SubmitMany
+	// groups: 100 ticks of 2.5ms, half the jobs on a 4-tick (10ms)
+	// deadline and the rest on 40 ticks (100ms).
 	cores := runtime.GOMAXPROCS(0)
 	if cores > 16 {
 		cores = 16 // the system only has 16 workers
 	}
 	overloadRate := 8000 * float64(cores) * float64(scale)
+	const tick = 2500 * time.Microsecond
 	for i, rate := range []float64{400, overloadRate} {
-		rep := serve.RunLoad(srv, serve.LoadConfig{
-			Rate:       rate,
-			Duration:   250 * time.Millisecond,
-			Tenants:    tenants,
-			Skew:       1.0,
-			KeySpace:   4096,
-			TightFrac:  0.5,
-			Tight:      10 * time.Millisecond,
-			Loose:      100 * time.Millisecond,
-			Burst:      i == 1,
-			Seed:       uint64(90 + i),
+		seed := uint64(90 + i)
+		sc := serve.OpenLoopScenario(seed, len(tenants), 100, int(rate*tick.Seconds()), 1.0, 4096)
+		rep := serve.PlayScenario(srv, sc.WithDeadline(seed, 0.5, 4, 40), serve.PlayConfig{
+			Tenants: tenants, Tick: tick,
 			MaxSamples: 1 << 15, // ample for 250ms runs; keeps GC pressure off later experiments
 		})
 		res.Table.AddRow(

@@ -570,8 +570,12 @@ func TestStatsSnapshotOneReaderPerCounter(t *testing.T) {
 	}
 	PlayScenario(s, HotKeyScenario(7, 1, 40, 20, 256, 0.5), PlayConfig{Tenants: []*Tenant{tn}, Tick: 250 * time.Microsecond})
 	PlayScenario(s, BurstyScenario(7, 1, 40, 4, 0, 0, 1), PlayConfig{
-		Tenants: []*Tenant{tn}, Tick: 250 * time.Microsecond, Flow: p,
-		FlowPayload: func(Arrival) any { return []any{1, 2, 3, 4, 5, 6, 7, 8} },
+		Tenants: []*Tenant{tn}, Tick: 250 * time.Microsecond,
+		Submit: func(_ Arrival, req Request, done func(Result)) error {
+			req.Payload = []any{1, 2, 3, 4, 5, 6, 7, 8}
+			_, err := tn.SubmitFlowFunc(p, req, done)
+			return err
+		},
 	})
 	s.Close()
 

@@ -7,7 +7,6 @@ import (
 
 	"repro/internal/litlx"
 	"repro/internal/mem"
-	"repro/internal/stats"
 )
 
 // newLocaleSystem boots a system with one SGT pool per locale for
@@ -332,42 +331,6 @@ func TestRegisterTenantObjectPlacement(t *testing.T) {
 		if home := sys.Space.Home(id); int(home) != i%2 {
 			t.Errorf("auto-homed object %d at locale %d, want %d", i, home, i%2)
 		}
-	}
-}
-
-// TestRunLoadDeclaresWorkingSets: the open-loop generator's WorkingSet
-// hook must put declared sets on every generated request, engaging
-// routing and staging without a scenario script.
-func TestRunLoadDeclaresWorkingSets(t *testing.T) {
-	sys := newLocaleSystem(t, 2)
-	defer sys.Close()
-	s := New(sys, Config{Shards: 2, Data: DataConfig{LocalityRoute: true, Stage: true}})
-	defer s.Close()
-	tn, err := s.RegisterTenant(TenantConfig{
-		Name:    "t0",
-		Handler: func(_ *Ctx, _ Request) (any, error) { return nil, nil },
-		Objects: []DataObject{{Size: 128, Home: 0}, {Size: 128, Home: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	objs := tn.Objects()
-	rep := RunLoad(s, LoadConfig{
-		Rate: 2000, Duration: 100 * time.Millisecond, Tenants: []string{"t0"},
-		WorkingSet: func(_ int, _ *stats.RNG) ([]mem.ObjID, []mem.ObjID) {
-			return []mem.ObjID{objs[0], objs[1]}, nil
-		},
-	})
-	if rep.Completed == 0 {
-		t.Fatalf("nothing completed: %+v", rep)
-	}
-	sp := sys.Space.Stats()
-	if want := 2 * rep.Completed; sp.Reads < want {
-		t.Errorf("recorded %d reads for %d completed two-object requests, want >= %d",
-			sp.Reads, rep.Completed, want)
-	}
-	if st := s.Stats(); st.DataStaged == 0 {
-		t.Error("open-loop working sets staged nothing")
 	}
 }
 

@@ -625,7 +625,11 @@ func TestPlayScenarioFlows(t *testing.T) {
 	rep := PlayScenario(s, sc, PlayConfig{
 		Tenants: []*Tenant{tn},
 		Tick:    200 * time.Microsecond,
-		Flow:    p,
+		Submit: func(a Arrival, req Request, done func(Result)) error {
+			req.Payload = a.Key
+			_, err := tn.SubmitFlowFunc(p, req, done)
+			return err
+		},
 	})
 	if rep.Offered != int64(sc.Offered()) {
 		t.Fatalf("offered %d, want %d", rep.Offered, sc.Offered())

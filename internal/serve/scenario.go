@@ -3,6 +3,10 @@ package serve
 import (
 	"fmt"
 	"io"
+	"math"
+	"sort"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/mem"
@@ -29,10 +33,9 @@ type Arrival struct {
 // Scenario is a deterministic load script: the full arrival schedule is
 // materialized up front from a seed, so every playback of the same
 // scenario offers the identical request sequence — keys, tenants,
-// priorities, deadlines and all. That is what the wall-clock-driven
-// generator in RunLoad can never promise, and it is what lets tests,
-// the V2 experiment, and htserved compare two server configurations on
-// the same traffic. The clock is injected at play time: PlayConfig.Tick
+// priorities, deadlines and all. That is what lets tests, the
+// experiments, and htserved compare two server configurations on the
+// same traffic. The clock is injected at play time: PlayConfig.Tick
 // maps virtual ticks to real durations, so one script plays at any
 // speed.
 type Scenario struct {
@@ -46,15 +49,42 @@ type Scenario struct {
 // Offered returns the total number of scripted arrivals.
 func (sc Scenario) Offered() int { return len(sc.Arrivals) }
 
-// WithDeadline returns a copy of the scenario in which every arrival
-// carries a deadline of ticks virtual ticks after its offer.
-func (sc Scenario) WithDeadline(ticks int) Scenario {
+// WithDeadline returns a copy of the scenario in which each arrival
+// carries a deadline in virtual ticks after its offer: tight with
+// probability tightFrac, loose otherwise (0 is no deadline). The draws
+// come from a stream split off seed, so a script and its deadline mix
+// can share one seed without their draws lining up.
+func (sc Scenario) WithDeadline(seed uint64, tightFrac float64, tight, loose int) Scenario {
+	rng := stats.NewRNG(seed | 1).Split(1)
 	out := sc
 	out.Arrivals = append([]Arrival(nil), sc.Arrivals...)
 	for i := range out.Arrivals {
-		out.Arrivals[i].DeadlineTicks = ticks
+		out.Arrivals[i].DeadlineTicks = loose
+		if rng.Float64() < tightFrac {
+			out.Arrivals[i].DeadlineTicks = tight
+		}
 	}
 	return out
+}
+
+// OpenLoopScenario scripts steady open-loop traffic: perTick arrivals
+// every tick, offered regardless of how the server is coping — the
+// regime where backpressure and shedding matter. Tenants are drawn from
+// a Zipf law of exponent skew (0 is uniform, 1 the classic heavy head
+// where a few tenants dominate); keys are uniform below keys.
+func OpenLoopScenario(seed uint64, tenants, ticks, perTick int, skew float64, keys uint64) Scenario {
+	if keys == 0 {
+		keys = 1024
+	}
+	rng := stats.NewRNG(seed | 1)
+	pick := zipfPicker(tenants, skew)
+	sc := Scenario{Name: "open", Ticks: ticks, Arrivals: make([]Arrival, 0, ticks*perTick)}
+	for t := 0; t < ticks; t++ {
+		for i := 0; i < perTick; i++ {
+			sc.Arrivals = append(sc.Arrivals, Arrival{Tick: t, Tenant: pick(rng), Key: rng.Uint64() % keys})
+		}
+	}
+	return sc
 }
 
 // BurstyScenario scripts a steady baseline of basePerTick arrivals per
@@ -250,6 +280,31 @@ func appendUniform(sc *Scenario, rng *stats.RNG, t, n, tenants int, keys uint64)
 	}
 }
 
+// zipfPicker returns a sampler over [0, n) with P(i) proportional to
+// 1/(i+1)^skew (uniform at skew 0).
+func zipfPicker(n int, skew float64) func(*stats.RNG) int {
+	if n <= 1 {
+		return func(*stats.RNG) int { return 0 }
+	}
+	if skew <= 0 {
+		return func(r *stats.RNG) int { return r.Intn(n) }
+	}
+	cum := make([]float64, n)
+	total := 0.0
+	for i := 0; i < n; i++ {
+		total += 1 / math.Pow(float64(i+1), skew)
+		cum[i] = total
+	}
+	return func(r *stats.RNG) int {
+		x := r.Float64() * total
+		i := sort.SearchFloat64s(cum, x)
+		if i >= n {
+			i = n - 1
+		}
+		return i
+	}
+}
+
 // PlayConfig parameterizes one scenario playback.
 type PlayConfig struct {
 	// Tenants maps Arrival.Tenant indices to handles (required).
@@ -260,15 +315,15 @@ type PlayConfig struct {
 	Tick time.Duration
 	// MaxSamples bounds the latency reservoir (default 1<<20).
 	MaxSamples int
-	// Flow, when non-nil, submits every arrival as a dataflow-pipeline
-	// flow (Tenant.SubmitFlowFunc) instead of a single request; every
-	// arrival must then reference the pipeline's tenant. The report
-	// counts flow terminal outcomes, one per arrival.
-	Flow *Pipeline
-	// FlowPayload builds each flow's initial payload from its arrival
-	// (nil: the arrival's Key). A Map-first pipeline needs a payload
-	// that is a []any.
-	FlowPayload func(a Arrival) any
+	// Submit, when non-nil, admits each arrival on its own instead of
+	// the per-tick SubmitManyFunc groups: it receives the arrival and its
+	// resolved request (key, priority, deadline and working sets; the
+	// payload is the hook's to set) and must call done exactly once with
+	// the terminal result — unless it returns an error, in which case it
+	// must not call done and the player counts the arrival rejected. A
+	// pipeline flow (Tenant.SubmitFlowFunc) or a cluster flow is one
+	// such hook.
+	Submit func(a Arrival, req Request, done func(Result)) error
 	// DumpTraces, when non-nil, receives the server's flight-recorder
 	// dump (text span trees) after playback completes — no-op unless
 	// the server was built with Config.Observe. A scenario run thus
@@ -278,12 +333,12 @@ type PlayConfig struct {
 
 // PlayScenario plays the script against s, tick by tick: each tick's
 // arrivals are grouped per tenant and admitted through the shard-
-// grouped SubmitManyFunc path, deadlines are resolved from DeadlineTicks
-// against the injected clock, and playback paces itself to the tick
-// grid (a playback that falls behind submits late rather than dropping
-// script entries). It blocks until every offered request has resolved
-// and returns the aggregate report — rejected submissions surface as
-// StatusRejected outcomes, exactly as in burst-mode RunLoad.
+// grouped SubmitManyFunc path (or handed one by one to cfg.Submit),
+// deadlines are resolved from DeadlineTicks against the injected clock,
+// and playback paces itself to the tick grid (a playback that falls
+// behind submits late rather than dropping script entries). It blocks
+// until every offered request has resolved and returns the aggregate
+// report — rejected submissions surface as StatusRejected outcomes.
 func PlayScenario(s *Server, sc Scenario, cfg PlayConfig) LoadReport {
 	if len(cfg.Tenants) == 0 {
 		panic("serve: PlayScenario: no tenant handles")
@@ -293,7 +348,6 @@ func PlayScenario(s *Server, sc Scenario, cfg PlayConfig) LoadReport {
 	}
 	col := newCollector(cfg.MaxSamples)
 	perTenant := make([][]Request, len(cfg.Tenants))
-	var offered int64
 	i := 0
 	start := time.Now()
 	for tick := 0; tick < sc.Ticks; tick++ {
@@ -312,24 +366,14 @@ func PlayScenario(s *Server, sc Scenario, cfg PlayConfig) LoadReport {
 				WorkingSet: resolveObjs(cfg.Tenants[a.Tenant], a.WorkingSet),
 				WriteSet:   resolveObjs(cfg.Tenants[a.Tenant], a.WriteSet),
 			}
-			offered++
-			if cfg.Flow != nil {
-				tn := cfg.Tenants[a.Tenant]
-				if tn != cfg.Flow.t {
-					panic(fmt.Sprintf("serve: scenario arrival references tenant %q, but the flow pipeline belongs to %q",
-						tn.name, cfg.Flow.t.name))
-				}
-				req.Payload = any(a.Key)
-				if cfg.FlowPayload != nil {
-					req.Payload = cfg.FlowPayload(a)
-				}
-				col.expect(1)
-				if _, err := tn.SubmitFlowFunc(cfg.Flow, req, col.done); err != nil {
-					col.done(Result{Status: StatusRejected, Err: err, Priority: a.Priority})
-				}
+			if cfg.Submit == nil {
+				perTenant[a.Tenant] = append(perTenant[a.Tenant], req)
 				continue
 			}
-			perTenant[a.Tenant] = append(perTenant[a.Tenant], req)
+			col.expect(1)
+			if err := cfg.Submit(a, req, col.done); err != nil {
+				col.done(Result{Status: StatusRejected, Err: err, Priority: a.Priority})
+			}
 		}
 		for ti, reqs := range perTenant {
 			if len(reqs) == 0 {
@@ -346,13 +390,13 @@ func PlayScenario(s *Server, sc Scenario, cfg PlayConfig) LoadReport {
 			r.WriteText(cfg.DumpTraces)
 		}
 	}
-	return col.report(offered, time.Since(start))
+	return col.report(int64(i), time.Since(start))
 }
 
 // resolveObjs maps a script's object indices onto one tenant's
 // registered mem.Space ids. Scripts referencing objects a tenant never
-// registered are programmer error: panic loudly, like an unknown
-// tenant name in RunLoad.
+// registered are programmer error: panic loudly rather than play a
+// script that silently declares less than it says.
 func resolveObjs(t *Tenant, idx []int) []mem.ObjID {
 	if len(idx) == 0 {
 		return nil
@@ -366,4 +410,109 @@ func resolveObjs(t *Tenant, idx []int) []mem.ObjID {
 		ids[i] = t.objects[k]
 	}
 	return ids
+}
+
+// LoadReport summarizes one generator run against a server.
+type LoadReport struct {
+	Offered, Rejected, Shed, Completed, Failed int64
+	Elapsed                                    time.Duration
+	// Throughput is completed jobs per second of generation time.
+	Throughput float64
+	// Latency quantiles over completed jobs (admission to completion).
+	P50, P99, Max time.Duration
+	// Wait quantiles over completed jobs (admission to execution start)
+	// — the queueing component of the latency above, the signal the
+	// overload controller defends.
+	WaitP50, WaitP99 time.Duration
+}
+
+// ShedRate is the fraction of offered jobs dropped by backpressure or
+// deadline shedding.
+func (r LoadReport) ShedRate() float64 {
+	if r.Offered == 0 {
+		return 0
+	}
+	return float64(r.Rejected+r.Shed) / float64(r.Offered)
+}
+
+// collector accumulates per-request outcomes for a playback: outcome
+// counters, a bounded latency reservoir, and outstanding-job tracking so
+// the player can block until every offered request has resolved.
+type collector struct {
+	outstanding                       sync.WaitGroup
+	completed, rejected, shed, failed atomic.Int64
+	samples                           []float64 // Result.Total of completed jobs
+	waits                             []float64 // Result.Wait of the same jobs
+	nsamples                          atomic.Int64
+}
+
+func newCollector(maxSamples int) *collector {
+	if maxSamples <= 0 {
+		maxSamples = 1 << 20
+	}
+	return &collector{
+		samples: make([]float64, maxSamples),
+		waits:   make([]float64, maxSamples),
+	}
+}
+
+// expect registers n submissions whose outcomes will arrive via done.
+// It runs on the player goroutine, always before drain.
+func (c *collector) expect(n int) { c.outstanding.Add(n) }
+
+// done folds one outcome in; every expected request must reach it
+// exactly once (rejected submissions included).
+func (c *collector) done(r Result) {
+	switch r.Status {
+	case StatusOK:
+		c.completed.Add(1)
+		if i := c.nsamples.Add(1) - 1; int(i) < len(c.samples) {
+			c.samples[i] = float64(r.Total)
+			c.waits[i] = float64(r.Wait)
+		}
+	case StatusRejected:
+		c.rejected.Add(1)
+	case StatusShed:
+		c.shed.Add(1)
+	default:
+		c.failed.Add(1)
+	}
+	c.outstanding.Done()
+}
+
+// doneIdx adapts done to the SubmitManyFunc callback shape.
+func (c *collector) doneIdx(_ int, r Result) { c.done(r) }
+
+// drain blocks until every expected outcome has arrived.
+func (c *collector) drain() { c.outstanding.Wait() }
+
+// report assembles the final LoadReport.
+func (c *collector) report(offered int64, elapsed time.Duration) LoadReport {
+	rep := LoadReport{
+		Offered:   offered,
+		Elapsed:   elapsed,
+		Rejected:  c.rejected.Load(),
+		Completed: c.completed.Load(),
+		Shed:      c.shed.Load(),
+		Failed:    c.failed.Load(),
+	}
+	rep.Throughput = float64(rep.Completed) / elapsed.Seconds()
+	n := c.nsamples.Load()
+	if int(n) > len(c.samples) {
+		n = int64(len(c.samples))
+	}
+	lats := c.samples[:n]
+	sort.Float64s(lats)
+	if len(lats) > 0 {
+		rep.P50 = time.Duration(stats.Quantile(lats, 0.50))
+		rep.P99 = time.Duration(stats.Quantile(lats, 0.99))
+		rep.Max = time.Duration(lats[len(lats)-1])
+	}
+	waits := c.waits[:n]
+	sort.Float64s(waits)
+	if len(waits) > 0 {
+		rep.WaitP50 = time.Duration(stats.Quantile(waits, 0.50))
+		rep.WaitP99 = time.Duration(stats.Quantile(waits, 0.99))
+	}
+	return rep
 }

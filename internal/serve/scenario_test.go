@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"errors"
+	"math"
 	"testing"
 	"time"
 
@@ -45,6 +47,8 @@ func TestScenarioDeterministic(t *testing.T) {
 		"hotkey":    func(seed uint64) Scenario { return HotKeyScenario(seed, 4, 50, 8, 256, 0.5) },
 		"sameshard": func(seed uint64) Scenario { return SameShardScenario(seed, 50, 8, 8, "t0") },
 		"localhot":  func(seed uint64) Scenario { return LocalHotScenario(seed, 4, 50, 8, 12, 3, 0.7, 0.3, 256) },
+		"shift":     func(seed uint64) Scenario { return ShiftScenario(seed, 4, 50, 8, 256, 0.5) },
+		"open":      func(seed uint64) Scenario { return OpenLoopScenario(seed, 4, 50, 8, 1.0, 256) },
 	}
 	for name, f := range build {
 		a, b := f(7), f(7)
@@ -119,20 +123,45 @@ func TestScenarioShapes(t *testing.T) {
 		t.Errorf("sameshard: only %d distinct keys in %d arrivals; stealing needs singletons", len(keys), same.Offered())
 	}
 
-	dl := hot.WithDeadline(5)
-	for _, a := range dl.Arrivals {
-		if a.DeadlineTicks != 5 {
-			t.Fatal("WithDeadline did not apply")
+	const tenants, openPerTick = 8, 20
+	open := OpenLoopScenario(3, tenants, 100, openPerTick, 1.2, 256)
+	for tk, n := range perTick(open) {
+		if n != openPerTick {
+			t.Fatalf("open: tick %d holds %d arrivals, want %d", tk, n, openPerTick)
 		}
 	}
-	if hot.Arrivals[0].DeadlineTicks != 0 {
-		t.Error("WithDeadline mutated the original scenario")
+	byTenant := make([]int, tenants)
+	for _, a := range open.Arrivals {
+		byTenant[a.Tenant]++
+	}
+	if byTenant[0] <= byTenant[tenants-1] {
+		t.Errorf("open: skew 1.2 should favor tenant 0: %v", byTenant)
+	}
+
+	const tightFrac = 0.3
+	dl := open.WithDeadline(3, tightFrac, 2, 9)
+	tight := 0
+	for _, a := range dl.Arrivals {
+		switch a.DeadlineTicks {
+		case 2:
+			tight++
+		case 9:
+		default:
+			t.Fatalf("WithDeadline gave %d ticks, want the tight 2 or the loose 9", a.DeadlineTicks)
+		}
+	}
+	if share := float64(tight) / float64(dl.Offered()); math.Abs(share-tightFrac) > 0.05 {
+		t.Errorf("WithDeadline tight share %.3f, want %.2f +- 0.05", share, tightFrac)
+	}
+	for _, a := range open.Arrivals {
+		if a.DeadlineTicks != 0 {
+			t.Fatal("WithDeadline mutated the source scenario")
+		}
 	}
 }
 
 // TestPlayScenarioAccounts: playback accounts for every scripted
-// arrival, exactly once, through the same uniform Result surface as
-// burst-mode RunLoad.
+// arrival, exactly once, through one uniform Result surface.
 func TestPlayScenarioAccounts(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
@@ -159,6 +188,43 @@ func TestPlayScenarioAccounts(t *testing.T) {
 	}
 	if rep.Completed == 0 || rep.P99 <= 0 {
 		t.Fatalf("degenerate playback: %+v", rep)
+	}
+}
+
+// TestPlayScenarioSubmitErrorRejectsOnce: an arrival whose Submit hook
+// returns an error is counted rejected exactly once, and the player
+// does not wait for a done the hook never calls.
+func TestPlayScenarioSubmitErrorRejectsOnce(t *testing.T) {
+	sys := newTestSystem(t)
+	defer sys.Close()
+	s := New(sys, Config{Shards: 2, QueueDepth: 1024})
+	defer s.Close()
+	tn, err := s.RegisterTenant(TenantConfig{
+		Name:    "t",
+		Handler: func(_ *Ctx, req Request) (any, error) { return req.Key, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := OpenLoopScenario(9, 1, 20, 6, 0, 512)
+	refuse := errors.New("refused by hook")
+	var n, refused int64
+	rep := PlayScenario(s, sc, PlayConfig{
+		Tenants: []*Tenant{tn},
+		Tick:    100 * time.Microsecond,
+		Submit: func(_ Arrival, req Request, done func(Result)) error {
+			if n++; n%3 == 0 {
+				refused++
+				return refuse
+			}
+			return tn.SubmitFunc(req, done)
+		},
+	})
+	if rep.Offered != int64(sc.Offered()) || refused == 0 {
+		t.Fatalf("offered %d of %d, %d refused", rep.Offered, sc.Offered(), refused)
+	}
+	if rep.Rejected != refused || rep.Completed != rep.Offered-refused || rep.Shed+rep.Failed != 0 {
+		t.Fatalf("report %+v, want exactly %d rejected and the rest completed", rep, refused)
 	}
 }
 

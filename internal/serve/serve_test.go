@@ -889,24 +889,24 @@ func TestLoadGenShedsUnderOverload(t *testing.T) {
 			s := New(sys, Config{Shards: 2, QueueDepth: 64, Batch: 8})
 			defer s.Close()
 			// ~4ms of spin per job on 2 shards: capacity far below the
-			// offered 5000/s, so the generator must observe
+			// offered 5000/s, so the player must observe
 			// rejection/shedding, and the server must stay responsive.
-			if _, err := s.RegisterTenant(TenantConfig{
+			tn, err := s.RegisterTenant(TenantConfig{
 				Name:    "hog",
 				Handler: func(_ *Ctx, _ Request) (any, error) { spinWork(20000); return nil, nil },
-			}); err != nil {
+			})
+			if err != nil {
 				t.Fatal(err)
 			}
-			rep := RunLoad(s, LoadConfig{
-				Rate:      5000,
-				Duration:  300 * time.Millisecond,
-				Tenants:   []string{"hog"},
-				TightFrac: 0.5,
-				Tight:     5 * time.Millisecond,
-				Loose:     0,
-				Burst:     burst,
-				Seed:      42,
-			})
+			// 5 arrivals per 1ms tick for 300ms; half carry a 5-tick
+			// deadline, the rest none.
+			sc := OpenLoopScenario(42, 1, 300, 5, 0, 0).WithDeadline(42, 0.5, 5, 0)
+			cfg := PlayConfig{Tenants: []*Tenant{tn}, Tick: time.Millisecond}
+			if !burst {
+				// One arrival at a time: a full shard is a submission error.
+				cfg.Submit = func(_ Arrival, req Request, done func(Result)) error { return tn.SubmitFunc(req, done) }
+			}
+			rep := PlayScenario(s, sc, cfg)
 			if rep.Offered == 0 || rep.Completed == 0 {
 				t.Fatalf("degenerate run: %+v", rep)
 			}
