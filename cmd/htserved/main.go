@@ -79,9 +79,9 @@ func main() {
 		rate     = flag.Float64("rate", 5000, "offered load, jobs/second (open loop)")
 		duration = flag.Duration("duration", 2*time.Second, "load generation time")
 		tenants  = flag.Int("tenants", 64, "tenant count")
-		shards   = flag.Int("shards", 8, "admission shards / dispatcher LGTs")
+		shards   = flag.Int("shards", 8, "admission shards")
 		depth    = flag.Int("depth", 256, "per-shard queue bound")
-		batch    = flag.Int("batch", 32, "max jobs per dispatcher wakeup")
+		batch    = flag.Int("batch", 32, "max jobs per batch SGT")
 		locales  = flag.Int("locales", 2, "litlx locales")
 		workers  = flag.Int("workers", 8, "SGT workers per locale")
 		work     = flag.Int64("work", 200, "handler cost in spin units (~0.5us each)")

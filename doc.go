@@ -69,7 +69,9 @@
 //	internal/litlx    — the one-object API most programs want
 //	internal/serve    — the job service layer (API v2): tenant handles,
 //	                    error-aware handlers + middleware, locale-pinned
-//	                    sharded admission, batching + burst admission,
+//	                    sharded admission where the submit spawns the
+//	                    shard's batch SGT (no dispatcher thread),
+//	                    batching + burst admission,
 //	                    future-wired dataflow pipelines (SubmitFlow),
 //	                    shedding, code/data residency and the locality-
 //	                    aware data plane, flow tracing + flight recorder

@@ -177,7 +177,9 @@ func (p *Pipeline) SubmitFunc(req serve.Request, done func(serve.Result)) error 
 // the completion parcel, and arming the recovery timer that guarantees
 // the flow resolves even if the destination dies. It returns false
 // (nothing registered, nothing sent) when the stage is homed here, the
-// value cannot cross the wire, or the peer is unreachable.
+// value cannot cross the wire, or the peer is unreachable — unless the
+// recovery timer fired before the failed send returned, which makes the
+// flow recovery's.
 func (p *Pipeline) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int,
 	finish func(serve.Result)) bool {
 	n := p.n
@@ -204,15 +206,19 @@ func (p *Pipeline) ForwardStage(next int, v any, key uint64, deadline time.Time,
 	}
 	n.pendingMu.Unlock()
 	if err := n.t.Send(dest, "cluster.stage", pb); err != nil {
+		// Decline only if recovery has not fired meanwhile: once it has
+		// resolved or re-routed the flow, finish is its to call, and a
+		// decline would run the stage here too, on a flow already ended.
 		n.pendingMu.Lock()
-		if cur := n.pending[flow]; cur == pf {
+		untouched := n.pending[flow] == pf && pf.attempts == 0
+		if untouched {
 			delete(n.pending, flow)
 			if pf.timer != nil {
 				pf.timer.Stop()
 			}
 		}
 		n.pendingMu.Unlock()
-		return false
+		return !untouched
 	}
 	n.forwardedStages.Add(1)
 	if n.traces != nil {

@@ -67,6 +67,95 @@ func keyOwnedBy(n *Node, p *Pipeline, owner parcel.NodeID) uint64 {
 	}
 }
 
+// stallFailStage is a transport whose stage parcels stall and then fail
+// to send, the way a write to a peer that died mid-send does.
+type stallFailStage struct {
+	parcel.Transport
+	stall time.Duration
+}
+
+func (s stallFailStage) Send(dest parcel.NodeID, method string, body []byte) error {
+	if method != "cluster.stage" {
+		return s.Transport.Send(dest, method, body)
+	}
+	time.Sleep(s.stall)
+	return fmt.Errorf("%w: %s", parcel.ErrPartitioned, dest)
+}
+
+// TestForwardFailsAfterRecoveryTookFlow: a stage send that fails only
+// after the recovery timer has resolved the flow (here: shed at its
+// deadline) must not hand the hop back to serve — the flow is over, and
+// running its next stage locally would touch a recycled flow state.
+// Stage b is homed on node 1, so node 0 must never run it.
+func TestForwardFailsAfterRecoveryTookFlow(t *testing.T) {
+	fabric := parcel.NewFabric()
+	echo := func(_ *serve.Ctx, req serve.Request) (any, error) { return req.Payload, nil }
+	var bHere atomic.Int32
+	nodes := make([]*Node, 2)
+	pipes := make([]*Pipeline, 2)
+	for i := range nodes {
+		var tr parcel.Transport = fabric.Node(parcel.NodeID(fmt.Sprintf("sf%d", i)))
+		if i == 0 {
+			tr = stallFailStage{Transport: tr, stall: 100 * time.Millisecond}
+		}
+		node, err := NewNode(Config{
+			Transport: tr,
+			System:    litlx.Config{Locales: 8, WorkersPerLocale: 2, Seed: uint64(i) + 1},
+			Serve:     serve.Config{Shards: 8},
+			Recover:   RecoverConfig{FlowTimeout: time.Second, MaxAttempts: 2},
+		})
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		t.Cleanup(node.Close)
+		nodes[i] = node
+		tn, err := node.RegisterTenant(TenantConfig{Serve: serve.TenantConfig{Name: "sf", Handler: echo}})
+		if err != nil {
+			t.Fatalf("register: %v", err)
+		}
+		stageB := echo
+		if i == 0 {
+			stageB = func(c *serve.Ctx, req serve.Request) (any, error) { bHere.Add(1); return echo(c, req) }
+		}
+		if pipes[i], err = tn.NewPipeline(PipelineConfig{
+			Name:   "p",
+			Stages: []serve.Stage{{Name: "a", Handler: echo}, {Name: "b", Handler: stageB}},
+			Routes: []StageRoute{nil, func(v any) (uint64, []string) { return v.(uint64), nil }},
+		}); err != nil {
+			t.Fatalf("pipeline: %v", err)
+		}
+	}
+	if err := nodes[1].Join(nodes[0].Transport().Addr()); err != nil {
+		t.Fatalf("join: %v", err)
+	}
+	here := keyOwnedBy(nodes[0], pipes[0], nodes[0].Self())
+	there := keyOwnedBy(nodes[0], pipes[0], nodes[1].Self())
+	var resolved atomic.Int32
+	shed := make(chan serve.Result, 2)
+	req := serve.Request{Key: here, Payload: there, Deadline: time.Now().Add(30 * time.Millisecond)}
+	if err := pipes[0].SubmitFunc(req, func(r serve.Result) { resolved.Add(1); shed <- r }); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case r := <-shed:
+		if r.Status != serve.StatusShed {
+			t.Fatalf("flow resolved %v (err %v), want shed by recovery", r.Status, r.Err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("flow never resolved")
+	}
+	time.Sleep(200 * time.Millisecond) // past the failed send and anything it could start
+	if n := resolved.Load(); n != 1 {
+		t.Errorf("flow resolved %d times, want 1", n)
+	}
+	if n := bHere.Load(); n != 0 {
+		t.Errorf("stage b ran %d times on node 0 after its flow was shed", n)
+	}
+	if n := nodes[0].System().Mon.Counter("core.sgt.panic").Value(); n != 0 {
+		t.Errorf("%d SGTs panicked on node 0", n)
+	}
+}
+
 // TestRecoveryExecutorDiesMidStage kills the executor while a shipped
 // flow is running on it: the detector evicts it and the recovery timer
 // re-routes, so Ticket.Wait returns instead of hanging.
@@ -241,10 +330,15 @@ func TestCompletionRacesRecoveryTimer(t *testing.T) {
 // recovery timer must resolve the flow — by local re-execution within
 // the deadline, or by shedding at the deadline — but Wait never hangs.
 func TestTicketWaitReturnsOnPartitionedOrigin(t *testing.T) {
-	handler := func(_ *serve.Ctx, req serve.Request) (any, error) {
-		return req.Payload, nil
-	}
 	run := func(t *testing.T, flowTimeout time.Duration, wantStatus serve.Status) {
+		// The handler holds until the partition is in place, so the
+		// executor's completion is cut off however fast the flow ships
+		// and runs; a local re-execution finds the gate already open.
+		cut := make(chan struct{})
+		handler := func(_ *serve.Ctx, req serve.Request) (any, error) {
+			<-cut
+			return req.Payload, nil
+		}
 		faults, nodes, pipes := recoveryPair(t, handler, func(i int, cfg *Config) {
 			cfg.Recover = RecoverConfig{FlowTimeout: flowTimeout, MaxAttempts: 2}
 		})
@@ -255,6 +349,7 @@ func TestTicketWaitReturnsOnPartitionedOrigin(t *testing.T) {
 			t.Fatal(err)
 		}
 		faults.Partition(nodes[0].Self(), nodes[1].Self())
+		close(cut)
 		done := make(chan serve.Result, 1)
 		go func() { done <- tk.Wait() }()
 		select {

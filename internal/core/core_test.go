@@ -423,3 +423,27 @@ func TestWaitRacesNestedSpawns(t *testing.T) {
 		t.Fatal("Shutdown did not return")
 	}
 }
+
+// TestStealKeepsDequeCapacity: a deque that is pushed onto and stolen
+// from in turn reuses its backing array. Stealing by reslicing from the
+// front gave the capacity away, and every later push reallocated.
+func TestStealKeepsDequeCapacity(t *testing.T) {
+	w := &worker{}
+	s := &SGT{}
+	for i := 0; i < 4; i++ {
+		w.push(s)
+	}
+	for w.stealFrom() != nil {
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		w.push(s)
+		w.push(s)
+		w.stealFrom()
+		w.stealFrom()
+	}); allocs != 0 {
+		t.Fatalf("push/steal cycle allocated %.1f times, want 0", allocs)
+	}
+	if w.deque[:cap(w.deque)][0] != nil {
+		t.Fatal("a stolen SGT is still referenced from the deque's backing array")
+	}
+}

@@ -58,7 +58,11 @@ func (w *worker) stealFrom() *SGT {
 		return nil
 	}
 	s := w.deque[0]
-	w.deque = w.deque[1:]
+	// Shift down rather than reslice from the front: a front reslice
+	// gives up capacity, and a later push would reallocate the deque.
+	n := copy(w.deque, w.deque[1:])
+	w.deque[n] = nil
+	w.deque = w.deque[:n]
 	w.mu.Unlock()
 	return s
 }

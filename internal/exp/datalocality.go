@@ -21,7 +21,7 @@ func init() {
 // object on demand, on the critical path; the data-plane server routes
 // each request to its working set's majority home locale
 // (Config.Data.LocalityRoute), stages each batch's working set into the
-// dispatcher's locale ahead of execution (Config.Data.Stage), and runs
+// shard's locale ahead of execution (Config.Data.Stage), and runs
 // the locality loop (Config.Adapt.Locality) migrating write-heavy
 // sidecars toward the locale that writes them. It is the serving-path
 // closure of the paper's Section 3.1/3.2 claim: staging data at the

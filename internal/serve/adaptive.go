@@ -14,11 +14,11 @@ import (
 // the paper's always-on-monitoring-feeds-controllers design (Section 2)
 // applied to request serving. Four controllers run against the live
 // monitor instruments (Config.Compile adds a fifth, see CompileConfig).
-// The batch tuner runs on each dispatcher; the other three are entries
+// The batch tuner runs in each batch SGT; the other three are entries
 // of the server's control plane, one clocked loop that fires each
 // controller at its own period:
 //
-//   - batch sizing: each dispatcher retunes its drain bound from a
+//   - batch sizing: each shard's batch SGTs retune its drain bound from a
 //     per-shard queue-depth EWMA, growing batches while the backlog
 //     deepens (amortization) and shrinking them while the shard idles
 //     or its batch-latency histogram breaches the budget;
@@ -29,7 +29,7 @@ import (
 //     jobs keep their queue order; see stealJobsInto) and never onto a
 //     shard where the tenant's code image is not resident;
 //   - overload control: when the admission-to-execution wait EWMA
-//     crosses LatencyBudget, the shed level rises and dispatchers drop
+//     crosses LatencyBudget, the shed level rises and batch SGTs drop
 //     jobs with Request.Priority below it at drain time — lowest
 //     priority first, before any deadline expires;
 //   - locality rebalancing (Locality): a periodic loop feeds the shared
@@ -179,11 +179,11 @@ func (s *Server) decide(producer int, locale mem.Locale, format string, args ...
 	}
 }
 
-// batchController retunes one shard's drain bound. The dispatcher reads
-// batch() before every drain and feeds the observed queue depth back
-// through observeDepth; the batch SGT reports its service time through
-// observeLatency. All state is monitor-backed, so Snapshot exposes the
-// same signals the controller acts on.
+// batchController retunes one shard's drain bound. Each batch SGT reads
+// batch() before its drain, feeds the observed queue depth back through
+// observeDepth, and reports its service time through observeLatency.
+// All state is monitor-backed, so Snapshot exposes the same signals the
+// controller acts on.
 type batchController struct {
 	srv      *Server // retunes land on the adapt timeline through srv.decide
 	sh       *shard
@@ -230,23 +230,19 @@ func (c *batchController) observeDepth(d int) {
 	c.depth.Observe(float64(d))
 	e := c.depth.Value()
 	cur := int(c.cur.Load())
+	next, what, n := cur, "grow", c.grow
 	switch {
 	case e > 2*float64(cur) && cur < c.max && c.latencyHeadroom():
-		next := cur * 2
-		if next > c.max {
-			next = c.max
-		}
-		c.cur.Store(int64(next))
-		c.grow.Inc()
-		c.srv.decide(c.sh.id, c.sh.locale, "batch grow %d -> %d (depth ewma %.1f)", cur, next, e)
+		next = min(cur*2, c.max)
 	case cur > c.min && (e*4 <= float64(cur) || !c.latencyHeadroom()):
-		next := cur / 2
-		if next < c.min {
-			next = c.min
-		}
-		c.cur.Store(int64(next))
-		c.shrink.Inc()
-		c.srv.decide(c.sh.id, c.sh.locale, "batch shrink %d -> %d (depth ewma %.1f)", cur, next, e)
+		next, what, n = max(cur/2, c.min), "shrink", c.shrink
+	default:
+		return
+	}
+	// A shard's batch SGTs observe concurrently: one retune per step.
+	if c.cur.CompareAndSwap(int64(cur), int64(next)) {
+		n.Inc()
+		c.srv.decide(c.sh.id, c.sh.locale, "batch %s %d -> %d (depth ewma %.1f)", what, cur, next, e)
 	}
 }
 
@@ -263,7 +259,7 @@ func (c *batchController) latencyHeadroom() bool {
 }
 
 // overloadController turns the admission-to-execution wait EWMA into a
-// shed level: dispatchers drop jobs with Priority < level at drain
+// shed level: batch SGTs drop jobs with Priority < level at drain
 // time, so overload sheds the least important work earliest instead of
 // letting every queue run to its deadline.
 type overloadController struct {

@@ -466,7 +466,7 @@ func TestRebalanceOnceStealsFromHotShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pin all arrivals to one shard with colliding keys, enough that a
-	// big imbalance is unavoidable even after the dispatchers drain
+	// big imbalance is unavoidable even after the batch SGTs drain
 	// their first batches.
 	home := shardIndex(tn.hash, 0, 4)
 	queued := 0

@@ -53,7 +53,7 @@ func newBenchServer(b *testing.B) (*Server, *Tenant) {
 // BenchmarkResolveHandle is the routing floor: the handle has its
 // identity bound at registration, so a submission goes straight to
 // shard routing. The end-to-end Submit benchmarks below add queueing
-// and dispatcher contention, which dominate.
+// and batch execution, which dominate.
 
 func BenchmarkResolveHandle(b *testing.B) {
 	s, tn := newBenchServer(b)
@@ -250,7 +250,7 @@ func BenchmarkSubmitOpenLoopP99(b *testing.B) {
 // The ring micro-benchmarks isolate the queue itself from routing,
 // execution, and completion: the produce/consume cycle cost with one
 // producer (the uncontended CAS floor) and the drain cost per job at
-// batch width — the dispatcher's per-wakeup bill.
+// batch width — a batch SGT's per-drain bill.
 
 func BenchmarkRingPushPop(b *testing.B) {
 	var r jobRing
@@ -260,7 +260,7 @@ func BenchmarkRingPushPop(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.pushMany(one) // a single submit is a group of one
+		r.push(one) // a single submit is a group of one
 		r.consMu.Lock()
 		buf, _ = r.popMany(1, buf[:0])
 		r.consMu.Unlock()
@@ -281,7 +281,7 @@ func BenchmarkRingBatchDrain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += batch {
-		r.pushMany(jobs)
+		r.push(jobs)
 		r.consMu.Lock()
 		buf, _ = r.popMany(batch, buf[:0])
 		r.consMu.Unlock()

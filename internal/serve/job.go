@@ -29,7 +29,7 @@ type Request struct {
 	// the executing shard's locale, charging the modeled access cost
 	// (remote when no valid copy is local); with Config.Data the
 	// declaration also steers admission routing toward the set's
-	// majority home locale and lets the dispatcher stage the set ahead
+	// majority home locale and lets the batch SGT stage the set ahead
 	// of execution. Same-(tenant,key) admission order is guaranteed only
 	// among requests whose routing inputs match — under locality routing
 	// that includes the working set's majority home.
@@ -42,8 +42,8 @@ type Request struct {
 }
 
 // Handler executes one request for a tenant. It runs on an SGT of the
-// shared litlx system, at the locale of the admitting shard's
-// dispatcher. The returned value becomes Result.Value on success; a
+// shared litlx system, at the locale of the admitting shard. The
+// returned value becomes Result.Value on success; a
 // non-nil error marks the result StatusFailed and becomes Result.Err.
 // A panic is recovered and reported the same way.
 type Handler func(ctx *Ctx, req Request) (any, error)
@@ -70,8 +70,8 @@ func (c *Ctx) SGT() *core.SGT { return c.sgt }
 // Shard returns the admission shard the request was queued on.
 func (c *Ctx) Shard() int { return c.shard }
 
-// Locale returns the locale the request is executing at — the home of
-// its shard's dispatcher, where any declared working set was staged.
+// Locale returns the locale the request is executing at — its shard's
+// locale, where any declared working set was staged.
 func (c *Ctx) Locale() mem.Locale { return c.locale }
 
 // Tenant returns the name of the tenant the request belongs to.
@@ -93,7 +93,7 @@ const (
 	// report the same condition as ErrOverload / ErrClosed.
 	StatusRejected
 	// StatusShed: the request was admitted but its deadline expired
-	// before a dispatcher could start it (load shedding).
+	// before its batch SGT could start it (load shedding).
 	StatusShed
 	// StatusFailed: the handler returned an error or panicked.
 	StatusFailed
@@ -157,8 +157,8 @@ func (e elemSink) resolve(_ int32, r Result) {
 	e.fut.Resolve(r, ferr)
 }
 
-// Job is one admitted unit of work, queued on a shard until a
-// dispatcher drains it. Job records are pooled: Server.construct is the
+// Job is one admitted unit of work, queued on a shard until a batch
+// SGT drains it. Job records are pooled: Server.construct is the
 // only place one is taken and filled, finishJob (or refuse) hands the
 // Result to the sink and recycles the record zeroed, so the steady-state
 // request path allocates no Job and leaks no field between generations.

@@ -45,7 +45,7 @@ const (
 	outError             // handler returns an error
 	outPanic             // handler panics
 	outShedQueue         // deadline passes while the job sits in the ring
-	outShedDrain         // deadline passes after draining, before execution
+	outShedDrain         // deadline passes after draining, behind a batch sibling
 	outOverload          // the shard's ring is full
 	outClose             // the server closes first (flows: mid-flow)
 	numOutcomes
@@ -140,13 +140,15 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 		}
 		return "v", nil
 	}
-	// Both gates also open on the way out, before the deferred Close: a
+	// Every gate also opens on the way out, before the deferred Close: a
 	// failed assertion must not leave a handler — and so Close — blocked.
-	started, release := make(chan struct{}), make(chan struct{})
+	started, release, leaveHold := make(chan struct{}), make(chan struct{}), make(chan struct{})
 	inA, leaveA := make(chan struct{}), make(chan struct{})
 	unclog := sync.OnceFunc(func() { close(release) })
+	unhold := sync.OnceFunc(func() { close(leaveHold) })
 	unblockA := sync.OnceFunc(func() { close(leaveA) })
 	defer unclog()
+	defer unhold()
 	defer unblockA()
 	tn, err := s.RegisterTenant(TenantConfig{
 		Name: "t",
@@ -155,6 +157,10 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 			case "block":
 				started <- struct{}{}
 				<-release
+				return nil, nil
+			case "hold":
+				started <- struct{}{}
+				<-leaveHold
 				return nil, nil
 			case "fill":
 				return nil, nil
@@ -184,21 +190,21 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 		}
 	}
 
-	// Clog shard 1 as far as the outcome needs: a blocker executing (the
-	// next job is drained and parks on the in-flight token), plus a
-	// drained filler parked there already (the next job stays in the
-	// ring), plus a full ring (the next job is refused).
+	// Clog shard 1 as far as the outcome needs, with states its batch
+	// SGTs really pass through: a blocker executing, with InflightBatches
+	// 1, so the next job stays queued; plus a full ring, so the next job
+	// is refused. shed-after-drain also queues a second blocker ahead of
+	// the jobs under test, to drain into one batch with them (below).
 	if out == outShedDrain || out == outShedQueue || out == outOverload {
 		ignore := func(Result) {}
 		if err := tn.SubmitFunc(Request{Key: keyB, Payload: "block"}, ignore); err != nil {
 			t.Fatal(err)
 		}
 		<-started
-		if out != outShedDrain {
-			if err := tn.SubmitFunc(Request{Key: keyB, Payload: "fill"}, ignore); err != nil {
+		if out == outShedDrain {
+			if err := tn.SubmitFunc(Request{Key: keyB, Payload: "hold"}, ignore); err != nil {
 				t.Fatal(err)
 			}
-			waitFor(t, "the filler to be drained", func() bool { return s.shards[1].pending() == 0 })
 		}
 		if out == outOverload {
 			for tn.SubmitFunc(Request{Key: keyB, Payload: "fill"}, ignore) == nil {
@@ -267,6 +273,23 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 			t.Fatal(err)
 		}
 	}
+	if out == outShedDrain {
+		// Once the jobs under test queue behind the second blocker (a
+		// remote stage b never reaches shard 1), freeing the first blocker
+		// drains them all into one batch. The second blocker executes
+		// first, and they wait in the batch, drained but not started,
+		// until their deadline has passed.
+		queued := 1
+		switch kind {
+		case kindIndexed, kindElement:
+			queued = 3
+		case kindFlowRemote:
+			queued = 0
+		}
+		waitFor(t, "the jobs under test to queue", func() bool { return s.shards[1].pending() == 1+queued })
+		unclog()
+		<-started
+	}
 	if out == outClose && !kind.direct() {
 		// Close lands while stage a is executing: stage b's admission is
 		// what the closing server refuses.
@@ -283,6 +306,7 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 		waitFor(t, "the refusals, with the shard still clogged", allResolved)
 	}
 	unclog()
+	unhold()
 	waitFor(t, "every request to resolve", allResolved)
 	router.wg.Wait() // the duplicate parcel has landed too
 	s.Close()
@@ -375,12 +399,8 @@ func TestRefusedFlowStage0TraceSealed(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-started
-	// With the blocker executing, a drained filler parks the dispatcher
-	// on the in-flight token; the ring then fills and stays full.
-	if err := tn.SubmitFunc(Request{}, ignore); err != nil {
-		t.Fatal(err)
-	}
-	waitFor(t, "the filler to be drained", func() bool { return s.shards[0].pending() == 0 })
+	// With the blocker executing on the shard's one batch SGT, the ring
+	// fills and stays full.
 	for tn.SubmitFunc(Request{}, ignore) == nil {
 	}
 	if _, err := tn.SubmitFlow(p, Request{Key: 1, Payload: "x"}); !errors.Is(err, ErrOverload) {

@@ -471,7 +471,7 @@ func (st *pipeStage) count(r Result) {
 
 // resolve is where stage idx's Result lands — from finishJob for a
 // scalar stage job (the flow is its sink; this runs where the job
-// resolved: the executing SGT, or the dispatcher for sheds), from join
+// resolved: the executing SGT, which also sheds), from join
 // for a Map stage. A non-OK result, or the last stage's, ends the flow;
 // anything else chains to the next stage.
 func (fl *flowState) resolve(idx int32, r Result) {

@@ -346,7 +346,7 @@ func TestPipelineMidFlowDeadlineShed(t *testing.T) {
 		t.Fatalf("mid-flow deadline: status %v, want StatusShed", res.Status)
 	}
 	// Stages past the shed point resolve shed; the slow stage itself may
-	// have completed or shed depending on when the dispatcher saw it.
+	// have completed or shed depending on when its batch SGT saw it.
 	for i := 1; i < 3; i++ {
 		r, _ := tk.StageFuture(i).GetErr()
 		if r.Status != StatusShed {

@@ -16,7 +16,7 @@ import (
 // computation, and what a cold miss costs. It subsumes the code-only
 // warm-up the serve layer started with (Section 3.2 percolation of
 // program instruction blocks) and extends it to data blocks: tenants
-// register objects in the shared mem.Space, dispatchers stage a batch's
+// register objects in the shared mem.Space, batch SGTs stage a batch's
 // declared working set into their locale ahead of execution, and both
 // kinds of transfer are priced through the deterministic parcel.SimNet
 // percolation models (percolate.ModelCode / percolate.ModelData).

@@ -2,32 +2,28 @@ package serve
 
 // This file is the shard queue's bounded MPSC ring — the replacement
 // for the mutex+condvar slice FIFO the admission hot path used to pay
-// on every submit. Producers (submitters, and the rebalancer inserting
-// stolen jobs) are lock-free: admission is one CAS on the tail plus one
-// slot publish. The single consumer (the shard's dispatcher) and the
-// rebalancer's removal side serialize on consMu, which never sits on a
-// producer's path.
+// on every submit. Producers (submitters, stage hops, and the
+// rebalancer inserting stolen jobs) are lock-free: admission is one CAS
+// on the tail plus one slot publish. The consumers (the shard's batch
+// SGTs) and the rebalancer's removal side serialize on consMu, which
+// never sits on a producer's path.
 //
 // The slot protocol is the classic bounded-MPMC sequence scheme
-// restricted to one consumer: slot i carries a sequence number that
-// equals the position p it is ready to accept (producer may write),
-// p+1 once the job at p is published (consumer may read), and p+size
-// after consumption (free for position p+size). Producers never read
-// sequences — the head bound on reservation already guarantees their
-// slot is free — so a push is exactly one CAS, one pointer store, and
-// one sequence store.
+// restricted to one consumer at a time: slot i carries a sequence
+// number that equals the position p it is ready to accept (producer may
+// write), p+1 once the job at p is published (consumer may read), and
+// p+size after consumption (free for position p+size). Producers never
+// read sequences — the head bound on reservation already guarantees
+// their slot is free — so a push is exactly one CAS, one pointer store,
+// and one sequence store.
 //
 // Capacity is exact: the ring refuses at `limit` (Config.QueueDepth)
 // even though the cell array rounds up to a power of two, preserving
 // the old queue's refusal semantics bit-for-bit.
 //
-// Wakeups coalesce: a producer signals the dispatcher only on the
-// empty→non-empty transition (detected exactly — see reserve), through
-// a one-slot channel, so a traffic burst costs one wakeup, not one per
-// request. The dispatcher parks only when head == tail; a published-gap
-// state (head != tail but the head slot not yet published, i.e. a
-// straggling producer between CAS and publish) is spun through, because
-// that producer's reservation saw a non-empty ring and will not signal.
+// Nothing ever waits on the ring. Who starts a consumer is the shard's
+// business (shard.kick): the ring only offers ready, the head-slot
+// check both sides of that hand-off make after their own store.
 import (
 	"runtime"
 	"sync"
@@ -50,16 +46,13 @@ type jobRing struct {
 	head atomic.Uint64 // next position to consume (consumer side)
 
 	// inflight counts producers between begin and end; shutdown spins it
-	// to zero before its final signal, so a parked consumer can never be
-	// stranded by a producer that refused (and thus never signalled).
+	// to zero, so once it returns no producer can still publish a job or
+	// start a batch SGT.
 	inflight atomic.Int64
 	shut     atomic.Bool
 
-	wake  chan struct{} // one-slot coalesced dispatcher wakeup
-	wakes atomic.Int64  // total signals sent (spurious-wakeup regression signal)
-
-	// consMu serializes the consumer side: the dispatcher's drain and the
-	// rebalancer's steal-from-source. Producers never take it.
+	// consMu serializes the consumer side: the batch SGTs' drains and
+	// the rebalancer's steal-from-source. Producers never take it.
 	consMu sync.Mutex
 }
 
@@ -77,7 +70,6 @@ func (r *jobRing) init(limit int) {
 	for i := range r.cells {
 		r.cells[i].seq.Store(uint64(i))
 	}
-	r.wake = make(chan struct{}, 1)
 }
 
 // begin enters a producer section; false means the ring is shut and the
@@ -95,26 +87,24 @@ func (r *jobRing) begin() bool {
 func (r *jobRing) end() { r.inflight.Add(-1) }
 
 // reserve claims up to want contiguous positions starting at pos,
-// returning how many it got (0 when full) and whether this reservation
-// is the empty→non-empty transition. The emptiness test reads head
-// after the CAS: a consumer that drained to empty and parked must have
-// stored head == pos before parking, so the winning producer sees it
-// and signals — reading head before the CAS could miss that store and
-// strand the consumer.
-func (r *jobRing) reserve(want int) (n int, pos uint64, wasEmpty bool) {
+// returning how many it got (0 when full). Tail is read before head: a
+// head read first can go stale while consumers advance it, and then a
+// ring with room reads as full. Read after, head is never older than
+// the tail the CAS confirms, so the free count only errs low.
+func (r *jobRing) reserve(want int) (n int, pos uint64) {
 	for {
-		h := r.head.Load()
 		t := r.tail.Load()
+		h := r.head.Load()
 		free := int64(r.limit) - int64(t-h)
 		if free <= 0 {
-			return 0, 0, false
+			return 0, 0
 		}
 		n = want
 		if int64(n) > free {
 			n = int(free)
 		}
 		if r.tail.CompareAndSwap(t, t+uint64(n)) {
-			return n, t, r.head.Load() == t
+			return n, t
 		}
 	}
 }
@@ -129,20 +119,13 @@ func (r *jobRing) publish(pos uint64, j *Job) {
 	c.seq.Store(pos + 1)
 }
 
-// pushMany admits the longest prefix of jobs that fits and returns its
-// length (0 when shut or full, and the caller sheds) — one reservation,
-// one signal at most. A single submit is a group of one.
-func (r *jobRing) pushMany(jobs []*Job) int {
-	if len(jobs) == 0 || !r.begin() {
-		return 0
-	}
-	n, pos, wasEmpty := r.reserve(len(jobs))
+// push publishes the longest prefix of jobs that fits and returns its
+// length (0 when full) — one reservation for the whole group; a single
+// submit is a group of one. The caller is inside begin/end.
+func (r *jobRing) push(jobs []*Job) int {
+	n, pos := r.reserve(len(jobs))
 	for i := 0; i < n; i++ {
 		r.publish(pos+uint64(i), jobs[i])
-	}
-	r.end()
-	if n > 0 && wasEmpty {
-		r.signal()
 	}
 	return n
 }
@@ -187,26 +170,15 @@ func (r *jobRing) pending() int {
 	return int(t - h)
 }
 
-// signal wakes the dispatcher; a full one-slot channel means a wakeup
-// is already pending and this one coalesces into it.
-func (r *jobRing) signal() {
-	r.wakes.Add(1)
-	select {
-	case r.wake <- struct{}{}:
-	default:
-	}
+// ready reports whether the head slot holds a published job.
+func (r *jobRing) ready() bool {
+	h := r.head.Load()
+	return r.cells[h&r.mask].seq.Load() == h+1
 }
 
-// park blocks the consumer until the next signal. Only call after
-// observing head == tail; a gap state must be spun through instead
-// (its producer will not signal).
-func (r *jobRing) park() { <-r.wake }
-
-// shutdown closes the ring to producers, waits out the ones already
-// inside begin/end, then signals once: after the quiesce no refused
-// producer can owe the consumer a wakeup, so this final signal is
-// guaranteed to reach a parked dispatcher, which drains the tail and
-// exits.
+// shutdown closes the ring to producers and waits out the ones already
+// inside begin/end: after it returns, every job the ring will ever hold
+// is published and covered by a batch SGT.
 func (r *jobRing) shutdown() {
 	if r.shut.Swap(true) {
 		return
@@ -214,5 +186,4 @@ func (r *jobRing) shutdown() {
 	for r.inflight.Load() != 0 {
 		runtime.Gosched()
 	}
-	r.signal()
 }

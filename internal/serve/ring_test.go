@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"errors"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -10,35 +11,59 @@ import (
 	"repro/internal/mem"
 )
 
+// countingTenant registers a tenant whose handler counts each request
+// it runs by Key in seen, so ring tests consume through the real batch
+// SGTs and can check every job ran exactly once.
+func countingTenant(t *testing.T, s *Server, seen []int32) *Tenant {
+	t.Helper()
+	tn, err := s.RegisterTenant(TenantConfig{
+		Name: "count",
+		Handler: func(_ *Ctx, req Request) (any, error) {
+			atomic.AddInt32(&seen[req.Key], 1)
+			return nil, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tn
+}
+
+// keysOnShard returns n distinct keys that route tn's requests to shard
+// id of a server with shards shards.
+func keysOnShard(tn *Tenant, id, shards, n int) []uint64 {
+	keys := make([]uint64, 0, n)
+	for k := uint64(0); len(keys) < n; k++ {
+		if shardIndex(tn.hash, k, shards) == id {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
+func checkExactlyOnce(t *testing.T, seen []int32, keys []uint64) {
+	t.Helper()
+	for _, k := range keys {
+		if n := atomic.LoadInt32(&seen[k]); n != 1 {
+			t.Fatalf("key %d delivered %d times, want exactly once", k, n)
+		}
+	}
+}
+
 // TestRingConcurrentExactlyOnce hammers one shard ring with mixed
-// single and burst producers against the dispatcher drain loop and
-// checks every job is delivered exactly once — no loss, no duplicate —
-// across full-queue refusals and the final shutdown drain. Run under
-// -race this is the ring's memory-order audit.
+// single and burst producers against its batch SGTs and checks every
+// job is delivered exactly once — no loss, no duplicate — across
+// full-queue refusals and the drain at Close. Run under -race this is
+// the ring's memory-order audit.
 func TestRingConcurrentExactlyOnce(t *testing.T) {
 	const producers = 8
 	const perProd = 2000
-	sh := newShard(0, 64)
-	tn := stealTenant(1, 1, true)
+	sys := newTestSystem(t)
+	defer sys.Close()
+	s := New(sys, Config{Shards: 1, QueueDepth: 64, Batch: 32})
 	total := producers * perProd
 	seen := make([]int32, total)
-
-	var consumed sync.WaitGroup
-	consumed.Add(1)
-	go func() {
-		defer consumed.Done()
-		buf := make([]*Job, 0, 32)
-		for {
-			batch, _, ok := sh.drain(32, buf[:0])
-			if !ok {
-				return
-			}
-			buf = batch
-			for _, j := range batch {
-				atomic.AddInt32(&seen[j.req.Key], 1)
-			}
-		}
-	}()
+	tn := countingTenant(t, s, seen)
 
 	var wg sync.WaitGroup
 	for p := 0; p < producers; p++ {
@@ -47,23 +72,23 @@ func TestRingConcurrentExactlyOnce(t *testing.T) {
 			defer wg.Done()
 			base := uint64(p * perProd)
 			if p%2 == 0 {
-				// Single-push producer: retry refusals (queue full).
+				// Single-submit producer: retry refusals (queue full).
 				for i := 0; i < perProd; i++ {
-					j := testJob(tn, Request{Key: base + uint64(i)})
-					for !enqueue(sh, j) {
+					for tn.SubmitFunc(Request{Key: base + uint64(i)}, func(Result) {}) != nil {
 						runtime.Gosched()
 					}
 				}
 				return
 			}
-			// Burst producer: enqueueMany admits a prefix; re-offer the rest.
-			jobs := make([]*Job, perProd)
-			for i := range jobs {
-				jobs[i] = testJob(tn, Request{Key: base + uint64(i)})
+			// Burst producer: one shard, so a burst admits a prefix;
+			// re-offer the rest.
+			reqs := make([]Request, perProd)
+			for i := range reqs {
+				reqs[i] = Request{Key: base + uint64(i)}
 			}
-			for len(jobs) > 0 {
-				n := sh.enqueueMany(jobs)
-				jobs = jobs[n:]
+			for len(reqs) > 0 {
+				n := tn.SubmitManyFunc(reqs, func(int, Result) {})
+				reqs = reqs[n:]
 				if n == 0 {
 					runtime.Gosched()
 				}
@@ -71,43 +96,27 @@ func TestRingConcurrentExactlyOnce(t *testing.T) {
 		}(p)
 	}
 	wg.Wait()
-	sh.shutdown()
-	consumed.Wait()
-
-	for k, n := range seen {
-		if n != 1 {
-			t.Fatalf("key %d delivered %d times, want exactly once", k, n)
-		}
+	s.Close()
+	keys := make([]uint64, total)
+	for k := range keys {
+		keys[k] = uint64(k)
 	}
+	checkExactlyOnce(t, seen, keys)
 }
 
-// TestRingStealStress runs producers, two dispatcher drains, and a
-// rebalancer stealing between the shards, all concurrently: every job
-// must surface exactly once on exactly one shard.
+// TestRingStealStress runs producers onto one shard, the batch SGTs of
+// both shards, and a rebalancer stealing between them, all
+// concurrently: every job must run exactly once on exactly one shard.
 func TestRingStealStress(t *testing.T) {
 	const total = 8000
-	src, dst := newShard(0, 64), newShard(1, 64)
-	tn := stealTenant(3, 2, true)
-	seen := make([]int32, total)
-
-	var consumed sync.WaitGroup
-	for _, sh := range []*shard{src, dst} {
-		consumed.Add(1)
-		go func(sh *shard) {
-			defer consumed.Done()
-			buf := make([]*Job, 0, 16)
-			for {
-				batch, _, ok := sh.drain(16, buf[:0])
-				if !ok {
-					return
-				}
-				buf = batch
-				for _, j := range batch {
-					atomic.AddInt32(&seen[j.req.Key], 1)
-				}
-			}
-		}(sh)
-	}
+	sys := newTestSystem(t)
+	defer sys.Close()
+	s := New(sys, Config{Shards: 2, QueueDepth: 64, Batch: 16})
+	var keys []uint64
+	seen := make([]int32, 4*total)
+	tn := countingTenant(t, s, seen)
+	keys = keysOnShard(tn, 0, 2, total)
+	src, dst := s.shards[0], s.shards[1]
 
 	stop := make(chan struct{})
 	var stealer sync.WaitGroup
@@ -129,122 +138,242 @@ func TestRingStealStress(t *testing.T) {
 	var wg sync.WaitGroup
 	for p := 0; p < 4; p++ {
 		wg.Add(1)
-		go func(p int) {
+		go func(mine []uint64) {
 			defer wg.Done()
-			per := total / 4
-			for i := 0; i < per; i++ {
-				j := testJob(tn, Request{Key: uint64(p*per + i)})
-				for !enqueue(src, j) {
+			for _, k := range mine {
+				for tn.SubmitFunc(Request{Key: k}, func(Result) {}) != nil {
 					runtime.Gosched()
 				}
 			}
-		}(p)
+		}(keys[p*total/4 : (p+1)*total/4])
 	}
 	wg.Wait()
 	close(stop)
 	stealer.Wait()
-	src.shutdown()
-	dst.shutdown()
-	consumed.Wait()
-
-	for k, n := range seen {
-		if n != 1 {
-			t.Fatalf("key %d delivered %d times, want exactly once", k, n)
-		}
-	}
+	s.Close()
+	checkExactlyOnce(t, seen, keys)
 }
 
-// TestRingShutdownDuringProduce races shutdown against live producers:
-// every job a producer saw admitted must still be delivered (the
-// shutdown drain), and refused producers must observe the shut flag —
-// no job may be silently dropped between a successful push and drain.
+// TestRingShutdownDuringProduce races Close against live producers:
+// every job a producer saw admitted must still run (Close waits out the
+// batch SGTs), and refused producers must observe ErrClosed — no job
+// may be silently dropped between a successful push and its batch.
 func TestRingShutdownDuringProduce(t *testing.T) {
-	sh := newShard(0, 32)
-	tn := stealTenant(9, 1, true)
+	sys := newTestSystem(t)
+	defer sys.Close()
+	s := New(sys, Config{Shards: 1, QueueDepth: 32, Batch: 8})
 	var admitted, delivered atomic.Int64
-
-	var consumed sync.WaitGroup
-	consumed.Add(1)
-	go func() {
-		defer consumed.Done()
-		buf := make([]*Job, 0, 8)
-		for {
-			batch, _, ok := sh.drain(8, buf[:0])
-			if !ok {
-				return
-			}
-			buf = batch
-			delivered.Add(int64(len(batch)))
-		}
-	}()
+	tn, err := s.RegisterTenant(TenantConfig{
+		Name:    "t",
+		Handler: func(*Ctx, Request) (any, error) { return nil, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	var wg sync.WaitGroup
 	for p := 0; p < 6; p++ {
 		wg.Add(1)
-		go func(p int) {
+		go func() {
 			defer wg.Done()
 			for i := 0; ; i++ {
-				j := testJob(tn, Request{Key: uint64(i)})
-				if enqueue(sh, j) {
+				err := tn.SubmitFunc(Request{Key: uint64(i)}, func(Result) { delivered.Add(1) })
+				if err == nil {
 					admitted.Add(1)
-				} else if sh.ring.shut.Load() {
+				} else if errors.Is(err, ErrClosed) {
 					return
 				}
 				runtime.Gosched()
 			}
-		}(p)
+		}()
 	}
 	time.Sleep(2 * time.Millisecond)
-	sh.shutdown()
+	s.Close()
 	wg.Wait()
-	consumed.Wait()
 	if a, d := admitted.Load(), delivered.Load(); a != d {
 		t.Fatalf("admitted %d jobs but delivered %d", a, d)
 	}
 }
 
-// TestRingSpuriousWakeups pins the wakeup-coalescing contract: a signal
-// fires exactly on the empty→non-empty transition, so piling work onto
-// an already non-empty ring must not signal again, and a burst admits
-// with at most one signal.
+// TestRingSpuriousWakeups pins the spawn rule: a burst onto an idle
+// shard starts exactly one batch SGT; a push onto a shard whose batch
+// SGTs are all executing starts another up to InflightBatches and none
+// past it; and what queued meanwhile costs one successor when they
+// retire. Counted through core.sgt.spawn, which nothing else in the
+// system bumps here.
 func TestRingSpuriousWakeups(t *testing.T) {
-	sh := newShard(0, 64)
-	tn := stealTenant(5, 1, true)
-	job := func(k uint64) *Job { return testJob(tn, Request{Key: k}) }
+	sys := newTestSystem(t)
+	defer sys.Close()
+	s := New(sys, Config{Shards: 1, QueueDepth: 64, Batch: 16, InflightBatches: 2})
+	defer s.Close()
+	started, release := make(chan struct{}), make(chan struct{})
+	unblock := sync.OnceFunc(func() { close(release) })
+	defer unblock()
+	var ran atomic.Int64
+	tn, err := s.RegisterTenant(TenantConfig{
+		Name: "t",
+		Handler: func(_ *Ctx, req Request) (any, error) {
+			if req.Payload == "block" {
+				started <- struct{}{}
+				<-release
+			}
+			ran.Add(1)
+			return nil, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	spawns := sys.Mon.Counter("core.sgt.spawn")
+	base := spawns.Value()
+	want := func(n int64, what string) {
+		t.Helper()
+		if got := spawns.Value() - base; got != n {
+			t.Fatalf("%s: %d batch SGT spawns in all, want %d", what, got, n)
+		}
+	}
+	ignore := func(int, Result) {}
+	submit := func(k uint64, payload any) {
+		t.Helper()
+		if err := tn.SubmitFunc(Request{Key: k, Payload: payload}, func(Result) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := tn.SubmitManyFunc([]Request{{Key: 0, Payload: "block"}, {Key: 1}, {Key: 2}}, ignore); n != 3 {
+		t.Fatalf("burst admitted %d, want 3", n)
+	}
+	want(1, "a burst onto an idle shard")
+	<-started
+	submit(3, "block") // the only batch SGT is executing: one more
+	want(2, "a push onto a shard whose one batch SGT executes")
+	<-started
+	// Both batch SGTs are executing: InflightBatches is reached.
+	for k := uint64(4); k < 7; k++ {
+		submit(k, nil)
+	}
+	if n := tn.SubmitManyFunc([]Request{{Key: 7}, {Key: 8}}, ignore); n != 2 {
+		t.Fatalf("burst admitted %d, want 2", n)
+	}
+	want(2, "pushes onto a shard at InflightBatches")
+	unblock()
+	waitFor(t, "every job to run", func() bool { return ran.Load() == 9 })
+	waitFor(t, "the shard to go idle", func() bool { return s.shards[0].sgts.Load() == 0 })
+	want(3, "the five jobs queued at InflightBatches")
+	if n := tn.SubmitManyFunc([]Request{{Key: 9}, {Key: 10}}, ignore); n != 2 {
+		t.Fatalf("burst admitted %d, want 2", n)
+	}
+	want(4, "a burst onto the idle shard again")
+}
 
-	if !enqueue(sh, job(0)) {
-		t.Fatal("enqueue refused on an empty ring")
+// TestStrandProducerRacesLastBatchExit races closed-loop producers
+// against the exit of their shard's only batch SGT: with Batch and
+// InflightBatches at 1, almost every submit lands while the SGT that ran
+// the previous request is retiring. A job left with no batch SGT never
+// resolves, so each wait is bounded.
+func TestStrandProducerRacesLastBatchExit(t *testing.T) {
+	sys := newTestSystem(t)
+	defer sys.Close()
+	s := New(sys, Config{Shards: 1, QueueDepth: 64, Batch: 1, InflightBatches: 1})
+	defer s.Close()
+	tn, err := s.RegisterTenant(TenantConfig{
+		Name:    "t",
+		Handler: func(*Ctx, Request) (any, error) { return nil, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := sh.ring.wakes.Load(); got != 1 {
-		t.Fatalf("first enqueue sent %d wakeups, want 1", got)
+	var wg sync.WaitGroup
+	for p := 0; p < 4; p++ {
+		wg.Add(1)
+		go func(p int) {
+			defer wg.Done()
+			done := make(chan struct{}, 1)
+			for i := 0; i < 200; i++ {
+				if err := tn.SubmitFunc(Request{Key: uint64(p)}, func(Result) { done <- struct{}{} }); err != nil {
+					t.Error(err)
+					return
+				}
+				select {
+				case <-done:
+				case <-time.After(5 * time.Second):
+					t.Errorf("producer %d: request %d stranded with no batch SGT", p, i)
+					return
+				}
+			}
+		}(p)
 	}
-	// Five more onto a non-empty ring: coalesced, zero new signals.
-	for k := uint64(1); k <= 5; k++ {
-		enqueue(sh, job(k))
+	wg.Wait()
+}
+
+// TestStrandStealLeavesJobsOnIdleSource pins the steal's half of the
+// hand-off. A source batch SGT that exits while stealJobsInto compacts
+// the source can read the old head and then a freed slot, and retire
+// without a successor; the steal must then start one for the jobs it
+// left behind. The race is set up exactly: the source holds queued jobs
+// with no batch SGT active — the state that SGT leaves — and a steal
+// that moves one of them must get the rest running. A concurrent run of
+// the same race follows.
+func TestStrandStealLeavesJobsOnIdleSource(t *testing.T) {
+	sys := newTestSystem(t)
+	defer sys.Close()
+	s := New(sys, Config{Shards: 2, QueueDepth: 64, Batch: 4, InflightBatches: 1})
+	defer s.Close()
+	seen := make([]int32, 1<<12)
+	tn := countingTenant(t, s, seen)
+	src, dst := s.shards[0], s.shards[1]
+	keys := keysOnShard(tn, 0, 2, 512)
+
+	src.sgts.Store(freshSGT + 1) // hold: producers see a fresh SGT and start nothing
+	queued := []uint64{keys[0], keys[1], keys[1], keys[2]}
+	var ran atomic.Int64
+	for _, k := range queued {
+		if err := tn.SubmitFunc(Request{Key: k}, func(Result) { ran.Add(1) }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if got := sh.ring.wakes.Load(); got != 1 {
-		t.Fatalf("enqueues onto a non-empty ring raised wakeups to %d, want 1", got)
+	src.sgts.Store(0) // it retired having drained nothing and seen no work
+	// Singletons keys[0] and keys[2] are stealable; want 1 moves the
+	// newest and leaves three jobs on the idle source.
+	if moved := stealJobsInto(src, dst, 1, &stealScratch{}); moved != 1 {
+		t.Fatalf("moved %d, want 1", moved)
 	}
-	// A burst onto the non-empty ring: still nothing.
-	burst := []*Job{job(6), job(7), job(8)}
-	if n := sh.enqueueMany(burst); n != 3 {
-		t.Fatalf("enqueueMany admitted %d, want 3", n)
-	}
-	if got := sh.ring.wakes.Load(); got != 1 {
-		t.Fatalf("burst onto a non-empty ring raised wakeups to %d, want 1", got)
-	}
-	// Drain to empty, then a burst: exactly one more signal for the
-	// whole burst.
-	buf := make([]*Job, 0, 16)
-	if batch, _, ok := sh.drain(16, buf); !ok || len(batch) != 9 {
-		t.Fatalf("drain returned %d jobs, want 9", len(batch))
-	}
-	burst = []*Job{job(9), job(10), job(11), job(12)}
-	if n := sh.enqueueMany(burst); n != 4 {
-		t.Fatalf("enqueueMany admitted %d, want 4", n)
-	}
-	if got := sh.ring.wakes.Load(); got != 2 {
-		t.Fatalf("burst onto the drained ring brought wakeups to %d, want 2", got)
+	waitFor(t, "the jobs the steal left on the source to run", func() bool { return ran.Load() == int64(len(queued)) })
+
+	stop := make(chan struct{})
+	var stealer sync.WaitGroup
+	stealer.Add(1)
+	go func() {
+		defer stealer.Done()
+		var sc stealScratch
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			stealJobsInto(src, dst, 2, &sc)
+		}
+	}()
+	defer func() { close(stop); stealer.Wait() }()
+	// Bursts of six onto the source: a Batch of 4 leaves two behind, so
+	// each round retires a batch SGT with work queued while the stealer
+	// compacts the same ring.
+	done := make(chan struct{}, 6)
+	for r := 3; r+6 <= len(keys); r += 6 {
+		reqs := make([]Request, 6)
+		for i := range reqs {
+			reqs[i] = Request{Key: keys[r+i]}
+		}
+		if n := tn.SubmitManyFunc(reqs, func(int, Result) { done <- struct{}{} }); n != 6 {
+			t.Fatalf("burst admitted %d, want 6", n)
+		}
+		for i := 0; i < 6; i++ {
+			select {
+			case <-done:
+			case <-time.After(5 * time.Second):
+				t.Fatalf("round at key %d: a job stranded with no batch SGT", keys[r])
+			}
+		}
 	}
 }
 

@@ -153,7 +153,7 @@ func HotKeyScenario(seed uint64, tenants, ticks, perTick int, keys uint64, hotFr
 // tenant index 0 and every key is chosen — against the real shardIndex
 // mix for the given tenant name and shard count — to land on one shard,
 // so a static server funnels the whole offered load through a single
-// dispatcher while its siblings idle. Keys are drawn from a pool of
+// shard while its siblings idle. Keys are drawn from a pool of
 // distinct colliding keys (so most queued jobs are singleton-key and
 // therefore stealable); the player's Tenants[0] must be the tenant
 // registered under name.

@@ -4,32 +4,34 @@
 // request serving:
 //
 //   - sharded admission — requests hash by (tenant, key) onto
-//     independent bounded queues, each drained by a dedicated dispatcher
-//     LGT, so the admission hot path takes one per-shard lock and
-//     nothing global;
-//   - batching — a dispatcher drains up to Batch requests per wakeup
-//     and submits them as one SGT fan-out, amortizing spawn overhead the
-//     way parcels amortize round trips; Tenant.SubmitMany extends the
-//     same amortization up to admission, taking each destination shard
-//     lock once per burst;
+//     independent bounded queues, so the admission hot path touches one
+//     shard and nothing global; the submit is the spawn, as a parcel
+//     starts a thread at its destination: the producer whose job no
+//     batch SGT is on its way to drain starts one at the shard's locale
+//     (up to InflightBatches), and no thread ever waits on an empty
+//     queue;
+//   - batching — a batch SGT drains up to Batch requests and runs them
+//     in one activation, then retires, starting its successor if it
+//     left work queued: one spawn per batch, amortizing spawn overhead
+//     the way parcels amortize round trips; Tenant.SubmitMany extends
+//     the same amortization up to admission, reserving each destination
+//     shard's ring once per burst;
 //   - allocation-free steady state — each shard's queue is a bounded
 //     MPSC ring (producers admit with one tail CAS and one slot
-//     publish, no lock; the dispatcher parks on a wakeup coalesced to
-//     the empty→non-empty transition and drains in batches), Job
-//     records and flow state recycle through pools at completion, a
-//     Ticket is one allocation with its result cell embedded, and
-//     dispatchers reuse their drain/batch buffers and take one coarse
-//     timestamp per batch — so a steady-state Submit allocates nothing
-//     (BENCH_serve.json pins the trajectory; scripts/bench_serve.sh
-//     -check gates it in CI);
+//     publish, no lock), Job records and flow state recycle through
+//     pools at completion, a Ticket is one allocation with its result
+//     cell embedded, and each shard's batch SGTs reuse its batch records
+//     and take one coarse timestamp per batch — so a steady-state Submit
+//     allocates nothing (BENCH_serve.json pins the trajectory;
+//     scripts/bench_serve.sh -check gates it in CI);
 //   - backpressure and load shedding — full queues reject at admission
-//     and dispatchers shed requests whose deadline has already passed,
+//     and batch SGTs shed requests whose deadline has already passed,
 //     so overload degrades by dropping rather than by collapsing;
 //   - residency (percolation of code and data) — tenant registration
 //     can percolate the tenant's handler code image ahead of traffic
 //     and register data objects in the shared mem.Space, requests
-//     declare working sets over those objects, and each dispatcher
-//     stages a batch's working set into its locale before execution
+//     declare working sets over those objects, and each batch SGT
+//     stages its batch's working set into its locale before execution
 //     (the Section 3.2 percolation idea for both program instruction
 //     and data blocks, priced by the parcel.SimNet transfer models), so
 //     requests run warm and local;
@@ -88,10 +90,13 @@
 //	refuse     refuse         full shard or closing server; counts rejection, seals
 //	                          the trace, delivers StatusRejected or returns the error
 //	ring       jobRing        bounded MPSC queue (ring.go)
-//	drain      dispatch       the shard's dispatcher LGT takes a batch (shard.drain)
-//	                          and sheds what expired in the queue or ranks below the
-//	                          overload level
-//	batch SGT  runBatch       one detached SGT per drained batch; stages working sets
+//	spawn      shard.kick     the producer whose job no batch SGT is about to drain
+//	                          starts one, up to InflightBatches per shard
+//	drain      batchRun.run   the batch SGT takes a batch, starts a sibling if work is
+//	                          left, and sheds what expired in the queue or ranks below
+//	                          the overload level
+//	batch SGT  runBatch       one detached SGT per batch; stages working sets, then
+//	                          retires and starts its successor if the ring holds more
 //	execute    execute        runs the stage's handler, or sheds (shed) a job whose
 //	                          deadline passed after draining
 //	sink       finishJob      counts the stage outcome, hands the Result to Job.sink:
@@ -107,15 +112,15 @@
 // Every adaptive decision comes from one control plane (adaptive.go,
 // compile.go). Four controllers are entries of one clocked loop — step
 // runs each at its own period, nothing else knows them by name — and
-// the batch tuner runs on each dispatcher. Each owns its instruments,
+// the batch tuner runs in each batch SGT. Each owns its instruments,
 // reports through one emitter (decide, onto the adapt timeline), is
 // read by AdaptStats, and reaches the hot path through one nil-checked
 // read:
 //
 //	controller  input                      decision              counters (AdaptStats)        hot path reads
-//	batch       serve.shardNN.depth,       drain bound x2 / /2   BatchGrows, BatchShrinks     sh.ctrl.batch() in dispatch
+//	batch       serve.shardNN.depth,       drain bound x2 / /2   BatchGrows, BatchShrinks     sh.ctrl.batch() in run
 //	            serve.shardNN.batch_us
-//	overload    serve.wait_us              shed level +-1        ShedLevel, ShedLowPriority   s.overload.shedLevel() in dispatch
+//	overload    serve.wait_us              shed level +-1        ShedLevel, ShedLowPriority   s.overload.shedLevel() in run
 //	rebalance   shard.pending()            steal plan            Steals, Rebalances,          (moves queued jobs between rings)
 //	                                                             Imbalance
 //	localize    mem.Space access stats     migrate / replicate   Migrations, Replications     space.ReadAccess in execute
@@ -129,8 +134,10 @@
 // of Stats, FlowStats or AdaptStats (Stats.Steals, which mirrors
 // AdaptStats.Steals, is the one exception).
 //
-// Close the server before closing or waiting on the underlying system —
-// dispatcher LGTs run until Close.
+// An open server with nothing in flight holds no thread, so waiting on
+// the underlying system returns while it is open. Still close the server
+// before closing the system: a later submit would spawn a batch SGT, and
+// spawning after Shutdown panics.
 package serve
 
 import (
@@ -140,7 +147,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/litlx"
 	"repro/internal/mem"
 	"repro/internal/monitor"
@@ -157,19 +163,21 @@ var ErrClosed = errors.New("serve: server closed")
 
 // Config sizes a server.
 type Config struct {
-	// Shards is the number of admission queues and dispatcher LGTs
-	// (default 8).
+	// Shards is the number of admission queues (default 8), each pinned
+	// to one locale, where its batch SGTs run.
 	Shards int
 	// QueueDepth bounds each shard queue (default 1024).
 	QueueDepth int
-	// Batch is the maximum jobs one dispatcher wakeup drains into a
-	// single SGT fan-out (default 32).
+	// Batch is the maximum jobs one batch SGT drains and runs (default
+	// 32).
 	Batch int
 	// InflightBatches bounds how many batch SGTs one shard may have
-	// executing at once (default 2). This is what makes the shard queue
-	// a real bound: when execution falls behind, jobs accumulate in the
-	// bounded queue and admission rejects, instead of the backlog
-	// leaking into an unbounded SGT pile.
+	// executing at once (default 2): a job published while every batch
+	// SGT of its shard is already executing starts another, up to this
+	// bound, and otherwise waits for one to retire. This is what makes
+	// the shard queue a real bound: when execution falls behind, jobs
+	// accumulate in the bounded queue and admission rejects, instead of
+	// the backlog leaking into an unbounded SGT pile.
 	InflightBatches int
 	// DefaultDeadline is applied to jobs submitted without one; zero
 	// means such jobs never expire.
@@ -209,7 +217,7 @@ type DataConfig struct {
 	// shards. Within the chosen locale the (tenant, key) hash still
 	// picks the shard, so same-key stickiness holds per locale.
 	LocalityRoute bool
-	// Stage lets each dispatcher percolate a batch's working set into
+	// Stage lets each batch SGT percolate its batch's working set into
 	// its locale before execution: one replication per object per
 	// batch, priced by the percolate.ModelData transfer model, instead
 	// of a remote access per job.
@@ -248,9 +256,8 @@ type Server struct {
 	regMu    sync.Mutex // serializes RegisterTenant; reads stay lock-free
 	tenants  sync.Map   // name -> *Tenant
 
-	dispatchers sync.WaitGroup
-	inflight    sync.WaitGroup
-	closed      atomic.Bool
+	inflight sync.WaitGroup // batch SGTs spawned and not yet retired
+	closed   atomic.Bool
 
 	// Instruments are resolved once here so the hot path never touches
 	// the monitor's name table.
@@ -335,13 +342,13 @@ func (t *Tenant) Model() (coldCycles, warmCycles int64) {
 	return t.model.ColdCycles, t.model.WarmCycles
 }
 
-// New starts a server over sys: Shards dispatcher LGTs are spawned
-// immediately, each pinned to one locale of the system (round-robin, so
-// every locale gets len(shards)/locales dispatchers, the first
-// shards%locales locales one extra). The pinning is what makes the data
-// plane possible: a shard's batches execute at a known locale, so
-// routing by a working set's home and staging into "the shard's locale"
-// are well-defined.
+// New starts a server over sys with Shards admission shards, each pinned
+// to one locale of the system (round-robin, so every locale gets
+// len(shards)/locales shards, the first shards%locales locales one
+// extra). No thread starts until work arrives. The pinning is what makes
+// the data plane possible: a shard's batches execute at a known locale,
+// so routing by a working set's home and staging into "the shard's
+// locale" are well-defined.
 func New(sys *litlx.System, cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	s := &Server{
@@ -380,6 +387,15 @@ func New(sys *litlx.System, cfg Config) *Server {
 	for i := 0; i < cfg.Shards; i++ {
 		sh := newShard(i, cfg.QueueDepth)
 		sh.locale = mem.Locale(i % locales)
+		sh.srv, sh.maxSGTs = s, int64(cfg.InflightBatches)
+		sh.runs = make(chan *batchRun, cfg.InflightBatches)
+		bufCap := cfg.Batch
+		if cfg.Adapt.Enabled {
+			bufCap = cfg.Adapt.BatchMax
+		}
+		for r := 0; r < cfg.InflightBatches; r++ {
+			sh.runs <- &batchRun{sh: sh, jobs: make([]*Job, 0, bufCap), ctx: Ctx{shard: sh.id, locale: sh.locale}}
+		}
 		sh.qdepth = sys.Mon.Histogram(fmt.Sprintf("serve.shard%02d.queue_depth", i), queueDepthBounds)
 		sh.bsize = sys.Mon.Histogram(fmt.Sprintf("serve.shard%02d.batch_size", i), batchSizeBounds)
 		s.shards = append(s.shards, sh)
@@ -402,10 +418,6 @@ func New(sys *litlx.System, cfg Config) *Server {
 	if cfg.Compile.Enabled {
 		s.comp = newCompileController(s)
 		s.install(cfg.Compile.Every, s.comp.once)
-	}
-	for _, sh := range s.shards {
-		s.dispatchers.Add(1)
-		sys.SpawnLGT(int(sh.locale), func(l *core.LGT) { s.dispatch(l, sh) })
 	}
 	if len(s.controllers) > 0 {
 		s.quit = make(chan struct{})
@@ -453,9 +465,8 @@ func (t *Tenant) Submit(req Request) (*Ticket, error) {
 }
 
 // SubmitFunc admits one request, invoking done exactly once — on the
-// executing SGT for completed requests; for shed ones, on the
-// dispatcher (expired in queue) or on the batch SGT (expired after
-// draining). Rejected requests return ErrOverload (full shard) or
+// executing SGT for completed requests, and on the batch SGT that
+// drained them for shed ones. Rejected requests return ErrOverload (full shard) or
 // ErrClosed (server closed) and done is never invoked. The request
 // executes as the tenant's degenerate one-stage pipeline (Tenant.Solo)
 // — the same admission core flows run on.
@@ -541,11 +552,18 @@ func (s *Server) admit(sh *shard, g []*Job, deliver bool) (n int, err error) {
 		}
 	}
 	if !s.closed.Load() {
+		// Count acceptance before the jobs become drainable — a batch SGT
+		// may finish one before enqueueMany returns, and Stats relies on
+		// accepted never trailing done + shed — and take refusals back.
+		t.acc.Add(int64(len(g)))
+		s.accepted.Add(int64(len(g)))
 		n = sh.enqueueMany(g)
+		if r := int64(n - len(g)); r != 0 {
+			t.acc.Add(r)
+			s.accepted.Add(r)
+		}
 	}
 	if n > 0 {
-		t.acc.Add(int64(n))
-		s.accepted.Add(int64(n))
 		for _, m := range marks {
 			if m.pos < n {
 				m.ft.add(trace.KindAdmit, sh.id, sh.locale, m.arg, "")
@@ -718,16 +736,18 @@ func (t *Tenant) SubmitManyFunc(reqs []Request, done func(i int, r Result)) int 
 // expired after draining — waiting for a batch slot, or behind a slow
 // sibling in the same batch — are shed here rather than run uselessly
 // late.
-// now is the batch's coarse start timestamp: the deadline recheck and
-// the wait measurement share it, so a batch pays one clock read up
-// front plus one per job after its handler, instead of three per job.
+// now is when the job starts: the batch's coarse timestamp for its
+// first job, the end of the previous job for the rest. The deadline
+// recheck and the wait measurement share it, and execute returns the
+// clock read it takes after the handler, so a batch pays one clock read
+// up front plus one per job, instead of three per job.
 // ctx is the batch's reused execution context (per-job fields are
 // overwritten each call; handlers must not retain it past their return,
 // which was always the contract).
-func (s *Server) execute(sg *core.SGT, sh *shard, j *Job, ctx *Ctx, now time.Time) {
+func (s *Server) execute(sh *shard, j *Job, ctx *Ctx, now time.Time) time.Time {
 	if !j.req.Deadline.IsZero() && now.After(j.req.Deadline) {
 		s.shed(sh, j, now, "deadline expired before execution")
-		return
+		return now
 	}
 	t := j.tenant
 	if !t.resident[sh.id].Load() {
@@ -805,7 +825,8 @@ func (s *Server) execute(sg *core.SGT, sh *shard, j *Job, ctx *Ctx, now time.Tim
 			}
 		}
 	}
-	res.Total = time.Since(j.enqueued)
+	end := time.Now()
+	res.Total = end.Sub(j.enqueued)
 	if res.Status == StatusFailed {
 		s.failed.Inc()
 	} else {
@@ -823,6 +844,7 @@ func (s *Server) execute(sg *core.SGT, sh *shard, j *Job, ctx *Ctx, now time.Tim
 		}
 	}
 	s.finishJob(sh, j, res)
+	return end
 }
 
 // finishJob is the one completion path, run exactly once per admitted
@@ -877,10 +899,10 @@ func (s *Server) shedLow(sh *shard, j *Job, now time.Time, level int) {
 	s.shed(sh, j, now, cause)
 }
 
-// Close shuts the admission queues, drains the tails, and waits for all
-// dispatcher LGTs and in-flight batches to finish. Jobs still queued at
-// Close are executed (or shed if expired), not dropped. Submissions
-// after Close return ErrClosed.
+// Close shuts the admission queues, waiting out producers already
+// inside one, then waits for every batch SGT to retire. Jobs still
+// queued at Close are executed (or shed if expired) by the batch SGTs,
+// not dropped. Submissions after Close return ErrClosed.
 func (s *Server) Close() {
 	if s.closed.Swap(true) {
 		return
@@ -894,7 +916,6 @@ func (s *Server) Close() {
 	for _, sh := range s.shards {
 		sh.shutdown()
 	}
-	s.dispatchers.Wait()
 	s.inflight.Wait()
 	// Release the expvar claim only if this server holds it: a newer
 	// server may have claimed the "serve" var since.
@@ -906,7 +927,7 @@ type Stats struct {
 	Accepted, Rejected, Shed, Done, Failed int64
 	Batches, CodeTransfers                 int64
 	// DataStaged counts working-set objects the residency subsystem
-	// replicated into a dispatcher's locale ahead of a batch
+	// replicated into a shard's locale ahead of a batch
 	// (Config.Data.Stage).
 	DataStaged int64
 	// Steals mirrors AdaptStats.Steals, the rebalancer's count of jobs

@@ -296,7 +296,7 @@ func TestBackpressureRejects(t *testing.T) {
 		}
 		wg.Add(1)
 		accepted++
-		time.Sleep(time.Millisecond) // let the dispatcher drain between offers
+		time.Sleep(time.Millisecond) // let the batch SGTs drain between offers
 	}
 	if rejected == 0 {
 		t.Fatal("overloaded shard never rejected")
@@ -411,6 +411,44 @@ func TestSubmitManySpreadsShards(t *testing.T) {
 	}
 	if len(shardsSeen) < 2 {
 		t.Errorf("burst of %d keys landed on %d shards; grouping should spread", n, len(shardsSeen))
+	}
+}
+
+// TestIdleServerLeavesRuntimeQuiescent: an open server with nothing in
+// flight holds no thread — a shard's batch SGTs exist only while it has
+// work — so the system's Wait returns, and the server still serves
+// afterwards.
+func TestIdleServerLeavesRuntimeQuiescent(t *testing.T) {
+	sys := newTestSystem(t)
+	defer sys.Close()
+	s := New(sys, Config{Shards: 4})
+	defer s.Close()
+	tn, err := s.RegisterTenant(TenantConfig{
+		Name:    "echo",
+		Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	submit := func(v int) {
+		t.Helper()
+		tk, err := tn.Submit(Request{Key: uint64(v), Payload: v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := tk.Wait(); r.Status != StatusOK || r.Value != v {
+			t.Fatalf("request %d: %+v", v, r)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		submit(round)
+		quiet := make(chan struct{})
+		go func() { sys.Wait(); close(quiet) }()
+		select {
+		case <-quiet:
+		case <-time.After(5 * time.Second):
+			t.Fatalf("round %d: the system's Wait blocked on an idle open server", round)
+		}
 	}
 }
 
@@ -589,8 +627,8 @@ func TestPanicInMultiJobBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Pin the single in-flight slot so the next burst drains as ONE
-	// multi-job batch (SubmitMany enqueues under one lock, so the
-	// dispatcher cannot split it mid-append; Batch=8 >= 6 keeps it whole).
+	// multi-job batch (the shard's one batch SGT is executing, so none
+	// starts mid-burst; Batch=8 >= 6 keeps it whole).
 	if _, err := tn.Submit(Request{Key: 99, Payload: "block"}); err != nil {
 		t.Fatal(err)
 	}
@@ -646,7 +684,7 @@ func TestDeadlineShed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Deadline already expired at admission: the dispatcher must shed
+	// Deadline already expired at admission: the batch SGT must shed
 	// instead of running the handler.
 	expired := time.Now().Add(-time.Millisecond)
 	tk, err := tn.Submit(Request{Key: 1, Deadline: expired})

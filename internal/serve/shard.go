@@ -2,8 +2,8 @@ package serve
 
 import (
 	"fmt"
-	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/core"
@@ -12,28 +12,49 @@ import (
 	"repro/internal/trace"
 )
 
-// shard is one admission queue: a bounded MPSC ring (see ring.go)
-// drained by one dedicated dispatcher LGT pinned to the shard's locale.
-// Jobs hash onto shards by (tenant, key) — or, for requests declaring a
-// working set under locality routing, onto a shard at the set's
-// majority home locale — so the admission hot path touches exactly one
-// shard ring and never anything global, and never a lock at all on the
-// producer side.
+// shard is one admission queue: a bounded MPSC ring (see ring.go) whose
+// jobs run in batch SGTs at the shard's locale. Jobs hash onto shards by
+// (tenant, key) — or, for requests declaring a working set under
+// locality routing, onto a shard at the set's majority home locale — so
+// the admission hot path touches exactly one shard ring and never
+// anything global, and never a lock at all on the producer side.
+//
+// No thread waits for work. A submit is the spawn: the producer that
+// publishes a job no batch SGT is on its way to drain starts one itself
+// (kick), and each batch SGT runs one batch, then starts its successor
+// if it left work behind (runBatch). The hand-off cannot lose a job: a
+// producer publishes and then loads sgts; a batch SGT updates sgts after
+// its drain and again as it retires, each time before it checks the
+// head slot (ring.ready); with sequentially consistent atomics at least
+// one side sees the other's store.
 type shard struct {
 	id     int
-	locale mem.Locale // where the dispatcher LGT and its batch SGTs run
+	locale mem.Locale // where the shard's batch SGTs run
 	ring   jobRing
 	ctrl   *batchController // nil unless Config.Adapt is enabled
+	srv    *Server
+	// sgts counts the shard's batch SGTs in one word, so a spawn decision
+	// reads both counts at once: the low 32 bits are the active ones
+	// (spawned, not yet retired; at most maxSGTs = InflightBatches), the
+	// high 32 the fresh ones among them (not yet drained). runs holds one
+	// batch record per active SGT, and a record goes back before the
+	// count drops, so taking one never waits.
+	sgts    atomic.Int64
+	maxSGTs int64 // 0 for a shard built without a server: nothing spawns
+	runs    chan *batchRun
 	// jobs recycles this shard's Job records: construct takes one from
 	// here (newJob), finishJob or refuse returns it zeroed (recycle), so
 	// the steady-state submit path allocates nothing.
 	jobs sync.Pool
 	// Always-on drain instruments (atomic, alloc-free): the queue depth
-	// seen at each drain and the size of each dispatched batch. They
-	// feed Server.Snapshot's per-shard histograms.
+	// seen at each drain and the size of each executed batch. They feed
+	// Server.Snapshot's per-shard histograms.
 	qdepth, bsize *monitor.Histogram
 }
 
+// newShard builds a detached shard; New attaches it to its server (srv,
+// maxSGTs, runs). A detached shard never starts a batch SGT, so the jobs
+// queued on it stay put.
 func newShard(id, depth int) *shard {
 	sh := &shard{id: id}
 	sh.ring.init(depth)
@@ -64,53 +85,51 @@ func (sh *shard) recycle(j *Job) {
 // because the queue is at capacity or the server is closing
 // (backpressure: the caller sheds at admission rather than queueing
 // unboundedly). A SubmitMany call pays each destination shard's tail CAS
-// once, not once per request, and wakes its dispatcher at most once —
-// exactly on the empty→non-empty transition.
-func (sh *shard) enqueueMany(jobs []*Job) int { return sh.ring.pushMany(jobs) }
-
-// drain blocks until at least one job is queued, then removes and
-// returns up to max jobs in admission order, along with the queue depth
-// observed before the cut (the batch controller's feedback signal). It
-// returns ok=false once the shard is shut and empty. Only the
-// dispatcher calls drain.
-func (sh *shard) drain(max int, buf []*Job) (batch []*Job, depth int, ok bool) {
+// once, not once per request, and starts at most one batch SGT (kick).
+func (sh *shard) enqueueMany(jobs []*Job) int {
 	r := &sh.ring
-	for {
-		r.consMu.Lock()
-		batch, depth = r.popMany(max, buf)
-		r.consMu.Unlock()
-		if len(batch) > 0 {
-			return batch, depth, true
-		}
-		h := r.head.Load()
-		if h != r.tail.Load() {
-			// Reserved but unpublished head slot: its producer is between
-			// CAS and publish and saw a non-empty ring, so it will not
-			// signal. Parking here would sleep forever on a ready job —
-			// spin through the gap instead (publish is two stores away).
-			runtime.Gosched()
-			continue
-		}
-		if r.shut.Load() {
-			if r.inflight.Load() != 0 {
-				runtime.Gosched() // a last producer may still publish
-				continue
-			}
-			if r.head.Load() == r.tail.Load() {
-				return buf, 0, false
-			}
-			continue
-		}
-		r.park()
+	if len(jobs) == 0 || !r.begin() {
+		return 0
 	}
+	n := r.push(jobs)
+	if n > 0 {
+		sh.kick()
+	}
+	r.end()
+	return n
+}
+
+// freshSGT is one fresh batch SGT in shard.sgts.
+const freshSGT = 1 << 32
+
+// kick starts a batch SGT at the shard's locale unless a fresh one will
+// drain the ring anyway or the shard is at InflightBatches. Both tests
+// are one compare: any fresh count puts the word above maxSGTs. A
+// producer kicks after publishing; a batch SGT kicks when its drain, or
+// its retirement, leaves work queued. Every call is inside a ring
+// producer section, on a running batch SGT, or on the rebalancer (which
+// Close stops first), so Close's quiesce and inflight wait cover the
+// spawn.
+func (sh *shard) kick() {
+	for {
+		st := sh.sgts.Load()
+		if st >= sh.maxSGTs {
+			return
+		}
+		if sh.sgts.CompareAndSwap(st, st+1+freshSGT) {
+			break
+		}
+	}
+	br := <-sh.runs
+	sh.srv.inflight.Add(1)
+	sh.srv.sys.RT.GoAtDetached(int(sh.locale), 0, runBatch, br)
 }
 
 // pending returns the current queue depth — the rebalancer's per-shard
 // load signal.
 func (sh *shard) pending() int { return sh.ring.pending() }
 
-// shutdown stops admission and wakes the dispatcher so it can drain the
-// tail and exit.
+// shutdown stops admission; the batch SGTs run what is queued.
 func (sh *shard) shutdown() { sh.ring.shutdown() }
 
 // stealScratch is the rebalancer's reusable working memory for
@@ -206,7 +225,7 @@ func stealJobsInto(src, dst *shard, want int, sc *stealScratch) int {
 	if !dst.ring.begin() {
 		return 0
 	}
-	k, dpos, wasEmpty := dst.ring.reserve(len(sc.pos))
+	k, dpos := dst.ring.reserve(len(sc.pos))
 	if k == 0 {
 		dst.ring.end()
 		return 0
@@ -215,8 +234,8 @@ func stealJobsInto(src, dst *shard, want int, sc *stealScratch) int {
 	for i, p := range taken {
 		j := r.cells[p&r.mask].job
 		// Steal accounting strictly BEFORE publish: the instant the job
-		// is published to dst it is drainable there, and the destination
-		// dispatcher may execute and recycle it while this loop is still
+		// is published to dst it is drainable there, and a destination
+		// batch SGT may execute and recycle it while this loop is still
 		// running — after publish the job must never be touched again.
 		if j.stage.steals != nil {
 			j.stage.steals.Inc()
@@ -230,12 +249,13 @@ func stealJobsInto(src, dst *shard, want int, sc *stealScratch) int {
 		}
 		dst.ring.publish(dpos+uint64(i), j)
 	}
+	dst.kick()
 	dst.ring.end()
 	// Phase 2: compact src. Walk the window newest-first, sliding every
 	// kept job toward the newer end; the slots are all published, so
 	// moving payloads between them under consMu is invisible to
-	// producers (which never touch published slots) and to the
-	// dispatcher (excluded by consMu). Relative order of kept jobs is
+	// producers (which never touch published slots) and to the batch
+	// SGTs (excluded by consMu). Relative order of kept jobs is
 	// preserved.
 	ti := len(taken) - 1
 	w := h + n - 1
@@ -258,139 +278,124 @@ func stealJobsInto(src, dst *shard, want int, sc *stealScratch) int {
 		c.seq.Store(p + size)
 	}
 	r.head.Store(h + uint64(k))
-	if wasEmpty {
-		dst.ring.signal()
+	// A src batch SGT exiting during the compaction may have read the old
+	// head and then a slot freed above: it saw no work and started no
+	// successor. This check, after the stores, is its other half.
+	if r.ready() {
+		src.kick()
 	}
 	return k
 }
 
-// batchRun is one in-flight batch: the job set, the reused per-batch
-// execution context, and the route back to its dispatcher's pool. The
-// pool channel holds exactly InflightBatches of these per shard, so
-// acquiring one doubles as the in-flight token the old dispatch took —
-// execution falling behind still backs jobs up into the bounded ring
-// rather than an unbounded SGT pile.
+// batchRun is one batch SGT's record: the drained jobs and the reused
+// per-batch execution context. A shard owns InflightBatches of them, one
+// per batch SGT it may have active.
 type batchRun struct {
-	srv  *Server
 	sh   *shard
 	jobs []*Job
 	ctx  Ctx
-	pool chan *batchRun
 }
 
-// runBatch is the batch SGT main — a static function with its argument
-// carried by the detached-SGT arg slot, so dispatching a batch spawns
-// without a closure allocation.
+// runBatch is the batch SGT main — a static function with its record
+// carried by the detached-SGT arg slot, so starting a batch spawns
+// without a closure allocation. It runs one batch and retires: the
+// record goes back, the active count drops, and only then is the head
+// slot re-checked, so a job published during the batch is either seen
+// here and given a successor, or its producer sees the drop and spawns
+// one.
 func runBatch(sg *core.SGT, a any) {
 	br := a.(*batchRun)
-	s, sh := br.srv, br.sh
-	// Service time starts when the batch SGT runs, not at drain:
-	// including the wait for a batch buffer would inflate the histogram
-	// under saturation and gate batch growth exactly when a deep backlog
-	// calls for it. This is also the batch's one coarse timestamp: every
-	// job's deadline recheck and wait measurement reuses it instead of
-	// paying a clock read per job.
-	start := time.Now()
+	sh := br.sh
 	defer func() {
-		s.inflight.Done()
-		br.ctx.sgt = nil
-		br.ctx.tenant = nil
-		br.ctx.deadline = time.Time{}
-		for i := range br.jobs {
-			br.jobs[i] = nil
-		}
+		br.ctx = Ctx{shard: sh.id, locale: sh.locale}
+		clear(br.jobs)
 		br.jobs = br.jobs[:0]
-		br.pool <- br
+		sh.runs <- br
+		sh.sgts.Add(-1)
+		if sh.ring.ready() {
+			sh.kick()
+		}
+		sh.srv.inflight.Done()
 	}()
+	br.run(sg)
+}
+
+// run drains up to Batch queued jobs (or the batch controller's current
+// bound when the adaptivity loop is on), stops counting as fresh and
+// starts a sibling if work is queued behind the drain, sheds the expired
+// and — under overload — the low-priority jobs, stages the survivors'
+// working sets and executes them in order.
+// The drain's clock read is the batch's one coarse timestamp: the shed
+// checks, the first job's wait and the service time start from it, and
+// each later job starts from the end of the one before.
+func (br *batchRun) run(sg *core.SGT) {
+	sh := br.sh
+	s, r := sh.srv, &sh.ring
+	limit := s.cfg.Batch
+	if sh.ctrl != nil {
+		limit = sh.ctrl.batch()
+	}
+	r.consMu.Lock()
+	batch, depth := r.popMany(limit, br.jobs[:0])
+	r.consMu.Unlock()
+	br.jobs = batch // keep any capacity growth; cleared on exit
+	sh.sgts.Add(-freshSGT)
+	if r.ready() {
+		sh.kick()
+	}
+	if len(batch) == 0 {
+		return // a sibling or a steal took the work first
+	}
+	sh.qdepth.Observe(float64(depth))
+	if sh.ctrl != nil {
+		sh.ctrl.observeDepth(depth)
+	}
+	start := time.Now()
+	shedBelow := s.overload.shedLevel()
+	live := batch[:0]
+	for _, j := range batch {
+		if !j.req.Deadline.IsZero() && start.After(j.req.Deadline) {
+			s.shed(sh, j, start, "deadline expired in queue")
+			continue
+		}
+		// Only an engaged overload controller (level > 0) sheds by
+		// priority; at level 0 even negative priorities run.
+		if shedBelow > 0 && j.req.Priority < shedBelow {
+			s.shedLow(sh, j, start, shedBelow)
+			continue
+		}
+		live = append(live, j)
+	}
+	if len(live) == 0 {
+		return
+	}
+	sh.bsize.Observe(float64(len(live)))
+	if s.obs != nil {
+		// One batch-formation event per traced job; the label (shared
+		// across the batch) is built once and only when some job in the
+		// batch is traced.
+		lbl := ""
+		for _, j := range live {
+			if j.ft == nil {
+				continue
+			}
+			if lbl == "" {
+				lbl = fmt.Sprintf("batch of %d (depth %d)", len(live), depth)
+			}
+			j.ft.add(trace.KindBatch, sh.id, sh.locale, j.spanArg(), lbl)
+		}
+	}
+	s.batches.Inc()
 	br.ctx.sgt = sg
 	// Stage the batch's working set into this locale before any job
 	// runs: one transfer per object per batch, amortized the same way
 	// the batch amortizes spawns.
-	s.stageBatch(sh, br.jobs)
-	for _, j := range br.jobs {
-		s.execute(sg, sh, j, &br.ctx, start)
+	s.stageBatch(sh, live)
+	now := start
+	for _, j := range live {
+		now = s.execute(sh, j, &br.ctx, now)
 	}
 	if sh.ctrl != nil {
-		sh.ctrl.observeLatency(float64(time.Since(start)) / float64(time.Microsecond))
-	}
-}
-
-// dispatch is the dispatcher body, run on a dedicated LGT. Each wakeup
-// drains up to Batch queued jobs (or the batch controller's current
-// bound when the adaptivity loop is on), sheds the expired and — under
-// overload — the low-priority ones, and submits the survivors as a
-// single detached SGT fan-out: one pooled spawn per batch, not per job,
-// amortizing spawn and scheduling overhead across the batch. The drain
-// buffer and the batchRun buffers are reused for the dispatcher's
-// lifetime — steady-state dispatch allocates nothing.
-func (s *Server) dispatch(l *core.LGT, sh *shard) {
-	defer s.dispatchers.Done()
-	bufCap := s.cfg.Batch
-	if sh.ctrl != nil {
-		bufCap = sh.ctrl.max
-	}
-	buf := make([]*Job, 0, bufCap)
-	pool := make(chan *batchRun, s.cfg.InflightBatches)
-	for i := 0; i < s.cfg.InflightBatches; i++ {
-		pool <- &batchRun{
-			srv: s, sh: sh, pool: pool,
-			jobs: make([]*Job, 0, bufCap),
-			ctx:  Ctx{shard: sh.id, locale: sh.locale},
-		}
-	}
-	for {
-		limit := s.cfg.Batch
-		if sh.ctrl != nil {
-			limit = sh.ctrl.batch()
-		}
-		batch, depth, ok := sh.drain(limit, buf[:0])
-		if !ok {
-			return
-		}
-		buf = batch // keep any capacity growth for the next drain
-		sh.qdepth.Observe(float64(depth))
-		if sh.ctrl != nil {
-			sh.ctrl.observeDepth(depth)
-		}
-		now := time.Now()
-		shedBelow := s.overload.shedLevel()
-		live := batch[:0]
-		for _, j := range batch {
-			if !j.req.Deadline.IsZero() && now.After(j.req.Deadline) {
-				s.shed(sh, j, now, "deadline expired in queue")
-				continue
-			}
-			// Only an engaged overload controller (level > 0) sheds by
-			// priority; at level 0 even negative priorities run.
-			if shedBelow > 0 && j.req.Priority < shedBelow {
-				s.shedLow(sh, j, now, shedBelow)
-				continue
-			}
-			live = append(live, j)
-		}
-		if len(live) == 0 {
-			continue
-		}
-		sh.bsize.Observe(float64(len(live)))
-		if s.obs != nil {
-			// One batch-formation event per traced job; the label (shared
-			// across the batch) is built once and only when some job in
-			// the batch is traced.
-			lbl := ""
-			for _, j := range live {
-				if j.ft == nil {
-					continue
-				}
-				if lbl == "" {
-					lbl = fmt.Sprintf("batch of %d (depth %d)", len(live), depth)
-				}
-				j.ft.add(trace.KindBatch, sh.id, sh.locale, j.spanArg(), lbl)
-			}
-		}
-		br := <-pool // bound in-flight batches for this shard
-		br.jobs = append(br.jobs[:0], live...)
-		s.batches.Inc()
-		s.inflight.Add(1)
-		l.GoDetached(runBatch, br)
+		sh.ctrl.observeLatency(float64(now.Sub(start)) / float64(time.Microsecond))
 	}
 }
