@@ -93,5 +93,5 @@ func BenchmarkExpV2AdaptiveServe(b *testing.B) { benchExp(b, "V2") }
 // cold access on the localhot script.
 func BenchmarkExpV3DataLocality(b *testing.B) { benchExp(b, "V3") }
 
-// Serving path: future-chained pipeline flows vs per-stage resubmission.
+// Serving path: shard-chained pipeline flows vs per-stage resubmission.
 func BenchmarkExpV4PipelineFlows(b *testing.B) { benchExp(b, "V4") }

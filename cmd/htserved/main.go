@@ -455,8 +455,7 @@ func runPipelineFlows(sys *litlx.System, srv *serve.Server, sc serve.Scenario, t
 		Tenants: []*serve.Tenant{tn}, Tick: tick,
 		Submit: func(a serve.Arrival, req serve.Request, done func(serve.Result)) error {
 			req.Payload = a.Key
-			_, err := tn.SubmitFlowFunc(pl, req, done)
-			return err
+			return tn.SubmitFlowFunc(pl, req, done)
 		},
 	})
 

@@ -25,9 +25,10 @@
 // data blocks alike to the site of computation, priced by the
 // parcel.SimNet transfer models. On top of both rides the dataflow
 // serving surface (serve.Pipeline / Tenant.SubmitFlow): multi-stage
-// flows whose intermediate values are error-carrying futures chained
-// shard-to-shard — each stage's routing declaration derives the next
-// working set, Map stages fan out with future.All fanning back in, and
+// flows whose intermediate values are chained shard-to-shard — each
+// stage's routing declaration derives the next working set, the
+// producing shard admits the next stage where it routes, Map stages fan
+// out and join when their element count reaches zero, and
 // flow-scoped deadlines shed the remaining stages the moment they
 // expire (experiment V4 measures pipelines against per-stage
 // resubmission). Plain Submit is the degenerate one-stage pipeline.

@@ -194,10 +194,6 @@ func (p *Pipeline) ForwardStage(next int, v any, key uint64, deadline time.Time,
 	flow := n.nextFlow.Add(1)
 	sp := stageMsg{Flow: flow, Origin: string(n.self), Tenant: p.t.name, Pipe: p.name, Stage: next,
 		Key: key, Deadline: deadlineNS(deadline), Priority: priority}
-	pb, err := encodeStage(&sp, v)
-	if err != nil {
-		return false
-	}
 	pf := &pendingFlow{fin: finish, p: p, msg: sp, v: v, dest: dest, deadline: nsTime(sp.Deadline)}
 	n.pendingMu.Lock()
 	n.pending[flow] = pf
@@ -205,7 +201,7 @@ func (p *Pipeline) ForwardStage(next int, v any, key uint64, deadline time.Time,
 		pf.timer = time.AfterFunc(d, func() { n.recoverFlow(flow) })
 	}
 	n.pendingMu.Unlock()
-	if err := n.t.Send(dest, "cluster.stage", pb); err != nil {
+	if !n.forward(dest, &sp, v) {
 		// Decline only if recovery has not fired meanwhile: once it has
 		// resolved or re-routed the flow, finish is its to call, and a
 		// decline would run the stage here too, on a flow already ended.
@@ -220,7 +216,6 @@ func (p *Pipeline) ForwardStage(next int, v any, key uint64, deadline time.Time,
 		n.pendingMu.Unlock()
 		return !untouched
 	}
-	n.forwardedStages.Add(1)
 	if n.traces != nil {
 		n.traces.record(n.self, flow, trace.KindRemoteHop,
 			"%s/%s stage %d: %s -> %s", sp.Tenant, sp.Pipe, sp.Stage, n.self, dest)
@@ -299,15 +294,28 @@ func (n *Node) recoverFlow(flow uint64) {
 		n.traces.record(n.self, flow, trace.KindAdapt,
 			"recovery: attempt %d re-routes stage %d to %s (epoch %d)", attempt, sp.Stage, owner, sp.FlowEpoch)
 	}
-	if owner != n.self {
-		if pb, err := encodeStage(&sp, v); err == nil && n.t.Send(owner, "cluster.stage", pb) == nil {
-			n.forwardedStages.Add(1)
-			return
-		}
-		// The new owner is unreachable too: run the stage here rather than
-		// burning the remaining attempts against a dead wire.
+	if owner != n.self && n.forward(owner, &sp, v) {
+		return
 	}
+	// The new owner is unreachable too: run the stage here rather than
+	// burning the remaining attempts against a dead wire.
 	n.enter(p, sp, v, globals)
+}
+
+// forward sends a stage parcel to dest and counts it as forwarded —
+// before the send, since the parcel may complete the flow before Send
+// returns. It reports whether the parcel went.
+func (n *Node) forward(dest parcel.NodeID, sp *stageMsg, v any) bool {
+	pb, err := encodeStage(sp, v)
+	if err != nil {
+		return false
+	}
+	n.forwardedStages.Add(1)
+	if n.t.Send(dest, "cluster.stage", pb) != nil {
+		n.forwardedStages.Add(-1)
+		return false
+	}
+	return true
 }
 
 // handleStage executes one arriving stage parcel. It runs on the
@@ -385,8 +393,7 @@ func (a *arrival) ForwardStage(next int, v any, key uint64, deadline time.Time, 
 	if owner, _ := n.ownerOf(p.t.hash, skey); owner != n.self {
 		sp := stageMsg{Flow: a.flow, FlowEpoch: a.epoch, Origin: string(a.origin), Tenant: p.t.name,
 			Pipe: p.name, Stage: next, Key: key, Deadline: deadlineNS(deadline), Priority: priority}
-		if pb, err := encodeStage(&sp, v); err == nil && n.t.Send(owner, "cluster.stage", pb) == nil {
-			n.forwardedStages.Add(1)
+		if n.forward(owner, &sp, v) {
 			if n.traces != nil {
 				n.traces.record(a.origin, a.flow, trace.KindRemoteHop,
 					"%s/%s stage %d: %s -> %s", p.t.name, p.name, next, n.self, owner)

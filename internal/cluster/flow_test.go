@@ -4,7 +4,9 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/litlx"
 	"repro/internal/parcel"
@@ -83,6 +85,64 @@ func TestStagePlacementCountsPinned(t *testing.T) {
 	got := [4]int64{remote, local, forwarded, parcels}
 	if want := [4]int64{782, 322, 767, 1027}; got != want {
 		t.Errorf("remote, local, forwarded stages and parcels sent = %v, pinned %v", got, want)
+	}
+}
+
+// holdStageSend is a transport whose stage parcels are delivered at
+// once but whose Send returns only after the flow has completed, the
+// way a fabric delivery goroutine can finish the remote stage and the
+// completion before the sender resumes. It records the sending node's
+// ForwardedStages at that moment.
+type holdStageSend struct {
+	parcel.Transport
+	node *Node         // set before any stage parcel is sent
+	done chan struct{} // closed by the flow's done callback
+	seen atomic.Int64
+}
+
+func (h *holdStageSend) Send(dest parcel.NodeID, method string, body []byte) error {
+	err := h.Transport.Send(dest, method, body)
+	if method == "cluster.stage" && err == nil {
+		select {
+		case <-h.done:
+			h.seen.Store(h.node.Stats().ForwardedStages)
+		case <-time.After(5 * time.Second):
+			h.seen.Store(-1)
+		}
+	}
+	return err
+}
+
+// TestForwardedStagesCountedBeforeSendReturns: a forwarded stage is
+// counted before its parcel can complete the flow, so Stats read once
+// the flow is done never misses it.
+func TestForwardedStagesCountedBeforeSendReturns(t *testing.T) {
+	hold := &holdStageSend{done: make(chan struct{})}
+	echo := func(_ *serve.Ctx, req serve.Request) (any, error) { return req.Payload, nil }
+	_, nodes, pipes := recoveryPair(t, echo, func(i int, cfg *Config) {
+		if i == 0 {
+			hold.Transport, cfg.Transport = cfg.Transport, hold
+		}
+	})
+	hold.node = nodes[0]
+	key := keyOwnedBy(nodes[0], pipes[0], nodes[1].Self())
+	var status atomic.Int32
+	err := pipes[0].SubmitFunc(serve.Request{Key: key, Payload: 1}, func(r serve.Result) {
+		status.Store(int32(r.Status))
+		close(hold.done)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s := serve.Status(status.Load()); s != serve.StatusOK {
+		t.Fatalf("flow resolved %v, want ok", s)
+	}
+	switch got := hold.seen.Load(); got {
+	case -1:
+		t.Fatal("flow did not complete while its stage parcel's Send was held")
+	case 1:
+	default:
+		t.Errorf("ForwardedStages = %d once the forwarded flow completed, want 1", got)
 	}
 }
 

@@ -97,7 +97,10 @@ func ExpM1MD(scale int) *Result {
 // 3.1: measured invocation + completion cost per thread at each level
 // of the hierarchy (LGT goroutines, SGT tasks, TGT fibers), the
 // concrete numbers behind "cost of SGT invocation and management is
-// much lower when comparing with large-grain threads".
+// much lower when comparing with large-grain threads". Each level's
+// cost is the median of five interleaved LGT/SGT/TGT rounds, so a
+// burst of machine noise lands on one round of every level instead of
+// on all of one level.
 func ExpG1GrainCost(scale int) *Result {
 	res := newResult("G1", "EXP-G1: thread grain invocation cost (ns/op)",
 		"level", "count", "ns_per_op")
@@ -108,46 +111,60 @@ func ExpG1GrainCost(scale int) *Result {
 
 	// LGT: spawn + join dedicated goroutines with private heap touch.
 	lgtN := count / 10 // LGTs are heavy; fewer reps suffice
-	lgtMS := timeIt(func() {
-		for i := 0; i < lgtN; i++ {
-			l := rt.SpawnLGT(0, func(l *core.LGT) { l.Heap().Alloc(64) })
-			l.Done().Get()
-		}
-	})
-	lgtNS := lgtMS * 1e6 / float64(lgtN)
-	res.Table.AddRow("LGT", lgtN, lgtNS)
+	lgt := func() float64 {
+		return timeIt(func() {
+			for i := 0; i < lgtN; i++ {
+				l := rt.SpawnLGT(0, func(l *core.LGT) { l.Heap().Alloc(64) })
+				l.Done().Get()
+			}
+		}) * 1e6 / float64(lgtN)
+	}
 
 	// SGT: spawn + completion through the pool, batched.
-	sgtMS := timeIt(func() {
-		var done syncx.Counter
-		for i := 0; i < count; i++ {
-			rt.Go(func(s *core.SGT) { done.Done(1) })
-		}
-		done.SetTarget(count)
-		done.Wait()
-	})
-	sgtNS := sgtMS * 1e6 / float64(count)
-	res.Table.AddRow("SGT", count, sgtNS)
+	sgt := func() float64 {
+		return timeIt(func() {
+			var done syncx.Counter
+			for i := 0; i < count; i++ {
+				rt.Go(func(s *core.SGT) { done.Done(1) })
+			}
+			done.SetTarget(count)
+			done.Wait()
+		}) * 1e6 / float64(count)
+	}
 
 	// TGT: fibers created and fired inside one SGT (shared frame).
-	tgtMS := timeIt(func() {
-		finished := make(chan struct{})
-		rt.GoAt(0, 64, func(s *core.SGT) {
-			remaining := count
-			var chain func()
-			chain = func() {
-				if remaining == 0 {
-					close(finished)
-					return
+	tgt := func() float64 {
+		return timeIt(func() {
+			finished := make(chan struct{})
+			rt.GoAt(0, 64, func(s *core.SGT) {
+				remaining := count
+				var chain func()
+				chain = func() {
+					if remaining == 0 {
+						close(finished)
+						return
+					}
+					remaining--
+					s.NewFiber(0, func(f *core.Fiber) { chain() })
 				}
-				remaining--
-				s.NewFiber(0, func(f *core.Fiber) { chain() })
-			}
-			chain()
-		})
-		<-finished
-	})
-	tgtNS := tgtMS * 1e6 / float64(count)
+				chain()
+			})
+			<-finished
+		}) * 1e6 / float64(count)
+	}
+
+	const rounds = 5
+	var lgts, sgts, tgts []float64
+	for r := 0; r < rounds; r++ {
+		lgts = append(lgts, lgt())
+		sgts = append(sgts, sgt())
+		tgts = append(tgts, tgt())
+	}
+	lgtNS := stats.Summarize(lgts).P50
+	sgtNS := stats.Summarize(sgts).P50
+	tgtNS := stats.Summarize(tgts).P50
+	res.Table.AddRow("LGT", lgtN, lgtNS)
+	res.Table.AddRow("SGT", count, sgtNS)
 	res.Table.AddRow("TGT", count, tgtNS)
 
 	res.Metrics["lgt_ns"] = lgtNS

@@ -107,8 +107,7 @@ func ExpContinuousCompile(scale int) *Result {
 					elems[i] = i
 				}
 				req.Payload = elems
-				_, err := tn.SubmitFlowFunc(pl, req, done)
-				return err
+				return tn.SubmitFlowFunc(pl, req, done)
 			},
 		})
 		out.as = srv.AdaptStats()

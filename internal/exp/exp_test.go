@@ -130,8 +130,9 @@ func TestShapeG1GrainOrdering(t *testing.T) {
 	res, _ := Run("G1", 1)
 	lgt, sgt, tgt := res.Metrics["lgt_ns"], res.Metrics["sgt_ns"], res.Metrics["tgt_ns"]
 	// The paper's grain hierarchy: TGT invocation must be the cheapest
-	// and LGT the most expensive. (Wall clock, but the gaps are orders
-	// of magnitude.)
+	// and LGT the most expensive. Wall clock, and the SGT-to-TGT gap can
+	// be as small as ~1.2x, so each level is the median of interleaved
+	// rounds (see ExpG1GrainCost).
 	if !(tgt < sgt && sgt < lgt) {
 		t.Errorf("grain cost ordering violated: lgt=%v sgt=%v tgt=%v", lgt, sgt, tgt)
 	}
@@ -184,7 +185,7 @@ func TestShapeV4PipelineBeatsResubmission(t *testing.T) {
 	// Deterministic: modeled access costs come from the shared space
 	// directory under pure hash / majority-home routing.
 	if s := res.Metrics["modeled_speedup"]; s <= 1 {
-		t.Errorf("pipeline modeled speedup = %v, want > 1 (future-chained stages must beat caller round trips)", s)
+		t.Errorf("pipeline modeled speedup = %v, want > 1 (shard-chained stages must beat caller round trips)", s)
 	}
 	if rf := res.Metrics["pipeline_remote_frac"]; rf > 0.05 {
 		t.Errorf("pipeline remote fraction = %v, want ~0 (locality-routed stages run at their data)", rf)

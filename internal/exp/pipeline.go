@@ -32,7 +32,7 @@ type v4Agg struct{ parts []any }
 // Tenant.SubmitFlow: each stage carries a routing declaration deriving
 // its working set from the previous value, so under
 // Config.Data.LocalityRoute every stage admits at its data's home
-// locale and the intermediate values chain shard-to-shard as futures,
+// locale and the intermediate values chain shard-to-shard,
 // never returning to the caller. The resubmission baseline drives the
 // same stages through per-stage Submit round trips: the caller receives
 // each intermediate value and resubmits the next stage, and because
@@ -44,7 +44,7 @@ type v4Agg struct{ parts []any }
 // or pure majority-home lookup, and nothing replicates or migrates in
 // either run); p50_ms is wall clock, shape-stable.
 func ExpPipelineDataflow(scale int) *Result {
-	res := newResult("V4", "EXP-V4: future-chained pipeline vs per-stage resubmission (3-stage fan-out, localhot working set)",
+	res := newResult("V4", "EXP-V4: shard-chained pipeline vs per-stage resubmission (3-stage fan-out, localhot working set)",
 		"config", "flows", "done", "access_cost", "remote_frac", "cost_per_flow", "p50_ms")
 
 	const (
@@ -86,7 +86,7 @@ func ExpPipelineDataflow(scale int) *Result {
 		return stats.Quantile(lat, 0.50)
 	}
 
-	// --- pipeline run: future-chained flows, locality-routed stages ---
+	// --- pipeline run: shard-chained flows, locality-routed stages ---
 	runPipeline := func() (p50ms float64, st serve.Stats, sp mem.SpaceStats, ss []serve.StageStats) {
 		sys := newSys()
 		defer sys.Close()

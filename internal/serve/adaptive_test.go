@@ -573,7 +573,7 @@ func TestStatsSnapshotOneReaderPerCounter(t *testing.T) {
 		Tenants: []*Tenant{tn}, Tick: 250 * time.Microsecond,
 		Submit: func(_ Arrival, req Request, done func(Result)) error {
 			req.Payload = []any{1, 2, 3, 4, 5, 6, 7, 8}
-			_, err := tn.SubmitFlowFunc(p, req, done)
+			err := tn.SubmitFlowFunc(p, req, done)
 			return err
 		},
 	})

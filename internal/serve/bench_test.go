@@ -120,7 +120,7 @@ func BenchmarkSubmitHandleSketch(b *testing.B) {
 }
 
 // BenchmarkSubmitFlow measures the dataflow-pipeline admission path:
-// one two-stage scalar flow per iteration, futures and flow state
+// one two-stage scalar flow per iteration, flow state and stage hop
 // included — the per-flow cost SubmitFlow adds over plain Submit.
 func BenchmarkSubmitFlow(b *testing.B) {
 	_, tn := newBenchServer(b)
@@ -131,14 +131,14 @@ func BenchmarkSubmitFlow(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// Warm the flow-state and stage-hop pools (newBenchServer only
-	// warms the plain-submit path).
+	// Warm the flow-state pool and the stage jobs' pools (newBenchServer
+	// only warms the plain-submit path).
 	var wg sync.WaitGroup
 	wg.Add(256)
 	wdone := func(Result) { wg.Done() }
 	for i := 0; i < 256; i++ {
 		for {
-			if _, err := tn.SubmitFlowFunc(pl, Request{Key: uint64(i)}, wdone); err != ErrOverload {
+			if err := tn.SubmitFlowFunc(pl, Request{Key: uint64(i)}, wdone); err != ErrOverload {
 				break
 			}
 		}
@@ -149,7 +149,7 @@ func BenchmarkSubmitFlow(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for {
-			if _, err := tn.SubmitFlowFunc(pl, Request{Key: uint64(i)}, done); err != ErrOverload {
+			if err := tn.SubmitFlowFunc(pl, Request{Key: uint64(i)}, done); err != ErrOverload {
 				break
 			}
 		}

@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/future"
 	"repro/internal/mem"
 	"repro/internal/syncx"
 )
@@ -128,7 +127,7 @@ type Result struct {
 // (and refuse, for surfaces that promise a uniform Result instead of an
 // error) calls resolve exactly once per job; idx is the job's Job.idx.
 // Every implementer is pointer-shaped, so storing one in a Job never
-// allocates: *Ticket, callbackSink, indexedSink, elemSink, *flowState.
+// allocates: *Ticket, callbackSink, indexedSink, joinSink, *flowState.
 type sink interface {
 	resolve(idx int32, r Result)
 }
@@ -143,19 +142,6 @@ func (f callbackSink) resolve(_ int32, r Result) { f(r) }
 type indexedSink func(int, Result)
 
 func (f indexedSink) resolve(idx int32, r Result) { f(int(idx), r) }
-
-// elemSink is one fan-out element's result future. A failed element
-// carries its error onto the future's error channel, riding future.All
-// to the join.
-type elemSink struct{ fut *future.Future[Result] }
-
-func (e elemSink) resolve(_ int32, r Result) {
-	var ferr error
-	if r.Status == StatusFailed {
-		ferr = r.Err
-	}
-	e.fut.Resolve(r, ferr)
-}
 
 // Job is one admitted unit of work, queued on a shard until a batch
 // SGT drains it. Job records are pooled: Server.construct is the
@@ -224,10 +210,6 @@ type Ticket struct {
 	// cell is embedded by value (a Cell's zero value is an empty cell):
 	// a ticket is one allocation, not two.
 	cell syncx.Cell[Result]
-	// stages holds the per-stage result futures of a flow ticket
-	// (Tenant.SubmitFlow); nil for single submits, whose one "stage" is
-	// the final result itself.
-	stages []*future.Future[Result]
 }
 
 // resolve makes a ticket the sink of the request (or flow) it follows.
@@ -236,15 +218,3 @@ func (t *Ticket) resolve(_ int32, r Result) { t.cell.Put(r) }
 // Wait blocks until the request (for flows: the final stage) resolves
 // and returns its result.
 func (t *Ticket) Wait() Result { return t.cell.Get() }
-
-// Stages returns the number of pipeline stages behind this ticket;
-// zero for single submits.
-func (t *Ticket) Stages() int { return len(t.stages) }
-
-// StageFuture returns stage i's result future: it resolves with the
-// stage's Result when the stage completes, and with the flow's terminal
-// Result (StatusShed, StatusFailed, or StatusRejected — failed stages
-// also carry the error on the future's error channel) when the flow
-// ends before reaching it. Continuations attached to it buffer at the
-// producing shard, like any future.
-func (t *Ticket) StageFuture(i int) *future.Future[Result] { return t.stages[i] }

@@ -269,7 +269,7 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 			refusedWith(err)
 		}
 	default:
-		if _, err := tn.SubmitFlowFunc(pipe, flowReq, func(r Result) { resolve(0, r) }); err != nil {
+		if err := tn.SubmitFlowFunc(pipe, flowReq, func(r Result) { resolve(0, r) }); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -1,22 +1,24 @@
 package serve
 
 // This file is the dataflow-pipeline surface: multi-stage flows whose
-// intermediate values are futures chained shard-to-shard. A Pipeline is
+// intermediate values are chained shard-to-shard. A Pipeline is
 // compiled once from Stage declarations (handler + routing derivation);
 // Tenant.SubmitFlow admits stage 0 (Tenant.SubmitFlowAt a later stage,
 // for a flow arriving from another node) and from there every hand-off
-// happens at the producing shard — the stage's result resolves a
-// future.Future buffered there, and the continuation ships the value to
-// the next stage's routed locale with ThenSpawn. No intermediate result
-// ever bounces through the submitter, so locality routing, deadline
-// propagation, and the adaptivity loop keep working between stages,
-// which is exactly what per-stage resubmission through Submit loses
-// (exp V4 measures the difference).
+// happens at the producing shard — where the stage's result resolves,
+// the next stage is derived from it and admitted at its routed shard,
+// whose batch SGT starts at that shard's locale (the hop is the
+// admission). No intermediate result ever bounces through the
+// submitter, so locality routing, deadline propagation, and the
+// adaptivity loop keep working between stages, which is exactly what
+// per-stage resubmission through Submit loses (exp V4 measures the
+// difference).
 //
 // A Stage with Map set fans out: its input must be a []any, the handler
 // runs once per element (each element routed by its own derived working
-// set), and future.All fans the element results back in at the
-// last-resolved element's locale before the next stage runs.
+// set), and the element results count down into the flow's join buffer;
+// the last element to resolve joins them at its own locale before the
+// next stage runs.
 //
 // The plain Submit path is the degenerate one-stage pipeline: every
 // tenant compiles its handler into a solo pipeline at registration
@@ -30,8 +32,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/core"
-	"repro/internal/future"
 	"repro/internal/mem"
 	"repro/internal/monitor"
 	"repro/internal/trace"
@@ -52,7 +52,7 @@ type Stage struct {
 	// flow's initial payload for stage 0) must be a []any. The handler
 	// runs once per element, each element admitted and routed
 	// independently, and the next stage receives the []any of element
-	// results once future.All fans them back in. A non-slice input fails
+	// results once the last of them resolves. A non-slice input fails
 	// the flow with StatusFailed rather than panicking.
 	Map bool
 	// Key derives this stage's routing key from its input value; nil
@@ -198,8 +198,8 @@ func composeMiddleware(h Handler, tenantMW, serverMW []Middleware) Handler {
 // Solo returns the tenant's degenerate one-stage pipeline — the
 // tenant's composed handler as its only stage. Submit(req) and
 // SubmitFlow(t.Solo(), req) execute identically; Submit just skips the
-// per-flow future allocations. The solo stage carries no extra
-// counters: its outcomes are the tenant counters.
+// flow record. The solo stage carries no extra counters: its outcomes
+// are the tenant counters.
 func (t *Tenant) Solo() *Pipeline { return t.solo }
 
 // StageStats is the per-stage accounting of one pipeline.
@@ -239,18 +239,17 @@ func (p *Pipeline) StageStats() []StageStats {
 }
 
 // flowState is one in-flight flow: the pipeline-scoped routing key,
-// deadline, and priority every stage inherits, the per-stage result
-// futures, and the done-exactly-once terminal guard.
+// deadline, and priority every stage inherits, the join of the Map
+// stage in flight, and the done-exactly-once terminal guard.
 //
 // Flow states are pooled. Reclamation is refcounted: the count starts
 // at 1 (the terminal reference, dropped by terminate after the done
 // sink) and each live stage job holds one more (taken by construct,
 // dropped at the end of finishJob / refuse). The state recycles only
-// when both are gone, so a straggling shed element of an already-failed
-// fan-out can never touch a reused flow. The futs slice is NOT pooled —
-// it escapes to the submitter (Ticket.StageFuture).
+// when both are gone, so no job can touch a reused flow.
 //
-// A flow is also the sink of its own scalar stage jobs (see resolve).
+// A flow is also the sink of its own scalar stage jobs (see resolve),
+// and, through joinSink, of its fan-out elements.
 type flowState struct {
 	p        *Pipeline
 	key      uint64
@@ -260,7 +259,12 @@ type flowState struct {
 	done     sink // the flow's terminal Result goes here: a ticket or a callback
 	finished atomic.Bool
 	refs     atomic.Int32
-	futs     []*future.Future[Result]
+	// The join of the Map stage in flight: fan is the stage, pending
+	// counts its unresolved elements, and elems holds their results by
+	// element index. elems keeps its capacity across generations.
+	fan     *pipeStage
+	pending atomic.Int32
+	elems   []Result
 	// router decides the flow's cross-node hand-offs (nil: every stage
 	// stays in this process); see SubmitFlowAt.
 	router RemoteRouter
@@ -296,59 +300,35 @@ func (fl *flowState) unref() {
 	fl.enqueued = time.Time{}
 	fl.done = nil
 	fl.finished.Store(false)
-	fl.futs = nil
+	fl.fan = nil
+	fl.pending.Store(0)
+	clear(fl.elems)
+	fl.elems = fl.elems[:0]
 	fl.router = nil
 	fl.ft = nil
 	flowPool.Put(fl)
 }
 
-// stageHop carries one scalar stage hand-off to its destination locale:
-// the pooled argument of the detached hop SGT, so advancing a flow
-// spawns without a closure or activation allocation.
-type stageHop struct {
-	fl  *flowState
-	st  *pipeStage
-	sh  *shard
-	req Request
-}
-
-var hopPool sync.Pool
-
-// runStageHop is the detached hop SGT's main. The flow cannot have
-// finished before the hop lands (a scalar flow's only live path is this
-// one, and the terminal reference is still held), so fl is valid here.
-func runStageHop(_ *core.SGT, a any) {
-	h := a.(*stageHop)
-	fl, st, sh, req := h.fl, h.st, h.sh, h.req
-	*h = stageHop{}
-	hopPool.Put(h)
-	fl.p.submitStage(fl, st, sh, req)
-}
-
 // SubmitFlow admits one flow through the pipeline and returns a ticket
-// that resolves with the final stage's result. The ticket's stage
-// futures expose every intermediate result (Ticket.StageFuture); a flow
-// that sheds or fails mid-pipeline resolves all downstream futures with
-// the terminal result. A refused scalar stage 0 returns
-// ErrOverload/ErrClosed like Submit and the flow never starts; refusals
-// past stage 0 — and element refusals of a Map-first stage, whose
-// partially admitted fan-out cannot be unwound — surface as a
-// StatusRejected final result instead.
+// that resolves with the final stage's result — or with the terminal
+// result of a flow that sheds or fails mid-pipeline, whose later stages
+// never run. A refused scalar stage 0 returns ErrOverload/ErrClosed
+// like Submit and the flow never starts; refusals past stage 0 — and
+// element refusals of a Map-first stage, whose partially admitted
+// fan-out cannot be unwound — surface as a StatusRejected final result
+// instead.
 func (t *Tenant) SubmitFlow(p *Pipeline, req Request) (*Ticket, error) {
 	tk := &Ticket{}
-	futs, err := t.submitFlow(p, 0, req, nil, tk, true)
-	if err != nil {
+	if err := t.submitFlow(p, 0, req, nil, tk); err != nil {
 		return nil, err
 	}
-	tk.stages = futs
 	return tk, nil
 }
 
 // SubmitFlowFunc is SubmitFlow with a callback instead of a ticket:
-// done is invoked exactly once with the flow's terminal result. It
-// returns the per-stage result futures.
-func (t *Tenant) SubmitFlowFunc(p *Pipeline, req Request, done func(Result)) ([]*future.Future[Result], error) {
-	return t.submitFlow(p, 0, req, nil, callbackSink(done), true)
+// done is invoked exactly once with the flow's terminal result.
+func (t *Tenant) SubmitFlowFunc(p *Pipeline, req Request, done func(Result)) error {
+	return t.submitFlow(p, 0, req, nil, callbackSink(done))
 }
 
 // SubmitFlowAt admits a flow that enters p at stage from, with
@@ -358,35 +338,31 @@ func (t *Tenant) SubmitFlowFunc(p *Pipeline, req Request, done func(Result)) ([]
 // chaining runs the stages after it. rr, when non-nil, is the flow's
 // RemoteRouter: it is consulted at every later scalar stage boundary
 // and may ship the rest of the flow to another node. done is invoked
-// exactly once with the terminal result; no stage futures are made, as
-// nobody could read them.
+// exactly once with the terminal result.
 func (t *Tenant) SubmitFlowAt(p *Pipeline, from int, req Request, rr RemoteRouter, done func(Result)) error {
-	_, err := t.submitFlow(p, from, req, rr, callbackSink(done), false)
-	return err
+	return t.submitFlow(p, from, req, rr, callbackSink(done))
 }
 
-// submitFlow creates the flow state — with per-stage result futures
-// when the caller returns them — and admits stage from (one scalar job
-// or one fan-out) through the same construct/admit core plain submits
-// use.
-func (t *Tenant) submitFlow(p *Pipeline, from int, req Request, rr RemoteRouter, done sink,
-	futures bool) ([]*future.Future[Result], error) {
+// submitFlow creates the flow state and admits stage from (one scalar
+// job or one fan-out) through the same construct/admit core plain
+// submits use.
+func (t *Tenant) submitFlow(p *Pipeline, from int, req Request, rr RemoteRouter, done sink) error {
 	if p == nil || p.t != t {
-		return nil, errors.New("serve: pipeline was not built by this tenant (use Tenant.NewPipeline)")
+		return errors.New("serve: pipeline was not built by this tenant (use Tenant.NewPipeline)")
 	}
 	if from < 0 || from >= len(p.stages) {
-		return nil, fmt.Errorf("serve: pipeline %q has no stage %d", p.name, from)
+		return fmt.Errorf("serve: pipeline %q has no stage %d", p.name, from)
 	}
 	s := t.srv
 	if s.closed.Load() {
 		// Checked before the flow exists: a Map-first fan-out refused
 		// element by element could not be unwound into an error.
-		return nil, ErrClosed
+		return ErrClosed
 	}
 	st := p.stages[from]
 	parts, sliced := req.Payload.([]any)
 	if st.fanout && !sliced {
-		return nil, fmt.Errorf("serve: pipeline %q stage %q fans out over []any, payload is %T",
+		return fmt.Errorf("serve: pipeline %q stage %q fans out over []any, payload is %T",
 			p.name, st.name, req.Payload)
 	}
 	now := time.Now()
@@ -395,23 +371,11 @@ func (t *Tenant) submitFlow(p *Pipeline, from int, req Request, rr RemoteRouter,
 	fl.p, fl.key, fl.deadline, fl.priority = p, req.Key, req.Deadline, req.Priority
 	fl.enqueued, fl.done, fl.router = now, done, rr
 	fl.ft = s.obs.sample(t, p, req.Key)
-	// The futures (and their slice) escape to the caller, so they are
-	// allocated fresh per flow; everything else on this path recycles.
-	// futs is captured locally because the flow may complete — and fl
-	// recycle — before this function returns.
-	var futs []*future.Future[Result]
-	if futures {
-		futs = make([]*future.Future[Result], len(p.stages))
-		for i := range futs {
-			futs[i] = future.Pending[Result](s.sys.RT)
-		}
-	}
-	fl.futs = futs
 	// Count the flow before it can possibly complete.
 	s.flowSub.Inc()
 	if st.fanout {
 		p.fanOut(fl, st, parts, &req)
-		return futs, nil
+		return nil
 	}
 	sreq := p.stageRequest(fl, st, req.Payload, &req)
 	if err := s.submit(t, st, fl, sreq, now, nil, fl, int32(from), false); err != nil {
@@ -420,9 +384,9 @@ func (t *Tenant) submitFlow(p *Pipeline, from int, req Request, rr RemoteRouter,
 		// already dropped the job's and sealed the trace).
 		s.flowSub.Add(-1)
 		fl.unref()
-		return nil, err
+		return err
 	}
-	return futs, nil
+	return nil
 }
 
 // stageRequest derives one stage's admission request from its input
@@ -477,7 +441,7 @@ func (st *pipeStage) count(r Result) {
 func (fl *flowState) resolve(idx int32, r Result) {
 	st := fl.p.stages[idx]
 	if r.Status != StatusOK || st.last {
-		fl.terminate(st.idx, r)
+		fl.terminate(r)
 		return
 	}
 	fl.p.chain(fl, st, r)
@@ -492,31 +456,25 @@ func (fl *flowState) resolve(idx int32, r Result) {
 // remainder of the flow to another node; it must then invoke finish
 // exactly once — when its completion parcel arrives, or at once when
 // the result goes elsewhere — with the flow's terminal Result, which
-// resolves every remaining stage future and the flow's done callback on
-// this node.
+// ends the flow on this node.
 type RemoteRouter interface {
 	ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, finish func(Result)) bool
 }
 
 // chain advances an OK stage result to the next stage. It runs at the
-// producing shard: the stage future resolves here, and the buffered
-// continuation ships the value to the next stage's routed locale with
-// ThenSpawn — the submitter never sees the intermediate value. A flow
-// with a RemoteRouter may continue on another machine: the router takes
-// the flow, and the hand-off is recorded as a remote-hop trace event.
+// producing shard, where the result resolved, and admits the next stage
+// straight from here: the admission routes it and starts a batch SGT at
+// the routed shard's locale — the submitter never sees the intermediate
+// value. A flow with a RemoteRouter may continue on another machine:
+// the router takes the flow, and the hand-off is recorded as a
+// remote-hop trace event.
 func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result) {
 	s := p.t.srv
 	next := p.stages[st.idx+1]
-	// Resolve the producing stage before routing onward: a remote
-	// hand-off's completion parcel may race this shard, and the remote
-	// finisher only touches futures from next onward.
-	if fl.futs != nil {
-		fl.futs[st.idx].Resolve(r, nil)
-	}
 	if next.fanout {
 		parts, ok := r.Value.([]any)
 		if !ok {
-			fl.terminate(next.idx, Result{Status: StatusFailed,
+			fl.terminate(Result{Status: StatusFailed,
 				Err: fmt.Errorf("serve: pipeline %q stage %q fans out over []any, stage %q produced %T",
 					p.name, next.name, st.name, r.Value)})
 			return
@@ -530,11 +488,10 @@ func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result) {
 		// the closure must keep the state out of the pool forever — a
 		// flow that went remote is reclaimed by the GC, never recycled,
 		// and a duplicate finish lands on the finished guard, not on a
-		// reused record. The parcel's terminal result resolves every
-		// future from the hand-off stage onward.
+		// reused record.
 		fl.ref()
 		if rr.ForwardStage(next.idx, r.Value, fl.key, fl.deadline, fl.priority,
-			func(final Result) { fl.terminate(next.idx, final) }) {
+			func(final Result) { fl.terminate(final) }) {
 			if fl.ft != nil {
 				fl.ft.add(trace.KindRemoteHop, 0, 0, spanArg(next.idx, 0),
 					fmt.Sprintf("%s -> %s (remote)", st.name, next.name))
@@ -547,55 +504,46 @@ func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result) {
 	sh := s.routeShard(p.t, &req)
 	if fl.ft != nil {
 		// The hop is attributed to its destination: the shard (and
-		// locale) the routed value is about to ship to.
+		// locale) the routed value is admitted at.
 		fl.ft.add(trace.KindStageHop, sh.id, sh.locale, spanArg(next.idx, 0),
 			fmt.Sprintf("%s -> %s", st.name, next.name))
 	}
-	// The value just resolved right here, so there is nothing to wait
-	// on: ship the hand-off straight to the next stage's locale as a
-	// detached SGT with a pooled argument — no continuation buffering,
-	// no closure, no activation allocation. The terminal reference keeps
-	// fl alive across the hop (no other path can finish a scalar flow
-	// while its only hand-off is in flight).
-	h, _ := hopPool.Get().(*stageHop)
-	if h == nil {
-		h = &stageHop{}
-	}
-	h.fl, h.st, h.sh, h.req = fl, next, sh, req
-	s.sys.RT.GoAtDetached(int(sh.locale), 0, runStageHop, h)
+	p.submitStage(fl, next, sh, req)
 }
 
-// submitStage admits one scalar stage job at the shard its hop was
-// routed to. An admission refusal past stage 0 is delivered to the sink,
-// ending the flow with StatusRejected: earlier stages already ran, so
-// the uniform-Result surface is the only honest one.
+// submitStage admits one scalar stage job at its routed shard. An
+// admission refusal past stage 0 is delivered to the sink, ending the
+// flow with StatusRejected: earlier stages already ran, so the
+// uniform-Result surface is the only honest one.
 func (p *Pipeline) submitStage(fl *flowState, st *pipeStage, sh *shard, req Request) {
 	_ = p.t.srv.submit(p.t, st, fl, req, time.Now(), sh, fl, int32(st.idx), true)
 }
 
 // fanOut admits one stage job per element of a Map stage's input, all
 // issued from the producing shard, each routed by its own derived
-// declarations. future.All fans the element futures back in: the join
-// continuation runs at the last-resolved element's locale. inherit is
-// the submitted Request for a Map-first stage 0 and nil for every later
-// stage (see stageRequest).
+// declarations. Each element's sink is the flow's join: the element
+// that counts the flow's pending elements down to zero runs join at
+// its own locale. inherit is the submitted Request for a Map-first
+// stage 0 and nil for every later stage (see stageRequest).
 func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Request) {
 	s := p.t.srv
 	if len(parts) == 0 {
 		fl.resolve(int32(st.idx), Result{Status: StatusOK, Value: []any{}})
 		return
 	}
-	rt := s.sys.RT
-	elems := make([]*future.Future[Result], len(parts))
-	for i := range parts {
-		elems[i] = future.Pending[Result](rt)
+	// The previous Map stage's join (if any) has copied its values out,
+	// so the buffer is free to reuse.
+	fl.fan = st
+	if cap(fl.elems) < len(parts) {
+		fl.elems = make([]Result, len(parts))
 	}
+	fl.elems = fl.elems[:len(parts)]
+	fl.pending.Store(int32(len(parts)))
 	// Loop guard: the last element can resolve (and the join finish the
 	// flow) while this loop is still routing later rejections — hold a
 	// reference so fl cannot recycle under the loop's feet.
 	fl.ref()
 	defer fl.unref()
-	future.All(elems...).ThenErr(func(rs []Result, err error) { p.join(fl, st, rs, err) })
 	// Continuous compilation: record the fan width for the planner and,
 	// when a learned plan is installed, scatter the elements across
 	// shards by its sched.Factory instead of the inherited-key route
@@ -618,10 +566,10 @@ func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Re
 		if targets != nil && len(req.WorkingSet) == 0 {
 			sh = s.shards[(*targets)[i]]
 		}
-		// The element's future is the job's sink, so the fan-out admits N
-		// elements with zero closures; a refused element resolves its
-		// future StatusRejected through the same sink.
-		sh, j := s.construct(p.t, st, fl, req, now, sh, elemSink{elems[i]}, int32(i))
+		// The flow's join is every element's sink, so the fan-out admits
+		// N elements with zero closures; a refused element counts down
+		// as StatusRejected through the same sink.
+		sh, j := s.construct(p.t, st, fl, req, now, sh, joinSink{fl}, int32(i))
 		if fl.ft != nil {
 			// Per-element hop: each fan-out element routes independently,
 			// so each records its own destination shard and locale.
@@ -632,14 +580,33 @@ func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Re
 	}
 }
 
-// join fans a Map stage's element results back in. A future-level error
-// (a failed element) fails the flow; otherwise the first non-OK element
-// in input order decides the flow's fate, and an all-OK set advances —
-// exactly like a scalar stage's result — as the []any of element values.
-func (p *Pipeline) join(fl *flowState, st *pipeStage, rs []Result, err error) {
-	if err != nil {
-		fl.resolve(int32(st.idx), Result{Status: StatusFailed, Err: err})
-		return
+// joinSink is the sink of a fan-out element: it stores the element's
+// result at its index and, for the element that resolves last, joins
+// the stage. The countdown's atomic add orders every element's store
+// before the join reads the buffer.
+type joinSink struct{ fl *flowState }
+
+func (js joinSink) resolve(idx int32, r Result) {
+	fl := js.fl
+	fl.elems[idx] = r
+	if fl.pending.Add(-1) == 0 {
+		fl.p.join(fl)
+	}
+}
+
+// join fans the Map stage's element results back in. The first element
+// in input order that failed with an error fails the flow with that
+// error; otherwise the first non-OK element decides the flow's fate,
+// and an all-OK set advances — exactly like a scalar stage's result —
+// as a fresh []any of element values (the buffer is reused by the next
+// Map stage).
+func (p *Pipeline) join(fl *flowState) {
+	st, rs := fl.fan, fl.elems
+	for _, r := range rs {
+		if r.Status == StatusFailed && r.Err != nil {
+			fl.resolve(int32(st.idx), Result{Status: StatusFailed, Err: r.Err})
+			return
+		}
 	}
 	vals := make([]any, len(rs))
 	var wait time.Duration
@@ -660,24 +627,15 @@ func (p *Pipeline) join(fl *flowState, st *pipeStage, rs []Result, err error) {
 // mid-pipeline, a refusal past stage 0, and a remote completion parcel
 // all end here, exactly once — the finished guard makes a racing local
 // shed and a late or duplicate remote completion harmless. The terminal
-// result, stamped with the flow's priority and admission-to-completion
-// Total, resolves every stage future from `from` onward (a mid-pipeline
-// shed is visible as StatusShed at each of them; a failure also rides
-// the futures' error channel), then the flow's done sink hears it.
-func (fl *flowState) terminate(from int, r Result) {
+// result is stamped with the flow's priority and admission-to-completion
+// Total, then the flow's done sink hears it.
+func (fl *flowState) terminate(r Result) {
 	if fl.finished.Swap(true) {
 		return
 	}
 	s := fl.p.t.srv
 	r.Priority = fl.priority
 	r.Total = time.Since(fl.enqueued)
-	var ferr error
-	if r.Status == StatusFailed {
-		ferr = r.Err
-	}
-	for i := from; i < len(fl.futs); i++ { // none for a SubmitFlowAt flow
-		fl.futs[i].Resolve(r, ferr)
-	}
 	switch r.Status {
 	case StatusOK:
 		s.flowDone.Inc()

@@ -20,6 +20,35 @@ func echoStage(tag string) Stage {
 	}
 }
 
+// inputLog records, by stage name, the input of every stage handler
+// run: how tests observe a flow's intermediate values and which of its
+// stages ran.
+type inputLog struct {
+	mu   sync.Mutex
+	seen map[string][]any
+}
+
+func newInputLog() *inputLog { return &inputLog{seen: map[string][]any{}} }
+
+// wrap makes st record its inputs in the log.
+func (l *inputLog) wrap(st Stage) Stage {
+	h := st.Handler
+	st.Handler = func(ctx *Ctx, req Request) (any, error) {
+		l.mu.Lock()
+		l.seen[st.Name] = append(l.seen[st.Name], req.Payload)
+		l.mu.Unlock()
+		return h(ctx, req)
+	}
+	return st
+}
+
+// inputs returns the inputs stage name ran on, in run order.
+func (l *inputLog) inputs(name string) []any {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return append([]any(nil), l.seen[name]...)
+}
+
 func TestPipelineThreeStagesChainsValue(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
@@ -32,7 +61,8 @@ func TestPipelineThreeStagesChainsValue(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := tn.NewPipeline("abc", echoStage("a"), echoStage("b"), echoStage("c"))
+	log := newInputLog()
+	p, err := tn.NewPipeline("abc", log.wrap(echoStage("a")), log.wrap(echoStage("b")), log.wrap(echoStage("c")))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,17 +80,10 @@ func TestPipelineThreeStagesChainsValue(t *testing.T) {
 	if got := res.Value.(string); got != "xabc" {
 		t.Fatalf("flow value %q, want xabc", got)
 	}
-	if tk.Stages() != 3 {
-		t.Fatalf("ticket stages = %d, want 3", tk.Stages())
-	}
-	// Every intermediate value is observable through its stage future.
-	for i, want := range []string{"xa", "xab", "xabc"} {
-		r, err := tk.StageFuture(i).GetErr()
-		if err != nil || r.Status != StatusOK {
-			t.Fatalf("stage %d: status %v err %v", i, r.Status, err)
-		}
-		if got := r.Value.(string); got != want {
-			t.Fatalf("stage %d value %q, want %q", i, got, want)
+	// Every intermediate value reached the next stage, once.
+	for _, c := range []struct{ stage, want string }{{"a", "x"}, {"b", "xa"}, {"c", "xab"}} {
+		if in := log.inputs(c.stage); len(in) != 1 || in[0] != c.want {
+			t.Fatalf("stage %s inputs %v, want [%s]", c.stage, in, c.want)
 		}
 	}
 	st := s.Stats()
@@ -99,9 +122,6 @@ func TestSubmitFlowSoloMatchesSubmit(t *testing.T) {
 	if dv.Status != StatusOK || fv.Status != StatusOK || dv.Value != fv.Value {
 		t.Fatalf("solo flow diverged from Submit: %+v vs %+v", dv, fv)
 	}
-	if flow.Stages() != 1 {
-		t.Errorf("solo flow stages = %d, want 1", flow.Stages())
-	}
 }
 
 func TestPipelineFanOutFanIn(t *testing.T) {
@@ -117,6 +137,7 @@ func TestPipelineFanOutFanIn(t *testing.T) {
 		t.Fatal(err)
 	}
 	const width = 8
+	log := newInputLog()
 	p, err := tn.NewPipeline("sumsq",
 		Stage{Name: "parse", Handler: func(_ *Ctx, req Request) (any, error) {
 			n := req.Payload.(int)
@@ -132,13 +153,13 @@ func TestPipelineFanOutFanIn(t *testing.T) {
 				x := req.Payload.(int)
 				return x * x, nil
 			}},
-		Stage{Name: "sum", Handler: func(_ *Ctx, req Request) (any, error) {
+		log.wrap(Stage{Name: "sum", Handler: func(_ *Ctx, req Request) (any, error) {
 			total := 0
 			for _, v := range req.Payload.([]any) {
 				total += v.(int)
 			}
 			return total, nil
-		}},
+		}}),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -158,10 +179,13 @@ func TestPipelineFanOutFanIn(t *testing.T) {
 	if got := res.Value.(int); got != want {
 		t.Fatalf("sum of squares = %d, want %d", got, want)
 	}
-	// The Map stage future carries the fanned-in slice.
-	mid, _ := tk.StageFuture(1).GetErr()
-	if vals := mid.Value.([]any); len(vals) != width || vals[2].(int) != 9 {
-		t.Fatalf("map stage value = %v", mid.Value)
+	// The Map stage's output is the fanned-in slice, in input order.
+	in := log.inputs("sum")
+	if len(in) != 1 {
+		t.Fatalf("sum stage ran %d times, want 1", len(in))
+	}
+	if vals := in[0].([]any); len(vals) != width || vals[2].(int) != 9 {
+		t.Fatalf("map stage value = %v", in[0])
 	}
 	st := s.Stats()
 	if st.Flow.FanOut != width {
@@ -179,7 +203,7 @@ func TestPipelineFanOutFanIn(t *testing.T) {
 func TestPipelineMapFirstStage(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
-	s := New(sys, Config{Shards: 2})
+	s := New(sys, Config{Shards: 2, InflightBatches: 1})
 	defer s.Close()
 	tn, err := s.RegisterTenant(TenantConfig{
 		Name:    "t",
@@ -210,6 +234,55 @@ func TestPipelineMapFirstStage(t *testing.T) {
 	if _, err := tn.SubmitFlow(p, Request{Payload: 42}); err == nil {
 		t.Error("non-slice payload into a Map-first stage must be refused")
 	}
+
+	// Mixed outcomes: element 1 sheds (queued behind element 0, which
+	// outlives the flow deadline on the same shard; one batch SGT per
+	// shard) and the later element 2 fails on the other shard. The
+	// join's precedence is an element's error over an earlier non-OK
+	// status, so the flow fails with that error.
+	var keys [2]uint64
+	for k, found := uint64(0), 0; found != 3; k++ {
+		if i := shardIndex(tn.hash, k, len(s.shards)); found&(1<<i) == 0 {
+			keys[i], found = k, found|1<<i
+		}
+	}
+	boom := errors.New("boom")
+	mixed, err := tn.NewPipeline("mixed",
+		Stage{Name: "elem", Map: true,
+			Key: func(v any) uint64 {
+				if v == "fail" {
+					return keys[1]
+				}
+				return keys[0]
+			},
+			Handler: func(ctx *Ctx, req Request) (any, error) {
+				switch req.Payload {
+				case "slow":
+					time.Sleep(time.Until(ctx.Deadline()) + 10*time.Millisecond)
+				case "fail":
+					return nil, boom
+				}
+				return req.Payload, nil
+			}},
+		Stage{Name: "after", Handler: func(*Ctx, Request) (any, error) {
+			t.Error("stage after a failed fan-out ran")
+			return nil, nil
+		}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err = tn.SubmitFlow(mixed, Request{Payload: []any{"slow", "shed", "fail"},
+		Deadline: time.Now().Add(200 * time.Millisecond)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := tk.Wait(); res.Status != StatusFailed || !errors.Is(res.Err, boom) {
+		t.Fatalf("mixed fan-out flow = %+v, want failed with boom", res)
+	}
+	if ss := mixed.StageStats()[0]; ss.Done != 1 || ss.Shed != 1 || ss.Failed != 1 {
+		t.Errorf("mixed fan-out element stats = %+v, want one each of done, shed, failed", ss)
+	}
 }
 
 func TestPipelineStageErrorPropagates(t *testing.T) {
@@ -225,10 +298,11 @@ func TestPipelineStageErrorPropagates(t *testing.T) {
 		t.Fatal(err)
 	}
 	boom := errors.New("boom")
+	log := newInputLog()
 	p, err := tn.NewPipeline("failing",
 		echoStage("a"),
 		Stage{Name: "bad", Handler: func(*Ctx, Request) (any, error) { return nil, boom }},
-		echoStage("c"),
+		log.wrap(echoStage("c")),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -241,22 +315,17 @@ func TestPipelineStageErrorPropagates(t *testing.T) {
 	if res.Status != StatusFailed || !errors.Is(res.Err, boom) {
 		t.Fatalf("flow result = %+v, want failed with boom", res)
 	}
-	// Stage 0 succeeded; the failing stage and everything downstream
-	// resolve failed, with the error on the future's error channel.
-	if r, err := tk.StageFuture(0).GetErr(); err != nil || r.Status != StatusOK {
-		t.Errorf("stage 0 = %v / %v", r.Status, err)
-	}
-	for i := 1; i < 3; i++ {
-		r, err := tk.StageFuture(i).GetErr()
-		if !errors.Is(err, boom) || r.Status != StatusFailed {
-			t.Errorf("stage %d = %v / %v, want failed/boom", i, r.Status, err)
-		}
-	}
 	if st := s.Stats(); st.Flow.Failed != 1 || st.Flow.Completed != 0 {
 		t.Errorf("flow stats = %+v", st.Flow)
 	}
-	if ss := p.StageStats(); ss[1].Failed != 1 {
-		t.Errorf("failing stage stats = %+v", ss[1])
+	// Stage 0 succeeded, the failing stage failed, and the stage after
+	// it never ran.
+	ss := p.StageStats()
+	if ss[0].Done != 1 || ss[1].Failed != 1 || ss[1].Done != 0 {
+		t.Errorf("stage stats = %+v", ss)
+	}
+	if in := log.inputs("c"); len(in) != 0 || ss[2] != (StageStats{Name: "c"}) {
+		t.Errorf("stage after the failure ran: inputs %v, stats %+v", in, ss[2])
 	}
 }
 
@@ -272,10 +341,11 @@ func TestPipelineExpiredDeadlineShedsAllStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	log := newInputLog()
 	p, err := tn.NewPipeline("sheds",
-		echoStage("a"),
-		Stage{Name: "fan", Map: true, Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil }},
-		echoStage("c"),
+		log.wrap(echoStage("a")),
+		log.wrap(Stage{Name: "fan", Map: true, Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil }}),
+		log.wrap(echoStage("c")),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +353,7 @@ func TestPipelineExpiredDeadlineShedsAllStages(t *testing.T) {
 	var final Result
 	var wg sync.WaitGroup
 	wg.Add(1)
-	futs, err := tn.SubmitFlowFunc(p, Request{Payload: "x", Deadline: time.Now().Add(-time.Millisecond)},
+	err = tn.SubmitFlowFunc(p, Request{Payload: "x", Deadline: time.Now().Add(-time.Millisecond)},
 		func(r Result) {
 			final = r
 			wg.Done()
@@ -295,12 +365,17 @@ func TestPipelineExpiredDeadlineShedsAllStages(t *testing.T) {
 	if final.Status != StatusShed {
 		t.Fatalf("expired flow status = %v, want StatusShed", final.Status)
 	}
-	// Every downstream future resolves with StatusShed — none is left
-	// dangling, none carries a value.
-	for i, f := range futs {
-		r, err := f.GetErr()
-		if err != nil || r.Status != StatusShed {
-			t.Errorf("stage %d future = %v / %v, want shed", i, r.Status, err)
+	// Stage 0 shed without running, and no stage after it was reached.
+	ss := p.StageStats()
+	if ss[0] != (StageStats{Name: "a", Shed: 1}) {
+		t.Errorf("stage 0 stats = %+v, want one shed", ss[0])
+	}
+	for i, name := range []string{"a", "fan", "c"} {
+		if in := log.inputs(name); len(in) != 0 {
+			t.Errorf("stage %s ran on %v", name, in)
+		}
+		if i > 0 && ss[i] != (StageStats{Name: name}) {
+			t.Errorf("stage %s stats = %+v, want zero", name, ss[i])
 		}
 	}
 	if st := s.Stats(); st.Flow.Shed != 1 {
@@ -321,8 +396,10 @@ func TestPipelineMidFlowDeadlineShed(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Stage 0 outlives the flow deadline, so the deadline expires
-	// between stages: stage 1 and 2 must shed without running.
+	// between stages: stage 1 must shed without running, and stage 2 is
+	// never reached.
 	var ran1 atomic.Bool
+	log := newInputLog()
 	p, err := tn.NewPipeline("midshed",
 		Stage{Name: "slow", Handler: func(_ *Ctx, req Request) (any, error) {
 			time.Sleep(8 * time.Millisecond)
@@ -332,7 +409,7 @@ func TestPipelineMidFlowDeadlineShed(t *testing.T) {
 			ran1.Store(true)
 			return req.Payload, nil
 		}},
-		echoStage("tail"),
+		log.wrap(echoStage("tail")),
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -345,16 +422,17 @@ func TestPipelineMidFlowDeadlineShed(t *testing.T) {
 	if res.Status != StatusShed {
 		t.Fatalf("mid-flow deadline: status %v, want StatusShed", res.Status)
 	}
-	// Stages past the shed point resolve shed; the slow stage itself may
-	// have completed or shed depending on when its batch SGT saw it.
-	for i := 1; i < 3; i++ {
-		r, _ := tk.StageFuture(i).GetErr()
-		if r.Status != StatusShed {
-			t.Errorf("stage %d status = %v, want shed", i, r.Status)
-		}
-	}
+	// The slow stage itself may have completed or shed depending on
+	// when its batch SGT saw it; no stage past it completed or ran.
 	if ran1.Load() {
 		t.Error("post-deadline stage handler ran")
+	}
+	ss := p.StageStats()
+	if ss[1].Done != 0 || ss[1].Failed != 0 {
+		t.Errorf("post-deadline stage stats = %+v", ss[1])
+	}
+	if in := log.inputs("tail"); len(in) != 0 || ss[2] != (StageStats{Name: "tail"}) {
+		t.Errorf("last stage reached: inputs %v, stats %+v", in, ss[2])
 	}
 }
 
@@ -627,7 +705,7 @@ func TestPlayScenarioFlows(t *testing.T) {
 		Tick:    200 * time.Microsecond,
 		Submit: func(a Arrival, req Request, done func(Result)) error {
 			req.Payload = a.Key
-			_, err := tn.SubmitFlowFunc(p, req, done)
+			err := tn.SubmitFlowFunc(p, req, done)
 			return err
 		},
 	})
@@ -705,7 +783,7 @@ func TestPipelineFlowStress(t *testing.T) {
 				want := (k + k + 1 + k + 2) * 2
 				var inner sync.WaitGroup
 				inner.Add(1)
-				_, err := tn.SubmitFlowFunc(p, Request{Key: k, Payload: k}, func(r Result) {
+				err := tn.SubmitFlowFunc(p, Request{Key: k, Payload: k}, func(r Result) {
 					defer inner.Done()
 					doneCalls.Add(1)
 					if r.Status != StatusOK || r.Value.(uint64) != want {
@@ -772,25 +850,18 @@ func TestPipelineRemoteRouterFinishResolvesRemainingStages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, err := tn.NewPipeline("abc", echoStage("a"), echoStage("b"), echoStage("c"))
+	log := newInputLog()
+	p, err := tn.NewPipeline("abc", log.wrap(echoStage("a")), log.wrap(echoStage("b")), log.wrap(echoStage("c")))
 	if err != nil {
 		t.Fatal(err)
 	}
 	results := make(chan Result, 4)
-	// The flow's router is passed at entry, as SubmitFlowAt does; the
-	// unexported form also makes and returns the futures under test.
-	futs, err := tn.submitFlow(p, 0, Request{Key: 9, Payload: "x"}, router,
-		callbackSink(func(r Result) { results <- r }), true)
+	err = tn.SubmitFlowAt(p, 0, Request{Key: 9, Payload: "x"}, router, func(r Result) { results <- r })
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Stage 0 runs locally; its future resolves before the router is
-	// consulted at the 0->1 boundary.
-	r0, err := futs[0].GetErr()
-	if err != nil || r0.Value.(string) != "xa" {
-		t.Fatalf("stage 0 = %+v, %v; want xa", r0, err)
-	}
-	// The router took the flow: nothing past stage 0 resolves yet.
+	// Stage 0 runs locally, then the router takes the flow at the 0->1
+	// boundary: the flow does not finish yet.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
 		router.mu.Lock()
@@ -809,18 +880,21 @@ func TestPipelineRemoteRouterFinishResolvesRemainingStages(t *testing.T) {
 		t.Fatalf("flow finished %+v before the remote completion", r)
 	case <-time.After(20 * time.Millisecond):
 	}
-	// The remote completion resolves stages 1..2 and the flow (a late
-	// duplicate is dropped: TestEveryRequestResolvesExactlyOnce).
+	// The remote completion ends the flow with the router's result (a
+	// late duplicate is dropped: TestEveryRequestResolvesExactlyOnce),
+	// and no stage after the hand-off ran here.
 	final := Result{Status: StatusOK, Value: "xabc-remote"}
 	router.finish[0](final)
 	r := <-results
 	if r.Status != StatusOK || r.Value.(string) != "xabc-remote" {
 		t.Fatalf("flow result %+v", r)
 	}
-	for i := 1; i < 3; i++ {
-		ri, err := futs[i].GetErr()
-		if err != nil || ri.Value.(string) != "xabc-remote" {
-			t.Fatalf("stage %d = %+v, %v; want remote terminal", i, ri, err)
+	if in := log.inputs("a"); len(in) != 1 || in[0] != "x" {
+		t.Errorf("stage a inputs %v, want [x]", in)
+	}
+	for _, name := range []string{"b", "c"} {
+		if in := log.inputs(name); len(in) != 0 {
+			t.Errorf("stage %s ran locally on %v after the remote hand-off", name, in)
 		}
 	}
 	st := s.Stats()

@@ -420,15 +420,28 @@ func TestFlowStateRecycleNoFieldLeak(t *testing.T) {
 	fl.priority = 2
 	fl.enqueued = time.Now()
 	fl.done = callbackSink(func(Result) {})
-	fl.futs = nil
+	fl.fan = &pipeStage{}
+	fl.pending.Store(3)
+	fl.elems = append(fl.elems[:0], Result{Status: StatusOK, Value: "v"}, Result{Err: errors.New("e")})
+	elems := fl.elems
 	fl.router = &stallRouter{}
 	fl.ft = &FlowTrace{}
 	fl.finished.Store(true)
 
 	fl.unref() // terminal reference: recycles
 	if fl.p != nil || fl.key != 0 || fl.priority != 0 || fl.done != nil ||
-		fl.futs != nil || fl.router != nil || fl.ft != nil {
+		fl.fan != nil || fl.router != nil || fl.ft != nil {
 		t.Fatalf("recycled flow state leaked fields: %+v", fl)
+	}
+	// The join buffer keeps its capacity for the next fan-out but holds
+	// no result of this one.
+	if len(fl.elems) != 0 || fl.pending.Load() != 0 {
+		t.Fatalf("recycled flow state leaked its join: %d elems, %d pending", len(fl.elems), fl.pending.Load())
+	}
+	for i, r := range elems {
+		if r != (Result{}) {
+			t.Fatalf("recycled join buffer slot %d leaked %+v", i, r)
+		}
 	}
 	if !fl.deadline.IsZero() || !fl.enqueued.IsZero() {
 		t.Fatal("recycled flow state leaked timestamps")

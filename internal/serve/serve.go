@@ -51,13 +51,13 @@
 //     control-plane map below.
 //   - dataflow pipelines (Tenant.NewPipeline / SubmitFlow) — multi-stage
 //     flows compiled once from Stage declarations (handler + routing
-//     derivation) whose intermediate values are error-carrying futures
-//     chained shard-to-shard: each stage's result resolves at the
-//     producing shard and ThenSpawn ships it to the next stage's routed
-//     locale, Map stages fan out over []any with future.All fanning
-//     back in, and the flow's deadline and priority propagate to every
-//     stage. Plain Submit is the degenerate one-stage pipeline
-//     (Tenant.Solo). See pipeline.go.
+//     derivation) whose intermediate values are chained shard-to-shard:
+//     each stage's result resolves at the producing shard, which admits
+//     the next stage at its routed shard (the hop is the admission), Map
+//     stages fan out over []any and join when their element count
+//     reaches zero, and the flow's deadline and priority propagate to
+//     every stage. A flow is one pooled record. Plain Submit is the
+//     degenerate one-stage pipeline (Tenant.Solo). See pipeline.go.
 //   - continuous compilation (Config.Compile) — the paper's other loop,
 //     one more entry of the same control plane: admission folds every
 //     key into a per-tenant count-min/top-K sketch (wait-free, zero
@@ -101,12 +101,13 @@
 //	                          deadline passed after draining
 //	sink       finishJob      counts the stage outcome, hands the Result to Job.sink:
 //	                          a *Ticket, a callback, a burst's indexed callback, a
-//	                          fan-out element's future, or the flow (flowState.resolve)
+//	                          fan-out element's join (joinSink), or the flow
+//	                          (flowState.resolve)
 //	release    shard.recycle  record zeroed and pooled before the sink runs; the
 //	                          job's flow reference dropped after
 //	hand-off   chain          the next scalar stage: the flow's own RemoteRouter
-//	                          (SubmitFlowAt) may ship it to another node, else a
-//	                          stage-hop SGT admits it at its routed locale
+//	                          (SubmitFlowAt) may ship it to another node, else the
+//	                          producing shard admits it at its routed shard
 //	terminal   terminate      the one place a flow ends, local or remote, exactly once
 //
 // Every adaptive decision comes from one control plane (adaptive.go,
