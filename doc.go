@@ -27,8 +27,10 @@
 // serving surface (serve.Pipeline / Tenant.SubmitFlow): multi-stage
 // flows whose intermediate values are chained shard-to-shard — each
 // stage's routing declaration derives the next working set, the
-// producing shard admits the next stage where it routes, Map stages fan
-// out and join when their element count reaches zero, and
+// producing shard admits the next stage where it routes (a stage that
+// routes back to the producing shard joins the running batch as a
+// continuation, TGT-grain work inside the SGT already there), Map
+// stages fan out and join when their element count reaches zero, and
 // flow-scoped deadlines shed the remaining stages the moment they
 // expire (experiment V4 measures pipelines against per-stage
 // resubmission). Plain Submit is the degenerate one-stage pipeline.
@@ -73,7 +75,8 @@
 //	                    sharded admission where the submit spawns the
 //	                    shard's batch SGT (no dispatcher thread),
 //	                    batching + burst admission,
-//	                    future-wired dataflow pipelines (SubmitFlow),
+//	                    shard-chained dataflow pipelines (SubmitFlow)
+//	                    with same-shard continuations,
 //	                    shedding, code/data residency and the locality-
 //	                    aware data plane, flow tracing + flight recorder
 //	                    + metrics export (Config.Observe)

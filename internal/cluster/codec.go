@@ -66,8 +66,8 @@ type memberMsg struct {
 
 // stageMsg ships the remainder of a flow to the node owning its next
 // stage ("cluster.stage"). Origin is the node holding the flow's
-// pending futures; completions return there. The stage input travels
-// after the fixed fields (encodeStage).
+// pending finish entry (Node.pending); completions return there. The
+// stage input travels after the fixed fields (encodeStage).
 type stageMsg struct {
 	Flow uint64 // origin-scoped flow id
 	// FlowEpoch is the origin's recovery attempt counter for this flow.

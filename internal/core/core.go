@@ -34,9 +34,11 @@ type Runtime struct {
 	stopped atomic.Bool // set once by Shutdown; submit panics after it
 	wg      sync.WaitGroup
 
-	// sgtSpawn and sgtDone are the per-SGT monitor counters, resolved
-	// once here so spawn and finish skip the monitor's name lookup.
-	sgtSpawn, sgtDone *monitor.Counter
+	// sgtSpawn and sgtDone are the per-SGT monitor counters, and the
+	// steal counters the successful steal scans bump, resolved once here
+	// so spawn, finish and steal skip the monitor's name lookup.
+	sgtSpawn, sgtDone                   *monitor.Counter
+	stealLocal, stealRemote, migrations *monitor.Counter
 
 	// Thread ids are atomic: id assignment sits on every spawn path,
 	// including the serve layer's per-batch detached spawns.
@@ -77,6 +79,10 @@ func NewRuntime(cfg Config) *Runtime {
 		stop:     make(chan struct{}),
 		sgtSpawn: cfg.Monitor.Counter("core.sgt.spawn"),
 		sgtDone:  cfg.Monitor.Counter("core.sgt.done"),
+
+		stealLocal:  cfg.Monitor.Counter("core.steal.local"),
+		stealRemote: cfg.Monitor.Counter("core.steal.remote"),
+		migrations:  cfg.Monitor.Counter("core.migrations"),
 	}
 	rt.cond = sync.NewCond(&rt.mu)
 	total := cfg.Locales * cfg.WorkersPerLocale

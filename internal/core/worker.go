@@ -129,12 +129,11 @@ func (w *worker) stealScan(local bool) *SGT {
 			continue
 		}
 		if s := v.stealFrom(); s != nil {
-			mon := w.rt.mon
 			if v.locale == w.locale {
-				mon.Counter("core.steal.local").Inc()
+				w.rt.stealLocal.Inc()
 			} else {
-				mon.Counter("core.steal.remote").Inc()
-				mon.Counter("core.migrations").Inc()
+				w.rt.stealRemote.Inc()
+				w.rt.migrations.Inc()
 				w.rt.tracer.Emit(w.id, trace.Event{
 					Kind: trace.KindMigration, Locale: w.locale, Arg: s.id,
 				})

@@ -119,29 +119,35 @@ type Result struct {
 	Value    any   // handler return value (StatusOK only)
 	Err      error // StatusFailed: handler error or recovered panic; StatusRejected: ErrOverload or ErrClosed
 	Priority int   // echoes Request.Priority
-	Wait     time.Duration
-	Total    time.Duration // admission to completion, queue wait included
+	// Wait is admission to execution start. A stage job its batch took
+	// as a continuation (see batchRun.fits) is admitted at the end of the
+	// job that produced it, in the same batch, so its Wait is about 0.
+	Wait  time.Duration
+	Total time.Duration // admission to completion, queue wait included
 }
 
 // sink is where a job's Result goes — the one completion form. finishJob
 // (and refuse, for surfaces that promise a uniform Result instead of an
 // error) calls resolve exactly once per job; idx is the job's Job.idx.
+// br is the batch executing the job (nil for a refusal or a remote
+// completion): a flow sink that chains may append the next stage's job
+// to it (see batchRun.fits); every other sink ignores it.
 // Every implementer is pointer-shaped, so storing one in a Job never
 // allocates: *Ticket, callbackSink, indexedSink, joinSink, *flowState.
 type sink interface {
-	resolve(idx int32, r Result)
+	resolve(idx int32, r Result, br *batchRun)
 }
 
 // callbackSink is SubmitFunc's / SubmitFlowFunc's plain callback.
 type callbackSink func(Result)
 
-func (f callbackSink) resolve(_ int32, r Result) { f(r) }
+func (f callbackSink) resolve(_ int32, r Result, _ *batchRun) { f(r) }
 
 // indexedSink is a burst's shared callback: one func for the whole
 // SubmitManyFunc call, told apart by the request's index in the burst.
 type indexedSink func(int, Result)
 
-func (f indexedSink) resolve(idx int32, r Result) { f(int(idx), r) }
+func (f indexedSink) resolve(idx int32, r Result, _ *batchRun) { f(int(idx), r) }
 
 // Job is one admitted unit of work, queued on a shard until a batch
 // SGT drains it. Job records are pooled: Server.construct is the
@@ -213,7 +219,7 @@ type Ticket struct {
 }
 
 // resolve makes a ticket the sink of the request (or flow) it follows.
-func (t *Ticket) resolve(_ int32, r Result) { t.cell.Put(r) }
+func (t *Ticket) resolve(_ int32, r Result, _ *batchRun) { t.cell.Put(r) }
 
 // Wait blocks until the request (for flows: the final stage) resolves
 // and returns its result.

@@ -27,16 +27,24 @@ const (
 	kindFlowLocal                   // a flow whose scalar stage b chains in-process
 	kindFlowRemote                  // a flow whose stage b a fake RemoteRouter takes
 	kindFlowEntered                 // a flow entered at stage b (SubmitFlowAt)
+	kindFlowSame                    // kindFlowLocal with a on b's shard: b continues a's batch
+	kindElementSame                 // kindElement with a on b's shard: the elements continue a's batch
 	numSinkKinds
 )
 
-var sinkKindNames = [numSinkKinds]string{"ticket", "callback", "indexed", "element", "flow-local", "flow-remote", "flow-entered"}
+var sinkKindNames = [numSinkKinds]string{"ticket", "callback", "indexed", "element", "flow-local", "flow-remote", "flow-entered",
+	"flow-same-shard", "element-same-shard"}
 
 func (k sinkKind) flow() bool { return k >= kindElement }
 
 // direct reports whether the job under test is the first one its
 // submission admits, so a refusal of it surfaces at submission.
 func (k sinkKind) direct() bool { return !k.flow() || k == kindFlowEntered }
+
+// same reports whether stage a runs on shard 1 too, so that stage b
+// would join a's batch as a continuation: the shard-clogging outcomes
+// then act while a executes (see runLifecycleCase).
+func (k sinkKind) same() bool { return k == kindFlowSame || k == kindElementSame }
 
 type outcome int
 
@@ -175,13 +183,13 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 	if kind.flow() {
 		pipe, err = tn.NewPipeline("ab",
 			Stage{Name: "a", Handler: func(*Ctx, Request) (any, error) {
-				if out == outClose {
+				if out == outClose || kind.same() && out >= outShedQueue {
 					inA <- struct{}{}
 					<-leaveA
 				}
 				return []any{1, 2, 3}, nil
 			}},
-			Stage{Name: "b", Map: kind == kindElement,
+			Stage{Name: "b", Map: kind == kindElement || kind == kindElementSame,
 				Key:     func(any) uint64 { return keyB },
 				Handler: func(*Ctx, Request) (any, error) { return behave() }},
 		)
@@ -195,7 +203,7 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 	// 1, so the next job stays queued; plus a full ring, so the next job
 	// is refused. shed-after-drain also queues a second blocker ahead of
 	// the jobs under test, to drain into one batch with them (below).
-	if out == outShedDrain || out == outShedQueue || out == outOverload {
+	if !kind.same() && (out == outShedDrain || out == outShedQueue || out == outOverload) {
 		ignore := func(Result) {}
 		if err := tn.SubmitFunc(Request{Key: keyB, Payload: "block"}, ignore); err != nil {
 			t.Fatal(err)
@@ -237,6 +245,9 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 	}
 	req := Request{Key: keyB, Payload: "victim", Deadline: deadline}
 	flowReq := Request{Key: keyA, Payload: "x", Deadline: deadline}
+	if kind.same() {
+		flowReq.Key = keyB
+	}
 	viaErr := false
 	switch kind {
 	case kindTicket:
@@ -273,7 +284,33 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 			t.Fatal(err)
 		}
 	}
-	if out == outShedDrain {
+	if kind.same() && out != outClose && out >= outShedQueue {
+		// Stage a executes on shard 1 and holds; each outcome sets up
+		// what stage b meets when a returns, past b's deadline for the
+		// shed outcomes. shed-in-queue: a job queued in the ring, which b
+		// may not overtake, so b queues behind it and is shed when they
+		// drain. shed-after-drain: b continues a's batch and is shed
+		// there. overload: a full ring, which refuses b.
+		<-inA
+		ignore := func(Result) {}
+		switch out {
+		case outShedQueue:
+			if err := tn.SubmitFunc(Request{Key: keyB, Payload: "block"}, ignore); err != nil {
+				t.Fatal(err)
+			}
+		case outOverload:
+			for tn.SubmitFunc(Request{Key: keyB, Payload: "fill"}, ignore) == nil {
+			}
+		}
+		if !deadline.IsZero() {
+			time.Sleep(time.Until(deadline) + 50*time.Millisecond)
+		}
+		unblockA()
+		if out == outShedQueue {
+			<-started
+		}
+	}
+	if out == outShedDrain && !kind.same() {
 		// Once the jobs under test queue behind the second blocker (a
 		// remote stage b never reaches shard 1), freeing the first blocker
 		// drains them all into one batch. The second blocker executes
@@ -323,7 +360,7 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 		if r.Status != want.Status {
 			t.Errorf("request %d: status %v (err %v), want %v", i, r.Status, r.Err, want.Status)
 		}
-		if want.Status == StatusOK && r.Value != want.Value && kind != kindElement {
+		if want.Status == StatusOK && r.Value != want.Value && kind != kindElement && kind != kindElementSame {
 			t.Errorf("request %d: value %v, want %v", i, r.Value, want.Value)
 		}
 		if out == outPanic && kind != kindFlowRemote {
@@ -341,13 +378,16 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 	if fi := st.Flow.InFlight(); fi != 0 {
 		t.Errorf("%d flows still in flight: %+v", fi, st.Flow)
 	}
+	if kind.same() && out <= outPanic && st.Batches != 1 {
+		t.Errorf("same-shard flow took %d batches, want stage b to continue a's", st.Batches)
+	}
 	if snap := s.Snapshot(); snap.Observe.TracedFlows != int64(snap.Observe.Recorded) {
 		t.Errorf("%d submissions traced, %d traces sealed and recorded", snap.Observe.TracedFlows, snap.Observe.Recorded)
 	}
 	// Where exactly one job is under test, its trace names which of the
 	// two shed sites ended it.
 	if cause := map[outcome]string{outShedQueue: "in queue", outShedDrain: "before execution"}[out]; cause != "" &&
-		(kind == kindTicket || kind == kindCallback || kind == kindFlowLocal || kind == kindFlowEntered) {
+		(kind == kindTicket || kind == kindCallback || kind == kindFlowLocal || kind == kindFlowEntered || kind == kindFlowSame) {
 		found := false
 		for _, ft := range s.Recorder().Failures() {
 			for _, e := range ft.Events() {

@@ -14,6 +14,17 @@ package serve
 // per-stage resubmission through Submit loses (exp V4 measures the
 // difference).
 //
+// A hop that routes back to the shard whose batch produced it — a
+// scalar stage the RemoteRouter declined, a fan-out element, the stage
+// after a join — is a continuation: the job joins that running batch
+// instead of the ring, the way a TGT runs inside the SGT already at its
+// locale, and no batch SGT is spawned for it. The rule (batchRun.fits):
+// the shard's ring holds no ready job, so nothing admitted earlier is
+// overtaken and same-key admission order holds; the batch is below its
+// drain limit; the server is open. Anything else takes the ordinary
+// admission. A continuation is accounted, traced and shed exactly like
+// an admitted job, and stamped with the end of the job that produced it.
+//
 // A Stage with Map set fans out: its input must be a []any, the handler
 // runs once per element (each element routed by its own derived working
 // set), and the element results count down into the flow's join buffer;
@@ -374,7 +385,7 @@ func (t *Tenant) submitFlow(p *Pipeline, from int, req Request, rr RemoteRouter,
 	// Count the flow before it can possibly complete.
 	s.flowSub.Inc()
 	if st.fanout {
-		p.fanOut(fl, st, parts, &req)
+		p.fanOut(fl, st, parts, &req, nil)
 		return nil
 	}
 	sreq := p.stageRequest(fl, st, req.Payload, &req)
@@ -435,16 +446,16 @@ func (st *pipeStage) count(r Result) {
 
 // resolve is where stage idx's Result lands — from finishJob for a
 // scalar stage job (the flow is its sink; this runs where the job
-// resolved: the executing SGT, which also sheds), from join
+// resolved: the executing batch br, which also sheds), from join
 // for a Map stage. A non-OK result, or the last stage's, ends the flow;
 // anything else chains to the next stage.
-func (fl *flowState) resolve(idx int32, r Result) {
+func (fl *flowState) resolve(idx int32, r Result, br *batchRun) {
 	st := fl.p.stages[idx]
 	if r.Status != StatusOK || st.last {
 		fl.terminate(r)
 		return
 	}
-	fl.p.chain(fl, st, r)
+	fl.p.chain(fl, st, r, br)
 }
 
 // RemoteRouter is the cluster layer's hook into flow chaining: one is
@@ -462,13 +473,15 @@ type RemoteRouter interface {
 }
 
 // chain advances an OK stage result to the next stage. It runs at the
-// producing shard, where the result resolved, and admits the next stage
-// straight from here: the admission routes it and starts a batch SGT at
-// the routed shard's locale — the submitter never sees the intermediate
-// value. A flow with a RemoteRouter may continue on another machine:
-// the router takes the flow, and the hand-off is recorded as a
-// remote-hop trace event.
-func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result) {
+// producing shard, in the batch br where the result resolved (nil when
+// no batch is executing there), and admits the next stage straight from
+// here — the submitter never sees the intermediate value. A flow with a
+// RemoteRouter may continue on another machine: the router takes the
+// flow, and the hand-off is recorded as a remote-hop trace event. A
+// stage that stays in-process is routed, and joins br as a continuation
+// when it lands on br's own shard and fits (batchRun.fits); otherwise
+// the admission starts a batch SGT at the routed shard's locale.
+func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result, br *batchRun) {
 	s := p.t.srv
 	next := p.stages[st.idx+1]
 	if next.fanout {
@@ -479,7 +492,7 @@ func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result) {
 					p.name, next.name, st.name, r.Value)})
 			return
 		}
-		p.fanOut(fl, next, parts, nil)
+		p.fanOut(fl, next, parts, nil, br)
 		return
 	}
 	if rr := fl.router; rr != nil {
@@ -508,27 +521,45 @@ func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result) {
 		fl.ft.add(trace.KindStageHop, sh.id, sh.locale, spanArg(next.idx, 0),
 			fmt.Sprintf("%s -> %s", st.name, next.name))
 	}
-	p.submitStage(fl, next, sh, req)
+	p.admitStage(fl, next, sh, req, fl, int32(next.idx), br, time.Time{})
 }
 
-// submitStage admits one scalar stage job at its routed shard. An
-// admission refusal past stage 0 is delivered to the sink, ending the
-// flow with StatusRejected: earlier stages already ran, so the
-// uniform-Result surface is the only honest one.
-func (p *Pipeline) submitStage(fl *flowState, st *pipeStage, sh *shard, req Request) {
-	_ = p.t.srv.submit(p.t, st, fl, req, time.Now(), sh, fl, int32(st.idx), true)
+// admitStage admits one stage job of flow fl, routed to sh, with sink
+// sk: into the running batch br as a continuation when it fits there,
+// stamped with br's last clock read (the end of the job that produced
+// it, so its wait is never negative); through sh's ring otherwise,
+// stamped now — read from the clock here if zero, and returned for the
+// caller's next job. A refusal past stage 0 is delivered to the sink,
+// ending the flow (or counting an element down) with StatusRejected:
+// earlier stages already ran, so the uniform-Result surface is the only
+// honest one.
+func (p *Pipeline) admitStage(fl *flowState, st *pipeStage, sh *shard, req Request, sk sink, idx int32, br *batchRun, now time.Time) time.Time {
+	s := p.t.srv
+	if br.fits(sh) {
+		_, j := s.construct(p.t, st, fl, req, br.now, sh, sk, idx)
+		br.take(j)
+		return now
+	}
+	if now.IsZero() {
+		now = time.Now()
+	}
+	_ = s.submit(p.t, st, fl, req, now, sh, sk, idx, true)
+	return now
 }
 
 // fanOut admits one stage job per element of a Map stage's input, all
-// issued from the producing shard, each routed by its own derived
-// declarations. Each element's sink is the flow's join: the element
-// that counts the flow's pending elements down to zero runs join at
-// its own locale. inherit is the submitted Request for a Map-first
-// stage 0 and nil for every later stage (see stageRequest).
-func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Request) {
+// issued from the producing shard (in batch br, nil outside one), each
+// routed by its own derived declarations. An element routed to br's own
+// shard joins br as a continuation while it fits (see admitStage); the
+// rest go through their shards' rings. Each element's sink is the
+// flow's join: the element that counts the flow's pending elements down
+// to zero runs join at its own locale. inherit is the submitted Request
+// for a Map-first stage 0 and nil for every later stage (see
+// stageRequest).
+func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Request, br *batchRun) {
 	s := p.t.srv
 	if len(parts) == 0 {
-		fl.resolve(int32(st.idx), Result{Status: StatusOK, Value: []any{}})
+		fl.resolve(int32(st.idx), Result{Status: StatusOK, Value: []any{}}, br)
 		return
 	}
 	// The previous Map stage's join (if any) has copied its values out,
@@ -559,24 +590,25 @@ func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Re
 		s.comp.scattered.Add(int64(len(parts)))
 		defer targetPool.Put(targets)
 	}
-	now := time.Now()
+	var now time.Time // one clock read for the elements that take a ring
 	for i, part := range parts {
 		req := p.stageRequest(fl, st, part, inherit)
 		var sh *shard
 		if targets != nil && len(req.WorkingSet) == 0 {
 			sh = s.shards[(*targets)[i]]
+		} else {
+			sh = s.routeShard(p.t, &req)
+		}
+		if fl.ft != nil {
+			// Per-element hop: each fan-out element routes independently,
+			// so each records its own destination shard and locale.
+			fl.ft.add(trace.KindStageHop, sh.id, sh.locale, spanArg(st.idx, int32(i)+1),
+				fmt.Sprintf("%s fan-out [%d/%d]", st.name, i, len(parts)))
 		}
 		// The flow's join is every element's sink, so the fan-out admits
 		// N elements with zero closures; a refused element counts down
 		// as StatusRejected through the same sink.
-		sh, j := s.construct(p.t, st, fl, req, now, sh, joinSink{fl}, int32(i))
-		if fl.ft != nil {
-			// Per-element hop: each fan-out element routes independently,
-			// so each records its own destination shard and locale.
-			fl.ft.add(trace.KindStageHop, sh.id, sh.locale, j.spanArg(),
-				fmt.Sprintf("%s fan-out [%d/%d]", st.name, i, len(parts)))
-		}
-		s.admit(sh, []*Job{j}, true)
+		now = p.admitStage(fl, st, sh, req, joinSink{fl}, int32(i), br, now)
 	}
 }
 
@@ -586,11 +618,11 @@ func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Re
 // before the join reads the buffer.
 type joinSink struct{ fl *flowState }
 
-func (js joinSink) resolve(idx int32, r Result) {
+func (js joinSink) resolve(idx int32, r Result, br *batchRun) {
 	fl := js.fl
 	fl.elems[idx] = r
 	if fl.pending.Add(-1) == 0 {
-		fl.p.join(fl)
+		fl.p.join(fl, br)
 	}
 }
 
@@ -599,12 +631,13 @@ func (js joinSink) resolve(idx int32, r Result) {
 // error; otherwise the first non-OK element decides the flow's fate,
 // and an all-OK set advances — exactly like a scalar stage's result —
 // as a fresh []any of element values (the buffer is reused by the next
-// Map stage).
-func (p *Pipeline) join(fl *flowState) {
+// Map stage). br is the batch of the element that resolved last, which
+// the next stage may join as a continuation.
+func (p *Pipeline) join(fl *flowState, br *batchRun) {
 	st, rs := fl.fan, fl.elems
 	for _, r := range rs {
 		if r.Status == StatusFailed && r.Err != nil {
-			fl.resolve(int32(st.idx), Result{Status: StatusFailed, Err: r.Err})
+			fl.resolve(int32(st.idx), Result{Status: StatusFailed, Err: r.Err}, br)
 			return
 		}
 	}
@@ -612,7 +645,7 @@ func (p *Pipeline) join(fl *flowState) {
 	var wait time.Duration
 	for i, r := range rs {
 		if r.Status != StatusOK {
-			fl.resolve(int32(st.idx), r)
+			fl.resolve(int32(st.idx), r, br)
 			return
 		}
 		vals[i] = r.Value
@@ -620,7 +653,7 @@ func (p *Pipeline) join(fl *flowState) {
 			wait = r.Wait
 		}
 	}
-	fl.resolve(int32(st.idx), Result{Status: StatusOK, Value: vals, Wait: wait})
+	fl.resolve(int32(st.idx), Result{Status: StatusOK, Value: vals, Wait: wait}, br)
 }
 
 // terminate is the one flow terminal: local success, a shed or failure
@@ -647,6 +680,6 @@ func (fl *flowState) terminate(r Result) {
 		s.flowFail.Inc()
 	}
 	s.obs.finishFlow(fl.ft, r.Status)
-	fl.done.resolve(0, r)
+	fl.done.resolve(0, r, nil)
 	fl.unref() // terminal reference
 }

@@ -411,47 +411,110 @@ func TestJobRecycleNoFieldLeak(t *testing.T) {
 
 // TestFlowStateRecycleNoFieldLeak does the same for the pooled flow
 // state: dropping the last reference zeroes every field before the
-// record re-enters the pool.
+// record re-enters the pool — for a state filled field by field, and
+// for states a flow left behind after running through same-shard
+// continuations (a scalar hop; a fan-out and its join).
 func TestFlowStateRecycleNoFieldLeak(t *testing.T) {
-	fl := newFlowState()
-	fl.p = &Pipeline{}
-	fl.key = 9
-	fl.deadline = time.Now()
-	fl.priority = 2
-	fl.enqueued = time.Now()
-	fl.done = callbackSink(func(Result) {})
-	fl.fan = &pipeStage{}
-	fl.pending.Store(3)
-	fl.elems = append(fl.elems[:0], Result{Status: StatusOK, Value: "v"}, Result{Err: errors.New("e")})
-	elems := fl.elems
-	fl.router = &stallRouter{}
-	fl.ft = &FlowTrace{}
-	fl.finished.Store(true)
+	for _, tc := range []struct {
+		name string
+		run  func(t *testing.T) *flowState
+	}{
+		{"fields", func(*testing.T) *flowState {
+			fl := newFlowState()
+			fl.p = &Pipeline{}
+			fl.key = 9
+			fl.deadline = time.Now()
+			fl.priority = 2
+			fl.enqueued = time.Now()
+			fl.done = callbackSink(func(Result) {})
+			fl.fan = &pipeStage{}
+			fl.pending.Store(3)
+			fl.elems = append(fl.elems[:0], Result{Status: StatusOK, Value: "v"}, Result{Err: errors.New("e")})
+			fl.router = &stallRouter{}
+			fl.ft = &FlowTrace{}
+			fl.finished.Store(true)
+			fl.unref() // terminal reference: recycles
+			return fl
+		}},
+		{"same-shard-hop", func(t *testing.T) *flowState { return continuedFlow(t, false) }},
+		{"same-shard-fan", func(t *testing.T) *flowState { return continuedFlow(t, true) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fl := tc.run(t)
+			if fl.p != nil || fl.key != 0 || fl.priority != 0 || fl.done != nil ||
+				fl.fan != nil || fl.router != nil || fl.ft != nil {
+				t.Fatalf("recycled flow state leaked fields: %+v", fl)
+			}
+			// The join buffer keeps its capacity for the next fan-out but
+			// holds no result of this one.
+			if len(fl.elems) != 0 || fl.pending.Load() != 0 {
+				t.Fatalf("recycled flow state leaked its join: %d elems, %d pending", len(fl.elems), fl.pending.Load())
+			}
+			for i, r := range fl.elems[:cap(fl.elems)] {
+				if r != (Result{}) {
+					t.Fatalf("recycled join buffer slot %d leaked %+v", i, r)
+				}
+			}
+			if !fl.deadline.IsZero() || !fl.enqueued.IsZero() {
+				t.Fatal("recycled flow state leaked timestamps")
+			}
+			if fl.finished.Load() {
+				t.Fatal("recycled flow state leaked finished flag")
+			}
+			if fl.refs.Load() != 0 {
+				t.Fatalf("recycled flow state holds %d refs", fl.refs.Load())
+			}
+		})
+	}
+}
 
-	fl.unref() // terminal reference: recycles
-	if fl.p != nil || fl.key != 0 || fl.priority != 0 || fl.done != nil ||
-		fl.fan != nil || fl.router != nil || fl.ft != nil {
-		t.Fatalf("recycled flow state leaked fields: %+v", fl)
+// continuedFlow runs one flow of a three-stage pipeline a, b, c — b a
+// Map over four elements when fan — by hand through one batch record of
+// a one-shard server, the way a batch SGT runs it: stage a's result is
+// chained with the record, and every job in the record executes in
+// order, including the continuations chain, the fan-out and the join
+// append. The flow carries a router that declines every hop and a trace.
+// It returns the flow state, which its terminal has recycled.
+func continuedFlow(t *testing.T, fan bool) *flowState {
+	sys := newTestSystem(t)
+	defer sys.Close()
+	s := New(sys, Config{Shards: 1, Observe: ObserveConfig{SampleRate: 1, RingSize: 8}})
+	defer s.Close()
+	tn, err := s.RegisterTenant(TenantConfig{Name: "t", Handler: func(*Ctx, Request) (any, error) { return nil, nil }})
+	if err != nil {
+		t.Fatal(err)
 	}
-	// The join buffer keeps its capacity for the next fan-out but holds
-	// no result of this one.
-	if len(fl.elems) != 0 || fl.pending.Load() != 0 {
-		t.Fatalf("recycled flow state leaked its join: %d elems, %d pending", len(fl.elems), fl.pending.Load())
+	echo := func(_ *Ctx, req Request) (any, error) { return req.Payload, nil }
+	p, err := tn.NewPipeline("p", Stage{Name: "a", Handler: echo}, Stage{Name: "b", Map: fan, Handler: echo},
+		Stage{Name: "c", Handler: echo})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i, r := range elems {
-		if r != (Result{}) {
-			t.Fatalf("recycled join buffer slot %d leaked %+v", i, r)
-		}
+	var in any = "x"
+	want := 2 // b, c
+	if fan {
+		in, want = []any{"w", "x", "y", "z"}, 5
 	}
-	if !fl.deadline.IsZero() || !fl.enqueued.IsZero() {
-		t.Fatal("recycled flow state leaked timestamps")
+	var final Result
+	fl := newFlowState()
+	fl.p, fl.key, fl.priority, fl.enqueued = p, 1, 1, time.Now()
+	fl.done = callbackSink(func(r Result) { final = r })
+	fl.router = &stallRouter{at: -1}
+	fl.ft = s.obs.sample(tn, p, 1)
+	sh := s.shards[0]
+	br := <-sh.runs
+	br.limit, br.now = s.cfg.Batch, time.Now()
+	p.chain(fl, p.stages[0], Result{Status: StatusOK, Value: in}, br)
+	for i := 0; i < len(br.jobs); i++ {
+		s.execute(br, br.jobs[i])
 	}
-	if fl.finished.Load() {
-		t.Fatal("recycled flow state leaked finished flag")
+	if len(br.jobs) != want || final.Status != StatusOK {
+		t.Fatalf("%d jobs continued, flow = %+v; want %d, OK", len(br.jobs), final, want)
 	}
-	if fl.refs.Load() != 0 {
-		t.Fatalf("recycled flow state holds %d refs", fl.refs.Load())
-	}
+	clear(br.jobs)
+	br.jobs, br.limit, br.now = br.jobs[:0], 0, time.Time{}
+	sh.runs <- br
+	return fl
 }
 
 // TestRecycledTicketsResolveExactlyOnce pushes a sustained load through

@@ -53,7 +53,8 @@
 //     flows compiled once from Stage declarations (handler + routing
 //     derivation) whose intermediate values are chained shard-to-shard:
 //     each stage's result resolves at the producing shard, which admits
-//     the next stage at its routed shard (the hop is the admission), Map
+//     the next stage at its routed shard (the hop is the admission; a
+//     hop back to the producing shard joins its running batch), Map
 //     stages fan out over []any and join when their element count
 //     reaches zero, and the flow's deadline and priority propagate to
 //     every stage. A flow is one pooled record. Plain Submit is the
@@ -107,7 +108,11 @@
 //	                          job's flow reference dropped after
 //	hand-off   chain          the next scalar stage: the flow's own RemoteRouter
 //	                          (SubmitFlowAt) may ship it to another node, else the
-//	                          producing shard admits it at its routed shard
+//	                          producing shard admits it at its routed shard — or,
+//	                          when that is its own shard, the ring holds no ready
+//	                          job and the batch is below its limit, appends it to
+//	                          the running batch (admitStage, batchRun.fits); fan-out
+//	                          elements and the stage after a join likewise
 //	terminal   terminate      the one place a flow ends, local or remote, exactly once
 //
 // Every adaptive decision comes from one control plane (adaptive.go,
@@ -483,7 +488,7 @@ func (t *Tenant) SubmitFunc(req Request, done func(Result)) error {
 // own trace sample; a flow job inherits all three from its flow, takes
 // its reference on it, and is counted as a stage job — refuse undoes
 // both. The request is routed here unless the caller already holds its
-// shard (a landed stage hop, a scatter-planned element).
+// shard (a stage hop or fan-out element, routed by the pipeline).
 func (s *Server) construct(t *Tenant, st *pipeStage, fl *flowState, req Request, now time.Time, sh *shard, sk sink, idx int32) (*shard, *Job) {
 	var ft *FlowTrace
 	if fl == nil {
@@ -537,7 +542,8 @@ type admitMark struct {
 // shard's tail CAS once — and returns how many the ring took. That is
 // always a prefix, so the earlier requests of a burst win the slots; the
 // rest go to refuse, and err says why (nil when everything fit). This is
-// the one place acceptance is accounted, for every submission surface.
+// the one place acceptance through a ring is accounted, for every
+// submission surface; batchRun.take accounts a continuation the same way.
 func (s *Server) admit(sh *shard, g []*Job, deliver bool) (n int, err error) {
 	t := g[0].tenant
 	// Capture what the admit events need BEFORE enqueue: the moment a job
@@ -618,7 +624,7 @@ func (s *Server) refuse(sh *shard, j *Job, err error, deliver bool) {
 	sk, idx, pri, fl := j.sink, j.idx, j.req.Priority, j.flow
 	sh.recycle(j)
 	if deliver {
-		sk.resolve(idx, Result{Status: StatusRejected, Err: err, Priority: pri})
+		sk.resolve(idx, Result{Status: StatusRejected, Err: err, Priority: pri}, nil)
 	}
 	fl.unref()
 }
@@ -737,18 +743,20 @@ func (t *Tenant) SubmitManyFunc(reqs []Request, done func(i int, r Result)) int 
 // expired after draining — waiting for a batch slot, or behind a slow
 // sibling in the same batch — are shed here rather than run uselessly
 // late.
-// now is when the job starts: the batch's coarse timestamp for its
-// first job, the end of the previous job for the rest. The deadline
-// recheck and the wait measurement share it, and execute returns the
+// The job starts at br.now: the batch's coarse timestamp for its first
+// job, the end of the previous job for the rest. The deadline recheck
+// and the wait measurement share it, and execute advances br.now to the
 // clock read it takes after the handler, so a batch pays one clock read
-// up front plus one per job, instead of three per job.
-// ctx is the batch's reused execution context (per-job fields are
+// up front plus one per job, instead of three per job. A continuation
+// the job's flow appends is stamped with that same read.
+// br.ctx is the batch's reused execution context (per-job fields are
 // overwritten each call; handlers must not retain it past their return,
 // which was always the contract).
-func (s *Server) execute(sh *shard, j *Job, ctx *Ctx, now time.Time) time.Time {
+func (s *Server) execute(br *batchRun, j *Job) {
+	sh, ctx, now := br.sh, &br.ctx, br.now
 	if !j.req.Deadline.IsZero() && now.After(j.req.Deadline) {
-		s.shed(sh, j, now, "deadline expired before execution")
-		return now
+		s.shed(br, j, "deadline expired before execution")
+		return
 	}
 	t := j.tenant
 	if !t.resident[sh.id].Load() {
@@ -827,6 +835,7 @@ func (s *Server) execute(sh *shard, j *Job, ctx *Ctx, now time.Time) time.Time {
 		}
 	}
 	end := time.Now()
+	br.now = end
 	res.Total = end.Sub(j.enqueued)
 	if res.Status == StatusFailed {
 		s.failed.Inc()
@@ -844,60 +853,62 @@ func (s *Server) execute(sh *shard, j *Job, ctx *Ctx, now time.Time) time.Time {
 			j.ft.add(trace.KindComplete, sh.id, sh.locale, j.spanArg(), "")
 		}
 	}
-	s.finishJob(sh, j, res)
-	return end
+	s.finishJob(br, j, res)
 }
 
 // finishJob is the one completion path, run exactly once per admitted
-// job: the stage counts the outcome, a plain submission's trace is
-// sealed (flow jobs leave that to the flow terminal), and the Result
-// goes to the job's sink. The record is recycled BEFORE the sink runs,
-// so a user callback that resubmits can reuse it immediately; the job's
-// flow reference is dropped AFTER, so the flow state outlasts whatever
-// the sink does with it (chain the next stage, resolve the join).
-func (s *Server) finishJob(sh *shard, j *Job, res Result) {
+// job, on the batch br executing it: the stage counts the outcome, a
+// plain submission's trace is sealed (flow jobs leave that to the flow
+// terminal), and the Result goes to the job's sink with the batch, which
+// the next stage may join as a continuation. The record is recycled
+// BEFORE the sink runs, so a user callback that resubmits can reuse it
+// immediately; the job's flow reference is dropped AFTER, so the flow
+// state outlasts whatever the sink does with it (chain the next stage,
+// resolve the join).
+func (s *Server) finishJob(br *batchRun, j *Job, res Result) {
 	j.stage.count(res)
 	if j.flow == nil {
 		s.obs.finishFlow(j.ft, res.Status)
 	}
 	sk, idx, fl := j.sink, j.idx, j.flow
-	sh.recycle(j)
-	sk.resolve(idx, res)
+	br.sh.recycle(j)
+	sk.resolve(idx, res, br)
 	fl.unref()
 }
 
-// shed completes an expired job without running its handler. cause is
-// the human-readable reason recorded on the job's flow trace (when it
-// carries one) as the KindAdapt decision that ended it, followed by the
-// KindShed outcome — the flight recorder's answer to "why did this
-// flow die?".
-func (s *Server) shed(sh *shard, j *Job, now time.Time, cause string) {
+// shed completes an expired job of batch br, at br.now, without running
+// its handler. cause is the human-readable reason recorded on the job's
+// flow trace (when it carries one) as the KindAdapt decision that ended
+// it, followed by the KindShed outcome — the flight recorder's answer to
+// "why did this flow die?".
+func (s *Server) shed(br *batchRun, j *Job, cause string) {
+	sh := br.sh
 	j.tenant.shed.Inc()
 	s.shedc.Inc()
 	if j.ft != nil {
 		j.ft.add(trace.KindAdapt, sh.id, sh.locale, j.spanArg(), cause)
 		j.ft.add(trace.KindShed, sh.id, sh.locale, j.spanArg(), "")
 	}
-	age := now.Sub(j.enqueued)
-	s.finishJob(sh, j, Result{Status: StatusShed, Wait: age, Total: age, Priority: j.req.Priority})
+	age := br.now.Sub(j.enqueued)
+	s.finishJob(br, j, Result{Status: StatusShed, Wait: age, Total: age, Priority: j.req.Priority})
 }
 
 // shedLow sheds a job the overload controller dropped for its priority:
 // the same shed accounting, plus the dedicated low-priority counter so
 // overload shedding is distinguishable from deadline shedding.
-func (s *Server) shedLow(sh *shard, j *Job, now time.Time, level int) {
+func (s *Server) shedLow(br *batchRun, j *Job, level int) {
 	// The shed path must keep feeding the wait estimator: in a full-shed
 	// regime execute() observes nothing, and a frozen above-budget EWMA
 	// would latch the shed level at max forever. Shed jobs report their
 	// queue age, so once the backlog clears the estimate falls and the
 	// controller lets traffic back in.
-	s.waitUS.Observe(float64(now.Sub(j.enqueued)) / float64(time.Microsecond))
+	s.waitUS.Observe(float64(br.now.Sub(j.enqueued)) / float64(time.Microsecond))
 	s.overload.shed.Inc()
 	cause := ""
 	if j.ft != nil {
 		cause = fmt.Sprintf("overload: priority %d below shed level %d", j.req.Priority, level)
 	}
-	s.shed(sh, j, now, cause)
+	s.shed(br, j, cause)
 }
 
 // Close shuts the admission queues, waiting out producers already

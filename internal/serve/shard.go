@@ -289,11 +289,43 @@ func stealJobsInto(src, dst *shard, want int, sc *stealScratch) int {
 
 // batchRun is one batch SGT's record: the drained jobs and the reused
 // per-batch execution context. A shard owns InflightBatches of them, one
-// per batch SGT it may have active.
+// per batch SGT it may have active. limit is the drain bound the batch
+// was taken with (0 until its survivors are known: nothing joins a batch
+// still being drained), and now its latest clock read — the drain's
+// timestamp, then the end of each executed job.
 type batchRun struct {
-	sh   *shard
-	jobs []*Job
-	ctx  Ctx
+	sh    *shard
+	jobs  []*Job
+	ctx   Ctx
+	limit int
+	now   time.Time
+}
+
+// fits reports whether a stage job routed to sh may join the running
+// batch br as a continuation instead of entering the ring: a tiny
+// continuation at the locale where the flow already is runs inside the
+// batch SGT there (TGT grain), not in a fresh batch SGT. It may only if
+// br is draining sh, no job is ready in sh's ring (so it overtakes
+// nothing admitted before it, and same-key admission order holds), the
+// batch is below its drain limit, and the server is open. Continuations
+// never pass through the ring, so the rebalancer (stealJobsInto) cannot
+// see them; the drain limit bounds how many one batch hides from it.
+func (br *batchRun) fits(sh *shard) bool {
+	return br != nil && br.sh == sh && len(br.jobs) < br.limit &&
+		!sh.ring.ready() && !sh.srv.closed.Load()
+}
+
+// take appends a constructed continuation to the running batch,
+// accounted and traced exactly like an admission; run applies the
+// drain's shed rules to it before it executes.
+func (br *batchRun) take(j *Job) {
+	sh := br.sh
+	j.tenant.acc.Inc()
+	sh.srv.accepted.Inc()
+	if j.ft != nil {
+		j.ft.add(trace.KindAdmit, sh.id, sh.locale, j.spanArg(), "")
+	}
+	br.jobs = append(br.jobs, j)
 }
 
 // runBatch is the batch SGT main — a static function with its record
@@ -309,7 +341,7 @@ func runBatch(sg *core.SGT, a any) {
 	defer func() {
 		br.ctx = Ctx{shard: sh.id, locale: sh.locale}
 		clear(br.jobs)
-		br.jobs = br.jobs[:0]
+		br.jobs, br.limit, br.now = br.jobs[:0], 0, time.Time{}
 		sh.runs <- br
 		sh.sgts.Add(-1)
 		if sh.ring.ready() {
@@ -324,7 +356,8 @@ func runBatch(sg *core.SGT, a any) {
 // bound when the adaptivity loop is on), stops counting as fresh and
 // starts a sibling if work is queued behind the drain, sheds the expired
 // and — under overload — the low-priority jobs, stages the survivors'
-// working sets and executes them in order.
+// working sets and executes them in order, followed by the continuations
+// their flows append (see fits), each shed by the same rules first.
 // The drain's clock read is the batch's one coarse timestamp: the shed
 // checks, the first job's wait and the service time start from it, and
 // each later job starts from the end of the one before.
@@ -351,25 +384,29 @@ func (br *batchRun) run(sg *core.SGT) {
 		sh.ctrl.observeDepth(depth)
 	}
 	start := time.Now()
+	br.now = start
 	shedBelow := s.overload.shedLevel()
 	live := batch[:0]
+	chains := false // a survivor's flow may append continuations
 	for _, j := range batch {
 		if !j.req.Deadline.IsZero() && start.After(j.req.Deadline) {
-			s.shed(sh, j, start, "deadline expired in queue")
+			s.shed(br, j, "deadline expired in queue")
 			continue
 		}
 		// Only an engaged overload controller (level > 0) sheds by
 		// priority; at level 0 even negative priorities run.
 		if shedBelow > 0 && j.req.Priority < shedBelow {
-			s.shedLow(sh, j, start, shedBelow)
+			s.shedLow(br, j, shedBelow)
 			continue
 		}
 		live = append(live, j)
+		chains = chains || j.flow != nil && !j.stage.last
 	}
+	clear(batch[len(live):])
+	br.jobs = live
 	if len(live) == 0 {
 		return
 	}
-	sh.bsize.Observe(float64(len(live)))
 	if s.obs != nil {
 		// One batch-formation event per traced job; the label (shared
 		// across the batch) is built once and only when some job in the
@@ -385,17 +422,37 @@ func (br *batchRun) run(sg *core.SGT) {
 			j.ft.add(trace.KindBatch, sh.id, sh.locale, j.spanArg(), lbl)
 		}
 	}
+	if !chains {
+		// Nothing can join this batch, so its size is known now. Observed
+		// here, it stays off the tail after the last job resolves, which
+		// the next submit to this shard waits on.
+		sh.bsize.Observe(float64(len(live)))
+	}
 	s.batches.Inc()
 	br.ctx.sgt = sg
 	// Stage the batch's working set into this locale before any job
 	// runs: one transfer per object per batch, amortized the same way
 	// the batch amortizes spawns.
 	s.stageBatch(sh, live)
-	now := start
-	for _, j := range live {
-		now = s.execute(sh, j, &br.ctx, now)
+	br.limit = limit
+	for i := 0; i < len(br.jobs); i++ {
+		j := br.jobs[i]
+		if i >= len(live) {
+			// A continuation: execute sheds it if its deadline passed;
+			// the priority rule, at the current level, and staging are
+			// the drain's.
+			if lvl := s.overload.shedLevel(); lvl > 0 && j.req.Priority < lvl {
+				s.shedLow(br, j, lvl)
+				continue
+			}
+			s.stageBatch(sh, br.jobs[i:i+1])
+		}
+		s.execute(br, j)
+	}
+	if chains {
+		sh.bsize.Observe(float64(len(br.jobs)))
 	}
 	if sh.ctrl != nil {
-		sh.ctrl.observeLatency(float64(now.Sub(start)) / float64(time.Microsecond))
+		sh.ctrl.observeLatency(float64(br.now.Sub(start)) / float64(time.Microsecond))
 	}
 }
