@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"encoding/binary"
 	"testing"
 
 	"repro/internal/cluster/netparcel"
@@ -13,7 +14,9 @@ import (
 // benchmark's cluster workloads run (the same node ids, so each node
 // owns four of the eight locales) on the fabric or on loopback TCP,
 // and returns the pipeline flows are submitted to on the first node.
-func benchChain(b *testing.B, tcp bool) *Pipeline {
+// With big set the chain carries a []byte (registerBytesPipe) instead
+// of an int.
+func benchChain(b *testing.B, tcp, big bool) *Pipeline {
 	b.Helper()
 	fabric := parcel.NewFabric()
 	var pipe *Pipeline
@@ -37,7 +40,11 @@ func benchChain(b *testing.B, tcp bool) *Pipeline {
 		}
 		b.Cleanup(node.Close)
 		nodes[i] = node
-		if p := registerTestPipe(b, node); i == 0 {
+		register := registerTestPipe
+		if big {
+			register = registerBytesPipe
+		}
+		if p := register(b, node); i == 0 {
 			pipe = p
 		}
 	}
@@ -47,23 +54,50 @@ func benchChain(b *testing.B, tcp bool) *Pipeline {
 	return pipe
 }
 
-// runChain submits one flow per iteration and waits for it: the
-// closed-loop cost of a flow, wire and both nodes included.
-func runChain(b *testing.B, p *Pipeline) {
-	for i := 0; i < 64; i++ { // percolate code and globals before timing
-		if r := mustFlow(b, p, i); r != i+3 {
-			b.Fatalf("warm-up flow %d returned %d", i, r)
+// registerBytesPipe is registerTestPipe's chain over a []byte payload:
+// each stage advances byte 0 in place, and bytes 1..8 (the flow's
+// sequence number) with byte 0 pick the next stage's key.
+func registerBytesPipe(t testing.TB, n *Node) *Pipeline {
+	t.Helper()
+	step := func(_ *serve.Ctx, req serve.Request) (any, error) {
+		p := req.Payload.([]byte)
+		p[0]++
+		return p, nil
+	}
+	rekey := func(v any) (uint64, []string) {
+		p, _ := v.([]byte)
+		if len(p) < 9 {
+			return 0, nil
 		}
+		return splitmix64(binary.LittleEndian.Uint64(p[1:9])*0x9E3779B97F4A7C15 + uint64(p[0])), []string{"dict"}
+	}
+	return registerChain(t, n, step, rekey)
+}
+
+// runChain submits one flow per iteration and waits for it: the
+// closed-loop cost of a flow, wire and both nodes included. A non-nil
+// buf is the []byte payload every flow carries in turn (a closed loop
+// has seen the previous flow finish before it reuses the buffer).
+func runChain(b *testing.B, p *Pipeline, buf []byte) {
+	for i := 0; i < 64; i++ { // percolate code and globals before timing
+		mustFlow(b, p, i, buf)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		mustFlow(b, p, i)
+		mustFlow(b, p, i, buf)
 	}
 }
 
-func mustFlow(b *testing.B, p *Pipeline, i int) int {
-	tk, err := p.Submit(serve.Request{Key: splitmix64(uint64(i)), Payload: i})
+// mustFlow runs flow i and checks that every stage ran once.
+func mustFlow(b *testing.B, p *Pipeline, i int, buf []byte) {
+	var payload any = i
+	if buf != nil {
+		buf[0] = 0
+		binary.LittleEndian.PutUint64(buf[1:9], uint64(i))
+		payload = buf
+	}
+	tk, err := p.Submit(serve.Request{Key: splitmix64(uint64(i)), Payload: payload})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -71,9 +105,21 @@ func mustFlow(b *testing.B, p *Pipeline, i int) int {
 	if r.Status != serve.StatusOK {
 		b.Fatalf("flow %d: %v (%v)", i, r.Status, r.Err)
 	}
-	return r.Value.(int)
+	if buf == nil {
+		if r.Value != i+3 {
+			b.Fatalf("flow %d returned %v", i, r.Value)
+		}
+	} else if v, _ := r.Value.([]byte); len(v) != len(buf) || v[0] != 3 || binary.LittleEndian.Uint64(v[1:9]) != uint64(i) {
+		b.Fatalf("flow %d returned a wrong payload", i)
+	}
 }
 
-func BenchmarkFlowFabric(b *testing.B) { runChain(b, benchChain(b, false)) }
+func BenchmarkFlowFabric(b *testing.B) { runChain(b, benchChain(b, false, false), nil) }
 
-func BenchmarkFlowTCP(b *testing.B) { runChain(b, benchChain(b, true)) }
+func BenchmarkFlowTCP(b *testing.B) { runChain(b, benchChain(b, true, false), nil) }
+
+// BenchmarkFlowTCP16k carries 16 KiB through every stage over
+// loopback TCP: the per-byte cost of the wire path.
+func BenchmarkFlowTCP16k(b *testing.B) {
+	runChain(b, benchChain(b, true, true), make([]byte, 16<<10))
+}

@@ -45,6 +45,7 @@
 package cluster
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"sort"
@@ -371,7 +372,8 @@ func (n *Node) reshapeLocked() memberMsg {
 }
 
 // broadcast sends a member list to every member but this node and skip,
-// and returns its encoding (the join and leave replies).
+// and returns its encoding (the join and leave replies). Send hands its
+// body over, so every Send gets a copy of its own.
 func (n *Node) broadcast(ml memberMsg, skip string) ([]byte, error) {
 	payload, err := encode(ml)
 	if err != nil {
@@ -379,7 +381,7 @@ func (n *Node) broadcast(ml memberMsg, skip string) ([]byte, error) {
 	}
 	for id := range ml.Members {
 		if id != string(n.self) && id != skip {
-			_ = n.t.Send(parcel.NodeID(id), "cluster.members", payload)
+			_ = n.t.Send(parcel.NodeID(id), "cluster.members", bytes.Clone(payload))
 		}
 	}
 	return payload, nil

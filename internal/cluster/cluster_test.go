@@ -46,20 +46,27 @@ func registerTestPipe(t testing.TB, n *Node) *Pipeline {
 	inc := func(_ *serve.Ctx, req serve.Request) (any, error) {
 		return req.Payload.(int) + 1, nil
 	}
+	rekey := func(v any) (uint64, []string) {
+		i, _ := v.(int)
+		return splitmix64(uint64(i)*0x9E3779B97F4A7C15 + 7), []string{"dict"}
+	}
+	return registerChain(t, n, inc, rekey)
+}
+
+// registerChain installs the test tenant and a three-stage chain whose
+// stages all run step, the second and third re-keyed by rekey.
+func registerChain(t testing.TB, n *Node, step serve.Handler, rekey StageRoute) *Pipeline {
+	t.Helper()
 	tn, err := n.RegisterTenant(TenantConfig{
-		Serve:   serve.TenantConfig{Name: "ct", Handler: inc, CodeSize: 2 << 10},
+		Serve:   serve.TenantConfig{Name: "ct", Handler: step, CodeSize: 2 << 10},
 		Globals: []GlobalObject{{Name: "dict", Size: 512, Home: 1}},
 	})
 	if err != nil {
 		t.Fatalf("register tenant: %v", err)
 	}
-	rekey := func(v any) (uint64, []string) {
-		i, _ := v.(int)
-		return splitmix64(uint64(i)*0x9E3779B97F4A7C15 + 7), []string{"dict"}
-	}
 	p, err := tn.NewPipeline(PipelineConfig{
 		Name:   "chain",
-		Stages: []serve.Stage{{Name: "a", Handler: inc}, {Name: "b", Handler: inc}, {Name: "c", Handler: inc}},
+		Stages: []serve.Stage{{Name: "a", Handler: step}, {Name: "b", Handler: step}, {Name: "c", Handler: step}},
 		Routes: []StageRoute{nil, rekey, rekey},
 	})
 	if err != nil {
@@ -295,5 +302,83 @@ func TestCloseResolvesPending(t *testing.T) {
 	}
 	if err := pipes[0].SubmitFunc(serve.Request{}, func(serve.Result) {}); err != ErrNodeClosed {
 		t.Errorf("submit after close: %v, want ErrNodeClosed", err)
+	}
+}
+
+// recordingTransport notes the backing array of every "cluster.members"
+// Send body and of every join or leave reply its node's handlers return.
+type recordingTransport struct {
+	parcel.Transport
+	rec *memberRecord
+}
+
+type memberRecord struct {
+	mu             sync.Mutex
+	sends, replies []*byte
+}
+
+func (r *recordingTransport) Send(dest parcel.NodeID, method string, body []byte) error {
+	if method == "cluster.members" {
+		r.rec.mu.Lock()
+		r.rec.sends = append(r.rec.sends, &body[0])
+		r.rec.mu.Unlock()
+	}
+	return r.Transport.Send(dest, method, body)
+}
+
+func (r *recordingTransport) Handle(method string, h parcel.TransportHandler) {
+	r.Transport.Handle(method, func(from parcel.NodeID, body []byte) ([]byte, error) {
+		reply, err := h(from, body)
+		if (method == "cluster.join" || method == "cluster.leave") && len(reply) > 0 {
+			r.rec.mu.Lock()
+			r.rec.replies = append(r.rec.replies, &reply[0])
+			r.rec.mu.Unlock()
+		}
+		return reply, err
+	})
+}
+
+// TestBroadcastHandsEachSendItsOwnBody checks the Transport hand-over
+// rule on membership broadcasts: a Send gives its body away, so no two
+// "cluster.members" Sends may share a backing array, and none may share
+// one with the join or leave reply returned to the caller. Three nodes
+// join (the third join broadcasts to one member beside its reply), a
+// fourth joins (two members), and one leaves.
+func TestBroadcastHandsEachSendItsOwnBody(t *testing.T) {
+	fabric := parcel.NewFabric()
+	var rec memberRecord
+	nodes := make([]*Node, 4)
+	for i := range nodes {
+		node, err := NewNode(Config{
+			Transport: &recordingTransport{Transport: fabric.Node(parcel.NodeID(fmt.Sprintf("n%d", i))), rec: &rec},
+			System:    litlx.Config{Locales: 4, WorkersPerLocale: 1, Seed: uint64(i) + 1},
+			Serve:     serve.Config{Shards: 4},
+		})
+		if err != nil {
+			t.Fatalf("node %d: %v", i, err)
+		}
+		t.Cleanup(node.Close)
+		nodes[i] = node
+		if i > 0 {
+			if err := node.Join(nodes[0].Transport().Addr()); err != nil {
+				t.Fatalf("join node %d: %v", i, err)
+			}
+		}
+	}
+	nodes[3].Leave()
+	rec.mu.Lock()
+	defer rec.mu.Unlock()
+	if len(rec.sends) < 4 || len(rec.replies) < 3 {
+		t.Fatalf("recorded %d member Sends and %d replies, want at least 4 and 3", len(rec.sends), len(rec.replies))
+	}
+	seen := make(map[*byte]string)
+	for _, p := range rec.replies {
+		seen[p] = "a join or leave reply"
+	}
+	for i, p := range rec.sends {
+		if what, ok := seen[p]; ok {
+			t.Fatalf("member Send %d shares its body with %s", i, what)
+		}
+		seen[p] = fmt.Sprintf("member Send %d", i)
 	}
 }

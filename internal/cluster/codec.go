@@ -6,7 +6,9 @@ import (
 	"encoding/gob"
 	"errors"
 	"math"
+	"math/bits"
 	"reflect"
+	"slices"
 )
 
 // This file is the cluster wire codec. The two flow-path parcels —
@@ -146,7 +148,7 @@ func decode(b []byte, v any) error {
 // encodeStage lays out one stage parcel carrying input v. The only
 // failure is a value the codec cannot carry.
 func encodeStage(sp *stageMsg, v any) ([]byte, error) {
-	b := make([]byte, 0, 128)
+	b := newBody(6*8 + strSize(sp.Origin) + strSize(sp.Tenant) + strSize(sp.Pipe) + valueSize(v))
 	for _, u := range [...]uint64{sp.Flow, uint64(sp.FlowEpoch), uint64(sp.Stage), sp.Key, uint64(sp.Deadline), uint64(sp.Priority)} {
 		b = appendU64(b, u)
 	}
@@ -176,7 +178,7 @@ func decodeStage(b []byte) (stageMsg, []byte, error) {
 
 // encodeComplete lays out one completion parcel carrying value v.
 func encodeComplete(cm *completeMsg, v any) ([]byte, error) {
-	b := appendU64(appendU64(make([]byte, 0, 64), cm.Flow), uint64(cm.FlowEpoch))
+	b := appendU64(appendU64(newBody(2*8+1+strSize(cm.Err)+valueSize(v)), cm.Flow), uint64(cm.FlowEpoch))
 	return appendValue(appendString(append(b, cm.Status), cm.Err), v)
 }
 
@@ -231,6 +233,33 @@ func appendValue(b []byte, v any) ([]byte, error) {
 	}
 	return append(binary.AppendUvarint(append(b, tagOpaque), uint64(len(g))), g...), nil
 }
+
+// newBody returns an empty parcel body with room for size bytes, in one
+// allocation whose whole size class is its capacity. Send hands that
+// capacity over too, and a transport that reuses written bodies as
+// receive buffers (netparcel) then fits a slightly longer arriving
+// body — a stage parcel where a completion parcel left — into it.
+func newBody(size int) []byte { return slices.Grow([]byte(nil), size) }
+
+// valueSize is the size of v's encoding, so a message is allocated
+// once: exact for nil, a scalar, a []byte or a string, and for any
+// other value a start that appending grows.
+func valueSize(v any) int {
+	switch x := v.(type) {
+	case nil:
+		return 1
+	case []byte:
+		return 1 + uvarintSize(uint64(len(x))+1) + len(x)
+	case string:
+		return 1 + strSize(x)
+	}
+	return 9
+}
+
+// strSize is the size of a string's encoding.
+func strSize(s string) int { return uvarintSize(uint64(len(s))) + len(s) }
+
+func uvarintSize(u uint64) int { return (bits.Len64(u|1) + 6) / 7 }
 
 // scalarBits is the 8-byte payload of a bool, integer or float:
 // integers sign- or zero-extended, floats as float64 IEEE bits.

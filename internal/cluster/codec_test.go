@@ -131,6 +131,47 @@ func TestCodecMessagesRoundTrip(t *testing.T) {
 	}
 }
 
+// TestEncodeSizesBodyOnce checks that a flow parcel is allocated once,
+// at its final size, for a 16 KiB []byte already boxed in an any and for
+// every other value the size is exact for; and that the capacity of a
+// completion carrying 16 KiB holds a stage parcel carrying the same
+// value, so netparcel can read the one into the other's buffer.
+func TestEncodeSizesBodyOnce(t *testing.T) {
+	sp := stageMsg{Flow: 1 << 40, Origin: "node-2", Tenant: "chain", Pipe: "chain", Stage: 1, Key: 99}
+	cm := completeMsg{Flow: 1 << 40, Err: "a long enough error text"}
+	encoders := map[string]func(any) ([]byte, error){
+		"stage":    func(v any) ([]byte, error) { return encodeStage(&sp, v) },
+		"complete": func(v any) ([]byte, error) { return encodeComplete(&cm, v) },
+	}
+	want := 1.0
+	if raceBuild {
+		want = 2
+	}
+	for name, enc := range encoders {
+		for _, v := range []any{make([]byte, 16<<10), nil, 7, 2.5, true, "", "text", []byte(nil), []byte{}, make([]byte, 200), string(make([]byte, 300))} {
+			if n := testing.AllocsPerRun(20, func() { _, _ = enc(v) }); n != want {
+				t.Errorf("%s with %T of %d: %v allocs, want %v", name, v, sizeOf(v), n, want)
+			}
+		}
+	}
+	big := make([]byte, 16<<10)
+	stage, _ := encodeStage(&sp, big)
+	done, _ := encodeComplete(&cm, big)
+	if cap(done) < len(stage) {
+		t.Errorf("a 16 KiB completion has capacity %d, short of the %d-byte stage parcel", cap(done), len(stage))
+	}
+}
+
+func sizeOf(v any) int {
+	switch x := v.(type) {
+	case []byte:
+		return len(x)
+	case string:
+		return len(x)
+	}
+	return 0
+}
+
 // TestCodecRejectsMalformed feeds every strict prefix of real
 // encodings, trailing garbage, unknown tags and oversize counts: each
 // must fail with an error, never panic.

@@ -24,15 +24,19 @@ func frameSeeds(t testing.TB) [][]byte {
 		{Kind: kindReply, Seq: 300, Body: make([]byte, 512)},
 		{Kind: kindReply, Seq: 2, Text: "netparcel: node b has no handler \"x\""},
 	} {
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
-		if err := writeFrame(bw, &f, new(atomic.Int64)); err != nil {
-			t.Fatal(err)
-		}
-		bw.Flush()
-		out = append(out, buf.Bytes())
+		out = append(out, writeOne(t, f))
 	}
 	return out
+}
+
+// writeOne puts f on the wire as the connection writer does.
+func writeOne(t testing.TB, f frame) []byte {
+	var buf bytes.Buffer
+	var g gather
+	if err := g.write(&buf, []frame{f}, new(atomic.Int64)); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func sameFrame(a, b frame) bool {
@@ -42,7 +46,7 @@ func sameFrame(a, b frame) bool {
 // readOne reads one frame from b and returns the bytes it consumed.
 func readOne(b []byte) (frame, int64, error) {
 	var n atomic.Int64
-	f, err := readFrame(bufio.NewReader(bytes.NewReader(b)), &n)
+	f, err := readFrame(bufio.NewReader(bytes.NewReader(b)), &n, new(bodyList))
 	return f, n.Load(), err
 }
 
@@ -51,12 +55,11 @@ func readOne(b []byte) (frame, int64, error) {
 func TestSendFrameOverhead(t *testing.T) {
 	for _, method := range []string{"cluster.stage", "cluster.complete"} {
 		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
+		var g gather
 		var sent atomic.Int64
-		err := writeFrame(bw, &frame{Kind: kindSend, Text: method, Body: make([]byte, 100)}, &sent)
-		bw.Flush()
+		err := g.write(&buf, []frame{{Kind: kindSend, Text: method, Body: make([]byte, 100)}}, &sent)
 		if n := int(sent.Load()); err != nil || n != buf.Len() {
-			t.Fatalf("writeFrame = %d, %v; wrote %d bytes", n, err, buf.Len())
+			t.Fatalf("write = %d, %v; wrote %d bytes", n, err, buf.Len())
 		}
 		if over := buf.Len() - 100; over != 6+len(method) || over > 24 {
 			t.Errorf("%s: %d bytes of framing, want %d (at most 24)", method, over, 6+len(method))
@@ -141,15 +144,71 @@ func FuzzReadFrame(f *testing.F) {
 		if n > int64(len(b)) {
 			t.Fatalf("consumed %d of %d bytes", n, len(b))
 		}
-		var buf bytes.Buffer
-		bw := bufio.NewWriter(&buf)
-		if err := writeFrame(bw, &fr, new(atomic.Int64)); err != nil {
-			t.Fatal(err)
-		}
-		bw.Flush()
-		fr2, _, err := readOne(buf.Bytes())
+		fr2, _, err := readOne(writeOne(t, fr))
 		if err != nil || !sameFrame(fr, fr2) {
 			t.Fatalf("frame round trip = %+v, %v; want %+v", fr2, err, fr)
 		}
 	})
+}
+
+// TestGatheredBatchRoundTrip writes frames of every shape in one
+// gathered write — a bodiless call, 16 KiB sends, a reply whose error
+// text is longer than the reader's buffer — and reads them back in
+// order, counting the same bytes on both sides.
+func TestGatheredBatchRoundTrip(t *testing.T) {
+	batch := []frame{
+		{Kind: kindCall, Seq: 9, Text: "cluster.ping"},
+		{Kind: kindSend, Text: "cluster.stage", Body: bytes.Repeat([]byte{1, 2, 3}, 6000)},
+		{Kind: kindReply, Seq: 9, Text: string(bytes.Repeat([]byte("e"), 6000))},
+		{Kind: kindSend, Text: "cluster.complete", Body: bytes.Repeat([]byte{4}, 16<<10)},
+		{Kind: kindReply, Seq: 10, Body: []byte("ok")},
+	}
+	var buf bytes.Buffer
+	var g gather
+	var sent, recv atomic.Int64
+	if err := g.write(&buf, batch, &sent); err != nil {
+		t.Fatal(err)
+	}
+	if sent.Load() != int64(buf.Len()) {
+		t.Fatalf("counted %d bytes sent, wrote %d", sent.Load(), buf.Len())
+	}
+	br := bufio.NewReader(&buf)
+	for i, want := range batch {
+		got, err := readFrame(br, &recv, new(bodyList))
+		if err != nil || !sameFrame(got, want) {
+			t.Fatalf("frame %d = %+v, %v", i, got.Text, err)
+		}
+	}
+	if recv.Load() != sent.Load() || buf.Len() != 0 {
+		t.Fatalf("read %d of %d bytes, %d left", recv.Load(), sent.Load(), buf.Len())
+	}
+}
+
+// TestBodyListBounds pins the free list's rules: a body is kept to its
+// capacity, small bodies are not kept, the retained total never passes
+// recycleBytes (a 1 MiB body is never pinned), and a draw takes only a
+// buffer of n to 2n bytes.
+func TestBodyListBounds(t *testing.T) {
+	var l bodyList
+	l.put(make([]byte, recycleMin-1))
+	l.put(make([]byte, 0, 1<<20))
+	if len(l.bufs) != 0 {
+		t.Fatalf("kept %d bodies, want none (too small, too large)", len(l.bufs))
+	}
+	for i := 0; i < 2*recycleBytes/(16<<10); i++ {
+		l.put(make([]byte, 100, 16<<10))
+	}
+	if l.bytes > recycleBytes || l.bytes != len(l.bufs)*(16<<10) {
+		t.Fatalf("retained %d bytes in %d bodies, bound %d", l.bytes, len(l.bufs), recycleBytes)
+	}
+	kept := len(l.bufs)
+	if b := l.get(8<<10 - 1); len(l.bufs) != kept || len(b) != 8<<10-1 {
+		t.Fatalf("a draw of under half a kept body's size took one")
+	}
+	if b := l.get(16<<10 - 100); len(l.bufs) != kept-1 || len(b) != 16<<10-100 || cap(b) != 16<<10 {
+		t.Fatalf("draw = len %d cap %d, %d kept; want a kept body, with its capacity", len(b), cap(b), len(l.bufs))
+	}
+	if b := l.get(recycleMin - 1); len(l.bufs) != kept-1 || len(b) != recycleMin-1 {
+		t.Fatal("a small draw took a kept body")
+	}
 }

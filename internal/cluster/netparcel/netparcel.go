@@ -1,7 +1,6 @@
 // Package netparcel carries parcels between cluster nodes over TCP: the
 // real-wire implementation of parcel.Transport. A frame is a small
-// binary header and the parcel body, written straight into the
-// connection's buffered writer:
+// binary header and the parcel body:
 //
 //	length  u32 big-endian: the byte count of everything after it
 //	kind    u8: hello, send, call or reply
@@ -10,19 +9,35 @@
 //	        NodeID; reply: the handler's error, empty on success)
 //	body    the rest (hello: the sender's dialable address)
 //
-// so a send costs 6 bytes plus the method name on top of its body. The
-// reader finds frame boundaries from the length prefix alone and reads
-// each frame into one fresh buffer: the body a handler (or a Call's
-// caller) receives is its own to keep or modify.
+// so a send costs 6 bytes plus the method name on top of its body.
 //
 // Each peer sends on one connection. There is no writer goroutine: the
 // sender writes. Under the connection's mutex a Send that finds no
-// flusher becomes it — it writes its own frame plus every frame other
-// senders queued meanwhile into the buffered writer, flushes once, and
+// flusher becomes it — it takes its own frame plus every frame other
+// senders queued meanwhile, writes them with one gathered write, and
 // repeats until the queue is dry — while a Send that finds a flusher
-// queues its frame and returns. A burst of stage hand-offs or
-// percolation fetches still pays one syscall, the way a parcel batch
-// amortizes round trips, and no sender waits on another's syscall.
+// queues its frame and returns. The gathered write (writev) interleaves
+// the batch's headers, laid out in one reused scratch buffer, with the
+// callers' bodies, which are never copied in user space. A burst of
+// stage hand-offs or percolation fetches still pays one syscall, the
+// way a parcel batch amortizes round trips, and no sender waits on
+// another's syscall.
+//
+// The reader finds frame boundaries from the length prefix alone,
+// parses the header out of its read buffer, and reads the body into a
+// buffer of its own: the body a handler (or a Call's caller) receives
+// is its own to keep or modify. Under parcel.Transport a Send hands
+// over its body's backing array, up to its capacity, so once a one-way
+// frame is written that array is dead to everyone; the flusher keeps it
+// on the transport's free list, and the reader takes the buffer for an
+// arriving body from that list instead of allocating (it is not zeroed;
+// the read overwrites it). Only buffers of at least recycleMin bytes
+// take part — below the read buffer's size a fresh allocation is
+// cheaper than the list's lock — and the list retains at most
+// recycleBytes in all, so a rare large body is left to the garbage
+// collector rather than pinned. Call bodies, replies (a handler may
+// return shared bytes, such as a code image) and sends that a fault
+// dropped or a dead connection never wrote are not recycled.
 //
 // The parcel starts its thread where it lands: a one-way frame's
 // handler runs on the connection's read loop itself, so a stage parcel
@@ -44,7 +59,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"maps"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -115,7 +132,7 @@ type Transport struct {
 	// cfg.Window): a burst of calls from one peer queues here instead of
 	// spawning one goroutine per frame.
 	hmu      sync.Mutex
-	hqueue   []htask
+	hqueue   []func()
 	hworkers int
 
 	// inline counts one-way deliveries running on read loops right now.
@@ -123,13 +140,13 @@ type Transport struct {
 	// flush to a goroutine instead, so a read loop never blocks in write.
 	inline atomic.Int32
 
+	// free holds written Send bodies for the read loops to reuse.
+	free bodyList
+
 	bytesSent, bytesRecv     atomic.Int64
 	parcelsSent, parcelsRecv atomic.Int64
 	calls                    atomic.Int64
 }
-
-// htask is one queued inbound handler invocation.
-type htask func()
 
 // peer is one remote node: the connection sends to it go out on and its
 // outstanding-call window. Both are guarded by Transport.mu.
@@ -138,13 +155,13 @@ type peer struct {
 	sem chan struct{}
 }
 
-// wconn is one live connection. The read loop owns br; bw belongs to
+// wconn is one live connection. The read loop owns br; out belongs to
 // whichever sender is the flusher (the hello exchange uses both before
 // either runs), and mu guards the queue and the flusher hand-off.
 type wconn struct {
 	c      net.Conn
 	br     *bufio.Reader
-	bw     *bufio.Writer
+	out    gather
 	tr     *Transport
 	closed atomic.Bool
 
@@ -220,29 +237,20 @@ func (t *Transport) Dial(addr string) (parcel.NodeID, error) {
 	}
 	// Hello out, hello back: both sides learn who is on the wire before
 	// any parcel rides it.
-	w := t.newConn(c)
+	w := &wconn{c: c, br: bufio.NewReader(c), tr: t}
 	if err := w.hello(); err != nil {
 		c.Close()
 		return "", err
 	}
-	reply, err := readFrame(w.br, &t.bytesRecv)
+	id, err := w.readHello()
 	if err != nil {
 		c.Close()
-		return "", fmt.Errorf("netparcel: hello to %s: %w", addr, err)
+		return "", fmt.Errorf("netparcel: hello from %s: %w", addr, err)
 	}
-	if reply.Kind != kindHello || reply.Text == "" {
-		c.Close()
-		return "", fmt.Errorf("netparcel: bad hello from %s", addr)
-	}
-	id := parcel.NodeID(reply.Text)
 	if err := t.addConn(id, w); err != nil {
 		return "", err
 	}
 	return id, nil
-}
-
-func (t *Transport) newConn(c net.Conn) *wconn {
-	return &wconn{c: c, br: bufio.NewReader(c), bw: bufio.NewWriter(c), tr: t}
 }
 
 // addConn registers a live, hello-complete connection and starts its
@@ -280,17 +288,13 @@ func (t *Transport) accept() {
 			return // listener closed
 		}
 		go func(c net.Conn) {
-			w := t.newConn(c)
-			h, err := readFrame(w.br, &t.bytesRecv)
-			if err != nil || h.Kind != kindHello || h.Text == "" {
+			w := &wconn{c: c, br: bufio.NewReader(c), tr: t}
+			id, err := w.readHello()
+			if err != nil || w.hello() != nil {
 				c.Close()
 				return
 			}
-			if err := w.hello(); err != nil {
-				c.Close()
-				return
-			}
-			_ = t.addConn(parcel.NodeID(h.Text), w)
+			_ = t.addConn(id, w)
 		}(c)
 	}
 }
@@ -305,7 +309,7 @@ func (t *Transport) accept() {
 func (t *Transport) readLoop(w *wconn, from parcel.NodeID) {
 	defer t.wg.Done()
 	for {
-		f, err := readFrame(w.br, &t.bytesRecv)
+		f, err := readFrame(w.br, &t.bytesRecv, &t.free)
 		if err != nil {
 			w.shut()
 			t.mu.Lock()
@@ -329,12 +333,11 @@ func (t *Transport) readLoop(w *wconn, from parcel.NodeID) {
 		case kindCall:
 			t.parcelsRecv.Add(1)
 			h, ok := t.handler(f.Text)
-			seq, body := f.Seq, f.Body
 			t.dispatch(func() {
-				rep := frame{Kind: kindReply, Seq: seq}
+				rep := frame{Kind: kindReply, Seq: f.Seq}
 				if !ok {
 					rep.Text = fmt.Sprintf("netparcel: node %s has no handler %q", t.self, f.Text)
-				} else if v, err := h(from, body); err != nil {
+				} else if v, err := h(from, f.Body); err != nil {
 					rep.Text = err.Error()
 				} else {
 					rep.Body = v
@@ -348,7 +351,7 @@ func (t *Transport) readLoop(w *wconn, from parcel.NodeID) {
 // dispatch queues one call handler invocation for the bounded worker
 // pool, growing the pool lazily up to Config.Window workers. Queueing
 // never blocks the read loop.
-func (t *Transport) dispatch(fn htask) {
+func (t *Transport) dispatch(fn func()) {
 	t.hmu.Lock()
 	t.hqueue = append(t.hqueue, fn)
 	if t.hworkers < t.cfg.Window {
@@ -471,11 +474,7 @@ func (t *Transport) Call(dest parcel.NodeID, method string, body []byte) ([]byte
 func (t *Transport) Peers() []parcel.NodeID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	ids := make([]parcel.NodeID, 0, len(t.peers))
-	for id := range t.peers {
-		ids = append(ids, id)
-	}
-	return ids
+	return slices.Collect(maps.Keys(t.peers))
 }
 
 // Stats snapshots the wire counters. BytesSent/BytesRecv count real
@@ -551,27 +550,25 @@ func (w *wconn) send(f frame) error {
 }
 
 // flush is the flat-combining writer: it takes everything queued,
-// writes it into the buffered writer, flushes once, and repeats until
-// the queue is dry — N frames, one flush. Frames still queued when the
-// connection dies are dropped with it.
+// writes it with one gathered write, and repeats until the queue is
+// dry — N frames, one syscall. The written bodies of one-way frames go
+// to the free list. Frames still queued when the connection dies are
+// dropped with it.
 func (w *wconn) flush() {
 	w.mu.Lock()
 	for len(w.queue) > 0 && !w.closed.Load() {
 		batch := w.queue
 		w.queue = w.spare[:0]
 		w.mu.Unlock()
-		var err error
-		for i := range batch {
-			if err == nil {
-				err = writeFrame(w.bw, &batch[i], &w.tr.bytesSent)
-			}
-			batch[i] = frame{} // release the body
-		}
-		if err == nil {
-			err = w.bw.Flush()
-		}
+		err := w.out.write(w.c, batch, &w.tr.bytesSent)
 		if err != nil {
 			w.shut()
+		}
+		for i := range batch {
+			if err == nil && batch[i].Kind == kindSend {
+				w.tr.free.put(batch[i].Body)
+			}
+			batch[i] = frame{} // release the body
 		}
 		w.mu.Lock()
 		w.spare = batch
@@ -588,31 +585,53 @@ func (w *wconn) shut() {
 	}
 }
 
-// hello writes and flushes this transport's hello (the connection
-// setup path, before any sender or the read loop runs).
+// hello writes this transport's hello (the connection setup path,
+// before any sender or the read loop runs).
 func (w *wconn) hello() error {
 	hello := frame{Kind: kindHello, Text: string(w.tr.self), Body: []byte(w.tr.Addr())}
-	if err := writeFrame(w.bw, &hello, &w.tr.bytesSent); err != nil {
-		return err
-	}
-	return w.bw.Flush()
+	return w.out.write(w.c, []frame{hello}, &w.tr.bytesSent)
 }
 
-// writeFrame writes one frame's header and body, adding the bytes
-// written to sent.
-func writeFrame(bw *bufio.Writer, f *frame, sent *atomic.Int64) error {
-	var buf [4 + 1 + 2*binary.MaxVarintLen64]byte
-	hdr := append(buf[:4], f.Kind)
-	if f.Kind == kindCall || f.Kind == kindReply {
-		hdr = binary.AppendUvarint(hdr, f.Seq)
+// readHello reads the peer's hello and returns the NodeID it names.
+func (w *wconn) readHello() (parcel.NodeID, error) {
+	h, err := readFrame(w.br, &w.tr.bytesRecv, &w.tr.free)
+	if err == nil && (h.Kind != kindHello || h.Text == "") {
+		err = errors.New("netparcel: bad hello")
 	}
-	hdr = binary.AppendUvarint(hdr, uint64(len(f.Text)))
-	n := len(hdr) + len(f.Text) + len(f.Body)
-	binary.BigEndian.PutUint32(hdr, uint32(n-4))
-	bw.Write(hdr)
-	bw.WriteString(f.Text)
-	_, err := bw.Write(f.Body) // bufio keeps the first error
-	sent.Add(int64(n))
+	return parcel.NodeID(h.Text), err
+}
+
+// gather is a connection's write scratch, reused batch to batch: the
+// batch's frame headers and the gather list that interleaves them with
+// the bodies.
+type gather struct {
+	hdr []byte
+	iov net.Buffers
+}
+
+// write sends a batch of frames with one gathered write: each frame's
+// header from the scratch buffer, then its body as the caller passed
+// it. The batch's bytes are added to sent before the write, so a peer's
+// answer never arrives ahead of the count.
+func (g *gather) write(dst io.Writer, batch []frame, sent *atomic.Int64) error {
+	hdr, iov, n := g.hdr[:0], g.iov[:0], 0
+	for i := range batch {
+		f := &batch[i]
+		start := len(hdr)
+		hdr = append(hdr, 0, 0, 0, 0, f.Kind)
+		if f.Kind == kindCall || f.Kind == kindReply {
+			hdr = binary.AppendUvarint(hdr, f.Seq)
+		}
+		hdr = append(binary.AppendUvarint(hdr, uint64(len(f.Text))), f.Text...)
+		binary.BigEndian.PutUint32(hdr[start:], uint32(len(hdr)-start-4+len(f.Body)))
+		iov = append(iov, hdr[start:], f.Body) // a piece of a grown-out array still holds its header
+		n += len(f.Body)
+	}
+	sent.Add(int64(len(hdr) + n))
+	bufs := iov // WriteTo consumes its receiver
+	_, err := bufs.WriteTo(dst)
+	clear(iov)
+	g.hdr, g.iov = hdr, iov[:0]
 	return err
 }
 
@@ -622,38 +641,92 @@ const maxFrame = 64 << 20
 
 var errBadFrame = errors.New("netparcel: malformed frame")
 
-// readFrame reads one frame into a fresh buffer, which the returned
-// Body aliases, adding the bytes read to recv.
-func readFrame(br *bufio.Reader, recv *atomic.Int64) (frame, error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
+// readFrame reads one frame, adding its bytes to recv. The header is
+// parsed out of br's buffer; the body, which the returned Body is, is
+// read into a buffer from free (see bodyList.get).
+func readFrame(br *bufio.Reader, recv *atomic.Int64, free *bodyList) (frame, error) {
+	var lb [4]byte
+	if _, err := io.ReadFull(br, lb[:]); err != nil {
 		return frame{}, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(lb[:]))
 	if n > maxFrame {
 		return frame{}, fmt.Errorf("netparcel: frame of %d bytes exceeds limit", n)
 	}
-	b := make([]byte, n)
-	if _, err := io.ReadFull(br, b); err != nil {
+	h, err := br.Peek(min(n, br.Size())) // the whole header, unless the text is huge
+	if err != nil {
+		return frame{}, err
+	}
+	if len(h) == 0 || h[0] > kindReply {
+		return frame{}, errBadFrame
+	}
+	f, k := frame{Kind: h[0]}, 1
+	if f.Kind == kindCall || f.Kind == kindReply {
+		seq, m := binary.Uvarint(h[k:])
+		if m <= 0 {
+			return frame{}, errBadFrame
+		}
+		f.Seq, k = seq, k+m
+	}
+	l, m := binary.Uvarint(h[k:])
+	if k += m; m <= 0 || l > uint64(n-k) {
+		return frame{}, errBadFrame
+	}
+	if k+int(l) <= len(h) {
+		f.Text = string(h[k : k+int(l)])
+		br.Discard(k + int(l))
+	} else {
+		br.Discard(k)
+		text := make([]byte, l)
+		if _, err := io.ReadFull(br, text); err != nil {
+			return frame{}, err
+		}
+		f.Text = string(text)
+	}
+	f.Body = free.get(n - k - int(l))
+	if _, err := io.ReadFull(br, f.Body); err != nil {
 		return frame{}, err
 	}
 	recv.Add(int64(4 + n))
-	if len(b) == 0 || b[0] > kindReply {
-		return frame{}, errBadFrame
-	}
-	f := frame{Kind: b[0]}
-	b = b[1:]
-	if f.Kind == kindCall || f.Kind == kindReply {
-		seq, k := binary.Uvarint(b)
-		if k <= 0 {
-			return frame{}, errBadFrame
-		}
-		f.Seq, b = seq, b[k:]
-	}
-	l, k := binary.Uvarint(b)
-	if k <= 0 || l > uint64(len(b)-k) {
-		return frame{}, errBadFrame
-	}
-	f.Text, f.Body = string(b[k:k+int(l)]), b[k+int(l):]
 	return f, nil
+}
+
+// Body recycling bounds: a body shorter than recycleMin is neither kept
+// nor drawn, and the free list retains at most recycleBytes in all.
+const recycleMin, recycleBytes = 4 << 10, 256 << 10
+
+// bodyList is a transport's free list of written Send bodies.
+type bodyList struct {
+	mu    sync.Mutex
+	bufs  [][]byte
+	bytes int // retained, at most recycleBytes
+}
+
+// put keeps a written Send body, to its capacity, unless it is small or
+// breaks the bound.
+func (l *bodyList) put(b []byte) {
+	if b = b[:cap(b)]; len(b) >= recycleMin {
+		l.mu.Lock()
+		if l.bytes+len(b) <= recycleBytes {
+			l.bufs, l.bytes = append(l.bufs, b), l.bytes+len(b)
+		}
+		l.mu.Unlock()
+	}
+}
+
+// get returns an n-byte buffer for a body: a kept one of n to 2n bytes
+// when there is one (not zeroed; its capacity goes with it), else a
+// fresh one.
+func (l *bodyList) get(n int) []byte {
+	if n >= recycleMin {
+		l.mu.Lock()
+		if i := slices.IndexFunc(l.bufs, func(b []byte) bool { return len(b) >= n && len(b) <= 2*n }); i >= 0 {
+			b := l.bufs[i]
+			l.bufs, l.bytes = slices.Delete(l.bufs, i, i+1), l.bytes-len(b)
+			l.mu.Unlock()
+			return b[:n]
+		}
+		l.mu.Unlock()
+	}
+	return make([]byte, n)
 }

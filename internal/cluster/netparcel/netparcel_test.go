@@ -1,6 +1,7 @@
 package netparcel
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -31,6 +32,13 @@ func newPair(t *testing.T) (*Transport, *Transport) {
 	}
 	if id != "b" {
 		t.Fatalf("dial resolved %s, want b", id)
+	}
+	// Dial returns once b's hello is read; b registers a just after, on
+	// its accept goroutine. Wait for it, so b can send to a at once.
+	for deadline := time.Now().Add(5 * time.Second); len(b.Peers()) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("b never registered a")
+		}
 	}
 	return a, b
 }
@@ -421,5 +429,180 @@ func TestInjectedPartitionFailsTraffic(t *testing.T) {
 	fl.Heal("a", "b")
 	if reply, err := a.Call("b", "m", nil); err != nil || string(reply) != "ok" {
 		t.Fatalf("call after heal = %q, %v", reply, err)
+	}
+}
+
+// pattern is body i from side s: its index, then bytes no other body
+// repeats at the same offsets.
+func pattern(s byte, i, size int) []byte {
+	b := binary.LittleEndian.AppendUint32(make([]byte, 0, size), uint32(i))
+	for j := len(b); j < size; j++ {
+		b = append(b, byte(j*int(s+1)+i))
+	}
+	return b
+}
+
+// TestTwoWaySendStressKeepsBodies has both peers Send hundreds of
+// 16 KiB bodies at once, so each side's reads draw on the bodies its
+// own sends gave up. Every body must arrive as sent, and every tenth,
+// kept by its handler, must still be intact once the storm is over: a
+// recycled buffer is never one a handler was given.
+func TestTwoWaySendStressKeepsBodies(t *testing.T) {
+	a, b := newPair(t)
+	const (
+		n    = 400
+		size = 16 << 10
+	)
+	type keep struct {
+		from byte
+		i    int
+		body []byte
+	}
+	var mu sync.Mutex
+	var kept []keep
+	var bad atomic.Int64
+	var wg sync.WaitGroup
+	wg.Add(2 * n)
+	check := func(from byte) parcel.TransportHandler {
+		return func(_ parcel.NodeID, body []byte) ([]byte, error) {
+			i := int(binary.LittleEndian.Uint32(body))
+			if !bytes.Equal(body, pattern(from, i, size)) {
+				bad.Add(1)
+			}
+			if i%10 == 0 {
+				mu.Lock()
+				kept = append(kept, keep{from, i, body})
+				mu.Unlock()
+			}
+			wg.Done()
+			return nil, nil
+		}
+	}
+	a.Handle("p", check('b'))
+	b.Handle("p", check('a'))
+	for _, s := range []struct {
+		tr         *Transport
+		dest       parcel.NodeID
+		self, half byte
+	}{{a, "b", 'a', 0}, {a, "b", 'a', 1}, {b, "a", 'b', 0}, {b, "a", 'b', 1}} {
+		go func() {
+			for i := int(s.half); i < n; i += 2 {
+				if err := s.tr.Send(s.dest, "p", pattern(s.self, i, size)); err != nil {
+					t.Errorf("send: %v", err)
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(20 * time.Second):
+		t.Fatal("not every body arrived")
+	}
+	if bad.Load() > 0 {
+		t.Fatalf("%d bodies arrived corrupt", bad.Load())
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(kept) != 2*n/10 {
+		t.Fatalf("kept %d bodies, want %d", len(kept), 2*n/10)
+	}
+	for _, k := range kept {
+		if !bytes.Equal(k.body, pattern(k.from, k.i, size)) {
+			t.Fatalf("kept body %d from %c was overwritten after delivery", k.i, k.from)
+		}
+	}
+}
+
+// TestCallAndReplyBodiesNotRecycled calls with one shared body and
+// answers every call with one shared reply — a code image, say — while
+// one-way 16 KiB traffic keeps both free lists busy. Neither shared
+// slice may be recycled: both must stay intact, and neither may sit on
+// a free list.
+func TestCallAndReplyBodiesNotRecycled(t *testing.T) {
+	a, b := newPair(t)
+	const size = 16 << 10
+	img, req := pattern('i', 1, size), pattern('r', 2, size)
+	imgWant, reqWant := bytes.Clone(img), bytes.Clone(req)
+	b.Handle("image", func(_ parcel.NodeID, body []byte) ([]byte, error) {
+		if !bytes.Equal(body, reqWant) {
+			return nil, errors.New("call body arrived corrupt")
+		}
+		return img, nil
+	})
+	var sunk sync.WaitGroup
+	sink := func(parcel.NodeID, []byte) ([]byte, error) { sunk.Done(); return nil, nil }
+	a.Handle("sink", sink)
+	b.Handle("sink", sink)
+	const sends, calls = 200, 100
+	sunk.Add(2 * sends)
+	go func() {
+		for i := 0; i < sends; i++ {
+			_ = a.Send("b", "sink", make([]byte, size))
+			_ = b.Send("a", "sink", make([]byte, size))
+		}
+	}()
+	for i := 0; i < calls; i++ {
+		reply, err := a.Call("b", "image", req)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if !bytes.Equal(reply, imgWant) {
+			t.Fatalf("reply %d differs from the shared image", i)
+		}
+	}
+	sunk.Wait()
+	if !bytes.Equal(img, imgWant) || !bytes.Equal(req, reqWant) {
+		t.Fatal("a shared call or reply body was overwritten")
+	}
+	for _, tr := range []*Transport{a, b} {
+		tr.free.mu.Lock()
+		for _, x := range tr.free.bufs {
+			if &x[0] == &img[0] || &x[0] == &req[0] {
+				t.Errorf("%s recycled a shared call or reply body", tr.Self())
+			}
+		}
+		tr.free.mu.Unlock()
+	}
+}
+
+// TestWrittenSendBodyBecomesReceiveBuffer follows one body: once a's
+// Send of it is written it waits on a's free list, to its capacity, and
+// the next 16 KiB body to arrive at a — longer than the one sent — is
+// read into it.
+func TestWrittenSendBodyBecomesReceiveBuffer(t *testing.T) {
+	a, b := newPair(t)
+	const size = 16 << 10
+	body := make([]byte, size-64, size)
+	first := &body[0]
+	delivered := make(chan []byte, 1)
+	b.Handle("m", func(parcel.NodeID, []byte) ([]byte, error) { return nil, nil })
+	a.Handle("m", func(_ parcel.NodeID, p []byte) ([]byte, error) { delivered <- p; return nil, nil })
+	if err := a.Send("b", "m", body); err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		a.free.mu.Lock()
+		n := len(a.free.bufs)
+		a.free.mu.Unlock()
+		if n == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the written body never reached the free list")
+		}
+	}
+	want := pattern('b', 7, size)
+	if err := b.Send("a", "m", bytes.Clone(want)); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case p := <-delivered:
+		if &p[0] != first || !bytes.Equal(p, want) {
+			t.Fatalf("arriving body read into a fresh buffer (reused: %v) or corrupt", &p[0] == first)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("body never arrived")
 	}
 }

@@ -35,12 +35,15 @@ var ErrTransportClosed = errors.New("parcel: transport closed")
 // TransportHandler processes one inbound transport parcel. The returned
 // bytes are the reply for Call deliveries (ignored for Send); a non-nil
 // error fails the caller's Call. The handler owns body: it may keep it,
-// alias it into decoded values, and modify it in place. The in-process
-// fabric hands over the sender's own slice, which is why a sender must
-// not touch a body after Send. A handler delivered by Send runs on the
-// transport's delivery goroutine and must not block; a handler that
-// might block (a Call back to the sender, a lock held across I/O) hands
-// its own work off to another goroutine.
+// alias it into decoded values, modify it in place, and hand it on to
+// Send. The in-process fabric hands over the sender's own slice, and
+// the TCP transport reads arriving bodies into the buffers of Sends it
+// has written, which is why a sender must not touch a body after Send
+// (see Transport). A handler may return bytes it keeps using (a code
+// image, say): no transport reuses a reply's buffer. A handler
+// delivered by Send runs on the transport's delivery goroutine and must
+// not block; a handler that might block (a Call back to the sender, a
+// lock held across I/O) hands its own work off to another goroutine.
 type TransportHandler func(from NodeID, body []byte) ([]byte, error)
 
 // TransportStats counts a transport's traffic: real bytes on the wire
@@ -58,7 +61,12 @@ type TransportStats struct {
 // blocks the caller until the reply (or the handler's error) comes back.
 // Passing a body to Send or Call hands it over: the caller must not
 // modify it afterwards (a Send may still be writing it, and the
-// receiving handler owns it). A Call's reply belongs to the caller.
+// receiving handler owns it). Send takes more: the body's whole backing
+// array, up to cap(body), which the caller may then neither read,
+// modify nor send again — once the TCP transport has written a Send's
+// body it reuses that array for an arriving body. To send part of a
+// buffer that stays in use, send a copy. A Call's reply belongs to the
+// caller.
 // Handle installs the handler for a method name; handlers must be
 // installed before peers start sending to them. Dial makes the node at
 // addr reachable and returns its NodeID — for the in-process fabric the
