@@ -16,7 +16,7 @@ import (
 // and returns the pipeline flows are submitted to on the first node.
 // With big set the chain carries a []byte (registerBytesPipe) instead
 // of an int.
-func benchChain(b *testing.B, tcp, big bool) *Pipeline {
+func benchChain(b testing.TB, tcp, big bool) *Pipeline {
 	b.Helper()
 	fabric := parcel.NewFabric()
 	var pipe *Pipeline
@@ -90,7 +90,7 @@ func runChain(b *testing.B, p *Pipeline, buf []byte) {
 }
 
 // mustFlow runs flow i and checks that every stage ran once.
-func mustFlow(b *testing.B, p *Pipeline, i int, buf []byte) {
+func mustFlow(b testing.TB, p *Pipeline, i int, buf []byte) {
 	var payload any = i
 	if buf != nil {
 		buf[0] = 0
@@ -115,6 +115,31 @@ func mustFlow(b *testing.B, p *Pipeline, i int, buf []byte) {
 }
 
 func BenchmarkFlowFabric(b *testing.B) { runChain(b, benchChain(b, false, false), nil) }
+
+// TestFlowFabricAllocs gates what one flow of the benchmark chain
+// allocates on the fabric, both nodes included. A cluster flow is one
+// pooled serve flow on each node it runs on, and a remote hop hands its
+// router a handle, so what is left is the wire (codec, fabric delivery,
+// recovery timer), the arrival records and the flow's ticket. On amd64
+// that is 24 at AllocsPerRun's GOMAXPROCS of 1 (BenchmarkFlowFabric at
+// 2 reads 26); the bound leaves 3 for noise.
+func TestFlowFabricAllocs(t *testing.T) {
+	if raceBuild {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	p := benchChain(t, false, false)
+	i := 0
+	for ; i < 64; i++ { // percolate code and globals first
+		mustFlow(t, p, i, nil)
+	}
+	allocs := testing.AllocsPerRun(500, func() {
+		mustFlow(t, p, i, nil)
+		i++
+	})
+	if allocs > 27 {
+		t.Errorf("a fabric flow allocates %.1f times, want at most 27", allocs)
+	}
+}
 
 func BenchmarkFlowTCP(b *testing.B) { runChain(b, benchChain(b, true, false), nil) }
 

@@ -9,16 +9,18 @@
 //
 // The serving integration is end to end:
 //
-//   - admission — Pipeline.Submit routes a flow's first stage by the
-//     ring; a flow whose home locale lives on another node ships there
-//     as a stage parcel instead of admitting locally;
+//   - admission — Pipeline.Submit starts a serve flow at this node,
+//     whose router (the Pipeline) serve consults at stage 0 as at every
+//     later boundary: a flow whose first stage the ring homes on
+//     another node ships there as a stage parcel at once, and its
+//     origin flow waits, pooled like any other, for the completion;
 //   - flow chaining — a cluster Pipeline is one serve pipeline per
 //     node, and every flow carries a serve.RemoteRouter, so a flow
 //     hands off machine-to-machine at any scalar stage boundary whose
 //     next stage the ring homes elsewhere; an arriving stage parcel
 //     enters the receiving node's pipeline at that stage, and the
 //     origin's flow resolves when the completion parcel returns,
-//     exactly once;
+//     exactly once, through its serve.Flow handle;
 //   - percolation — a node executing a stage for a tenant it has not
 //     served before fetches the tenant's code image from the flow's
 //     origin, and each declared global object from the owner of its
@@ -82,8 +84,9 @@ type Config struct {
 	Detect DetectConfig
 	// Recover configures origin-side pending-flow recovery. The zero
 	// value enables it with defaults (FlowTimeout 5s, MaxAttempts 3) —
-	// the invariant that no Ticket.Wait blocks forever holds out of the
-	// box; set FlowTimeout negative to disable.
+	// the invariant that every shipped flow resolves, so no done
+	// callback or serve.Ticket waits forever on a dead node, holds out
+	// of the box; set FlowTimeout negative to disable.
 	Recover RecoverConfig
 	// Clock is the node's time source (default time.Now). The deadline
 	// check on a stage parcel's arrival and recovery decisions read it,
@@ -607,7 +610,7 @@ func (n *Node) Close() {
 		if pf.timer != nil {
 			pf.timer.Stop()
 		}
-		pf.fin(serve.Result{Status: serve.StatusRejected, Err: ErrNodeClosed})
+		pf.flow.Finish(serve.Result{Status: serve.StatusRejected, Err: ErrNodeClosed})
 	}
 	n.srv.Close()
 	n.sys.Close()

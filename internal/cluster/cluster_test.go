@@ -122,7 +122,7 @@ func TestMembershipConvergence(t *testing.T) {
 func TestClusterFlowsCompleteAcrossNodes(t *testing.T) {
 	nodes, pipes := newTestCluster(t, 3, 8, false)
 	const flows = 48
-	tickets := make([]*Ticket, flows)
+	tickets := make([]*serve.Ticket, flows)
 	for i := 0; i < flows; i++ {
 		tk, err := pipes[0].Submit(serve.Request{Key: splitmix64(uint64(i)), Payload: i})
 		if err != nil {

@@ -3,7 +3,6 @@ package cluster
 import (
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/parcel"
@@ -12,19 +11,21 @@ import (
 )
 
 // This file threads SubmitFlow across machines. A cluster Pipeline is
-// one serve pipeline, built the same on every node, and serve's own
-// chaining runs its stages wherever the flow is. Each flow carries the
-// serve.RemoteRouter that decides its hand-offs: the *Pipeline for a
-// flow this node originates, an arrival record for a flow a stage
-// parcel brought here. At a scalar stage boundary whose next stage the
-// ring homes on another node, the router ships the rest of the flow
-// there as a stage parcel, and that node enters its own serve pipeline
-// at the stage (SubmitFlowAt). The flow thus chains machine-to-machine
+// one serve pipeline, built the same on every node, and a cluster flow
+// is a serve flow from Submit to completion: serve's own chaining runs
+// its stages wherever the flow is. Each flow carries the
+// serve.RemoteRouter that decides its hand-offs and hears its terminal:
+// the *Pipeline for a flow this node originates, an arrival record for
+// a flow a stage parcel brought here. Serve consults it at the entry
+// stage and at every scalar stage boundary; when the ring homes that
+// stage on another node, the router ships the rest of the flow there as
+// a stage parcel (ship), and that node enters its own serve pipeline at
+// the stage (SubmitFlowAt). The flow thus chains machine-to-machine
 // without revisiting its origin, and the terminal result returns to the
-// origin as one completion parcel. Done-exactly-once holds by
-// construction: the completion pops the origin's pending entry under a
-// lock (at most one winner), and the serve layer's flowState guard
-// backs the locally-chained case.
+// origin as one completion parcel, which ends the origin's flow through
+// its serve.Flow handle. Done-exactly-once holds by construction: the
+// completion pops the origin's pending entry under a lock (at most one
+// winner), and the handle's finished bit and generation back it.
 
 // StageRoute derives one stage's cluster routing from its input value:
 // the key that mixes onto the global locale space (the ring then names
@@ -102,51 +103,37 @@ func (n *Node) pipeline(tenant, name string) *Pipeline {
 	return n.pipes[pipeKey{tenant, name}]
 }
 
-// Ticket follows one cluster flow to its terminal result.
-type Ticket struct {
-	ch   chan serve.Result
-	once sync.Once
-	r    serve.Result
-}
-
-// Wait blocks until the flow resolves (idempotent).
-func (tk *Ticket) Wait() serve.Result {
-	tk.once.Do(func() { tk.r = <-tk.ch })
-	return tk.r
-}
-
 // Submit admits one flow into the cluster and returns its ticket.
-func (p *Pipeline) Submit(req serve.Request) (*Ticket, error) {
-	tk := &Ticket{ch: make(chan serve.Result, 1)}
-	if err := p.SubmitFunc(req, func(r serve.Result) { tk.ch <- r }); err != nil {
+func (p *Pipeline) Submit(req serve.Request) (*serve.Ticket, error) {
+	tk := new(serve.Ticket)
+	if err := p.SubmitFunc(req, tk.Put); err != nil {
 		return nil, err
 	}
 	return tk, nil
 }
 
-// pendingFlow is the origin-side record of one shipped flow: the finish
-// callback a completion resolves, plus everything recovery needs to
-// re-route the flow if its executor dies — the last stage parcel's
-// fields, the stage input (re-keyed and re-encoded on every re-route),
-// the destination it was shipped to, and the recovery timer. The
-// encoded parcel itself is not kept: its receiver owns those bytes and
-// may have changed them in place. msg.FlowEpoch is the current epoch;
-// completions carrying an older one are zombies' and drop.
+// pendingFlow is the origin-side record of one shipped flow: the handle
+// a completion finishes, plus everything recovery needs to re-route the
+// flow if its executor dies — the last stage parcel's fields, the stage
+// input (re-keyed and re-encoded on every re-route), the destination it
+// was shipped to, and the recovery timer. The encoded parcel itself is
+// not kept: its receiver owns those bytes and may have changed them in
+// place. msg.FlowEpoch is the current epoch; completions carrying an
+// older one are zombies' and drop.
 type pendingFlow struct {
-	fin      func(serve.Result)
+	flow     serve.Flow
 	p        *Pipeline
 	msg      stageMsg // last parcel this origin shipped
 	v        any      // its stage input
 	dest     parcel.NodeID
 	attempts int
-	deadline time.Time // the flow's own deadline; zero = none
 	timer    *time.Timer
 }
 
 // SubmitFunc admits one flow, invoking done exactly once with the
-// terminal result. Admission itself is ring-routed: when stage 0's home
-// locale belongs to another node, the whole flow ships there as a stage
-// parcel instead of admitting locally, and done fires when the
+// terminal result. The flow is a serve flow at this node from the
+// start, with p as its router: when the ring homes stage 0 on another
+// node, the flow ships there at admission, and done fires when the
 // completion parcel returns. done may then run on a transport delivery
 // goroutine, and must not block.
 func (p *Pipeline) SubmitFunc(req serve.Request, done func(serve.Result)) error {
@@ -154,61 +141,67 @@ func (p *Pipeline) SubmitFunc(req serve.Request, done func(serve.Result)) error 
 	if n.closed.Load() {
 		return ErrNodeClosed
 	}
-	finish := func(r serve.Result) {
-		n.flowsCompleted.Add(1)
-		done(r)
-	}
-	// Stage 0 homed here, or it could not ship (encode failure, peer
-	// just left): admit locally.
-	if !p.ForwardStage(0, req.Payload, req.Key, req.Deadline, req.Priority, finish) {
-		if err := p.t.st.SubmitFlowAt(p.sp, 0, req, p, finish); err != nil {
-			return err
-		}
-	}
+	// Counted before the flow can complete; a refused flow never existed.
 	n.flowsOriginated.Add(1)
+	if err := p.t.st.SubmitFlowAt(p.sp, 0, req, p, done); err != nil {
+		n.flowsOriginated.Add(-1)
+		return err
+	}
 	return nil
 }
 
 // ForwardStage is the serve.RemoteRouter of the flows this node
-// originates, consulted at admission (stage 0) and at every scalar stage
-// boundary. When the ring homes stage next on another node, it ships
-// the remainder of the flow there as a stage parcel — v the stage's
-// input — registering finish under a fresh flow id, to be resolved by
-// the completion parcel, and arming the recovery timer that guarantees
-// the flow resolves even if the destination dies. It returns false
+// originates: when the ring homes stage next on another node, it ships
+// the rest of the flow there (ship) under a pending entry that the
+// completion parcel, or recovery, finishes fl through. It returns false
 // (nothing registered, nothing sent) when the stage is homed here, the
 // value cannot cross the wire, or the peer is unreachable — unless the
 // recovery timer fired before the failed send returned, which makes the
 // flow recovery's.
-func (p *Pipeline) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int,
-	finish func(serve.Result)) bool {
+func (p *Pipeline) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, fl serve.Flow) bool {
 	n := p.n
 	if n.closed.Load() {
 		return false
 	}
 	skey, _ := p.route(next, v, key)
 	dest, _ := n.ownerOf(p.t.hash, skey)
-	if dest == n.self {
-		return false
-	}
-	flow := n.nextFlow.Add(1)
-	sp := stageMsg{Flow: flow, Origin: string(n.self), Tenant: p.t.name, Pipe: p.name, Stage: next,
-		Key: key, Deadline: deadlineNS(deadline), Priority: priority}
-	pf := &pendingFlow{fin: finish, p: p, msg: sp, v: v, dest: dest, deadline: nsTime(sp.Deadline)}
-	n.pendingMu.Lock()
-	n.pending[flow] = pf
-	if d := n.recoverDelay(pf.deadline); d > 0 {
-		pf.timer = time.AfterFunc(d, func() { n.recoverFlow(flow) })
-	}
-	n.pendingMu.Unlock()
-	if !n.forward(dest, &sp, v) {
-		// Decline only if recovery has not fired meanwhile: once it has
-		// resolved or re-routed the flow, finish is its to call, and a
-		// decline would run the stage here too, on a flow already ended.
+	return dest != n.self && p.ship(dest, stageMsg{Origin: string(n.self), Stage: next, Key: key,
+		Deadline: deadlineNS(deadline), Priority: priority}, v, &fl)
+}
+
+// Ended counts the terminal of a flow this node originated.
+func (p *Pipeline) Ended(serve.Result) { p.n.flowsCompleted.Add(1) }
+
+// ship sends the rest of a flow — stage sp.Stage, v its input — to dest
+// as a stage parcel, and traces the hop. A flow this node originates
+// (fl non-nil) is first registered under a fresh flow id, for the
+// completion parcel to finish and the recovery timer to guarantee; a
+// flow that arrived here ships under its own id, and its completion
+// goes straight to the origin. It reports whether the flow is gone.
+func (p *Pipeline) ship(dest parcel.NodeID, sp stageMsg, v any, fl *serve.Flow) bool {
+	n := p.n
+	sp.Tenant, sp.Pipe = p.t.name, p.name
+	var pf *pendingFlow
+	if fl != nil {
+		flow := n.nextFlow.Add(1)
+		sp.Flow = flow
+		pf = &pendingFlow{flow: *fl, p: p, msg: sp, v: v, dest: dest}
 		n.pendingMu.Lock()
-		untouched := n.pending[flow] == pf && pf.attempts == 0
+		n.pending[flow] = pf
+		n.arm(flow, pf)
+		n.pendingMu.Unlock()
+	}
+	if !n.forward(dest, &sp, v) {
+		if pf == nil {
+			return false
+		}
+		// Decline only if recovery has not fired meanwhile: once it has
+		// resolved or re-routed the flow, finishing it is recovery's, and
+		// a decline would run the stage here too, on a flow already ended.
+		n.pendingMu.Lock()
+		untouched := n.pending[sp.Flow] == pf && pf.attempts == 0
 		if untouched {
-			delete(n.pending, flow)
+			delete(n.pending, sp.Flow)
 			if pf.timer != nil {
 				pf.timer.Stop()
 			}
@@ -217,35 +210,31 @@ func (p *Pipeline) ForwardStage(next int, v any, key uint64, deadline time.Time,
 		return !untouched
 	}
 	if n.traces != nil {
-		n.traces.record(n.self, flow, trace.KindRemoteHop,
+		n.traces.record(parcel.NodeID(sp.Origin), sp.Flow, trace.KindRemoteHop,
 			"%s/%s stage %d: %s -> %s", sp.Tenant, sp.Pipe, sp.Stage, n.self, dest)
 	}
 	return true
 }
 
-// recoverDelay is how long the origin waits for a shipped flow before
-// suspecting its executor: the configured FlowTimeout, clipped to the
-// flow's own deadline so a deadlined flow is resolved (not merely
-// retried) the moment it can no longer make it. 0 means recovery is
-// disabled.
-func (n *Node) recoverDelay(deadline time.Time) time.Duration {
+// arm starts the recovery timer of pending flow pf (n.pendingMu held):
+// how long the origin waits for the shipped flow before suspecting its
+// executor is the configured FlowTimeout, clipped to the flow's own
+// deadline so a deadlined flow is resolved (not merely retried) the
+// moment it can no longer make it. A negative FlowTimeout disables
+// recovery.
+func (n *Node) arm(flow uint64, pf *pendingFlow) {
 	d := n.recCfg.FlowTimeout
 	if d <= 0 {
-		return 0
+		return
 	}
-	if !deadline.IsZero() {
-		if until := deadline.Sub(n.now()); until < d {
-			d = until
-		}
+	if deadline := nsTime(pf.msg.Deadline); !deadline.IsZero() {
+		d = min(d, deadline.Sub(n.now()))
 	}
-	if d < time.Millisecond {
-		d = time.Millisecond
-	}
-	return d
+	pf.timer = time.AfterFunc(max(d, time.Millisecond), func() { n.recoverFlow(flow) })
 }
 
-// recoverFlow is the recovery timer's body — the reason no Ticket.Wait
-// ever blocks forever. It inspects one still-pending flow: past its
+// recoverFlow is the recovery timer's body — the reason no shipped
+// flow waits forever. It inspects one still-pending flow: past its
 // deadline it resolves StatusShed; out of attempts it resolves
 // StatusFailed; otherwise it bumps the flow epoch (so any completion
 // from the previous attempt's executor — alive or zombie — is dropped
@@ -259,24 +248,23 @@ func (n *Node) recoverFlow(flow uint64) {
 		n.pendingMu.Unlock()
 		return
 	}
-	if !pf.deadline.IsZero() && n.now().After(pf.deadline) {
-		delete(n.pending, flow)
-		n.pendingMu.Unlock()
-		n.recoveredFlows.Add(1)
-		if n.traces != nil {
-			n.traces.record(n.self, flow, trace.KindAdapt, "recovery: flow deadline passed, shed")
-		}
-		pf.fin(serve.Result{Status: serve.StatusShed,
-			Err: fmt.Errorf("cluster: flow %d missed its deadline during recovery from %s", flow, pf.dest)})
-		return
-	}
-	if pf.attempts >= n.recCfg.MaxAttempts {
-		delete(n.pending, flow)
-		n.pendingMu.Unlock()
-		n.recoveredFlows.Add(1)
-		pf.fin(serve.Result{Status: serve.StatusFailed,
+	n.recoveredFlows.Add(1)
+	var end serve.Result
+	if deadline := nsTime(pf.msg.Deadline); !deadline.IsZero() && n.now().After(deadline) {
+		end = serve.Result{Status: serve.StatusShed,
+			Err: fmt.Errorf("cluster: flow %d missed its deadline during recovery from %s", flow, pf.dest)}
+	} else if pf.attempts >= n.recCfg.MaxAttempts {
+		end = serve.Result{Status: serve.StatusFailed,
 			Err: fmt.Errorf("cluster: flow %d unresolved after %d recovery attempts (last executor %s)",
-				flow, pf.attempts, pf.dest)})
+				flow, pf.attempts, pf.dest)}
+	}
+	if end.Err != nil {
+		delete(n.pending, flow)
+		n.pendingMu.Unlock()
+		if n.traces != nil {
+			n.traces.record(n.self, flow, trace.KindAdapt, "recovery: %s: %v", end.Status, end.Err)
+		}
+		pf.flow.Finish(end)
 		return
 	}
 	pf.attempts++
@@ -285,11 +273,8 @@ func (n *Node) recoverFlow(flow uint64) {
 	skey, globals := p.route(sp.Stage, v, sp.Key)
 	owner, _ := n.ownerOf(p.t.hash, skey)
 	pf.dest = owner
-	if d := n.recoverDelay(pf.deadline); d > 0 {
-		pf.timer = time.AfterFunc(d, func() { n.recoverFlow(flow) })
-	}
+	n.arm(flow, pf)
 	n.pendingMu.Unlock()
-	n.recoveredFlows.Add(1)
 	if n.traces != nil {
 		n.traces.record(n.self, flow, trace.KindAdapt,
 			"recovery: attempt %d re-routes stage %d to %s (epoch %d)", attempt, sp.Stage, owner, sp.FlowEpoch)
@@ -329,21 +314,18 @@ func (n *Node) handleStage(_ parcel.NodeID, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	origin := parcel.NodeID(sp.Origin)
 	p := n.pipeline(sp.Tenant, sp.Pipe)
+	var v any
 	if p == nil || sp.Stage < 0 || sp.Stage >= p.Len() {
-		n.completeFlow(origin, sp.Flow, sp.FlowEpoch, serve.Result{Status: serve.StatusFailed,
-			Err: fmt.Errorf("cluster: node %s has no pipeline %s/%s (stage %d)",
-				n.self, sp.Tenant, sp.Pipe, sp.Stage)})
-		return nil, nil
+		err = fmt.Errorf("cluster: node %s has no pipeline %s/%s (stage %d)", n.self, sp.Tenant, sp.Pipe, sp.Stage)
+	} else if v, err = decodeValue(vb); err != nil {
+		err = fmt.Errorf("cluster: stage %d value: %w", sp.Stage, err)
 	}
-	v, err := decodeValue(vb)
 	if err != nil {
-		n.completeFlow(origin, sp.Flow, sp.FlowEpoch, serve.Result{Status: serve.StatusFailed,
-			Err: fmt.Errorf("cluster: stage %d value: %w", sp.Stage, err)})
+		n.completeFlow(&sp, serve.Result{Status: serve.StatusFailed, Err: err})
 		return nil, nil
 	}
-	if _, globals := p.route(sp.Stage, v, sp.Key); p.t.warm(origin, globals) {
+	if _, globals := p.route(sp.Stage, v, sp.Key); p.t.warm(parcel.NodeID(sp.Origin), globals) {
 		n.enter(p, sp, v, globals)
 	} else {
 		go n.enter(p, sp, v, globals)
@@ -355,53 +337,51 @@ func (n *Node) handleStage(_ parcel.NodeID, body []byte) ([]byte, error) {
 // sp.Stage, whose routing named globals: a deadline check against the
 // node's own clock (so harnesses that inject one steer shedding
 // deterministically; stages chained here afterwards are shed by serve's
-// own deadline check), then the stage is counted, percolated and
-// traced, and serve chains the rest with an arrival as the router.
+// own deadline check), then serve runs the flow with an arrival as its
+// router, which accounts the entry stage when serve consults it there.
 func (n *Node) enter(p *Pipeline, sp stageMsg, v any, globals []string) {
-	origin := parcel.NodeID(sp.Origin)
 	deadline := nsTime(sp.Deadline)
 	if !deadline.IsZero() && n.now().After(deadline) {
-		n.completeFlow(origin, sp.Flow, sp.FlowEpoch, serve.Result{Status: serve.StatusShed})
+		n.completeFlow(&sp, serve.Result{Status: serve.StatusShed})
 		return
 	}
-	a := &arrival{p: p, origin: origin, flow: sp.Flow, epoch: sp.FlowEpoch}
-	a.run(sp.Stage, globals)
 	req := serve.Request{Key: sp.Key, Payload: v, Deadline: deadline, Priority: sp.Priority}
-	if err := p.t.st.SubmitFlowAt(p.sp, sp.Stage, req, a, a.done); err != nil {
-		n.completeFlow(origin, sp.Flow, sp.FlowEpoch, serve.Result{Status: serve.StatusRejected, Err: err})
+	a := &arrival{p: p, msg: sp, globals: globals}
+	if err := p.t.st.SubmitFlowAt(p.sp, sp.Stage, req, a, nil); err != nil {
+		n.completeFlow(&sp, serve.Result{Status: serve.StatusRejected, Err: err})
 	}
 }
 
-// arrival is the serve.RemoteRouter of a flow a stage parcel brought to
-// this node. It ships onward under the flow's own (origin, flow, epoch)
-// with no pending entry — the completion goes straight to the origin —
-// and when it declines (the ring says here, or the parcel cannot be
-// sent) the stage runs where it is. Its done returns the terminal
-// result to the origin unless the flow shipped on.
+// arrival is the serve.RemoteRouter of a flow a stage parcel (msg)
+// brought to this node. Its entry stage runs here, where the ring sent
+// it; at a later boundary it ships the flow onward through the origin's
+// ship path, but under the flow's own (origin, flow, epoch) and with no
+// pending entry, and when it declines (the ring says here, or the
+// parcel cannot be sent) the stage runs where it is. Hearing the
+// terminal, it returns the result to the origin unless the flow shipped
+// on.
 type arrival struct {
 	p       *Pipeline
-	origin  parcel.NodeID
-	flow    uint64
-	epoch   uint32
+	msg     stageMsg
+	globals []string // the entry stage's
 	shipped bool
 }
 
-func (a *arrival) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int,
-	finish func(serve.Result)) bool {
+func (a *arrival) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, fl serve.Flow) bool {
+	if next == a.msg.Stage {
+		a.run(next, a.globals)
+		return false
+	}
 	p, n := a.p, a.p.n
 	skey, globals := p.route(next, v, key)
 	if owner, _ := n.ownerOf(p.t.hash, skey); owner != n.self {
-		sp := stageMsg{Flow: a.flow, FlowEpoch: a.epoch, Origin: string(a.origin), Tenant: p.t.name,
-			Pipe: p.name, Stage: next, Key: key, Deadline: deadlineNS(deadline), Priority: priority}
-		if n.forward(owner, &sp, v) {
-			if n.traces != nil {
-				n.traces.record(a.origin, a.flow, trace.KindRemoteHop,
-					"%s/%s stage %d: %s -> %s", p.t.name, p.name, next, n.self, owner)
-			}
+		sp := a.msg
+		sp.Stage, sp.Key, sp.Deadline, sp.Priority = next, key, deadlineNS(deadline), priority
+		if p.ship(owner, sp, v, nil) {
 			// The flow's result now reaches the origin from elsewhere: end
 			// the local flow without a completion parcel.
 			a.shipped = true
-			finish(serve.Result{Status: serve.StatusOK})
+			fl.Finish(serve.Result{Status: serve.StatusOK})
 			return true
 		}
 	}
@@ -409,39 +389,41 @@ func (a *arrival) ForwardStage(next int, v any, key uint64, deadline time.Time, 
 	return false
 }
 
+// Ended returns the arrived flow's terminal result to its origin.
+func (a *arrival) Ended(r serve.Result) {
+	if !a.shipped {
+		a.p.n.completeFlow(&a.msg, r)
+	}
+}
+
 // run accounts one stage of the arrived flow that executes on this
 // node: counted by whether the flow is this node's own, its globals
 // made resident, the execution traced.
 func (a *arrival) run(stage int, globals []string) {
 	p, n := a.p, a.p.n
-	if a.origin != n.self {
+	origin := parcel.NodeID(a.msg.Origin)
+	if origin != n.self {
 		n.remoteStages.Add(1)
 	} else {
 		n.localStages.Add(1)
 	}
-	p.t.ensureResident(a.origin, globals)
+	p.t.ensureResident(origin, globals)
 	if n.traces != nil {
-		n.traces.record(a.origin, a.flow, trace.KindDispatch, "%s/%s stage %d @ %s", p.t.name, p.name, stage, n.self)
+		n.traces.record(origin, a.msg.Flow, trace.KindDispatch, "%s/%s stage %d @ %s", p.t.name, p.name, stage, n.self)
 	}
 }
 
-// done is the arrived flow's terminal sink.
-func (a *arrival) done(r serve.Result) {
-	if !a.shipped {
-		a.p.n.completeFlow(a.origin, a.flow, a.epoch, r)
-	}
-}
-
-// completeFlow returns a forwarded flow's terminal result to its
-// origin — directly when the flow ended where it began, else as a
-// completion parcel. epoch travels with the result: the origin only
+// completeFlow returns the terminal result of the flow sp carried to
+// its origin — directly when the flow ended where it began, else as a
+// completion parcel. The epoch travels with the result: the origin only
 // accepts completions for the attempt it currently has in flight.
-func (n *Node) completeFlow(origin parcel.NodeID, flow uint64, epoch uint32, r serve.Result) {
+func (n *Node) completeFlow(sp *stageMsg, r serve.Result) {
+	origin := parcel.NodeID(sp.Origin)
 	if origin == n.self {
-		n.finishFlow(flow, epoch, r)
+		n.finishFlow(sp.Flow, sp.FlowEpoch, r)
 		return
 	}
-	cm := completeMsg{Flow: flow, FlowEpoch: epoch, Status: uint8(r.Status)}
+	cm := completeMsg{Flow: sp.Flow, FlowEpoch: sp.FlowEpoch, Status: uint8(r.Status)}
 	if r.Err != nil {
 		cm.Err = r.Err.Error()
 	}
@@ -496,7 +478,7 @@ func (n *Node) handleComplete(from parcel.NodeID, body []byte) ([]byte, error) {
 	return nil, nil
 }
 
-// finishFlow pops the flow's pending finish callback and fires it —
+// finishFlow pops the flow's pending entry and finishes its flow —
 // the pop is the exactly-once gate: a duplicate or late completion
 // finds no entry and is dropped. The epoch comparison extends the gate
 // across recovery: a completion from an attempt the origin has already
@@ -516,7 +498,7 @@ func (n *Node) finishFlow(flow uint64, epoch uint32, r serve.Result) {
 	}
 	n.pendingMu.Unlock()
 	if pf != nil {
-		pf.fin(r)
+		pf.flow.Finish(r)
 	}
 }
 

@@ -175,3 +175,67 @@ func TestClusterPipelineIsOneServePipeline(t *testing.T) {
 		}
 	}
 }
+
+// TestFlowsOriginatedCountedBeforeCompletion: a flow counts as
+// originated before it can complete, so a Stats read from inside its
+// done callback never shows more flows completed than originated. The
+// flow here ships at admission, and its stage parcel's Send returns
+// only after the flow has completed.
+func TestFlowsOriginatedCountedBeforeCompletion(t *testing.T) {
+	hold := &holdStageSend{done: make(chan struct{})}
+	echo := func(_ *serve.Ctx, req serve.Request) (any, error) { return req.Payload, nil }
+	_, nodes, pipes := recoveryPair(t, echo, func(i int, cfg *Config) {
+		if i == 0 {
+			hold.Transport, cfg.Transport = cfg.Transport, hold
+		}
+	})
+	hold.node = nodes[0]
+	key := keyOwnedBy(nodes[0], pipes[0], nodes[1].Self())
+	var seen Stats
+	err := pipes[0].SubmitFunc(serve.Request{Key: key, Payload: 1}, func(serve.Result) {
+		seen = nodes[0].Stats()
+		close(hold.done)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hold.seen.Load() == -1 {
+		t.Fatal("flow did not complete while its stage parcel's Send was held")
+	}
+	if seen.FlowsCompleted != 1 || seen.FlowsOriginated != 1 {
+		t.Errorf("done callback saw %d flows completed, %d originated; want 1 and 1",
+			seen.FlowsCompleted, seen.FlowsOriginated)
+	}
+}
+
+// TestAdmissionShipsFromOneServeFlow: a flow whose stage 0 the ring
+// homes on the peer ships at admission, and is still one serve flow at
+// its origin — counted once by serve, in flight until the completion
+// parcel ends it. Its stage runs, and is counted, once: on the peer.
+func TestAdmissionShipsFromOneServeFlow(t *testing.T) {
+	echo := func(_ *serve.Ctx, req serve.Request) (any, error) { return req.Payload, nil }
+	_, nodes, pipes := recoveryPair(t, echo, nil)
+	key := keyOwnedBy(nodes[0], pipes[0], nodes[1].Self())
+	const flows = 50
+	for i := 0; i < flows; i++ {
+		tk, err := pipes[0].Submit(serve.Request{Key: key, Payload: i})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := tk.Wait(); r.Status != serve.StatusOK || r.Value != i {
+			t.Fatalf("flow %d: %v (%v) value %v", i, r.Status, r.Err, r.Value)
+		}
+	}
+	if fs := nodes[0].Serve().Stats().Flow; fs.Submitted != flows || fs.InFlight() != 0 {
+		t.Errorf("origin serve flows: %d submitted, %d in flight; want %d and 0", fs.Submitted, fs.InFlight(), flows)
+	}
+	origin, peer := nodes[0].Stats(), nodes[1].Stats()
+	if origin.FlowsOriginated != flows || origin.FlowsCompleted != flows || origin.ForwardedStages != flows {
+		t.Errorf("origin: %d flows originated, %d completed, %d stages forwarded; want %d each",
+			origin.FlowsOriginated, origin.FlowsCompleted, origin.ForwardedStages, flows)
+	}
+	if peer.RemoteStages != flows || peer.LocalStages != 0 || origin.RemoteStages+origin.LocalStages != 0 {
+		t.Errorf("stages counted: peer %d remote, %d local; origin %d remote, %d local; want only the peer's %d remote",
+			peer.RemoteStages, peer.LocalStages, origin.RemoteStages, origin.LocalStages, flows)
+	}
+}

@@ -43,7 +43,7 @@ func TestTwoNodeSmoke(t *testing.T) {
 	}
 
 	const flows = 64
-	tickets := make([]*Ticket, flows)
+	tickets := make([]*serve.Ticket, flows)
 	for i := 0; i < flows; i++ {
 		tk, err := p0.Submit(serve.Request{Key: splitmix64(uint64(i)), Payload: i})
 		if err != nil {

@@ -219,8 +219,13 @@ type Ticket struct {
 }
 
 // resolve makes a ticket the sink of the request (or flow) it follows.
-func (t *Ticket) resolve(_ int32, r Result, _ *batchRun) { t.cell.Put(r) }
+func (t *Ticket) resolve(_ int32, r Result, _ *batchRun) { t.Put(r) }
 
 // Wait blocks until the request (for flows: the final stage) resolves
 // and returns its result.
 func (t *Ticket) Wait() Result { return t.cell.Get() }
+
+// Put resolves the ticket with r, once: a ticket's Put is the done
+// callback through which a callback-style surface hands out a ticket
+// (cluster.Pipeline.Submit).
+func (t *Ticket) Put(r Result) { t.cell.Put(r) }

@@ -8,6 +8,7 @@ package serve
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -79,22 +80,67 @@ func (o outcome) want() Result {
 	return Result{Status: StatusRejected, Err: ErrClosed}
 }
 
-// parcelRouter is a fake RemoteRouter that takes every hand-off and
-// answers it with one completion parcel — and then a duplicate, the way
-// a retried parcel would arrive.
+// parcelRouter is a fake RemoteRouter that takes every hand-off to
+// stage b and answers it with one completion parcel — and then a
+// duplicate, the way a retried parcel would arrive, once the flow's
+// record has recycled and (when the pool hands it back) been taken for
+// a new flow, which the stale handle must leave running.
 type parcelRouter struct {
 	result Result
 	wg     sync.WaitGroup
+	// reused counts duplicates that landed on a reused record; ended
+	// counts those that terminated it anyway.
+	reused, ended atomic.Int32
 }
 
-func (pr *parcelRouter) ForwardStage(_ int, _ any, _ uint64, _ time.Time, _ int, finish func(Result)) bool {
+func (pr *parcelRouter) ForwardStage(next int, _ any, _ uint64, _ time.Time, _ int, fl Flow) bool {
+	if next != 1 {
+		return false
+	}
 	pr.wg.Add(1)
 	go func() {
 		defer pr.wg.Done()
-		finish(pr.result)
-		finish(pr.result)
+		// Once the hand-off's stage job has let go of the flow, the
+		// completion drops its last reference and recycles it here.
+		for fl.fl.refs.Load() > 1 {
+			runtime.Gosched()
+		}
+		fl.Finish(pr.result)
+		next := reclaimFlowState(fl.fl)
+		fl.Finish(pr.result)
+		if next != nil {
+			pr.reused.Add(1)
+			if next.state.Load()&1 != 0 {
+				pr.ended.Add(1)
+			}
+			next.unref()
+		}
 	}()
 	return true
+}
+
+func (*parcelRouter) Ended(Result) {}
+
+// reclaimFlowState draws flow states from the pool, as the next flows
+// would, until it is handed fl back, and returns it — live, at its new
+// generation. It returns nil if the pool keeps other records (or, under
+// the race detector, dropped fl).
+func reclaimFlowState(fl *flowState) *flowState {
+	var others []*flowState
+	defer func() {
+		for _, o := range others {
+			o.unref()
+		}
+	}()
+	for i := 0; i < 64; i++ {
+		if next := newFlowState(); next != fl {
+			others = append(others, next)
+			runtime.Gosched()
+		} else {
+			return next
+		}
+	}
+	return nil
 }
 
 func waitFor(t *testing.T, what string, cond func() bool) {
@@ -347,6 +393,9 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 	waitFor(t, "every request to resolve", allResolved)
 	router.wg.Wait() // the duplicate parcel has landed too
 	s.Close()
+	if n := router.ended.Load(); n != 0 {
+		t.Errorf("a stale completion ended the flow that reused its record (%d of %d)", n, router.reused.Load())
+	}
 
 	want := out.want()
 	if wantErr := (out == outOverload || out == outClose) && kind.direct() && kind != kindIndexed; viaErr != wantErr {

@@ -257,7 +257,9 @@ func (p *Pipeline) StageStats() []StageStats {
 // at 1 (the terminal reference, dropped by terminate after the done
 // sink) and each live stage job holds one more (taken by construct,
 // dropped at the end of finishJob / refuse). The state recycles only
-// when both are gone, so no job can touch a reused flow.
+// when both are gone, so no job can touch a reused flow. A RemoteRouter
+// holds no reference: it holds a Flow handle, which names the record's
+// generation, and a recycle bumps the generation.
 //
 // A flow is also the sink of its own scalar stage jobs (see resolve),
 // and, through joinSink, of its fan-out elements.
@@ -267,9 +269,12 @@ type flowState struct {
 	deadline time.Time
 	priority int
 	enqueued time.Time
-	done     sink // the flow's terminal Result goes here: a ticket or a callback
-	finished atomic.Bool
-	refs     atomic.Int32
+	done     sink // the flow's terminal Result goes here: a ticket, a callback, or nothing
+	// state packs the record's generation (high bits) with the flow's
+	// finished bit (bit 0): the terminal guard is one compare-and-swap
+	// on the generation the caller names.
+	state atomic.Uint64
+	refs  atomic.Int32
 	// The join of the Map stage in flight: fan is the stage, pending
 	// counts its unresolved elements, and elems holds their results by
 	// element index. elems keeps its capacity across generations.
@@ -310,15 +315,28 @@ func (fl *flowState) unref() {
 	fl.priority = 0
 	fl.enqueued = time.Time{}
 	fl.done = nil
-	fl.finished.Store(false)
 	fl.fan = nil
 	fl.pending.Store(0)
 	clear(fl.elems)
 	fl.elems = fl.elems[:0]
 	fl.router = nil
 	fl.ft = nil
+	// Last: a stale handle's Finish now fails its compare-and-swap.
+	fl.state.Store((fl.state.Load()>>1 + 1) << 1)
 	flowPool.Put(fl)
 }
+
+// Flow is a handle on one in-flight flow, the one a RemoteRouter gets
+// when it takes the rest of the flow. Flow records are pooled; the
+// handle names the record's generation, so it stays safe to hold after
+// the flow has ended and its record has been reused.
+type Flow struct {
+	fl  *flowState
+	gen uint64
+}
+
+// handle returns the flow's handle at its current generation.
+func (fl *flowState) handle() Flow { return Flow{fl, fl.state.Load() >> 1} }
 
 // SubmitFlow admits one flow through the pipeline and returns a ticket
 // that resolves with the final stage's result — or with the terminal
@@ -347,11 +365,16 @@ func (t *Tenant) SubmitFlowFunc(p *Pipeline, req Request, done func(Result)) err
 // one a stage parcel carries to this node. It admits stage from exactly
 // as SubmitFlow admits stage 0 (refusals likewise), and serve's own
 // chaining runs the stages after it. rr, when non-nil, is the flow's
-// RemoteRouter: it is consulted at every later scalar stage boundary
-// and may ship the rest of the flow to another node. done is invoked
-// exactly once with the terminal result.
+// RemoteRouter: it is consulted at a scalar entry stage and at every
+// later scalar stage boundary, may ship the rest of the flow to another
+// node, and hears the terminal result. done, when non-nil, is invoked
+// exactly once with the terminal result, after rr.
 func (t *Tenant) SubmitFlowAt(p *Pipeline, from int, req Request, rr RemoteRouter, done func(Result)) error {
-	return t.submitFlow(p, from, req, rr, callbackSink(done))
+	var sk sink
+	if done != nil {
+		sk = callbackSink(done)
+	}
+	return t.submitFlow(p, from, req, rr, sk)
 }
 
 // submitFlow creates the flow state and admits stage from (one scalar
@@ -386,6 +409,9 @@ func (t *Tenant) submitFlow(p *Pipeline, from int, req Request, rr RemoteRouter,
 	s.flowSub.Inc()
 	if st.fanout {
 		p.fanOut(fl, st, parts, &req, nil)
+		return nil
+	}
+	if p.forward(fl, "entry", st, req.Payload) {
 		return nil
 	}
 	sreq := p.stageRequest(fl, st, req.Payload, &req)
@@ -460,27 +486,45 @@ func (fl *flowState) resolve(idx int32, r Result, br *batchRun) {
 
 // RemoteRouter is the cluster layer's hook into flow chaining: one is
 // passed per flow (SubmitFlowAt), so it already knows the flow's tenant
-// and pipeline. ForwardStage is consulted at every scalar stage
-// boundary with the flow's routing inputs; it runs at the producing
-// shard, where the previous stage just resolved. Returning false leaves
-// the hop in-process. Returning true means the router shipped the
-// remainder of the flow to another node; it must then invoke finish
-// exactly once — when its completion parcel arrives, or at once when
-// the result goes elsewhere — with the flow's terminal Result, which
-// ends the flow on this node.
+// and pipeline. ForwardStage is consulted at a scalar entry stage and at
+// every scalar stage boundary with the flow's routing inputs; at a
+// boundary it runs at the producing shard, where the previous stage
+// just resolved. Returning false leaves the stage in-process. Returning
+// true means the router shipped the remainder of the flow to another
+// node; it ends the flow on this node later through fl.Finish — when
+// its completion parcel arrives, or at once when the result goes
+// elsewhere. Ended hears every terminal result of the flow on this
+// node, before its done sink.
 type RemoteRouter interface {
-	ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, finish func(Result)) bool
+	ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, fl Flow) bool
+	Ended(r Result)
+}
+
+// forward offers stage next of fl, with input v, to the flow's
+// RemoteRouter and reports whether the router took the rest of the
+// flow; the hand-off is recorded as a remote-hop trace event. The
+// router gets a handle, not a reference: the flow may end, and its
+// record recycle, before ForwardStage returns, so nothing of it is read
+// after the call.
+func (p *Pipeline) forward(fl *flowState, from string, next *pipeStage, v any) bool {
+	rr, ft := fl.router, fl.ft
+	if rr == nil || !rr.ForwardStage(next.idx, v, fl.key, fl.deadline, fl.priority, fl.handle()) {
+		return false
+	}
+	if ft != nil {
+		ft.add(trace.KindRemoteHop, 0, 0, spanArg(next.idx, 0), fmt.Sprintf("%s -> %s (remote)", from, next.name))
+	}
+	return true
 }
 
 // chain advances an OK stage result to the next stage. It runs at the
 // producing shard, in the batch br where the result resolved (nil when
 // no batch is executing there), and admits the next stage straight from
 // here — the submitter never sees the intermediate value. A flow with a
-// RemoteRouter may continue on another machine: the router takes the
-// flow, and the hand-off is recorded as a remote-hop trace event. A
-// stage that stays in-process is routed, and joins br as a continuation
-// when it lands on br's own shard and fits (batchRun.fits); otherwise
-// the admission starts a batch SGT at the routed shard's locale.
+// RemoteRouter may continue on another machine (forward). A stage that
+// stays in-process is routed, and joins br as a continuation when it
+// lands on br's own shard and fits (batchRun.fits); otherwise the
+// admission starts a batch SGT at the routed shard's locale.
 func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result, br *batchRun) {
 	s := p.t.srv
 	next := p.stages[st.idx+1]
@@ -495,23 +539,8 @@ func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result, br *batchRun) {
 		p.fanOut(fl, next, parts, nil, br)
 		return
 	}
-	if rr := fl.router; rr != nil {
-		// Pin the flow before handing its finisher to the router: a
-		// remote completion parcel can arrive late, or twice (retry), so
-		// the closure must keep the state out of the pool forever — a
-		// flow that went remote is reclaimed by the GC, never recycled,
-		// and a duplicate finish lands on the finished guard, not on a
-		// reused record.
-		fl.ref()
-		if rr.ForwardStage(next.idx, r.Value, fl.key, fl.deadline, fl.priority,
-			func(final Result) { fl.terminate(final) }) {
-			if fl.ft != nil {
-				fl.ft.add(trace.KindRemoteHop, 0, 0, spanArg(next.idx, 0),
-					fmt.Sprintf("%s -> %s (remote)", st.name, next.name))
-			}
-			return
-		}
-		fl.unref() // declined: the router holds no finisher
+	if p.forward(fl, st.name, next, r.Value) {
+		return
 	}
 	req := p.stageRequest(fl, next, r.Value, nil)
 	sh := s.routeShard(p.t, &req)
@@ -656,14 +685,21 @@ func (p *Pipeline) join(fl *flowState, br *batchRun) {
 	fl.resolve(int32(st.idx), Result{Status: StatusOK, Value: vals, Wait: wait}, br)
 }
 
-// terminate is the one flow terminal: local success, a shed or failure
+// terminate ends the flow from this node, which holds a reference on
+// it: at its current generation.
+func (fl *flowState) terminate(r Result) { fl.handle().Finish(r) }
+
+// Finish is the one flow terminal: local success, a shed or failure
 // mid-pipeline, a refusal past stage 0, and a remote completion parcel
-// all end here, exactly once — the finished guard makes a racing local
-// shed and a late or duplicate remote completion harmless. The terminal
-// result is stamped with the flow's priority and admission-to-completion
-// Total, then the flow's done sink hears it.
-func (fl *flowState) terminate(r Result) {
-	if fl.finished.Swap(true) {
+// all end here, exactly once — the finished bit makes a racing local
+// shed, and a late or duplicate completion, a no-op, and so does the
+// generation for a handle whose record has since been recycled. The
+// terminal result is stamped with the flow's priority and
+// admission-to-completion Total, then the flow's router and done sink
+// hear it.
+func (f Flow) Finish(r Result) {
+	fl := f.fl
+	if !fl.state.CompareAndSwap(f.gen<<1, f.gen<<1|1) {
 		return
 	}
 	s := fl.p.t.srv
@@ -680,6 +716,11 @@ func (fl *flowState) terminate(r Result) {
 		s.flowFail.Inc()
 	}
 	s.obs.finishFlow(fl.ft, r.Status)
-	fl.done.resolve(0, r, nil)
+	if fl.router != nil {
+		fl.router.Ended(r)
+	}
+	if fl.done != nil {
+		fl.done.resolve(0, r, nil)
+	}
 	fl.unref() // terminal reference
 }

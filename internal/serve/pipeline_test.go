@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -820,21 +821,36 @@ func TestPipelineFlowStress(t *testing.T) {
 }
 
 // stallRouter is a fake RemoteRouter that takes every hand-off at one
-// stage boundary, capturing the finish callback for the test to fire.
+// stage boundary, capturing the flow's handle for the test to finish.
 type stallRouter struct {
-	at     int // boundary to accept (stage index of the next stage)
-	mu     sync.Mutex
-	finish []func(Result)
+	at    int // boundary to accept (stage index of the next stage)
+	mu    sync.Mutex
+	flows []Flow
 }
 
-func (sr *stallRouter) ForwardStage(next int, _ any, _ uint64, _ time.Time, _ int, finish func(Result)) bool {
+func (sr *stallRouter) ForwardStage(next int, _ any, _ uint64, _ time.Time, _ int, fl Flow) bool {
 	if next != sr.at {
 		return false
 	}
 	sr.mu.Lock()
-	sr.finish = append(sr.finish, finish)
+	sr.flows = append(sr.flows, fl)
 	sr.mu.Unlock()
 	return true
+}
+
+func (*stallRouter) Ended(Result) {}
+
+// taken waits until the router holds n hand-offs and returns them.
+func (sr *stallRouter) taken(t *testing.T, n int) []Flow {
+	t.Helper()
+	var flows []Flow
+	waitFor(t, fmt.Sprintf("the router to take %d hand-offs", n), func() bool {
+		sr.mu.Lock()
+		defer sr.mu.Unlock()
+		flows = append(flows[:0], sr.flows...)
+		return len(flows) >= n
+	})
+	return flows
 }
 
 func TestPipelineRemoteRouterFinishResolvesRemainingStages(t *testing.T) {
@@ -862,19 +878,7 @@ func TestPipelineRemoteRouterFinishResolvesRemainingStages(t *testing.T) {
 	}
 	// Stage 0 runs locally, then the router takes the flow at the 0->1
 	// boundary: the flow does not finish yet.
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		router.mu.Lock()
-		n := len(router.finish)
-		router.mu.Unlock()
-		if n == 1 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("router captured %d hand-offs, want 1", n)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	flows := router.taken(t, 1)
 	select {
 	case r := <-results:
 		t.Fatalf("flow finished %+v before the remote completion", r)
@@ -884,7 +888,7 @@ func TestPipelineRemoteRouterFinishResolvesRemainingStages(t *testing.T) {
 	// late duplicate is dropped: TestEveryRequestResolvesExactlyOnce),
 	// and no stage after the hand-off ran here.
 	final := Result{Status: StatusOK, Value: "xabc-remote"}
-	router.finish[0](final)
+	flows[0].Finish(final)
 	r := <-results
 	if r.Status != StatusOK || r.Value.(string) != "xabc-remote" {
 		t.Fatalf("flow result %+v", r)
@@ -942,15 +946,18 @@ type hopRecord struct {
 // recordRouter declines every hand-off and records what it was asked.
 type recordRouter struct{ asked chan hopRecord }
 
-func (rr recordRouter) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, _ func(Result)) bool {
+func (rr recordRouter) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, _ Flow) bool {
 	rr.asked <- hopRecord{next, v, key, deadline, priority}
 	return false
 }
 
+func (recordRouter) Ended(Result) {}
+
 // TestSubmitFlowAtRouterSeesEnteredFlow enters a flow mid-pipeline: the
-// entry stage runs on the given input, the router passed at entry is
-// consulted at the next boundary with the entered flow's key, deadline
-// and priority, and declining keeps the rest of the flow local.
+// router passed at entry is consulted at the entry stage and at the next
+// boundary, each time with the stage's input and the entered flow's
+// key, deadline and priority, and declining keeps the flow local: the
+// entry stage runs on the given input.
 func TestSubmitFlowAtRouterSeesEnteredFlow(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
@@ -980,12 +987,16 @@ func TestSubmitFlowAtRouterSeesEnteredFlow(t *testing.T) {
 	if r := <-results; r.Status != StatusOK || r.Value.(string) != "xbc" {
 		t.Fatalf("entered flow = %+v, want xbc (stages b and c only)", r)
 	}
-	if len(router.asked) != 1 {
-		t.Fatalf("router consulted %d times, want once (the b -> c boundary)", len(router.asked))
+	if len(router.asked) != 2 {
+		t.Fatalf("router consulted %d times, want twice (entry at b, then the b -> c boundary)", len(router.asked))
 	}
-	want := hopRecord{next: 2, v: "xb", key: 77, deadline: deadline, priority: 2}
-	if got := <-router.asked; got != want {
-		t.Errorf("router asked %+v, want %+v", got, want)
+	for _, want := range []hopRecord{
+		{next: 1, v: "x", key: 77, deadline: deadline, priority: 2},
+		{next: 2, v: "xb", key: 77, deadline: deadline, priority: 2},
+	} {
+		if got := <-router.asked; got != want {
+			t.Errorf("router asked %+v, want %+v", got, want)
+		}
 	}
 	if err := tn.SubmitFlowAt(p, 3, Request{}, nil, func(Result) {}); err == nil {
 		t.Error("entering past the last stage was accepted")

@@ -411,9 +411,10 @@ func TestJobRecycleNoFieldLeak(t *testing.T) {
 
 // TestFlowStateRecycleNoFieldLeak does the same for the pooled flow
 // state: dropping the last reference zeroes every field before the
-// record re-enters the pool — for a state filled field by field, and
-// for states a flow left behind after running through same-shard
-// continuations (a scalar hop; a fan-out and its join).
+// record re-enters the pool — for a state filled field by field, for
+// states a flow left behind after running through same-shard
+// continuations (a scalar hop; a fan-out and its join), and for a flow
+// a router took and finished through its handle.
 func TestFlowStateRecycleNoFieldLeak(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -432,12 +433,13 @@ func TestFlowStateRecycleNoFieldLeak(t *testing.T) {
 			fl.elems = append(fl.elems[:0], Result{Status: StatusOK, Value: "v"}, Result{Err: errors.New("e")})
 			fl.router = &stallRouter{}
 			fl.ft = &FlowTrace{}
-			fl.finished.Store(true)
-			fl.unref() // terminal reference: recycles
+			fl.state.Store(fl.state.Load() | 1) // finished
+			fl.unref()                          // terminal reference: recycles
 			return fl
 		}},
 		{"same-shard-hop", func(t *testing.T) *flowState { return continuedFlow(t, false) }},
 		{"same-shard-fan", func(t *testing.T) *flowState { return continuedFlow(t, true) }},
+		{"remote-hop", remoteHopFlow},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			fl := tc.run(t)
@@ -458,7 +460,7 @@ func TestFlowStateRecycleNoFieldLeak(t *testing.T) {
 			if !fl.deadline.IsZero() || !fl.enqueued.IsZero() {
 				t.Fatal("recycled flow state leaked timestamps")
 			}
-			if fl.finished.Load() {
+			if fl.state.Load()&1 != 0 {
 				t.Fatal("recycled flow state leaked finished flag")
 			}
 			if fl.refs.Load() != 0 {
@@ -515,6 +517,50 @@ func continuedFlow(t *testing.T, fan bool) *flowState {
 	br.jobs, br.limit, br.now = br.jobs[:0], 0, time.Time{}
 	sh.runs <- br
 	return fl
+}
+
+// remoteHopFlow runs one flow of a three-stage pipeline whose router
+// takes it at the a -> b hop, then finishes it through the router's
+// handle once stage a's job has let go: that Finish drops the last
+// reference, so the record recycles at once, with a bumped generation.
+// A second Finish on the same handle must then be a no-op. It returns
+// the flow state.
+func remoteHopFlow(t *testing.T) *flowState {
+	sys := newTestSystem(t)
+	defer sys.Close()
+	s := New(sys, Config{Shards: 1, Observe: ObserveConfig{SampleRate: 1, RingSize: 8}})
+	defer s.Close()
+	tn, err := s.RegisterTenant(TenantConfig{Name: "t", Handler: func(*Ctx, Request) (any, error) { return nil, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := tn.NewPipeline("p", echoStage("a"), echoStage("b"), echoStage("c"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	router := &stallRouter{at: 1}
+	var ended atomic.Int32
+	if err := tn.SubmitFlowAt(p, 0, Request{Key: 1, Payload: "x", Priority: 1}, router,
+		func(Result) { ended.Add(1) }); err != nil {
+		t.Fatal(err)
+	}
+	h := router.taken(t, 1)[0]
+	waitFor(t, "stage a's job to let go of the flow", func() bool { return h.fl.refs.Load() == 1 })
+	if h.fl.state.Load() != h.gen<<1 {
+		t.Fatalf("handed-off flow state %#x, want generation %d unfinished", h.fl.state.Load(), h.gen)
+	}
+	h.Finish(Result{Status: StatusOK, Value: "remote"})
+	if got := h.fl.state.Load(); got != (h.gen+1)<<1 {
+		t.Fatalf("finished flow state %#x, want generation %d unfinished (recycled)", got, h.gen+1)
+	}
+	h.Finish(Result{Status: StatusOK})
+	if n := ended.Load(); n != 1 {
+		t.Fatalf("flow ended %d times, want 1", n)
+	}
+	if got := h.fl.state.Load(); got != (h.gen+1)<<1 {
+		t.Fatalf("a stale Finish changed the recycled state to %#x", got)
+	}
+	return h.fl
 }
 
 // TestRecycledTicketsResolveExactlyOnce pushes a sustained load through

@@ -106,14 +106,17 @@
 //	                          (flowState.resolve)
 //	release    shard.recycle  record zeroed and pooled before the sink runs; the
 //	                          job's flow reference dropped after
-//	hand-off   chain          the next scalar stage: the flow's own RemoteRouter
-//	                          (SubmitFlowAt) may ship it to another node, else the
-//	                          producing shard admits it at its routed shard — or,
-//	                          when that is its own shard, the ring holds no ready
-//	                          job and the batch is below its limit, appends it to
-//	                          the running batch (admitStage, batchRun.fits); fan-out
-//	                          elements and the stage after a join likewise
-//	terminal   terminate      the one place a flow ends, local or remote, exactly once
+//	hand-off   chain          the next scalar stage (and a scalar entry stage) goes
+//	                          first to the flow's own RemoteRouter (forward), which
+//	                          may ship the rest of the flow to another node and end
+//	                          it later through a Flow handle; else the producing
+//	                          shard admits it at its routed shard — or, when that is
+//	                          its own shard, the ring holds no ready job and the
+//	                          batch is below its limit, appends it to the running
+//	                          batch (admitStage, batchRun.fits); fan-out elements
+//	                          and the stage after a join likewise
+//	terminal   Flow.Finish    the one place a flow ends, local or remote, exactly once
+//	                          per record generation; the router, then the sink, hear it
 //
 // Every adaptive decision comes from one control plane (adaptive.go,
 // compile.go). Four controllers are entries of one clocked loop — step
