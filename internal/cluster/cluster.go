@@ -137,7 +137,7 @@ type Node struct {
 
 	tenantsMu sync.RWMutex
 	tenants   map[string]*Tenant
-	pipes     map[pipeKey]*Pipeline
+	pipes     map[uint64]*Pipeline // by pipeID
 
 	// pending holds the records of flows this node originated and shipped
 	// away; a completion parcel pops its entry exactly once, and the
@@ -184,7 +184,7 @@ func NewNode(cfg Config) (*Node, error) {
 		locales: cfg.System.Locales,
 		members: make(map[parcel.NodeID]string),
 		tenants: make(map[string]*Tenant),
-		pipes:   make(map[pipeKey]*Pipeline),
+		pipes:   make(map[uint64]*Pipeline),
 		pending: make(map[uint64]*pendingFlow),
 		clock:   cfg.Clock,
 		detCfg:  cfg.Detect,
@@ -266,16 +266,27 @@ func (n *Node) OwnedLocales() []int { return n.Ring().Owned(n.self) }
 
 // registerHandlers installs the cluster protocol on the transport.
 func (n *Node) registerHandlers() {
-	n.t.Handle("cluster.join", n.handleJoin)
-	n.t.Handle("cluster.members", n.handleMembers)
-	n.t.Handle("cluster.leave", n.handleLeave)
+	handleMsg(n, "cluster.join", n.handleJoin)
+	handleMsg(n, "cluster.members", n.handleMembers)
+	handleMsg(n, "cluster.leave", n.handleLeave)
 	n.t.Handle("cluster.stage", n.handleStage)
 	n.t.Handle("cluster.complete", n.handleComplete)
-	n.t.Handle("cluster.fetchcode", n.handleFetch)
-	n.t.Handle("cluster.fetch", n.handleFetch)
+	handleMsg(n, "cluster.fetch", n.handleFetch)
 	n.t.Handle("cluster.stats", n.handleStats)
-	n.t.Handle("cluster.trace", n.handleTrace)
+	handleMsg(n, "cluster.trace", n.handleTrace)
 	n.t.Handle("cluster.ping", n.handlePing)
+}
+
+// handleMsg installs the handler of a control message: h sees the body
+// decoded as a T, and a malformed body fails the parcel.
+func handleMsg[T any](n *Node, method string, h func(T) ([]byte, error)) {
+	n.t.Handle(method, func(_ parcel.NodeID, body []byte) ([]byte, error) {
+		m, err := decode[T](body)
+		if err != nil {
+			return nil, err
+		}
+		return h(m)
+	})
 }
 
 // handlePing answers a failure-detector probe. Reaching this handler is
@@ -296,16 +307,12 @@ func (n *Node) Join(seedAddr string) error {
 	if err != nil {
 		return fmt.Errorf("cluster: join %s: %w", seedAddr, err)
 	}
-	body, err := encode(joinMsg{ID: string(n.self), Addr: n.t.Addr()})
-	if err != nil {
-		return err
-	}
-	reply, err := n.t.Call(seed, "cluster.join", body)
+	reply, err := n.t.Call(seed, "cluster.join", encode(joinMsg{ID: string(n.self), Addr: n.t.Addr()}))
 	if err != nil {
 		return fmt.Errorf("cluster: join %s: %w", seedAddr, err)
 	}
-	var ml memberMsg
-	if err := decode(reply, &ml); err != nil {
+	ml, err := decode[memberMsg](reply)
+	if err != nil {
 		return fmt.Errorf("cluster: join %s: bad member list: %w", seedAddr, err)
 	}
 	// Force: a node rejoining after a Leave may hold a higher (diverged)
@@ -323,7 +330,7 @@ func (n *Node) Join(seedAddr string) error {
 // addressed here still execute; their completions return to their
 // origins over the still-open transport.
 func (n *Node) Leave() {
-	body, _ := encode(joinMsg{ID: string(n.self)})
+	body := encode(joinMsg{ID: string(n.self)})
 	n.mu.Lock()
 	peers := make([]parcel.NodeID, 0, len(n.members))
 	for id := range n.members {
@@ -345,11 +352,7 @@ func (n *Node) Leave() {
 
 // handleJoin admits a joiner: bump the epoch, extend the member list,
 // rebuild the ring, reply with the list, and broadcast it.
-func (n *Node) handleJoin(_ parcel.NodeID, body []byte) ([]byte, error) {
-	var jr joinMsg
-	if err := decode(body, &jr); err != nil {
-		return nil, err
-	}
+func (n *Node) handleJoin(jr joinMsg) ([]byte, error) {
 	if jr.ID == "" || jr.Addr == "" {
 		return nil, errors.New("cluster: join without id or address")
 	}
@@ -359,7 +362,7 @@ func (n *Node) handleJoin(_ parcel.NodeID, body []byte) ([]byte, error) {
 	n.mu.Unlock()
 	n.dialMissing(ml.Members)
 	go n.syncReplicas()
-	return n.broadcast(ml, jr.ID)
+	return n.broadcast(ml, jr.ID), nil
 }
 
 // reshapeLocked follows a change to n.members (n.mu held): it bumps the
@@ -377,27 +380,20 @@ func (n *Node) reshapeLocked() memberMsg {
 // broadcast sends a member list to every member but this node and skip,
 // and returns its encoding (the join and leave replies). Send hands its
 // body over, so every Send gets a copy of its own.
-func (n *Node) broadcast(ml memberMsg, skip string) ([]byte, error) {
-	payload, err := encode(ml)
-	if err != nil {
-		return nil, err
-	}
+func (n *Node) broadcast(ml memberMsg, skip string) []byte {
+	payload := encode(ml)
 	for id := range ml.Members {
 		if id != string(n.self) && id != skip {
 			_ = n.t.Send(parcel.NodeID(id), "cluster.members", bytes.Clone(payload))
 		}
 	}
-	return payload, nil
+	return payload
 }
 
 // handleMembers installs a broadcast member list if it is fresher than
 // what this node holds. Install dials and may fetch, so it runs off the
 // delivery goroutine; the epoch gate orders racing installs.
-func (n *Node) handleMembers(_ parcel.NodeID, body []byte) ([]byte, error) {
-	var ml memberMsg
-	if err := decode(body, &ml); err != nil {
-		return nil, err
-	}
+func (n *Node) handleMembers(ml memberMsg) ([]byte, error) {
 	go n.install(ml, false)
 	return nil, nil
 }
@@ -406,11 +402,7 @@ func (n *Node) handleMembers(_ parcel.NodeID, body []byte) ([]byte, error) {
 // leaver, bump the epoch, rebuild the ring, and broadcast the fresh
 // member list so every remaining member converges through the same
 // epoch gate.
-func (n *Node) handleLeave(_ parcel.NodeID, body []byte) ([]byte, error) {
-	var jr joinMsg
-	if err := decode(body, &jr); err != nil {
-		return nil, err
-	}
+func (n *Node) handleLeave(jr joinMsg) ([]byte, error) {
 	n.mu.Lock()
 	if _, ok := n.members[parcel.NodeID(jr.ID)]; !ok {
 		n.mu.Unlock()
@@ -420,7 +412,7 @@ func (n *Node) handleLeave(_ parcel.NodeID, body []byte) ([]byte, error) {
 	ml := n.reshapeLocked()
 	n.mu.Unlock()
 	go n.syncReplicas()
-	return n.broadcast(ml, "")
+	return n.broadcast(ml, ""), nil
 }
 
 // install adopts a member list (force skips the epoch freshness gate —
@@ -566,7 +558,7 @@ func (n *Node) Stats() Stats {
 
 // handleStats serves this node's Stats to a peer.
 func (n *Node) handleStats(_ parcel.NodeID, _ []byte) ([]byte, error) {
-	return encode(n.Stats())
+	return encode(n.Stats()), nil
 }
 
 // ClusterStats collects Stats from every member (self included),
@@ -581,8 +573,7 @@ func (n *Node) ClusterStats() []Stats {
 		if err != nil {
 			continue
 		}
-		var st Stats
-		if decode(reply, &st) == nil {
+		if st, err := decode[Stats](reply); err == nil {
 			out = append(out, st)
 		}
 	}

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
@@ -380,5 +381,22 @@ func TestBroadcastHandsEachSendItsOwnBody(t *testing.T) {
 			t.Fatalf("member Send %d shares its body with %s", i, what)
 		}
 		seen[p] = fmt.Sprintf("member Send %d", i)
+	}
+}
+
+// TestClusterStatsCarriesPeerStats asks a quiet two-node cluster for
+// its stats: the peer's entry is the peer's Stats exactly as it
+// reported them, every field, nested Wire stats included.
+func TestClusterStatsCarriesPeerStats(t *testing.T) {
+	nodes, _ := newTestCluster(t, 2, 8, false)
+	all := nodes[0].ClusterStats()
+	if len(all) != 2 || all[1].Node != string(nodes[1].Self()) {
+		t.Fatalf("ClusterStats = %+v, want n0 and n1", all)
+	}
+	got, want := all[1], nodes[1].Stats()
+	// The peer snapshot its Stats before it sent the reply carrying them.
+	want.Wire.BytesSent -= int64(len(encode(got)))
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("peer stats over the wire = %+v, want %+v", got, want)
 	}
 }

@@ -1,56 +1,70 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
+	"fmt"
 	"math"
 	"math/bits"
 	"reflect"
 	"slices"
 )
 
-// This file is the cluster wire codec. The two flow-path parcels —
+// This file is the cluster wire codec: every byte a peer sends is read
+// here, in one layout. A message is its struct's fields in declaration
+// order (writer.put, reader.get):
+//
+//	bool, integers, floats  8 bytes little-endian: integers sign- or
+//	                        zero-extended, floats as float64 IEEE bits,
+//	                        bool 0 or 1
+//	string                  uvarint byte length, then the bytes
+//	slice, map              uvarint n+1 (0 = nil), then n elements
+//	                        (a map: n key/value pairs)
+//	struct                  its fields in order
+//	interface               a tagged value
+//
+// The cold control messages (join, members, fetch, trace, stats) are
+// walked whole (encode, decode). The two flow-path parcels —
 // "cluster.stage" and "cluster.complete", one of each per remote hop —
-// are laid out by hand; the cold control messages (join, members,
-// fetch, trace, stats) are one gob-encoded struct each (encode/decode).
+// are written by hand in the same field encodings, one allocation per
+// body, with a 1-byte status:
 //
-// Integers are little-endian, 8 bytes wide; a string is a uvarint byte
-// length followed by the bytes. The netparcel frame around a body is
-// documented in that package.
-//
-//	stage:    Flow | FlowEpoch | Stage | Key | Deadline | Priority |
-//	          Origin str | Tenant str | Pipe str | value
+//	stage:    Flow | FlowEpoch | Stage | Key | Deadline | Priority | Pipe |
+//	          Origin str | value
 //	complete: Flow | FlowEpoch | Status u8 | Err str | value
 //
-// A value is one tag byte and its payload, and always ends the message:
+// A value is one tag byte and its payload, and always ends a flow
+// parcel. Nil, scalars, strings and []byte have decoders of their own;
+// the composite tags are walked, an element of []any or map[string]any
+// being a tagged value in turn:
 //
-//	nil                          tag only
-//	bool, every integer type,    8 bytes: integers sign- or zero-extended,
-//	float32, float64             floats as float64 IEEE bits, bool 0 or 1
-//	string                       str
-//	[]byte []int []string        uvarint n+1 (0 = nil slice), then n elements
-//	[]float64                    (bytes raw, ints/floats 8 bytes, strings str)
-//	map[string]int               uvarint n+1 (0 = nil map), then n key/value
-//	map[string]string            pairs
-//	opaque                       uvarint length, then encode(wireValue{v})
+//	tag   type                        payload
+//	0     nil                         none
+//	1–14  bool, every integer type    8 bytes; the tag is the
+//	      but uintptr, float32/64     reflect.Kind
+//	17    string                      uvarint length, then the bytes
+//	18    []byte                      uvarint n+1, then the raw bytes
+//	19    []int                       walked
+//	20    []string
+//	21    []float64
+//	22    map[string]int
+//	23    map[string]string
+//	24    []any
+//	25    map[string]any
 //
-// Every other type (including []any and map[string]any) rides the
-// opaque tag: a standalone gob stream that names the concrete type, so
-// types beyond the fast tags must be announced with RegisterType on
-// every node before traffic carries them. An unregistered type fails
-// the encode, which the flow layer degrades to local execution (forward
-// path) or a StatusFailed completion (result path) rather than wedging
-// the flow. Decoding returns a value of exactly the sent dynamic type;
-// a decoded []byte aliases the parcel body, which the receiving handler
-// owns (see parcel.TransportHandler).
+// A composite value nests at most maxDepth elements deep. A value of
+// any other type cannot cross the wire: its encode fails naming the
+// type, and the flow layer degrades — the forward path runs the stage
+// at the origin, the result path resolves the flow StatusFailed.
+// Decoding returns a value of exactly the sent dynamic type; a decoded
+// []byte aliases the parcel body, which the receiving handler owns (see
+// parcel.TransportHandler). The netparcel frame around a body is
+// documented in that package.
 
-// wireValue wraps one opaque flow value for gob. A nil V encodes as the
-// empty struct and decodes back to nil.
-type wireValue struct {
-	V any
-}
+// maxDepth bounds how deeply composite values nest inside []any and
+// map[string]any elements, so a forged chain of nested []any headers
+// fails instead of recursing the delivery goroutine off its stack.
+const maxDepth = 32
 
 // joinMsg rides "cluster.join" (the Call a joiner makes to any member)
 // and "cluster.leave" (Addr unused).
@@ -78,8 +92,7 @@ type stageMsg struct {
 	// the origin. 0 on the first shipment.
 	FlowEpoch uint32
 	Origin    string
-	Tenant    string
-	Pipe      string
+	Pipe      uint64 // the pipeline's id (pipeID)
 	Stage     int
 	Key       uint64 // the flow's routing key (stage keys re-derive from the value)
 	Deadline  int64  // unix nanoseconds; 0 = none
@@ -96,9 +109,8 @@ type completeMsg struct {
 	Err       string
 }
 
-// fetchMsg requests a percolation transfer: the tenant's code image
-// ("cluster.fetchcode", Object empty) or one global object
-// ("cluster.fetch").
+// fetchMsg requests a percolation transfer ("cluster.fetch"): one
+// global object, or the tenant's code image when Object is empty.
 type fetchMsg struct {
 	Tenant string
 	Object string
@@ -111,51 +123,33 @@ type traceMsg struct {
 	Flow   uint64
 }
 
-func init() {
-	// The payload types a demo or test is likely to ship. Most ride fast
-	// tags; registering them keeps them encodable inside opaque values
-	// ([]any, map[string]any). Anything else goes through RegisterType.
-	for _, v := range []any{
-		int(0), int8(0), int16(0), int32(0), int64(0),
-		uint(0), uint8(0), uint16(0), uint32(0), uint64(0),
-		float32(0), float64(0), "", false,
-		[]any(nil), []byte(nil), []int(nil), []string(nil), []float64(nil),
-		map[string]any(nil), map[string]int(nil), map[string]string(nil),
-	} {
-		gob.Register(v)
-	}
+// encode lays out one control message. Control messages hold only
+// kinds the walker lays out (TestControlMessagesRoundTrip checks every
+// type), so w.err stays nil.
+func encode(v any) []byte {
+	var w writer
+	w.put(reflect.ValueOf(v))
+	return w.b
 }
 
-// RegisterType announces a concrete payload type to the wire codec.
-// Call it on every node (the same way parcel handlers register
-// everywhere) before flows carry values of that type across nodes.
-func RegisterType(v any) { gob.Register(v) }
-
-// encode gobs one control message struct into a parcel body.
-func encode(v any) ([]byte, error) {
-	var b bytes.Buffer
-	if err := gob.NewEncoder(&b).Encode(v); err != nil {
-		return nil, err
-	}
-	return b.Bytes(), nil
-}
-
-// decode parses a parcel body into the given control message struct.
-func decode(b []byte, v any) error {
-	return gob.NewDecoder(bytes.NewReader(b)).Decode(v)
+// decode parses a control message body, which the message must fill
+// exactly.
+func decode[T any](b []byte) (T, error) {
+	var v T
+	r := reader{b: b}
+	r.get(reflect.ValueOf(&v).Elem())
+	r.bad = r.bad || len(r.b) != 0
+	return v, r.err(reflect.TypeFor[T]().String())
 }
 
 // encodeStage lays out one stage parcel carrying input v. The only
 // failure is a value the codec cannot carry.
 func encodeStage(sp *stageMsg, v any) ([]byte, error) {
-	b := newBody(6*8 + strSize(sp.Origin) + strSize(sp.Tenant) + strSize(sp.Pipe) + valueSize(v))
-	for _, u := range [...]uint64{sp.Flow, uint64(sp.FlowEpoch), uint64(sp.Stage), sp.Key, uint64(sp.Deadline), uint64(sp.Priority)} {
+	b := newBody(7*8 + strSize(sp.Origin) + valueSize(v))
+	for _, u := range [...]uint64{sp.Flow, uint64(sp.FlowEpoch), uint64(sp.Stage), sp.Key, uint64(sp.Deadline), uint64(sp.Priority), sp.Pipe} {
 		b = appendU64(b, u)
 	}
-	for _, s := range [...]string{sp.Origin, sp.Tenant, sp.Pipe} {
-		b = appendString(b, s)
-	}
-	return appendValue(b, v)
+	return appendValue(appendString(b, sp.Origin), v)
 }
 
 // decodeStage parses a stage parcel's fixed fields and returns the
@@ -169,9 +163,8 @@ func decodeStage(b []byte) (stageMsg, []byte, error) {
 		Key:       r.u64(),
 		Deadline:  int64(r.u64()),
 		Priority:  r.int(),
+		Pipe:      r.u64(),
 		Origin:    r.str(),
-		Tenant:    r.str(),
-		Pipe:      r.str(),
 	}
 	return sp, r.b, r.err("stage parcel")
 }
@@ -201,37 +194,92 @@ const (
 	tagFloats
 	tagMapInt
 	tagMapString
-	tagOpaque
+	tagAnys
+	tagMapAny
 )
+
+// valueTypes are the composite tags' types, laid out by the walker.
+var valueTypes = [...]reflect.Type{
+	tagInts:      reflect.TypeFor[[]int](),
+	tagStrings:   reflect.TypeFor[[]string](),
+	tagFloats:    reflect.TypeFor[[]float64](),
+	tagMapInt:    reflect.TypeFor[map[string]int](),
+	tagMapString: reflect.TypeFor[map[string]string](),
+	tagAnys:      reflect.TypeFor[[]any](),
+	tagMapAny:    reflect.TypeFor[map[string]any](),
+}
 
 // appendValue appends v's tagged encoding to b. A []byte is copied.
 func appendValue(b []byte, v any) ([]byte, error) {
+	w := writer{b: b}
+	w.value(v)
+	return w.b, w.err
+}
+
+// writer appends encodings to b. A value that cannot cross the wire
+// sets err, and the bytes are then garbage.
+type writer struct {
+	b     []byte
+	err   error
+	depth int // the []any and map[string]any elements open around b's end
+}
+
+// value appends v as a tagged value.
+func (w *writer) value(v any) {
 	switch x := v.(type) {
 	case nil:
-		return append(b, tagNil), nil
+		w.b = append(w.b, tagNil)
 	case bool, int, int8, int16, int32, int64, uint, uint8, uint16, uint32, uint64, float32, float64:
 		rv := reflect.ValueOf(x)
-		return appendU64(append(b, byte(rv.Kind())), scalarBits(rv)), nil
+		w.b = appendU64(append(w.b, byte(rv.Kind())), scalarBits(rv))
 	case string:
-		return appendString(append(b, tagString), x), nil
+		w.b = appendString(append(w.b, tagString), x)
 	case []byte:
-		return append(appendCount(b, tagBytes, x == nil, len(x)), x...), nil
-	case []int:
-		return appendSlice(b, tagInts, x, appendInt), nil
-	case []string:
-		return appendSlice(b, tagStrings, x, appendString), nil
-	case []float64:
-		return appendSlice(b, tagFloats, x, appendFloat), nil
-	case map[string]int:
-		return appendMap(b, tagMapInt, x, appendInt), nil
-	case map[string]string:
-		return appendMap(b, tagMapString, x, appendString), nil
+		w.b = append(appendCount(append(w.b, tagBytes), x == nil, len(x)), x...)
+	default:
+		rv := reflect.ValueOf(v)
+		switch tag := slices.Index(valueTypes[:], rv.Type()); {
+		case tag < 0:
+			w.err = fmt.Errorf("cluster: a %T cannot cross the wire", v)
+		case w.depth > maxDepth:
+			w.err = fmt.Errorf("cluster: value nests deeper than %d", maxDepth)
+		default:
+			w.b = append(w.b, byte(tag))
+			w.put(rv)
+		}
 	}
-	g, err := encode(wireValue{V: v})
-	if err != nil {
-		return nil, err
+}
+
+// put appends rv laid out by its kind.
+func (w *writer) put(rv reflect.Value) {
+	switch rv.Kind() {
+	case reflect.Bool, reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Float32, reflect.Float64:
+		w.b = appendU64(w.b, scalarBits(rv))
+	case reflect.String:
+		w.b = appendString(w.b, rv.String())
+	case reflect.Interface:
+		w.depth++
+		w.value(rv.Interface())
+		w.depth--
+	case reflect.Slice:
+		w.b = appendCount(w.b, rv.IsNil(), rv.Len())
+		for i := range rv.Len() {
+			w.put(rv.Index(i))
+		}
+	case reflect.Map:
+		w.b = appendCount(w.b, rv.IsNil(), rv.Len())
+		for it := rv.MapRange(); it.Next(); {
+			w.put(it.Key())
+			w.put(it.Value())
+		}
+	case reflect.Struct:
+		for i := range rv.NumField() {
+			w.put(rv.Field(i))
+		}
+	default:
+		w.err = fmt.Errorf("cluster: a %s cannot cross the wire", rv.Type())
 	}
-	return append(binary.AppendUvarint(append(b, tagOpaque), uint64(len(g))), g...), nil
 }
 
 // newBody returns an empty parcel body with room for size bytes, in one
@@ -281,52 +329,32 @@ func scalarBits(rv reflect.Value) uint64 {
 // decoded []byte aliases b.
 func decodeValue(b []byte) (any, error) {
 	r := reader{b: b}
-	if v := r.value(); !r.bad && len(r.b) == 0 {
-		return v, nil
-	}
-	return nil, errors.New("cluster: malformed value")
+	v := r.value()
+	r.bad = r.bad || len(r.b) != 0
+	return v, r.err("value")
 }
 
 func appendU64(b []byte, u uint64) []byte { return binary.LittleEndian.AppendUint64(b, u) }
-
-func appendInt(b []byte, i int) []byte { return appendU64(b, uint64(i)) }
-
-func appendFloat(b []byte, f float64) []byte { return appendU64(b, math.Float64bits(f)) }
 
 func appendString(b []byte, s string) []byte {
 	return append(binary.AppendUvarint(b, uint64(len(s))), s...)
 }
 
-// appendCount writes a slice or map header: the tag, then n+1, or 0 for
-// a nil slice or map.
-func appendCount(b []byte, tag byte, isNil bool, n int) []byte {
+// appendCount writes a slice or map header: n+1, or 0 for a nil slice
+// or map.
+func appendCount(b []byte, isNil bool, n int) []byte {
 	if isNil {
-		return append(b, tag, 0)
+		return append(b, 0)
 	}
-	return binary.AppendUvarint(append(b, tag), uint64(n)+1)
-}
-
-func appendSlice[T any](b []byte, tag byte, x []T, put func([]byte, T) []byte) []byte {
-	b = appendCount(b, tag, x == nil, len(x))
-	for _, e := range x {
-		b = put(b, e)
-	}
-	return b
-}
-
-func appendMap[V any](b []byte, tag byte, x map[string]V, put func([]byte, V) []byte) []byte {
-	b = appendCount(b, tag, x == nil, len(x))
-	for k, e := range x {
-		b = put(appendString(b, k), e)
-	}
-	return b
+	return binary.AppendUvarint(b, uint64(n)+1)
 }
 
 // reader consumes a parcel body. The first short or malformed read
 // marks it bad; later reads return zero values, and err reports it.
 type reader struct {
-	b   []byte
-	bad bool
+	b     []byte
+	bad   bool
+	depth int // the []any and map[string]any elements open around the read
 }
 
 func (r *reader) err(what string) error {
@@ -373,45 +401,11 @@ func (r *reader) uvarint(slack int) int {
 
 func (r *reader) str() string { return string(r.take(r.uvarint(0))) }
 
-// count reads a slice or map header of elements at least size bytes
-// each: -1 for nil (or a bad reader), else the element count.
-func (r *reader) count(size int) int {
-	n := r.uvarint(1) - 1
-	if n > len(r.b)/size {
-		r.bad = true
-	}
-	if r.bad {
-		return -1
-	}
-	return n
-}
+// count reads a slice or map header: the element count, which is at
+// most the bytes left, or -1 for nil (or a bad reader).
+func (r *reader) count() int { return r.uvarint(1) - 1 }
 
-func readSlice[T any](r *reader, size int, get func(*reader) T) []T {
-	n := r.count(size)
-	if n < 0 {
-		return nil
-	}
-	x := make([]T, n)
-	for i := range x {
-		x[i] = get(r)
-	}
-	return x
-}
-
-func readMap[V any](r *reader, size int, get func(*reader) V) map[string]V {
-	n := r.count(size)
-	if n < 0 {
-		return nil
-	}
-	x := make(map[string]V, n)
-	for i := 0; i < n; i++ {
-		k := r.str()
-		x[k] = get(r)
-	}
-	return x
-}
-
-// decoders parses each tag's payload.
+// decoders parses the payloads of the tags that have one of their own.
 var decoders = [...]func(*reader) any{
 	tagNil:          func(*reader) any { return nil },
 	reflect.Bool:    func(r *reader) any { return r.u64() != 0 },
@@ -429,17 +423,18 @@ var decoders = [...]func(*reader) any{
 	reflect.Float64: func(r *reader) any { return r.float() },
 	tagString:       func(r *reader) any { return r.str() },
 	tagBytes:        (*reader).bytes,
-	tagInts:         func(r *reader) any { return readSlice(r, 8, (*reader).int) },
-	tagStrings:      func(r *reader) any { return readSlice(r, 1, (*reader).str) },
-	tagFloats:       func(r *reader) any { return readSlice(r, 8, (*reader).float) },
-	tagMapInt:       func(r *reader) any { return readMap(r, 9, (*reader).int) },
-	tagMapString:    func(r *reader) any { return readMap(r, 2, (*reader).str) },
-	tagOpaque:       (*reader).opaque,
 }
 
+// value reads one tagged value.
 func (r *reader) value() any {
-	if tag := int(r.take(1)[0]); tag < len(decoders) && decoders[tag] != nil {
+	tag := int(r.take(1)[0])
+	if tag < len(decoders) && decoders[tag] != nil {
 		return decoders[tag](r)
+	}
+	if tag < len(valueTypes) && valueTypes[tag] != nil && r.depth <= maxDepth {
+		rv := reflect.New(valueTypes[tag]).Elem()
+		r.get(rv)
+		return rv.Interface()
 	}
 	r.bad = true
 	return nil
@@ -447,17 +442,58 @@ func (r *reader) value() any {
 
 // bytes reads a []byte, aliasing the body.
 func (r *reader) bytes() any {
-	if n := r.count(1); n >= 0 {
+	if n := r.count(); n >= 0 {
 		return r.take(n)
 	}
 	return []byte(nil)
 }
 
-// opaque reads a gob-encoded wireValue.
-func (r *reader) opaque() any {
-	var w wireValue
-	if p := r.take(r.uvarint(0)); !r.bad && decode(p, &w) != nil {
+// get fills rv, which must be settable, laid out by its kind. Slices
+// and maps grow one element at a time and stop at the first bad read,
+// so a forged count costs no more than the body it came in.
+func (r *reader) get(rv reflect.Value) {
+	switch rv.Kind() {
+	case reflect.Bool:
+		rv.SetBool(r.u64() != 0)
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		rv.SetInt(int64(r.u64()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		rv.SetUint(r.u64())
+	case reflect.Float32, reflect.Float64:
+		rv.SetFloat(r.float())
+	case reflect.String:
+		rv.SetString(r.str())
+	case reflect.Interface:
+		r.depth++
+		if v := r.value(); v != nil {
+			rv.Set(reflect.ValueOf(v))
+		}
+		r.depth--
+	case reflect.Slice:
+		n := r.count()
+		if n >= 0 {
+			rv.Set(reflect.MakeSlice(rv.Type(), 0, 0))
+		}
+		for i := 0; i < n && !r.bad; i++ {
+			rv.Set(reflect.Append(rv, reflect.Zero(rv.Type().Elem())))
+			r.get(rv.Index(i))
+		}
+	case reflect.Map:
+		n := r.count()
+		if n >= 0 {
+			rv.Set(reflect.MakeMap(rv.Type()))
+		}
+		for i := 0; i < n && !r.bad; i++ {
+			k, e := reflect.New(rv.Type().Key()).Elem(), reflect.New(rv.Type().Elem()).Elem()
+			r.get(k)
+			r.get(e)
+			rv.SetMapIndex(k, e)
+		}
+	case reflect.Struct:
+		for i := range rv.NumField() {
+			r.get(rv.Field(i))
+		}
+	default:
 		r.bad = true
 	}
-	return w.V
 }

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"reflect"
@@ -8,16 +9,11 @@ import (
 	"testing"
 
 	"repro/internal/serve"
+	"repro/internal/trace"
 )
 
-// codecPoint is a payload type registered with RegisterType: it rides
-// the opaque tag.
-type codecPoint struct{ X, Y int }
-
-// unregisteredPayload is never registered, so it cannot cross the wire.
+// unregisteredPayload has no tag, so it cannot cross the wire.
 type unregisteredPayload struct{ N int }
-
-func init() { RegisterType(codecPoint{}) }
 
 // codecValues are the table test's values, each with the tag it must
 // travel under; they also seed the fuzz targets.
@@ -59,9 +55,11 @@ var codecValues = []struct {
 	{map[string]string(nil), tagMapString},
 	{map[string]string{}, tagMapString},
 	{map[string]string{"k": "v", "": ""}, tagMapString},
-	{map[string]any{"n": 1, "s": "x", "b": []byte{1}}, tagOpaque},
-	{[]any{1, "x", 2.5}, tagOpaque},
-	{codecPoint{X: -3, Y: 4}, tagOpaque},
+	{[]any(nil), tagAnys},
+	{[]any{}, tagAnys},
+	{[]any{1, "x", 2.5, nil, []byte{7}, []any{int8(-1), []any(nil)}, map[string]any{"in": []string{"a"}}}, tagAnys},
+	{map[string]any(nil), tagMapAny},
+	{map[string]any{"n": 1, "s": "x", "b": []byte{1}, "nil": nil, "m": map[string]any{"k": uint16(9), "e": map[string]any{}}}, tagMapAny},
 }
 
 // sameValue reports whether two decoded values are the same: equal
@@ -103,7 +101,7 @@ func TestCodecCopiesBytesOnEncode(t *testing.T) {
 }
 
 func TestCodecMessagesRoundTrip(t *testing.T) {
-	sp := stageMsg{Flow: math.MaxUint64, FlowEpoch: 7, Origin: "node-2", Tenant: "chain", Pipe: "p",
+	sp := stageMsg{Flow: math.MaxUint64, FlowEpoch: 7, Origin: "node-2", Pipe: pipeID("chain", "p"),
 		Stage: 2, Key: 1 << 63, Deadline: -5, Priority: math.MinInt64}
 	b, err := encodeStage(&sp, []byte("payload"))
 	if err != nil {
@@ -137,7 +135,7 @@ func TestCodecMessagesRoundTrip(t *testing.T) {
 // completion carrying 16 KiB holds a stage parcel carrying the same
 // value, so netparcel can read the one into the other's buffer.
 func TestEncodeSizesBodyOnce(t *testing.T) {
-	sp := stageMsg{Flow: 1 << 40, Origin: "node-2", Tenant: "chain", Pipe: "chain", Stage: 1, Key: 99}
+	sp := stageMsg{Flow: 1 << 40, Origin: "node-2", Pipe: pipeID("chain", "chain"), Stage: 1, Key: 99}
 	cm := completeMsg{Flow: 1 << 40, Err: "a long enough error text"}
 	encoders := map[string]func(any) ([]byte, error){
 		"stage":    func(v any) ([]byte, error) { return encodeStage(&sp, v) },
@@ -188,18 +186,20 @@ func TestCodecRejectsMalformed(t *testing.T) {
 		}
 	}
 	for _, bad := range [][]byte{
-		{tagOpaque + 1},
+		{tagMapAny + 1},
 		{255},
 		{byte(reflect.Int8), 1, 2},               // 8-byte payload cut short
 		{tagBytes, 0xff, 0xff, 0xff, 0xff, 0x0f}, // count far beyond the body
 		{tagInts, 3, 1, 2, 3},                    // 2 ints promised, 3 bytes given
-		{tagOpaque, 2, 0xde, 0xad},               // not a gob stream
+		{tagAnys, 0xff, 0xff, 0xff, 0xff, 0x0f},  // []any count far beyond the body
+		{tagMapAny, 3, 1, 'k', tagNil},           // 2 entries promised, 1 given
+		{tagAnys, 2, 16},                         // an element under an unused tag
 	} {
 		if v, err := decodeValue(bad); err == nil {
 			t.Errorf("% x decoded to %#v without error", bad, v)
 		}
 	}
-	sb, _ := encodeStage(&stageMsg{Origin: "o", Tenant: "t", Pipe: "p"}, 1)
+	sb, _ := encodeStage(&stageMsg{Origin: "o", Pipe: 1}, 1)
 	cb, _ := encodeComplete(&completeMsg{Err: "e"}, 1)
 	for i := 0; i < len(sb)-9; i++ { // the value is the last 9 bytes
 		if _, _, err := decodeStage(sb[:i]); err == nil {
@@ -214,40 +214,147 @@ func TestCodecRejectsMalformed(t *testing.T) {
 }
 
 // TestUnregisteredPayloadDegrades pins the codec's degrade paths on two
-// fabric nodes. A flow whose input cannot be encoded does not ship: it
-// runs at its origin. A stage whose result cannot be encoded resolves
-// the flow StatusFailed, naming RegisterType.
+// fabric nodes, for a type without a tag both alone and deep inside a
+// []any. A flow whose input cannot be encoded does not ship: it runs at
+// its origin. A stage whose result cannot be encoded resolves the flow
+// StatusFailed, naming the type.
 func TestUnregisteredPayloadDegrades(t *testing.T) {
 	handler := func(_ *serve.Ctx, req serve.Request) (any, error) {
-		if i, ok := req.Payload.(int); ok {
+		switch i := req.Payload.(type) {
+		case int:
 			return unregisteredPayload{N: i}, nil
+		case uint8:
+			return []any{1, []any{"x", unregisteredPayload{N: int(i)}}}, nil
 		}
 		return req.Payload, nil
 	}
 	_, nodes, pipes := recoveryPair(t, handler, nil)
 	key := keyOwnedBy(nodes[0], pipes[0], nodes[1].Self())
 
-	tk, err := pipes[0].Submit(serve.Request{Key: key, Payload: unregisteredPayload{N: 5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := tk.Wait(); r.Status != serve.StatusOK || r.Value != (unregisteredPayload{N: 5}) {
-		t.Fatalf("forward path resolved %v %#v (%v), want OK with the payload", r.Status, r.Value, r.Err)
+	for _, in := range []any{unregisteredPayload{N: 5}, []any{"x", []any{unregisteredPayload{N: 5}}}} {
+		tk, err := pipes[0].Submit(serve.Request{Key: key, Payload: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := tk.Wait(); r.Status != serve.StatusOK || !reflect.DeepEqual(r.Value, in) {
+			t.Fatalf("forward path resolved %v %#v (%v), want OK with the payload", r.Status, r.Value, r.Err)
+		}
 	}
 	if fw, rs := nodes[0].Stats().ForwardedStages, nodes[1].Stats().RemoteStages; fw != 0 || rs != 0 {
 		t.Fatalf("unencodable input shipped: forwarded %d, remote stages %d; want it run at the origin", fw, rs)
 	}
 
-	tk, err = pipes[0].Submit(serve.Request{Key: key, Payload: 5})
+	for i, in := range []any{5, uint8(6)} {
+		tk, err := pipes[0].Submit(serve.Request{Key: key, Payload: in})
+		if err != nil {
+			t.Fatal(err)
+		}
+		r := tk.Wait()
+		const want = "cluster.unregisteredPayload cannot cross the wire"
+		if r.Status != serve.StatusFailed || r.Err == nil || !strings.Contains(r.Err.Error(), want) {
+			t.Fatalf("result path for %T resolved %v (%v), want StatusFailed with %q", in, r.Status, r.Err, want)
+		}
+		if rs := nodes[1].Stats().RemoteStages; rs != int64(i+1) {
+			t.Fatalf("remote stages = %d, want the %T-input stage run on the remote owner", rs, in)
+		}
+	}
+}
+
+// TestCodecBoundsNesting feeds about 1 MiB of nested []any headers: the
+// decoder gives up with an error at maxDepth rather than recursing
+// through the body. The encoder takes a value maxDepth elements deep
+// and refuses one more, so it never builds a value its peer rejects.
+func TestCodecBoundsNesting(t *testing.T) {
+	if v, err := decodeValue(bytes.Repeat([]byte{tagAnys, 2}, 1<<19)); err == nil {
+		t.Fatalf("1 MiB of nested []any headers decoded to %T without error", v)
+	}
+	var v any = []any{}
+	for range maxDepth {
+		v = []any{v}
+	}
+	b, err := appendValue(nil, v)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("%d deep: %v", maxDepth, err)
 	}
-	r := tk.Wait()
-	if r.Status != serve.StatusFailed || r.Err == nil || !strings.Contains(r.Err.Error(), "see RegisterType") {
-		t.Fatalf("result path resolved %v (%v), want StatusFailed naming RegisterType", r.Status, r.Err)
+	if got, err := decodeValue(b); err != nil || !sameValue(got, v) {
+		t.Fatalf("%d deep decoded to %v, %v", maxDepth, got, err)
 	}
-	if rs := nodes[1].Stats().RemoteStages; rs != 1 {
-		t.Fatalf("remote stages = %d, want the int-input stage run on the remote owner", rs)
+	if _, err := appendValue(nil, map[string]any{"deeper": v}); err == nil {
+		t.Fatalf("%d deep encoded without error", maxDepth+1)
+	}
+}
+
+// control is one control message for the table tests: the message,
+// and decode instantiated at its type.
+type control struct {
+	msg    any
+	decode func([]byte) (any, error)
+}
+
+func ctl[T any](m T) control {
+	return control{m, func(b []byte) (any, error) { return decode[T](b) }}
+}
+
+// controlMessages holds a filled value of every control message type,
+// and empty ones of those with a slice or map, for
+// TestControlMessagesRoundTrip and FuzzDecodeControl's corpus.
+var controlMessages = []control{
+	ctl(joinMsg{ID: "node-1", Addr: "127.0.0.1:7101"}),
+	ctl(memberMsg{Epoch: 9, Members: map[string]string{"node-1": "127.0.0.1:7101", "node-2": ""}}),
+	ctl(memberMsg{Members: map[string]string{}}),
+	ctl(memberMsg{}),
+	ctl(fetchMsg{Tenant: "ct", Object: "dict"}),
+	ctl(fetchMsg{Tenant: "ct"}),
+	ctl(traceMsg{Origin: "node-2", Flow: math.MaxUint64}),
+	ctl(filled[Stats]()),
+	ctl([]trace.Event{filled[trace.Event](), {}}),
+	ctl([]trace.Event{}),
+	ctl([]trace.Event(nil)),
+}
+
+// filled returns a T whose every integer and string field, nested
+// structs included, holds a distinct non-zero value.
+func filled[T any]() T {
+	var v T
+	n := 0
+	var fill func(rv reflect.Value)
+	fill = func(rv reflect.Value) {
+		n++
+		switch {
+		case rv.Kind() == reflect.Struct:
+			for i := range rv.NumField() {
+				fill(rv.Field(i))
+			}
+		case rv.Kind() == reflect.String:
+			rv.SetString(fmt.Sprint("s", n))
+		case rv.CanInt():
+			rv.SetInt(-int64(n))
+		case rv.CanUint():
+			rv.SetUint(uint64(n))
+		}
+	}
+	fill(reflect.ValueOf(&v).Elem())
+	return v
+}
+
+// TestControlMessagesRoundTrip checks every control message type
+// through the walker: it round-trips exactly, and every strict prefix
+// and a trailing byte are rejected. A field of a kind the walker does
+// not lay out fails here.
+func TestControlMessagesRoundTrip(t *testing.T) {
+	for _, c := range controlMessages {
+		b := encode(c.msg)
+		if got, err := c.decode(b); err != nil || !reflect.DeepEqual(got, c.msg) {
+			t.Errorf("%T round trip = %#v, %v; want %#v", c.msg, got, err, c.msg)
+		}
+		for i := range len(b) {
+			if _, err := c.decode(b[:i]); err == nil {
+				t.Errorf("%T: prefix of %d/%d bytes decoded without error", c.msg, i, len(b))
+			}
+		}
+		if _, err := c.decode(append(b, 0)); err == nil {
+			t.Errorf("%T: trailing byte accepted", c.msg)
+		}
 	}
 }
 
@@ -255,8 +362,8 @@ func TestUnregisteredPayloadDegrades(t *testing.T) {
 // value, for the fuzz targets' corpora.
 func codecSeeds() (stages, completes, values [][]byte) {
 	for i, c := range codecValues {
-		sp := stageMsg{Flow: uint64(i), FlowEpoch: uint32(i % 3), Origin: "node-2", Tenant: "chain",
-			Pipe: "chain", Stage: i % 3, Key: uint64(i) * 0x9E3779B97F4A7C15, Deadline: int64(i), Priority: i % 2}
+		sp := stageMsg{Flow: uint64(i), FlowEpoch: uint32(i % 3), Origin: "node-2",
+			Pipe: pipeID("chain", "chain"), Stage: i % 3, Key: uint64(i) * 0x9E3779B97F4A7C15, Deadline: int64(i), Priority: i % 2}
 		cm := completeMsg{Flow: uint64(i), FlowEpoch: 1, Status: uint8(i % 6), Err: strings.Repeat("e", i%2)}
 		sb, _ := encodeStage(&sp, c.v)
 		cb, _ := encodeComplete(&cm, c.v)
@@ -267,26 +374,15 @@ func codecSeeds() (stages, completes, values [][]byte) {
 }
 
 // checkValueRoundTrip re-encodes a successfully decoded value and
-// decodes it again: the result must be the same value. An opaque value
-// is gob's to round-trip, so only its type is checked, and one gob
-// decoded but cannot encode again (a nil inside a []any) is skipped.
-func checkValueRoundTrip(t *testing.T, vb []byte, v any) {
+// decodes it again: the result must be the same value.
+func checkValueRoundTrip(t *testing.T, v any) {
 	b, err := appendValue(nil, v)
 	if err != nil {
-		if vb[0] == tagOpaque {
-			return
-		}
 		t.Fatalf("decoded %#v does not re-encode: %v", v, err)
 	}
 	v2, err := decodeValue(b)
 	if err != nil {
 		t.Fatalf("re-encoded %#v does not decode: %v", v, err)
-	}
-	if vb[0] == tagOpaque {
-		if reflect.TypeOf(v) != reflect.TypeOf(v2) {
-			t.Fatalf("opaque round trip changed %T to %T", v, v2)
-		}
-		return
 	}
 	if !sameValue(v, v2) {
 		t.Fatalf("round trip changed %#v to %#v", v, v2)
@@ -300,7 +396,7 @@ func FuzzDecodeValue(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		if v, err := decodeValue(b); err == nil {
-			checkValueRoundTrip(t, b, v)
+			checkValueRoundTrip(t, v)
 		}
 	})
 }
@@ -323,7 +419,7 @@ func FuzzDecodeStage(f *testing.F) {
 			t.Fatalf("stage round trip = %+v, %v; want %+v", sp2, err, sp)
 		}
 		if v, err := decodeValue(vb); err == nil {
-			checkValueRoundTrip(t, vb, v)
+			checkValueRoundTrip(t, v)
 		}
 	})
 }
@@ -346,7 +442,24 @@ func FuzzDecodeComplete(f *testing.F) {
 			t.Fatalf("completion round trip = %+v, %v; want %+v", cm2, err, cm)
 		}
 		if v, err := decodeValue(vb); err == nil {
-			checkValueRoundTrip(t, vb, v)
+			checkValueRoundTrip(t, v)
+		}
+	})
+}
+
+func FuzzDecodeControl(f *testing.F) {
+	for _, c := range controlMessages {
+		f.Add(encode(c.msg))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		for _, c := range controlMessages {
+			v, err := c.decode(b)
+			if err != nil {
+				continue
+			}
+			if v2, err := c.decode(encode(v)); err != nil || !reflect.DeepEqual(v, v2) {
+				t.Fatalf("%T round trip = %#v, %v; want %#v", v, v2, err, v)
+			}
 		}
 	})
 }

@@ -103,7 +103,7 @@ func (n *Node) evict(dead parcel.NodeID) {
 			"evicted %s after %d missed heartbeats; ring rebalanced onto %d members",
 			dead, n.detCfg.Misses, len(ml.Members))
 	}
-	_, _ = n.broadcast(ml, "") // a member list (strings only) always encodes
+	n.broadcast(ml, "")
 	n.recoverAfter(dead, oldRing, newRing)
 	n.syncReplicas()
 }

@@ -52,6 +52,7 @@ type Pipeline struct {
 	n      *Node
 	t      *Tenant
 	name   string
+	id     uint64          // pipeID(tenant, name): how stage parcels name it
 	sp     *serve.Pipeline // every stage this node runs, whoever admitted the flow
 	routes []StageRoute
 }
@@ -59,25 +60,35 @@ type Pipeline struct {
 // NewPipeline compiles a cluster pipeline for the tenant: one serve
 // pipeline, which runs both the flows this node admits and the stages
 // that arrive by parcel — under the node's own admission, batching, and
-// adaptivity exactly like local work.
+// adaptivity exactly like local work. It refuses a pipeline whose id
+// another (tenant, name) on this node already holds, so an id collision
+// is a startup error rather than a misrouted parcel.
 func (t *Tenant) NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if len(cfg.Routes) != 0 && len(cfg.Routes) != len(cfg.Stages) {
 		return nil, fmt.Errorf("cluster: pipeline %q has %d stages but %d routes",
 			cfg.Name, len(cfg.Stages), len(cfg.Routes))
 	}
+	id := pipeID(t.name, cfg.Name)
+	t.n.tenantsMu.Lock()
+	defer t.n.tenantsMu.Unlock()
+	if q := t.n.pipes[id]; q != nil {
+		return nil, fmt.Errorf("cluster: pipeline %s/%s: id %#x is held by %s/%s", t.name, cfg.Name, id, q.t.name, q.name)
+	}
 	sp, err := t.st.NewPipeline(cfg.Name, cfg.Stages...)
 	if err != nil {
 		return nil, err
 	}
-	p := &Pipeline{n: t.n, t: t, name: cfg.Name, sp: sp}
+	p := &Pipeline{n: t.n, t: t, name: cfg.Name, id: id, sp: sp}
 	if len(cfg.Routes) > 0 {
 		p.routes = append([]StageRoute(nil), cfg.Routes...)
 	}
-	t.n.tenantsMu.Lock()
-	t.n.pipes[pipeKey{t.name, cfg.Name}] = p
-	t.n.tenantsMu.Unlock()
+	t.n.pipes[id] = p
 	return p, nil
 }
+
+// pipeID names a pipeline on the wire: a hash of its tenant and name,
+// the same on every node that registers the pipeline.
+func pipeID(tenant, name string) uint64 { return fnv64(tenant + "\x00" + name) }
 
 // Name returns the pipeline's registered name.
 func (p *Pipeline) Name() string { return p.name }
@@ -93,14 +104,11 @@ func (p *Pipeline) route(stage int, v any, flowKey uint64) (uint64, []string) {
 	return flowKey, nil
 }
 
-// pipeKey names a compiled cluster pipeline: tenant and pipeline name.
-type pipeKey struct{ tenant, name string }
-
-// pipeline looks a compiled cluster pipeline up by tenant and name.
-func (n *Node) pipeline(tenant, name string) *Pipeline {
+// pipeline looks a compiled cluster pipeline up by id.
+func (n *Node) pipeline(id uint64) *Pipeline {
 	n.tenantsMu.RLock()
 	defer n.tenantsMu.RUnlock()
-	return n.pipes[pipeKey{tenant, name}]
+	return n.pipes[id]
 }
 
 // Submit admits one flow into the cluster and returns its ticket.
@@ -180,7 +188,7 @@ func (p *Pipeline) Ended(serve.Result) { p.n.flowsCompleted.Add(1) }
 // goes straight to the origin. It reports whether the flow is gone.
 func (p *Pipeline) ship(dest parcel.NodeID, sp stageMsg, v any, fl *serve.Flow) bool {
 	n := p.n
-	sp.Tenant, sp.Pipe = p.t.name, p.name
+	sp.Pipe = p.id
 	var pf *pendingFlow
 	if fl != nil {
 		flow := n.nextFlow.Add(1)
@@ -211,7 +219,7 @@ func (p *Pipeline) ship(dest parcel.NodeID, sp stageMsg, v any, fl *serve.Flow) 
 	}
 	if n.traces != nil {
 		n.traces.record(parcel.NodeID(sp.Origin), sp.Flow, trace.KindRemoteHop,
-			"%s/%s stage %d: %s -> %s", sp.Tenant, sp.Pipe, sp.Stage, n.self, dest)
+			"%s/%s stage %d: %s -> %s", p.t.name, p.name, sp.Stage, n.self, dest)
 	}
 	return true
 }
@@ -314,10 +322,10 @@ func (n *Node) handleStage(_ parcel.NodeID, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := n.pipeline(sp.Tenant, sp.Pipe)
+	p := n.pipeline(sp.Pipe)
 	var v any
 	if p == nil || sp.Stage < 0 || sp.Stage >= p.Len() {
-		err = fmt.Errorf("cluster: node %s has no pipeline %s/%s (stage %d)", n.self, sp.Tenant, sp.Pipe, sp.Stage)
+		err = fmt.Errorf("cluster: node %s has no pipeline %#x (stage %d)", n.self, sp.Pipe, sp.Stage)
 	} else if v, err = decodeValue(vb); err != nil {
 		err = fmt.Errorf("cluster: stage %d value: %w", sp.Stage, err)
 	}
@@ -434,7 +442,7 @@ func (n *Node) completeFlow(sp *stageMsg, r serve.Result) {
 	body, err := encodeComplete(&cm, v)
 	if err != nil {
 		cm.Status = uint8(serve.StatusFailed)
-		cm.Err = fmt.Sprintf("cluster: result value does not encode: %v (see RegisterType)", err)
+		cm.Err = fmt.Sprintf("cluster: result value does not encode: %v", err)
 		body, _ = encodeComplete(&cm, nil) // a nil value always encodes
 	}
 	// A send failure means the origin is gone; its pending entry resolves

@@ -239,3 +239,50 @@ func TestAdmissionShipsFromOneServeFlow(t *testing.T) {
 			peer.RemoteStages, peer.LocalStages, origin.RemoteStages, origin.LocalStages, flows)
 	}
 }
+
+// TestStageForUnknownPipelineFails ships a flow to a node that never
+// registered its pipeline: the receiver answers with a StatusFailed
+// completion naming the pipeline id, so the origin's flow resolves at
+// once instead of waiting out recovery.
+func TestStageForUnknownPipelineFails(t *testing.T) {
+	echo := func(_ *serve.Ctx, req serve.Request) (any, error) { return req.Payload, nil }
+	_, nodes, _ := recoveryPair(t, echo, nil)
+	p, err := nodes[0].tenant("rt").NewPipeline(PipelineConfig{
+		Name:   "origin-only",
+		Stages: []serve.Stage{{Name: "s", Handler: echo}},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := p.Submit(serve.Request{Key: keyOwnedBy(nodes[0], p, nodes[1].Self()), Payload: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := tk.Wait()
+	want := fmt.Sprintf("has no pipeline %#x", p.id)
+	if r.Status != serve.StatusFailed || r.Err == nil || !strings.Contains(r.Err.Error(), want) {
+		t.Fatalf("flow resolved %v (%v), want StatusFailed with %q", r.Status, r.Err, want)
+	}
+	if rf := nodes[0].Stats().RecoveredFlows; rf != 0 {
+		t.Errorf("recovery fired %d times, want the completion to resolve the flow", rf)
+	}
+}
+
+// TestNewPipelineRefusesHeldID plants a pipeline under the id another
+// (tenant, name) hashes to — the state a hash collision leaves — and
+// checks NewPipeline refuses that pair rather than take over the id.
+func TestNewPipelineRefusesHeldID(t *testing.T) {
+	nodes, pipes := newChainNodes(t, "node-1")
+	held := pipes[0]
+	nodes[0].pipes[pipeID("ct", "other")] = held
+	_, err := held.t.NewPipeline(PipelineConfig{
+		Name:   "other",
+		Stages: []serve.Stage{{Name: "s", Handler: func(*serve.Ctx, serve.Request) (any, error) { return nil, nil }}},
+	})
+	if err == nil || !strings.Contains(err.Error(), "is held by ct/chain") {
+		t.Fatalf("NewPipeline = %v, want a refusal naming ct/chain", err)
+	}
+	if got := nodes[0].pipeline(pipeID("ct", "other")); got != held {
+		t.Fatalf("the id now names %s/%s, want it still held by ct/chain", got.t.name, got.name)
+	}
+}

@@ -156,7 +156,7 @@ func (t *Tenant) ensureResident(origin parcel.NodeID, globals []string) {
 	n := t.n
 	if t.codeSize > 0 && origin != n.self {
 		_ = t.fetchOnce("code", &n.codeFetches, func() (int, error) {
-			return t.fetch(origin, "cluster.fetchcode", "")
+			return t.fetch(origin, "")
 		})
 	}
 	for _, name := range globals {
@@ -171,7 +171,7 @@ func (t *Tenant) ensureResident(origin parcel.NodeID, globals []string) {
 			continue
 		}
 		_ = t.fetchOnce(g.key, &n.objectFetches, func() (int, error) {
-			return t.fetch(owner, "cluster.fetch", name)
+			return t.fetch(owner, name)
 		})
 	}
 }
@@ -206,14 +206,11 @@ func (t *Tenant) warm(origin parcel.NodeID, globals []string) bool {
 	return true
 }
 
-// fetch makes one percolation transfer from src — the tenant's code
-// image, or the named global object — and returns its size.
-func (t *Tenant) fetch(src parcel.NodeID, method, object string) (int, error) {
-	body, err := encode(fetchMsg{Tenant: t.name, Object: object})
-	if err != nil {
-		return 0, err
-	}
-	reply, err := t.n.t.Call(src, method, body)
+// fetch makes one percolation transfer from src — the named global
+// object, or the tenant's code image when object is empty — and returns
+// its size.
+func (t *Tenant) fetch(src parcel.NodeID, object string) (int, error) {
+	reply, err := t.n.t.Call(src, "cluster.fetch", encode(fetchMsg{Tenant: t.name, Object: object}))
 	return len(reply), err
 }
 
@@ -279,7 +276,7 @@ func (t *Tenant) syncReplicas() {
 		}
 		primary := owners[0]
 		_ = t.fetchOnce(g.key, &n.objectFetches, func() (int, error) {
-			return t.fetch(primary, "cluster.fetch", name)
+			return t.fetch(primary, name)
 		})
 	}
 }
@@ -323,7 +320,7 @@ func (t *Tenant) recoverGlobals(dead parcel.NodeID, oldRing, newRing *Ring) {
 			continue
 		}
 		_ = t.fetchOnce(g.key, &n.objectFetches, func() (int, error) {
-			return t.fetch(src, "cluster.fetch", name)
+			return t.fetch(src, name)
 		})
 	}
 }
@@ -339,14 +336,9 @@ func (t *Tenant) anySurvivor(dead parcel.NodeID) parcel.NodeID {
 }
 
 // handleFetch serves a percolating peer one transfer: the tenant's
-// code image ("cluster.fetchcode", Object empty) or one global object
-// ("cluster.fetch"). The content is synthetic (the data plane is
+// code image (Object empty) or one global object. The content is synthetic (the data plane is
 // modeled); the bytes and their wire cost are real.
-func (n *Node) handleFetch(_ parcel.NodeID, body []byte) ([]byte, error) {
-	var fm fetchMsg
-	if err := decode(body, &fm); err != nil {
-		return nil, err
-	}
+func (n *Node) handleFetch(fm fetchMsg) ([]byte, error) {
 	t := n.tenant(fm.Tenant)
 	if t == nil {
 		return nil, fmt.Errorf("cluster: node %s has no tenant %q", n.self, fm.Tenant)

@@ -128,10 +128,7 @@ func (n *Node) FlowEvents(origin parcel.NodeID, flow uint64) []trace.Event {
 // Unreachable members contribute nothing.
 func (n *Node) StitchFlow(flow uint64) []trace.Event {
 	streams := [][]trace.Event{n.traces.snapshot(n.self, flow)}
-	req, err := encode(traceMsg{Origin: string(n.self), Flow: flow})
-	if err != nil {
-		return trace.Merge(streams...)
-	}
+	req := encode(traceMsg{Origin: string(n.self), Flow: flow})
 	for _, id := range n.Members() {
 		if id == n.self {
 			continue
@@ -140,8 +137,7 @@ func (n *Node) StitchFlow(flow uint64) []trace.Event {
 		if err != nil {
 			continue
 		}
-		var evs []trace.Event
-		if decode(reply, &evs) == nil && len(evs) > 0 {
+		if evs, err := decode[[]trace.Event](reply); err == nil && len(evs) > 0 {
 			streams = append(streams, evs)
 		}
 	}
@@ -150,10 +146,6 @@ func (n *Node) StitchFlow(flow uint64) []trace.Event {
 
 // handleTrace serves this node's record of one flow to a stitching
 // peer.
-func (n *Node) handleTrace(_ parcel.NodeID, body []byte) ([]byte, error) {
-	var tm traceMsg
-	if err := decode(body, &tm); err != nil {
-		return nil, err
-	}
-	return encode(n.traces.snapshot(parcel.NodeID(tm.Origin), tm.Flow))
+func (n *Node) handleTrace(tm traceMsg) ([]byte, error) {
+	return encode(n.traces.snapshot(parcel.NodeID(tm.Origin), tm.Flow)), nil
 }
