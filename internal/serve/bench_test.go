@@ -156,6 +156,39 @@ func BenchmarkSubmitFlow(b *testing.B) {
 	}
 }
 
+// BenchmarkSubmitFlowFan measures a fan-out flow: parse, an unrouted
+// Map over eight elements, aggregate — the flow-fan shape, whose Map
+// runs as one inline-fan job. parse hands out one shared input slice, so
+// the allocations counted are the serving path's own (the join's fresh
+// result slice and its boxing).
+func BenchmarkSubmitFlowFan(b *testing.B) {
+	_, tn := newBenchServer(b)
+	var in any = make([]any, 8)
+	pl, err := tn.NewPipeline("bench-fan",
+		Stage{Name: "parse", Handler: func(*Ctx, Request) (any, error) { return in, nil }},
+		Stage{Name: "enrich", Map: true, Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil }},
+		Stage{Name: "aggregate", Handler: func(*Ctx, Request) (any, error) { return nil, nil }},
+	)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	wg.Add(256)
+	wdone := func(Result) { wg.Done() }
+	for i := 0; i < 256; i++ {
+		for tn.SubmitFlowFunc(pl, Request{Key: uint64(i)}, wdone) == ErrOverload {
+		}
+	}
+	wg.Wait()
+	done := func(Result) {}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for tn.SubmitFlowFunc(pl, Request{Key: uint64(i)}, done) == ErrOverload {
+		}
+	}
+}
+
 func BenchmarkSubmitManyBurst(b *testing.B) {
 	_, tn := newBenchServer(b)
 	const burst = 64

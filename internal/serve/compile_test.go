@@ -234,6 +234,60 @@ func TestCompileScatterPlanRoutesFanout(t *testing.T) {
 	}
 }
 
+// TestCompileInlineFanFeedsCostEstimator: an instrumented Map stage
+// with no routing derivations runs as one inline-fan job until a plan is
+// installed, and that job still times every element for the planner:
+// costN grows by the fan width. Once a plan is installed, the stage
+// takes the element path, one scattered job per element.
+func TestCompileInlineFanFeedsCostEstimator(t *testing.T) {
+	sys, s, tn := newCompileServer(t, testCompileConfig())
+	defer sys.Close()
+	defer s.Close()
+	p, err := tn.NewPipeline("fan",
+		Stage{Name: "map", Map: true, Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil }},
+		Stage{Name: "join", Handler: func(_ *Ctx, req Request) (any, error) { return len(req.Payload.([]any)), nil }},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := p.stages[0]
+	const width = 16
+	flow := func() (jobs int64) {
+		t.Helper()
+		before := s.Stats().Accepted
+		tk, err := tn.SubmitFlow(p, Request{Key: 5, Payload: parts(width)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := tk.Wait(); res.Status != StatusOK || res.Value.(int) != width {
+			t.Fatalf("flow result = %+v", res)
+		}
+		return s.Stats().Accepted - before
+	}
+	if jobs := flow(); jobs != 2 {
+		t.Errorf("unplanned flow admitted %d jobs, want 2 (the inline fan, the join)", jobs)
+	}
+	if n := st.costN.Value(); n != width {
+		t.Errorf("inline fan accrued %d element observations, want %d", n, width)
+	}
+	if fan := st.lastFan.Load(); fan != width {
+		t.Errorf("planner saw a fan of %d, want %d", fan, width)
+	}
+	for i := 0; i < 200; i++ {
+		st.observeElem(okElem(100))
+	}
+	s.comp.once(time.Now())
+	if st.scatter.Load() == nil {
+		t.Fatal("no scatter plan installed")
+	}
+	if jobs := flow(); jobs != width+1 {
+		t.Errorf("planned flow admitted %d jobs, want %d (an element job each, the join)", jobs, width+1)
+	}
+	if as := s.AdaptStats(); as.ScatteredElems != width {
+		t.Errorf("scattered %d elements, want %d", as.ScatteredElems, width)
+	}
+}
+
 // TestCompilePolicySwitchDeterministic is the drift test: a uniform
 // cost regime plans static-block, a later heavy-tailed regime forces a
 // re-plan onto a dynamic strategy, and the whole decision sequence

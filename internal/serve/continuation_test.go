@@ -90,8 +90,9 @@ func checkBooks(t *testing.T, s *Server) Stats {
 }
 
 // TestContinuationOneBatchPerFlow: on an idle server a same-key flow —
-// scalar, a Map over eight, scalar — runs start to end in the batch its
-// first stage was drained into.
+// scalar, an unrouted Map over eight, scalar — runs start to end in the
+// batch its first stage was drained into, as three jobs: the Map's
+// elements run inside one inline-fan job.
 func TestContinuationOneBatchPerFlow(t *testing.T) {
 	cs := newContServer(t, Config{})
 	var joins atomic.Int32
@@ -114,8 +115,14 @@ func TestContinuationOneBatchPerFlow(t *testing.T) {
 	if d := st.Batches - before.Batches; d != 1 {
 		t.Errorf("flow took %d batches, want 1", d)
 	}
-	if d := st.Accepted - before.Accepted; d != 10 {
-		t.Errorf("flow admitted %d jobs, want 10", d)
+	if d := st.Accepted - before.Accepted; d != 3 {
+		t.Errorf("flow admitted %d jobs, want 3", d)
+	}
+	if st.Flow.StageJobs != 3 || st.Flow.FanOut != 8 {
+		t.Errorf("flow stats %+v, want 3 stage jobs carrying 8 elements", st.Flow)
+	}
+	if ss := p.StageStats()[1]; ss.Done != 8 || ss.FanOut != 8 {
+		t.Errorf("map stage stats %+v, want 8 elements done", ss)
 	}
 }
 
@@ -157,31 +164,54 @@ func TestContinuationNoOvertake(t *testing.T) {
 	}
 }
 
-// TestContinuationWideFanSpills: a fan wider than the batch limit
-// continues up to the limit, puts the rest through the ring, and still
-// joins exactly once.
+// TestContinuationWideFanSpills: a routed fan (a Map stage with a Key
+// derivation) wider than the batch limit continues up to the limit,
+// puts the rest through the ring, and still joins exactly once. An
+// unrouted fan of the same width is one inline-fan job, continued in the
+// first batch.
 func TestContinuationWideFanSpills(t *testing.T) {
-	cs := newContServer(t, Config{Batch: 4})
-	var joins atomic.Int32
-	each, agg := fanIn(&joins)
-	const width = 11
-	p := cs.pipe(t, Stage{Name: "split", Handler: func(*Ctx, Request) (any, error) { return parts(width), nil }}, each, agg)
-	tk, err := cs.tn.SubmitFlow(p, Request{Key: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r := tk.Wait(); r.Status != StatusOK || r.Value != width || joins.Load() != 1 {
-		t.Fatalf("flow = %+v after %d joins, want OK %d after exactly 1", r, joins.Load(), width)
-	}
-	cs.s.Close()
-	st := checkBooks(t, cs.s)
-	if st.Flow.FanOut != width || st.Accepted != width+2 {
-		t.Errorf("fan-out %d of %d accepted jobs, want %d of %d", st.Flow.FanOut, st.Accepted, width, width+2)
-	}
-	// The first batch holds split and three elements; the other eight
-	// take the ring, which drains at most four a batch.
-	if st.Batches < 3 {
-		t.Errorf("%d batches, want the spill to take the ring", st.Batches)
+	for _, routed := range []bool{true, false} {
+		name := "unrouted"
+		if routed {
+			name = "routed"
+		}
+		t.Run(name, func(t *testing.T) {
+			cs := newContServer(t, Config{Batch: 4})
+			var joins atomic.Int32
+			each, agg := fanIn(&joins)
+			if routed {
+				each.Key = func(any) uint64 { return 9 }
+			}
+			const width = 11
+			p := cs.pipe(t, Stage{Name: "split", Handler: func(*Ctx, Request) (any, error) { return parts(width), nil }}, each, agg)
+			tk, err := cs.tn.SubmitFlow(p, Request{Key: 9})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := tk.Wait(); r.Status != StatusOK || r.Value != width || joins.Load() != 1 {
+				t.Fatalf("flow = %+v after %d joins, want OK %d after exactly 1", r, joins.Load(), width)
+			}
+			cs.s.Close()
+			st := checkBooks(t, cs.s)
+			jobs := int64(3) // split, the inline fan, agg
+			if routed {
+				jobs = width + 2
+			}
+			if st.Flow.FanOut != width || st.Accepted != jobs {
+				t.Errorf("fan-out %d of %d accepted jobs, want %d of %d", st.Flow.FanOut, st.Accepted, width, jobs)
+			}
+			if ss := p.StageStats()[1]; ss.Done != width {
+				t.Errorf("map stage stats %+v, want %d elements done", ss, width)
+			}
+			// Routed, the first batch holds split and three elements; the
+			// other eight take the ring, which drains at most four a batch.
+			if routed && st.Batches < 3 {
+				t.Errorf("%d batches, want the spill to take the ring", st.Batches)
+			}
+			if !routed && st.Batches != 1 {
+				t.Errorf("%d batches, want the inline fan continued in the first", st.Batches)
+			}
+		})
 	}
 }
 
@@ -234,10 +264,10 @@ func TestContinuationShed(t *testing.T) {
 	}
 }
 
-// TestContinuationClose: Close lands while a flow's fan-out
-// continuations are pending in their batch. The admitted elements all
-// run, the hop after their join finds the server closed and is refused,
-// and every admitted job resolves exactly once.
+// TestContinuationClose: Close lands while a flow's inline fan, a
+// continuation in the first batch, is running its elements. The
+// elements all run, the hop after their join finds the server closed and
+// is refused, and every admitted job resolves exactly once.
 func TestContinuationClose(t *testing.T) {
 	cs := newContServer(t, Config{})
 	started, release := make(chan struct{}), make(chan struct{})
@@ -278,7 +308,7 @@ func TestContinuationClose(t *testing.T) {
 		t.Errorf("flow resolved %d times, %d elements and %d last stages ran; want 1, 4, 0",
 			fired.Load(), ranElems.Load(), ranLast.Load())
 	}
-	if st := checkBooks(t, cs.s); st.Batches != 1 || st.Accepted != 5 {
-		t.Errorf("%d batches, %d accepted; want the elements continued in the first batch", st.Batches, st.Accepted)
+	if st := checkBooks(t, cs.s); st.Batches != 1 || st.Accepted != 2 {
+		t.Errorf("%d batches, %d accepted; want the inline fan continued in the first batch", st.Batches, st.Accepted)
 	}
 }

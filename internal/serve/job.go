@@ -165,7 +165,8 @@ type Job struct {
 	stage *pipeStage
 	// sink receives the Result; idx tells it which of its requests this
 	// is: the position in a burst, the stage index of a scalar flow job,
-	// the element index of a fan-out job (zero for plain submits).
+	// the element index of a fan-out job, inlineFan for the one job of
+	// an inline fan (zero for plain submits).
 	sink sink
 	idx  int32
 	// flow is the owning flow's state for pipeline jobs (nil for plain
@@ -179,6 +180,8 @@ type Job struct {
 }
 
 // spanArg packs the job's stage/element context for its trace events.
+// An inline fan's job (idx inlineFan) traces as its stage; its elements
+// trace their handler calls under their own element context.
 func (j *Job) spanArg() int64 {
 	if j.stage.fanout {
 		return spanArg(j.stage.idx, j.idx+1)

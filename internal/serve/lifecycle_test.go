@@ -449,6 +449,171 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 	}
 }
 
+// TestInlineFanResolvesExactlyOnce is the lifecycle contract of an
+// inline fan, an unrouted Map stage run as one job that loops its
+// handler: for every way that job, or one of its elements, can end, the
+// flow resolves exactly once with the stage's status, the books balance
+// with the fan counted as one job, its elements are counted in the
+// stage's stats, and every trace is sealed once. Each case runs the fan
+// plain and on a stage the compile controller instruments (which reads
+// the clock after each element; only then can one element outlive the
+// deadline its siblings met).
+func TestInlineFanResolvesExactlyOnce(t *testing.T) {
+	outcomes := []struct {
+		name               string
+		want               Result
+		done, shed, failed int64 // the fan's three element outcomes
+	}{
+		{"ok", Result{Status: StatusOK}, 3, 0, 0},
+		{"shed-in-queue", Result{Status: StatusShed}, 0, 3, 0},
+		{"elem-deadline", Result{Status: StatusShed}, 2, 1, 0},
+		{"elem-error", Result{Status: StatusFailed, Err: errBoom}, 2, 0, 1},
+		{"elem-panic", Result{Status: StatusFailed}, 2, 0, 1},
+		{"overload", Result{Status: StatusRejected, Err: ErrOverload}, 0, 0, 0},
+		{"close", Result{Status: StatusRejected, Err: ErrClosed}, 0, 0, 0},
+	}
+	for _, instrumented := range []bool{false, true} {
+		mode := "plain"
+		if instrumented {
+			mode = "instrumented"
+		}
+		for _, o := range outcomes {
+			if o.name == "elem-deadline" && !instrumented {
+				continue
+			}
+			t.Run(mode+"/"+o.name, func(t *testing.T) {
+				t.Parallel()
+				runInlineFanCase(t, o.name, instrumented, o.want, [3]int64{o.done, o.shed, o.failed})
+			})
+		}
+	}
+}
+
+// runInlineFanCase runs one flow a -> b on a one-shard server, b an
+// unrouted Map over three elements whose second element carries the
+// outcome. The outcomes that act on the fan's admission hold stage a
+// while they set up what b meets when a returns: a job queued in the
+// ring, which b may not overtake (shed-in-queue: b queues behind it, and
+// a is held past b's deadline); a full ring (overload); a closing server
+// (close).
+func runInlineFanCase(t *testing.T, out string, instrumented bool, want Result, elems [3]int64) {
+	sys := newTestSystem(t)
+	defer sys.Close()
+	cfg := Config{
+		Shards: 1, QueueDepth: 4, Batch: 4, InflightBatches: 1,
+		Observe: ObserveConfig{SampleRate: 1, RingSize: 64},
+	}
+	if instrumented {
+		cfg.Compile = CompileConfig{Enabled: true, Every: time.Hour}
+	}
+	s := New(sys, cfg)
+	defer s.Close()
+	hold := out == "shed-in-queue" || out == "overload" || out == "close"
+	inA, leaveA := make(chan struct{}), make(chan struct{})
+	unblockA := sync.OnceFunc(func() { close(leaveA) })
+	defer unblockA() // before the deferred Close, even when an assertion fails
+	var deadline time.Time
+	if out == "shed-in-queue" || out == "elem-deadline" {
+		deadline = time.Now().Add(250 * time.Millisecond)
+	}
+	tn, err := s.RegisterTenant(TenantConfig{Name: "t", Handler: func(*Ctx, Request) (any, error) { return nil, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := tn.NewPipeline("fan",
+		Stage{Name: "a", Handler: func(*Ctx, Request) (any, error) {
+			if hold {
+				inA <- struct{}{}
+				<-leaveA
+			}
+			return []any{1, 2, 3}, nil
+		}},
+		Stage{Name: "b", Map: true, Handler: func(_ *Ctx, req Request) (any, error) {
+			if req.Payload == 2 {
+				switch out {
+				case "elem-deadline":
+					time.Sleep(time.Until(deadline) + 20*time.Millisecond)
+				case "elem-error":
+					return nil, errBoom
+				case "elem-panic":
+					panic(errBoom)
+				}
+			}
+			return "v", nil
+		}},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := p.stages[1].costN != nil; got != instrumented {
+		t.Fatalf("stage b instrumented = %v, want %v", got, instrumented)
+	}
+	var fired atomic.Int32
+	var got Result
+	done := make(chan struct{})
+	if err := tn.SubmitFlowFunc(p, Request{Key: 1, Deadline: deadline}, func(r Result) {
+		if fired.Add(1) == 1 {
+			got = r
+			close(done)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if hold {
+		<-inA
+		ignore := func(Result) {}
+		switch out {
+		case "shed-in-queue":
+			if err := tn.SubmitFunc(Request{Key: 1}, ignore); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(time.Until(deadline) + 20*time.Millisecond)
+		case "overload":
+			for tn.SubmitFunc(Request{Key: 1}, ignore) == nil {
+			}
+		case "close":
+			go s.Close()
+			waitFor(t, "Close to begin", s.closed.Load)
+		}
+		unblockA()
+	}
+	waitFor(t, "the flow to resolve", func() bool { return fired.Load() > 0 })
+	<-done
+	s.Close()
+
+	if n := fired.Load(); n != 1 {
+		t.Errorf("flow resolved %d times, want exactly once", n)
+	}
+	if got.Status != want.Status {
+		t.Errorf("flow = %+v, want status %v", got, want.Status)
+	}
+	switch {
+	case out == "elem-panic":
+		if got.Err == nil || !strings.Contains(got.Err.Error(), "panic") {
+			t.Errorf("err %v, want the recovered panic", got.Err)
+		}
+	case want.Err != nil && !errors.Is(got.Err, want.Err):
+		t.Errorf("err %v, want %v", got.Err, want.Err)
+	case want.Status == StatusOK:
+		if vs, ok := got.Value.([]any); !ok || len(vs) != 3 {
+			t.Errorf("value %v, want the three element results", got.Value)
+		}
+	}
+	st := s.Stats()
+	if st.Accepted != st.Done+st.Shed {
+		t.Errorf("accepted %d != done %d + shed %d at quiescence", st.Accepted, st.Done, st.Shed)
+	}
+	if fi := st.Flow.InFlight(); fi != 0 {
+		t.Errorf("%d flows still in flight: %+v", fi, st.Flow)
+	}
+	if ss := p.StageStats()[1]; [3]int64{ss.Done, ss.Shed, ss.Failed} != elems || ss.FanOut != 3 || st.Flow.FanOut != 3 {
+		t.Errorf("fan stage stats %+v (flow fan-out %d), want done/shed/failed %v of 3 elements issued", ss, st.Flow.FanOut, elems)
+	}
+	if snap := s.Snapshot(); snap.Observe.TracedFlows != int64(snap.Observe.Recorded) {
+		t.Errorf("%d submissions traced, %d traces sealed and recorded", snap.Observe.TracedFlows, snap.Observe.Recorded)
+	}
+}
+
 // TestRefusedFlowStage0TraceSealed is the regression test for refused
 // sampled submissions that were counted as traced but never sealed: a
 // flow refused at its scalar stage 0 returns ErrOverload, and its trace

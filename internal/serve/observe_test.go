@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -110,6 +111,80 @@ func TestObserveFlowSpanTreeAttribution(t *testing.T) {
 	for _, want := range []string{"flow ", "final=ok", "stage 0 parse", "work[0]", "stage-hop", "complete"} {
 		if !strings.Contains(txt, want) {
 			t.Errorf("text dump missing %q:\n%s", want, txt)
+		}
+	}
+}
+
+// TestObserveInlineFanTracesElements: an unrouted Map stage runs as one
+// inline-fan job, yet its trace still shows every element — one
+// dispatch/complete pair per element under the element's own span, as a
+// job per element would record — beside the one job's admission.
+func TestObserveInlineFanTracesElements(t *testing.T) {
+	s := observedServer(t, 4, 16)
+	tn, err := s.RegisterTenant(TenantConfig{
+		Name:    "t",
+		Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const width = 3
+	p, err := tn.NewPipeline("inline",
+		Stage{Name: "parse", Handler: func(*Ctx, Request) (any, error) { return []any{0, 1, 2}, nil }},
+		Stage{Name: "work", Map: true, Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil }},
+		Stage{Name: "agg", Handler: func(_ *Ctx, req Request) (any, error) { return len(req.Payload.([]any)), nil }},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tk, err := tn.SubmitFlow(p, Request{Key: 9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := tk.Wait(); res.Status != StatusOK || res.Value != width {
+		t.Fatalf("flow = %+v", res)
+	}
+	if st := s.Stats(); st.Flow.StageJobs != 3 {
+		t.Fatalf("%d stage jobs, want 3 (the fan is one)", st.Flow.StageJobs)
+	}
+	flows := s.Recorder().Flows()
+	if len(flows) != 1 {
+		t.Fatalf("recorder holds %d flows, want 1", len(flows))
+	}
+	pairs := map[int64][2]int{} // arg -> dispatch, complete counts
+	for _, e := range flows[0].Events() {
+		c := pairs[e.Arg]
+		switch e.Kind {
+		case trace.KindDispatch:
+			c[0]++
+		case trace.KindComplete:
+			c[1]++
+		}
+		pairs[e.Arg] = c
+	}
+	for i := 0; i < width; i++ {
+		if c := pairs[spanArg(1, int32(i)+1)]; c != [2]int{1, 1} {
+			t.Errorf("element %d: %d dispatch, %d complete events, want one each", i, c[0], c[1])
+		}
+	}
+	if c := pairs[spanArg(1, 0)]; c != [2]int{} {
+		t.Errorf("the fan's job itself recorded %v dispatch/complete events, want none", c)
+	}
+	span := flows[0].SpanTree()
+	elems := 0
+	for _, sp := range span.Stages {
+		if sp.Stage == 1 && sp.Elem >= 0 {
+			elems++
+		}
+	}
+	if elems != width {
+		t.Errorf("%d element spans, want %d", elems, width)
+	}
+	var buf bytes.Buffer
+	flows[0].WriteText(&buf)
+	for i := 0; i < width; i++ {
+		if want := fmt.Sprintf("work[%d]", i); !strings.Contains(buf.String(), want) {
+			t.Errorf("text dump missing %q:\n%s", want, buf.String())
 		}
 	}
 }

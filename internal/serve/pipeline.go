@@ -15,21 +15,27 @@ package serve
 // difference).
 //
 // A hop that routes back to the shard whose batch produced it — a
-// scalar stage the RemoteRouter declined, a fan-out element, the stage
-// after a join — is a continuation: the job joins that running batch
-// instead of the ring, the way a TGT runs inside the SGT already at its
-// locale, and no batch SGT is spawned for it. The rule (batchRun.fits):
-// the shard's ring holds no ready job, so nothing admitted earlier is
-// overtaken and same-key admission order holds; the batch is below its
-// drain limit; the server is open. Anything else takes the ordinary
-// admission. A continuation is accounted, traced and shed exactly like
-// an admitted job, and stamped with the end of the job that produced it.
+// scalar stage the RemoteRouter declined, an inline fan, a fan-out
+// element, the stage after a join — is a continuation: the job joins
+// that running batch instead of the ring, the way a TGT runs inside the
+// SGT already at its locale, and no batch SGT is spawned for it. The
+// rule (batchRun.fits): the shard's ring holds no ready job, so nothing
+// admitted earlier is overtaken and same-key admission order holds; the
+// batch is below its drain limit; the server is open. Anything else
+// takes the ordinary admission. A continuation is accounted, traced and
+// shed exactly like an admitted job, and stamped with the end of the job
+// that produced it.
 //
-// A Stage with Map set fans out: its input must be a []any, the handler
-// runs once per element (each element routed by its own derived working
-// set), and the element results count down into the flow's join buffer;
-// the last element to resolve joins them at its own locale before the
-// next stage runs.
+// A Stage with Map set fans out: its input must be a []any and the
+// handler runs once per element. When every element routes alike — the
+// stage derives no Key, WorkingSet or WriteSet and no learned scatter
+// plan is installed — the elements are TGTs, not jobs: the fan is one
+// stage job at the flow's routed shard, and its batch SGT loops the
+// handler over the elements and joins them in place (an inline fan; see
+// fanOut for its rules). Otherwise each element is a job of its own,
+// routed by its own derivations, and the element results count down into
+// the flow's join buffer; the last element to resolve joins them at its
+// own locale before the next stage runs.
 //
 // The plain Submit path is the degenerate one-stage pipeline: every
 // tenant compiles its handler into a solo pipeline at registration
@@ -61,10 +67,12 @@ type Stage struct {
 	Handler Handler
 	// Map marks a fan-out stage: the previous stage's output (or the
 	// flow's initial payload for stage 0) must be a []any. The handler
-	// runs once per element, each element admitted and routed
-	// independently, and the next stage receives the []any of element
-	// results once the last of them resolves. A non-slice input fails
-	// the flow with StatusFailed rather than panicking.
+	// runs once per element, and the next stage receives the []any of
+	// element results once the last of them resolves. A stage with a
+	// Key, WorkingSet or WriteSet derivation admits and routes each
+	// element independently; one without runs the whole fan as one job
+	// that loops the handler (see Pipeline.fanOut). A non-slice input
+	// fails the flow with StatusFailed rather than panicking.
 	Map bool
 	// Key derives this stage's routing key from its input value; nil
 	// inherits the flow's original key, preserving (tenant, key)
@@ -217,9 +225,11 @@ func (t *Tenant) Solo() *Pipeline { return t.solo }
 type StageStats struct {
 	Name string
 	// Done / Shed / Failed count stage job outcomes. For Map stages
-	// these count per element.
+	// these count per element, whether the elements ran as jobs of their
+	// own or inside one inline-fan job.
 	Done, Shed, Failed int64
-	// FanOut counts elements issued by a Map stage.
+	// FanOut counts elements issued by a Map stage, refused ones
+	// included.
 	FanOut int64
 	// Steals counts this stage's queued jobs the rebalancer moved.
 	Steals int64
@@ -394,8 +404,7 @@ func (t *Tenant) submitFlow(p *Pipeline, from int, req Request, rr RemoteRouter,
 		return ErrClosed
 	}
 	st := p.stages[from]
-	parts, sliced := req.Payload.([]any)
-	if st.fanout && !sliced {
+	if _, sliced := req.Payload.([]any); st.fanout && !sliced {
 		return fmt.Errorf("serve: pipeline %q stage %q fans out over []any, payload is %T",
 			p.name, st.name, req.Payload)
 	}
@@ -408,7 +417,7 @@ func (t *Tenant) submitFlow(p *Pipeline, from int, req Request, rr RemoteRouter,
 	// Count the flow before it can possibly complete.
 	s.flowSub.Inc()
 	if st.fanout {
-		p.fanOut(fl, st, parts, &req, nil)
+		p.fanOut(fl, "entry", st, req.Payload, &req, nil)
 		return nil
 	}
 	if p.forward(fl, "entry", st, req.Payload) {
@@ -449,9 +458,10 @@ func (p *Pipeline) stageRequest(fl *flowState, st *pipeStage, v any, from *Reque
 }
 
 // count folds one finished job into its stage's outcome counters —
-// called by finishJob for every job, scalar or fan-out element (Map
-// stages therefore count per element). The tenant's solo stage has no
-// counters: its outcomes are the tenant counters.
+// called by finishJob for every job, scalar or fan-out element, and for
+// every element of an inline fan's job (Map stages therefore count per
+// element). The tenant's solo stage has no counters: its outcomes are
+// the tenant counters.
 func (st *pipeStage) count(r Result) {
 	if st.done == nil {
 		return
@@ -472,7 +482,7 @@ func (st *pipeStage) count(r Result) {
 
 // resolve is where stage idx's Result lands — from finishJob for a
 // scalar stage job (the flow is its sink; this runs where the job
-// resolved: the executing batch br, which also sheds), from join
+// resolved: the executing batch br, which also sheds), from joinSink
 // for a Map stage. A non-OK result, or the last stage's, ends the flow;
 // anything else chains to the next stage.
 func (fl *flowState) resolve(idx int32, r Result, br *batchRun) {
@@ -526,67 +536,87 @@ func (p *Pipeline) forward(fl *flowState, from string, next *pipeStage, v any) b
 // lands on br's own shard and fits (batchRun.fits); otherwise the
 // admission starts a batch SGT at the routed shard's locale.
 func (p *Pipeline) chain(fl *flowState, st *pipeStage, r Result, br *batchRun) {
-	s := p.t.srv
 	next := p.stages[st.idx+1]
 	if next.fanout {
-		parts, ok := r.Value.([]any)
-		if !ok {
+		if _, ok := r.Value.([]any); !ok {
 			fl.terminate(Result{Status: StatusFailed,
 				Err: fmt.Errorf("serve: pipeline %q stage %q fans out over []any, stage %q produced %T",
 					p.name, next.name, st.name, r.Value)})
 			return
 		}
-		p.fanOut(fl, next, parts, nil, br)
+		p.fanOut(fl, st.name, next, r.Value, nil, br)
 		return
 	}
 	if p.forward(fl, st.name, next, r.Value) {
 		return
 	}
-	req := p.stageRequest(fl, next, r.Value, nil)
-	sh := s.routeShard(p.t, &req)
+	p.hop(fl, st.name, next, r.Value, nil, fl, int32(next.idx), br)
+}
+
+// hop admits stage st of flow fl, with input v (inherit as in
+// stageRequest), as one job at the shard it routes to, with sink sk and
+// index idx (see admitStage); a traced flow records the hop from stage
+// from, attributed to its destination: the shard (and locale) the routed
+// value is admitted at.
+func (p *Pipeline) hop(fl *flowState, from string, st *pipeStage, v any, inherit *Request, sk sink, idx int32, br *batchRun) {
+	req := p.stageRequest(fl, st, v, inherit)
+	sh := p.t.srv.routeShard(p.t, &req)
 	if fl.ft != nil {
-		// The hop is attributed to its destination: the shard (and
-		// locale) the routed value is admitted at.
-		fl.ft.add(trace.KindStageHop, sh.id, sh.locale, spanArg(next.idx, 0),
-			fmt.Sprintf("%s -> %s", st.name, next.name))
+		fl.ft.add(trace.KindStageHop, sh.id, sh.locale, spanArg(st.idx, 0), fmt.Sprintf("%s -> %s", from, st.name))
 	}
-	p.admitStage(fl, next, sh, req, fl, int32(next.idx), br, time.Time{})
+	p.admitStage(fl, st, sh, req, sk, idx, br)
 }
 
 // admitStage admits one stage job of flow fl, routed to sh, with sink
 // sk: into the running batch br as a continuation when it fits there,
 // stamped with br's last clock read (the end of the job that produced
-// it, so its wait is never negative); through sh's ring otherwise,
-// stamped now — read from the clock here if zero, and returned for the
-// caller's next job. A refusal past stage 0 is delivered to the sink,
-// ending the flow (or counting an element down) with StatusRejected:
-// earlier stages already ran, so the uniform-Result surface is the only
-// honest one.
-func (p *Pipeline) admitStage(fl *flowState, st *pipeStage, sh *shard, req Request, sk sink, idx int32, br *batchRun, now time.Time) time.Time {
+// it, so its wait is never negative); through sh's ring otherwise. A
+// refusal past stage 0 is delivered to the sink, ending the flow (or
+// counting an element down) with StatusRejected: earlier stages already
+// ran, so the uniform-Result surface is the only honest one.
+func (p *Pipeline) admitStage(fl *flowState, st *pipeStage, sh *shard, req Request, sk sink, idx int32, br *batchRun) {
 	s := p.t.srv
 	if br.fits(sh) {
 		_, j := s.construct(p.t, st, fl, req, br.now, sh, sk, idx)
 		br.take(j)
-		return now
+		return
 	}
-	if now.IsZero() {
-		now = time.Now()
-	}
-	_ = s.submit(p.t, st, fl, req, now, sh, sk, idx, true)
-	return now
+	_ = s.submit(p.t, st, fl, req, time.Now(), sh, sk, idx, true)
 }
 
-// fanOut admits one stage job per element of a Map stage's input, all
-// issued from the producing shard (in batch br, nil outside one), each
-// routed by its own derived declarations. An element routed to br's own
-// shard joins br as a continuation while it fits (see admitStage); the
-// rest go through their shards' rings. Each element's sink is the
-// flow's join: the element that counts the flow's pending elements down
-// to zero runs join at its own locale. inherit is the submitted Request
-// for a Map-first stage 0 and nil for every later stage (see
-// stageRequest).
-func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Request, br *batchRun) {
+// fanOut issues Map stage st over its input in, a []any, from the
+// producing shard (in batch br, nil outside one), where stage from
+// produced it. inherit is the submitted Request for a Map-first stage 0
+// and nil for every later stage (see stageRequest).
+//
+// A stage whose elements all route alike — no Key, WorkingSet or
+// WriteSet derivation, no learned scatter plan — is an inline fan: one
+// stage job, admitted at the flow's routed shard with in as its payload
+// (no copy, no re-boxing), that joins br as a continuation when it fits
+// (see admitStage) and takes the ring as a single job otherwise.
+// Server.execute runs it as a loop (batchRun.handle), and its rules are:
+//   - each element is checked against the job's deadline at br.now and
+//     shed unrun if past it; br.now is the job's start, advanced by a
+//     clock read after each element only on a stage the compile
+//     controller instruments;
+//   - an error or panic fails only its element: each handler call has
+//     its own recover;
+//   - the job shed in the queue, or refused at admission, ends the stage
+//     with that status;
+//   - the inherited working set is staged and read, and the write set
+//     committed, once per job;
+//   - Stats counts the job (Accepted, Done, Shed); FlowStats.FanOut and
+//     StageStats count its elements.
+//
+// Any other Map stage admits one job per element, each routed by its own
+// derived declarations. An element routed to br's own shard joins br as
+// a continuation while it fits; the rest go through their shards' rings.
+// Each element's sink is the flow's join: the element that counts the
+// flow's pending elements down to zero joins the stage at its own
+// locale.
+func (p *Pipeline) fanOut(fl *flowState, from string, st *pipeStage, in any, inherit *Request, br *batchRun) {
 	s := p.t.srv
+	parts := in.([]any)
 	if len(parts) == 0 {
 		fl.resolve(int32(st.idx), Result{Status: StatusOK, Value: []any{}}, br)
 		return
@@ -598,12 +628,8 @@ func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Re
 		fl.elems = make([]Result, len(parts))
 	}
 	fl.elems = fl.elems[:len(parts)]
-	fl.pending.Store(int32(len(parts)))
-	// Loop guard: the last element can resolve (and the join finish the
-	// flow) while this loop is still routing later rejections — hold a
-	// reference so fl cannot recycle under the loop's feet.
-	fl.ref()
-	defer fl.unref()
+	s.flowFan.Add(int64(len(parts)))
+	st.fanouts.Add(int64(len(parts)))
 	// Continuous compilation: record the fan width for the planner and,
 	// when a learned plan is installed, scatter the elements across
 	// shards by its sched.Factory instead of the inherited-key route
@@ -613,13 +639,24 @@ func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Re
 	if st.costN != nil {
 		st.lastFan.Store(int64(len(parts)))
 	}
+	sp := st.scatter.Load()
+	if sp == nil && st.key == nil && st.reads == nil && st.writes == nil {
+		// The elements route alike: one inline-fan job.
+		p.hop(fl, from, st, in, inherit, joinSink{fl}, inlineFan, br)
+		return
+	}
+	fl.pending.Store(int32(len(parts)))
+	// Loop guard: the last element can resolve (and the join finish the
+	// flow) while this loop is still routing later rejections — hold a
+	// reference so fl cannot recycle under the loop's feet.
+	fl.ref()
+	defer fl.unref()
 	var targets *[]int
-	if sp := st.scatter.Load(); sp != nil {
+	if sp != nil {
 		targets = scatterTargets(sp, len(parts), len(s.shards))
 		s.comp.scattered.Add(int64(len(parts)))
 		defer targetPool.Put(targets)
 	}
-	var now time.Time // one clock read for the elements that take a ring
 	for i, part := range parts {
 		req := p.stageRequest(fl, st, part, inherit)
 		var sh *shard
@@ -637,52 +674,58 @@ func (p *Pipeline) fanOut(fl *flowState, st *pipeStage, parts []any, inherit *Re
 		// The flow's join is every element's sink, so the fan-out admits
 		// N elements with zero closures; a refused element counts down
 		// as StatusRejected through the same sink.
-		now = p.admitStage(fl, st, sh, req, joinSink{fl}, int32(i), br, now)
+		p.admitStage(fl, st, sh, req, joinSink{fl}, int32(i), br)
 	}
 }
 
-// joinSink is the sink of a fan-out element: it stores the element's
+// inlineFan is the Job.idx of an inline fan's one job (see fanOut).
+const inlineFan int32 = -1
+
+// joinSink is the sink of a fan-out's jobs. An element job stores its
 // result at its index and, for the element that resolves last, joins
-// the stage. The countdown's atomic add orders every element's store
-// before the join reads the buffer.
+// the stage; the countdown's atomic add orders every element's store
+// before the join reads the buffer. An inline fan's job (idx inlineFan)
+// already carries the stage's result: joined in place when it ran, or
+// the status it was shed or refused with.
 type joinSink struct{ fl *flowState }
 
 func (js joinSink) resolve(idx int32, r Result, br *batchRun) {
 	fl := js.fl
+	if idx == inlineFan {
+		fl.resolve(int32(fl.fan.idx), r, br)
+		return
+	}
 	fl.elems[idx] = r
 	if fl.pending.Add(-1) == 0 {
-		fl.p.join(fl, br)
+		fl.resolve(int32(fl.fan.idx), fl.joined(), br)
 	}
 }
 
-// join fans the Map stage's element results back in. The first element
-// in input order that failed with an error fails the flow with that
-// error; otherwise the first non-OK element decides the flow's fate,
-// and an all-OK set advances — exactly like a scalar stage's result —
-// as a fresh []any of element values (the buffer is reused by the next
-// Map stage). br is the batch of the element that resolved last, which
-// the next stage may join as a continuation.
-func (p *Pipeline) join(fl *flowState, br *batchRun) {
-	st, rs := fl.fan, fl.elems
+// joined fans the Map stage's element results back in. The first
+// element in input order that failed with an error fails the stage with
+// that error; otherwise the first non-OK element decides the stage's
+// fate, and an all-OK set advances — exactly like a scalar stage's
+// result — as a fresh []any of element values (the buffer is reused by
+// the next Map stage).
+func (fl *flowState) joined() Result {
+	rs := fl.elems
 	for _, r := range rs {
 		if r.Status == StatusFailed && r.Err != nil {
-			fl.resolve(int32(st.idx), Result{Status: StatusFailed, Err: r.Err}, br)
-			return
+			return Result{Status: StatusFailed, Err: r.Err}
 		}
 	}
 	vals := make([]any, len(rs))
 	var wait time.Duration
 	for i, r := range rs {
 		if r.Status != StatusOK {
-			fl.resolve(int32(st.idx), r, br)
-			return
+			return r
 		}
 		vals[i] = r.Value
 		if r.Wait > wait {
 			wait = r.Wait
 		}
 	}
-	fl.resolve(int32(st.idx), Result{Status: StatusOK, Value: vals, Wait: wait}, br)
+	return Result{Status: StatusOK, Value: vals, Wait: wait}
 }
 
 // terminate ends the flow from this node, which holds a reference on

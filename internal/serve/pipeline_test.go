@@ -500,51 +500,66 @@ func TestPipelineLocalityRoutingKeepsAccessesLocal(t *testing.T) {
 
 // TestPipelineMapFirstInheritsRequestSets: a Map-first stage 0 with no
 // working-set derivation inherits the submitted Request's declarations,
-// exactly like the scalar stage-0 path — the elements route by (and
-// record accesses against) the declared set.
+// exactly like the scalar stage-0 path — its jobs route by (and record
+// accesses against) the declared set. Routed by a Key derivation, every
+// element is a job that records the set; unrouted, the stage is one
+// inline-fan job per flow, which records it once.
 func TestPipelineMapFirstInheritsRequestSets(t *testing.T) {
-	sys := newTestSystem(t) // 2 locales
-	defer sys.Close()
-	s := New(sys, Config{Shards: 4, Data: DataConfig{LocalityRoute: true}})
-	defer s.Close()
-	tn, err := s.RegisterTenant(TenantConfig{
-		Name:    "t",
-		Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil },
-		Objects: []DataObject{{Size: 1024, Home: 1}},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := tn.NewPipeline("mapfirst",
-		Stage{Name: "work", Map: true, Handler: func(_ *Ctx, req Request) (any, error) {
-			return req.Payload, nil
-		}},
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const flows = 16
-	for i := 0; i < flows; i++ {
-		tk, err := tn.SubmitFlow(p, Request{
-			Key: uint64(i), Payload: []any{1, 2},
-			WorkingSet: tn.Objects(),
+	for _, routed := range []bool{true, false} {
+		name := "unrouted"
+		if routed {
+			name = "routed"
+		}
+		t.Run(name, func(t *testing.T) {
+			sys := newTestSystem(t) // 2 locales
+			defer sys.Close()
+			s := New(sys, Config{Shards: 4, Data: DataConfig{LocalityRoute: true}})
+			defer s.Close()
+			tn, err := s.RegisterTenant(TenantConfig{
+				Name:    "t",
+				Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil },
+				Objects: []DataObject{{Size: 1024, Home: 1}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			work := Stage{Name: "work", Map: true, Handler: func(_ *Ctx, req Request) (any, error) {
+				return req.Payload, nil
+			}}
+			if routed {
+				work.Key = func(v any) uint64 { return uint64(v.(int)) }
+			}
+			p, err := tn.NewPipeline("mapfirst", work)
+			if err != nil {
+				t.Fatal(err)
+			}
+			const flows = 16
+			for i := 0; i < flows; i++ {
+				tk, err := tn.SubmitFlow(p, Request{
+					Key: uint64(i), Payload: []any{1, 2},
+					WorkingSet: tn.Objects(),
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if r := tk.Wait(); r.Status != StatusOK {
+					t.Fatalf("flow %d: %+v", i, r)
+				}
+			}
+			jobs := int64(flows)
+			if routed {
+				jobs = 2 * flows
+			}
+			if sp := sys.Space.Stats(); sp.Reads != jobs {
+				t.Errorf("recorded %d reads, want %d (every job records the inherited set)", sp.Reads, jobs)
+			}
+			if rf := sys.Space.RemoteFraction(); rf != 0 {
+				t.Errorf("remote fraction = %v, want 0 (jobs route to the inherited set's home)", rf)
+			}
+			if ss := p.StageStats(); ss[0].LocalExec != jobs || ss[0].FanOut != 2*flows || ss[0].Done != 2*flows {
+				t.Errorf("stage stats = %+v, want %d local execs, %d elements fanned out and done", ss[0], jobs, 2*flows)
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if r := tk.Wait(); r.Status != StatusOK {
-			t.Fatalf("flow %d: %+v", i, r)
-		}
-	}
-	sp := sys.Space.Stats()
-	if sp.Reads != 2*flows {
-		t.Errorf("recorded %d reads, want %d (every element records the inherited set)", sp.Reads, 2*flows)
-	}
-	if rf := sys.Space.RemoteFraction(); rf != 0 {
-		t.Errorf("remote fraction = %v, want 0 (elements route to the inherited set's home)", rf)
-	}
-	if ss := p.StageStats(); ss[0].LocalExec != 2*flows || ss[0].FanOut != 2*flows {
-		t.Errorf("stage stats = %+v, want %d local execs + fanout", ss[0], 2*flows)
 	}
 }
 

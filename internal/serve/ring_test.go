@@ -413,8 +413,8 @@ func TestJobRecycleNoFieldLeak(t *testing.T) {
 // state: dropping the last reference zeroes every field before the
 // record re-enters the pool — for a state filled field by field, for
 // states a flow left behind after running through same-shard
-// continuations (a scalar hop; a fan-out and its join), and for a flow
-// a router took and finished through its handle.
+// continuations (a scalar hop; an inline fan; a routed fan-out and its
+// join), and for a flow a router took and finished through its handle.
 func TestFlowStateRecycleNoFieldLeak(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -437,8 +437,11 @@ func TestFlowStateRecycleNoFieldLeak(t *testing.T) {
 			fl.unref()                          // terminal reference: recycles
 			return fl
 		}},
-		{"same-shard-hop", func(t *testing.T) *flowState { return continuedFlow(t, false) }},
-		{"same-shard-fan", func(t *testing.T) *flowState { return continuedFlow(t, true) }},
+		{"same-shard-hop", func(t *testing.T) *flowState { return continuedFlow(t, false, nil) }},
+		{"same-shard-fan", func(t *testing.T) *flowState { return continuedFlow(t, true, nil) }},
+		{"same-shard-routed-fan", func(t *testing.T) *flowState {
+			return continuedFlow(t, true, func(any) uint64 { return 1 })
+		}},
 		{"remote-hop", remoteHopFlow},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -471,13 +474,14 @@ func TestFlowStateRecycleNoFieldLeak(t *testing.T) {
 }
 
 // continuedFlow runs one flow of a three-stage pipeline a, b, c — b a
-// Map over four elements when fan — by hand through one batch record of
-// a one-shard server, the way a batch SGT runs it: stage a's result is
-// chained with the record, and every job in the record executes in
-// order, including the continuations chain, the fan-out and the join
-// append. The flow carries a router that declines every hop and a trace.
-// It returns the flow state, which its terminal has recycled.
-func continuedFlow(t *testing.T, fan bool) *flowState {
+// Map over four elements when fan, routed by key when key is set — by
+// hand through one batch record of a one-shard server, the way a batch
+// SGT runs it: stage a's result is chained with the record, and every
+// job in the record executes in order, including the continuations
+// chain, the fan-out and the join append. The flow carries a router that
+// declines every hop and a trace. It returns the flow state, which its
+// terminal has recycled.
+func continuedFlow(t *testing.T, fan bool, key func(any) uint64) *flowState {
 	sys := newTestSystem(t)
 	defer sys.Close()
 	s := New(sys, Config{Shards: 1, Observe: ObserveConfig{SampleRate: 1, RingSize: 8}})
@@ -487,15 +491,18 @@ func continuedFlow(t *testing.T, fan bool) *flowState {
 		t.Fatal(err)
 	}
 	echo := func(_ *Ctx, req Request) (any, error) { return req.Payload, nil }
-	p, err := tn.NewPipeline("p", Stage{Name: "a", Handler: echo}, Stage{Name: "b", Map: fan, Handler: echo},
+	p, err := tn.NewPipeline("p", Stage{Name: "a", Handler: echo}, Stage{Name: "b", Map: fan, Key: key, Handler: echo},
 		Stage{Name: "c", Handler: echo})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var in any = "x"
-	want := 2 // b, c
+	want := 2 // b (one inline-fan job when fan), c
 	if fan {
-		in, want = []any{"w", "x", "y", "z"}, 5
+		in = []any{"w", "x", "y", "z"}
+	}
+	if key != nil {
+		want = 5 // an element job each, c
 	}
 	var final Result
 	fl := newFlowState()

@@ -98,7 +98,8 @@
 //	                          the overload level
 //	batch SGT  runBatch       one detached SGT per batch; stages working sets, then
 //	                          retires and starts its successor if the ring holds more
-//	execute    execute        runs the stage's handler, or sheds (shed) a job whose
+//	execute    execute        runs the stage's handler (handle: once, or once per
+//	                          element for an inline fan), or sheds (shed) a job whose
 //	                          deadline passed after draining
 //	sink       finishJob      counts the stage outcome, hands the Result to Job.sink:
 //	                          a *Ticket, a callback, a burst's indexed callback, a
@@ -113,8 +114,8 @@
 //	                          shard admits it at its routed shard — or, when that is
 //	                          its own shard, the ring holds no ready job and the
 //	                          batch is below its limit, appends it to the running
-//	                          batch (admitStage, batchRun.fits); fan-out elements
-//	                          and the stage after a join likewise
+//	                          batch (admitStage, batchRun.fits); an inline fan,
+//	                          fan-out elements and the stage after a join likewise
 //	terminal   Flow.Finish    the one place a flow ends, local or remote, exactly once
 //	                          per record generation; the router, then the sink, hear it
 //
@@ -504,10 +505,6 @@ func (s *Server) construct(t *Tenant, st *pipeStage, fl *flowState, req Request,
 		fl.ref()
 		ft = fl.ft
 		s.flowStages.Inc()
-		if st.fanout {
-			s.flowFan.Inc()
-			st.fanouts.Inc()
-		}
 	}
 	if sh == nil {
 		sh = s.routeShard(t, &req)
@@ -610,10 +607,6 @@ func (s *Server) refuse(sh *shard, j *Job, err error, deliver bool) {
 	if j.flow != nil {
 		// Undo construct's stage-job accounting: this job never existed.
 		s.flowStages.Add(-1)
-		if j.stage.fanout {
-			s.flowFan.Add(-1)
-			j.stage.fanouts.Add(-1)
-		}
 	}
 	if j.ft != nil {
 		j.ft.add(trace.KindFail, sh.id, sh.locale, j.spanArg(), "admission refused: "+err.Error())
@@ -745,7 +738,8 @@ func (t *Tenant) SubmitManyFunc(reqs []Request, done func(i int, r Result)) int 
 // handler, serviced at each object's home. Requests whose deadline
 // expired after draining — waiting for a batch slot, or behind a slow
 // sibling in the same batch — are shed here rather than run uselessly
-// late.
+// late. An inline fan's job runs its handler once per element (handle)
+// where any other job calls it once.
 // The job starts at br.now: the batch's coarse timestamp for its first
 // job, the end of the previous job for the rest. The deadline recheck
 // and the wait measurement share it, and execute advances br.now to the
@@ -756,7 +750,7 @@ func (t *Tenant) SubmitManyFunc(reqs []Request, done func(i int, r Result)) int 
 // overwritten each call; handlers must not retain it past their return,
 // which was always the contract).
 func (s *Server) execute(br *batchRun, j *Job) {
-	sh, ctx, now := br.sh, &br.ctx, br.now
+	sh, now := br.sh, br.now
 	if !j.req.Deadline.IsZero() && now.After(j.req.Deadline) {
 		s.shed(br, j, "deadline expired before execution")
 		return
@@ -802,32 +796,13 @@ func (s *Server) execute(br *batchRun, j *Job) {
 			s.comp.fastHits.Inc()
 		}
 	}
-	res := Result{Wait: now.Sub(j.enqueued), Priority: j.req.Priority}
+	br.ctx.tenant = t
+	br.ctx.deadline = j.req.Deadline
+	res := br.handle(j, handler)
+	res.Wait, res.Priority = now.Sub(j.enqueued), j.req.Priority
 	waitUS := float64(res.Wait) / float64(time.Microsecond)
 	s.waitUS.Observe(waitUS)
 	t.waitUS.Observe(waitUS)
-	if j.ft != nil {
-		j.ft.add(trace.KindDispatch, sh.id, sh.locale, j.spanArg(), "")
-	}
-	ctx.tenant = t
-	ctx.deadline = j.req.Deadline
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				res.Status = StatusFailed
-				res.Value = nil
-				res.Err = fmt.Errorf("serve: handler panic: %v", r)
-			}
-		}()
-		v, err := handler(ctx, j.req)
-		if err != nil {
-			res.Status = StatusFailed
-			res.Err = err
-			return
-		}
-		res.Status = StatusOK
-		res.Value = v
-	}()
 	if res.Status == StatusOK {
 		// Writes commit only for handlers that completed: a failed or
 		// panicked handler must not invalidate replicas it never wrote.
@@ -849,27 +824,87 @@ func (s *Server) execute(br *batchRun, j *Job) {
 	latUS := float64(res.Total) / float64(time.Microsecond)
 	s.latencyUS.Observe(latUS)
 	t.latUS.Observe(latUS)
-	if j.ft != nil {
-		if res.Status == StatusFailed {
-			j.ft.add(trace.KindFail, sh.id, sh.locale, j.spanArg(), res.Err.Error())
-		} else {
-			j.ft.add(trace.KindComplete, sh.id, sh.locale, j.spanArg(), "")
-		}
-	}
 	s.finishJob(br, j, res)
 }
 
+// call runs handler h once for req on br's batch SGT, traced under arg
+// as a dispatch event and a complete (or fail) event. It is the one
+// handler call and the one recover: an error return or a panic fails
+// this call only.
+func (br *batchRun) call(j *Job, h Handler, req Request, arg int64) (res Result) {
+	sh := br.sh
+	if j.ft != nil {
+		j.ft.add(trace.KindDispatch, sh.id, sh.locale, arg, "")
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			res = Result{Status: StatusFailed, Err: fmt.Errorf("serve: handler panic: %v", r)}
+		}
+		if j.ft == nil {
+			return
+		}
+		if res.Status == StatusFailed {
+			j.ft.add(trace.KindFail, sh.id, sh.locale, arg, res.Err.Error())
+		} else {
+			j.ft.add(trace.KindComplete, sh.id, sh.locale, arg, "")
+		}
+	}()
+	v, err := h(&br.ctx, req)
+	if err != nil {
+		return Result{Status: StatusFailed, Err: err}
+	}
+	return Result{Status: StatusOK, Value: v}
+}
+
+// handle runs job j's handler h: one call, or for an inline fan's job
+// (see Pipeline.fanOut) one call per element, each checked against the
+// deadline at br.now first, its result stored in the flow's join buffer,
+// and the stage's result joined once at the end. On a stage the compile
+// controller instruments, a clock read after each element advances
+// br.now and times the element (its Total) for the cost estimators
+// (finishJob -> count -> observeElem); any other stage reads no clock
+// per element.
+func (br *batchRun) handle(j *Job, h Handler) Result {
+	if j.idx != inlineFan {
+		return br.call(j, h, j.req, j.spanArg())
+	}
+	fl, st, req := j.flow, j.stage, j.req
+	for i, part := range j.req.Payload.([]any) {
+		arg, r := spanArg(st.idx, int32(i)+1), &fl.elems[i]
+		if !req.Deadline.IsZero() && br.now.After(req.Deadline) {
+			*r = Result{Status: StatusShed}
+			if j.ft != nil {
+				j.ft.add(trace.KindShed, br.sh.id, br.sh.locale, arg, "deadline expired before execution")
+			}
+			continue
+		}
+		req.Payload = part
+		*r = br.call(j, h, req, arg)
+		if st.costN != nil {
+			end := time.Now()
+			r.Total, br.now = end.Sub(br.now), end
+		}
+	}
+	return fl.joined()
+}
+
 // finishJob is the one completion path, run exactly once per admitted
-// job, on the batch br executing it: the stage counts the outcome, a
-// plain submission's trace is sealed (flow jobs leave that to the flow
-// terminal), and the Result goes to the job's sink with the batch, which
-// the next stage may join as a continuation. The record is recycled
-// BEFORE the sink runs, so a user callback that resubmits can reuse it
-// immediately; the job's flow reference is dropped AFTER, so the flow
-// state outlasts whatever the sink does with it (chain the next stage,
-// resolve the join).
+// job, on the batch br executing it: the stage counts the outcome (each
+// element's, for an inline fan's job), a plain submission's trace is
+// sealed (flow jobs leave that to the flow terminal), and the Result
+// goes to the job's sink with the batch, which the next stage may join
+// as a continuation. The record is recycled BEFORE the sink runs, so a
+// user callback that resubmits can reuse it immediately; the job's flow
+// reference is dropped AFTER, so the flow state outlasts whatever the
+// sink does with it (chain the next stage, resolve the join).
 func (s *Server) finishJob(br *batchRun, j *Job, res Result) {
-	j.stage.count(res)
+	if j.idx == inlineFan {
+		for _, r := range j.flow.elems {
+			j.stage.count(r)
+		}
+	} else {
+		j.stage.count(res)
+	}
 	if j.flow == nil {
 		s.obs.finishFlow(j.ft, res.Status)
 	}
@@ -880,10 +915,11 @@ func (s *Server) finishJob(br *batchRun, j *Job, res Result) {
 }
 
 // shed completes an expired job of batch br, at br.now, without running
-// its handler. cause is the human-readable reason recorded on the job's
-// flow trace (when it carries one) as the KindAdapt decision that ended
-// it, followed by the KindShed outcome — the flight recorder's answer to
-// "why did this flow die?".
+// its handler (an inline fan's job sheds every element with it). cause
+// is the human-readable reason recorded on the job's flow trace (when it
+// carries one) as the KindAdapt decision that ended it, followed by the
+// KindShed outcome — the flight recorder's answer to "why did this flow
+// die?".
 func (s *Server) shed(br *batchRun, j *Job, cause string) {
 	sh := br.sh
 	j.tenant.shed.Inc()
@@ -893,7 +929,13 @@ func (s *Server) shed(br *batchRun, j *Job, cause string) {
 		j.ft.add(trace.KindShed, sh.id, sh.locale, j.spanArg(), "")
 	}
 	age := br.now.Sub(j.enqueued)
-	s.finishJob(br, j, Result{Status: StatusShed, Wait: age, Total: age, Priority: j.req.Priority})
+	res := Result{Status: StatusShed, Wait: age, Total: age, Priority: j.req.Priority}
+	if j.idx == inlineFan {
+		for i := range j.flow.elems {
+			j.flow.elems[i] = res
+		}
+	}
+	s.finishJob(br, j, res)
 }
 
 // shedLow sheds a job the overload controller dropped for its priority:
@@ -969,7 +1011,9 @@ type FlowStats struct {
 	// surfaces as a submission error and is not counted as a flow.
 	Submitted, Completed, Shed, Failed, Rejected int64
 	// StageJobs counts stage executions admitted on behalf of flows;
-	// FanOut counts Map-stage elements among them.
+	// FanOut counts the elements Map stages issued, refused ones
+	// included: one per element job, all of an inline fan's in its one
+	// job.
 	StageJobs, FanOut int64
 	// StageSteals counts flow stage jobs the rebalancer moved between
 	// shards (also counted in AdaptStats.Steals).
