@@ -9,7 +9,9 @@ import (
 // benchExp wraps one experiment from the harness as a Go benchmark: the
 // experiment runs once per b.N iteration and its headline metrics are
 // attached via b.ReportMetric, so `go test -bench` regenerates every
-// table/figure series of EXPERIMENTS.md.
+// table/figure series that cmd/htvmbench prints (see README.md's
+// Commands section; ROADMAP.md item 10 plans the paper-to-code ledger
+// that will index them).
 func benchExp(b *testing.B, id string) {
 	b.Helper()
 	var last *exp.Result

@@ -1,6 +1,7 @@
-// Command htvmbench regenerates the paper's experiments (see DESIGN.md's
-// per-experiment index and EXPERIMENTS.md for the interpretation of
-// each). With no arguments it runs everything at scale 1.
+// Command htvmbench regenerates the paper's experiments (-list names
+// them; see README.md for what they show, and ROADMAP.md item 10 for
+// the planned paper-to-code ledger that will index them). With no
+// arguments it runs everything at scale 1.
 //
 // Usage:
 //

@@ -65,9 +65,10 @@
 // by flow id (experiment V5 compares one node against three; htserved's
 // -listen/-join/-nodes flags run a real cluster from several shells).
 //
-// The implementation lives under internal/; see README.md for the map,
-// DESIGN.md for the per-experiment index, and EXPERIMENTS.md for
-// paper-versus-measured results. Entry points:
+// The implementation lives under internal/; see README.md for the map
+// and the measured results, and ROADMAP.md item 10 for the planned
+// paper-to-code ledger (construct, package, test or experiment, number).
+// Entry points:
 //
 //	internal/litlx    — the one-object API most programs want
 //	internal/serve    — the job service layer (API v2): tenant handles,

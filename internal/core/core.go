@@ -30,8 +30,7 @@ type Runtime struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // broadcast when pending reaches zero
 
-	stop    chan struct{}
-	stopped atomic.Bool // set once by Shutdown; submit panics after it
+	stopped atomic.Bool // set once by Shutdown; halts the workers, and submit panics after it
 	wg      sync.WaitGroup
 
 	// sgtSpawn and sgtDone are the per-SGT monitor counters, and the
@@ -76,7 +75,6 @@ func NewRuntime(cfg Config) *Runtime {
 		mon:      cfg.Monitor,
 		tracer:   cfg.Tracer,
 		arena:    mem.NewFrameArena(),
-		stop:     make(chan struct{}),
 		sgtSpawn: cfg.Monitor.Counter("core.sgt.spawn"),
 		sgtDone:  cfg.Monitor.Counter("core.sgt.done"),
 
@@ -98,6 +96,7 @@ func NewRuntime(cfg Config) *Runtime {
 		rt.workers = append(rt.workers, w)
 	}
 	for _, w := range rt.workers {
+		w.victims = rt.victimOrder(w)
 		rt.wg.Add(1)
 		go w.loop()
 	}
@@ -144,12 +143,33 @@ func (rt *Runtime) Wait() {
 
 // Shutdown stops the worker pool after the current queue drains. It is
 // idempotent. Submitting work after Shutdown panics.
+//
+// A worker parks on its wake channel alone, so Shutdown halts the pool
+// through that channel: after quiescence (Wait) it stores stopped, then
+// puts a token of its own into every worker's wake, and a worker that
+// wakes to stopped returns. Shutdown's token is sent after the store,
+// so the receive that takes it sees stopped. A stale token cannot stand
+// in for it and strand a worker: the one-slot wake is either empty (the
+// send is ready) or holds a token sent earlier (the receive is ready,
+// and drops it), so the loop ends with Shutdown's token in the slot or
+// taken. A token is stale when a notify sent it to a busy worker, or
+// when it came late: a submitter's notify can run after the SGT it
+// pushed has finished and Wait has returned. A worker that returned on
+// a stale token leaves Shutdown's unread.
 func (rt *Runtime) Shutdown() {
 	rt.Wait()
 	if rt.stopped.Swap(true) {
 		return
 	}
-	close(rt.stop)
+	for _, w := range rt.workers {
+		for sent := false; !sent; {
+			select {
+			case w.wake <- struct{}{}:
+				sent = true
+			case <-w.wake:
+			}
+		}
+	}
 	rt.wg.Wait()
 }
 
@@ -174,18 +194,18 @@ func (rt *Runtime) submit(s *SGT, from *worker) {
 
 // notify wakes the workers that should see a push onto target's deque:
 // always target, and one parked thief only when target is busy (not
-// parked), so an idle target takes its work alone. The thief scan tries
-// target's own locale first, starting at the worker after target and
-// wrapping, then (StealGlobal only) the other locales, so a steal stays
+// parked), so an idle target takes its work alone. The thief is the
+// first parked worker in target's victim order (target's own locale
+// first, then, StealGlobal only, the other locales), so a steal stays
 // local when it can.
 //
 // Liveness does not depend on the thief: target always receives a token
 // and wake is buffered, so a target between its last empty check and
-// its select still sees the push. A busy target pops its own deque when
+// its park still sees the push. A busy target pops its own deque when
 // its current SGT returns; the thief only spreads surplus work sooner.
-// A worker that is never chosen cannot miss work either: it publishes
-// parked before its steal scan (see worker.loop), so either that scan
-// sees the push or this notify sees the flag.
+// A worker that is never chosen cannot miss work either: the push
+// stored target's size before this reads parked, and a parker stores
+// parked before its scan reads sizes (see worker.loop).
 func (rt *Runtime) notify(target *worker) {
 	idle := target.parked.Swap(false)
 	select {
@@ -196,18 +216,11 @@ func (rt *Runtime) notify(target *worker) {
 	if idle || policy == StealNone {
 		return
 	}
-	wpl, n := rt.cfg.WorkersPerLocale, len(rt.workers)
-	base := target.locale * wpl
-	for i := 1; i < n; i++ {
-		var w *worker
-		switch {
-		case i < wpl:
-			w = rt.workers[base+(target.id-base+i)%wpl]
-		case policy == StealLocal:
-			return
-		default:
-			w = rt.workers[(base+i)%n]
-		}
+	thieves := target.victims
+	if policy == StealLocal {
+		thieves = thieves[:rt.cfg.WorkersPerLocale-1]
+	}
+	for _, w := range thieves {
 		if w.parked.CompareAndSwap(true, false) {
 			select {
 			case w.wake <- struct{}{}:
@@ -216,6 +229,23 @@ func (rt *Runtime) notify(target *worker) {
 			return
 		}
 	}
+}
+
+// victimOrder lists every worker but w in the order w steals from them
+// and notify picks a thief for a push onto w: w's own locale first,
+// starting after w and wrapping, then the other locales, starting after
+// w's own.
+func (rt *Runtime) victimOrder(w *worker) []*worker {
+	wpl, n := rt.cfg.WorkersPerLocale, len(rt.workers)
+	base := w.locale * wpl
+	vs := make([]*worker, 0, n-1)
+	for i := 1; i < wpl; i++ {
+		vs = append(vs, rt.workers[base+(w.id-base+i)%wpl])
+	}
+	for i := wpl; i < n; i++ {
+		vs = append(vs, rt.workers[(base+i)%n])
+	}
+	return vs
 }
 
 // String summarizes the runtime for debugging.

@@ -447,3 +447,106 @@ func TestStealKeepsDequeCapacity(t *testing.T) {
 		t.Fatal("a stolen SGT is still referenced from the deque's backing array")
 	}
 }
+
+// waitParked blocks until every worker of rt has published parked: the
+// pool is idle, so only a token on wake can move a worker.
+func waitParked(rt *Runtime) {
+	for _, w := range rt.workers {
+		for !w.parked.Load() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+}
+
+// TestShutdownWakesParkedWorkers: a worker parks on its wake channel
+// alone, so Shutdown must reach every worker through it. Shutdown
+// returns only once every worker goroutine has exited (it waits on the
+// pool's WaitGroup), so a return within the deadline is the check. The
+// second case buffers a stale token on every worker while all of them
+// are busy, so each worker's last park finds a token that was sent
+// before Shutdown stored its flag.
+func TestShutdownWakesParkedWorkers(t *testing.T) {
+	cfg := Config{Locales: 2, WorkersPerLocale: 2, Steal: StealGlobal}
+	shutdownWithin := func(t *testing.T, rt *Runtime, release func()) {
+		t.Helper()
+		done := make(chan struct{})
+		go func() { rt.Shutdown(); close(done) }()
+		release()
+		select {
+		case <-done:
+		case <-time.After(5 * time.Second):
+			t.Fatal("Shutdown did not return: a worker was left parked")
+		}
+	}
+	t.Run("parked pool", func(t *testing.T) {
+		rt := NewRuntime(cfg)
+		rt.Go(func(*SGT) {})
+		rt.Wait()
+		waitParked(rt)
+		shutdownWithin(t, rt, func() {})
+	})
+	t.Run("stale tokens", func(t *testing.T) {
+		rt := NewRuntime(cfg)
+		waitParked(rt)
+		gate := make(chan struct{})
+		started := make(chan *worker)
+		for i := range rt.workers {
+			rt.GoAt(i%cfg.Locales, 0, func(s *SGT) {
+				started <- s.curWorker()
+				<-gate
+			})
+		}
+		// Each SGT holds its worker until the gate opens, so the
+		// queued ones are stolen until every worker holds one.
+		busy := map[*worker]bool{}
+		for range rt.workers {
+			busy[<-started] = true
+		}
+		if len(busy) != len(rt.workers) {
+			t.Fatalf("%d of %d workers busy", len(busy), len(rt.workers))
+		}
+		for _, w := range rt.workers {
+			select {
+			case w.wake <- struct{}{}:
+			default:
+			}
+			if len(w.wake) != 1 {
+				t.Fatalf("worker %d: no token buffered", w.id)
+			}
+		}
+		shutdownWithin(t, rt, func() { close(gate) })
+	})
+}
+
+// TestStealSeesDequeLength: the size word that pop and a thief read
+// without the lock equals len(deque) after every push, pop and steal,
+// and an empty deque yields nothing to either.
+func TestStealSeesDequeLength(t *testing.T) {
+	w := &worker{}
+	check := func(op string) {
+		t.Helper()
+		if got, want := w.size.Load(), int64(len(w.deque)); got != want {
+			t.Fatalf("after %s: size = %d, len(deque) = %d", op, got, want)
+		}
+	}
+	s := &SGT{}
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 4+round; i++ {
+			w.push(s)
+			check("push")
+		}
+		for i := 0; w.size.Load() > 0; i++ {
+			if i%2 == 0 {
+				w.pop()
+				check("pop")
+			} else {
+				w.stealFrom()
+				check("steal")
+			}
+		}
+		if w.pop() != nil || w.stealFrom() != nil {
+			t.Fatal("an empty deque yielded an SGT")
+		}
+		check("empty pop and steal")
+	}
+}

@@ -19,6 +19,14 @@ type worker struct {
 
 	mu    sync.Mutex
 	deque []*SGT
+	// size mirrors len(deque): it is stored under mu by push, pop and
+	// steal, and read without it, so the owner and a thief pass over an
+	// empty deque without taking the lock.
+	size atomic.Int64
+
+	// victims is every other worker in steal order (see victimOrder):
+	// the first WorkersPerLocale-1 share this worker's locale.
+	victims []*worker
 
 	// wake carries one buffered token per notify; parked is set while
 	// the worker looks for work it has not got and cleared by whoever
@@ -31,12 +39,16 @@ type worker struct {
 func (w *worker) push(s *SGT) {
 	w.mu.Lock()
 	w.deque = append(w.deque, s)
+	w.size.Store(int64(len(w.deque)))
 	w.mu.Unlock()
 }
 
 // pop removes from the owner end (LIFO: best cache locality for
 // recursively spawned work).
 func (w *worker) pop() *SGT {
+	if w.size.Load() == 0 {
+		return nil
+	}
 	w.mu.Lock()
 	n := len(w.deque)
 	if n == 0 {
@@ -45,6 +57,7 @@ func (w *worker) pop() *SGT {
 	}
 	s := w.deque[n-1]
 	w.deque = w.deque[:n-1]
+	w.size.Store(int64(n - 1))
 	w.mu.Unlock()
 	return s
 }
@@ -52,6 +65,9 @@ func (w *worker) pop() *SGT {
 // stealFrom removes from the victim end (FIFO: thieves take the oldest,
 // typically largest, task).
 func (w *worker) stealFrom() *SGT {
+	if w.size.Load() == 0 {
+		return nil
+	}
 	w.mu.Lock()
 	if len(w.deque) == 0 {
 		w.mu.Unlock()
@@ -63,18 +79,28 @@ func (w *worker) stealFrom() *SGT {
 	n := copy(w.deque, w.deque[1:])
 	w.deque[n] = nil
 	w.deque = w.deque[:n]
+	w.size.Store(int64(n))
 	w.mu.Unlock()
 	return s
 }
 
 // loop is the worker body: run its own deque newest-first, and when
-// that is empty publish parked, try to steal, and sleep on wake only if
-// the steal found nothing. Setting parked before the steal scan closes
-// the lost-thief window: a spawner pushes and then reads parked, so
-// either the scan sees the push or notify sees the flag. A token that
-// arrives after the scan succeeded costs one spurious loop, no more.
-// Shutdown closes stop only after quiescence (Wait), so there is no
-// work left to drain when it fires.
+// that is empty publish parked, try to steal, and park on wake only if
+// the steal found nothing. The only thing a parked worker waits on is
+// its wake channel.
+//
+// Setting parked before the steal scan closes the lost-thief window. A
+// spawner stores the victim's size (push) and then reads parked
+// (notify); a parker stores parked and then reads the sizes (its scan).
+// All four are sequentially consistent atomics, so one side sees the
+// other: either the scan finds the push or notify finds the flag. The
+// owner's pop reads its size without the lock too, and may miss a push
+// it races with; that loses nothing, because notify always sends the
+// target a token after the push. A token that arrives after the scan
+// succeeded costs one spurious loop, no more.
+//
+// A token that finds stopped set means Shutdown: see there for why
+// every worker gets such a token.
 func (w *worker) loop() {
 	defer w.rt.wg.Done()
 	for {
@@ -82,9 +108,8 @@ func (w *worker) loop() {
 		if s == nil {
 			w.parked.Store(true)
 			if s = w.trySteal(); s == nil {
-				select {
-				case <-w.wake:
-				case <-w.rt.stop:
+				<-w.wake
+				if w.rt.stopped.Load() {
 					return
 				}
 			}
@@ -97,36 +122,33 @@ func (w *worker) loop() {
 }
 
 // trySteal attempts to take work from another worker, respecting the
-// stealing policy. Victim order is randomized per attempt, with local
-// victims tried before remote ones so migration happens only when a
-// locale is globally starved.
+// stealing policy: victims of the worker's own locale first, so
+// migration happens only when a locale is globally starved.
 func (w *worker) trySteal() *SGT {
-	policy := w.rt.cfg.Steal
-	if policy == StealNone {
+	local := w.victims[:w.rt.cfg.WorkersPerLocale-1]
+	switch w.rt.cfg.Steal {
+	case StealNone:
 		return nil
+	case StealLocal:
+		return w.stealScan(local)
 	}
-	if s := w.stealScan(true); s != nil {
+	if s := w.stealScan(local); s != nil {
 		return s
 	}
-	if policy == StealGlobal {
-		return w.stealScan(false)
-	}
-	return nil
+	return w.stealScan(w.victims[len(local):])
 }
 
-// stealScan scans victims (local locale when local is true, other
-// locales otherwise) in a random rotation.
-func (w *worker) stealScan(local bool) *SGT {
-	ws := w.rt.workers
-	n := len(ws)
-	start := w.rng.Intn(n)
-	for i := 0; i < n; i++ {
-		v := ws[(start+i)%n]
-		if v == w {
-			continue
-		}
-		if local != (v.locale == w.locale) {
-			continue
+// stealScan tries each victim once, starting at a random one and
+// wrapping. A victim whose size reads 0 costs one atomic load.
+func (w *worker) stealScan(vs []*worker) *SGT {
+	if len(vs) == 0 {
+		return nil
+	}
+	i := w.rng.Intn(len(vs))
+	for range vs {
+		v := vs[i]
+		if i++; i == len(vs) {
+			i = 0
 		}
 		if s := v.stealFrom(); s != nil {
 			if v.locale == w.locale {

@@ -183,7 +183,7 @@ func ExpA3Locality(scale int) *Result {
 		lm := adapt.NewLocalityManager(space)
 		if mode == "migrate-only" {
 			// Disable the replication arm of the policy: every hot
-			// object moves instead (the ablation DESIGN.md calls out).
+			// object moves instead (the migrate-only ablation).
 			lm.DisableReplication = true
 		}
 		// Objects: 8 write-shared, 8 read-mostly, homed at locale 0.

@@ -1,5 +1,6 @@
 // Package exp implements the experiment harness: one function per
-// experiment in DESIGN.md's per-experiment index, each regenerating the
+// experiment (cmd/htvmbench -list names them; ROADMAP.md item 10 plans
+// the paper-to-code ledger that will index them), each regenerating the
 // corresponding figure/claim of the paper as a plain-text table.
 // Experiments on the c64 simulator or the analytic evaluators are
 // bit-deterministic; experiments on the native runtime measure wall

@@ -77,6 +77,24 @@ func BenchmarkSubmitHandle(b *testing.B) {
 	}
 }
 
+// BenchmarkSubmitWait is the solo-small shape: a closed loop of
+// Tenant.Submit and Ticket.Wait, one request in flight, so every Wait
+// parks until the batch SGT resolves the ticket. The ticket is the one
+// allocation: its cell parks the waiter on a semaphore inside the
+// ticket, not on a channel of its own.
+func BenchmarkSubmitWait(b *testing.B) {
+	_, tn := newBenchServer(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tk, err := tn.Submit(Request{Key: uint64(i)})
+		if err != nil {
+			b.Fatal(err)
+		}
+		tk.Wait()
+	}
+}
+
 // BenchmarkSubmitHandleSketch is BenchmarkSubmitHandle with continuous
 // compilation enabled: every admission additionally folds its key into
 // the tenant's count-min/top-K sketch and every dispatch probes the

@@ -1,7 +1,7 @@
 // Package stats provides deterministic random number generation and
 // small statistical helpers used throughout the HTVM experiment harness.
 //
-// Every experiment in EXPERIMENTS.md must be reproducible bit-for-bit, so
+// Every experiment cmd/htvmbench prints must be reproducible bit-for-bit, so
 // the harness never uses the global math/rand source; all randomness flows
 // through RNG instances seeded explicitly by the experiment driver.
 package stats

@@ -9,11 +9,18 @@ import (
 // of readers. Readers may block (Get) or register continuations (OnFull)
 // that run at the site of the value — the "localized buffering of
 // requests" the paper's futures construct calls for.
+//
+// A blocked Get waits on a semaphore embedded in the cell, not on a
+// channel: the first Get that finds the cell empty arms it under mu, and
+// the Put that fills the cell releases it, waking every waiter at once.
+// So a waited cell allocates nothing of its own, and a Get after the Put
+// never arms it.
 type Cell[T any] struct {
 	mu    sync.Mutex
 	full  bool
+	armed bool // wait holds one count, released by the filling Put
 	val   T
-	wait  chan struct{} // lazily created; closed on Put
+	wait  sync.WaitGroup
 	conts []func(T)
 }
 
@@ -25,22 +32,8 @@ func NewCell[T any]() *Cell[T] { return &Cell[T]{} }
 // semantics make double writes a program error, and detecting them is one
 // of the model's debugging benefits.
 func (c *Cell[T]) Put(v T) {
-	c.mu.Lock()
-	if c.full {
-		c.mu.Unlock()
+	if !c.TryPut(v) {
 		panic("syncx: double Put on dataflow cell")
-	}
-	c.full = true
-	c.val = v
-	conts := c.conts
-	c.conts = nil
-	ch := c.wait
-	c.mu.Unlock()
-	if ch != nil {
-		close(ch)
-	}
-	for _, f := range conts {
-		f(v)
 	}
 }
 
@@ -55,10 +48,10 @@ func (c *Cell[T]) TryPut(v T) bool {
 	c.val = v
 	conts := c.conts
 	c.conts = nil
-	ch := c.wait
+	armed := c.armed
 	c.mu.Unlock()
-	if ch != nil {
-		close(ch)
+	if armed {
+		c.wait.Done()
 	}
 	for _, f := range conts {
 		f(v)
@@ -74,12 +67,12 @@ func (c *Cell[T]) Get() T {
 		c.mu.Unlock()
 		return v
 	}
-	if c.wait == nil {
-		c.wait = make(chan struct{})
+	if !c.armed {
+		c.armed = true
+		c.wait.Add(1)
 	}
-	ch := c.wait
 	c.mu.Unlock()
-	<-ch
+	c.wait.Wait()
 	return c.val // immutable once full
 }
 

@@ -1,6 +1,7 @@
 package syncx
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -149,5 +150,111 @@ func TestCellPropertyFirstWriteWins(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// isArmed reports whether a Get has armed c's semaphore, i.e. blocked.
+func isArmed[T any](c *Cell[T]) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.armed
+}
+
+// untilArmed yields until a Get blocks on c.
+func untilArmed[T any](c *Cell[T]) {
+	for !isArmed(c) {
+		runtime.Gosched()
+	}
+}
+
+// TestCellBlockingGetAllocsNothing: a Get that parks waits on the
+// semaphore inside the cell, so a blocking Get/Put round trip on a
+// preallocated cell allocates nothing. The putter is one long-lived
+// goroutine fed by a channel, and it puts only once the Get has
+// blocked.
+func TestCellBlockingGetAllocsNothing(t *testing.T) {
+	const runs = 200
+	cells := make([]Cell[int], runs+1) // AllocsPerRun adds one warm-up run
+	feed := make(chan *Cell[int])
+	defer close(feed)
+	go func() {
+		for c := range feed {
+			untilArmed(c)
+			c.Put(1)
+		}
+	}()
+	next := 0
+	allocs := testing.AllocsPerRun(runs, func() {
+		c := &cells[next]
+		next++
+		feed <- c
+		if c.Get() != 1 {
+			t.Error("Get returned the wrong value")
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("blocking Get/Put round trip allocated %.1f times, want 0", allocs)
+	}
+}
+
+// TestCellWaitersReleasedByPutAndTryPut: every Get that blocked before
+// the cell was filled returns the value, whether Put or TryPut filled
+// it.
+func TestCellWaitersReleasedByPutAndTryPut(t *testing.T) {
+	for _, fill := range []struct {
+		name string
+		put  func(c *Cell[int], v int)
+	}{
+		{"Put", (*Cell[int]).Put},
+		{"TryPut", func(c *Cell[int], v int) { c.TryPut(v) }},
+	} {
+		t.Run(fill.name, func(t *testing.T) {
+			c := NewCell[int]()
+			const n = 8
+			got := make(chan int, n)
+			for i := 0; i < n; i++ {
+				go func() { got <- c.Get() }()
+			}
+			untilArmed(c)
+			fill.put(c, 5)
+			for i := 0; i < n; i++ {
+				if v := <-got; v != 5 {
+					t.Fatalf("waiter %d got %d, want 5", i, v)
+				}
+			}
+		})
+	}
+}
+
+// TestCellGetAfterPutDoesNotArm: a Get that finds the cell full returns
+// at once and never arms the semaphore.
+func TestCellGetAfterPutDoesNotArm(t *testing.T) {
+	c := NewCell[int]()
+	c.Put(3)
+	if c.Get() != 3 || isArmed(c) {
+		t.Fatal("a Get after Put armed the cell's semaphore")
+	}
+	d := NewCell[int]()
+	d.TryPut(4)
+	if d.Get() != 4 || isArmed(d) {
+		t.Fatal("a Get after TryPut armed the cell's semaphore")
+	}
+}
+
+// TestCellOnFullAndBlockedGet: a continuation and a blocked Get on one
+// cell both fire on the Put.
+func TestCellOnFullAndBlockedGet(t *testing.T) {
+	c := NewCell[int]()
+	cont := make(chan int, 1)
+	c.OnFull(func(v int) { cont <- v })
+	got := make(chan int, 1)
+	go func() { got <- c.Get() }()
+	untilArmed(c)
+	c.Put(11)
+	if v := <-got; v != 11 {
+		t.Errorf("blocked Get returned %d, want 11", v)
+	}
+	if v := <-cont; v != 11 {
+		t.Errorf("continuation saw %d, want 11", v)
 	}
 }
