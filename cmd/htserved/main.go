@@ -275,10 +275,9 @@ func main() {
 		}
 		handles[i] = tn
 	}
-	coldC, warmC := handles[0].Model()
 	fmt.Printf("htserved: %d tenants (%d warm) on %d shards, image %dKB "+
-		"(modeled first request: cold %d cycles, warm %d cycles)\n",
-		*tenants, warmed, *shards, *imgKB, coldC, warmC)
+		"(modeled cold-start transfer: %d cycles)\n",
+		*tenants, warmed, *shards, *imgKB, handles[0].TransferCycles())
 	name := *scenario
 	if name == "open" && *locality {
 		// Open traffic that declares working sets: hotfrac of it reads a

@@ -22,8 +22,9 @@
 // (serve.Config.Data): admission shards pin to locales, requests
 // declare mem.Space working sets that steer routing toward their data's
 // home, and a unified residency subsystem percolates code images and
-// data blocks alike to the site of computation, priced by the
-// parcel.SimNet transfer models. On top of both rides the dataflow
+// data blocks alike to the site of computation, each transfer priced by
+// one closed form (pinned by a test to the simulated percolation models
+// in internal/percolate, which the serving build does not link). On top of both rides the dataflow
 // serving surface (serve.Pipeline / Tenant.SubmitFlow): multi-stage
 // flows whose intermediate values are chained shard-to-shard — each
 // stage's routing declaration derives the next working set, the

@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/adapt"
 	"repro/internal/c64"
 	"repro/internal/percolate"
 )
@@ -53,6 +54,6 @@ func main() {
 	}
 	fmt.Println("\nthe adaptive rule would pick:")
 	for _, lat := range []int64{20, 80, 320} {
-		fmt.Printf("  dram=%d -> depth %d\n", lat, percolate.SuggestDepth(lat*4, 250, 16))
+		fmt.Printf("  dram=%d -> depth %d\n", lat, adapt.SuggestDepth(lat*4, 250, 16))
 	}
 }

@@ -23,7 +23,6 @@ import (
 	"repro/internal/hints"
 	"repro/internal/mem"
 	"repro/internal/monitor"
-	"repro/internal/percolate"
 	"repro/internal/sched"
 )
 
@@ -359,7 +358,30 @@ func NewLatencyController(mon *monitor.Monitor) *LatencyController {
 func (lc *LatencyController) Depth() int {
 	stage := lc.Monitor.EWMA("percolate.stage", 0.2).Value()
 	compute := lc.Monitor.EWMA("percolate.compute", 0.2).Value()
-	return percolate.SuggestDepth(int64(stage), int64(compute), lc.MaxDepth)
+	return SuggestDepth(int64(stage), int64(compute), lc.MaxDepth)
+}
+
+// SuggestDepth returns the percolation depth that balances staging
+// against computation: enough staged-ahead tasks to cover the staging
+// time of the next task with the computation of the current ones, plus
+// one for slack. This is the decision rule LatencyController.Depth
+// applies when observed latencies drift, and the depth a percolate
+// engine is configured with.
+func SuggestDepth(stageCycles, computeCycles int64, maxDepth int) int {
+	if maxDepth < 1 {
+		maxDepth = 1
+	}
+	if computeCycles <= 0 {
+		return maxDepth
+	}
+	d := int(stageCycles/computeCycles) + 1
+	if d < 1 {
+		d = 1
+	}
+	if d > maxDepth {
+		d = maxDepth
+	}
+	return d
 }
 
 // PreferParcel decides whether a computation touching bytes of remote

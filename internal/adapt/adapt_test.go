@@ -216,3 +216,27 @@ func TestLoopControllerNilDBDefaultsToAdaptive(t *testing.T) {
 		t.Errorf("Retune = %d", got)
 	}
 }
+
+func TestSuggestDepth(t *testing.T) {
+	cases := []struct {
+		stage, compute int64
+		max, want      int
+	}{
+		{100, 100, 8, 2},
+		{1000, 100, 8, 8}, // clipped at max
+		{10, 1000, 8, 1},  // compute-bound: minimal depth
+		{100, 0, 8, 8},    // no compute: stage as deep as possible
+		{500, 100, 4, 4},
+	}
+	for _, c := range cases {
+		if got := SuggestDepth(c.stage, c.compute, c.max); got != c.want {
+			t.Errorf("SuggestDepth(%d,%d,%d) = %d, want %d", c.stage, c.compute, c.max, got, c.want)
+		}
+	}
+}
+
+func TestSuggestDepthMinimums(t *testing.T) {
+	if d := SuggestDepth(0, 100, 0); d != 1 {
+		t.Errorf("depth = %d, want 1 with degenerate max", d)
+	}
+}

@@ -148,4 +148,11 @@ func TestColdStageFetchesOffReadLoop(t *testing.T) {
 	if st := exec.Stats(); st.CodeFetches != 1 || st.ObjectFetches != 1 {
 		t.Errorf("executor fetched code %d and objects %d times, want 1 and 1", st.CodeFetches, st.ObjectFetches)
 	}
+	// The fetch is the cold image's one price: neither node's serve layer
+	// also charges its modeled code transfer.
+	for _, n := range nodes {
+		if got := n.Serve().Stats().CodeTransfers; got != 0 {
+			t.Errorf("node %s serve layer paid %d modeled code transfers on top of the fetch, want 0", n.Self(), got)
+		}
+	}
 }

@@ -17,7 +17,9 @@ import (
 // flow's origin, and each global object a stage declares from the owner
 // of the object's home locale — actual bytes over the transport,
 // single-flight per (node, image/object), counted in Stats
-// (CodeFetches, ObjectFetches, PercolateBytes).
+// (CodeFetches, ObjectFetches, PercolateBytes). That fetch is a cold
+// image's one price: the serve tenant under a cluster tenant starts
+// with its image resident, so no shard also spins the modeled transfer.
 
 // GlobalObject declares one cluster-wide data object of a tenant: a
 // named block homed at one global locale. Stages name the globals they
@@ -37,7 +39,8 @@ type GlobalObject struct {
 // them, exactly like parcel handlers.
 type TenantConfig struct {
 	// Serve is the node-local registration: handler, middleware, code
-	// size, local data objects.
+	// size, local data objects. Its Warm is implied: the code image is
+	// priced by the transport fetch, not by serve's model.
 	Serve serve.TenantConfig
 	// Globals declares the tenant's cluster-wide objects.
 	Globals []GlobalObject
@@ -109,7 +112,9 @@ func (n *Node) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 	if cfg.Replicas <= 0 {
 		cfg.Replicas = 1
 	}
-	st, err := n.srv.RegisterTenant(cfg.Serve)
+	local := cfg.Serve
+	local.Warm = true
+	st, err := n.srv.RegisterTenant(local)
 	if err != nil {
 		return nil, err
 	}
@@ -149,9 +154,8 @@ func (n *Node) tenant(name string) *Tenant {
 // ensureResident percolates what a stage execution needs onto this
 // node: the tenant's code image (from the flow's origin — it admitted
 // the flow, so it has the tenant) and each named global (from the owner
-// of its home locale). Fetches are single-flight; failures are
-// tolerated — the stage still runs, the serve layer's own cost model
-// charges the miss.
+// of its home locale). Fetches are single-flight; a failed fetch clears
+// its entry, the stage runs anyway, and the next stage retries it.
 func (t *Tenant) ensureResident(origin parcel.NodeID, globals []string) {
 	n := t.n
 	if t.codeSize > 0 && origin != n.self {

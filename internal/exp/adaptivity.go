@@ -271,7 +271,7 @@ func ExpA4Latency(scale int) *Result {
 		// Adaptive: probe with depth 1, then apply the controller rule.
 		probe := run(lat, 1)
 		stagePer := probe.StageWait/int64(nTasks) + lat // approx stage time per task
-		depth := percolate.SuggestDepth(stagePer*4, 300, 16)
+		depth := adapt.SuggestDepth(stagePer*4, 300, 16)
 		ad := run(lat, depth)
 		res.Table.AddRow(lat, "adaptive", ad.Elapsed, ad.StageWait, depth)
 		if lat == 320 {

@@ -6,7 +6,6 @@ import (
 	"repro/internal/c64"
 	"repro/internal/core"
 	"repro/internal/future"
-	"repro/internal/parcel"
 	"repro/internal/percolate"
 	"repro/internal/stats"
 	"repro/internal/syncx"
@@ -64,7 +63,7 @@ func ExpL1Parcels(scale int) *Result {
 		// differs is which side of the wire the bytes travel on.
 		parcelCycles := func() int64 {
 			m := c64.New(c64.MultiNodeConfig(2))
-			net := parcel.NewSimNet(m)
+			net := percolate.NewSimNet(m)
 			net.Register("reduce", func(tu *c64.TU, from int, payload int64) int64 {
 				tu.MemCopy(tu.Local(c64.SRAM, 0), tu.Local(c64.DRAM, 0), bytes)
 				for b := 0; b < blocks; b++ {

@@ -87,11 +87,10 @@ func ExpServeLoadtest(scale int) *Result {
 			coldUS = c
 		}
 	}
-	coldCycles, warmCycles := coldProbe.Model()
 	// The native price of the modeled transfer, measured with the same
 	// spin calibration and cycle conversion the server charges cold
 	// starts with.
-	modeledMS := timeIt(func() { spinWork(serve.TransferSpinUnits(coldCycles - warmCycles)) })
+	modeledMS := timeIt(func() { spinWork(serve.TransferSpinUnits(coldProbe.TransferCycles())) })
 	res.Table.AddRow("first-req/cold", 1, 1, 0.0, coldUS, coldUS, 0.0)
 	res.Table.AddRow("first-req/warm", 1, 1, 0.0, warmUS, warmUS, 0.0)
 

@@ -92,3 +92,34 @@ func TestWriteScriptRejectsUnrepresentable(t *testing.T) {
 		t.Fatal("expected error for fact name with a space")
 	}
 }
+
+// FuzzParseScript feeds arbitrary text to the script parser htserved's
+// -hints-file reads from disk. Whatever parses and writes back must be
+// the fixed point of the round trip: its ScriptString re-parses, and to
+// the same ScriptString.
+func FuzzParseScript(f *testing.F) {
+	f.Add(roundTripScript)
+	f.Add("fact x NaN\nfact y 0x1p-2\nhint h target=runtime category=locality priority=+5 =v k==\nrule h when x == -Inf set =w\n")
+	f.Add("hint h target=compiler category=locality priority=5\nrule h when x > 1 set a=b\nhint h target=runtime category=access-pattern priority=1\n")
+	f.Fuzz(func(t *testing.T, script string) {
+		db := NewDB()
+		if ParseScriptString(script, db) != nil {
+			return
+		}
+		out1, err := db.ScriptString()
+		if err != nil {
+			return // parsed, but not representable: WriteScript refuses it
+		}
+		db2 := NewDB()
+		if err := ParseScriptString(out1, db2); err != nil {
+			t.Fatalf("re-parse of written script: %v\nscript:\n%s", err, out1)
+		}
+		out2, err := db2.ScriptString()
+		if err != nil {
+			t.Fatalf("write of re-parsed script: %v\nscript:\n%s", err, out1)
+		}
+		if out1 != out2 {
+			t.Fatalf("round trip not a fixed point:\nfirst:\n%s\nsecond:\n%s", out1, out2)
+		}
+	})
+}

@@ -1,9 +1,10 @@
-package parcel
+package parcel_test
 
 import (
 	"testing"
 
 	"repro/internal/c64"
+	"repro/internal/percolate"
 )
 
 // TestDataBlockSingleFlight: many tasklets touching one cold data block
@@ -11,7 +12,7 @@ import (
 // first pays, the rest wait for the copy to land, exactly like code.
 func TestDataBlockSingleFlight(t *testing.T) {
 	m := c64.New(c64.MultiNodeConfig(2))
-	n := NewSimNet(m)
+	n := percolate.NewSimNet(m)
 	n.RegisterData("ws", 0, 4096)
 	const touchers = 5
 	wg := c64.NewWG(m)
@@ -44,7 +45,7 @@ func TestDataBlockSingleFlight(t *testing.T) {
 func TestPrefetchDataHidesTransfer(t *testing.T) {
 	touch := func(prefetch bool) (cycles int64, transfers int) {
 		m := c64.New(c64.MultiNodeConfig(2))
-		n := NewSimNet(m)
+		n := percolate.NewSimNet(m)
 		n.RegisterData("ws", 0, 32768)
 		m.Spawn(1, func(tu *c64.TU) {
 			if prefetch {
@@ -75,7 +76,7 @@ func TestPrefetchDataHidesTransfer(t *testing.T) {
 // an unknown name is programmer error surfaced loudly.
 func TestTouchUnknownDataPanics(t *testing.T) {
 	m := c64.New(c64.MultiNodeConfig(1))
-	n := NewSimNet(m)
+	n := percolate.NewSimNet(m)
 	defer func() {
 		if recover() == nil {
 			t.Error("TouchData of an unregistered block did not panic")

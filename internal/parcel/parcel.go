@@ -6,9 +6,11 @@
 // through a reply continuation delivered back at the sender's locale,
 // so the sender never blocks unless it asks to.
 //
-// Two transports exist: Net runs on the native HTVM runtime
-// (internal/core); SimNet runs on the Cyclops-64-like simulator
-// (internal/c64) for the latency experiments.
+// Net runs parcels on the native HTVM runtime (internal/core); the
+// Transport interface carries them between the processes of a
+// cluster. The simulated twin of Net, SimNet, lives with the
+// percolation models in internal/percolate, so this package links no
+// simulator.
 package parcel
 
 import (

@@ -1,9 +1,10 @@
-package parcel
+package parcel_test
 
 import (
 	"testing"
 
 	"repro/internal/c64"
+	"repro/internal/percolate"
 )
 
 // TestColdCodeTransferSingleFlight: many parcels racing a cold handler
@@ -11,7 +12,7 @@ import (
 // requester moves the image, the rest wait for it to land.
 func TestColdCodeTransferSingleFlight(t *testing.T) {
 	m := c64.New(c64.MultiNodeConfig(2))
-	n := NewSimNet(m)
+	n := percolate.NewSimNet(m)
 	n.RegisterCode("kernel", 0, 8192, func(tu *c64.TU, from int, payload int64) int64 {
 		tu.Compute(20)
 		return payload
@@ -53,7 +54,7 @@ func TestColdCodeTransferSingleFlight(t *testing.T) {
 func TestPrefetchMakesFirstRequestWarm(t *testing.T) {
 	firstCall := func(prefetch bool) (first, second int64, transfers int) {
 		m := c64.New(c64.MultiNodeConfig(2))
-		n := NewSimNet(m)
+		n := percolate.NewSimNet(m)
 		n.RegisterCode("kernel", 0, 16384, func(tu *c64.TU, from int, payload int64) int64 {
 			tu.Compute(20)
 			return payload
@@ -100,7 +101,7 @@ func TestPrefetchMakesFirstRequestWarm(t *testing.T) {
 // also collapse into a single transfer.
 func TestPrefetchRacingLazyInstall(t *testing.T) {
 	m := c64.New(c64.MultiNodeConfig(2))
-	n := NewSimNet(m)
+	n := percolate.NewSimNet(m)
 	n.RegisterCode("kernel", 0, 8192, func(tu *c64.TU, from int, payload int64) int64 {
 		return payload
 	})

@@ -1,14 +1,21 @@
-package parcel
+// The tests in this file and in percolation_test.go and
+// datapercolation_test.go exercise percolate.SimNet, the simulated twin
+// of Net: the same send / call / split-phase parcel contract on the
+// Cyclops-64 simulator, and its code and data percolation. They run as
+// an external test package, so Net's own build never imports the
+// simulator.
+package parcel_test
 
 import (
 	"testing"
 
 	"repro/internal/c64"
+	"repro/internal/percolate"
 )
 
 func TestSimNetSendAndStop(t *testing.T) {
 	m := c64.New(c64.MultiNodeConfig(4))
-	n := NewSimNet(m)
+	n := percolate.NewSimNet(m)
 	got := int64(0)
 	n.Register("set", func(tu *c64.TU, from int, payload int64) int64 {
 		got = payload
@@ -29,7 +36,7 @@ func TestSimNetSendAndStop(t *testing.T) {
 
 func TestSimNetCallRoundTrip(t *testing.T) {
 	m := c64.New(c64.MultiNodeConfig(4))
-	n := NewSimNet(m)
+	n := percolate.NewSimNet(m)
 	n.Register("triple", func(tu *c64.TU, from int, payload int64) int64 {
 		tu.Compute(10)
 		return payload * 3
@@ -61,7 +68,7 @@ func TestSimNetCallAsyncOverlaps(t *testing.T) {
 	// the sum.
 	run := func(async bool) int64 {
 		m := c64.New(c64.MultiNodeConfig(4))
-		n := NewSimNet(m)
+		n := percolate.NewSimNet(m)
 		n.Register("slow", func(tu *c64.TU, from int, payload int64) int64 {
 			tu.Compute(500)
 			return payload
@@ -92,7 +99,7 @@ func TestSimNetCallAsyncOverlaps(t *testing.T) {
 
 func TestSimNetLocalParcelCheap(t *testing.T) {
 	m := c64.New(c64.MultiNodeConfig(4))
-	n := NewSimNet(m)
+	n := percolate.NewSimNet(m)
 	n.Register("id", func(tu *c64.TU, from int, payload int64) int64 { return payload })
 	var localT, remoteT int64
 	m.Spawn(0, func(tu *c64.TU) {
@@ -114,7 +121,7 @@ func TestSimNetLocalParcelCheap(t *testing.T) {
 
 func TestSimNetStopIdempotent(t *testing.T) {
 	m := c64.New(c64.DefaultConfig())
-	n := NewSimNet(m)
+	n := percolate.NewSimNet(m)
 	m.Spawn(0, func(tu *c64.TU) {
 		n.Stop()
 		n.Stop()
@@ -126,7 +133,7 @@ func TestSimNetStopIdempotent(t *testing.T) {
 
 func TestSimNetUnknownHandlerPanics(t *testing.T) {
 	m := c64.New(c64.DefaultConfig())
-	n := NewSimNet(m)
+	n := percolate.NewSimNet(m)
 	m.Spawn(0, func(tu *c64.TU) {
 		n.Send(tu, 0, "nope", 0)
 	})
@@ -140,7 +147,7 @@ func TestSimNetUnknownHandlerPanics(t *testing.T) {
 
 func TestCodePercolationColdVsWarm(t *testing.T) {
 	m := c64.New(c64.MultiNodeConfig(4))
-	n := NewSimNet(m)
+	n := percolate.NewSimNet(m)
 	n.RegisterCode("kernel", 0, 4096, func(tu *c64.TU, from int, payload int64) int64 {
 		tu.Compute(50)
 		return payload
@@ -169,7 +176,7 @@ func TestCodePercolationColdVsWarm(t *testing.T) {
 func TestCodePrefetchHidesColdStart(t *testing.T) {
 	run := func(prefetch bool) int64 {
 		m := c64.New(c64.MultiNodeConfig(4))
-		n := NewSimNet(m)
+		n := percolate.NewSimNet(m)
 		n.RegisterCode("kernel", 0, 8192, func(tu *c64.TU, from int, payload int64) int64 {
 			tu.Compute(50)
 			return payload
@@ -201,7 +208,7 @@ func TestCodePrefetchHidesColdStart(t *testing.T) {
 
 func TestPlainHandlerAlwaysResident(t *testing.T) {
 	m := c64.New(c64.DefaultConfig())
-	n := NewSimNet(m)
+	n := percolate.NewSimNet(m)
 	n.Register("h", func(tu *c64.TU, from int, payload int64) int64 { return 0 })
 	if !n.CodeResident("h", 0) {
 		t.Error("plain handlers have no code gating")

@@ -19,7 +19,7 @@ import (
 //
 // Two implementations exist: the in-process Fabric below, which keeps
 // every "node" in one address space so clustered scenarios replay
-// deterministically next to the SimNet cost twin, and the TCP transport
+// deterministically, and the TCP transport
 // in internal/cluster/netparcel, which carries the same parcels between
 // machines in binary length-prefixed frames.
 

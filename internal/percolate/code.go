@@ -1,9 +1,6 @@
 package percolate
 
-import (
-	"repro/internal/c64"
-	"repro/internal/parcel"
-)
+import "repro/internal/c64"
 
 // CodeModel reports the modeled first-request latency of a parcel
 // handler whose code image must be resident at the serving node
@@ -22,8 +19,8 @@ func (m CodeModel) TransferCycles() int64 { return m.ColdCycles - m.WarmCycles }
 
 // ModelCode runs two deterministic two-node simulations — one lazy, one
 // prefetched — and returns the first-request latencies for a handler
-// image of size bytes. The serve layer uses this to price cold starts
-// and to decide what warm-up is worth.
+// image of size bytes. The serve layer prices cold starts with the
+// closed form of this model, and its tests pin that form to it.
 func ModelCode(size int) CodeModel {
 	if size <= 0 {
 		size = 1
@@ -38,7 +35,7 @@ func ModelCode(size int) CodeModel {
 // handler executing on node 1 whose code image is homed on node 0.
 func firstCallCycles(size int, prefetch bool) int64 {
 	m := c64.New(c64.MultiNodeConfig(2))
-	net := parcel.NewSimNet(m)
+	net := NewSimNet(m)
 	net.RegisterCode("handler", 0, size, func(tu *c64.TU, from int, payload int64) int64 {
 		tu.Compute(1)
 		return payload

@@ -1,9 +1,6 @@
 package percolate
 
-import (
-	"repro/internal/c64"
-	"repro/internal/parcel"
-)
+import "repro/internal/c64"
 
 // DataModel reports the modeled first-access latency of a computation
 // whose declared working-set block must be resident at the computing
@@ -22,10 +19,9 @@ func (m DataModel) TransferCycles() int64 { return m.ColdCycles - m.WarmCycles }
 
 // ModelData runs two deterministic two-node simulations — one demand-
 // fetched, one percolated — and returns the first-access latencies for
-// a working-set block of size bytes. The serve layer's residency
-// subsystem uses this to price unstaged remote accesses and to decide
-// what staging is worth; like ModelCode, the transfer itself is priced
-// by parcel.SimNet's percolation machinery.
+// a working-set block of size bytes. Like ModelCode, the transfer is
+// priced by SimNet's percolation machinery, and the serve layer prices
+// unstaged remote accesses and staging with the closed form of it.
 func ModelData(size int) DataModel {
 	if size <= 0 {
 		size = 1
@@ -40,7 +36,7 @@ func ModelData(size int) DataModel {
 // block homed on node 0.
 func firstTouchCycles(size int, prefetch bool) int64 {
 	m := c64.New(c64.MultiNodeConfig(2))
-	net := parcel.NewSimNet(m)
+	net := NewSimNet(m)
 	net.RegisterData("ws", 0, size)
 	var lat int64
 	m.Spawn(1, func(tu *c64.TU) {

@@ -12,6 +12,11 @@
 // so their loads hit fast memory. Setting Depth to zero disables
 // percolation (workers access slow memory directly) — the baseline for
 // the latency-adaptation experiments.
+//
+// The package also holds SimNet, the parcel network of the simulated
+// machine, and the code and data transfer models run on it (ModelCode,
+// ModelData). Experiments and tests use them; the serving build does
+// not link this package.
 package percolate
 
 import (
@@ -183,26 +188,4 @@ func (e *Engine) launchPercolated(tasks []*Task, start int64) {
 			ready.Send(nil) // release idle workers so the machine quiesces
 		}
 	})
-}
-
-// SuggestDepth returns the percolation depth that balances staging
-// against computation: enough staged-ahead tasks to cover the staging
-// time of the next task with the computation of the current ones, plus
-// one for slack. This is the decision rule the latency-adaptation
-// controller applies when observed latencies drift.
-func SuggestDepth(stageCycles, computeCycles int64, maxDepth int) int {
-	if maxDepth < 1 {
-		maxDepth = 1
-	}
-	if computeCycles <= 0 {
-		return maxDepth
-	}
-	d := int(stageCycles/computeCycles) + 1
-	if d < 1 {
-		d = 1
-	}
-	if d > maxDepth {
-		d = maxDepth
-	}
-	return d
 }

@@ -1,4 +1,4 @@
-package parcel
+package percolate
 
 import (
 	"fmt"
@@ -22,7 +22,9 @@ type simParcel struct {
 
 // SimNet routes parcels between the nodes of a simulated machine. Each
 // node runs a dispatcher tasklet that receives parcels and spawns a
-// handler tasklet per parcel (the parcel activation = SGT analogy).
+// handler tasklet per parcel (the parcel activation = SGT analogy). It
+// is the simulated twin of parcel.Net, kept beside the percolation
+// models that run on it so that the serving build links no simulator.
 //
 // SimNet also models percolation (Section 3.2: "percolation of program
 // instruction blocks ... at the site of the intended computation", and
@@ -89,7 +91,7 @@ func NewSimNet(m *c64.Machine) *SimNet {
 // simulation Run starts delivering parcels to them.
 func (n *SimNet) Register(name string, h SimHandler) {
 	if h == nil {
-		panic("parcel: nil sim handler")
+		panic("percolate: nil sim handler")
 	}
 	n.handlers[name] = h
 }
@@ -133,7 +135,7 @@ func (n *SimNet) TouchData(tu *c64.TU, name string, node int) {
 func (n *SimNet) mustData(name string) *block {
 	b, ok := n.data[name]
 	if !ok {
-		panic(fmt.Sprintf("parcel: no sim data block %q", name))
+		panic(fmt.Sprintf("percolate: no sim data block %q", name))
 	}
 	return b
 }
@@ -205,7 +207,7 @@ func (n *SimNet) dispatch(tu *c64.TU, node int) {
 		}
 		h, ok := n.handlers[p.handler]
 		if !ok {
-			panic(fmt.Sprintf("parcel: no sim handler %q", p.handler))
+			panic(fmt.Sprintf("percolate: no sim handler %q", p.handler))
 		}
 		pp := p
 		tu.Machine().Spawn(node, func(ht *c64.TU) {
@@ -229,7 +231,7 @@ func (n *SimNet) wireLat(from, dest int) int64 {
 // goroutine, so misuse panics where the caller can see it.
 func (n *SimNet) checkHandler(name string) {
 	if _, ok := n.handlers[name]; !ok {
-		panic(fmt.Sprintf("parcel: no sim handler %q", name))
+		panic(fmt.Sprintf("percolate: no sim handler %q", name))
 	}
 }
 

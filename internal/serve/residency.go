@@ -2,12 +2,11 @@ package serve
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/mem"
-	"repro/internal/percolate"
 	"repro/internal/serve/contc"
+	"repro/internal/spinwork"
 	"repro/internal/trace"
 )
 
@@ -18,8 +17,7 @@ import (
 // program instruction blocks) and extends it to data blocks: tenants
 // register objects in the shared mem.Space, batch SGTs stage a batch's
 // declared working set into their locale ahead of execution, and both
-// kinds of transfer are priced through the deterministic parcel.SimNet
-// percolation models (percolate.ModelCode / percolate.ModelData).
+// kinds of transfer are priced by one closed form, transferCycles.
 
 // AutoHome requests round-robin placement for a tenant data object: the
 // i-th object with AutoHome lands at locale i % locales.
@@ -72,52 +70,37 @@ type TenantConfig struct {
 	Specialize func(key uint64) Handler
 }
 
-// residency memoizes the deterministic SimNet transfer simulations by
-// block size — they are pure functions of size, and fleets of tenants
-// and objects share sizes.
-type residency struct {
-	mu   sync.Mutex
-	code map[int]percolate.CodeModel
-	data map[int]percolate.DataModel
-}
+// transferCycles prices moving a code image or data block of size
+// bytes to the site of computation, in simulator cycles: a fixed
+// split-transaction cost of 185 cycles plus the copy at 16 bytes per
+// cycle. It is the closed form of the two-node Cyclops-64 percolation
+// models (percolate.ModelCode and ModelData, which agree for every
+// size); a test pins it to them.
+func transferCycles(size int) int64 { return 185 + (int64(max(size, 1))+7)/16 }
 
-func newResidency() *residency {
-	return &residency{
-		code: make(map[int]percolate.CodeModel),
-		data: make(map[int]percolate.DataModel),
+// spinUnitCycles converts modeled cycles to native spin units: a
+// transfer of c cycles costs spin(c/spinUnitCycles) on the serving SGT,
+// keeping the modeled and native time scales roughly commensurate
+// without depending on the wall clock.
+const spinUnitCycles = 16
+
+// TransferSpinUnits returns the native spin-unit charge for a modeled
+// transfer of c cycles — exactly what a cold first request (or an
+// unstaged remote working-set access) pays.
+func TransferSpinUnits(c int64) int64 {
+	if c <= 0 {
+		return 0
 	}
+	return max(c/spinUnitCycles, 1)
 }
 
-// codeModel prices a handler image of the given size.
-func (r *residency) codeModel(size int) percolate.CodeModel {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.code[size]; ok {
-		return m
-	}
-	m := percolate.ModelCode(size)
-	r.code[size] = m
-	return m
-}
+// transferUnits is the spin charge for moving size bytes: a cold code
+// fetch, a demand fetch on the critical path, or a staging replication
+// ahead of it.
+func transferUnits(size int) int64 { return TransferSpinUnits(transferCycles(size)) }
 
-// dataModel prices a working-set block of the given size.
-func (r *residency) dataModel(size int) percolate.DataModel {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m, ok := r.data[size]; ok {
-		return m
-	}
-	m := percolate.ModelData(size)
-	r.data[size] = m
-	return m
-}
-
-// transferUnits converts one data-block transfer of size bytes — a
-// demand fetch on the critical path, or a staging replication ahead of
-// it — into native spin units via the SimNet data model.
-func (r *residency) transferUnits(size int) int64 {
-	return spinUnitsForCycles(r.dataModel(size).TransferCycles())
-}
+// spinWork burns the shared deterministic CPU-work unit.
+func spinWork(units int64) { spinwork.Work(units) }
 
 // stageBatch percolates the union of a batch's declared working sets
 // into the shard's locale before any job executes: each object missing
@@ -144,7 +127,7 @@ func (s *Server) stageBatch(sh *shard, jobs []*Job) {
 			}
 			s.space.Replicate(id, sh.locale)
 			s.datastage.Inc()
-			spinWork(s.res.transferUnits(s.space.Size(id)))
+			spinWork(transferUnits(s.space.Size(id)))
 			if j.ft != nil {
 				// Attribute the staging transfer to the job whose working
 				// set triggered it — the rest of the batch rides along.
@@ -158,12 +141,11 @@ func (s *Server) stageBatch(sh *shard, jobs []*Job) {
 // RegisterTenant installs a tenant and returns its handle — the
 // identity (name hash, composed middleware chain, shard residency,
 // counters, data objects) is resolved once here so submissions through
-// the handle do no per-call lookup. With CodeSize > 0 the server prices
-// the tenant's cold start through the percolate/parcel.SimNet code
-// model; with Warm it pays the percolation up front so no request ever
-// sees it. Declared Objects are allocated in the shared space (and
-// replicated everywhere with PercolateData), ready to be named in
-// request working sets.
+// the handle do no per-call lookup. With CodeSize > 0 each shard's first
+// job pays transferCycles(CodeSize); with Warm the percolation is paid
+// up front so no request ever sees it. Declared Objects are allocated
+// in the shared space (and replicated everywhere with PercolateData),
+// ready to be named in request working sets.
 func (s *Server) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("serve: tenant name required")
@@ -180,9 +162,9 @@ func (s *Server) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 	}
 	// Registrations serialize so the duplicate check is authoritative:
 	// a rejected registration must leave no trace — no monitor
-	// instruments installed, no code model priced, no objects allocated
-	// — even when the same name races in from two goroutines. Reads
-	// (Tenant, the submit shims) stay lock-free on the sync.Map.
+	// instruments installed, no objects allocated — even when the same
+	// name races in from two goroutines. Reads (Tenant, the submit
+	// shims) stay lock-free on the sync.Map.
 	s.regMu.Lock()
 	defer s.regMu.Unlock()
 	if _, ok := s.tenants.Load(cfg.Name); ok {
@@ -218,11 +200,7 @@ func (s *Server) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 		t.fast = newFastTable(s.cfg.Compile.MaxHot)
 		t.specialize = cfg.Specialize
 	}
-	if cfg.CodeSize > 0 {
-		t.model = s.res.codeModel(cfg.CodeSize)
-		t.transferUnits = spinUnitsForCycles(t.model.TransferCycles())
-	}
-	if cfg.CodeSize == 0 || cfg.Warm {
+	if cfg.CodeSize <= 0 || cfg.Warm {
 		// No image to move, or it was percolated ahead of traffic.
 		for i := range t.resident {
 			t.resident[i].Store(true)

@@ -33,7 +33,7 @@
 //     declare working sets over those objects, and each batch SGT
 //     stages its batch's working set into its locale before execution
 //     (the Section 3.2 percolation idea for both program instruction
-//     and data blocks, priced by the parcel.SimNet transfer models), so
+//     and data blocks, each transfer priced by one closed-form cost), so
 //     requests run warm and local;
 //   - locale-aware routing (Config.Data) — every admission shard is
 //     pinned to one locale of the multi-locale litlx.System, and a
@@ -160,7 +160,6 @@ import (
 	"repro/internal/litlx"
 	"repro/internal/mem"
 	"repro/internal/monitor"
-	"repro/internal/percolate"
 	"repro/internal/serve/contc"
 	"repro/internal/trace"
 )
@@ -229,8 +228,8 @@ type DataConfig struct {
 	LocalityRoute bool
 	// Stage lets each batch SGT percolate its batch's working set into
 	// its locale before execution: one replication per object per
-	// batch, priced by the percolate.ModelData transfer model, instead
-	// of a remote access per job.
+	// batch, priced like any transfer (transferCycles), instead of a
+	// remote access per job.
 	Stage bool
 }
 
@@ -258,7 +257,6 @@ type Server struct {
 	sys   *litlx.System
 	cfg   Config
 	space *mem.Space // the system's global space; data-plane directory
-	res   *residency // unified code/data transfer models and staging
 	obs   *observer  // nil unless Config.Observe is enabled
 
 	shards   []*shard
@@ -299,18 +297,16 @@ type Server struct {
 // state) is bound at registration, so submissions through the handle
 // perform no map lookup and no string hashing.
 type Tenant struct {
-	srv           *Server
-	name          string
-	hash          uint64
-	mw            []Middleware // per-tenant chain, kept for pipeline compilation
-	solo          *Pipeline    // the degenerate one-stage pipeline Submit executes
-	pipeMu        sync.Mutex   // guards pipes (NewPipeline registrations)
-	pipes         []*Pipeline  // in registration order; the compile controller walks a snapshot
-	codeSize      int
-	model         percolate.CodeModel
-	transferUnits int64         // spin units modeling one cold code fetch
-	resident      []atomic.Bool // per shard: image already percolated/fetched
-	objects       []mem.ObjID   // data objects registered in the shared space
+	srv      *Server
+	name     string
+	hash     uint64
+	mw       []Middleware // per-tenant chain, kept for pipeline compilation
+	solo     *Pipeline    // the degenerate one-stage pipeline Submit executes
+	pipeMu   sync.Mutex   // guards pipes (NewPipeline registrations)
+	pipes    []*Pipeline  // in registration order; the compile controller walks a snapshot
+	codeSize int
+	resident []atomic.Bool // per shard: image already percolated/fetched
+	objects  []mem.ObjID   // data objects registered in the shared space
 
 	acc, rej, shed, ok *monitor.Counter
 	waitUS, latUS      *monitor.EWMA
@@ -346,10 +342,14 @@ func (t *Tenant) Objects() []mem.ObjID {
 // already absorbed.
 func (t *Tenant) residentAt(shard int) bool { return t.resident[shard].Load() }
 
-// Model returns the modeled cold/warm first-request cycle counts
-// (zeros when the tenant has no code image).
-func (t *Tenant) Model() (coldCycles, warmCycles int64) {
-	return t.model.ColdCycles, t.model.WarmCycles
+// TransferCycles returns the modeled cost of one cold fetch of the
+// tenant's code image, in simulator cycles (0 without an image): what a
+// shard's first job pays unless the image was warmed.
+func (t *Tenant) TransferCycles() int64 {
+	if t.codeSize <= 0 {
+		return 0
+	}
+	return transferCycles(t.codeSize)
 }
 
 // New starts a server over sys with Shards admission shards, each pinned
@@ -385,7 +385,6 @@ func New(sys *litlx.System, cfg Config) *Server {
 		flowFan:    sys.Mon.Counter("serve.flow.fanout"),
 		flowSteals: sys.Mon.Counter("serve.flow.stage_steals"),
 	}
-	s.res = newResidency()
 	if cfg.Observe.enabled() {
 		s.obs = newObserver(cfg.Observe, cfg.Shards, sys.Mon)
 		if cfg.Observe.Export {
@@ -757,7 +756,7 @@ func (s *Server) execute(br *batchRun, j *Job) {
 	}
 	t := j.tenant
 	if !t.resident[sh.id].Load() {
-		spinWork(t.transferUnits)
+		spinWork(transferUnits(t.codeSize))
 		t.resident[sh.id].Store(true)
 		s.codexfer.Inc()
 		if j.ft != nil {
@@ -769,7 +768,7 @@ func (s *Server) execute(br *batchRun, j *Job) {
 	for _, id := range j.req.WorkingSet {
 		if info := s.space.ReadAccess(sh.locale, id, 0); info.Remote {
 			remote = true
-			spinWork(s.res.transferUnits(info.Bytes))
+			spinWork(transferUnits(info.Bytes))
 			if j.ft != nil {
 				j.ft.add(trace.KindPercolate, sh.id, sh.locale, j.spanArg(),
 					fmt.Sprintf("demand fetch: obj %d (%d bytes)", id, info.Bytes))
@@ -808,7 +807,7 @@ func (s *Server) execute(br *batchRun, j *Job) {
 		// panicked handler must not invalidate replicas it never wrote.
 		for _, id := range j.req.WriteSet {
 			if info := s.space.WriteAccess(sh.locale, id, 0); info.Remote {
-				spinWork(s.res.transferUnits(info.Bytes))
+				spinWork(transferUnits(info.Bytes))
 			}
 		}
 	}

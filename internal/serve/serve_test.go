@@ -495,23 +495,15 @@ func TestDuplicateRegistrationLeavesNoTrace(t *testing.T) {
 	}
 	before := len(sys.Mon.Snapshot().Counters)
 
-	// The duplicate carries a code size no tenant uses: a rejected
-	// registration must not price it into the model cache, nor install
-	// any monitor instruments.
+	// A rejected registration must not install any monitor instruments,
+	// nor replace the original's code image.
 	if _, err := s.RegisterTenant(TenantConfig{Name: "dup", Handler: h, CodeSize: 3 << 20}); err == nil {
 		t.Fatal("duplicate registration succeeded")
 	}
 	if after := len(sys.Mon.Snapshot().Counters); after != before {
 		t.Errorf("duplicate registration changed counter table: %d -> %d", before, after)
 	}
-	s.res.mu.Lock()
-	nmodels := len(s.res.code)
-	_, leaked := s.res.code[3<<20]
-	s.res.mu.Unlock()
-	if nmodels != 1 || leaked {
-		t.Errorf("duplicate registration leaked into model cache (%d entries, 3MiB present=%v)", nmodels, leaked)
-	}
-	if got, _ := s.Tenant("dup"); got != first {
+	if got, _ := s.Tenant("dup"); got != first || got.TransferCycles() != transferCycles(1<<20) {
 		t.Error("duplicate registration replaced the original handle")
 	}
 }
@@ -523,7 +515,7 @@ func TestConcurrentDuplicateRegistration(t *testing.T) {
 	defer s.Close()
 
 	// Racing registrations of one name with distinct code sizes: exactly
-	// one wins, and the losers leave nothing in the model cache.
+	// one wins, and its handle is the one registered.
 	const racers = 8
 	h := func(_ *Ctx, req Request) (any, error) { return req.Key, nil }
 	var wins atomic.Int64
@@ -541,11 +533,8 @@ func TestConcurrentDuplicateRegistration(t *testing.T) {
 	if wins.Load() != 1 {
 		t.Fatalf("%d registrations of the same name succeeded, want exactly 1", wins.Load())
 	}
-	s.res.mu.Lock()
-	nmodels := len(s.res.code)
-	s.res.mu.Unlock()
-	if nmodels != 1 {
-		t.Errorf("losing registrations leaked %d entries into the model cache, want 1", nmodels)
+	if got, ok := s.Tenant("race"); !ok || got.TransferCycles() == 0 {
+		t.Errorf("winning registration not installed: %v", got)
 	}
 }
 
@@ -790,9 +779,8 @@ func TestColdVsWarmFirstRequest(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coldC, warmC := cold.Model()
-	if coldC <= warmC {
-		t.Fatalf("modeled cold (%d cycles) must exceed warm (%d)", coldC, warmC)
+	if c := cold.TransferCycles(); c <= 0 || c != warm.TransferCycles() {
+		t.Fatalf("modeled cold-start transfer %d cycles, want > 0 and equal for equal images (warm %d)", c, warm.TransferCycles())
 	}
 
 	first := func(tn *Tenant, key uint64) time.Duration {
