@@ -26,8 +26,9 @@ import (
 // The cold control messages (join, members, fetch, trace, stats) are
 // walked whole (encode, decode). The two flow-path parcels —
 // "cluster.stage" and "cluster.complete", one of each per remote hop —
-// are written by hand in the same field encodings, one allocation per
-// body, with a 1-byte status:
+// are written by hand in the same field encodings, at most one
+// allocation per body (none for a re-headed one, below), with a 1-byte
+// status:
 //
 //	stage:    Flow | FlowEpoch | Stage | Key | Deadline | Priority | Pipe |
 //	          Origin str | value
@@ -60,6 +61,15 @@ import (
 // []byte aliases the parcel body, which the receiving handler owns (see
 // parcel.TransportHandler). The netparcel frame around a body is
 // documented in that package.
+//
+// Because the handler owns the body, a flow's []byte is copied once,
+// at its origin. A stage that hands back the []byte that arrived with
+// it (the value still starts right behind its parcel's fixed fields,
+// its room) ships onward in the body it arrived in: the next parcel's
+// fixed fields are written at the start of that array, over the old
+// ones, and the value stays where it is (a stage parcel whose fields
+// are the same size) or moves down behind the shorter completion
+// fields. Every other value is copied into a new body.
 
 // maxDepth bounds how deeply composite values nest inside []any and
 // map[string]any elements, so a forged chain of nested []any headers
@@ -142,10 +152,16 @@ func decode[T any](b []byte) (T, error) {
 	return v, r.err(reflect.TypeFor[T]().String())
 }
 
-// encodeStage lays out one stage parcel carrying input v. The only
-// failure is a value the codec cannot carry.
-func encodeStage(sp *stageMsg, v any) ([]byte, error) {
-	b := newBody(7*8 + strSize(sp.Origin) + valueSize(v))
+// encodeStage lays out one stage parcel carrying input v in a new body.
+func encodeStage(sp *stageMsg, v any) ([]byte, error) { return encodeStageIn(nil, sp, v) }
+
+// encodeStageIn lays out one stage parcel carrying input v, re-headed
+// into room's body when v still sits behind room and the fixed fields
+// fit it exactly: the value does not move, so a failed send leaves it
+// intact for the stage to run here. The only failure is a value the
+// codec cannot carry.
+func encodeStageIn(room []byte, sp *stageMsg, v any) ([]byte, error) {
+	b := reuse(room, v, 7*8+strSize(sp.Origin)+valueSize(v), false)
 	for _, u := range [...]uint64{sp.Flow, uint64(sp.FlowEpoch), uint64(sp.Stage), sp.Key, uint64(sp.Deadline), uint64(sp.Priority), sp.Pipe} {
 		b = appendU64(b, u)
 	}
@@ -169,9 +185,17 @@ func decodeStage(b []byte) (stageMsg, []byte, error) {
 	return sp, r.b, r.err("stage parcel")
 }
 
-// encodeComplete lays out one completion parcel carrying value v.
-func encodeComplete(cm *completeMsg, v any) ([]byte, error) {
-	b := appendU64(appendU64(newBody(2*8+1+strSize(cm.Err)+valueSize(v)), cm.Flow), uint64(cm.FlowEpoch))
+// encodeComplete lays out one completion parcel carrying value v in a
+// new body.
+func encodeComplete(cm *completeMsg, v any) ([]byte, error) { return encodeCompleteIn(nil, cm, v) }
+
+// encodeCompleteIn lays out one completion parcel carrying value v,
+// re-headed into room's body when v still sits behind room: the shorter
+// fields go at the array's start, so the body keeps its whole capacity
+// for the transport to reuse, and the value moves down behind them.
+func encodeCompleteIn(room []byte, cm *completeMsg, v any) ([]byte, error) {
+	b := reuse(room, v, 2*8+1+strSize(cm.Err)+valueSize(v), true)
+	b = appendU64(appendU64(b, cm.Flow), uint64(cm.FlowEpoch))
 	return appendValue(appendString(append(b, cm.Status), cm.Err), v)
 }
 
@@ -235,7 +259,12 @@ func (w *writer) value(v any) {
 	case string:
 		w.b = appendString(append(w.b, tagString), x)
 	case []byte:
-		w.b = append(appendCount(append(w.b, tagBytes), x == nil, len(x)), x...)
+		w.b = appendCount(append(w.b, tagBytes), x == nil, len(x))
+		if behind(w.b, x) { // already in place in a re-headed body (reuse)
+			w.b = w.b[:len(w.b)+len(x)]
+		} else {
+			w.b = append(w.b, x...)
+		}
 	default:
 		rv := reflect.ValueOf(v)
 		switch tag := slices.Index(valueTypes[:], rv.Type()); {
@@ -288,6 +317,26 @@ func (w *writer) put(rv reflect.Value) {
 // receive buffers (netparcel) then fits a slightly longer arriving
 // body — a stage parcel where a completion parcel left — into it.
 func newBody(size int) []byte { return slices.Grow([]byte(nil), size) }
+
+// reuse returns the empty body a size-byte message carrying v is
+// encoded into: room's array when v is a []byte that starts right
+// behind room in it and the message's fields fit room — exactly, or
+// when shrink is set also with bytes to spare, the value then moving
+// down behind them — else a new body.
+func reuse(room []byte, v any, size int, shrink bool) []byte {
+	if x, ok := v.([]byte); ok && behind(room, x) {
+		if head := size - len(x); head == len(room) || shrink && head < len(room) {
+			return room[:0]
+		}
+	}
+	return newBody(size)
+}
+
+// behind reports whether x is non-empty and starts right behind b, in
+// b's array.
+func behind(b, x []byte) bool {
+	return len(x) > 0 && cap(b) > len(b) && &b[:len(b)+1][len(b)] == &x[0]
+}
 
 // valueSize is the size of v's encoding, so a message is allocated
 // once: exact for nil, a scalar, a []byte or a string, and for any

@@ -463,3 +463,109 @@ func FuzzDecodeControl(f *testing.F) {
 		}
 	})
 }
+
+// TestReheadInPlace: a flow parcel carrying the []byte that arrived in
+// a stage parcel is re-headed into that parcel's body — a stage parcel
+// with the value where it is, a completion at the array's start with the
+// value moved down behind its shorter fields — and every value that does
+// not start right behind the received fields, or that a stage parcel
+// could carry only by moving it, goes into a new body and leaves the
+// received one untouched.
+func TestReheadInPlace(t *testing.T) {
+	in := stageMsg{Flow: 9, Origin: "node-2", Pipe: pipeID("chain", "chain"), Stage: 1, Key: 5}
+	out := in
+	out.Stage, out.Key, out.Deadline = 2, 77, 123
+	cm := completeMsg{Flow: 9, FlowEpoch: 1}
+	payload := make([]byte, 300) // its length takes 2 bytes, as does 200; 100 takes 1
+	for i := range payload {
+		payload[i] = byte(i*7 + 1)
+	}
+	// arrive decodes a fresh stage parcel carrying payload, as
+	// handleStage does, and returns its body, room and value.
+	arrive := func() (body, room, x []byte) {
+		body, _ = encodeStage(&in, payload)
+		_, vb, _ := decodeStage(body)
+		v, err := decodeValue(vb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x = v.([]byte)
+		return body, body[:len(body)-len(x)], x
+	}
+	// encode lays v out as a stage or completion parcel in room and
+	// checks that it decodes to out's or cm's fields and to want.
+	encode := func(kind string, room []byte, v, want any) []byte {
+		t.Helper()
+		var b, vb []byte
+		var err error
+		if kind == "stage" {
+			var sp stageMsg
+			if b, err = encodeStageIn(room, &out, v); err == nil {
+				if sp, vb, err = decodeStage(b); err == nil && sp != out {
+					err = fmt.Errorf("fields %+v, want %+v", sp, out)
+				}
+			}
+		} else {
+			var got completeMsg
+			if b, err = encodeCompleteIn(room, &cm, v); err == nil {
+				if got, vb, err = decodeComplete(b); err == nil && got != cm {
+					err = fmt.Errorf("fields %+v, want %+v", got, cm)
+				}
+			}
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", kind, err)
+		}
+		if got, err := decodeValue(vb); err != nil || !sameValue(got, want) {
+			t.Fatalf("%s: value %v, %v; want %v", kind, got, err, want)
+		}
+		return b
+	}
+	cases := []struct {
+		name            string
+		v               func(x []byte) any
+		stage, complete bool // re-headed in place
+	}{
+		{"the arrived value", func(x []byte) any { return x }, true, true},
+		{"shorter, same length size", func(x []byte) any { return x[:200] }, true, true},
+		{"shorter, shorter length", func(x []byte) any { return x[:100] }, false, true},
+		{"x[1:]", func(x []byte) any { return x[1:] }, false, false},
+		{"a copy", func(x []byte) any { return bytes.Clone(x) }, false, false},
+		{"another array", func(x []byte) any { return make([]byte, len(x)) }, false, false},
+		{"a nil []byte", func([]byte) any { return []byte(nil) }, false, false},
+		{"nil", func([]byte) any { return nil }, false, false},
+		{"a string", func(x []byte) any { return string(x) }, false, false},
+	}
+	for _, c := range cases {
+		for _, kind := range []string{"stage", "complete"} {
+			body, room, x := arrive()
+			orig := bytes.Clone(body)
+			v, want := c.v(x), c.v(x)
+			vx, isBytes := v.([]byte)
+			if isBytes {
+				want = bytes.Clone(vx) // vx may move
+			}
+			b := encode(kind, room, v, want)
+			switch {
+			case kind == "stage" && c.stage:
+				if &b[0] != &body[0] || &b[len(b)-len(vx)] != &vx[0] {
+					t.Errorf("%s, %s: not re-headed around the value in place", c.name, kind)
+				}
+			case kind == "complete" && c.complete:
+				if &b[0] != &body[0] || cap(b) != cap(body) {
+					t.Errorf("%s, %s: not re-headed at the start of the arrived body", c.name, kind)
+				}
+			case &b[0] == &body[0]:
+				t.Errorf("%s, %s: re-headed, want a new body", c.name, kind)
+			case !bytes.Equal(body, orig):
+				t.Errorf("%s, %s: the arrived body was written", c.name, kind)
+			}
+		}
+	}
+
+	_, room, x := arrive()
+	var v any = x
+	if n := testing.AllocsPerRun(20, func() { _, _ = encodeStageIn(room, &out, v) }); n != 0 {
+		t.Errorf("a re-headed stage parcel allocates %v times, want 0", n)
+	}
+}

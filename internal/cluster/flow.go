@@ -31,14 +31,18 @@ import (
 // the key that mixes onto the global locale space (the ring then names
 // the owning node) and the names of the tenant globals the stage reads
 // (the executing node percolates them before running). A nil route
-// inherits the flow's submission key and reads no globals.
+// inherits the flow's submission key and reads no globals. A route may
+// read v but not keep it: a []byte v may be shipped in place next.
 type StageRoute func(v any) (key uint64, globals []string)
 
 // PipelineConfig declares one cluster pipeline.
 type PipelineConfig struct {
 	Name string
 	// Stages are the serve-layer stage declarations, exactly as for
-	// Tenant.NewPipeline.
+	// Tenant.NewPipeline. A stage's []byte input may alias the parcel it
+	// arrived in, and a []byte a stage returns is handed on, as the next
+	// stage's input or as the body of the parcel that carries it: the
+	// stage keeps no reference to it, and reads or writes it no more.
 	Stages []serve.Stage
 	// Routes gives each stage its cluster routing; nil entries (or a nil
 	// slice) inherit the flow key. Length must be 0 or len(Stages).
@@ -125,9 +129,11 @@ func (p *Pipeline) Submit(req serve.Request) (*serve.Ticket, error) {
 // flow if its executor dies — the last stage parcel's fields, the stage
 // input (re-keyed and re-encoded on every re-route), the destination it
 // was shipped to, and the recovery timer. The encoded parcel itself is
-// not kept: its receiver owns those bytes and may have changed them in
-// place. msg.FlowEpoch is the current epoch; completions carrying an
-// older one are zombies' and drop.
+// not kept: its receiver owns those bytes, may have changed them in
+// place, and may have re-headed them to ship the flow onward or back.
+// v is the caller's own value, never a sent body. msg.FlowEpoch is the
+// current epoch; completions carrying an older one are zombies' and
+// drop.
 type pendingFlow struct {
 	flow     serve.Flow
 	p        *Pipeline
@@ -174,7 +180,7 @@ func (p *Pipeline) ForwardStage(next int, v any, key uint64, deadline time.Time,
 	skey, _ := p.route(next, v, key)
 	dest, _ := n.ownerOf(p.t.hash, skey)
 	return dest != n.self && p.ship(dest, stageMsg{Origin: string(n.self), Stage: next, Key: key,
-		Deadline: deadlineNS(deadline), Priority: priority}, v, &fl)
+		Deadline: deadlineNS(deadline), Priority: priority}, v, nil, &fl)
 }
 
 // Ended counts the terminal of a flow this node originated.
@@ -186,7 +192,7 @@ func (p *Pipeline) Ended(serve.Result) { p.n.flowsCompleted.Add(1) }
 // completion parcel to finish and the recovery timer to guarantee; a
 // flow that arrived here ships under its own id, and its completion
 // goes straight to the origin. It reports whether the flow is gone.
-func (p *Pipeline) ship(dest parcel.NodeID, sp stageMsg, v any, fl *serve.Flow) bool {
+func (p *Pipeline) ship(dest parcel.NodeID, sp stageMsg, v any, room []byte, fl *serve.Flow) bool {
 	n := p.n
 	sp.Pipe = p.id
 	var pf *pendingFlow
@@ -199,7 +205,7 @@ func (p *Pipeline) ship(dest parcel.NodeID, sp stageMsg, v any, fl *serve.Flow) 
 		n.arm(flow, pf)
 		n.pendingMu.Unlock()
 	}
-	if !n.forward(dest, &sp, v) {
+	if !n.forward(dest, &sp, v, room) {
 		if pf == nil {
 			return false
 		}
@@ -287,19 +293,20 @@ func (n *Node) recoverFlow(flow uint64) {
 		n.traces.record(n.self, flow, trace.KindAdapt,
 			"recovery: attempt %d re-routes stage %d to %s (epoch %d)", attempt, sp.Stage, owner, sp.FlowEpoch)
 	}
-	if owner != n.self && n.forward(owner, &sp, v) {
+	if owner != n.self && n.forward(owner, &sp, v, nil) {
 		return
 	}
 	// The new owner is unreachable too: run the stage here rather than
 	// burning the remaining attempts against a dead wire.
-	n.enter(p, sp, v, globals)
+	n.enter(p, sp, v, globals, nil)
 }
 
-// forward sends a stage parcel to dest and counts it as forwarded —
+// forward sends a stage parcel to dest, re-headed into room's body when
+// v still sits behind room (encodeStageIn), and counts it as forwarded —
 // before the send, since the parcel may complete the flow before Send
 // returns. It reports whether the parcel went.
-func (n *Node) forward(dest parcel.NodeID, sp *stageMsg, v any) bool {
-	pb, err := encodeStage(sp, v)
+func (n *Node) forward(dest parcel.NodeID, sp *stageMsg, v any, room []byte) bool {
+	pb, err := encodeStageIn(room, sp, v)
 	if err != nil {
 		return false
 	}
@@ -324,39 +331,43 @@ func (n *Node) handleStage(_ parcel.NodeID, body []byte) ([]byte, error) {
 	}
 	p := n.pipeline(sp.Pipe)
 	var v any
+	var room []byte
 	if p == nil || sp.Stage < 0 || sp.Stage >= p.Len() {
 		err = fmt.Errorf("cluster: node %s has no pipeline %#x (stage %d)", n.self, sp.Pipe, sp.Stage)
 	} else if v, err = decodeValue(vb); err != nil {
 		err = fmt.Errorf("cluster: stage %d value: %w", sp.Stage, err)
+	} else if x, ok := v.([]byte); ok {
+		room = body[:len(body)-len(x)] // the value ends the body
 	}
 	if err != nil {
-		n.completeFlow(&sp, serve.Result{Status: serve.StatusFailed, Err: err})
+		n.completeFlow(&sp, serve.Result{Status: serve.StatusFailed, Err: err}, nil)
 		return nil, nil
 	}
 	if _, globals := p.route(sp.Stage, v, sp.Key); p.t.warm(parcel.NodeID(sp.Origin), globals) {
-		n.enter(p, sp, v, globals)
+		n.enter(p, sp, v, globals, room)
 	} else {
-		go n.enter(p, sp, v, globals)
+		go n.enter(p, sp, v, globals, room)
 	}
 	return nil, nil
 }
 
 // enter starts an arrived flow in this node's serve pipeline at stage
-// sp.Stage, whose routing named globals: a deadline check against the
+// sp.Stage, whose routing named globals, and whose []byte input v, when
+// it aliases its parcel, sits behind room: a deadline check against the
 // node's own clock (so harnesses that inject one steer shedding
 // deterministically; stages chained here afterwards are shed by serve's
 // own deadline check), then serve runs the flow with an arrival as its
 // router, which accounts the entry stage when serve consults it there.
-func (n *Node) enter(p *Pipeline, sp stageMsg, v any, globals []string) {
+func (n *Node) enter(p *Pipeline, sp stageMsg, v any, globals []string, room []byte) {
 	deadline := nsTime(sp.Deadline)
 	if !deadline.IsZero() && n.now().After(deadline) {
-		n.completeFlow(&sp, serve.Result{Status: serve.StatusShed})
+		n.completeFlow(&sp, serve.Result{Status: serve.StatusShed}, nil)
 		return
 	}
 	req := serve.Request{Key: sp.Key, Payload: v, Deadline: deadline, Priority: sp.Priority}
-	a := &arrival{p: p, msg: sp, globals: globals}
+	a := &arrival{p: p, msg: sp, globals: globals, room: room}
 	if err := p.t.st.SubmitFlowAt(p.sp, sp.Stage, req, a, nil); err != nil {
-		n.completeFlow(&sp, serve.Result{Status: serve.StatusRejected, Err: err})
+		n.completeFlow(&sp, serve.Result{Status: serve.StatusRejected, Err: err}, nil)
 	}
 }
 
@@ -367,11 +378,14 @@ func (n *Node) enter(p *Pipeline, sp stageMsg, v any, globals []string) {
 // pending entry, and when it declines (the ring says here, or the
 // parcel cannot be sent) the stage runs where it is. Hearing the
 // terminal, it returns the result to the origin unless the flow shipped
-// on.
+// on. Either exit parcel is re-headed into the arrived body (room) when
+// the stages handed back its []byte, so a flow's bytes are copied once,
+// at its origin.
 type arrival struct {
 	p       *Pipeline
 	msg     stageMsg
 	globals []string // the entry stage's
+	room    []byte   // msg's body in front of its []byte input, for the exit parcel to re-head
 	shipped bool
 }
 
@@ -385,7 +399,7 @@ func (a *arrival) ForwardStage(next int, v any, key uint64, deadline time.Time, 
 	if owner, _ := n.ownerOf(p.t.hash, skey); owner != n.self {
 		sp := a.msg
 		sp.Stage, sp.Key, sp.Deadline, sp.Priority = next, key, deadlineNS(deadline), priority
-		if p.ship(owner, sp, v, nil) {
+		if p.ship(owner, sp, v, a.room, nil) {
 			// The flow's result now reaches the origin from elsewhere: end
 			// the local flow without a completion parcel.
 			a.shipped = true
@@ -400,7 +414,7 @@ func (a *arrival) ForwardStage(next int, v any, key uint64, deadline time.Time, 
 // Ended returns the arrived flow's terminal result to its origin.
 func (a *arrival) Ended(r serve.Result) {
 	if !a.shipped {
-		a.p.n.completeFlow(&a.msg, r)
+		a.p.n.completeFlow(&a.msg, r, a.room)
 	}
 }
 
@@ -423,9 +437,11 @@ func (a *arrival) run(stage int, globals []string) {
 
 // completeFlow returns the terminal result of the flow sp carried to
 // its origin — directly when the flow ended where it began, else as a
-// completion parcel. The epoch travels with the result: the origin only
-// accepts completions for the attempt it currently has in flight.
-func (n *Node) completeFlow(sp *stageMsg, r serve.Result) {
+// completion parcel, re-headed into room's body when the value still
+// sits behind room (encodeCompleteIn). The epoch travels with the
+// result: the origin only accepts completions for the attempt it
+// currently has in flight.
+func (n *Node) completeFlow(sp *stageMsg, r serve.Result, room []byte) {
 	origin := parcel.NodeID(sp.Origin)
 	if origin == n.self {
 		n.finishFlow(sp.Flow, sp.FlowEpoch, r)
@@ -439,7 +455,7 @@ func (n *Node) completeFlow(sp *stageMsg, r serve.Result) {
 	if r.Status == serve.StatusOK {
 		v = r.Value
 	}
-	body, err := encodeComplete(&cm, v)
+	body, err := encodeCompleteIn(room, &cm, v)
 	if err != nil {
 		cm.Status = uint8(serve.StatusFailed)
 		cm.Err = fmt.Sprintf("cluster: result value does not encode: %v", err)

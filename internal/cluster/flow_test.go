@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"encoding/binary"
 	"fmt"
 	"strings"
 	"sync"
@@ -284,5 +286,97 @@ func TestNewPipelineRefusesHeldID(t *testing.T) {
 	}
 	if got := nodes[0].pipeline(pipeID("ct", "other")); got != held {
 		t.Fatalf("the id now names %s/%s, want it still held by ct/chain", got.t.name, got.name)
+	}
+}
+
+// poisonSend is a transport that delivers a copy of every Send body and
+// then fills the original's whole array, to its capacity, with 0xA5: a
+// layer that reads, changes or resends a body after shipping it hands
+// on poison.
+type poisonSend struct{ parcel.Transport }
+
+func (p poisonSend) Send(dest parcel.NodeID, method string, body []byte) error {
+	if err := p.Transport.Send(dest, method, bytes.Clone(body)); err != nil {
+		return err // a failed Send leaves the body with its sender
+	}
+	full := body[:cap(body)]
+	for i := range full {
+		full[i] = 0xA5
+	}
+	return nil
+}
+
+// TestShippedBodyIsDead runs a []byte chain over poisonSend and checks
+// every byte of every result, so no layer reads a body after shipping
+// it. Each stage shortens the value by a byte, so across the flows the
+// arrived value is re-headed in place, shipped in a new body when its
+// length prefix shrinks, and moved down behind a completion's fields.
+func TestShippedBodyIsDead(t *testing.T) {
+	step := func(_ *serve.Ctx, req serve.Request) (any, error) {
+		p := req.Payload.([]byte)
+		p[0]++
+		return p[:len(p)-1], nil
+	}
+	rekey := func(v any) (uint64, []string) {
+		p := v.([]byte)
+		return splitmix64(binary.LittleEndian.Uint64(p[1:9])*0x9E3779B97F4A7C15 + uint64(p[0])), nil
+	}
+	fabric := parcel.NewFabric()
+	var nodes [2]*Node
+	var pipe *Pipeline
+	for i, id := range []parcel.NodeID{"node-2", "node-4"} {
+		node, err := NewNode(Config{
+			Transport: poisonSend{fabric.Node(id)},
+			System:    litlx.Config{Locales: 8, WorkersPerLocale: 1, Seed: uint64(i) + 1},
+			Serve:     serve.Config{Shards: 8, Batch: 32},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(node.Close)
+		nodes[i] = node
+		if p := registerChain(t, node, step, rekey); i == 0 {
+			pipe = p
+		}
+	}
+	if err := nodes[1].Join(nodes[0].Transport().Addr()); err != nil {
+		t.Fatal(err)
+	}
+
+	const flows = 200
+	// payload is flow i's input: bytes 1..8 its number, the rest a
+	// pattern. Some lengths cross 128, where the length prefix shrinks.
+	payload := func(i int) []byte {
+		b := make([]byte, 127+i%8+i%2*(4<<10))
+		for j := range b {
+			b[j] = byte(i + j*31)
+		}
+		b[0] = 0
+		binary.LittleEndian.PutUint64(b[1:9], uint64(i))
+		return b
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, flows)
+	for i := range flows {
+		wg.Add(1)
+		err := pipe.SubmitFunc(serve.Request{Key: splitmix64(uint64(i)), Payload: payload(i)}, func(r serve.Result) {
+			defer wg.Done()
+			want := payload(i)
+			want[0] = 3
+			if v, _ := r.Value.([]byte); r.Status != serve.StatusOK || !bytes.Equal(v, want[:len(want)-3]) {
+				errs <- fmt.Errorf("flow %d: %v (%v) returned % x", i, r.Status, r.Err, v)
+			}
+		})
+		if err != nil {
+			t.Fatalf("submit %d: %v", i, err)
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if nodes[1].Stats().ForwardedStages == 0 {
+		t.Error("no stage parcel was shipped onward from an arrival")
 	}
 }

@@ -65,8 +65,9 @@ type TransportStats struct {
 // array, up to cap(body), which the caller may then neither read,
 // modify nor send again — once the TCP transport has written a Send's
 // body it reuses that array for an arriving body. To send part of a
-// buffer that stays in use, send a copy. A Call's reply belongs to the
-// caller.
+// buffer that stays in use, send a copy. A Send that returns an error
+// has not taken the body: it is still its caller's. A Call's reply
+// belongs to the caller.
 // Handle installs the handler for a method name; handlers must be
 // installed before peers start sending to them. Dial makes the node at
 // addr reachable and returns its NodeID — for the in-process fabric the
