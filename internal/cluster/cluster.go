@@ -141,10 +141,16 @@ type Node struct {
 
 	// pending holds the records of flows this node originated and shipped
 	// away; a completion parcel pops its entry exactly once, and the
-	// recovery timers re-route entries whose executor died.
+	// recovery sweep re-routes entries whose executor died. sweep is the
+	// one recovery timer, set for sweepAt (zero when not set); both
+	// sweepAt and an entry's due time count from base, on the monotonic
+	// clock.
 	nextFlow  atomic.Uint64
 	pendingMu sync.Mutex
 	pending   map[uint64]*pendingFlow
+	sweep     *time.Timer
+	sweepAt   time.Duration
+	base      time.Time
 
 	clock  func() time.Time
 	detCfg DetectConfig
@@ -186,6 +192,7 @@ func NewNode(cfg Config) (*Node, error) {
 		tenants: make(map[string]*Tenant),
 		pipes:   make(map[uint64]*Pipeline),
 		pending: make(map[uint64]*pendingFlow),
+		base:    time.Now(),
 		clock:   cfg.Clock,
 		detCfg:  cfg.Detect,
 		recCfg:  cfg.Recover,
@@ -193,6 +200,8 @@ func NewNode(cfg Config) (*Node, error) {
 	if n.clock == nil {
 		n.clock = time.Now
 	}
+	n.sweep = time.AfterFunc(time.Hour, n.sweepPending) // idle until arm sets it
+	n.sweep.Stop()
 	if n.detCfg.Misses <= 0 {
 		n.detCfg.Misses = 3
 	}
@@ -517,11 +526,11 @@ type Stats struct {
 	CodeFetches, ObjectFetches int64
 	PercolateBytes             int64
 	// Evictions counts members this node's failure detector declared
-	// dead; RecoveredFlows counts recovery-timer firings that re-routed
-	// or resolved a pending flow; StaleCompletions counts completion
-	// parcels dropped by the flow-epoch gate (zombie executors finishing
-	// after their eviction); RehomedObjects counts tenant globals this
-	// node took over as the new primary after an eviction.
+	// dead; RecoveredFlows counts recoveries that re-routed or resolved
+	// a pending flow; StaleCompletions counts completion parcels dropped
+	// by the flow-epoch gate (zombie executors finishing after their
+	// eviction); RehomedObjects counts tenant globals this node took
+	// over as the new primary after an eviction.
 	Evictions, RecoveredFlows int64
 	StaleCompletions          int64
 	RehomedObjects            int64
@@ -596,11 +605,9 @@ func (n *Node) Close() {
 	n.pendingMu.Lock()
 	pend := n.pending
 	n.pending = make(map[uint64]*pendingFlow)
+	n.sweep.Stop()
 	n.pendingMu.Unlock()
 	for _, pf := range pend {
-		if pf.timer != nil {
-			pf.timer.Stop()
-		}
 		pf.flow.Finish(serve.Result{Status: serve.StatusRejected, Err: ErrNodeClosed})
 	}
 	n.srv.Close()

@@ -111,7 +111,8 @@ func (n *Node) evict(dead parcel.NodeID) {
 // recoverAfter runs the survivor-side recovery for one departed member:
 //
 //  1. every pending flow last shipped to the dead node is re-routed now
-//     (its recovery timer would catch it anyway; this removes the wait);
+//     (the recovery sweep would catch it when it falls due; this removes
+//     the wait, and re-arms the flow's one due time);
 //  2. tenant globals whose home locale the dead node owned are taken
 //     over by their new primary — promoted from a local replica when
 //     replication had pre-warmed one, fetched from a survivor otherwise;
@@ -131,7 +132,7 @@ func (n *Node) recoverAfter(dead parcel.NodeID, oldRing, newRing *Ring) {
 	}
 	n.pendingMu.Unlock()
 	for _, flow := range stranded {
-		go n.recoverFlow(flow)
+		go n.recoverFlow(flow, 0)
 	}
 
 	n.tenantsMu.RLock()

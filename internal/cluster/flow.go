@@ -128,7 +128,8 @@ func (p *Pipeline) Submit(req serve.Request) (*serve.Ticket, error) {
 // a completion finishes, plus everything recovery needs to re-route the
 // flow if its executor dies — the last stage parcel's fields, the stage
 // input (re-keyed and re-encoded on every re-route), the destination it
-// was shipped to, and the recovery timer. The encoded parcel itself is
+// was shipped to, and when the node's recovery sweep is due to re-route
+// it (zero while recovery is off). The encoded parcel itself is
 // not kept: its receiver owns those bytes, may have changed them in
 // place, and may have re-headed them to ship the flow onward or back.
 // v is the caller's own value, never a sent body. msg.FlowEpoch is the
@@ -141,15 +142,16 @@ type pendingFlow struct {
 	v        any      // its stage input
 	dest     parcel.NodeID
 	attempts int
-	timer    *time.Timer
+	due      time.Duration // since n.base
 }
 
 // SubmitFunc admits one flow, invoking done exactly once with the
 // terminal result. The flow is a serve flow at this node from the
 // start, with p as its router: when the ring homes stage 0 on another
 // node, the flow ships there at admission, and done fires when the
-// completion parcel returns. done may then run on a transport delivery
-// goroutine, and must not block.
+// completion parcel returns. done may then run wherever the transport
+// delivers that parcel (on the fabric, the executor's goroutine that
+// sent it), and must not block.
 func (p *Pipeline) SubmitFunc(req serve.Request, done func(serve.Result)) error {
 	n := p.n
 	if n.closed.Load() {
@@ -169,14 +171,11 @@ func (p *Pipeline) SubmitFunc(req serve.Request, done func(serve.Result)) error 
 // the rest of the flow there (ship) under a pending entry that the
 // completion parcel, or recovery, finishes fl through. It returns false
 // (nothing registered, nothing sent) when the stage is homed here, the
-// value cannot cross the wire, or the peer is unreachable — unless the
-// recovery timer fired before the failed send returned, which makes the
-// flow recovery's.
+// node is closed, the value cannot cross the wire, or the peer is
+// unreachable — unless recovery took the flow before the failed send
+// returned, which makes the flow recovery's.
 func (p *Pipeline) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, fl serve.Flow) bool {
 	n := p.n
-	if n.closed.Load() {
-		return false
-	}
 	skey, _ := p.route(next, v, key)
 	dest, _ := n.ownerOf(p.t.hash, skey)
 	return dest != n.self && p.ship(dest, stageMsg{Origin: string(n.self), Stage: next, Key: key,
@@ -189,7 +188,7 @@ func (p *Pipeline) Ended(serve.Result) { p.n.flowsCompleted.Add(1) }
 // ship sends the rest of a flow — stage sp.Stage, v its input — to dest
 // as a stage parcel, and traces the hop. A flow this node originates
 // (fl non-nil) is first registered under a fresh flow id, for the
-// completion parcel to finish and the recovery timer to guarantee; a
+// completion parcel to finish and the recovery sweep to guarantee; a
 // flow that arrived here ships under its own id, and its completion
 // goes straight to the origin. It reports whether the flow is gone.
 func (p *Pipeline) ship(dest parcel.NodeID, sp stageMsg, v any, room []byte, fl *serve.Flow) bool {
@@ -201,8 +200,12 @@ func (p *Pipeline) ship(dest parcel.NodeID, sp stageMsg, v any, room []byte, fl 
 		sp.Flow = flow
 		pf = &pendingFlow{flow: *fl, p: p, msg: sp, v: v, dest: dest}
 		n.pendingMu.Lock()
+		if n.closed.Load() { // Close has taken the pending map: the stage runs here
+			n.pendingMu.Unlock()
+			return false
+		}
 		n.pending[flow] = pf
-		n.arm(flow, pf)
+		n.arm(pf)
 		n.pendingMu.Unlock()
 	}
 	if !n.forward(dest, &sp, v, room) {
@@ -216,9 +219,6 @@ func (p *Pipeline) ship(dest parcel.NodeID, sp stageMsg, v any, room []byte, fl 
 		untouched := n.pending[sp.Flow] == pf && pf.attempts == 0
 		if untouched {
 			delete(n.pending, sp.Flow)
-			if pf.timer != nil {
-				pf.timer.Stop()
-			}
 		}
 		n.pendingMu.Unlock()
 		return !untouched
@@ -230,13 +230,15 @@ func (p *Pipeline) ship(dest parcel.NodeID, sp stageMsg, v any, room []byte, fl 
 	return true
 }
 
-// arm starts the recovery timer of pending flow pf (n.pendingMu held):
+// arm sets when pending flow pf is due for recovery (n.pendingMu held):
 // how long the origin waits for the shipped flow before suspecting its
 // executor is the configured FlowTimeout, clipped to the flow's own
 // deadline so a deadlined flow is resolved (not merely retried) the
-// moment it can no longer make it. A negative FlowTimeout disables
-// recovery.
-func (n *Node) arm(flow uint64, pf *pendingFlow) {
+// moment it can no longer make it. The node's one sweep timer is moved
+// only when pf is due before it: flows that share FlowTimeout fall due
+// in the order they ship, so arming one costs a read of the monotonic
+// clock. A negative FlowTimeout disables recovery.
+func (n *Node) arm(pf *pendingFlow) {
 	d := n.recCfg.FlowTimeout
 	if d <= 0 {
 		return
@@ -244,21 +246,56 @@ func (n *Node) arm(flow uint64, pf *pendingFlow) {
 	if deadline := nsTime(pf.msg.Deadline); !deadline.IsZero() {
 		d = min(d, deadline.Sub(n.now()))
 	}
-	pf.timer = time.AfterFunc(max(d, time.Millisecond), func() { n.recoverFlow(flow) })
+	pf.due = time.Since(n.base) + max(d, time.Millisecond)
+	n.wake(pf.due)
 }
 
-// recoverFlow is the recovery timer's body — the reason no shipped
-// flow waits forever. It inspects one still-pending flow: past its
-// deadline it resolves StatusShed; out of attempts it resolves
-// StatusFailed; otherwise it bumps the flow epoch (so any completion
-// from the previous attempt's executor — alive or zombie — is dropped
-// as stale), re-routes the retained stage parcel by the current ring,
-// and re-arms the timer. The flow may execute more than once; the epoch
-// gate keeps its resolution exactly-once.
-func (n *Node) recoverFlow(flow uint64) {
+// wake sets the sweep timer for at unless it is set for earlier already
+// (n.pendingMu held).
+func (n *Node) wake(at time.Duration) {
+	if n.sweepAt == 0 || at < n.sweepAt {
+		n.sweepAt = at
+		n.sweep.Reset(at - time.Since(n.base))
+	}
+}
+
+// sweepPending is the body of the node's recovery timer — the reason no
+// shipped flow waits forever. It collects the pending flows that are
+// due, sets the timer for the earliest of the rest, and recovers each
+// due flow on a goroutine of its own, so a re-route whose send stalls
+// holds up no other.
+func (n *Node) sweepPending() {
+	now := time.Since(n.base)
+	var due []uint64
+	n.pendingMu.Lock()
+	n.sweepAt = 0
+	for flow, pf := range n.pending {
+		if pf.due <= now {
+			due = append(due, flow)
+		} else {
+			n.wake(pf.due)
+		}
+	}
+	n.pendingMu.Unlock()
+	for _, flow := range due {
+		go n.recoverFlow(flow, now)
+	}
+}
+
+// recoverFlow inspects one still-pending flow: past its deadline it
+// resolves StatusShed; out of attempts it resolves StatusFailed;
+// otherwise it bumps the flow epoch (so any completion from the
+// previous attempt's executor — alive or zombie — is dropped as stale),
+// re-routes the retained stage parcel by the current ring, and re-arms
+// the flow. The sweep passes the time it found the flow due at, and
+// recovers it only if it is due still: a forced recovery (sweptAt zero,
+// from recoverAfter) may have re-armed it meanwhile. The flow may
+// execute more than once; the epoch gate keeps its resolution
+// exactly-once.
+func (n *Node) recoverFlow(flow uint64, sweptAt time.Duration) {
 	n.pendingMu.Lock()
 	pf := n.pending[flow]
-	if pf == nil {
+	if pf == nil || (sweptAt != 0 && pf.due > sweptAt) {
 		n.pendingMu.Unlock()
 		return
 	}
@@ -287,7 +324,7 @@ func (n *Node) recoverFlow(flow uint64) {
 	skey, globals := p.route(sp.Stage, v, sp.Key)
 	owner, _ := n.ownerOf(p.t.hash, skey)
 	pf.dest = owner
-	n.arm(flow, pf)
+	n.arm(pf)
 	n.pendingMu.Unlock()
 	if n.traces != nil {
 		n.traces.record(n.self, flow, trace.KindAdapt,
@@ -318,8 +355,9 @@ func (n *Node) forward(dest parcel.NodeID, sp *stageMsg, v any, room []byte) boo
 	return true
 }
 
-// handleStage executes one arriving stage parcel. It runs on the
-// transport's delivery goroutine, which must not block: when the code
+// handleStage executes one arriving stage parcel. It runs where the
+// transport delivers (the sender's goroutine on the fabric, the read
+// loop on netparcel), which must not block: when the code
 // image and the stage's globals are already resident the stage is
 // admitted right here (serve admission refuses rather than waits);
 // otherwise the stage runs on its own goroutine, because its fetch is a
@@ -517,9 +555,6 @@ func (n *Node) finishFlow(flow uint64, epoch uint32, r serve.Result) {
 		return
 	}
 	delete(n.pending, flow)
-	if pf != nil && pf.timer != nil {
-		pf.timer.Stop()
-	}
 	n.pendingMu.Unlock()
 	if pf != nil {
 		pf.flow.Finish(r)

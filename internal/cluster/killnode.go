@@ -33,7 +33,8 @@ type KillNodeConfig struct {
 	FlowDeadline time.Duration
 	// DetectEvery is the heartbeat period (default 10ms, 2 misses).
 	DetectEvery time.Duration
-	// FlowTimeout is the origin's recovery timer (default 250ms).
+	// FlowTimeout is how long the origin waits on a shipped flow before
+	// recovering it (default 250ms).
 	FlowTimeout time.Duration
 }
 

@@ -16,12 +16,17 @@ import (
 // tweaks, registers a single-stage tenant whose handler the test
 // supplies, and joins them.
 func recoveryPair(t *testing.T, handler serve.Handler, tweak func(i int, cfg *Config)) (*parcel.Faults, []*Node, []*Pipeline) {
+	return recoveryNodes(t, 2, handler, tweak)
+}
+
+// recoveryNodes is recoveryPair for count nodes, all joined to the first.
+func recoveryNodes(t *testing.T, count int, handler serve.Handler, tweak func(i int, cfg *Config)) (*parcel.Faults, []*Node, []*Pipeline) {
 	t.Helper()
 	fabric := parcel.NewFabric()
 	faults := parcel.NewFaults(7)
 	fabric.Inject(faults)
-	nodes := make([]*Node, 2)
-	pipes := make([]*Pipeline, 2)
+	nodes := make([]*Node, count)
+	pipes := make([]*Pipeline, count)
 	for i := range nodes {
 		cfg := Config{
 			Transport: fabric.Node(parcel.NodeID(fmt.Sprintf("rp%d", i))),
@@ -52,8 +57,13 @@ func recoveryPair(t *testing.T, handler serve.Handler, tweak func(i int, cfg *Co
 		}
 		pipes[i] = p
 	}
-	if err := nodes[1].Join(nodes[0].Transport().Addr()); err != nil {
-		t.Fatalf("join: %v", err)
+	for _, n := range nodes[1:] {
+		if err := n.Join(nodes[0].Transport().Addr()); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+	}
+	if err := waitMembers(nodes, count, 5*time.Second); err != nil {
+		t.Fatal(err)
 	}
 	return faults, nodes, pipes
 }
@@ -220,7 +230,7 @@ func TestZombieCompletionDroppedByEpoch(t *testing.T) {
 		t.Fatal(err)
 	}
 	time.Sleep(15 * time.Millisecond) // attempt 1 is executing on n1
-	nodes[0].recoverFlow(1)           // epoch 1: re-route (still to n1: alive, just slow)
+	nodes[0].recoverFlow(1, 0)        // epoch 1: re-route (still to n1: alive, just slow)
 
 	deadline := time.Now().Add(5 * time.Second)
 	for resolved.Load() == 0 {
@@ -238,6 +248,103 @@ func TestZombieCompletionDroppedByEpoch(t *testing.T) {
 	}
 	if sc := nodes[0].Stats().StaleCompletions; sc != 1 {
 		t.Fatalf("StaleCompletions = %d, want 1 (the zombie attempt's completion)", sc)
+	}
+}
+
+// TestForcedRecoveryArmsOnce evicts a flow's executor and holds the
+// re-routed attempt past the flow's first recovery due time. The forced
+// re-route at the eviction sets the flow's one due time afresh, so
+// nothing re-routes it again while that attempt runs: one recovery, no
+// stale completion, one OK resolution once the attempt finishes.
+func TestForcedRecoveryArmsOnce(t *testing.T) {
+	const timeout = 400 * time.Millisecond
+	started, gate := make(chan struct{}, 8), make(chan struct{})
+	handler := func(_ *serve.Ctx, req serve.Request) (any, error) {
+		started <- struct{}{}
+		<-gate
+		return req.Payload, nil
+	}
+	faults, nodes, pipes := recoveryNodes(t, 3, handler, func(i int, cfg *Config) {
+		cfg.Recover = RecoverConfig{FlowTimeout: timeout, MaxAttempts: 3}
+	})
+	victim := nodes[1].Self()
+	key := keyOwnedBy(nodes[0], pipes[0], victim)
+	var resolved atomic.Int32
+	results := make(chan serve.Result, 4)
+	t0 := time.Now()
+	if err := pipes[0].SubmitFunc(serve.Request{Key: key, Payload: 1}, func(r serve.Result) {
+		resolved.Add(1)
+		results <- r
+	}); err != nil {
+		t.Fatal(err)
+	}
+	<-started            // the first attempt runs on the victim...
+	faults.Crash(victim) // ...whose completion can no longer return
+	time.Sleep(time.Until(t0.Add(timeout * 6 / 10)))
+	nodes[0].evict(victim)                            // forced re-route: due again at about 1.6 timeouts
+	<-started                                         // the re-routed attempt is running
+	time.Sleep(time.Until(t0.Add(timeout * 13 / 10))) // past the first due time
+	close(gate)
+	select {
+	case r := <-results:
+		if r.Status != serve.StatusOK {
+			t.Fatalf("flow resolved %v (%v), want OK", r.Status, r.Err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("flow never resolved")
+	}
+	time.Sleep(100 * time.Millisecond) // let any duplicate land
+	st := nodes[0].Stats()
+	if n := resolved.Load(); n != 1 {
+		t.Errorf("flow resolved %d times, want 1", n)
+	}
+	if st.RecoveredFlows != 1 {
+		t.Errorf("RecoveredFlows = %d, want 1: the flow's first due time re-routed it again", st.RecoveredFlows)
+	}
+	if st.StaleCompletions != 0 {
+		t.Errorf("StaleCompletions = %d, want 0", st.StaleCompletions)
+	}
+}
+
+// TestSweepMovesForEarlierDeadline ships a flow with no deadline and
+// then a deadlined one to an executor whose parcels are lost. The sweep
+// is set for the first flow's FlowTimeout when the second ships, so it
+// must move up to the second's deadline: that flow resolves shed near
+// its deadline, and the first through a re-route once FlowTimeout has
+// passed and the wire works again.
+func TestSweepMovesForEarlierDeadline(t *testing.T) {
+	const timeout = 600 * time.Millisecond
+	echo := func(_ *serve.Ctx, req serve.Request) (any, error) { return req.Payload, nil }
+	faults, nodes, pipes := recoveryPair(t, echo, func(i int, cfg *Config) {
+		cfg.Recover = RecoverConfig{FlowTimeout: timeout, MaxAttempts: 3}
+	})
+	key := keyOwnedBy(nodes[0], pipes[0], nodes[1].Self())
+	faults.SetDrop(1)
+	start := time.Now()
+	plain, err := pipes[0].Submit(serve.Request{Key: key, Payload: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	deadline := start.Add(50 * time.Millisecond)
+	dated, err := pipes[0].Submit(serve.Request{Key: key, Payload: 2, Deadline: deadline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := dated.Wait(); r.Status != serve.StatusShed {
+		t.Fatalf("deadlined flow resolved %v (%v), want shed", r.Status, r.Err)
+	}
+	if at := time.Since(start); at > timeout/2 {
+		t.Fatalf("deadlined flow resolved %v after submission, want near its 50ms deadline", at)
+	}
+	faults.SetDrop(0)
+	if r := plain.Wait(); r.Status != serve.StatusOK || r.Value != 1 {
+		t.Fatalf("flow without deadline resolved %v (%v) value %v, want OK 1", r.Status, r.Err, r.Value)
+	}
+	if at := time.Since(start); at < timeout {
+		t.Fatalf("flow without deadline resolved %v after submission, before its %v FlowTimeout", at, timeout)
+	}
+	if rf := nodes[0].Stats().RecoveredFlows; rf < 2 {
+		t.Fatalf("RecoveredFlows = %d, want a recovery for each flow", rf)
 	}
 }
 
@@ -267,8 +374,8 @@ func TestRecoveryReencodesMutatedInput(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-mutated
-	nodes[0].recoverFlow(1) // epoch 1: ships the stage to n1 again
-	close(release)          // attempt 1's completion is now stale
+	nodes[0].recoverFlow(1, 0) // epoch 1: ships the stage to n1 again
+	close(release)             // attempt 1's completion is now stale
 	r := tk.Wait()
 	if r.Status != serve.StatusOK {
 		t.Fatalf("flow resolved %v (%v), want OK", r.Status, r.Err)

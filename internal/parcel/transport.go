@@ -3,6 +3,7 @@ package parcel
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,9 +42,11 @@ var ErrTransportClosed = errors.New("parcel: transport closed")
 // has written, which is why a sender must not touch a body after Send
 // (see Transport). A handler may return bytes it keeps using (a code
 // image, say): no transport reuses a reply's buffer. A handler
-// delivered by Send runs on the transport's delivery goroutine and must
-// not block; a handler that might block (a Call back to the sender, a
-// lock held across I/O) hands its own work off to another goroutine.
+// delivered by Send runs on the sender's goroutine on the fabric (a
+// fault-delayed parcel excepted) and on the connection's read loop on
+// the TCP transport, so it must not block: a handler that might (a Call
+// back to the sender, a lock held across I/O) hands its own work off to
+// another goroutine.
 type TransportHandler func(from NodeID, body []byte) ([]byte, error)
 
 // TransportStats counts a transport's traffic: real bytes on the wire
@@ -57,8 +60,11 @@ type TransportStats struct {
 
 // Transport carries parcels between cluster nodes.
 //
-// Send is one-way and asynchronous; Call is a split transaction that
-// blocks the caller until the reply (or the handler's error) comes back.
+// Send is one-way: the sender never waits for a reply, though on the
+// fabric the handler itself runs inside Send. Call is a split
+// transaction that blocks the caller until the reply (or the handler's
+// error) comes back. No code may hold a lock across Send or Call that a
+// handler takes.
 // Passing a body to Send or Call hands it over: the caller must not
 // modify it afterwards (a Send may still be writing it, and the
 // receiving handler owns it). Send takes more: the body's whole backing
@@ -88,16 +94,19 @@ type Transport interface {
 // Fabric connects in-process InProc transports: every node lives in this
 // process, delivery is a function call, and nothing depends on the
 // network or the wall clock — the deterministic twin the cluster
-// scenarios replay on.
+// scenarios replay on. A Send's handler runs on the sender's goroutine
+// unless an injected delay postpones it, so it must not block.
 type Fabric struct {
-	mu     sync.RWMutex
-	nodes  map[NodeID]*InProc
+	mu     sync.Mutex                         // serialises Node
+	nodes  atomic.Pointer[map[NodeID]*InProc] // copied on write: a delivery reads it without a lock
 	faults atomic.Pointer[Faults]
 }
 
 // NewFabric creates an empty in-process fabric.
 func NewFabric() *Fabric {
-	return &Fabric{nodes: make(map[NodeID]*InProc)}
+	f := &Fabric{}
+	f.nodes.Store(&map[NodeID]*InProc{})
+	return f
 }
 
 // Inject attaches a fault injector consulted by every delivery on the
@@ -112,29 +121,30 @@ func (f *Fabric) Faults() *Faults { return f.faults.Load() }
 func (f *Fabric) Node(id NodeID) *InProc {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if n, ok := f.nodes[id]; ok {
+	if n, ok := f.lookup(id); ok {
 		return n
 	}
-	n := &InProc{fabric: f, id: id, handlers: make(map[string]TransportHandler)}
-	f.nodes[id] = n
+	n := &InProc{fabric: f, id: id}
+	n.handlers.Store(&map[string]TransportHandler{})
+	nodes := maps.Clone(*f.nodes.Load())
+	nodes[id] = n
+	f.nodes.Store(&nodes)
 	return n
 }
 
 func (f *Fabric) lookup(id NodeID) (*InProc, bool) {
-	f.mu.RLock()
-	n, ok := f.nodes[id]
-	f.mu.RUnlock()
+	n, ok := (*f.nodes.Load())[id]
 	return n, ok
 }
 
-// InProc is one node of a Fabric. Call runs the destination handler
-// synchronously on the caller's goroutine; Send delivers asynchronously
-// so a handler can message its own sender without deadlocking.
+// InProc is one node of a Fabric. Call and Send both run the
+// destination handler on the caller's goroutine; only a Send that an
+// injected delay postpones is delivered on a goroutine of its own.
 type InProc struct {
 	fabric   *Fabric
 	id       NodeID
-	mu       sync.RWMutex
-	handlers map[string]TransportHandler
+	mu       sync.Mutex                                  // serialises Handle
+	handlers atomic.Pointer[map[string]TransportHandler] // copied on write, like Fabric.nodes
 	closed   atomic.Bool
 
 	bytesSent, bytesRecv     atomic.Int64
@@ -154,14 +164,14 @@ func (n *InProc) Handle(method string, h TransportHandler) {
 		panic("parcel: nil transport handler")
 	}
 	n.mu.Lock()
-	n.handlers[method] = h
+	hs := maps.Clone(*n.handlers.Load())
+	hs[method] = h
+	n.handlers.Store(&hs)
 	n.mu.Unlock()
 }
 
 func (n *InProc) handler(method string) (TransportHandler, error) {
-	n.mu.RLock()
-	h, ok := n.handlers[method]
-	n.mu.RUnlock()
+	h, ok := (*n.handlers.Load())[method]
 	if !ok {
 		return nil, fmt.Errorf("parcel: node %s has no transport handler %q", n.id, method)
 	}
@@ -192,10 +202,12 @@ func (n *InProc) dest(id NodeID) (*InProc, error) {
 	return d, nil
 }
 
-// Send delivers a one-way parcel on a fresh goroutine (handler errors
-// are dropped, as on a real wire). Injected faults apply: a partition
-// or crash fails the send, a drop loses it silently after it "left",
-// and a delay postpones delivery.
+// Send delivers a one-way parcel by running its handler right here, on
+// the sender's goroutine, the way the TCP transport runs it on the read
+// loop (handler errors are dropped, as on a real wire). Injected faults
+// apply: a partition or crash fails the send, a drop loses it silently
+// after it "left", and a delay postpones delivery to a goroutine of its
+// own, which drops the parcel if a partition rises meanwhile.
 func (n *InProc) Send(dest NodeID, method string, body []byte) error {
 	d, err := n.dest(dest)
 	if err != nil {
@@ -208,16 +220,16 @@ func (n *InProc) Send(dest NodeID, method string, body []byte) error {
 	if fl.DropSend() {
 		return nil // lost on the wire: the sender cannot tell
 	}
-	delay := fl.SendDelay()
-	go func() {
-		if delay > 0 {
+	if delay := fl.SendDelay(); delay > 0 {
+		go func() {
 			time.Sleep(delay)
-		}
-		if fl.Blocked(n.id, dest) {
-			return // partitioned mid-flight: the parcel dies on the wire
-		}
-		_, _ = n.deliver(d, method, body)
-	}()
+			if !fl.Blocked(n.id, dest) { // else partitioned mid-flight: the parcel dies on the wire
+				_, _ = n.deliver(d, method, body)
+			}
+		}()
+		return nil
+	}
+	_, _ = n.deliver(d, method, body)
 	return nil
 }
 
@@ -251,10 +263,9 @@ func (n *InProc) Dial(addr string) (NodeID, error) {
 
 // Peers lists the other live nodes on the fabric.
 func (n *InProc) Peers() []NodeID {
-	n.fabric.mu.RLock()
-	defer n.fabric.mu.RUnlock()
-	ids := make([]NodeID, 0, len(n.fabric.nodes)-1)
-	for id, p := range n.fabric.nodes {
+	nodes := *n.fabric.nodes.Load()
+	ids := make([]NodeID, 0, len(nodes)-1)
+	for id, p := range nodes {
 		if id != n.id && !p.closed.Load() {
 			ids = append(ids, id)
 		}

@@ -1,10 +1,13 @@
 package parcel
 
 import (
+	"bytes"
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 func TestFabricCallRoundtrip(t *testing.T) {
@@ -107,5 +110,113 @@ func TestFabricStats(t *testing.T) {
 	}
 	if bs.ParcelsRecv != 1 || bs.BytesRecv != 10 || bs.BytesSent != 10 {
 		t.Errorf("b stats = %+v, want 1 parcel, 10 bytes each way", bs)
+	}
+}
+
+// goid reads the calling goroutine's id from its stack header.
+func goid() string {
+	buf := make([]byte, 64)
+	buf = buf[:runtime.Stack(buf, false)]
+	return string(bytes.Fields(buf)[1])
+}
+
+func TestFabricSendDeliversInline(t *testing.T) {
+	t.Run("no-delay", func(t *testing.T) {
+		f := NewFabric()
+		a, b := f.Node("a"), f.Node("b")
+		var ran string
+		b.Handle("m", func(NodeID, []byte) ([]byte, error) { ran = goid(); return nil, nil })
+		if err := a.Send("b", "m", nil); err != nil {
+			t.Fatal(err)
+		}
+		if me := goid(); ran != me {
+			t.Fatalf("handler ran on goroutine %q, want the sender's %q, before Send returned", ran, me)
+		}
+	})
+	// delayed wires a -> b under an injector whose first Send draws a
+	// tangible delay, and returns that delay: the draw replays for the
+	// seed, so a twin injector reads it ahead.
+	delayed := func(t *testing.T) (*Faults, *InProc, chan struct{}, time.Duration) {
+		t.Helper()
+		const seed = 5
+		twin := NewFaults(seed)
+		twin.SetDelay(time.Second)
+		d := twin.SendDelay()
+		if d < 50*time.Millisecond {
+			t.Fatalf("seed %d draws a %v delay; the test needs at least 50ms", seed, d)
+		}
+		f := NewFabric()
+		fl := NewFaults(seed)
+		fl.SetDelay(time.Second)
+		f.Inject(fl)
+		ran := make(chan struct{}, 1)
+		f.Node("b").Handle("m", func(NodeID, []byte) ([]byte, error) { ran <- struct{}{}; return nil, nil })
+		return fl, f.Node("a"), ran, d
+	}
+	t.Run("delay", func(t *testing.T) {
+		_, a, ran, _ := delayed(t)
+		if err := a.Send("b", "m", nil); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-ran:
+			t.Fatal("a delayed parcel was delivered before Send returned")
+		default:
+		}
+		select {
+		case <-ran:
+		case <-time.After(5 * time.Second):
+			t.Fatal("the delayed parcel never arrived")
+		}
+	})
+	t.Run("partition-mid-flight", func(t *testing.T) {
+		fl, a, ran, d := delayed(t)
+		if err := a.Send("b", "m", nil); err != nil {
+			t.Fatal(err)
+		}
+		fl.Partition("a", "b")
+		select {
+		case <-ran:
+			t.Fatal("a parcel partitioned during its delay was delivered")
+		case <-time.After(d + 100*time.Millisecond):
+		}
+		if fl.Stats().Blocked != 1 {
+			t.Fatalf("Blocked = %d, want the mid-flight check counted once", fl.Stats().Blocked)
+		}
+	})
+}
+
+// TestFabricHandlerSendsBack bounces one parcel between two nodes, each
+// handler Sending the next hop to its own sender from inside the
+// delivery: the chain completes without deadlock.
+func TestFabricHandlerSendsBack(t *testing.T) {
+	const hops = 1000
+	f := NewFabric()
+	var got atomic.Int32
+	for _, id := range []NodeID{"a", "b"} {
+		n := f.Node(id)
+		n.Handle("ball", func(from NodeID, body []byte) ([]byte, error) {
+			if got.Add(1) < hops {
+				if err := n.Send(from, "ball", body); err != nil {
+					t.Errorf("hop %d: %v", got.Load(), err)
+				}
+			}
+			return nil, nil
+		})
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		if err := f.Node("a").Send("b", "ball", []byte("x")); err != nil {
+			t.Error(err)
+		}
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the ping-pong deadlocked")
+	}
+	if n := got.Load(); n != hops {
+		t.Fatalf("%d hops delivered, want %d", n, hops)
 	}
 }
