@@ -10,8 +10,8 @@ import (
 // experiment runs once per b.N iteration and its headline metrics are
 // attached via b.ReportMetric, so `go test -bench` regenerates every
 // table/figure series that cmd/htvmbench prints (see README.md's
-// Commands section; ROADMAP.md item 10 plans the paper-to-code ledger
-// that will index them).
+// Commands section; ROADMAP.md's item "a paper-to-code ledger, then a
+// prune" plans the ledger that will index them).
 func benchExp(b *testing.B, id string) {
 	b.Helper()
 	var last *exp.Result

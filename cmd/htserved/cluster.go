@@ -131,9 +131,9 @@ func runCluster(o clusterOpts) {
 		wire += st.Wire.BytesSent
 	}
 	fmt.Printf("cluster: members=%d owned_locales=%d flows=%d ok=%d rejected=%d shed=%d failed=%d "+
-		"remote_stages=%d forwarded=%d fetches=%d percolate_bytes=%d wire_bytes=%d\n",
+		"double_resolves=%d unresolved=%d remote_stages=%d forwarded=%d fetches=%d percolate_bytes=%d wire_bytes=%d\n",
 		len(node.Members()), len(node.OwnedLocales()), rep.Offered, rep.Completed, rep.Rejected, rep.Shed, rep.Failed,
-		remote, forwarded, fetches, percolate, wire)
+		rep.DoubleResolves, rep.Unresolved, remote, forwarded, fetches, percolate, wire)
 	for _, st := range sts {
 		fmt.Printf("  node %s: owned=%d remote_stages=%d local_stages=%d forwarded=%d "+
 			"fetches=%d wire_sent=%d wire_recv=%d\n",

@@ -315,6 +315,7 @@ func main() {
 	tab.AddRow("rejected (backpressure)", rep.Rejected)
 	tab.AddRow("shed (deadline)", rep.Shed)
 	tab.AddRow("failed", rep.Failed)
+	tab.AddRow("double resolves / unresolved", fmt.Sprintf("%d / %d", rep.DoubleResolves, rep.Unresolved))
 	tab.AddRow("shed+reject rate", fmt.Sprintf("%.1f%%", 100*rep.ShedRate()))
 	tab.AddRow("throughput jobs/s", fmt.Sprintf("%.1f", rep.Throughput))
 	tab.AddRow("p50 latency", rep.P50)
@@ -464,6 +465,7 @@ func runPipelineFlows(sys *litlx.System, srv *serve.Server, sc serve.Scenario, t
 	tab.AddRow("flows rejected", rep.Rejected)
 	tab.AddRow("flows shed", rep.Shed)
 	tab.AddRow("flows failed", rep.Failed)
+	tab.AddRow("flows double-resolved / unresolved", fmt.Sprintf("%d / %d", rep.DoubleResolves, rep.Unresolved))
 	tab.AddRow("throughput flows/s", fmt.Sprintf("%.1f", rep.Throughput))
 	tab.AddRow("p50 flow latency", rep.P50)
 	tab.AddRow("p99 flow latency", rep.P99)

@@ -1,7 +1,7 @@
 // Command htvmbench regenerates the paper's experiments (-list names
-// them; see README.md for what they show, and ROADMAP.md item 10 for
-// the planned paper-to-code ledger that will index them). With no
-// arguments it runs everything at scale 1.
+// them; see README.md for what they show, and ROADMAP.md's item "a
+// paper-to-code ledger, then a prune" for the planned ledger that will
+// index them). With no arguments it runs everything at scale 1.
 //
 // Usage:
 //

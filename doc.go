@@ -67,8 +67,9 @@
 // -listen/-join/-nodes flags run a real cluster from several shells).
 //
 // The implementation lives under internal/; see README.md for the map
-// and the measured results, and ROADMAP.md item 10 for the planned
-// paper-to-code ledger (construct, package, test or experiment, number).
+// and the measured results, and ROADMAP.md's item "a paper-to-code
+// ledger, then a prune" for the planned ledger (construct, package,
+// test or experiment, number).
 // Entry points:
 //
 //	internal/litlx    — the one-object API most programs want

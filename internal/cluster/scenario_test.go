@@ -5,7 +5,7 @@ import (
 )
 
 func TestSplitBrainJoinScenario(t *testing.T) {
-	cfg := SplitBrainJoinConfig{Seed: 7, Flows: 64, Locales: 8}
+	cfg := SplitBrainJoinConfig{Seed: 7, Flows: 64}
 	rep, err := SplitBrainJoinScenario(cfg)
 	if err != nil {
 		t.Fatalf("scenario: %v", err)
@@ -29,14 +29,14 @@ func TestSplitBrainJoinScenario(t *testing.T) {
 	}
 	// The rebalance is a pure function of the member sets: the join must
 	// move exactly the one arc the joiner's cut splits off.
-	before := NewRing(cfg.Locales, ids("sbj-n0", "sbj-n1"))
-	after := NewRing(cfg.Locales, ids("sbj-n0", "sbj-n1", "sbj-n2"))
+	before := NewRing(runLocales, ids("kn-n0", "kn-n1"))
+	after := NewRing(runLocales, ids("kn-n0", "kn-n1", "kn-n2"))
 	if want := Moved(before, after); rep.MovedLocales != want {
 		t.Errorf("rebalance moved %d locales, want %d", rep.MovedLocales, want)
 	}
 	// The joiner takes exactly the moved locales (one split arc — which
 	// can be most of the space when the split arc was large).
-	if got := len(after.Owned("sbj-n2")); rep.MovedLocales == 0 || got != rep.MovedLocales {
+	if got := len(after.Owned("kn-n2")); rep.MovedLocales == 0 || got != rep.MovedLocales {
 		t.Errorf("joiner owns %d locales, %d moved — every moved locale must land on the joiner",
 			got, rep.MovedLocales)
 	}
@@ -61,5 +61,17 @@ func TestSplitBrainJoinScenarioDeterministicCounts(t *testing.T) {
 			t.Fatalf("run %d: completed=%d doubles=%d unresolved=%d, want 32/0/0",
 				run, rep.Completed, rep.DoubleResolves, rep.Unresolved)
 		}
+	}
+}
+
+func TestSplitBrainJoinScenarioDefaultsNonPositiveFlows(t *testing.T) {
+	// A non-positive flow count means the default, as a zero one does.
+	rep, err := SplitBrainJoinScenario(SplitBrainJoinConfig{Seed: 3, Flows: -1})
+	if err != nil {
+		t.Fatalf("scenario: %v", err)
+	}
+	if rep.Submitted != 64 || rep.Completed != 64 || rep.DoubleResolves != 0 || rep.Unresolved != 0 {
+		t.Fatalf("submitted=%d completed=%d doubles=%d unresolved=%d, want 64/64/0/0",
+			rep.Submitted, rep.Completed, rep.DoubleResolves, rep.Unresolved)
 	}
 }

@@ -85,7 +85,7 @@ type global struct {
 }
 
 // RegisterTenant installs a tenant on this node and returns its cluster
-// handle. The underlying serve tenant is registered too (Tenant.Local).
+// handle.
 func (n *Node) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 	globals := make(map[string]*global, len(cfg.Globals))
 	auto := 0 // round-robin counter over AutoHome globals only
@@ -137,9 +137,6 @@ func (n *Node) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 	t.syncReplicas()
 	return t, nil
 }
-
-// Local returns the node-local serve tenant under this handle.
-func (t *Tenant) Local() *serve.Tenant { return t.st }
 
 // Name returns the tenant's registered name.
 func (t *Tenant) Name() string { return t.name }

@@ -82,18 +82,6 @@ func (l *LGT) Go(fn func(*SGT)) *SGT {
 	return l.rt.GoAt(l.locale, 0, fn)
 }
 
-// GoFramed spawns an SGT homed at the LGT's locale with frame storage.
-func (l *LGT) GoFramed(frameSize int, fn func(*SGT)) *SGT {
-	return l.rt.GoAt(l.locale, frameSize, fn)
-}
-
-// GoDetached spawns a pooled fire-and-forget SGT homed at the LGT's
-// locale — the allocation-free spawn for callers that never join (see
-// Runtime.GoAtDetached for the retention contract).
-func (l *LGT) GoDetached(fn func(*SGT, any), arg any) {
-	l.rt.GoAtDetached(l.locale, 0, fn, arg)
-}
-
 // Done returns the completion cell of the LGT.
 func (l *LGT) Done() *syncx.Cell[struct{}] { return l.done }
 

@@ -2,7 +2,6 @@ package exp
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/cluster"
@@ -77,27 +76,20 @@ func ExpClusterServe(scale int) *Result {
 			}
 		}
 
-		var wg sync.WaitGroup
-		var ok int64
-		var okMu sync.Mutex
+		census := serve.NewCensus(flows)
 		t0 := time.Now()
 		for i := 0; i < flows; i++ {
-			wg.Add(1)
 			err := pipes[0].SubmitFunc(serve.Request{Key: mix64exp(uint64(i)), Payload: i},
-				func(r serve.Result) {
-					if r.Status == serve.StatusOK {
-						okMu.Lock()
-						ok++
-						okMu.Unlock()
-					}
-					wg.Done()
-				})
+				func(r serve.Result) { census.Resolve(i, r) })
 			if err != nil {
-				wg.Done()
+				census.Resolve(i, serve.Result{Status: serve.StatusRejected, Err: err})
 			}
 		}
-		wg.Wait()
+		census.Wait(time.Minute)
 		elapsed = time.Since(t0)
+		if open := census.Tally().Unresolved; open > 0 {
+			panic(fmt.Sprintf("exp: V5 %d-node run left %d of %d flows unresolved after a minute", count, open, flows))
+		}
 		for _, n := range nodes {
 			st := n.Stats()
 			remote += st.RemoteStages
@@ -106,7 +98,7 @@ func ExpClusterServe(scale int) *Result {
 			fetches += st.CodeFetches + st.ObjectFetches
 			wireBytes += st.Wire.BytesSent
 		}
-		return int(ok), elapsed, remote, local, forwarded, fetches, wireBytes
+		return census.Tally().OK, elapsed, remote, local, forwarded, fetches, wireBytes
 	}
 
 	for _, count := range []int{1, 3} {

@@ -1,7 +1,8 @@
 // Package exp implements the experiment harness: one function per
-// experiment (cmd/htvmbench -list names them; ROADMAP.md item 10 plans
-// the paper-to-code ledger that will index them), each regenerating the
-// corresponding figure/claim of the paper as a plain-text table.
+// experiment (cmd/htvmbench -list names them; ROADMAP.md's item "a
+// paper-to-code ledger, then a prune" plans the ledger that will index
+// them), each regenerating the corresponding figure/claim of the paper
+// as a plain-text table.
 // Experiments on the c64 simulator or the analytic evaluators are
 // bit-deterministic; experiments on the native runtime measure wall
 // clock and are therefore machine-dependent but shape-stable.

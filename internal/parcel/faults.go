@@ -118,16 +118,6 @@ func (f *Faults) Heal(a, b NodeID) {
 	f.mu.Unlock()
 }
 
-// HealAll removes every partition (crashed nodes stay crashed).
-func (f *Faults) HealAll() {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.cut = make(map[NodeID]map[NodeID]bool)
-	f.mu.Unlock()
-}
-
 // Crash makes the node unreachable in both directions — every delivery
 // to or from it fails — without touching the node's own state, so a
 // crashed node keeps running as a zombie: exactly the failure mode a

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -331,14 +330,21 @@ type PlayConfig struct {
 	DumpTraces io.Writer
 }
 
+// playDrain bounds how long PlayScenario waits, after the script's last
+// tick, for requests still outstanding; one unresolved then is
+// reported, not waited on.
+const playDrain = time.Minute
+
 // PlayScenario plays the script against s, tick by tick: each tick's
 // arrivals are grouped per tenant and admitted through the shard-
 // grouped SubmitManyFunc path (or handed one by one to cfg.Submit),
 // deadlines are resolved from DeadlineTicks against the injected clock,
 // and playback paces itself to the tick grid (a playback that falls
 // behind submits late rather than dropping script entries). It blocks
-// until every offered request has resolved and returns the aggregate
-// report — rejected submissions surface as StatusRejected outcomes.
+// until every offered request has resolved, or playDrain past the
+// last tick, and returns the aggregate report — rejected submissions
+// surface as StatusRejected outcomes, and a Census counts each arrival
+// once however often it resolves.
 func PlayScenario(s *Server, sc Scenario, cfg PlayConfig) LoadReport {
 	if len(cfg.Tenants) == 0 {
 		panic("serve: PlayScenario: no tenant handles")
@@ -346,9 +352,13 @@ func PlayScenario(s *Server, sc Scenario, cfg PlayConfig) LoadReport {
 	if cfg.Tick <= 0 {
 		cfg.Tick = time.Millisecond
 	}
-	col := newCollector(cfg.MaxSamples)
+	played := sort.Search(len(sc.Arrivals), func(k int) bool { return sc.Arrivals[k].Tick >= sc.Ticks })
+	if cfg.MaxSamples <= 0 {
+		cfg.MaxSamples = 1 << 20
+	}
+	col := &collector{Census: NewCensus(played), samples: make([]atomic.Int64, cfg.MaxSamples)}
 	perTenant := make([][]Request, len(cfg.Tenants))
-	i := 0
+	i, next := 0, 0 // next is the census index of the next admitted request
 	start := time.Now()
 	for tick := 0; tick < sc.Ticks; tick++ {
 		if d := time.Until(start.Add(time.Duration(tick) * cfg.Tick)); d > 0 {
@@ -370,21 +380,23 @@ func PlayScenario(s *Server, sc Scenario, cfg PlayConfig) LoadReport {
 				perTenant[a.Tenant] = append(perTenant[a.Tenant], req)
 				continue
 			}
-			col.expect(1)
-			if err := cfg.Submit(a, req, col.done); err != nil {
-				col.done(Result{Status: StatusRejected, Err: err, Priority: a.Priority})
+			k := next
+			next++
+			if err := cfg.Submit(a, req, func(r Result) { col.done(k, r) }); err != nil {
+				col.done(k, Result{Status: StatusRejected, Err: err, Priority: a.Priority})
 			}
 		}
 		for ti, reqs := range perTenant {
 			if len(reqs) == 0 {
 				continue
 			}
-			col.expect(len(reqs))
-			cfg.Tenants[ti].SubmitManyFunc(reqs, col.doneIdx)
+			base := next
+			next += len(reqs)
+			cfg.Tenants[ti].SubmitManyFunc(reqs, func(j int, r Result) { col.done(base+j, r) })
 			perTenant[ti] = perTenant[ti][:0]
 		}
 	}
-	col.drain()
+	col.Wait(playDrain)
 	if cfg.DumpTraces != nil {
 		if r := s.Recorder(); r != nil {
 			r.WriteText(cfg.DumpTraces)
@@ -414,16 +426,18 @@ func resolveObjs(t *Tenant, idx []int) []mem.ObjID {
 
 // LoadReport summarizes one generator run against a server.
 type LoadReport struct {
+	// Each offered arrival is counted once, by its first resolution, as
+	// Completed, Rejected, Shed or Failed.
 	Offered, Rejected, Shed, Completed, Failed int64
-	Elapsed                                    time.Duration
+	// DoubleResolves counts the resolutions past an arrival's first, and
+	// Unresolved the arrivals still open when playback stopped waiting:
+	// both 0 on a correct server.
+	DoubleResolves, Unresolved int64
+	Elapsed                    time.Duration
 	// Throughput is completed jobs per second of generation time.
 	Throughput float64
 	// Latency quantiles over completed jobs (admission to completion).
 	P50, P99, Max time.Duration
-	// Wait quantiles over completed jobs (admission to execution start)
-	// — the queueing component of the latency above, the signal the
-	// overload controller defends.
-	WaitP50, WaitP99 time.Duration
 }
 
 // ShedRate is the fraction of offered jobs dropped by backpressure or
@@ -435,84 +449,49 @@ func (r LoadReport) ShedRate() float64 {
 	return float64(r.Rejected+r.Shed) / float64(r.Offered)
 }
 
-// collector accumulates per-request outcomes for a playback: outcome
-// counters, a bounded latency reservoir, and outstanding-job tracking so
-// the player can block until every offered request has resolved.
+// collector accumulates a playback's outcomes: the census counts each
+// arrival once, and the first resolution of a completed one lands in a
+// bounded latency reservoir. The reservoir's slots are atomic because a
+// resolution may still land after a bounded wait gave up.
 type collector struct {
-	outstanding                       sync.WaitGroup
-	completed, rejected, shed, failed atomic.Int64
-	samples                           []float64 // Result.Total of completed jobs
-	waits                             []float64 // Result.Wait of the same jobs
-	nsamples                          atomic.Int64
+	*Census
+	samples  []atomic.Int64 // Result.Total of completed jobs
+	nsamples atomic.Int64
 }
 
-func newCollector(maxSamples int) *collector {
-	if maxSamples <= 0 {
-		maxSamples = 1 << 20
-	}
-	return &collector{
-		samples: make([]float64, maxSamples),
-		waits:   make([]float64, maxSamples),
-	}
-}
-
-// expect registers n submissions whose outcomes will arrive via done.
-// It runs on the player goroutine, always before drain.
-func (c *collector) expect(n int) { c.outstanding.Add(n) }
-
-// done folds one outcome in; every expected request must reach it
-// exactly once (rejected submissions included).
-func (c *collector) done(r Result) {
-	switch r.Status {
-	case StatusOK:
-		c.completed.Add(1)
-		if i := c.nsamples.Add(1) - 1; int(i) < len(c.samples) {
-			c.samples[i] = float64(r.Total)
-			c.waits[i] = float64(r.Wait)
+// done folds one resolution of census index i in.
+func (c *collector) done(i int, r Result) {
+	if c.Resolve(i, r) && r.Status == StatusOK {
+		if k := c.nsamples.Add(1) - 1; int(k) < len(c.samples) {
+			c.samples[k].Store(int64(r.Total))
 		}
-	case StatusRejected:
-		c.rejected.Add(1)
-	case StatusShed:
-		c.shed.Add(1)
-	default:
-		c.failed.Add(1)
 	}
-	c.outstanding.Done()
 }
-
-// doneIdx adapts done to the SubmitManyFunc callback shape.
-func (c *collector) doneIdx(_ int, r Result) { c.done(r) }
-
-// drain blocks until every expected outcome has arrived.
-func (c *collector) drain() { c.outstanding.Wait() }
 
 // report assembles the final LoadReport.
 func (c *collector) report(offered int64, elapsed time.Duration) LoadReport {
+	t := c.Tally()
 	rep := LoadReport{
-		Offered:   offered,
-		Elapsed:   elapsed,
-		Rejected:  c.rejected.Load(),
-		Completed: c.completed.Load(),
-		Shed:      c.shed.Load(),
-		Failed:    c.failed.Load(),
+		Offered:        offered,
+		Elapsed:        elapsed,
+		Rejected:       int64(t.Rejected),
+		Completed:      int64(t.OK),
+		Shed:           int64(t.Shed),
+		Failed:         int64(t.Failed),
+		DoubleResolves: int64(t.Duplicates),
+		Unresolved:     int64(t.Unresolved),
 	}
 	rep.Throughput = float64(rep.Completed) / elapsed.Seconds()
-	n := c.nsamples.Load()
-	if int(n) > len(c.samples) {
-		n = int64(len(c.samples))
+	n := min(int(c.nsamples.Load()), len(c.samples))
+	lats := make([]float64, n)
+	for k := range lats {
+		lats[k] = float64(c.samples[k].Load())
 	}
-	lats := c.samples[:n]
 	sort.Float64s(lats)
-	if len(lats) > 0 {
+	if n > 0 {
 		rep.P50 = time.Duration(stats.Quantile(lats, 0.50))
 		rep.P99 = time.Duration(stats.Quantile(lats, 0.99))
-		rep.Max = time.Duration(lats[len(lats)-1])
-	}
-	waits := c.waits[:n]
-	sort.Float64s(waits)
-	if len(waits) > 0 {
-		rep.WaitP50 = time.Duration(stats.Quantile(waits, 0.50))
-		rep.WaitP99 = time.Duration(stats.Quantile(waits, 0.99))
+		rep.Max = time.Duration(lats[n-1])
 	}
 	return rep
 }

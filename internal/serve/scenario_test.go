@@ -228,6 +228,41 @@ func TestPlayScenarioSubmitErrorRejectsOnce(t *testing.T) {
 	}
 }
 
+// TestPlayScenarioCountsDoubleResolveOnce: an arrival whose Submit hook
+// resolves it twice is reported as one double resolve and counted
+// once, and playback still waits for, and counts, every other arrival.
+func TestPlayScenarioCountsDoubleResolveOnce(t *testing.T) {
+	sys := newTestSystem(t)
+	defer sys.Close()
+	s := New(sys, Config{Shards: 2, QueueDepth: 1024})
+	defer s.Close()
+	tn, err := s.RegisterTenant(TenantConfig{
+		Name:    "t",
+		Handler: func(_ *Ctx, req Request) (any, error) { return req.Key, nil },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sc := OpenLoopScenario(3, 1, 10, 4, 0, 512)
+	var n int
+	rep := PlayScenario(s, sc, PlayConfig{
+		Tenants: []*Tenant{tn},
+		Tick:    100 * time.Microsecond,
+		Submit: func(_ Arrival, req Request, done func(Result)) error {
+			if n++; n == 5 {
+				return tn.SubmitFunc(req, func(r Result) { done(r); done(r) })
+			}
+			return tn.SubmitFunc(req, done)
+		},
+	})
+	if rep.DoubleResolves != 1 || rep.Unresolved != 0 {
+		t.Fatalf("%d double resolves and %d unresolved, want 1 and 0", rep.DoubleResolves, rep.Unresolved)
+	}
+	if rep.Offered != int64(sc.Offered()) || rep.Completed != rep.Offered {
+		t.Fatalf("report %+v, want every one of %d arrivals completed once", rep, sc.Offered())
+	}
+}
+
 // adaptiveVsStatic plays one script against two servers that differ
 // only in Config.Adapt, on fresh systems, and returns both reports. The
 // handlers sleep rather than spin, so per-shard capacity is set by

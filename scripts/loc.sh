@@ -4,8 +4,8 @@
 #
 # Usage: scripts/loc.sh [dir...]      (default: internal/serve cmd/htserved)
 #
-# This is the number ROADMAP item 3 budgets and every PR quotes in
-# CHANGES.md. Counting code lines only means deleting comments or blank
+# This is the number the ROADMAP's line budgets are stated in and every
+# PR quotes in CHANGES.md. Counting code lines only means deleting comments or blank
 # lines does not register as a reduction; _test.go files are excluded,
 # so moving code into them does — reviewers check for that by hand.
 # A line counts when anything other than whitespace is left after
