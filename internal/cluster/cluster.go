@@ -55,6 +55,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/litlx"
 	"repro/internal/parcel"
 	"repro/internal/serve"
@@ -88,12 +89,14 @@ type Config struct {
 	// callback or serve.Ticket waits forever on a dead node, holds out
 	// of the box; set FlowTimeout negative to disable.
 	Recover RecoverConfig
-	// Clock is the node's time source (default time.Now). The deadline
-	// check on a stage parcel's arrival and recovery decisions read it,
-	// so tests and scenario harnesses can steer shedding
-	// deterministically; stages the node then chains locally are shed
-	// by serve's own deadline check.
-	Clock func() time.Time
+	// Clock is the node's time source (default clock.Now, the monotonic
+	// base serve reads too). The deadline check on a stage parcel's
+	// arrival and the recovery sweep's schedule (when a shipped flow
+	// falls due, clipped to its deadline) read it, so tests and scenario
+	// harnesses can steer shedding deterministically; stages the node
+	// then chains locally are shed by serve's own deadline check. Wire
+	// deadlines are unix nanoseconds, converted onto it on arrival.
+	Clock func() clock.Nanos
 }
 
 // DetectConfig tunes the heartbeat failure detector: every Every the
@@ -133,26 +136,24 @@ type Node struct {
 	mu      sync.RWMutex
 	members map[parcel.NodeID]string // id -> dialable address
 	epoch   uint64
-	ring    *Ring
+	ring    atomic.Pointer[Ring] // stored under mu; a routing decision loads it without a lock
 
 	tenantsMu sync.RWMutex
 	tenants   map[string]*Tenant
-	pipes     map[uint64]*Pipeline // by pipeID
+	pipes     atomic.Pointer[map[uint64]*Pipeline] // by pipeID; copied on write under tenantsMu, read without a lock
 
 	// pending holds the records of flows this node originated and shipped
 	// away; a completion parcel pops its entry exactly once, and the
 	// recovery sweep re-routes entries whose executor died. sweep is the
 	// one recovery timer, set for sweepAt (zero when not set); both
-	// sweepAt and an entry's due time count from base, on the monotonic
-	// clock.
+	// sweepAt and an entry's due time are read from clock.
 	nextFlow  atomic.Uint64
 	pendingMu sync.Mutex
 	pending   map[uint64]*pendingFlow
 	sweep     *time.Timer
-	sweepAt   time.Duration
-	base      time.Time
+	sweepAt   clock.Nanos
 
-	clock  func() time.Time
+	clock  func() clock.Nanos
 	detCfg DetectConfig
 	recCfg RecoverConfig
 
@@ -173,7 +174,7 @@ type Node struct {
 }
 
 // now reads the node's clock.
-func (n *Node) now() time.Time { return n.clock() }
+func (n *Node) now() clock.Nanos { return n.clock() }
 
 // NewNode boots a node: its own litlx.System and serve.Server, wired to
 // the transport, initially a cluster of one. Close it with Close.
@@ -190,16 +191,15 @@ func NewNode(cfg Config) (*Node, error) {
 		locales: cfg.System.Locales,
 		members: make(map[parcel.NodeID]string),
 		tenants: make(map[string]*Tenant),
-		pipes:   make(map[uint64]*Pipeline),
 		pending: make(map[uint64]*pendingFlow),
-		base:    time.Now(),
 		clock:   cfg.Clock,
 		detCfg:  cfg.Detect,
 		recCfg:  cfg.Recover,
 	}
 	if n.clock == nil {
-		n.clock = time.Now
+		n.clock = clock.Now
 	}
+	n.pipes.Store(&map[uint64]*Pipeline{})
 	n.sweep = time.AfterFunc(time.Hour, n.sweepPending) // idle until arm sets it
 	n.sweep.Stop()
 	if n.detCfg.Misses <= 0 {
@@ -221,7 +221,7 @@ func NewNode(cfg Config) (*Node, error) {
 	n.sys = sys
 	n.srv = serve.New(sys, cfg.Serve)
 	n.members[n.self] = cfg.Transport.Addr()
-	n.ring = NewRing(n.locales, []parcel.NodeID{n.self})
+	n.ring.Store(NewRing(n.locales, []parcel.NodeID{n.self}))
 	n.registerHandlers()
 	if n.detCfg.Every > 0 {
 		n.detectStop = make(chan struct{})
@@ -264,11 +264,7 @@ func (n *Node) Members() []parcel.NodeID {
 
 // Ring returns the node's current ring. Rings are immutable; membership
 // changes install a fresh one.
-func (n *Node) Ring() *Ring {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.ring
-}
+func (n *Node) Ring() *Ring { return n.ring.Load() }
 
 // OwnedLocales returns the contiguous locale range this node owns.
 func (n *Node) OwnedLocales() []int { return n.Ring().Owned(n.self) }
@@ -349,7 +345,7 @@ func (n *Node) Leave() {
 	}
 	n.epoch++
 	n.members = map[parcel.NodeID]string{n.self: n.t.Addr()}
-	n.ring = NewRing(n.locales, []parcel.NodeID{n.self})
+	n.ring.Store(NewRing(n.locales, []parcel.NodeID{n.self}))
 	n.mu.Unlock()
 	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
 	for _, id := range peers {
@@ -378,7 +374,7 @@ func (n *Node) handleJoin(jr joinMsg) ([]byte, error) {
 // epoch, rebuilds the ring, and returns the new member list.
 func (n *Node) reshapeLocked() memberMsg {
 	n.epoch++
-	n.ring = NewRing(n.locales, memberIDs(n.members))
+	n.ring.Store(NewRing(n.locales, memberIDs(n.members)))
 	ml := memberMsg{Epoch: n.epoch, Members: make(map[string]string, len(n.members))}
 	for id, addr := range n.members {
 		ml.Members[string(id)] = addr
@@ -438,7 +434,7 @@ func (n *Node) install(ml memberMsg, force bool) {
 		n.mu.Unlock()
 		return
 	}
-	oldRing := n.ring
+	oldRing := n.ring.Load()
 	var removed []parcel.NodeID
 	for id := range n.members {
 		if _, ok := ml.Members[string(id)]; !ok && id != n.self {
@@ -450,8 +446,8 @@ func (n *Node) install(ml memberMsg, force bool) {
 	for id, addr := range ml.Members {
 		n.members[parcel.NodeID(id)] = addr
 	}
-	n.ring = NewRing(n.locales, memberIDs(n.members))
-	newRing := n.ring
+	newRing := NewRing(n.locales, memberIDs(n.members))
+	n.ring.Store(newRing)
 	n.mu.Unlock()
 	n.dialMissing(ml.Members)
 	for _, id := range removed {
@@ -541,7 +537,7 @@ type Stats struct {
 // Stats snapshots this node.
 func (n *Node) Stats() Stats {
 	n.mu.RLock()
-	members, epoch, ring := len(n.members), n.epoch, n.ring
+	members, epoch, ring := len(n.members), n.epoch, n.ring.Load()
 	n.mu.RUnlock()
 	return Stats{
 		Node:             string(n.self),

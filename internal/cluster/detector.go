@@ -90,10 +90,10 @@ func (n *Node) evict(dead parcel.NodeID) {
 		n.mu.Unlock()
 		return
 	}
-	oldRing := n.ring
+	oldRing := n.ring.Load()
 	delete(n.members, dead)
 	ml := n.reshapeLocked()
-	newRing := n.ring
+	newRing := n.ring.Load()
 	n.mu.Unlock()
 	n.evictions.Add(1)
 	// Flow id 0 is never allocated (nextFlow starts at 1), so membership

@@ -3,8 +3,10 @@ package cluster
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/parcel"
 	"repro/internal/serve"
 	"repro/internal/trace"
@@ -75,7 +77,7 @@ func (t *Tenant) NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	id := pipeID(t.name, cfg.Name)
 	t.n.tenantsMu.Lock()
 	defer t.n.tenantsMu.Unlock()
-	if q := t.n.pipes[id]; q != nil {
+	if q := (*t.n.pipes.Load())[id]; q != nil {
 		return nil, fmt.Errorf("cluster: pipeline %s/%s: id %#x is held by %s/%s", t.name, cfg.Name, id, q.t.name, q.name)
 	}
 	sp, err := t.st.NewPipeline(cfg.Name, cfg.Stages...)
@@ -86,7 +88,9 @@ func (t *Tenant) NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 	if len(cfg.Routes) > 0 {
 		p.routes = append([]StageRoute(nil), cfg.Routes...)
 	}
-	t.n.pipes[id] = p
+	pipes := maps.Clone(*t.n.pipes.Load())
+	pipes[id] = p
+	t.n.pipes.Store(&pipes)
 	return p, nil
 }
 
@@ -109,11 +113,7 @@ func (p *Pipeline) route(stage int, v any, flowKey uint64) (uint64, []string) {
 }
 
 // pipeline looks a compiled cluster pipeline up by id.
-func (n *Node) pipeline(id uint64) *Pipeline {
-	n.tenantsMu.RLock()
-	defer n.tenantsMu.RUnlock()
-	return n.pipes[id]
-}
+func (n *Node) pipeline(id uint64) *Pipeline { return (*n.pipes.Load())[id] }
 
 // Submit admits one flow into the cluster and returns its ticket.
 func (p *Pipeline) Submit(req serve.Request) (*serve.Ticket, error) {
@@ -142,7 +142,7 @@ type pendingFlow struct {
 	v        any      // its stage input
 	dest     parcel.NodeID
 	attempts int
-	due      time.Duration // since n.base
+	due      clock.Nanos
 }
 
 // SubmitFunc admits one flow, invoking done exactly once with the
@@ -174,12 +174,12 @@ func (p *Pipeline) SubmitFunc(req serve.Request, done func(serve.Result)) error 
 // node is closed, the value cannot cross the wire, or the peer is
 // unreachable — unless recovery took the flow before the failed send
 // returned, which makes the flow recovery's.
-func (p *Pipeline) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, fl serve.Flow) bool {
+func (p *Pipeline) ForwardStage(next int, v any, key uint64, deadline clock.Nanos, priority int, fl serve.Flow) bool {
 	n := p.n
 	skey, _ := p.route(next, v, key)
 	dest, _ := n.ownerOf(p.t.hash, skey)
 	return dest != n.self && p.ship(dest, stageMsg{Origin: string(n.self), Stage: next, Key: key,
-		Deadline: deadlineNS(deadline), Priority: priority}, v, nil, &fl)
+		Deadline: deadline.Unix(), Priority: priority}, v, nil, &fl)
 }
 
 // Ended counts the terminal of a flow this node originated.
@@ -236,26 +236,27 @@ func (p *Pipeline) ship(dest parcel.NodeID, sp stageMsg, v any, room []byte, fl 
 // deadline so a deadlined flow is resolved (not merely retried) the
 // moment it can no longer make it. The node's one sweep timer is moved
 // only when pf is due before it: flows that share FlowTimeout fall due
-// in the order they ship, so arming one costs a read of the monotonic
+// in the order they ship, so arming one costs one read of the node's
 // clock. A negative FlowTimeout disables recovery.
 func (n *Node) arm(pf *pendingFlow) {
 	d := n.recCfg.FlowTimeout
 	if d <= 0 {
 		return
 	}
-	if deadline := nsTime(pf.msg.Deadline); !deadline.IsZero() {
-		d = min(d, deadline.Sub(n.now()))
+	now := n.now()
+	if deadline := clock.FromUnix(pf.msg.Deadline); deadline != clock.Never {
+		d = min(d, time.Duration(deadline-now))
 	}
-	pf.due = time.Since(n.base) + max(d, time.Millisecond)
-	n.wake(pf.due)
+	pf.due = now + clock.Nanos(max(d, time.Millisecond))
+	n.wake(pf.due, now)
 }
 
-// wake sets the sweep timer for at unless it is set for earlier already
-// (n.pendingMu held).
-func (n *Node) wake(at time.Duration) {
+// wake sets the sweep timer for at, the clock reading now, unless it is
+// set for earlier already (n.pendingMu held).
+func (n *Node) wake(at, now clock.Nanos) {
 	if n.sweepAt == 0 || at < n.sweepAt {
 		n.sweepAt = at
-		n.sweep.Reset(at - time.Since(n.base))
+		n.sweep.Reset(time.Duration(at - now))
 	}
 }
 
@@ -265,7 +266,7 @@ func (n *Node) wake(at time.Duration) {
 // due flow on a goroutine of its own, so a re-route whose send stalls
 // holds up no other.
 func (n *Node) sweepPending() {
-	now := time.Since(n.base)
+	now := n.now()
 	var due []uint64
 	n.pendingMu.Lock()
 	n.sweepAt = 0
@@ -273,7 +274,7 @@ func (n *Node) sweepPending() {
 		if pf.due <= now {
 			due = append(due, flow)
 		} else {
-			n.wake(pf.due)
+			n.wake(pf.due, now)
 		}
 	}
 	n.pendingMu.Unlock()
@@ -292,7 +293,7 @@ func (n *Node) sweepPending() {
 // from recoverAfter) may have re-armed it meanwhile. The flow may
 // execute more than once; the epoch gate keeps its resolution
 // exactly-once.
-func (n *Node) recoverFlow(flow uint64, sweptAt time.Duration) {
+func (n *Node) recoverFlow(flow uint64, sweptAt clock.Nanos) {
 	n.pendingMu.Lock()
 	pf := n.pending[flow]
 	if pf == nil || (sweptAt != 0 && pf.due > sweptAt) {
@@ -301,7 +302,7 @@ func (n *Node) recoverFlow(flow uint64, sweptAt time.Duration) {
 	}
 	n.recoveredFlows.Add(1)
 	var end serve.Result
-	if deadline := nsTime(pf.msg.Deadline); !deadline.IsZero() && n.now().After(deadline) {
+	if n.now() > clock.FromUnix(pf.msg.Deadline) {
 		end = serve.Result{Status: serve.StatusShed,
 			Err: fmt.Errorf("cluster: flow %d missed its deadline during recovery from %s", flow, pf.dest)}
 	} else if pf.attempts >= n.recCfg.MaxAttempts {
@@ -397,12 +398,12 @@ func (n *Node) handleStage(_ parcel.NodeID, body []byte) ([]byte, error) {
 // own deadline check), then serve runs the flow with an arrival as its
 // router, which accounts the entry stage when serve consults it there.
 func (n *Node) enter(p *Pipeline, sp stageMsg, v any, globals []string, room []byte) {
-	deadline := nsTime(sp.Deadline)
-	if !deadline.IsZero() && n.now().After(deadline) {
+	deadline := clock.FromUnix(sp.Deadline)
+	if n.now() > deadline {
 		n.completeFlow(&sp, serve.Result{Status: serve.StatusShed}, nil)
 		return
 	}
-	req := serve.Request{Key: sp.Key, Payload: v, Deadline: deadline, Priority: sp.Priority}
+	req := serve.Request{Key: sp.Key, Payload: v, Deadline: deadline.Time(), Priority: sp.Priority}
 	a := &arrival{p: p, msg: sp, globals: globals, room: room}
 	if err := p.t.st.SubmitFlowAt(p.sp, sp.Stage, req, a, nil); err != nil {
 		n.completeFlow(&sp, serve.Result{Status: serve.StatusRejected, Err: err}, nil)
@@ -427,7 +428,7 @@ type arrival struct {
 	shipped bool
 }
 
-func (a *arrival) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, fl serve.Flow) bool {
+func (a *arrival) ForwardStage(next int, v any, key uint64, deadline clock.Nanos, priority int, fl serve.Flow) bool {
 	if next == a.msg.Stage {
 		a.run(next, a.globals)
 		return false
@@ -436,7 +437,7 @@ func (a *arrival) ForwardStage(next int, v any, key uint64, deadline time.Time, 
 	skey, globals := p.route(next, v, key)
 	if owner, _ := n.ownerOf(p.t.hash, skey); owner != n.self {
 		sp := a.msg
-		sp.Stage, sp.Key, sp.Deadline, sp.Priority = next, key, deadlineNS(deadline), priority
+		sp.Stage, sp.Key, sp.Deadline, sp.Priority = next, key, deadline.Unix(), priority
 		if p.ship(owner, sp, v, a.room, nil) {
 			// The flow's result now reaches the origin from elsewhere: end
 			// the local flow without a completion parcel.
@@ -559,20 +560,4 @@ func (n *Node) finishFlow(flow uint64, epoch uint32, r serve.Result) {
 	if pf != nil {
 		pf.flow.Finish(r)
 	}
-}
-
-// deadlineNS packs a deadline for the wire; zero time is 0.
-func deadlineNS(t time.Time) int64 {
-	if t.IsZero() {
-		return 0
-	}
-	return t.UnixNano()
-}
-
-// nsTime unpacks a wire deadline; 0 is the zero time.
-func nsTime(ns int64) time.Time {
-	if ns == 0 {
-		return time.Time{}
-	}
-	return time.Unix(0, ns)
 }

@@ -276,7 +276,7 @@ func TestStageForUnknownPipelineFails(t *testing.T) {
 func TestNewPipelineRefusesHeldID(t *testing.T) {
 	nodes, pipes := newChainNodes(t, "node-1")
 	held := pipes[0]
-	nodes[0].pipes[pipeID("ct", "other")] = held
+	(*nodes[0].pipes.Load())[pipeID("ct", "other")] = held
 	_, err := held.t.NewPipeline(PipelineConfig{
 		Name:   "other",
 		Stages: []serve.Stage{{Name: "s", Handler: func(*serve.Ctx, serve.Request) (any, error) { return nil, nil }}},

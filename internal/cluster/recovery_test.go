@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/litlx"
 	"repro/internal/parcel"
 	"repro/internal/serve"
@@ -541,7 +542,7 @@ func TestInjectedClockShedsDeadlinedStage(t *testing.T) {
 	farFuture := time.Now().Add(24 * time.Hour)
 	_, nodes, pipes := recoveryPair(t, handler, func(i int, cfg *Config) {
 		if i == 1 {
-			cfg.Clock = func() time.Time { return farFuture }
+			cfg.Clock = func() clock.Nanos { return clock.Of(farFuture) }
 		}
 	})
 	key := keyOwnedBy(nodes[0], pipes[0], nodes[1].Self())

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/litlx"
 	"repro/internal/parcel"
 	"repro/internal/serve"
@@ -226,7 +227,7 @@ func (r scriptedRun) play(read func(live []*Node)) (out runOutcome, err error) {
 	census := serve.NewCensus(r.flows)
 	submit := func(from, to int) error {
 		for i := from; i < to; i++ {
-			req := serve.Request{Key: splitmix64(r.seed + uint64(i)), Payload: i, Deadline: time.Now().Add(runDeadline)}
+			req := serve.Request{Key: splitmix64(r.seed + uint64(i)), Payload: i, Deadline: clock.Now().Time().Add(runDeadline)}
 			if err := pipes[0].SubmitFunc(req, func(res serve.Result) { census.Resolve(i, res) }); err != nil {
 				return err
 			}
@@ -236,7 +237,7 @@ func (r scriptedRun) play(read func(live []*Node)) (out runOutcome, err error) {
 	if err := submit(0, r.wave); err != nil {
 		return out, err
 	}
-	victim, live, crashAt := nodes[1].Self(), nodes, time.Now()
+	victim, live, crashAt := nodes[1].Self(), nodes, clock.Now()
 	if r.crash {
 		faults.Crash(victim)
 		live = []*Node{nodes[0], nodes[2]}
@@ -253,7 +254,7 @@ func (r scriptedRun) play(read func(live []*Node)) (out runOutcome, err error) {
 		}) {
 			return out, fmt.Errorf("cluster: kill-node scenario: victim never evicted")
 		}
-		out.recovery = time.Since(crashAt)
+		out.recovery = time.Duration(clock.Now() - crashAt)
 	}
 	census.Wait(runBound)
 	// A double resolve races its first resolve by construction; settle
@@ -309,8 +310,8 @@ func registerKN(n *Node, replicas int) (*Pipeline, error) {
 // waitFor polls cond every millisecond until it holds, or reports
 // false once timeout has passed.
 func waitFor(timeout time.Duration, cond func() bool) bool {
-	for deadline := time.Now().Add(timeout); !cond(); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
+	for deadline := clock.Now() + clock.Nanos(timeout); !cond(); time.Sleep(time.Millisecond) {
+		if clock.Now() > deadline {
 			return false
 		}
 	}

@@ -3,8 +3,8 @@ package cluster
 import (
 	"fmt"
 	"sync"
-	"time"
 
+	"repro/internal/clock"
 	"repro/internal/parcel"
 	"repro/internal/trace"
 )
@@ -61,7 +61,7 @@ func (ft *flowTraces) record(origin parcel.NodeID, flow uint64, kind trace.Kind,
 		return
 	}
 	label := fmt.Sprintf(format, args...)
-	now := time.Now().UnixNano()
+	now := clock.Now().Unix()
 	key := traceKey{origin: origin, flow: flow}
 	ft.mu.Lock()
 	rec, ok := ft.recs[key]

@@ -145,27 +145,30 @@ func (c *Counter) Value() int64 { return c.v.Load() }
 // memory latency to steer percolation depth and scheduling policy.
 type EWMA struct {
 	alpha float64
-	bits  atomic.Uint64 // float64 bits; zero means "no observation yet"
-	n     atomic.Int64
+	bits  atomic.Uint64 // float64 bits of the average; unset before the first observation
 }
+
+// unset marks an EWMA with no observation yet: a NaN that no float
+// arithmetic produces, so a first sample of 0 still seeds the average.
+const unset = ^uint64(0)
 
 // NewEWMA creates an estimator with smoothing factor alpha in (0,1].
 func NewEWMA(alpha float64) *EWMA {
 	if alpha <= 0 || alpha > 1 {
 		alpha = 0.2
 	}
-	return &EWMA{alpha: alpha}
+	e := &EWMA{alpha: alpha}
+	e.bits.Store(unset)
+	return e
 }
 
-// Observe folds a new sample into the average.
+// Observe folds a new sample into the average: one compare-and-swap
+// when uncontended.
 func (e *EWMA) Observe(x float64) {
-	e.n.Add(1)
 	for {
 		old := e.bits.Load()
-		var next float64
-		if old == 0 && e.n.Load() == 1 {
-			next = x
-		} else {
+		next := x
+		if old != unset {
 			cur := math.Float64frombits(old)
 			next = cur + e.alpha*(x-cur)
 		}
@@ -177,11 +180,12 @@ func (e *EWMA) Observe(x float64) {
 
 // Value returns the current estimate (0 before any observation).
 func (e *EWMA) Value() float64 {
-	return math.Float64frombits(e.bits.Load())
+	b := e.bits.Load()
+	if b == unset {
+		return 0
+	}
+	return math.Float64frombits(b)
 }
-
-// Count returns the number of observations folded in.
-func (e *EWMA) Count() int64 { return e.n.Load() }
 
 // Histogram counts observations into fixed buckets; bucket i counts
 // samples <= bounds[i], with one overflow bucket at the end. It backs

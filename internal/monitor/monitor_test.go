@@ -52,8 +52,22 @@ func TestEWMAConverges(t *testing.T) {
 	if v := e.Value(); math.Abs(v-42) > 1e-6 {
 		t.Errorf("EWMA = %v, want 42", v)
 	}
-	if e.Count() != 100 {
-		t.Errorf("Count = %d", e.Count())
+}
+
+// A first sample of exactly 0 seeds the average like any other: the
+// next sample x moves it to alpha*x, not to x.
+func TestEWMAZeroFirstSampleSeeds(t *testing.T) {
+	e := NewEWMA(0.25)
+	if v := e.Value(); v != 0 {
+		t.Fatalf("value before any observation = %v, want 0", v)
+	}
+	e.Observe(0)
+	if v := e.Value(); v != 0 {
+		t.Fatalf("value after a first 0 = %v, want 0", v)
+	}
+	e.Observe(8)
+	if v := e.Value(); v != 2 {
+		t.Errorf("value after 0 then 8 = %v, want alpha*8 = 2", v)
 	}
 }
 

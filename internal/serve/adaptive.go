@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/adapt"
+	"repro/internal/clock"
 	"repro/internal/mem"
 	"repro/internal/monitor"
 )
@@ -122,7 +123,7 @@ type controller struct {
 
 // install adds a controller whose first pass is due one period from now.
 func (s *Server) install(every time.Duration, once func(time.Time)) {
-	s.controllers = append(s.controllers, controller{every: every, next: time.Now().Add(every), once: once})
+	s.controllers = append(s.controllers, controller{every: every, next: clock.Now().Time().Add(every), once: once})
 }
 
 // step runs every controller due at now. The control loop calls it with

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/litlx"
 	"repro/internal/monitor"
 )
@@ -185,7 +186,7 @@ func stealTenant(hash uint64, shards int, resident bool) *Tenant {
 // stage, never nil — for shard- and ring-level tests that queue and
 // steal jobs without ever finishing them.
 func testJob(tn *Tenant, req Request) *Job {
-	return &Job{tenant: tn, req: req, stage: tn.solo.stages[0]}
+	return &Job{tenant: tn, req: req, deadline: clock.Of(req.Deadline), stage: tn.solo.stages[0]}
 }
 
 // enqueue offers one job to a shard the way admit does: a group of one.

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"sync"
 	"time"
+
+	"repro/internal/clock"
 )
 
 // Decision kinds.
@@ -68,7 +70,7 @@ func (l *Log) Add(d Decision) Decision {
 	defer l.mu.Unlock()
 	l.seq++
 	d.Seq = l.seq
-	d.At = time.Now()
+	d.At = clock.Now().Time()
 	if len(l.buf) < l.max {
 		l.buf = append(l.buf, d)
 	} else {

@@ -3,6 +3,7 @@ package serve
 import (
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/syncx"
@@ -157,7 +158,8 @@ func (f indexedSink) resolve(idx int32, r Result, _ *batchRun) { f(int(idx), r) 
 type Job struct {
 	tenant   *Tenant
 	req      Request // Deadline already defaulted; zero means none
-	enqueued time.Time
+	enqueued clock.Nanos
+	deadline clock.Nanos // req.Deadline on the clock; clock.Never for none
 	// stage is the compiled pipeline stage this job executes — the
 	// tenant's solo stage for plain submits, a Pipeline stage for flow
 	// jobs. It carries the handler and the per-stage instruments; never

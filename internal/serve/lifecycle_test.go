@@ -15,6 +15,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/trace"
 )
 
@@ -93,7 +94,7 @@ type parcelRouter struct {
 	reused, ended atomic.Int32
 }
 
-func (pr *parcelRouter) ForwardStage(next int, _ any, _ uint64, _ time.Time, _ int, fl Flow) bool {
+func (pr *parcelRouter) ForwardStage(next int, _ any, _ uint64, _ clock.Nanos, _ int, fl Flow) bool {
 	if next != 1 {
 		return false
 	}

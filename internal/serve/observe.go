@@ -34,6 +34,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/mem"
 	"repro/internal/monitor"
 	"repro/internal/trace"
@@ -119,7 +120,7 @@ func (o *observer) sample(t *Tenant, p *Pipeline, key uint64) *FlowTrace {
 	}
 	return &FlowTrace{
 		ID: n, Tenant: t.name, Pipeline: p.name, Key: key,
-		Start: time.Now().UnixNano(), stageNames: names,
+		Start: clock.Now().Unix(), stageNames: names,
 	}
 }
 
@@ -129,7 +130,7 @@ func (o *observer) sample(t *Tenant, p *Pipeline, key uint64) *FlowTrace {
 // only caller, and does the nil check before formatting the label.
 func (o *observer) adapt(producer int, locale mem.Locale, label string) {
 	o.tracer.Emit(producer, trace.Event{
-		Time: time.Now().UnixNano(), Kind: trace.KindAdapt,
+		Time: clock.Now().Unix(), Kind: trace.KindAdapt,
 		Locale: int(locale), Label: label,
 	})
 	o.adaptc.Inc()
@@ -177,7 +178,7 @@ func (f *FlowTrace) add(k trace.Kind, shard int, locale mem.Locale, arg int64, l
 	if f == nil {
 		return
 	}
-	now := time.Now().UnixNano()
+	now := clock.Now().Unix()
 	f.mu.Lock()
 	if len(f.events) < maxFlowEvents {
 		f.events = append(f.events, trace.Event{
@@ -197,7 +198,7 @@ func (f *FlowTrace) seal(st Status) {
 	if !f.sealed {
 		f.sealed = true
 		f.final = st
-		f.end = time.Now().UnixNano()
+		f.end = clock.Now().Unix()
 	}
 	f.mu.Unlock()
 }

@@ -49,6 +49,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/mem"
 	"repro/internal/monitor"
 	"repro/internal/trace"
@@ -276,9 +277,9 @@ func (p *Pipeline) StageStats() []StageStats {
 type flowState struct {
 	p        *Pipeline
 	key      uint64
-	deadline time.Time
+	deadline clock.Nanos // clock.Never for none
 	priority int
-	enqueued time.Time
+	enqueued clock.Nanos
 	done     sink // the flow's terminal Result goes here: a ticket, a callback, or nothing
 	// state packs the record's generation (high bits) with the flow's
 	// finished bit (bit 0): the terminal guard is one compare-and-swap
@@ -321,9 +322,9 @@ func (fl *flowState) unref() {
 	}
 	fl.p = nil
 	fl.key = 0
-	fl.deadline = time.Time{}
+	fl.deadline = 0
 	fl.priority = 0
-	fl.enqueued = time.Time{}
+	fl.enqueued = 0
 	fl.done = nil
 	fl.fan = nil
 	fl.pending.Store(0)
@@ -408,10 +409,9 @@ func (t *Tenant) submitFlow(p *Pipeline, from int, req Request, rr RemoteRouter,
 		return fmt.Errorf("serve: pipeline %q stage %q fans out over []any, payload is %T",
 			p.name, st.name, req.Payload)
 	}
-	now := time.Now()
-	s.defaultDeadline(&req, now)
+	now := clock.Now()
 	fl := newFlowState()
-	fl.p, fl.key, fl.deadline, fl.priority = p, req.Key, req.Deadline, req.Priority
+	fl.p, fl.key, fl.deadline, fl.priority = p, req.Key, s.deadline(&req, now), req.Priority
 	fl.enqueued, fl.done, fl.router = now, done, rr
 	fl.ft = s.obs.sample(t, p, req.Key)
 	// Count the flow before it can possibly complete.
@@ -441,7 +441,7 @@ func (t *Tenant) submitFlow(p *Pipeline, from int, req Request, rr RemoteRouter,
 // the request's own set declarations stand in wherever the stage
 // derives nothing — and nil for every later stage.
 func (p *Pipeline) stageRequest(fl *flowState, st *pipeStage, v any, from *Request) Request {
-	req := Request{Key: fl.key, Payload: v, Deadline: fl.deadline, Priority: fl.priority}
+	req := Request{Key: fl.key, Payload: v, Deadline: fl.deadline.Time(), Priority: fl.priority}
 	if from != nil {
 		req.WorkingSet, req.WriteSet = from.WorkingSet, from.WriteSet
 	}
@@ -506,7 +506,7 @@ func (fl *flowState) resolve(idx int32, r Result, br *batchRun) {
 // elsewhere. Ended hears every terminal result of the flow on this
 // node, before its done sink.
 type RemoteRouter interface {
-	ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, fl Flow) bool
+	ForwardStage(next int, v any, key uint64, deadline clock.Nanos, priority int, fl Flow) bool
 	Ended(r Result)
 }
 
@@ -581,7 +581,7 @@ func (p *Pipeline) admitStage(fl *flowState, st *pipeStage, sh *shard, req Reque
 		br.take(j)
 		return
 	}
-	_ = s.submit(p.t, st, fl, req, time.Now(), sh, sk, idx, true)
+	_ = s.submit(p.t, st, fl, req, clock.Now(), sh, sk, idx, true)
 }
 
 // fanOut issues Map stage st over its input in, a []any, from the
@@ -747,7 +747,7 @@ func (f Flow) Finish(r Result) {
 	}
 	s := fl.p.t.srv
 	r.Priority = fl.priority
-	r.Total = time.Since(fl.enqueued)
+	r.Total = time.Duration(clock.Now() - fl.enqueued)
 	switch r.Status {
 	case StatusOK:
 		s.flowDone.Inc()

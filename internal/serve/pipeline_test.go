@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/mem"
 )
 
@@ -843,7 +844,7 @@ type stallRouter struct {
 	flows []Flow
 }
 
-func (sr *stallRouter) ForwardStage(next int, _ any, _ uint64, _ time.Time, _ int, fl Flow) bool {
+func (sr *stallRouter) ForwardStage(next int, _ any, _ uint64, _ clock.Nanos, _ int, fl Flow) bool {
 	if next != sr.at {
 		return false
 	}
@@ -954,14 +955,14 @@ type hopRecord struct {
 	next     int
 	v        any
 	key      uint64
-	deadline time.Time
+	deadline clock.Nanos
 	priority int
 }
 
 // recordRouter declines every hand-off and records what it was asked.
 type recordRouter struct{ asked chan hopRecord }
 
-func (rr recordRouter) ForwardStage(next int, v any, key uint64, deadline time.Time, priority int, _ Flow) bool {
+func (rr recordRouter) ForwardStage(next int, v any, key uint64, deadline clock.Nanos, priority int, _ Flow) bool {
 	rr.asked <- hopRecord{next, v, key, deadline, priority}
 	return false
 }
@@ -1006,8 +1007,8 @@ func TestSubmitFlowAtRouterSeesEnteredFlow(t *testing.T) {
 		t.Fatalf("router consulted %d times, want twice (entry at b, then the b -> c boundary)", len(router.asked))
 	}
 	for _, want := range []hopRecord{
-		{next: 1, v: "x", key: 77, deadline: deadline, priority: 2},
-		{next: 2, v: "xb", key: 77, deadline: deadline, priority: 2},
+		{next: 1, v: "x", key: 77, deadline: clock.Of(deadline), priority: 2},
+		{next: 2, v: "xb", key: 77, deadline: clock.Of(deadline), priority: 2},
 	} {
 		if got := <-router.asked; got != want {
 			t.Errorf("router asked %+v, want %+v", got, want)

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/mem"
 )
 
@@ -387,7 +388,7 @@ func TestJobRecycleNoFieldLeak(t *testing.T) {
 	j.tenant = tn
 	j.req = Request{Key: 42, Payload: "p", Deadline: time.Now(), Priority: 3,
 		WorkingSet: []mem.ObjID{1}, WriteSet: []mem.ObjID{2}}
-	j.enqueued = time.Now()
+	j.enqueued, j.deadline = clock.Now(), clock.Now()
 	j.stage = tn.solo.stages[0]
 	j.sink = callbackSink(func(Result) {})
 	j.idx = 7
@@ -404,8 +405,8 @@ func TestJobRecycleNoFieldLeak(t *testing.T) {
 		j.req.WriteSet != nil || j.req.Priority != 0 || !j.req.Deadline.IsZero() {
 		t.Fatalf("recycled job leaked request fields: %+v", j.req)
 	}
-	if !j.enqueued.IsZero() {
-		t.Fatal("recycled job leaked enqueue timestamp")
+	if j.enqueued != 0 || j.deadline != 0 {
+		t.Fatal("recycled job leaked its timestamps")
 	}
 }
 
@@ -424,9 +425,9 @@ func TestFlowStateRecycleNoFieldLeak(t *testing.T) {
 			fl := newFlowState()
 			fl.p = &Pipeline{}
 			fl.key = 9
-			fl.deadline = time.Now()
+			fl.deadline = clock.Now()
 			fl.priority = 2
-			fl.enqueued = time.Now()
+			fl.enqueued = clock.Now()
 			fl.done = callbackSink(func(Result) {})
 			fl.fan = &pipeStage{}
 			fl.pending.Store(3)
@@ -460,7 +461,7 @@ func TestFlowStateRecycleNoFieldLeak(t *testing.T) {
 					t.Fatalf("recycled join buffer slot %d leaked %+v", i, r)
 				}
 			}
-			if !fl.deadline.IsZero() || !fl.enqueued.IsZero() {
+			if fl.deadline != 0 || fl.enqueued != 0 {
 				t.Fatal("recycled flow state leaked timestamps")
 			}
 			if fl.state.Load()&1 != 0 {
@@ -506,13 +507,13 @@ func continuedFlow(t *testing.T, fan bool, key func(any) uint64) *flowState {
 	}
 	var final Result
 	fl := newFlowState()
-	fl.p, fl.key, fl.priority, fl.enqueued = p, 1, 1, time.Now()
+	fl.p, fl.key, fl.priority, fl.enqueued, fl.deadline = p, 1, 1, clock.Now(), clock.Never
 	fl.done = callbackSink(func(r Result) { final = r })
 	fl.router = &stallRouter{at: -1}
 	fl.ft = s.obs.sample(tn, p, 1)
 	sh := s.shards[0]
 	br := <-sh.runs
-	br.limit, br.now = s.cfg.Batch, time.Now()
+	br.limit, br.now = s.cfg.Batch, clock.Now()
 	p.chain(fl, p.stages[0], Result{Status: StatusOK, Value: in}, br)
 	for i := 0; i < len(br.jobs); i++ {
 		s.execute(br, br.jobs[i])
@@ -521,7 +522,7 @@ func continuedFlow(t *testing.T, fan bool, key func(any) uint64) *flowState {
 		t.Fatalf("%d jobs continued, flow = %+v; want %d, OK", len(br.jobs), final, want)
 	}
 	clear(br.jobs)
-	br.jobs, br.limit, br.now = br.jobs[:0], 0, time.Time{}
+	br.jobs, br.limit, br.now = br.jobs[:0], 0, 0
 	sh.runs <- br
 	return fl
 }

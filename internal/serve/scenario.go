@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/mem"
 	"repro/internal/stats"
 )
@@ -359,12 +360,12 @@ func PlayScenario(s *Server, sc Scenario, cfg PlayConfig) LoadReport {
 	col := &collector{Census: NewCensus(played), samples: make([]atomic.Int64, cfg.MaxSamples)}
 	perTenant := make([][]Request, len(cfg.Tenants))
 	i, next := 0, 0 // next is the census index of the next admitted request
-	start := time.Now()
+	start := clock.Now()
 	for tick := 0; tick < sc.Ticks; tick++ {
-		if d := time.Until(start.Add(time.Duration(tick) * cfg.Tick)); d > 0 {
+		if d := time.Duration(tick)*cfg.Tick - time.Duration(clock.Now()-start); d > 0 {
 			time.Sleep(d)
 		}
-		now := time.Now()
+		now := clock.Now().Time()
 		for ; i < len(sc.Arrivals) && sc.Arrivals[i].Tick <= tick; i++ {
 			a := sc.Arrivals[i]
 			var dl time.Time
@@ -402,7 +403,7 @@ func PlayScenario(s *Server, sc Scenario, cfg PlayConfig) LoadReport {
 			r.WriteText(cfg.DumpTraces)
 		}
 	}
-	return col.report(int64(i), time.Since(start))
+	return col.report(int64(i), time.Duration(clock.Now()-start))
 }
 
 // resolveObjs maps a script's object indices onto one tenant's

@@ -157,6 +157,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/litlx"
 	"repro/internal/mem"
 	"repro/internal/monitor"
@@ -467,7 +468,7 @@ func (s *Server) Tenant(name string) (*Tenant, bool) {
 // queues in either case.
 func (t *Tenant) Submit(req Request) (*Ticket, error) {
 	tk := &Ticket{}
-	if err := t.srv.submit(t, t.solo.stages[0], nil, req, time.Now(), nil, tk, 0, false); err != nil {
+	if err := t.srv.submit(t, t.solo.stages[0], nil, req, clock.Now(), nil, tk, 0, false); err != nil {
 		return nil, err
 	}
 	return tk, nil
@@ -480,7 +481,7 @@ func (t *Tenant) Submit(req Request) (*Ticket, error) {
 // executes as the tenant's degenerate one-stage pipeline (Tenant.Solo)
 // — the same admission core flows run on.
 func (t *Tenant) SubmitFunc(req Request, done func(Result)) error {
-	return t.srv.submit(t, t.solo.stages[0], nil, req, time.Now(), nil, callbackSink(done), 0, false)
+	return t.srv.submit(t, t.solo.stages[0], nil, req, clock.Now(), nil, callbackSink(done), 0, false)
 }
 
 // construct is the one place a job record is built. Every surface —
@@ -492,38 +493,44 @@ func (t *Tenant) SubmitFunc(req Request, done func(Result)) error {
 // its reference on it, and is counted as a stage job — refuse undoes
 // both. The request is routed here unless the caller already holds its
 // shard (a stage hop or fan-out element, routed by the pipeline).
-func (s *Server) construct(t *Tenant, st *pipeStage, fl *flowState, req Request, now time.Time, sh *shard, sk sink, idx int32) (*shard, *Job) {
+func (s *Server) construct(t *Tenant, st *pipeStage, fl *flowState, req Request, now clock.Nanos, sh *shard, sk sink, idx int32) (*shard, *Job) {
 	var ft *FlowTrace
+	var dl clock.Nanos
 	if fl == nil {
-		s.defaultDeadline(&req, now)
+		dl = s.deadline(&req, now)
 		if t.sketch != nil {
 			t.sketch.Update(req.Key)
 		}
 		ft = s.obs.sample(t, t.solo, req.Key)
 	} else {
 		fl.ref()
-		ft = fl.ft
+		dl, ft = fl.deadline, fl.ft
 		s.flowStages.Inc()
 	}
 	if sh == nil {
 		sh = s.routeShard(t, &req)
 	}
 	j := sh.newJob()
-	j.tenant, j.req, j.enqueued, j.stage, j.sink, j.idx, j.flow, j.ft = t, req, now, st, sk, idx, fl, ft
+	j.tenant, j.req, j.enqueued, j.deadline, j.stage, j.sink, j.idx, j.flow, j.ft = t, req, now, dl, st, sk, idx, fl, ft
 	return sh, j
 }
 
-// defaultDeadline applies Config.DefaultDeadline to a submission that
-// carries no deadline of its own.
-func (s *Server) defaultDeadline(req *Request, now time.Time) {
-	if req.Deadline.IsZero() && s.cfg.DefaultDeadline != 0 {
-		req.Deadline = now.Add(s.cfg.DefaultDeadline)
+// deadline converts a submission's deadline onto the clock, once, at
+// admission. One that carries none gets Config.DefaultDeadline from
+// now, written back to req as well, where the handler and Ctx.Deadline
+// see it.
+func (s *Server) deadline(req *Request, now clock.Nanos) clock.Nanos {
+	dl := clock.Of(req.Deadline)
+	if dl == clock.Never && s.cfg.DefaultDeadline != 0 {
+		dl = now + clock.Nanos(s.cfg.DefaultDeadline)
+		req.Deadline = dl.Time()
 	}
+	return dl
 }
 
 // submit constructs one job and offers it to its shard; see construct
 // and admit for the parameters.
-func (s *Server) submit(t *Tenant, st *pipeStage, fl *flowState, req Request, now time.Time, sh *shard, sk sink, idx int32, deliver bool) error {
+func (s *Server) submit(t *Tenant, st *pipeStage, fl *flowState, req Request, now clock.Nanos, sh *shard, sk sink, idx int32, deliver bool) error {
 	sh, j := s.construct(t, st, fl, req, now, sh, sk, idx)
 	_, err := s.admit(sh, []*Job{j}, deliver)
 	return err
@@ -696,7 +703,7 @@ func (t *Tenant) SubmitManyFunc(reqs []Request, done func(i int, r Result)) int 
 	if len(reqs) == 0 {
 		return 0
 	}
-	now := time.Now()
+	now := clock.Now()
 	m := getManyScratch(len(reqs), len(s.shards))
 	defer m.release()
 	for i, r := range reqs {
@@ -750,7 +757,7 @@ func (t *Tenant) SubmitManyFunc(reqs []Request, done func(i int, r Result)) int 
 // which was always the contract).
 func (s *Server) execute(br *batchRun, j *Job) {
 	sh, now := br.sh, br.now
-	if !j.req.Deadline.IsZero() && now.After(j.req.Deadline) {
+	if now > j.deadline {
 		s.shed(br, j, "deadline expired before execution")
 		return
 	}
@@ -798,7 +805,7 @@ func (s *Server) execute(br *batchRun, j *Job) {
 	br.ctx.tenant = t
 	br.ctx.deadline = j.req.Deadline
 	res := br.handle(j, handler)
-	res.Wait, res.Priority = now.Sub(j.enqueued), j.req.Priority
+	res.Wait, res.Priority = time.Duration(now-j.enqueued), j.req.Priority
 	waitUS := float64(res.Wait) / float64(time.Microsecond)
 	s.waitUS.Observe(waitUS)
 	t.waitUS.Observe(waitUS)
@@ -811,9 +818,9 @@ func (s *Server) execute(br *batchRun, j *Job) {
 			}
 		}
 	}
-	end := time.Now()
+	end := clock.Now()
 	br.now = end
-	res.Total = end.Sub(j.enqueued)
+	res.Total = time.Duration(end - j.enqueued)
 	if res.Status == StatusFailed {
 		s.failed.Inc()
 	} else {
@@ -870,7 +877,7 @@ func (br *batchRun) handle(j *Job, h Handler) Result {
 	fl, st, req := j.flow, j.stage, j.req
 	for i, part := range j.req.Payload.([]any) {
 		arg, r := spanArg(st.idx, int32(i)+1), &fl.elems[i]
-		if !req.Deadline.IsZero() && br.now.After(req.Deadline) {
+		if br.now > j.deadline {
 			*r = Result{Status: StatusShed}
 			if j.ft != nil {
 				j.ft.add(trace.KindShed, br.sh.id, br.sh.locale, arg, "deadline expired before execution")
@@ -880,8 +887,8 @@ func (br *batchRun) handle(j *Job, h Handler) Result {
 		req.Payload = part
 		*r = br.call(j, h, req, arg)
 		if st.costN != nil {
-			end := time.Now()
-			r.Total, br.now = end.Sub(br.now), end
+			end := clock.Now()
+			r.Total, br.now = time.Duration(end-br.now), end
 		}
 	}
 	return fl.joined()
@@ -927,7 +934,7 @@ func (s *Server) shed(br *batchRun, j *Job, cause string) {
 		j.ft.add(trace.KindAdapt, sh.id, sh.locale, j.spanArg(), cause)
 		j.ft.add(trace.KindShed, sh.id, sh.locale, j.spanArg(), "")
 	}
-	age := br.now.Sub(j.enqueued)
+	age := time.Duration(br.now - j.enqueued)
 	res := Result{Status: StatusShed, Wait: age, Total: age, Priority: j.req.Priority}
 	if j.idx == inlineFan {
 		for i := range j.flow.elems {
@@ -946,7 +953,7 @@ func (s *Server) shedLow(br *batchRun, j *Job, level int) {
 	// would latch the shed level at max forever. Shed jobs report their
 	// queue age, so once the backlog clears the estimate falls and the
 	// controller lets traffic back in.
-	s.waitUS.Observe(float64(br.now.Sub(j.enqueued)) / float64(time.Microsecond))
+	s.waitUS.Observe(float64(br.now-j.enqueued) / float64(time.Microsecond))
 	s.overload.shed.Inc()
 	cause := ""
 	if j.ft != nil {

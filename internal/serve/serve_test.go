@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/litlx"
 	"repro/internal/stats"
+	"repro/internal/trace"
 )
 
 func newTestRNG() *stats.RNG { return stats.NewRNG(7) }
@@ -696,6 +697,59 @@ func TestDeadlineShed(t *testing.T) {
 	}
 	if res := tk.Wait(); res.Status != StatusOK {
 		t.Fatalf("status = %v, want ok", res.Status)
+	}
+}
+
+// TestWallOnlyDeadline pins the one conversion of a deadline at
+// admission. A wall-only time.Time (what time.Unix builds, as for a
+// deadline that came off the wire) names the same instant as its
+// monotonic twin: in the past it is shed in the queue, and in the
+// future it runs and reads back through Ctx.Deadline. A request with no
+// deadline, queued behind a slow job, is never shed.
+func TestWallOnlyDeadline(t *testing.T) {
+	s := observedServer(t, 1, 8)
+	release := make(chan struct{})
+	tn, err := s.RegisterTenant(TenantConfig{
+		Name: "t",
+		Handler: func(ctx *Ctx, req Request) (any, error) {
+			if req.Key == 0 {
+				<-release
+			}
+			return ctx.Deadline(), nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wall := func(d time.Duration) time.Time { return time.Unix(0, time.Now().Add(d).UnixNano()) }
+	future := wall(time.Hour)
+	var tks [4]*Ticket
+	for i, dl := range []time.Time{{}, wall(-time.Millisecond), {}, future} {
+		if tks[i], err = tn.Submit(Request{Key: uint64(i), Deadline: dl}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	time.Sleep(5 * time.Millisecond) // the queue waits behind key 0
+	close(release)
+	for i, want := range []Status{StatusOK, StatusShed, StatusOK, StatusOK} {
+		if r := tks[i].Wait(); r.Status != want {
+			t.Fatalf("key %d finished %v, want %v", i, r.Status, want)
+		} else if i == 3 && !r.Value.(time.Time).Equal(future) {
+			t.Errorf("Ctx.Deadline = %v, want %v", r.Value, future)
+		}
+	}
+	fails := s.Recorder().Failures()
+	if len(fails) != 1 {
+		t.Fatalf("recorder failures = %d, want 1", len(fails))
+	}
+	cause := ""
+	for _, e := range fails[0].Events() {
+		if e.Kind == trace.KindAdapt {
+			cause = e.Label
+		}
+	}
+	if cause != "deadline expired in queue" {
+		t.Errorf("shed cause %q, want the drain's", cause)
 	}
 }
 

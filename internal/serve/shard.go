@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/mem"
 	"repro/internal/monitor"
@@ -298,7 +299,7 @@ type batchRun struct {
 	jobs  []*Job
 	ctx   Ctx
 	limit int
-	now   time.Time
+	now   clock.Nanos
 }
 
 // fits reports whether a stage job routed to sh may join the running
@@ -341,7 +342,7 @@ func runBatch(sg *core.SGT, a any) {
 	defer func() {
 		br.ctx = Ctx{shard: sh.id, locale: sh.locale}
 		clear(br.jobs)
-		br.jobs, br.limit, br.now = br.jobs[:0], 0, time.Time{}
+		br.jobs, br.limit, br.now = br.jobs[:0], 0, 0
 		sh.runs <- br
 		sh.sgts.Add(-1)
 		if sh.ring.ready() {
@@ -383,13 +384,13 @@ func (br *batchRun) run(sg *core.SGT) {
 	if sh.ctrl != nil {
 		sh.ctrl.observeDepth(depth)
 	}
-	start := time.Now()
+	start := clock.Now()
 	br.now = start
 	shedBelow := s.overload.shedLevel()
 	live := batch[:0]
 	chains := false // a survivor's flow may append continuations
 	for _, j := range batch {
-		if !j.req.Deadline.IsZero() && start.After(j.req.Deadline) {
+		if start > j.deadline {
 			s.shed(br, j, "deadline expired in queue")
 			continue
 		}
@@ -453,6 +454,6 @@ func (br *batchRun) run(sg *core.SGT) {
 		sh.bsize.Observe(float64(len(br.jobs)))
 	}
 	if sh.ctrl != nil {
-		sh.ctrl.observeLatency(float64(br.now.Sub(start)) / float64(time.Microsecond))
+		sh.ctrl.observeLatency(float64(br.now-start) / float64(time.Microsecond))
 	}
 }
