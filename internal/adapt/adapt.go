@@ -269,45 +269,6 @@ func (lm *LocalityManager) Analyze() []LocalityAction {
 	return actions
 }
 
-// ReHome recovers the objects homed at lost locales: each one moves to
-// the locale holding a valid replica (the cheapest survivor — a free
-// promotion in the directory), or to fallback when no copy survived and
-// the object must be rebuilt. The returned actions (Kind "rehome") have
-// already been applied; cost is the total rebuild cost charged. This is
-// the locality manager's failure-path counterpart to Rebalance: the
-// cluster layer calls it when a node's eviction strands part of the
-// locale space.
-func (lm *LocalityManager) ReHome(lost []mem.Locale, fallback mem.Locale) ([]LocalityAction, int64) {
-	if len(lost) == 0 {
-		return nil, 0
-	}
-	dead := make(map[mem.Locale]bool, len(lost))
-	for _, l := range lost {
-		dead[l] = true
-	}
-	var (
-		actions []LocalityAction
-		cost    int64
-	)
-	for _, id := range lm.Space.Objects() {
-		home := lm.Space.Home(id)
-		if !dead[home] {
-			continue
-		}
-		to := fallback
-		for _, r := range lm.Space.Replicas(id) {
-			if !dead[r] {
-				to = r
-				break
-			}
-		}
-		c, _ := lm.Space.Rehome(id, to)
-		cost += c
-		actions = append(actions, LocalityAction{Obj: id, Kind: "rehome", To: to})
-	}
-	return actions, cost
-}
-
 // Rebalance applies Analyze's recommendations, returns them plus the
 // total transfer cost charged by the directory, and decays the access
 // counters so the next period starts fresh.

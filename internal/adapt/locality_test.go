@@ -151,48 +151,3 @@ func TestLocalityReplicateSkipsExistingReplicas(t *testing.T) {
 		t.Errorf("replicas installed, Analyze still wants: %v", again)
 	}
 }
-
-func TestReHomeMovesLostObjectsToReplicasOrFallback(t *testing.T) {
-	s := mem.NewSpace(4, mem.UniformCost{Cost: 7})
-	lm := NewLocalityManager(s)
-
-	replicated := s.Alloc(1, 32) // homed on the doomed locale, copy at 2
-	s.Replicate(replicated, 2)
-	bare := s.Alloc(1, 32) // homed on the doomed locale, no copies
-	safe := s.Alloc(0, 32) // homed elsewhere — must not move
-
-	actions, cost := lm.ReHome([]mem.Locale{1}, 3)
-	if len(actions) != 2 {
-		t.Fatalf("ReHome produced %d actions, want 2: %v", len(actions), actions)
-	}
-	for _, a := range actions {
-		if a.Kind != "rehome" {
-			t.Fatalf("action kind %q, want rehome", a.Kind)
-		}
-	}
-	if got := s.Home(replicated); got != 2 {
-		t.Fatalf("replicated object homed at %d, want promoted replica at 2", got)
-	}
-	if got := s.Home(bare); got != 3 {
-		t.Fatalf("bare object homed at %d, want fallback 3", got)
-	}
-	if got := s.Home(safe); got != 0 {
-		t.Fatalf("unaffected object moved to %d", got)
-	}
-	if cost == 0 {
-		t.Fatal("rebuilding the bare object should have charged cost")
-	}
-	st := s.Stats()
-	if st.Rehomes != 2 || st.RehomePromotions != 1 {
-		t.Fatalf("stats = %+v, want Rehomes=2 RehomePromotions=1", st)
-	}
-}
-
-func TestReHomeNoLostLocalesIsNoop(t *testing.T) {
-	s := mem.NewSpace(2, mem.UniformCost{Cost: 1})
-	lm := NewLocalityManager(s)
-	s.Alloc(0, 8)
-	if actions, cost := lm.ReHome(nil, 1); actions != nil || cost != 0 {
-		t.Fatalf("ReHome(nil) = %v, %d — want no-op", actions, cost)
-	}
-}

@@ -167,7 +167,7 @@ type Node struct {
 	percolateBytes                  atomic.Int64
 	evictions, recoveredFlows       atomic.Int64
 	staleCompletions                atomic.Int64
-	rehomedObjects                  atomic.Int64
+	rehomedObjects, promotedObjects atomic.Int64
 
 	traces *flowTraces
 	closed atomic.Bool
@@ -525,11 +525,14 @@ type Stats struct {
 	// dead; RecoveredFlows counts recoveries that re-routed or resolved
 	// a pending flow; StaleCompletions counts completion parcels dropped
 	// by the flow-epoch gate (zombie executors finishing after their
-	// eviction); RehomedObjects counts tenant globals this node took
-	// over as the new primary after an eviction.
+	// eviction).
 	Evictions, RecoveredFlows int64
 	StaleCompletions          int64
-	RehomedObjects            int64
+	// RehomedObjects counts the tenant globals this node took over as
+	// the new primary after an eviction, each once; PromotedObjects is
+	// the subset it already held (its fetch had succeeded, typically as
+	// a pre-warmed replica), so the takeover fetched nothing.
+	RehomedObjects, PromotedObjects int64
 	// Wire is the transport's own traffic accounting.
 	Wire parcel.TransportStats
 }
@@ -557,6 +560,7 @@ func (n *Node) Stats() Stats {
 		RecoveredFlows:   n.recoveredFlows.Load(),
 		StaleCompletions: n.staleCompletions.Load(),
 		RehomedObjects:   n.rehomedObjects.Load(),
+		PromotedObjects:  n.promotedObjects.Load(),
 		Wire:             n.t.Stats(),
 	}
 }

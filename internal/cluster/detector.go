@@ -3,8 +3,6 @@ package cluster
 import (
 	"time"
 
-	"repro/internal/adapt"
-	"repro/internal/mem"
 	"repro/internal/parcel"
 	"repro/internal/trace"
 )
@@ -12,7 +10,7 @@ import (
 // This file is the failure domain: a heartbeat detector that turns a
 // dead member into an eviction, and the recovery that runs behind one —
 // re-routing the pending flows the dead node held and re-homing the
-// global objects and mem.Space locales it owned onto the survivors.
+// tenant globals whose home locales it owned onto the survivors.
 // Detection is deliberately per-node (no consensus): every member
 // probes every other, an eviction is a local membership change
 // broadcast like any other, and the epoch gate orders racing
@@ -114,11 +112,9 @@ func (n *Node) evict(dead parcel.NodeID) {
 //     (the recovery sweep would catch it when it falls due; this removes
 //     the wait, and re-arms the flow's one due time);
 //  2. tenant globals whose home locale the dead node owned are taken
-//     over by their new primary — promoted from a local replica when
-//     replication had pre-warmed one, fetched from a survivor otherwise;
-//  3. the local mem.Space directory re-homes every object homed on the
-//     lost arc, through adapt.LocalityManager.ReHome — valid replicas
-//     promote for free, the rest rebuild at the fallback locale.
+//     over by their new primary, each counted once there — promoted
+//     when the node already holds its bytes (a pre-warmed replica),
+//     fetched from a survivor otherwise.
 //
 // It runs on whichever goroutine observed the death (detector or
 // membership broadcast), after all locks are released.
@@ -144,41 +140,4 @@ func (n *Node) recoverAfter(dead parcel.NodeID, oldRing, newRing *Ring) {
 	for _, t := range tenants {
 		t.recoverGlobals(dead, oldRing, newRing)
 	}
-
-	lost := oldRing.Owned(dead)
-	if len(lost) == 0 {
-		return
-	}
-	lostLocales := make([]mem.Locale, len(lost))
-	for i, l := range lost {
-		lostLocales[i] = mem.Locale(l)
-	}
-	lm := adapt.NewLocalityManager(n.sys.Space)
-	actions, _ := lm.ReHome(lostLocales, n.fallbackLocale(newRing, lost))
-	if len(actions) > 0 {
-		n.rehomedObjects.Add(int64(len(actions)))
-		if n.traces != nil {
-			n.traces.record(n.self, 0, trace.KindAdapt,
-				"rehomed %d objects off locales lost with %s", len(actions), dead)
-		}
-	}
-}
-
-// fallbackLocale picks where objects with no surviving replica rebuild:
-// the first locale this node owns on the new ring, else the first
-// locale outside the lost arc, else 0.
-func (n *Node) fallbackLocale(newRing *Ring, lost []int) mem.Locale {
-	if owned := newRing.Owned(n.self); len(owned) > 0 {
-		return mem.Locale(owned[0])
-	}
-	dead := make(map[int]bool, len(lost))
-	for _, l := range lost {
-		dead[l] = true
-	}
-	for l := 0; l < n.locales; l++ {
-		if !dead[l] {
-			return mem.Locale(l)
-		}
-	}
-	return 0
 }

@@ -92,17 +92,15 @@ type frame struct {
 type Config struct {
 	// Window bounds outstanding calls per peer (default 256).
 	Window int
-	// CallTimeout fails a call whose reply has not arrived (default 30s)
-	// — a wedged peer must not wedge its callers forever.
-	CallTimeout time.Duration
 }
+
+// callTimeout fails a call whose reply has not arrived — a wedged peer
+// must not wedge its callers forever.
+const callTimeout = 30 * time.Second
 
 func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = 256
-	}
-	if c.CallTimeout <= 0 {
-		c.CallTimeout = 30 * time.Second
 	}
 	return c
 }
@@ -464,9 +462,9 @@ func (t *Transport) Call(dest parcel.NodeID, method string, body []byte) ([]byte
 			return nil, errors.New(f.Text)
 		}
 		return f.Body, nil
-	case <-time.After(t.cfg.CallTimeout):
+	case <-time.After(callTimeout):
 		t.pending.Delete(seq)
-		return nil, fmt.Errorf("netparcel: call %s to %s timed out after %v", method, dest, t.cfg.CallTimeout)
+		return nil, fmt.Errorf("netparcel: call %s to %s timed out after %v", method, dest, callTimeout)
 	}
 }
 

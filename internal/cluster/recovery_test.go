@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -619,6 +620,128 @@ func TestKillNodeScenarioInvariants(t *testing.T) {
 			}
 			if replicas >= 2 && rep.RehomePromotions == 0 {
 				t.Error("replication factor 2 produced no free replica promotions")
+			}
+			if rep.RehomePromotions > rep.RehomedObjects {
+				t.Errorf("%d promotions out of %d re-homed globals", rep.RehomePromotions, rep.RehomedObjects)
+			}
+		})
+	}
+}
+
+// TestRecoveryCountsEachLostGlobalOnce crashes one member of three and
+// checks that the survivors, summed, count each global on the victim's
+// arc once as re-homed: the new primary counts its takeover and no
+// other survivor counts it again. At replication factor 2, once every
+// replica is pre-warmed, each takeover is a promotion.
+func TestRecoveryCountsEachLostGlobalOnce(t *testing.T) {
+	const locales = 12
+	for _, replicas := range []int{1, 2} {
+		t.Run(fmt.Sprintf("replicas-%d", replicas), func(t *testing.T) {
+			fabric := parcel.NewFabric()
+			faults := parcel.NewFaults(13)
+			fabric.Inject(faults)
+			globals := make([]GlobalObject, locales)
+			for i := range globals {
+				globals[i] = GlobalObject{Name: fmt.Sprintf("g%d", i), Size: 64, Home: serve.AutoHome}
+			}
+			echo := func(_ *serve.Ctx, req serve.Request) (any, error) { return req.Payload, nil }
+			nodes := make([]*Node, 3)
+			tenants := make([]*Tenant, 3)
+			for i := range nodes {
+				node, err := NewNode(Config{
+					Transport: fabric.Node(parcel.NodeID(fmt.Sprintf("lg%d", i))),
+					System:    litlx.Config{Locales: locales, WorkersPerLocale: 1, Seed: uint64(i) + 1},
+					Serve:     serve.Config{Shards: 4},
+					Detect:    DetectConfig{Every: 10 * time.Millisecond, Misses: 2},
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(node.Close)
+				nodes[i] = node
+				if tenants[i], err = node.RegisterTenant(TenantConfig{
+					Serve:    serve.TenantConfig{Name: "lg", Handler: echo},
+					Globals:  globals,
+					Replicas: replicas,
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, n := range nodes[1:] {
+				if err := n.Join(nodes[0].Transport().Addr()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := waitMembers(nodes, 3, 5*time.Second); err != nil {
+				t.Fatal(err)
+			}
+			victim, survivors := nodes[2].Self(), nodes[:2]
+			held := func(i int, g *global) bool {
+				tn := tenants[i]
+				tn.resMu.Lock()
+				defer tn.resMu.Unlock()
+				return tn.heldLocked(g.key)
+			}
+			if replicas >= 2 && !waitFor(5*time.Second, func() bool {
+				for i, n := range survivors {
+					for _, g := range tenants[i].globals {
+						if slices.Index(n.Ring().OwnersFor(g.Home, replicas), n.Self()) > 0 && !held(i, g) {
+							return false
+						}
+					}
+				}
+				return true
+			}) {
+				t.Fatal("survivors never pre-warmed their replicas")
+			}
+			lostArc := nodes[0].Ring().Owned(victim)
+			lost := int64(0)
+			for _, g := range tenants[0].globals {
+				if slices.Contains(lostArc, g.Home) {
+					lost++
+				}
+			}
+			if lost == 0 {
+				t.Fatal("the victim's arc homes no global; nothing to recover")
+			}
+
+			faults.Crash(victim)
+			var rehomed, promoted int64
+			sum := func() {
+				rehomed, promoted = 0, 0
+				for _, n := range survivors {
+					st := n.Stats()
+					rehomed += st.RehomedObjects
+					promoted += st.PromotedObjects
+				}
+			}
+			// Recovered: every survivor evicted the victim, and each lost
+			// global's new primary holds it.
+			if !waitFor(5*time.Second, func() bool {
+				for i, n := range survivors {
+					if slices.Contains(n.Members(), victim) {
+						return false
+					}
+					for _, g := range tenants[i].globals {
+						if owner, _ := n.Ring().Owner(g.Home); slices.Contains(lostArc, g.Home) && owner == n.Self() && !held(i, g) {
+							return false
+						}
+					}
+				}
+				sum()
+				return rehomed >= lost && (replicas < 2 || promoted >= lost)
+			}) {
+				t.Fatalf("recovery never settled: rehomed %d, promoted %d of %d lost globals", rehomed, promoted, lost)
+			}
+			sum()
+			if rehomed != lost {
+				t.Errorf("survivors counted %d re-homed globals, want %d: one per global on the victim's arc", rehomed, lost)
+			}
+			if promoted > rehomed {
+				t.Errorf("%d promotions out of %d re-homed globals", promoted, rehomed)
+			}
+			if replicas >= 2 && promoted != rehomed {
+				t.Errorf("%d of %d re-homed globals promoted, want all: every replica was pre-warmed", promoted, rehomed)
 			}
 		})
 	}

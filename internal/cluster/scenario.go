@@ -57,12 +57,15 @@ type KillNodeReport struct {
 	RecoveryMillis int64
 	// MaxResolveMillis is the slowest flow's admission-to-resolution time.
 	MaxResolveMillis int64
-	// Survivor-side failure-domain counters, summed.
-	Evictions, RecoveredFlows   int64
-	StaleCompletions            int64
-	RehomedObjects              int64
-	RehomePromotions, Rehomes   int64
-	ForwardedStages, ObjFetches int64
+	// Survivor-side failure-domain counters, summed over the survivors'
+	// Stats. RehomedObjects counts each global on the victim's arc once,
+	// by the survivor that took it over; RehomePromotions is the subset
+	// that survivor already held (PromotedObjects), and the rest were
+	// rebuilt by a fetch.
+	Evictions, RecoveredFlows        int64
+	StaleCompletions                 int64
+	RehomedObjects, RehomePromotions int64
+	ForwardedStages, ObjFetches      int64
 }
 
 // KillNodeScenario drives a cluster on the in-process fabric under a
@@ -70,23 +73,23 @@ type KillNodeReport struct {
 // mid-load (its process keeps running — a zombie — but every parcel to
 // or from it dies on the wire), the survivors' detectors evict it, the
 // ring rebalances, pending flows re-route, and the dead arc's globals
-// re-home from replicas. It verifies the failure-domain contract: every
-// submitted flow resolves exactly once within its deadline.
+// re-home, promoted where the new primary held a replica. It verifies
+// the failure-domain contract: every submitted flow resolves exactly
+// once within its deadline.
 func KillNodeScenario(cfg KillNodeConfig) (KillNodeReport, error) {
 	r := scriptedRun{seed: cfg.Seed, flows: orDefault(cfg.Flows, 96), replicas: orDefault(cfg.Replicas, 2), crash: true}
 	r.wave = r.flows / 3
 	var rep KillNodeReport
 	out, err := r.play(func(live []*Node) {
 		for _, n := range live {
-			st, sp := n.Stats(), n.System().Space.Stats()
+			st := n.Stats()
 			rep.Evictions += st.Evictions
 			rep.RecoveredFlows += st.RecoveredFlows
 			rep.StaleCompletions += st.StaleCompletions
 			rep.RehomedObjects += st.RehomedObjects
+			rep.RehomePromotions += st.PromotedObjects
 			rep.ForwardedStages += st.ForwardedStages
 			rep.ObjFetches += st.ObjectFetches
-			rep.Rehomes += sp.Rehomes
-			rep.RehomePromotions += sp.RehomePromotions
 		}
 	})
 	rep.Submitted, rep.OK, rep.Shed, rep.Failed, rep.Rejected = r.flows, out.OK, out.Shed, out.Failed, out.Rejected

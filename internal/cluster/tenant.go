@@ -5,7 +5,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/mem"
 	"repro/internal/parcel"
 	"repro/internal/serve"
 )
@@ -73,13 +72,11 @@ type fetchState struct {
 	err  error
 }
 
-// global is one declared GlobalObject as this node holds it.
+// global is one declared GlobalObject as this node holds it: whether
+// the node holds its bytes is its key's entry in the tenant's resident
+// map, the one record of where a global lives.
 type global struct {
 	GlobalObject
-	// id is the object's entry in the node-local mem.Space directory,
-	// homed at its global locale — the handle replication and re-homing
-	// act on.
-	id mem.ObjID
 	// key is the object's residency key, "obj/<name>".
 	key string
 }
@@ -127,9 +124,6 @@ func (n *Node) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 		replicas: cfg.Replicas,
 		globals:  globals,
 		resident: make(map[string]*fetchState),
-	}
-	for _, g := range globals {
-		g.id = n.sys.Space.Alloc(mem.Locale(g.Home), g.Size)
 	}
 	n.tenantsMu.Lock()
 	n.tenants[t.name] = t
@@ -182,29 +176,32 @@ func (t *Tenant) ensureResident(origin parcel.NodeID, globals []string) {
 // from another node) and every named global have a successful fetch
 // entry — the only kind fetchOnce never deletes.
 func (t *Tenant) warm(origin parcel.NodeID, globals []string) bool {
-	settled := func(key string) bool {
-		fs, ok := t.resident[key]
-		if !ok {
-			return false
-		}
-		select {
-		case <-fs.done:
-			return fs.err == nil
-		default:
-			return false
-		}
-	}
 	t.resMu.Lock()
 	defer t.resMu.Unlock()
-	if t.codeSize > 0 && origin != t.n.self && !settled("code") {
+	if t.codeSize > 0 && origin != t.n.self && !t.heldLocked("code") {
 		return false
 	}
 	for _, name := range globals {
-		if g, ok := t.globals[name]; ok && !settled(g.key) {
+		if g, ok := t.globals[name]; ok && !t.heldLocked(g.key) {
 			return false
 		}
 	}
 	return true
+}
+
+// heldLocked reports whether key's fetch entry has already succeeded —
+// the node holds those bytes and needs no fetch. The caller holds resMu.
+func (t *Tenant) heldLocked(key string) bool {
+	fs, ok := t.resident[key]
+	if !ok {
+		return false
+	}
+	select {
+	case <-fs.done:
+		return fs.err == nil
+	default:
+		return false
+	}
 }
 
 // fetch makes one percolation transfer from src — the named global
@@ -248,18 +245,16 @@ func (t *Tenant) fetchOnce(key string, counter *atomic.Int64, fetch func() (int,
 
 // syncReplicas re-derives this node's replica duties from the current
 // ring: for every global whose replica set (the home's owner plus the
-// next Replicas-1 ring successors) includes this node, a copy is
-// installed in the local directory and the bytes pre-warmed from the
-// primary — so the primary's death later promotes a valid replica
-// instead of paying a fetch. Runs on every membership change; already-
-// resident entries make it idempotent and cheap.
+// next Replicas-1 ring successors) includes this node, the bytes are
+// pre-warmed from the primary — so the primary's death later promotes
+// the held copy instead of paying a fetch. Runs on every membership
+// change; already-resident entries make it idempotent and cheap.
 func (t *Tenant) syncReplicas() {
 	n := t.n
 	if t.replicas < 2 {
 		return
 	}
 	ring := n.Ring()
-	owned := ring.Owned(n.self)
 	for name, g := range t.globals {
 		owners := ring.OwnersFor(g.Home, t.replicas)
 		self := -1
@@ -271,9 +266,6 @@ func (t *Tenant) syncReplicas() {
 		}
 		if self <= 0 {
 			continue // primary (resident by definition) or not in the set
-		}
-		if len(owned) > 0 {
-			n.sys.Space.Replicate(g.id, mem.Locale(owned[0]))
 		}
 		primary := owners[0]
 		_ = t.fetchOnce(g.key, &n.objectFetches, func() (int, error) {
@@ -300,10 +292,11 @@ func (n *Node) syncReplicas() {
 }
 
 // recoverGlobals runs at a member's death: every global whose home
-// locale the dead node owned and this node now owns is taken over —
-// counted as re-homed, its bytes made resident from a pre-warmed
-// replica (free) or fetched from any surviving member (all members
-// register the same tenants, so any of them serves the fetch).
+// locale the dead node owned and this node now owns is taken over,
+// counted once here as re-homed. One this node already held (a
+// pre-warmed replica, or bytes an earlier stage fetched) is promoted
+// and needs no fetch; the rest are fetched from any surviving member
+// (all members register the same tenants, so any of them serves it).
 func (t *Tenant) recoverGlobals(dead parcel.NodeID, oldRing, newRing *Ring) {
 	n := t.n
 	for name, g := range t.globals {
@@ -313,6 +306,13 @@ func (t *Tenant) recoverGlobals(dead parcel.NodeID, oldRing, newRing *Ring) {
 			continue
 		}
 		n.rehomedObjects.Add(1)
+		t.resMu.Lock()
+		held := t.heldLocked(g.key)
+		t.resMu.Unlock()
+		if held {
+			n.promotedObjects.Add(1)
+			continue
+		}
 		src := t.anySurvivor(dead)
 		if src == "" {
 			// No peer left to fetch from: resident by fiat (we are the

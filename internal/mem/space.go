@@ -125,11 +125,6 @@ type SpaceStats struct {
 	Migrations    int64
 	Invalidations int64
 	TotalCost     int64
-	// Rehomes counts Rehome calls that moved an object's home off a lost
-	// locale; RehomePromotions is the subset served free from a valid
-	// replica at the new home.
-	Rehomes          int64
-	RehomePromotions int64
 }
 
 // NewSpace creates a directory over the given number of locales with the
@@ -389,58 +384,6 @@ func (s *Space) replicateLocked(o *object, loc Locale) int64 {
 	cost := s.cost.Remote(s.hops(o.home, loc), o.size)
 	s.stats.TotalCost += cost
 	return cost
-}
-
-// Replicas returns the locales currently holding a valid copy of the
-// object, home excluded, in ascending locale order.
-func (s *Space) Replicas(id ObjID) []Locale {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o := s.get(id)
-	var out []Locale
-	for l := Locale(0); int(l) < s.locales; l++ {
-		if v, ok := o.replicas[l]; ok && v == o.version && l != o.home {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// Rehome moves the object's home to loc after the old home was LOST —
-// unlike Migrate, nothing can transfer from it. When loc holds a valid
-// replica the move is a free promotion (the copy becomes the home and
-// the other valid replicas survive); otherwise the object is
-// re-materialized at loc at local-build cost and every stale replica
-// drops. promoted reports which path ran. Rehoming to the current home
-// is a no-op.
-func (s *Space) Rehome(id ObjID, loc Locale) (cost int64, promoted bool) {
-	if loc < 0 || int(loc) >= s.locales {
-		panic(fmt.Sprintf("mem: rehome to invalid locale %d", loc))
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	o := s.get(id)
-	if o.home == loc {
-		return 0, true
-	}
-	s.stats.Rehomes++
-	if v, ok := o.replicas[loc]; ok && v == o.version {
-		delete(o.replicas, loc)
-		o.home = loc
-		s.stats.RehomePromotions++
-		return 0, true
-	}
-	// No valid copy at the new home: rebuild there, and nothing else can
-	// claim validity against the rebuilt object.
-	cost = s.cost.Local(o.size)
-	o.home = loc
-	o.version++
-	for k := range o.replicas {
-		delete(o.replicas, k)
-	}
-	delete(s.remoteReads, id)
-	s.stats.TotalCost += cost
-	return cost, false
 }
 
 // Migrate moves the object's home to loc, invalidating replicas, and

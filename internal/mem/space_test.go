@@ -239,62 +239,3 @@ func TestConsistencyProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestRehomePromotesValidReplica(t *testing.T) {
-	s := NewSpace(4, UniformCost{Cost: 5})
-	id := s.Alloc(0, 64)
-	s.Replicate(id, 2)
-	s.Replicate(id, 3)
-
-	cost, promoted := s.Rehome(id, 2)
-	if !promoted || cost != 0 {
-		t.Fatalf("Rehome onto valid replica: cost=%d promoted=%v, want free promotion", cost, promoted)
-	}
-	if s.Home(id) != 2 {
-		t.Fatalf("home = %d, want 2", s.Home(id))
-	}
-	// The other replica survived the promotion.
-	if !s.HasValidReplica(id, 3) {
-		t.Fatal("replica at 3 lost validity during promotion")
-	}
-	st := s.Stats()
-	if st.Rehomes != 1 || st.RehomePromotions != 1 {
-		t.Fatalf("stats = %+v, want Rehomes=1 RehomePromotions=1", st)
-	}
-}
-
-func TestRehomeWithoutReplicaRebuilds(t *testing.T) {
-	s := NewSpace(4, UniformCost{Cost: 5})
-	id := s.Alloc(0, 64)
-	s.Replicate(id, 3)
-
-	cost, promoted := s.Rehome(id, 1) // no copy at 1
-	if promoted || cost == 0 {
-		t.Fatalf("Rehome without replica: cost=%d promoted=%v, want charged rebuild", cost, promoted)
-	}
-	if s.Home(id) != 1 {
-		t.Fatalf("home = %d, want 1", s.Home(id))
-	}
-	// The rebuild bumped the version, so the old copy at 3 is stale.
-	if s.HasValidReplica(id, 3) {
-		t.Fatal("stale replica at 3 still reads as valid after rebuild")
-	}
-	st := s.Stats()
-	if st.Rehomes != 1 || st.RehomePromotions != 0 {
-		t.Fatalf("stats = %+v, want Rehomes=1 RehomePromotions=0", st)
-	}
-}
-
-func TestReplicasListsOnlyValidCopies(t *testing.T) {
-	s := NewSpace(4, UniformCost{Cost: 1})
-	id := s.Alloc(0, 8)
-	s.Replicate(id, 1)
-	s.Replicate(id, 3)
-	if got := s.Replicas(id); len(got) != 2 || got[0] != 1 || got[1] != 3 {
-		t.Fatalf("Replicas = %v, want [1 3]", got)
-	}
-	s.WriteAccess(0, id, 0) // invalidates everything
-	if got := s.Replicas(id); len(got) != 0 {
-		t.Fatalf("Replicas after invalidation = %v, want none", got)
-	}
-}

@@ -49,24 +49,25 @@ type CompileConfig struct {
 	// accumulate — since its last plan — before the controller will
 	// (re)plan its scatter (default 64).
 	MinSamples int
-	// ReplanDrift is the factor by which a stage's observed mean element
-	// cost must drift from the planned-against mean to force a re-plan;
-	// a coefficient-of-variation move of more than 0.5 also forces one
-	// (default 1.5).
-	ReplanDrift float64
 	// HotKeyMin is the sketch frequency estimate at which a (tenant,
 	// key) is promoted to a fast-path slot; it is demoted when the
 	// (decaying) estimate falls below half of this (default 128).
 	HotKeyMin int64
 	// MaxHot bounds the fast-path slots per tenant (default 8).
 	MaxHot int
-	// SketchWidth is the count-min row width, rounded up to a power of
-	// two (default 512).
-	SketchWidth int
 	// DecayEvery halves the sketch counters every this many controller
 	// ticks, so cooled keys demote (default 16).
 	DecayEvery int
 }
+
+const (
+	// replanDrift is the factor by which a stage's observed mean element
+	// cost must drift from the planned-against mean to force a re-plan;
+	// a coefficient-of-variation move of more than 0.5 also forces one.
+	replanDrift = 1.5
+	// sketchWidth is the count-min row width of a tenant's key sketch.
+	sketchWidth = 512
+)
 
 func (c CompileConfig) withDefaults(base Config) CompileConfig {
 	if !c.Enabled {
@@ -82,17 +83,11 @@ func (c CompileConfig) withDefaults(base Config) CompileConfig {
 	if c.MinSamples <= 0 {
 		c.MinSamples = 64
 	}
-	if c.ReplanDrift <= 1 {
-		c.ReplanDrift = 1.5
-	}
 	if c.HotKeyMin <= 0 {
 		c.HotKeyMin = 128
 	}
 	if c.MaxHot <= 0 {
 		c.MaxHot = 8
-	}
-	if c.SketchWidth <= 0 {
-		c.SketchWidth = 512
 	}
 	if c.DecayEvery <= 0 {
 		c.DecayEvery = 16
@@ -342,8 +337,7 @@ func (c *compileController) planStage(t *Tenant, p *Pipeline, st *pipeStage) {
 	}
 	cv := math.Sqrt(varr) / mean
 	if cur != nil && cur.plan != nil {
-		d := c.cfg.ReplanDrift
-		driftLo, driftHi := cur.plan.MeanUS/d, cur.plan.MeanUS*d
+		driftLo, driftHi := cur.plan.MeanUS/replanDrift, cur.plan.MeanUS*replanDrift
 		if mean > driftLo && mean < driftHi && math.Abs(cv-cur.plan.CV) <= 0.5 {
 			return // within the planned-against regime: keep the plan
 		}

@@ -196,7 +196,7 @@ func (s *Server) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 		// Continuous compilation watches this tenant: a per-tenant key
 		// sketch fed on admission, and a fast-path table the controller
 		// populates with specialized handlers for promoted keys.
-		t.sketch = contc.NewKeySketch(s.cfg.Compile.SketchWidth, 2*s.cfg.Compile.MaxHot)
+		t.sketch = contc.NewKeySketch(sketchWidth, 2*s.cfg.Compile.MaxHot)
 		t.fast = newFastTable(s.cfg.Compile.MaxHot)
 		t.specialize = cfg.Specialize
 	}
