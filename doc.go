@@ -54,8 +54,8 @@
 // The cluster subsystem (internal/cluster) takes the serving path
 // multi-node: each node is a process hosting its own litlx.System and
 // serve.Server plus one contiguous arc of the global locale space,
-// assigned by a consistent-hash ring over a small join/leave membership
-// protocol. Parcels between nodes ride the parcel.Transport interface —
+// assigned by a consistent-hash ring over a small join-and-evict
+// membership protocol. Parcels between nodes ride the parcel.Transport interface —
 // the in-process parcel.Fabric for deterministic replay, or
 // internal/cluster/netparcel's binary-framed TCP transport with one
 // connection per peer, sender-side combined writes, one-way parcels run

@@ -30,13 +30,16 @@
 //     per flow id; StitchFlow merges the records from all members into
 //     one timeline.
 //
-// Membership is deliberately small: a joiner Calls "cluster.join" at
-// any member, which bumps its epoch, admits the joiner, replies with
-// the member list, and broadcasts it; a leaver Calls "cluster.leave"
-// symmetrically, and the coordinating member broadcasts the shrunken
-// list. Receivers install lists with a newer epoch and dial any members
-// they cannot reach yet. The ring is a
-// pure function of the member set, so agreement on the list is
+// Membership is deliberately small. A node's view — the member list,
+// its epoch, and the ring the list implies — is one immutable value,
+// and adopt is the only place it changes. A joiner Calls "cluster.join"
+// at any member, which admits it under the next epoch, replies with the
+// member list, and broadcasts it; a member whose failure detector
+// evicts a peer broadcasts the shrunken list the same way. Receivers
+// adopt lists with a newer epoch, dial any members they cannot reach
+// yet, and recover what a dropped member held. There is no graceful
+// leave: a node that stops is evicted by its peers' detectors. The ring
+// is a pure function of the member set, so agreement on the list is
 // agreement on routing. The epoch is a freshness guard for those
 // broadcasts, not a consensus term — done-exactly-once for flows never
 // depends on it (completions resolve a pending entry popped under a
@@ -50,6 +53,8 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -133,10 +138,8 @@ type Node struct {
 
 	locales int
 
-	mu      sync.RWMutex
-	members map[parcel.NodeID]string // id -> dialable address
-	epoch   uint64
-	ring    atomic.Pointer[Ring] // stored under mu; a routing decision loads it without a lock
+	mu   sync.Mutex           // serialises membership changes
+	view atomic.Pointer[view] // stored by adopt alone; read without a lock
 
 	tenantsMu sync.RWMutex
 	tenants   map[string]*Tenant
@@ -189,7 +192,6 @@ func NewNode(cfg Config) (*Node, error) {
 		self:    cfg.Transport.Self(),
 		t:       cfg.Transport,
 		locales: cfg.System.Locales,
-		members: make(map[parcel.NodeID]string),
 		tenants: make(map[string]*Tenant),
 		pending: make(map[uint64]*pendingFlow),
 		clock:   cfg.Clock,
@@ -220,8 +222,7 @@ func NewNode(cfg Config) (*Node, error) {
 	}
 	n.sys = sys
 	n.srv = serve.New(sys, cfg.Serve)
-	n.members[n.self] = cfg.Transport.Addr()
-	n.ring.Store(NewRing(n.locales, []parcel.NodeID{n.self}))
+	n.adopt(memberMsg{Members: map[string]string{string(n.self): cfg.Transport.Addr()}})
 	n.registerHandlers()
 	if n.detCfg.Every > 0 {
 		n.detectStop = make(chan struct{})
@@ -244,27 +245,18 @@ func (n *Node) Serve() *serve.Server { return n.srv }
 func (n *Node) Transport() parcel.Transport { return n.t }
 
 // Epoch returns the node's current membership epoch.
-func (n *Node) Epoch() uint64 {
-	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.epoch
-}
+func (n *Node) Epoch() uint64 { return n.view.Load().Epoch }
 
 // Members lists the current member ids, sorted.
 func (n *Node) Members() []parcel.NodeID {
-	n.mu.RLock()
-	ids := make([]parcel.NodeID, 0, len(n.members))
-	for id := range n.members {
-		ids = append(ids, id)
-	}
-	n.mu.RUnlock()
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	ids := n.view.Load().ids()
+	slices.Sort(ids)
 	return ids
 }
 
 // Ring returns the node's current ring. Rings are immutable; membership
 // changes install a fresh one.
-func (n *Node) Ring() *Ring { return n.ring.Load() }
+func (n *Node) Ring() *Ring { return n.view.Load().ring }
 
 // OwnedLocales returns the contiguous locale range this node owns.
 func (n *Node) OwnedLocales() []int { return n.Ring().Owned(n.self) }
@@ -273,7 +265,6 @@ func (n *Node) OwnedLocales() []int { return n.Ring().Owned(n.self) }
 func (n *Node) registerHandlers() {
 	handleMsg(n, "cluster.join", n.handleJoin)
 	handleMsg(n, "cluster.members", n.handleMembers)
-	handleMsg(n, "cluster.leave", n.handleLeave)
 	n.t.Handle("cluster.stage", n.handleStage)
 	n.t.Handle("cluster.complete", n.handleComplete)
 	handleMsg(n, "cluster.fetch", n.handleFetch)
@@ -320,71 +311,99 @@ func (n *Node) Join(seedAddr string) error {
 	if err != nil {
 		return fmt.Errorf("cluster: join %s: bad member list: %w", seedAddr, err)
 	}
-	// Force: a node rejoining after a Leave may hold a higher (diverged)
-	// epoch than the cluster; the join reply is authoritative for it.
+	// Force: a node rejoining after its eviction, or coming from another
+	// cluster, may hold a higher (diverged) epoch than this one; the join
+	// reply is authoritative for it.
 	n.install(ml, true)
 	return nil
 }
 
-// Leave departs the cluster and resets this node to a cluster of one.
-// Like join, the departure is coordinated: one remaining member Calls
-// back a fresh epoch after removing this node and broadcasts the new
-// list, so the epoch gate orders the departure against any racing join
-// broadcast (a bare announcement could arrive before the broadcast that
-// first told a peer this node existed). In-flight stage parcels
-// addressed here still execute; their completions return to their
-// origins over the still-open transport.
-func (n *Node) Leave() {
-	body := encode(joinMsg{ID: string(n.self)})
-	n.mu.Lock()
-	peers := make([]parcel.NodeID, 0, len(n.members))
-	for id := range n.members {
-		if id != n.self {
-			peers = append(peers, id)
-		}
-	}
-	n.epoch++
-	n.members = map[parcel.NodeID]string{n.self: n.t.Addr()}
-	n.ring.Store(NewRing(n.locales, []parcel.NodeID{n.self}))
-	n.mu.Unlock()
-	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
-	for _, id := range peers {
-		if _, err := n.t.Call(id, "cluster.leave", body); err == nil {
-			return
-		}
-	}
+// view is one immutable membership snapshot: the member list with its
+// epoch, and the ring that list implies.
+type view struct {
+	memberMsg
+	ring *Ring
 }
 
-// handleJoin admits a joiner: bump the epoch, extend the member list,
-// rebuild the ring, reply with the list, and broadcast it.
+// membership is one change adopt made: the views before and after, and
+// the members it dropped (never this node).
+type membership struct {
+	old, cur *view
+	dropped  []parcel.NodeID
+}
+
+// ids lists the member ids in no order.
+func (ml memberMsg) ids() []parcel.NodeID {
+	ids := make([]parcel.NodeID, 0, len(ml.Members))
+	for id := range ml.Members {
+		ids = append(ids, parcel.NodeID(id))
+	}
+	return ids
+}
+
+// next copies the view's member list under the next epoch, for a
+// change to edit: a stored view never changes.
+func (v *view) next() memberMsg {
+	members := make(map[string]string, len(v.Members)+1)
+	maps.Copy(members, v.Members)
+	return memberMsg{Epoch: v.Epoch + 1, Members: members}
+}
+
+// adopt makes ml the node's view — the one place the view changes — and
+// returns the change for settle. Callers hold n.mu, except NewNode,
+// which runs before anything else can.
+func (n *Node) adopt(ml memberMsg) membership {
+	c := membership{old: n.view.Load(), cur: &view{memberMsg: ml, ring: NewRing(n.locales, ml.ids())}}
+	n.view.Store(c.cur)
+	if c.old != nil { // nil only in NewNode
+		for id := range c.old.Members {
+			if _, ok := ml.Members[id]; !ok && id != string(n.self) {
+				c.dropped = append(c.dropped, parcel.NodeID(id))
+			}
+		}
+	}
+	return c
+}
+
+// settle follows an adopted change once n.mu is released: it dials the
+// members this node has no route to yet, so stage parcels can flow to
+// everyone; recovers each dropped member exactly as if this node's own
+// detector had evicted it — a survivor that learns of a death from a
+// peer's broadcast still takes over the globals and re-routes the
+// pending flows the dead node held; and re-syncs replica placement off
+// this goroutine.
+func (n *Node) settle(c membership) {
+	peers := n.t.Peers()
+	for id, addr := range c.cur.Members {
+		if nid := parcel.NodeID(id); nid != n.self && !slices.Contains(peers, nid) {
+			_, _ = n.t.Dial(addr)
+		}
+	}
+	for _, id := range c.dropped {
+		n.recoverAfter(id, c.old.ring, c.cur.ring)
+	}
+	go n.syncReplicas()
+}
+
+// handleJoin admits a joiner: adopt the list with it added under the
+// next epoch, settle, reply with the list, and broadcast it to everyone
+// else.
 func (n *Node) handleJoin(jr joinMsg) ([]byte, error) {
 	if jr.ID == "" || jr.Addr == "" {
 		return nil, errors.New("cluster: join without id or address")
 	}
 	n.mu.Lock()
-	n.members[parcel.NodeID(jr.ID)] = jr.Addr
-	ml := n.reshapeLocked()
+	ml := n.view.Load().next()
+	ml.Members[jr.ID] = jr.Addr
+	c := n.adopt(ml)
 	n.mu.Unlock()
-	n.dialMissing(ml.Members)
-	go n.syncReplicas()
-	return n.broadcast(ml, jr.ID), nil
-}
-
-// reshapeLocked follows a change to n.members (n.mu held): it bumps the
-// epoch, rebuilds the ring, and returns the new member list.
-func (n *Node) reshapeLocked() memberMsg {
-	n.epoch++
-	n.ring.Store(NewRing(n.locales, memberIDs(n.members)))
-	ml := memberMsg{Epoch: n.epoch, Members: make(map[string]string, len(n.members))}
-	for id, addr := range n.members {
-		ml.Members[string(id)] = addr
-	}
-	return ml
+	n.settle(c)
+	return n.broadcast(c.cur.memberMsg, jr.ID), nil
 }
 
 // broadcast sends a member list to every member but this node and skip,
-// and returns its encoding (the join and leave replies). Send hands its
-// body over, so every Send gets a copy of its own.
+// and returns its encoding (the join reply). Send hands its body over,
+// so every Send gets a copy of its own.
 func (n *Node) broadcast(ml memberMsg, skip string) []byte {
 	payload := encode(ml)
 	for id := range ml.Members {
@@ -403,83 +422,18 @@ func (n *Node) handleMembers(ml memberMsg) ([]byte, error) {
 	return nil, nil
 }
 
-// handleLeave coordinates a departure, mirroring handleJoin: remove the
-// leaver, bump the epoch, rebuild the ring, and broadcast the fresh
-// member list so every remaining member converges through the same
-// epoch gate.
-func (n *Node) handleLeave(jr joinMsg) ([]byte, error) {
-	n.mu.Lock()
-	if _, ok := n.members[parcel.NodeID(jr.ID)]; !ok {
-		n.mu.Unlock()
-		return nil, nil
-	}
-	delete(n.members, parcel.NodeID(jr.ID))
-	ml := n.reshapeLocked()
-	n.mu.Unlock()
-	go n.syncReplicas()
-	return n.broadcast(ml, ""), nil
-}
-
-// install adopts a member list (force skips the epoch freshness gate —
-// the join path, where the reply is authoritative) and dials any member
-// this node cannot reach yet, so stage parcels can flow to everyone.
-// Members the new list dropped are recovered exactly as if this node's
-// own detector had evicted them — a survivor that learns of a death
-// from a peer's broadcast still takes over the globals and re-routes
-// the pending flows the dead node held. Replica placement re-syncs on
-// every ring change.
+// install adopts a member list newer than the node's view (force skips
+// the epoch gate — the join path, where the reply is authoritative) and
+// settles the change.
 func (n *Node) install(ml memberMsg, force bool) {
 	n.mu.Lock()
-	if !force && ml.Epoch <= n.epoch {
+	if !force && ml.Epoch <= n.view.Load().Epoch {
 		n.mu.Unlock()
 		return
 	}
-	oldRing := n.ring.Load()
-	var removed []parcel.NodeID
-	for id := range n.members {
-		if _, ok := ml.Members[string(id)]; !ok && id != n.self {
-			removed = append(removed, id)
-		}
-	}
-	n.epoch = ml.Epoch
-	n.members = make(map[parcel.NodeID]string, len(ml.Members))
-	for id, addr := range ml.Members {
-		n.members[parcel.NodeID(id)] = addr
-	}
-	newRing := NewRing(n.locales, memberIDs(n.members))
-	n.ring.Store(newRing)
+	c := n.adopt(ml)
 	n.mu.Unlock()
-	n.dialMissing(ml.Members)
-	for _, id := range removed {
-		n.recoverAfter(id, oldRing, newRing)
-	}
-	go n.syncReplicas()
-}
-
-// dialMissing opens transport routes to members this node has no peer
-// connection for yet.
-func (n *Node) dialMissing(members map[string]string) {
-	have := make(map[parcel.NodeID]bool)
-	for _, id := range n.t.Peers() {
-		have[id] = true
-	}
-	for id, addr := range members {
-		nid := parcel.NodeID(id)
-		if nid == n.self || have[nid] {
-			continue
-		}
-		_, _ = n.t.Dial(addr)
-	}
-}
-
-// memberIDs extracts the ids of a member map (any order; the ring
-// sorts).
-func memberIDs(m map[parcel.NodeID]string) []parcel.NodeID {
-	ids := make([]parcel.NodeID, 0, len(m))
-	for id := range m {
-		ids = append(ids, id)
-	}
-	return ids
+	n.settle(c)
 }
 
 // ownerOf routes a (tenant, key) pair: the key mixes onto a global
@@ -539,15 +493,13 @@ type Stats struct {
 
 // Stats snapshots this node.
 func (n *Node) Stats() Stats {
-	n.mu.RLock()
-	members, epoch, ring := len(n.members), n.epoch, n.ring.Load()
-	n.mu.RUnlock()
+	v := n.view.Load()
 	return Stats{
 		Node:             string(n.self),
 		Addr:             n.t.Addr(),
-		Members:          members,
-		Epoch:            epoch,
-		OwnedLocales:     len(ring.Owned(n.self)),
+		Members:          len(v.Members),
+		Epoch:            v.Epoch,
+		OwnedLocales:     len(v.ring.Owned(n.self)),
 		FlowsOriginated:  n.flowsOriginated.Load(),
 		FlowsCompleted:   n.flowsCompleted.Load(),
 		ForwardedStages:  n.forwardedStages.Load(),

@@ -251,27 +251,6 @@ func TestStitchFlowMergesAcrossNodes(t *testing.T) {
 	}
 }
 
-func TestLeaveShrinksMembership(t *testing.T) {
-	nodes, _ := newTestCluster(t, 3, 8, false)
-	nodes[2].Leave()
-	deadline := time.Now().Add(5 * time.Second)
-	for len(nodes[0].Members()) != 2 || len(nodes[1].Members()) != 2 {
-		if time.Now().After(deadline) {
-			t.Fatalf("membership after leave: n0=%v n1=%v, want 2 members each",
-				nodes[0].Members(), nodes[1].Members())
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if got := len(nodes[2].Members()); got != 1 {
-		t.Errorf("left node has %d members, want 1 (solo)", got)
-	}
-	for l := 0; l < 8; l++ {
-		if o, ok := nodes[0].Ring().Owner(l); !ok || o == nodes[2].Self() {
-			t.Errorf("locale %d still owned by departed node (owner %s ok=%v)", l, o, ok)
-		}
-	}
-}
-
 func TestCloseResolvesPending(t *testing.T) {
 	_, pipes := newTestCluster(t, 2, 8, false)
 	// Find a payload whose stage 0 routes away from n0 so the flow is
@@ -307,7 +286,7 @@ func TestCloseResolvesPending(t *testing.T) {
 }
 
 // recordingTransport notes the backing array of every "cluster.members"
-// Send body and of every join or leave reply its node's handlers return.
+// Send body and of every join reply its node's handlers return.
 type recordingTransport struct {
 	parcel.Transport
 	rec *memberRecord
@@ -330,7 +309,7 @@ func (r *recordingTransport) Send(dest parcel.NodeID, method string, body []byte
 func (r *recordingTransport) Handle(method string, h parcel.TransportHandler) {
 	r.Transport.Handle(method, func(from parcel.NodeID, body []byte) ([]byte, error) {
 		reply, err := h(from, body)
-		if (method == "cluster.join" || method == "cluster.leave") && len(reply) > 0 {
+		if method == "cluster.join" && len(reply) > 0 {
 			r.rec.mu.Lock()
 			r.rec.replies = append(r.rec.replies, &reply[0])
 			r.rec.mu.Unlock()
@@ -342,9 +321,9 @@ func (r *recordingTransport) Handle(method string, h parcel.TransportHandler) {
 // TestBroadcastHandsEachSendItsOwnBody checks the Transport hand-over
 // rule on membership broadcasts: a Send gives its body away, so no two
 // "cluster.members" Sends may share a backing array, and none may share
-// one with the join or leave reply returned to the caller. Three nodes
-// join (the third join broadcasts to one member beside its reply), a
-// fourth joins (two members), and one leaves.
+// one with the join reply returned to the caller. Three nodes join a
+// fourth: beside its reply, the first join broadcasts to no one, the
+// second to one member, and the third to two.
 func TestBroadcastHandsEachSendItsOwnBody(t *testing.T) {
 	fabric := parcel.NewFabric()
 	var rec memberRecord
@@ -366,15 +345,14 @@ func TestBroadcastHandsEachSendItsOwnBody(t *testing.T) {
 			}
 		}
 	}
-	nodes[3].Leave()
 	rec.mu.Lock()
 	defer rec.mu.Unlock()
-	if len(rec.sends) < 4 || len(rec.replies) < 3 {
-		t.Fatalf("recorded %d member Sends and %d replies, want at least 4 and 3", len(rec.sends), len(rec.replies))
+	if len(rec.sends) < 3 || len(rec.replies) < 3 {
+		t.Fatalf("recorded %d member Sends and %d replies, want at least 3 and 3", len(rec.sends), len(rec.replies))
 	}
 	seen := make(map[*byte]string)
 	for _, p := range rec.replies {
-		seen[p] = "a join or leave reply"
+		seen[p] = "a join reply"
 	}
 	for i, p := range rec.sends {
 		if what, ok := seen[p]; ok {

@@ -76,15 +76,14 @@ import (
 // fails instead of recursing the delivery goroutine off its stack.
 const maxDepth = 32
 
-// joinMsg rides "cluster.join" (the Call a joiner makes to any member)
-// and "cluster.leave" (Addr unused).
+// joinMsg rides "cluster.join", the Call a joiner makes to any member.
 type joinMsg struct {
 	ID   string
 	Addr string
 }
 
-// memberMsg is the membership snapshot: the join reply and the
-// "cluster.members" broadcast.
+// memberMsg is the membership snapshot: the join reply, the
+// "cluster.members" broadcast, and the member list of a node's view.
 type memberMsg struct {
 	Epoch   uint64
 	Members map[string]string // node id -> dialable address

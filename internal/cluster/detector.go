@@ -78,20 +78,20 @@ func (n *Node) detectorLoop() {
 	}
 }
 
-// evict declares a member dead: remove it, bump the epoch, rebuild the
-// ring, broadcast the shrunken list, and recover what the dead node
-// held. Re-entrant observations (the detector and a peer's broadcast
-// both reporting the same death) collapse on the membership check.
+// evict declares a member dead: adopt the list without it under the
+// next epoch, broadcast the shrunken list, and settle — recovering what
+// the dead node held. Re-entrant observations (the detector and a
+// peer's broadcast both reporting the same death) collapse on the
+// membership check.
 func (n *Node) evict(dead parcel.NodeID) {
 	n.mu.Lock()
-	if _, ok := n.members[dead]; !ok || dead == n.self {
+	ml := n.view.Load().next()
+	if _, ok := ml.Members[string(dead)]; !ok || dead == n.self {
 		n.mu.Unlock()
 		return
 	}
-	oldRing := n.ring.Load()
-	delete(n.members, dead)
-	ml := n.reshapeLocked()
-	newRing := n.ring.Load()
+	delete(ml.Members, string(dead))
+	c := n.adopt(ml)
 	n.mu.Unlock()
 	n.evictions.Add(1)
 	// Flow id 0 is never allocated (nextFlow starts at 1), so membership
@@ -99,11 +99,10 @@ func (n *Node) evict(dead parcel.NodeID) {
 	if n.traces != nil {
 		n.traces.record(n.self, 0, trace.KindAdapt,
 			"evicted %s after %d missed heartbeats; ring rebalanced onto %d members",
-			dead, n.detCfg.Misses, len(ml.Members))
+			dead, n.detCfg.Misses, len(c.cur.Members))
 	}
-	n.broadcast(ml, "")
-	n.recoverAfter(dead, oldRing, newRing)
-	n.syncReplicas()
+	n.broadcast(c.cur.memberMsg, "")
+	n.settle(c)
 }
 
 // recoverAfter runs the survivor-side recovery for one departed member:
@@ -131,13 +130,7 @@ func (n *Node) recoverAfter(dead parcel.NodeID, oldRing, newRing *Ring) {
 		go n.recoverFlow(flow, 0)
 	}
 
-	n.tenantsMu.RLock()
-	tenants := make([]*Tenant, 0, len(n.tenants))
-	for _, t := range n.tenants {
-		tenants = append(tenants, t)
-	}
-	n.tenantsMu.RUnlock()
-	for _, t := range tenants {
+	for _, t := range n.tenantList() {
 		t.recoverGlobals(dead, oldRing, newRing)
 	}
 }

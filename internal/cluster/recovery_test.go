@@ -533,6 +533,35 @@ func TestDetectorEvictsAndTraces(t *testing.T) {
 	}
 }
 
+// TestEvictionLeavesSurvivorsAgreeing crashes one member of three and
+// checks that once both survivors have evicted it they hold one view:
+// the same epoch, the same members, and the same owner, never the
+// victim, for every locale.
+func TestEvictionLeavesSurvivorsAgreeing(t *testing.T) {
+	echo := func(_ *serve.Ctx, req serve.Request) (any, error) { return req.Payload, nil }
+	faults, nodes, _ := recoveryNodes(t, 3, echo, func(_ int, cfg *Config) {
+		cfg.Detect = DetectConfig{Every: 10 * time.Millisecond, Misses: 2}
+	})
+	victim, a, b := nodes[2].Self(), nodes[0], nodes[1]
+	faults.Crash(victim)
+	if !waitFor(5*time.Second, func() bool {
+		return !slices.Contains(a.Members(), victim) && !slices.Contains(b.Members(), victim)
+	}) {
+		t.Fatalf("survivors never evicted %s: %v and %v", victim, a.Members(), b.Members())
+	}
+	if a.Epoch() != b.Epoch() || !slices.Equal(a.Members(), b.Members()) {
+		t.Fatalf("survivors disagree: %s at epoch %d with %v, %s at epoch %d with %v",
+			a.Self(), a.Epoch(), a.Members(), b.Self(), b.Epoch(), b.Members())
+	}
+	for l := range a.Ring().Locales() {
+		oa, _ := a.Ring().Owner(l)
+		ob, _ := b.Ring().Owner(l)
+		if oa != ob || oa == victim {
+			t.Errorf("locale %d: %s routes to %s, %s to %s", l, a.Self(), oa, b.Self(), ob)
+		}
+	}
+}
+
 // TestInjectedClockShedsDeadlinedStage pins the executor's clock past
 // every deadline: any stage parcel with a deadline must come back shed,
 // proving the stage-deadline check reads the node's clock, not the wall.
@@ -676,21 +705,8 @@ func TestRecoveryCountsEachLostGlobalOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			victim, survivors := nodes[2].Self(), nodes[:2]
-			held := func(i int, g *global) bool {
-				tn := tenants[i]
-				tn.resMu.Lock()
-				defer tn.resMu.Unlock()
-				return tn.heldLocked(g.key)
-			}
-			if replicas >= 2 && !waitFor(5*time.Second, func() bool {
-				for i, n := range survivors {
-					for _, g := range tenants[i].globals {
-						if slices.Index(n.Ring().OwnersFor(g.Home, replicas), n.Self()) > 0 && !held(i, g) {
-							return false
-						}
-					}
-				}
-				return true
+			if !waitFor(5*time.Second, func() bool {
+				return tenants[0].replicasHeld() && tenants[1].replicasHeld()
 			}) {
 				t.Fatal("survivors never pre-warmed their replicas")
 			}
@@ -723,7 +739,7 @@ func TestRecoveryCountsEachLostGlobalOnce(t *testing.T) {
 						return false
 					}
 					for _, g := range tenants[i].globals {
-						if owner, _ := n.Ring().Owner(g.Home); slices.Contains(lostArc, g.Home) && owner == n.Self() && !held(i, g) {
+						if owner, _ := n.Ring().Owner(g.Home); slices.Contains(lostArc, g.Home) && owner == n.Self() && !tenants[i].warm(n.Self(), []string{g.Name}) {
 							return false
 						}
 					}

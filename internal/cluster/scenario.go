@@ -168,10 +168,11 @@ func orDefault(v, def int) int {
 // scriptedRun is the one scripted cluster run behind KillNodeScenario
 // and SplitBrainJoinScenario. It builds runNodes fabric nodes under a
 // seeded fault injector, each with the kn tenant (registerKN), submits
-// a seeded stream of flows from node 0 in two waves, and applies one
-// membership event between them: node 1 crashes (and the run, once the
-// second wave is in, waits until every survivor has evicted it), or
-// node 2 joins. It then waits for every flow once, bounded by
+// a seeded stream of flows from node 0 in two waves once the started
+// nodes agree on the membership and hold their replicas, and applies
+// one membership event between the waves: node 1 crashes (and the run,
+// once the second wave is in, waits until every survivor has evicted
+// it), or node 2 joins. It then waits for every flow once, bounded by
 // runBound, settles, and reads one serve.Census.
 type scriptedRun struct {
 	seed                  uint64
@@ -223,6 +224,13 @@ func (r scriptedRun) play(read func(live []*Node)) (out runOutcome, err error) {
 	}
 	if err := waitMembers(nodes[:members], members, 10*time.Second); err != nil {
 		return out, err
+	}
+	// A crash before the replica pre-warm finished would rebuild globals
+	// the run means to promote.
+	if !waitFor(10*time.Second, func() bool {
+		return !slices.ContainsFunc(pipes[:members], func(p *Pipeline) bool { return !p.t.replicasHeld() })
+	}) {
+		return out, fmt.Errorf("cluster: replicas never pre-warmed")
 	}
 	ringBefore := nodes[0].Ring()
 	out.membersBefore = len(nodes[0].Members())

@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -135,6 +137,13 @@ func (n *Node) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 // Name returns the tenant's registered name.
 func (t *Tenant) Name() string { return t.name }
 
+// tenantList snapshots the registered tenants.
+func (n *Node) tenantList() []*Tenant {
+	n.tenantsMu.RLock()
+	defer n.tenantsMu.RUnlock()
+	return slices.Collect(maps.Values(n.tenants))
+}
+
 // tenant looks a tenant up by name.
 func (n *Node) tenant(name string) *Tenant {
 	n.tenantsMu.RLock()
@@ -257,21 +266,28 @@ func (t *Tenant) syncReplicas() {
 	ring := n.Ring()
 	for name, g := range t.globals {
 		owners := ring.OwnersFor(g.Home, t.replicas)
-		self := -1
-		for i, id := range owners {
-			if id == n.self {
-				self = i
-				break
-			}
-		}
-		if self <= 0 {
+		if slices.Index(owners, n.self) <= 0 {
 			continue // primary (resident by definition) or not in the set
 		}
-		primary := owners[0]
 		_ = t.fetchOnce(g.key, &n.objectFetches, func() (int, error) {
-			return t.fetch(primary, name)
+			return t.fetch(owners[0], name)
 		})
 	}
+}
+
+// replicasHeld reports whether this node holds every global the current
+// ring makes it a replica (not the primary) of: syncReplicas has
+// nothing left to pre-warm.
+func (t *Tenant) replicasHeld() bool {
+	ring := t.n.Ring()
+	t.resMu.Lock()
+	defer t.resMu.Unlock()
+	for _, g := range t.globals {
+		if slices.Index(ring.OwnersFor(g.Home, t.replicas), t.n.self) > 0 && !t.heldLocked(g.key) {
+			return false
+		}
+	}
+	return true
 }
 
 // syncReplicas re-syncs every tenant's replica placement (membership
@@ -280,13 +296,7 @@ func (n *Node) syncReplicas() {
 	if n.closed.Load() {
 		return
 	}
-	n.tenantsMu.RLock()
-	tenants := make([]*Tenant, 0, len(n.tenants))
-	for _, t := range n.tenants {
-		tenants = append(tenants, t)
-	}
-	n.tenantsMu.RUnlock()
-	for _, t := range tenants {
+	for _, t := range n.tenantList() {
 		t.syncReplicas()
 	}
 }

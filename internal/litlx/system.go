@@ -43,11 +43,6 @@ type Config struct {
 	Script string
 	// Seed fixes scheduling randomness for reproducible runs.
 	Seed uint64
-	// SpaceCost overrides the global-space access cost model (default: a
-	// ring with local latency 10, hop latency 40, one unit per 8 bytes).
-	// Experiments use it to sharpen or flatten the local-vs-remote gap
-	// the serving data plane routes against.
-	SpaceCost mem.CostModel
 }
 
 // System is a running LITL-X instance.
@@ -86,11 +81,9 @@ func New(cfg Config) (*System, error) {
 			return nil, err
 		}
 	}
-	cost := cfg.SpaceCost
-	if cost == nil {
-		cost = mem.RingCost{LocalLat: 10, HopLat: 40, ByteCost: 1}
-	}
-	space := mem.NewSpace(cfg.Locales, cost)
+	// The global space's access cost: a ring with local latency 10, hop
+	// latency 40, one unit per 8 bytes.
+	space := mem.NewSpace(cfg.Locales, mem.RingCost{LocalLat: 10, HopLat: 40, ByteCost: 1})
 	s := &System{
 		RT:       rt,
 		Net:      parcel.NewNet(rt),

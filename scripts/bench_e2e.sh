@@ -5,7 +5,10 @@
 # BENCH_e2e.json at the root of this checkout — the tree's commit, the
 # date, the machine, and per workload the median over the seeds of the
 # four end-to-end metrics, of latency_p99_us, and the failed share of
-# attempted operations.
+# attempted operations. Each record also keeps, under per_seed per
+# workload, every one of those five metrics' values in seed order, so
+# the medians can be recomputed with jq; records written before it did
+# carry no per_seed.
 #
 # Usage: scripts/bench_e2e.sh [TREE ...]   (default: this checkout)
 #
@@ -46,14 +49,16 @@ for k in "${!trees[@]}"; do
                        else (.[length / 2 - 1] + .[length / 2]) / 2 end;
     {commit: $commit, date: $date, seeds: $seeds, seconds: $seconds,
      machine: {cpu: $cpu, nproc: .[0].env.nproc, go: .[0].env.go},
-     workloads: (group_by(.workload) | map({key: .[0].workload, value: {
-       throughput_ops_s: map(.metrics.throughput_ops_s.value) | median,
-       latency_p50_us: map(.metrics.latency_p50_us.value) | median,
-       cpu_us_per_op: map(.metrics.cpu_us_per_op.value) | median,
-       setup_s: map(.metrics.setup_s.value) | median,
-       latency_p99_us: map(.extra.latency_p99_us) | median,
-       failed_share: ((map(.failed) | add) / ([(map(.attempted) | add), 1] | max))
-     }}) | from_entries)}' "$runs/$k.jsonl")"
+     workloads: (group_by(.workload) | map(sort_by(.seed) | {
+       throughput_ops_s: map(.metrics.throughput_ops_s.value),
+       latency_p50_us: map(.metrics.latency_p50_us.value),
+       cpu_us_per_op: map(.metrics.cpu_us_per_op.value),
+       setup_s: map(.metrics.setup_s.value),
+       latency_p99_us: map(.extra.latency_p99_us)
+     } as $per | {key: .[0].workload, value: (($per | map_values(median)) + {
+       failed_share: ((map(.failed) | add) / ([(map(.attempted) | add), 1] | max)),
+       per_seed: $per
+     })}) | from_entries)}' "$runs/$k.jsonl")"
   jq --argjson rec "$record" '. + [$rec]' "$out" > "$out.tmp" && mv "$out.tmp" "$out"
   echo "$record"
 done
