@@ -58,6 +58,7 @@ package main
 
 import (
 	"encoding/json"
+	_ "expvar" // registers /debug/vars on the default mux
 	"flag"
 	"fmt"
 	"net"
@@ -104,7 +105,7 @@ func main() {
 		fan      = flag.Int("fan", 4, "fan-out width for -pipeline flows")
 		observe  = flag.Float64("observe", 0, "flow-trace sample rate in (0,1] (0 = tracing off); sampled flows record span trees in the flight recorder")
 		ring     = flag.Int("ring", 256, "flight-recorder capacity (retained flow traces; shed/failed flows retained preferentially)")
-		httpAddr = flag.String("http", "", "serve debug endpoints on this address (/debug/serve/metrics, /debug/serve/trace, /debug/vars, /debug/pprof)")
+		httpAddr = flag.String("http", "", "serve debug endpoints on this address (/debug/serve/metrics, /debug/serve/trace, and the standard /debug/vars and /debug/pprof)")
 		dumpTr   = flag.Bool("dump-traces", false, "dump the flight recorder (text span trees) to stderr on shutdown (requires -observe > 0)")
 		listen   = flag.String("listen", "", "cluster mode: host:port this node's parcel transport listens on")
 		join     = flag.String("join", "", "cluster mode: address of a running member to join (requires -listen)")
@@ -187,10 +188,9 @@ func main() {
 		cfg.Data.LocalityRoute = true
 	}
 	if *observe > 0 || *httpAddr != "" {
-		// -http alone turns on the metrics layer (Export publishes the
-		// expvar Snapshot); -observe adds sampled flow tracing and the
-		// flight recorder on top.
-		cfg.Observe = serve.ObserveConfig{SampleRate: *observe, RingSize: *ring, Export: true}
+		// -http alone turns on the flight recorder the trace endpoint
+		// reads; -observe adds sampled flow tracing on top.
+		cfg.Observe = serve.ObserveConfig{SampleRate: *observe, RingSize: *ring}
 	}
 	srv := serve.New(sys, cfg)
 	defer srv.Close()
@@ -361,10 +361,10 @@ func main() {
 }
 
 // serveDebugHTTP exposes the server's observability surface over HTTP:
-// /debug/serve/metrics (the JSON Snapshot), /debug/serve/trace (the
-// adapt timeline plus flight-recorder span trees), plus the /debug/vars
-// expvar dump (the serve layer publishes its Snapshot there under
-// "serve") and net/http/pprof, both registered on the default mux by
+// /debug/serve/metrics (the JSON Snapshot, the one place it is
+// published), /debug/serve/trace (the adapt timeline plus
+// flight-recorder span trees), plus expvar's process variables at
+// /debug/vars and net/http/pprof, both registered on the default mux by
 // their packages. The listener binds before returning so callers can
 // poll immediately; serving runs in the background for the lifetime of
 // the load run.

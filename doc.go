@@ -45,8 +45,9 @@
 // shed and failed flows, each carrying the adaptivity decision that
 // killed it; the controllers' shared adapt-decision timeline
 // (Server.TraceDump); and Server.Snapshot metrics export — per-shard
-// queue-depth/batch-size histograms and per-tenant wait/latency EWMAs —
-// published via expvar and htserved's /debug/serve/ HTTP endpoints.
+// queue-depth/batch-size histograms and per-tenant counters, whose sums
+// are the Stats totals, and wait/latency EWMAs — served by htserved's
+// /debug/serve/ HTTP endpoints.
 // Disabled, the whole layer costs one nil check on the hot path
 // (BENCH_serve.json is the committed allocation baseline, gated in CI
 // by scripts/bench_serve.sh -check).

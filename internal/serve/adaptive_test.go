@@ -532,7 +532,6 @@ var controlPlaneReaders = map[string]string{
 	"serve.flow.failed":        "Stats.Flow.Failed",
 	"serve.flow.rejected":      "Stats.Flow.Rejected",
 	"serve.flow.stage_jobs":    "Stats.Flow.StageJobs",
-	"serve.flow.fanout":        "Stats.Flow.FanOut",
 	"serve.flow.stage_steals":  "Stats.Flow.StageSteals",
 }
 
@@ -540,7 +539,8 @@ var controlPlaneReaders = map[string]string{
 // traffic together, then checks that every serve.adapt.* / serve.contc.*
 // / serve.flow.* instrument in the registry is published by exactly one
 // Snapshot field, with the registry's value — and that AdaptStats and
-// FlowStats carry no counter the registry does not back. A counter can
+// FlowStats carry no counter the registry does not back, FanOut being
+// the sum of the stages' serve.pipe.*.fanout counters. A counter can
 // therefore be neither added without a reader nor published twice.
 func TestStatsSnapshotOneReaderPerCounter(t *testing.T) {
 	sys := newLocaleSystem(t, 2)
@@ -618,6 +618,16 @@ func TestStatsSnapshotOneReaderPerCounter(t *testing.T) {
 	if len(claimed) != len(controlPlaneReaders) {
 		t.Errorf("the run resolved %d of the %d instruments in the reader table", len(claimed), len(controlPlaneReaders))
 	}
+	var fan int64
+	for name, v := range reg.Counters {
+		if strings.HasPrefix(name, "serve.pipe.") && strings.HasSuffix(name, ".fanout") {
+			fan += v
+		}
+	}
+	if got := field("Stats.Flow.FanOut").Int(); fan == 0 || got != fan {
+		t.Errorf("Stats.Flow.FanOut = %d, sum of serve.pipe.*.fanout = %d (want equal and > 0)", got, fan)
+	}
+	claimed["Stats.Flow.FanOut"] = "serve.pipe.*.fanout"
 	// The other direction: every int64/float64 field of the two structs
 	// is one of those readers.
 	for _, root := range []string{"Adapt", "Stats.Flow"} {

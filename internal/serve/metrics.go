@@ -1,18 +1,14 @@
 package serve
 
 // Metrics export: one structured, JSON-ready Snapshot of everything the
-// serve layer measures — server counters, the adaptivity loop, per-shard
-// queue-depth and batch-size histograms, per-tenant outcome counters and
-// latency estimators, and the observability layer's own accounting.
-// ObserveConfig.Export publishes it through the process-wide expvar
-// registry (htserved's /debug/serve/metrics and /debug/vars read it);
-// everything here is also callable directly for tests and experiments.
+// serve layer measures — the Stats totals, the adaptivity loop, per-shard
+// queue-depth and batch-size histograms, the per-tenant outcome counters
+// and latency estimators those totals sum, and the observability layer's
+// own accounting. htserved serves it at /debug/serve/metrics; tests and
+// experiments call it directly.
 
 import (
-	"expvar"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/monitor"
 )
@@ -26,14 +22,12 @@ var (
 	batchSizeBounds  = []float64{1, 2, 4, 8, 16, 32, 64, 128, 256}
 )
 
-// ShardSnapshot is one admission shard's point-in-time view.
+// ShardSnapshot is one admission shard's histograms; its current queue
+// depth and drain bound are Adapt.Pending and Adapt.BatchSizes at the
+// shard's index.
 type ShardSnapshot struct {
 	ID     int `json:"id"`
 	Locale int `json:"locale"`
-	// Pending is the current queue depth; Batch the current drain bound
-	// (adaptive when Config.Adapt is on, Config.Batch otherwise).
-	Pending int `json:"pending"`
-	Batch   int `json:"batch"`
 	// QueueDepth histograms the depth observed at each drain; BatchSize
 	// the number of jobs in each dispatched batch.
 	QueueDepth monitor.HistView `json:"queue_depth"`
@@ -47,6 +41,7 @@ type TenantSnapshot struct {
 	Rejected      int64   `json:"rejected"`
 	Shed          int64   `json:"shed"`
 	Done          int64   `json:"done"`
+	Failed        int64   `json:"failed"`
 	WaitEWMAus    float64 `json:"wait_ewma_us"`
 	LatencyEWMAus float64 `json:"latency_ewma_us"`
 }
@@ -89,8 +84,6 @@ func (s *Server) Snapshot() Snapshot {
 		snap.Shards[i] = ShardSnapshot{
 			ID:         sh.id,
 			Locale:     int(sh.locale),
-			Pending:    sh.pending(),
-			Batch:      snap.Adapt.BatchSizes[i],
 			QueueDepth: sh.qdepth.View(),
 			BatchSize:  sh.bsize.View(),
 		}
@@ -103,6 +96,7 @@ func (s *Server) Snapshot() Snapshot {
 			Rejected:      t.rej.Value(),
 			Shed:          t.shed.Value(),
 			Done:          t.ok.Value(),
+			Failed:        t.fail.Value(),
 			WaitEWMAus:    t.waitUS.Value(),
 			LatencyEWMAus: t.latUS.Value(),
 		})
@@ -122,28 +116,4 @@ func (s *Server) Snapshot() Snapshot {
 		}
 	}
 	return snap
-}
-
-// expvar publication: the registry is process-global and panics on a
-// duplicate name, so the "serve" var is published exactly once and
-// reads through an atomic server pointer — servers (tests spin up many)
-// claim and release it instead of re-publishing.
-var (
-	expvarOnce sync.Once
-	expvarSrv  atomic.Pointer[Server]
-)
-
-// publishExpvar makes this server the one behind the process's "serve"
-// expvar (latest publisher wins). Close releases the claim.
-func (s *Server) publishExpvar() {
-	expvarSrv.Store(s)
-	expvarOnce.Do(func() {
-		expvar.Publish("serve", expvar.Func(func() any {
-			srv := expvarSrv.Load()
-			if srv == nil {
-				return nil
-			}
-			return srv.Snapshot()
-		}))
-	})
 }

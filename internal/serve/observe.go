@@ -41,9 +41,10 @@ import (
 )
 
 // ObserveConfig switches on the serve layer's observability: sampled
-// per-flow tracing, the flight recorder, and metrics export. The zero
-// value disables all of it — the hot path then pays one nil check and
-// allocates nothing extra per request.
+// per-flow tracing and the flight recorder (Snapshot, which needs no
+// switch, reports their accounting). The zero value disables both — the
+// hot path then pays one nil check and allocates nothing extra per
+// request.
 type ObserveConfig struct {
 	// SampleRate is the fraction of submissions (single requests and
 	// flows alike) that carry a trace context: 1 traces everything,
@@ -56,15 +57,11 @@ type ObserveConfig struct {
 	// Flows ending in shed, failure, or rejection are retained in
 	// preference to completed ones; the ring never exceeds this bound.
 	RingSize int
-	// Export publishes the server's Snapshot through the process-wide
-	// expvar registry under "serve" (one server at a time; readable at
-	// /debug/vars or htserved's /debug/serve/metrics).
-	Export bool
 }
 
 // enabled reports whether any part of the layer is on.
 func (o ObserveConfig) enabled() bool {
-	return o.SampleRate > 0 || o.RingSize > 0 || o.Export
+	return o.SampleRate > 0 || o.RingSize > 0
 }
 
 // observer is the per-server observability state. A nil *observer is

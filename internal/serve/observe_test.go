@@ -398,15 +398,15 @@ func TestPlayScenarioDumpsTraces(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := HotKeyScenario(7, 1, 20, 4, 256, 0.5)
-	var buf bytes.Buffer
 	rep := PlayScenario(s, sc, PlayConfig{
-		Tenants:    []*Tenant{tn},
-		Tick:       100 * time.Microsecond,
-		DumpTraces: &buf,
+		Tenants: []*Tenant{tn},
+		Tick:    100 * time.Microsecond,
 	})
 	if rep.Completed == 0 {
 		t.Fatalf("scenario completed nothing: %+v", rep)
 	}
+	var buf bytes.Buffer
+	s.Recorder().WriteText(&buf)
 	txt := buf.String()
 	if !strings.Contains(txt, "flight recorder:") || !strings.Contains(txt, "flow ") {
 		t.Fatalf("trace dump missing recorder content:\n%.400s", txt)

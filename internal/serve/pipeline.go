@@ -628,7 +628,6 @@ func (p *Pipeline) fanOut(fl *flowState, from string, st *pipeStage, in any, inh
 		fl.elems = make([]Result, len(parts))
 	}
 	fl.elems = fl.elems[:len(parts)]
-	s.flowFan.Add(int64(len(parts)))
 	st.fanouts.Add(int64(len(parts)))
 	// Continuous compilation: record the fan width for the planner and,
 	// when a learned plan is installed, scatter the elements across

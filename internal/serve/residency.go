@@ -182,6 +182,7 @@ func (s *Server) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 		rej:      s.sys.Mon.Counter("serve.tenant." + cfg.Name + ".rejected"),
 		shed:     s.sys.Mon.Counter("serve.tenant." + cfg.Name + ".shed"),
 		ok:       s.sys.Mon.Counter("serve.tenant." + cfg.Name + ".done"),
+		fail:     s.sys.Mon.Counter("serve.tenant." + cfg.Name + ".failed"),
 		waitUS:   s.sys.Mon.EWMA("serve.tenant."+cfg.Name+".wait_us", 0.05),
 		latUS:    s.sys.Mon.EWMA("serve.tenant."+cfg.Name+".latency_us", 0.05),
 	}

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"sync/atomic"
@@ -324,11 +323,6 @@ type PlayConfig struct {
 	// pipeline flow (Tenant.SubmitFlowFunc) or a cluster flow is one
 	// such hook.
 	Submit func(a Arrival, req Request, done func(Result)) error
-	// DumpTraces, when non-nil, receives the server's flight-recorder
-	// dump (text span trees) after playback completes — no-op unless
-	// the server was built with Config.Observe. A scenario run thus
-	// explains itself: every retained flow's lifecycle, shard by shard.
-	DumpTraces io.Writer
 }
 
 // playDrain bounds how long PlayScenario waits, after the script's last
@@ -398,11 +392,6 @@ func PlayScenario(s *Server, sc Scenario, cfg PlayConfig) LoadReport {
 		}
 	}
 	col.Wait(playDrain)
-	if cfg.DumpTraces != nil {
-		if r := s.Recorder(); r != nil {
-			r.WriteText(cfg.DumpTraces)
-		}
-	}
 	return col.report(int64(i), time.Duration(clock.Now()-start))
 }
 

@@ -138,10 +138,13 @@
 //	            stage elem_us estimators   plan / replan         CompilePlans, CompileSwaps,  st.scatter.Load in fanOut
 //	                                                             FastPathHits, ScatteredElems
 //
-// Accounting flows through the system's internal/monitor instance:
-// servers and tenants publish counters under the "serve." prefix, and
-// each control-plane and flow counter is published by exactly one field
-// of Stats, FlowStats or AdaptStats (Stats.Steals, which mirrors
+// Accounting flows through the system's internal/monitor instance under
+// the "serve." prefix, and each event is counted by one instrument:
+// a job's admission, refusal, shed and completion by its tenant's
+// counters, a batch by its shard's batch-size histogram, a fan-out by
+// its stage's counter. Stats is a reader that sums them, and each
+// control-plane and flow counter is published by exactly one field of
+// Stats, FlowStats or AdaptStats (Stats.Steals, which mirrors
 // AdaptStats.Steals, is the one exception).
 //
 // An open server with nothing in flight holds no thread, so waiting on
@@ -270,15 +273,13 @@ type Server struct {
 
 	// Instruments are resolved once here so the hot path never touches
 	// the monitor's name table.
-	accepted, rejected, shedc, done, failed *monitor.Counter
-	batches, codexfer                       *monitor.Counter
-	datastage                               *monitor.Counter
-	latencyUS, waitUS                       *monitor.EWMA
+	codexfer, datastage *monitor.Counter
+	latencyUS, waitUS   *monitor.EWMA
 
 	// Dataflow-pipeline accounting (Tenant.SubmitFlow): flow terminal
-	// outcomes, stage-job volume, fan-out width, and stage-job steals.
+	// outcomes, stage-job volume, and stage-job steals.
 	flowSub, flowDone, flowShed, flowFail, flowRej *monitor.Counter
-	flowStages, flowFan, flowSteals                *monitor.Counter
+	flowStages, flowSteals                         *monitor.Counter
 
 	// Control plane (adaptive.go, compile.go): each controller is nil
 	// unless its config is on, and owns its own instruments and scratch.
@@ -309,8 +310,8 @@ type Tenant struct {
 	resident []atomic.Bool // per shard: image already percolated/fetched
 	objects  []mem.ObjID   // data objects registered in the shared space
 
-	acc, rej, shed, ok *monitor.Counter
-	waitUS, latUS      *monitor.EWMA
+	acc, rej, shed, ok, fail *monitor.Counter
+	waitUS, latUS            *monitor.EWMA
 
 	// Continuous-compilation state (all nil when Config.Compile is off):
 	// the admission-path key sketch, the dispatch-side fast-path slots,
@@ -366,12 +367,6 @@ func New(sys *litlx.System, cfg Config) *Server {
 		sys:       sys,
 		cfg:       cfg,
 		space:     sys.Space,
-		accepted:  sys.Mon.Counter("serve.accepted"),
-		rejected:  sys.Mon.Counter("serve.rejected"),
-		shedc:     sys.Mon.Counter("serve.shed"),
-		done:      sys.Mon.Counter("serve.done"),
-		failed:    sys.Mon.Counter("serve.failed"),
-		batches:   sys.Mon.Counter("serve.batches"),
 		codexfer:  sys.Mon.Counter("serve.codexfer"),
 		datastage: sys.Mon.Counter("serve.data.staged"),
 		latencyUS: sys.Mon.EWMA("serve.latency_us", 0.05),
@@ -383,14 +378,10 @@ func New(sys *litlx.System, cfg Config) *Server {
 		flowFail:   sys.Mon.Counter("serve.flow.failed"),
 		flowRej:    sys.Mon.Counter("serve.flow.rejected"),
 		flowStages: sys.Mon.Counter("serve.flow.stage_jobs"),
-		flowFan:    sys.Mon.Counter("serve.flow.fanout"),
 		flowSteals: sys.Mon.Counter("serve.flow.stage_steals"),
 	}
 	if cfg.Observe.enabled() {
 		s.obs = newObserver(cfg.Observe, cfg.Shards, sys.Mon)
-		if cfg.Observe.Export {
-			s.publishExpvar()
-		}
 	}
 	locales := sys.Locales()
 	s.byLocale = make([][]*shard, locales)
@@ -569,11 +560,9 @@ func (s *Server) admit(sh *shard, g []*Job, deliver bool) (n int, err error) {
 		// may finish one before enqueueMany returns, and Stats relies on
 		// accepted never trailing done + shed — and take refusals back.
 		t.acc.Add(int64(len(g)))
-		s.accepted.Add(int64(len(g)))
 		n = sh.enqueueMany(g)
 		if r := int64(n - len(g)); r != 0 {
 			t.acc.Add(r)
-			s.accepted.Add(r)
 		}
 	}
 	if n > 0 {
@@ -608,7 +597,6 @@ func (s *Server) admit(sh *shard, g []*Job, deliver bool) (n int, err error) {
 func (s *Server) refuse(sh *shard, j *Job, err error, deliver bool) {
 	if err == ErrOverload {
 		j.tenant.rej.Inc()
-		s.rejected.Inc()
 	}
 	if j.flow != nil {
 		// Undo construct's stage-job accounting: this job never existed.
@@ -822,11 +810,10 @@ func (s *Server) execute(br *batchRun, j *Job) {
 	br.now = end
 	res.Total = time.Duration(end - j.enqueued)
 	if res.Status == StatusFailed {
-		s.failed.Inc()
+		t.fail.Inc()
 	} else {
 		t.ok.Inc()
 	}
-	s.done.Inc()
 	latUS := float64(res.Total) / float64(time.Microsecond)
 	s.latencyUS.Observe(latUS)
 	t.latUS.Observe(latUS)
@@ -929,7 +916,6 @@ func (s *Server) finishJob(br *batchRun, j *Job, res Result) {
 func (s *Server) shed(br *batchRun, j *Job, cause string) {
 	sh := br.sh
 	j.tenant.shed.Inc()
-	s.shedc.Inc()
 	if j.ft != nil {
 		j.ft.add(trace.KindAdapt, sh.id, sh.locale, j.spanArg(), cause)
 		j.ft.add(trace.KindShed, sh.id, sh.locale, j.spanArg(), "")
@@ -980,15 +966,18 @@ func (s *Server) Close() {
 		sh.shutdown()
 	}
 	s.inflight.Wait()
-	// Release the expvar claim only if this server holds it: a newer
-	// server may have claimed the "serve" var since.
-	expvarSrv.CompareAndSwap(s, nil)
 }
 
-// Stats is a point-in-time view of the server's monitor counters.
+// Stats is a point-in-time view of the server's accounting. Each event
+// is counted by one instrument; the job totals are sums of the
+// per-tenant counters, Batches of the per-shard batch-size histograms,
+// and Flow.FanOut of the Map stages' fan-out counters. Done counts
+// every executed job, Failed the ones whose handler failed.
 type Stats struct {
 	Accepted, Rejected, Shed, Done, Failed int64
-	Batches, CodeTransfers                 int64
+	// Batches counts dispatched batches; a batch whose flows may append
+	// continuations counts once it has run them.
+	Batches, CodeTransfers int64
 	// DataStaged counts working-set objects the residency subsystem
 	// replicated into a shard's locale ahead of a batch
 	// (Config.Data.Stage).
@@ -1032,18 +1021,17 @@ func (f FlowStats) InFlight() int64 {
 }
 
 // InFlight derives the jobs admitted but not yet resolved. Because
-// Stats reads the completion counters before the admission counter, the
-// derivation is never negative, even mid-flight.
+// Stats sums every tenant's completion counters before any tenant's
+// admission counter, and a tenant counts a job accepted before the job
+// can complete, the derivation is never negative, even mid-flight.
 func (st Stats) InFlight() int64 { return st.Accepted - st.Done - st.Shed }
 
-// Stats snapshots the server-level accounting.
+// Stats snapshots the server-level accounting by summing the tenant,
+// shard and stage instruments that count each event: completions first,
+// Flow.Submitted and Accepted last. Tenants are never removed, so every
+// tenant whose completions were read has its acceptances read too.
 func (s *Server) Stats() Stats {
 	st := Stats{
-		Rejected:      s.rejected.Value(),
-		Shed:          s.shedc.Value(),
-		Done:          s.done.Value(),
-		Failed:        s.failed.Value(),
-		Batches:       s.batches.Value(),
 		CodeTransfers: s.codexfer.Value(),
 		DataStaged:    s.datastage.Value(),
 		LatencyEWMAus: s.latencyUS.Value(),
@@ -1054,19 +1042,34 @@ func (s *Server) Stats() Stats {
 			Failed:      s.flowFail.Value(),
 			Rejected:    s.flowRej.Value(),
 			StageJobs:   s.flowStages.Value(),
-			FanOut:      s.flowFan.Value(),
 			StageSteals: s.flowSteals.Value(),
 		},
 	}
 	if s.rebalance != nil {
 		st.Steals = s.rebalance.steals.Value()
 	}
-	// Accepted (and Flow.Submitted) is read last: a job increments
-	// accepted before it can ever count as done or shed, so reading
-	// completions first keeps the InFlight derivations consistent
-	// (>= 0) in a moving system.
+	for _, sh := range s.shards {
+		st.Batches += sh.bsize.Total()
+	}
+	s.tenants.Range(func(_, v any) bool {
+		t := v.(*Tenant)
+		fail := t.fail.Value()
+		st.Rejected += t.rej.Value()
+		st.Shed += t.shed.Value()
+		st.Done += t.ok.Value() + fail
+		st.Failed += fail
+		for _, p := range t.pipelines() {
+			for _, ps := range p.stages {
+				st.Flow.FanOut += ps.fanouts.Value()
+			}
+		}
+		return true
+	})
 	st.Flow.Submitted = s.flowSub.Value()
-	st.Accepted = s.accepted.Value()
+	s.tenants.Range(func(_, v any) bool {
+		st.Accepted += v.(*Tenant).acc.Value()
+		return true
+	})
 	return st
 }
 

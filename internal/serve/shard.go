@@ -322,7 +322,6 @@ func (br *batchRun) fits(sh *shard) bool {
 func (br *batchRun) take(j *Job) {
 	sh := br.sh
 	j.tenant.acc.Inc()
-	sh.srv.accepted.Inc()
 	if j.ft != nil {
 		j.ft.add(trace.KindAdmit, sh.id, sh.locale, j.spanArg(), "")
 	}
@@ -426,10 +425,10 @@ func (br *batchRun) run(sg *core.SGT) {
 	if !chains {
 		// Nothing can join this batch, so its size is known now. Observed
 		// here, it stays off the tail after the last job resolves, which
-		// the next submit to this shard waits on.
+		// the next submit to this shard waits on. The observation is also
+		// the batch's count in Stats.Batches.
 		sh.bsize.Observe(float64(len(live)))
 	}
-	s.batches.Inc()
 	br.ctx.sgt = sg
 	// Stage the batch's working set into this locale before any job
 	// runs: one transfer per object per batch, amortized the same way

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/monitor"
 	"repro/internal/stats"
 )
 
@@ -115,12 +118,23 @@ func TestStressSubmitManyStealClose(t *testing.T) {
 	}
 }
 
+// registrySum sums the registry counters named serve.tenant.<name>.<what>.
+func registrySum(rep monitor.Report, what string) (n int64) {
+	for name, v := range rep.Counters {
+		if strings.HasPrefix(name, "serve.tenant.") && strings.HasSuffix(name, "."+what) {
+			n += v
+		}
+	}
+	return n
+}
+
 // TestStatsSnapshotConsistency is the monitoring contract: Stats() and
 // monitor.Snapshot() views taken mid-flight stay internally consistent
 // (no negative in-flight, completions never outrun admissions), and at
 // quiescence the books balance exactly — offered == accepted + rejected
 // and accepted == done + shed + in-flight with in-flight == 0 — with
-// the Stats fields agreeing with the raw monitor counters they front.
+// the Stats fields agreeing with the sums of the per-tenant counters and
+// per-shard batch-size histograms they read.
 func TestStatsSnapshotConsistency(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
@@ -166,7 +180,7 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 			snap := sys.Mon.Snapshot()
 			// The snapshot is taken after Stats, so its monotone counters
 			// can only be >= the Stats view of the same instrument.
-			if snap.Counters["serve.accepted"] < st.Accepted {
+			if registrySum(snap, "accepted") < st.Accepted {
 				select {
 				case checks <- "snapshot accepted ran behind Stats":
 				default:
@@ -205,17 +219,141 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 	if st.InFlight() != 0 {
 		t.Errorf("in-flight %d at quiescence", st.InFlight())
 	}
-	for name, want := range map[string]int64{
-		"serve.accepted":     st.Accepted,
-		"serve.rejected":     st.Rejected,
-		"serve.shed":         st.Shed,
-		"serve.done":         st.Done,
-		"serve.failed":       st.Failed,
-		"serve.batches":      st.Batches,
-		"serve.adapt.steals": st.Steals,
-	} {
-		if got := snap.Counters[name]; got != want {
-			t.Errorf("snapshot %s = %d, Stats reports %d", name, got, want)
+	var batches int64
+	for name, h := range snap.Hists {
+		if strings.HasSuffix(name, ".batch_size") {
+			batches += h.Total()
 		}
+	}
+	failed := registrySum(snap, "failed")
+	for name, c := range map[string]struct{ got, want int64 }{
+		"Σ serve.tenant.*.accepted":          {registrySum(snap, "accepted"), st.Accepted},
+		"Σ serve.tenant.*.rejected":          {registrySum(snap, "rejected"), st.Rejected},
+		"Σ serve.tenant.*.shed":              {registrySum(snap, "shed"), st.Shed},
+		"Σ serve.tenant.*.{done,failed}":     {registrySum(snap, "done") + failed, st.Done},
+		"Σ serve.tenant.*.failed":            {failed, st.Failed},
+		"Σ serve.shardNN.batch_size (total)": {batches, st.Batches},
+		"serve.adapt.steals":                 {snap.Counters["serve.adapt.steals"], st.Steals},
+	} {
+		if c.got != c.want {
+			t.Errorf("snapshot %s = %d, Stats reports %d", name, c.got, c.want)
+		}
+	}
+}
+
+// TestStatsSumTenants: every Stats job total is the sum of the tenant
+// rows of Snapshot, Done counts completed and failed handlers alike,
+// and Flow.FanOut is the sum of the stages' fan-out counts. Two tenants
+// share one 1-deep shard: one holds the batch SGT so that an expired
+// job queues (and sheds) and later submissions are refused, the other's
+// handler fails, and a Map pipeline fans out.
+func TestStatsSumTenants(t *testing.T) {
+	sys := newTestSystem(t)
+	defer sys.Close()
+	s := New(sys, Config{Shards: 1, QueueDepth: 1, Batch: 1, InflightBatches: 1})
+	defer s.Close()
+	started, gate := make(chan struct{}), make(chan struct{})
+	good, err := s.RegisterTenant(TenantConfig{
+		Name: "good",
+		Handler: func(_ *Ctx, req Request) (any, error) {
+			if req.Payload == "block" {
+				close(started)
+				<-gate
+			}
+			return req.Payload, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad, err := s.RegisterTenant(TenantConfig{
+		Name:    "bad",
+		Handler: func(*Ctx, Request) (any, error) { return nil, errors.New("bad handler") },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := good.NewPipeline("fan", Stage{Name: "each", Map: true,
+		Handler: func(_ *Ctx, req Request) (any, error) { return req.Payload, nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	blocker, err := good.Submit(Request{Payload: "block"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	late, err := good.Submit(Request{Payload: "late", Deadline: time.Now().Add(-time.Second)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tn := range []*Tenant{good, bad} {
+		if _, err := tn.Submit(Request{}); !errors.Is(err, ErrOverload) {
+			t.Fatalf("%s: submit to a full 1-deep queue = %v, want ErrOverload", tn.Name(), err)
+		}
+	}
+	close(gate)
+	if r := blocker.Wait(); r.Status != StatusOK {
+		t.Fatalf("blocker = %+v", r)
+	}
+	if r := late.Wait(); r.Status != StatusShed {
+		t.Fatalf("expired job = %+v, want shed", r)
+	}
+	for i := 0; i < 3; i++ {
+		tk, err := bad.Submit(Request{Key: uint64(i)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := tk.Wait(); r.Status != StatusFailed {
+			t.Fatalf("failing handler = %+v", r)
+		}
+	}
+	tk, err := good.SubmitFlow(p, Request{Payload: []any{1, 2, 3}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r := tk.Wait(); r.Status != StatusOK {
+		t.Fatalf("flow = %+v", r)
+	}
+	s.Close()
+
+	snap := s.Snapshot()
+	st := snap.Stats
+	var sum TenantSnapshot
+	for _, row := range snap.Tenants {
+		sum.Accepted += row.Accepted
+		sum.Rejected += row.Rejected
+		sum.Shed += row.Shed
+		sum.Done += row.Done
+		sum.Failed += row.Failed
+	}
+	if len(snap.Tenants) != 2 {
+		t.Fatalf("%d tenant rows, want 2", len(snap.Tenants))
+	}
+	for name, c := range map[string]struct{ got, want int64 }{
+		"Accepted": {st.Accepted, sum.Accepted},
+		"Rejected": {st.Rejected, sum.Rejected},
+		"Shed":     {st.Shed, sum.Shed},
+		"Done":     {st.Done, sum.Done + sum.Failed},
+		"Failed":   {st.Failed, sum.Failed},
+	} {
+		if c.got != c.want {
+			t.Errorf("Stats.%s = %d, tenant rows sum to %d", name, c.got, c.want)
+		}
+	}
+	// blocker, late, three failures and the flow's one inline-fan job.
+	if got := [5]int64{st.Accepted, st.Rejected, st.Shed, st.Done, st.Failed}; got != [5]int64{6, 2, 1, 5, 3} {
+		t.Errorf("accepted/rejected/shed/done/failed = %v, want [6 2 1 5 3]", got)
+	}
+	if st.InFlight() != 0 {
+		t.Errorf("in-flight %d at quiescence", st.InFlight())
+	}
+	var fan int64
+	for _, ss := range p.StageStats() {
+		fan += ss.FanOut
+	}
+	if st.Flow.FanOut != fan || fan != 3 {
+		t.Errorf("Flow.FanOut = %d, stages sum to %d, want 3", st.Flow.FanOut, fan)
 	}
 }
