@@ -13,8 +13,9 @@
 // latency histograms, the admission-to-execution wait EWMA, the shared
 // mem.Space access statistics) feed four runtime controllers in
 // internal/serve — per-shard adaptive batch sizing, a stealing
-// rebalancer built on adapt.LoadController that preserves same-key
-// admission order and code/data residency, a priority-aware overload
+// rebalancer driven by the system's one adapt.LoadController
+// (litlx.System.Load) that preserves same-key admission order and
+// code/data residency, a priority-aware overload
 // controller, and a locality loop built on adapt.LocalityManager —
 // enabled by serve.Config.Adapt and compared against static configs on
 // deterministic scenario scripts (serve.PlayScenario, experiments V2

@@ -68,7 +68,6 @@ func ExpDataLocality(scale int) *Result {
 				Enabled:        true,
 				RebalanceEvery: time.Millisecond,
 				Locality:       true,
-				LocalityEvery:  8 * time.Millisecond,
 				LatencyBudget:  time.Second, // isolate the data plane from overload shedding
 			}
 		}

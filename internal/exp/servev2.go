@@ -43,7 +43,6 @@ func ExpAdaptiveServe(scale int) *Result {
 		if adaptive {
 			cfg.Adapt = serve.AdaptConfig{
 				Enabled:        true,
-				BatchMin:       1,
 				BatchMax:       64,
 				RebalanceEvery: 250 * time.Microsecond,
 				LatencyBudget:  time.Second, // isolate stealing + batching from overload shedding

@@ -37,8 +37,6 @@ type Config struct {
 	Locales int
 	// WorkersPerLocale sizes the SGT pool (default GOMAXPROCS-derived).
 	WorkersPerLocale int
-	// Steal is the stealing policy (default global).
-	Steal core.StealPolicy
 	// Script is an optional hints script applied at startup.
 	Script string
 	// Seed fixes scheduling randomness for reproducible runs.
@@ -70,7 +68,6 @@ func New(cfg Config) (*System, error) {
 	rt := core.NewRuntime(core.Config{
 		Locales:          cfg.Locales,
 		WorkersPerLocale: cfg.WorkersPerLocale,
-		Steal:            cfg.Steal,
 		Monitor:          mon,
 		Seed:             cfg.Seed,
 	})

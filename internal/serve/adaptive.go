@@ -24,11 +24,12 @@ import (
 //     deepens (amortization) and shrinking them while the shard idles
 //     or its batch-latency histogram breaches the budget;
 //   - load rebalancing: a periodic controller feeds per-shard pending
-//     counts through adapt.Imbalance / adapt.LoadController.Plan and
-//     steals queued jobs from hot shards into idle ones, never moving a
-//     job whose (tenant, key) has a queued sibling (co-queued same-key
-//     jobs keep their queue order; see stealJobsInto) and never onto a
-//     shard where the tenant's code image is not resident;
+//     counts through adapt.Imbalance and the system's load controller
+//     (litlx.System.Load: its threshold and Plan) and steals queued
+//     jobs from hot shards into idle ones, never moving a job whose
+//     (tenant, key) has a queued sibling (co-queued same-key jobs keep
+//     their queue order; see stealJobsInto) and never onto a shard
+//     where the tenant's code image is not resident;
 //   - overload control: when the admission-to-execution wait EWMA
 //     crosses LatencyBudget, the shed level rises and batch SGTs drop
 //     jobs with Request.Priority below it at drain time — lowest
@@ -46,64 +47,42 @@ import (
 type AdaptConfig struct {
 	// Enabled turns the adaptivity loop on.
 	Enabled bool
-	// BatchMin / BatchMax bound the adaptive drain batch (defaults 1
-	// and 4*Batch). Config.Batch is the starting point, clamped into
-	// this range.
-	BatchMin, BatchMax int
+	// BatchMax bounds the adaptive drain batch (default 4*Batch; the
+	// floor is one job). Config.Batch is the starting point, clamped
+	// into [1, BatchMax].
+	BatchMax int
 	// RebalanceEvery is the control-loop period for stealing and
-	// overload decisions (default 1ms).
+	// overload decisions (default 1ms). The rebalancer steals once the
+	// max/mean pending ratio crosses the system's load controller's
+	// threshold (litlx.System.Load).
 	RebalanceEvery time.Duration
-	// StealThreshold is the max/mean pending ratio above which the
-	// rebalancer steals (default 2, adapt.LoadController's default).
-	StealThreshold float64
 	// LatencyBudget is the admission-to-execution wait the overload
-	// controller defends (default: DefaultDeadline if set, else 10ms).
+	// controller defends (default 10ms). Jobs with Priority >=
+	// maxShedLevel (4) are never shed by it.
 	LatencyBudget time.Duration
-	// MaxShedLevel caps the overload shed level: jobs with Priority >=
-	// MaxShedLevel are never shed by the overload controller (default 4).
-	MaxShedLevel int
-	// Locality turns on the locality loop: every LocalityEvery the
+	// Locality turns on the locality loop: every 8*RebalanceEvery the
 	// server runs the system's adapt.LocalityManager over the shared
 	// space, applying its migrate/replicate plan and decaying the
 	// access counters.
 	Locality bool
-	// LocalityEvery is the locality loop period (default
-	// 8*RebalanceEvery). It should be long enough for objects to accrue
-	// MinAccesses-worth of history between decays.
-	LocalityEvery time.Duration
 }
+
+// maxShedLevel caps the overload shed level: jobs with Priority >=
+// maxShedLevel are never shed by the overload controller.
+const maxShedLevel = 4
 
 func (a AdaptConfig) withDefaults(base Config) AdaptConfig {
 	if !a.Enabled {
 		return a
 	}
-	if a.BatchMin <= 0 {
-		a.BatchMin = 1
-	}
 	if a.BatchMax <= 0 {
 		a.BatchMax = 4 * base.Batch
-	}
-	if a.BatchMax < a.BatchMin {
-		a.BatchMax = a.BatchMin
 	}
 	if a.RebalanceEvery <= 0 {
 		a.RebalanceEvery = time.Millisecond
 	}
-	if a.StealThreshold <= 0 {
-		a.StealThreshold = 2
-	}
 	if a.LatencyBudget <= 0 {
-		if base.DefaultDeadline > 0 {
-			a.LatencyBudget = base.DefaultDeadline
-		} else {
-			a.LatencyBudget = 10 * time.Millisecond
-		}
-	}
-	if a.MaxShedLevel <= 0 {
-		a.MaxShedLevel = 4
-	}
-	if a.Locality && a.LocalityEvery <= 0 {
-		a.LocalityEvery = 8 * a.RebalanceEvery
+		a.LatencyBudget = 10 * time.Millisecond
 	}
 	return a
 }
@@ -188,7 +167,7 @@ func (s *Server) decide(producer int, locale mem.Locale, format string, args ...
 type batchController struct {
 	srv      *Server // retunes land on the adapt timeline through srv.decide
 	sh       *shard
-	min, max int
+	max      int
 	budgetUS float64
 	cur      atomic.Int64
 	depth    *monitor.EWMA      // queue depth at drain time
@@ -201,7 +180,6 @@ func newBatchController(s *Server, sh *shard, grow, shrink *monitor.Counter) *ba
 	c := &batchController{
 		srv:      s,
 		sh:       sh,
-		min:      s.cfg.Adapt.BatchMin,
 		max:      s.cfg.Adapt.BatchMax,
 		budgetUS: float64(s.cfg.Adapt.LatencyBudget) / float64(time.Microsecond),
 		depth:    s.sys.Mon.EWMA(fmt.Sprintf("serve.shard%02d.depth", sh.id), 0.2),
@@ -209,14 +187,7 @@ func newBatchController(s *Server, sh *shard, grow, shrink *monitor.Counter) *ba
 		grow:     grow,
 		shrink:   shrink,
 	}
-	start := s.cfg.Batch
-	if start < c.min {
-		start = c.min
-	}
-	if start > c.max {
-		start = c.max
-	}
-	c.cur.Store(int64(start))
+	c.cur.Store(int64(min(s.cfg.Batch, c.max)))
 	return c
 }
 
@@ -235,8 +206,8 @@ func (c *batchController) observeDepth(d int) {
 	switch {
 	case e > 2*float64(cur) && cur < c.max && c.latencyHeadroom():
 		next = min(cur*2, c.max)
-	case cur > c.min && (e*4 <= float64(cur) || !c.latencyHeadroom()):
-		next, what, n = max(cur/2, c.min), "shrink", c.shrink
+	case cur > 1 && (e*4 <= float64(cur) || !c.latencyHeadroom()):
+		next, what, n = cur/2, "shrink", c.shrink
 	default:
 		return
 	}
@@ -266,7 +237,6 @@ func (c *batchController) latencyHeadroom() bool {
 type overloadController struct {
 	srv      *Server
 	budgetUS float64
-	maxLevel int32
 	level    atomic.Int32
 	shed     *monitor.Counter // jobs the level dropped; counted by Server.shedLow
 }
@@ -275,7 +245,6 @@ func newOverloadController(s *Server) *overloadController {
 	return &overloadController{
 		srv:      s,
 		budgetUS: float64(s.cfg.Adapt.LatencyBudget) / float64(time.Microsecond),
-		maxLevel: int32(s.cfg.Adapt.MaxShedLevel),
 		shed:     s.sys.Mon.Counter("serve.adapt.shed_lowpri"),
 	}
 }
@@ -288,7 +257,7 @@ func (o *overloadController) once(time.Time) {
 	wait, prev := o.srv.waitUS.Value(), o.level.Load()
 	cur := prev
 	switch {
-	case wait > o.budgetUS && prev < o.maxLevel:
+	case wait > o.budgetUS && prev < maxShedLevel:
 		cur++
 	case wait < o.budgetUS/2 && prev > 0:
 		cur--
@@ -310,12 +279,12 @@ func (o *overloadController) shedLevel() int {
 }
 
 // rebalanceController measures shard imbalance and steals queued jobs
-// per the load controller's migration plan. The pending snapshot and the
-// steal working memory live here (the loop serializes passes), so the
-// common nothing-to-do pass allocates nothing.
+// per the system's load controller (litlx.System.Load), as the locality
+// controller applies the system's locality manager. The pending
+// snapshot and the steal working memory live here (the loop serializes
+// passes), so the common nothing-to-do pass allocates nothing.
 type rebalanceController struct {
 	srv                *Server
-	load               adapt.LoadController
 	imbalance          *monitor.EWMA
 	steals, rebalances *monitor.Counter
 	pending            []int
@@ -325,7 +294,6 @@ type rebalanceController struct {
 func newRebalanceController(s *Server) *rebalanceController {
 	return &rebalanceController{
 		srv:        s,
-		load:       adapt.LoadController{ImbalanceThreshold: s.cfg.Adapt.StealThreshold},
 		imbalance:  s.sys.Mon.EWMA("serve.adapt.imbalance", 0.2),
 		steals:     s.sys.Mon.Counter("serve.adapt.steals"),
 		rebalances: s.sys.Mon.Counter("serve.adapt.rebalances"),
@@ -338,13 +306,14 @@ func (r *rebalanceController) once(time.Time) {
 	for i, sh := range shards {
 		r.pending[i] = sh.pending()
 	}
+	load := r.srv.sys.Load
 	imb := adapt.Imbalance(r.pending)
 	r.imbalance.Observe(imb)
-	if imb <= r.load.ImbalanceThreshold {
+	if imb <= load.ImbalanceThreshold {
 		return
 	}
 	moved := 0
-	for _, p := range r.load.Plan(r.pending) {
+	for _, p := range load.Plan(r.pending) {
 		n := stealJobsInto(shards[p.From], shards[p.To], p.Count, &r.scratch)
 		moved += n
 		if n > 0 {

@@ -12,17 +12,17 @@ import (
 	"repro/internal/monitor"
 )
 
-func newTestBatchController(min, max, start int, budget time.Duration) *batchController {
+func newTestBatchController(max, start int, budget time.Duration) *batchController {
 	cfg := Config{
 		Batch: start,
-		Adapt: AdaptConfig{Enabled: true, BatchMin: min, BatchMax: max, LatencyBudget: budget},
+		Adapt: AdaptConfig{Enabled: true, BatchMax: max, LatencyBudget: budget},
 	}.withDefaults()
 	srv := &Server{cfg: cfg, sys: &litlx.System{Mon: monitor.New()}}
 	return newBatchController(srv, &shard{}, srv.sys.Mon.Counter("grow"), srv.sys.Mon.Counter("shrink"))
 }
 
 func TestBatchControllerGrowsOnBacklog(t *testing.T) {
-	c := newTestBatchController(1, 64, 4, time.Second)
+	c := newTestBatchController(64, 4, time.Second)
 	for i := 0; i < 32; i++ {
 		c.observeDepth(512) // queue far ahead of the batch: amortize more
 	}
@@ -37,17 +37,17 @@ func TestBatchControllerGrowsOnBacklog(t *testing.T) {
 }
 
 func TestBatchControllerShrinksWhenIdle(t *testing.T) {
-	c := newTestBatchController(2, 64, 32, time.Second)
+	c := newTestBatchController(64, 32, time.Second)
 	for i := 0; i < 64; i++ {
-		c.observeDepth(1) // near-empty queue: batching only adds latency
+		c.observeDepth(0) // empty queue: batching only adds latency
 	}
-	if got := c.batch(); got != 2 {
-		t.Errorf("batch after sustained idle = %d, want min 2", got)
+	if got := c.batch(); got != 1 {
+		t.Errorf("batch after sustained idle = %d, want the floor 1", got)
 	}
 }
 
 func TestBatchControllerShrinksOnLatencyBreach(t *testing.T) {
-	c := newTestBatchController(1, 64, 32, time.Millisecond)
+	c := newTestBatchController(64, 32, time.Millisecond)
 	// Deep queue argues for growth, but every batch blows the 1ms
 	// budget: the histogram must veto growth and force shrink.
 	for i := 0; i < 16; i++ {
@@ -65,7 +65,7 @@ func TestOverloadControllerLevelDynamics(t *testing.T) {
 	// An alpha-1 estimator reports exactly the last wait observed, so each
 	// pass sees the wait the test dictates.
 	srv := &Server{waitUS: monitor.NewEWMA(1)}
-	o := &overloadController{srv: srv, budgetUS: 1000, maxLevel: 3} // 1ms budget
+	o := &overloadController{srv: srv, budgetUS: 1000} // 1ms budget
 	pass := func(waitUS float64) {
 		srv.waitUS.Observe(waitUS)
 		o.once(time.Time{})
@@ -73,16 +73,16 @@ func TestOverloadControllerLevelDynamics(t *testing.T) {
 	if o.shedLevel() != 0 {
 		t.Fatalf("initial shed level = %d", o.shedLevel())
 	}
-	// Sustained breach climbs one step per pass, capped at MaxShedLevel.
+	// Sustained breach climbs one step per pass, capped at maxShedLevel.
 	for i := 0; i < 10; i++ {
 		pass(5000) // 5ms wait against a 1ms budget
 	}
-	if got := o.shedLevel(); got != 3 {
-		t.Errorf("shed level after sustained breach = %d, want capped at 3", got)
+	if got := o.shedLevel(); got != maxShedLevel {
+		t.Errorf("shed level after sustained breach = %d, want capped at %d", got, maxShedLevel)
 	}
 	// Hovering between budget/2 and budget holds the level (hysteresis).
 	pass(800)
-	if got := o.shedLevel(); got != 3 {
+	if got := o.shedLevel(); got != maxShedLevel {
 		t.Errorf("shed level in hysteresis band moved to %d", got)
 	}
 	// Recovery below half the budget decays back to zero.
@@ -114,13 +114,13 @@ func TestControlPlaneCadence(t *testing.T) {
 		want   []int // passes over 10ms, in install order
 	}{
 		{
-			name: "overload+rebalance 1ms, locality 2.5ms, compile 500us",
+			name: "overload+rebalance 1ms, locality 8ms, compile 500us",
 			cfg: Config{
-				Adapt:   AdaptConfig{Enabled: true, RebalanceEvery: 1000 * us, Locality: true, LocalityEvery: 2500 * us},
+				Adapt:   AdaptConfig{Enabled: true, RebalanceEvery: 1000 * us, Locality: true},
 				Compile: CompileConfig{Enabled: true, Every: 500 * us},
 			},
 			period: 500 * us,
-			want:   []int{10, 10, 4, 20},
+			want:   []int{10, 10, 1, 20},
 		},
 		{
 			name:   "adapt off, compile on (exp V7)",
@@ -129,8 +129,11 @@ func TestControlPlaneCadence(t *testing.T) {
 			want:   []int{5},
 		},
 		{
-			name:   "a period that is no multiple of the ticker's",
-			cfg:    Config{Adapt: AdaptConfig{Enabled: true, RebalanceEvery: 1000 * us, Locality: true, LocalityEvery: 2500 * us}},
+			name: "a period that is no multiple of the ticker's",
+			cfg: Config{
+				Adapt:   AdaptConfig{Enabled: true, RebalanceEvery: 1000 * us},
+				Compile: CompileConfig{Enabled: true, Every: 2500 * us},
+			},
 			period: 1000 * us,
 			want:   []int{10, 10, 4},
 		},
@@ -293,7 +296,6 @@ func TestOverloadShedsLowPriorityOnly(t *testing.T) {
 			Enabled:        true,
 			RebalanceEvery: 200 * time.Microsecond,
 			LatencyBudget:  500 * time.Microsecond,
-			MaxShedLevel:   4,
 		},
 	})
 	defer s.Close()
@@ -325,7 +327,7 @@ func TestOverloadShedsLowPriorityOnly(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		pri := 0
 		if i%3 == 0 {
-			pri = 9 // above MaxShedLevel: must never be overload-shed
+			pri = 9 // above maxShedLevel: must never be overload-shed
 		}
 		if err := tn.SubmitFunc(Request{Key: uint64(i), Priority: pri}, record); err != nil {
 			t.Fatal(err)
@@ -338,7 +340,7 @@ func TestOverloadShedsLowPriorityOnly(t *testing.T) {
 		t.Fatalf("overload controller never shed (stats %+v)", as)
 	}
 	if hiShed.Load() != 0 {
-		t.Errorf("%d jobs with priority >= MaxShedLevel were shed", hiShed.Load())
+		t.Errorf("%d jobs with priority >= maxShedLevel were shed", hiShed.Load())
 	}
 	if loShed.Load() != as.ShedLowPriority {
 		t.Errorf("shed accounting: results saw %d low-priority sheds, counter says %d",
@@ -365,7 +367,6 @@ func TestOverloadShedRecovers(t *testing.T) {
 			Enabled:        true,
 			RebalanceEvery: 200 * time.Microsecond,
 			LatencyBudget:  time.Millisecond,
-			MaxShedLevel:   2,
 		},
 	})
 	defer s.Close()

@@ -53,8 +53,6 @@ type CompileConfig struct {
 	// key) is promoted to a fast-path slot; it is demoted when the
 	// (decaying) estimate falls below half of this (default 128).
 	HotKeyMin int64
-	// MaxHot bounds the fast-path slots per tenant (default 8).
-	MaxHot int
 	// DecayEvery halves the sketch counters every this many controller
 	// ticks, so cooled keys demote (default 16).
 	DecayEvery int
@@ -67,6 +65,9 @@ const (
 	replanDrift = 1.5
 	// sketchWidth is the count-min row width of a tenant's key sketch.
 	sketchWidth = 512
+	// maxHot bounds the fast-path slots per tenant; the key sketch
+	// tracks twice as many candidates.
+	maxHot = 8
 )
 
 func (c CompileConfig) withDefaults(base Config) CompileConfig {
@@ -85,9 +86,6 @@ func (c CompileConfig) withDefaults(base Config) CompileConfig {
 	}
 	if c.HotKeyMin <= 0 {
 		c.HotKeyMin = 128
-	}
-	if c.MaxHot <= 0 {
-		c.MaxHot = 8
 	}
 	if c.DecayEvery <= 0 {
 		c.DecayEvery = 16
@@ -407,7 +405,7 @@ func (c *compileController) hotKeys(t *Tenant) {
 			}
 		}
 	}
-	for _, kc := range t.sketch.Top(c.cfg.MaxHot) {
+	for _, kc := range t.sketch.Top(maxHot) {
 		if kc.Count < c.cfg.HotKeyMin {
 			break
 		}
@@ -452,7 +450,7 @@ func (c *compileController) promoteKey(t *Tenant, key uint64, count int64, kind 
 	h := t.solo.stages[0].handler
 	if t.specialize != nil {
 		if sp := t.specialize(key); sp != nil {
-			h = composeMiddleware(sp, t.mw, c.srv.cfg.Middleware)
+			h = composeMiddleware(sp, t.mw)
 		}
 	}
 	t.fast.slots[idx].Store(&fastSlot{key: key, handler: h})

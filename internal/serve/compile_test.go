@@ -21,7 +21,6 @@ func testCompileConfig() CompileConfig {
 		Every:      time.Hour,
 		MinSamples: 50,
 		HotKeyMin:  16,
-		MaxHot:     4,
 		DecayEvery: 1,
 	}
 }
@@ -514,7 +513,7 @@ func TestCompileRaceTrafficAndClose(t *testing.T) {
 	defer sys.Close()
 	s := New(sys, Config{Shards: 4, Compile: CompileConfig{
 		Enabled: true, Every: 200 * time.Microsecond,
-		MinSamples: 8, HotKeyMin: 4, MaxHot: 4, DecayEvery: 2,
+		MinSamples: 8, HotKeyMin: 4, DecayEvery: 2,
 	}})
 	tn, err := s.RegisterTenant(TenantConfig{
 		Name:    "ct",

@@ -280,29 +280,6 @@ func TestLocalityOnceMigratesAndReplicates(t *testing.T) {
 	}
 }
 
-func TestPercolateDataInstallsEverywhere(t *testing.T) {
-	sys := newLocaleSystem(t, 3)
-	defer sys.Close()
-	s := New(sys, Config{Shards: 3})
-	defer s.Close()
-	tn, err := s.RegisterTenant(TenantConfig{
-		Name:          "t",
-		Handler:       func(_ *Ctx, _ Request) (any, error) { return nil, nil },
-		Objects:       []DataObject{{Size: 128, Home: 2}, {Size: 128, Home: AutoHome}},
-		PercolateData: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range tn.Objects() {
-		for loc := mem.Locale(0); loc < 3; loc++ {
-			if !sys.Space.HasValidReplica(id, loc) {
-				t.Errorf("object %d not resident at locale %d after PercolateData", id, loc)
-			}
-		}
-	}
-}
-
 func TestRegisterTenantObjectPlacement(t *testing.T) {
 	sys := newLocaleSystem(t, 2)
 	defer sys.Close()
@@ -348,8 +325,7 @@ func TestLocalHotScenarioEndToEnd(t *testing.T) {
 		Adapt: AdaptConfig{
 			Enabled:        true,
 			RebalanceEvery: 500 * time.Microsecond,
-			Locality:       true,
-			LocalityEvery:  4 * time.Millisecond,
+			Locality:       true, // every 8*500us = 4ms
 			LatencyBudget:  time.Second,
 		},
 	})

@@ -12,7 +12,7 @@ import (
 // Request describes one unit of work submitted to a tenant. Key routes
 // the request (requests with the same key for the same tenant land on
 // the same shard, in admission order); Payload is handed to the handler
-// untouched; a zero Deadline picks up the server's DefaultDeadline.
+// untouched; a request with a zero Deadline never expires.
 type Request struct {
 	Key      uint64
 	Payload  any
@@ -49,9 +49,9 @@ type Request struct {
 type Handler func(ctx *Ctx, req Request) (any, error)
 
 // Middleware wraps a Handler with a cross-cutting concern — accounting,
-// tracing, admission policy, result rewriting. Chains compose at tenant
-// registration (never on the hot path): server-wide middleware runs
-// outermost, then per-tenant middleware, then the handler.
+// tracing, admission policy, result rewriting. A tenant's chain
+// (TenantConfig.Middleware) composes at registration, never on the hot
+// path: its first middleware runs outermost, the handler innermost.
 type Middleware func(Handler) Handler
 
 // Ctx is the per-request execution context handed to handlers and

@@ -27,7 +27,6 @@ package serve
 // nil check, adding no allocations per request.
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"sync"
@@ -425,16 +424,6 @@ func (r *FlightRecorder) WriteText(w io.Writer) {
 	for _, f := range flows {
 		f.WriteText(w)
 	}
-}
-
-// MarshalJSON renders the retained traces as an array of span trees.
-func (r *FlightRecorder) MarshalJSON() ([]byte, error) {
-	flows := r.Flows()
-	spans := make([]FlowSpan, len(flows))
-	for i, f := range flows {
-		spans[i] = f.SpanTree()
-	}
-	return json.Marshal(spans)
 }
 
 // Recorder returns the server's flight recorder, or nil when

@@ -64,7 +64,7 @@ type Stage struct {
 	Name string
 	// Handler executes the stage. It runs exactly like a tenant handler
 	// — on a batch SGT at the admitting shard's locale, wrapped in the
-	// same server-wide and per-tenant middleware chains.
+	// same tenant middleware chain.
 	Handler Handler
 	// Map marks a fan-out stage: the previous stage's output (or the
 	// flow's initial payload for stage 0) must be a []any. The handler
@@ -163,7 +163,7 @@ func (t *Tenant) NewPipeline(name string, stages ...Stage) (*Pipeline, error) {
 		if st.Handler == nil {
 			return nil, fmt.Errorf("serve: pipeline %q stage %d has no handler", name, i)
 		}
-		h := composeMiddleware(st.Handler, t.mw, t.srv.cfg.Middleware)
+		h := composeMiddleware(st.Handler, t.mw)
 		sname := st.Name
 		if sname == "" {
 			sname = fmt.Sprintf("s%d", i)
@@ -201,16 +201,13 @@ func (t *Tenant) NewPipeline(name string, stages ...Stage) (*Pipeline, error) {
 	return p, nil
 }
 
-// composeMiddleware wraps h in the per-tenant then the server-wide
-// chains (server outermost) — the one composition rule shared by
-// RegisterTenant and NewPipeline, so a tenant's pipeline stages run
-// exactly the middleware its plain handler runs.
-func composeMiddleware(h Handler, tenantMW, serverMW []Middleware) Handler {
-	for k := len(tenantMW) - 1; k >= 0; k-- {
-		h = tenantMW[k](h)
-	}
-	for k := len(serverMW) - 1; k >= 0; k-- {
-		h = serverMW[k](h)
+// composeMiddleware wraps h in the tenant's chain (first outermost) —
+// the one composition rule shared by RegisterTenant, NewPipeline and
+// the compile controller's promotions, so a tenant's pipeline stages
+// and fast paths run exactly the middleware its plain handler runs.
+func composeMiddleware(h Handler, mw []Middleware) Handler {
+	for k := len(mw) - 1; k >= 0; k-- {
+		h = mw[k](h)
 	}
 	return h
 }
@@ -411,7 +408,7 @@ func (t *Tenant) submitFlow(p *Pipeline, from int, req Request, rr RemoteRouter,
 	}
 	now := clock.Now()
 	fl := newFlowState()
-	fl.p, fl.key, fl.deadline, fl.priority = p, req.Key, s.deadline(&req, now), req.Priority
+	fl.p, fl.key, fl.deadline, fl.priority = p, req.Key, clock.Of(req.Deadline), req.Priority
 	fl.enqueued, fl.done, fl.router = now, done, rr
 	fl.ft = s.obs.sample(t, p, req.Key)
 	// Count the flow before it can possibly complete.

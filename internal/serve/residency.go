@@ -38,8 +38,8 @@ type TenantConfig struct {
 	Name string
 	// Handler executes the tenant's requests.
 	Handler Handler
-	// Middleware wraps Handler, outermost first, inside any server-wide
-	// middleware. The chain composes once here, never on the hot path.
+	// Middleware wraps Handler, outermost first. The chain composes
+	// once here, never on the hot path.
 	Middleware []Middleware
 	// CodeSize is the tenant's handler code image in bytes. Non-zero
 	// sizes engage the percolation model: the first job on each shard
@@ -52,17 +52,13 @@ type TenantConfig struct {
 	// Objects declares the tenant's data objects, allocated in the
 	// shared mem.Space at registration. Requests reference the
 	// resulting ids (Tenant.Objects) in their WorkingSet / WriteSet.
+	// Objects are served from their homes until per-batch staging
+	// (Config.Data.Stage) or the locality loop moves them.
 	Objects []DataObject
-	// PercolateData replicates every declared object to every locale at
-	// registration — data percolation ahead of traffic, the whole-space
-	// analogue of Warm. Without it, objects are served from their homes
-	// until per-batch staging (Config.Data.Stage) or the locality loop
-	// moves them.
-	PercolateData bool
 	// Specialize, with Config.Compile enabled, returns a handler
 	// specialized for one hot key. The continuous-compilation controller
 	// calls it off the hot path when the tenant's key sketch promotes a
-	// key, composes the result with the tenant and server middleware, and
+	// key, composes the result with the tenant middleware, and
 	// installs it in the tenant's fast-path table; dispatch then runs it
 	// for that key until demotion. Nil tenants still get fast-path slots
 	// — they cache the composed general handler, saving nothing but
@@ -144,8 +140,8 @@ func (s *Server) stageBatch(sh *shard, jobs []*Job) {
 // the handle do no per-call lookup. With CodeSize > 0 each shard's first
 // job pays transferCycles(CodeSize); with Warm the percolation is paid
 // up front so no request ever sees it. Declared Objects are allocated
-// in the shared space (and replicated everywhere with PercolateData),
-// ready to be named in request working sets.
+// in the shared space at their homes, ready to be named in request
+// working sets.
 func (s *Server) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 	if cfg.Name == "" {
 		return nil, fmt.Errorf("serve: tenant name required")
@@ -170,7 +166,7 @@ func (s *Server) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 	if _, ok := s.tenants.Load(cfg.Name); ok {
 		return nil, fmt.Errorf("serve: tenant %q already registered", cfg.Name)
 	}
-	h := composeMiddleware(cfg.Handler, cfg.Middleware, s.cfg.Middleware)
+	h := composeMiddleware(cfg.Handler, cfg.Middleware)
 	t := &Tenant{
 		srv:      s,
 		name:     cfg.Name,
@@ -197,8 +193,8 @@ func (s *Server) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 		// Continuous compilation watches this tenant: a per-tenant key
 		// sketch fed on admission, and a fast-path table the controller
 		// populates with specialized handlers for promoted keys.
-		t.sketch = contc.NewKeySketch(sketchWidth, 2*s.cfg.Compile.MaxHot)
-		t.fast = newFastTable(s.cfg.Compile.MaxHot)
+		t.sketch = contc.NewKeySketch(sketchWidth, 2*maxHot)
+		t.fast = newFastTable(maxHot)
 		t.specialize = cfg.Specialize
 	}
 	if cfg.CodeSize <= 0 || cfg.Warm {
@@ -214,11 +210,6 @@ func (s *Server) RegisterTenant(cfg TenantConfig) (*Tenant, error) {
 		}
 		id := s.space.Alloc(mem.Locale(home), obj.Size)
 		t.objects = append(t.objects, id)
-		if cfg.PercolateData {
-			for loc := 0; loc < locales; loc++ {
-				s.space.Replicate(id, mem.Locale(loc))
-			}
-		}
 	}
 	s.tenants.Store(cfg.Name, t)
 	return t, nil

@@ -280,7 +280,6 @@ func adaptiveVsStatic(t *testing.T, sc Scenario, tick time.Duration) (static, ad
 		if enable {
 			cfg.Adapt = AdaptConfig{
 				Enabled:        true,
-				BatchMin:       1,
 				BatchMax:       64,
 				RebalanceEvery: 250 * time.Microsecond,
 				LatencyBudget:  time.Second, // keep overload shedding out of this comparison

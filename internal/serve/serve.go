@@ -44,11 +44,11 @@
 //     monitoring-feeds-controllers design applied to serving: per-shard
 //     batch controllers retune drain bounds from queue-depth EWMAs and
 //     batch-latency histograms, a periodic rebalancer steals queued
-//     jobs from hot shards via adapt.LoadController (preserving
-//     same-key admission order and tenant code residency), and an
-//     overload controller sheds low-Request.Priority work when the
-//     wait EWMA crosses the latency budget. See AdaptConfig, and the
-//     control-plane map below.
+//     jobs from hot shards as the system's one load controller
+//     (litlx.System.Load) plans (preserving same-key admission order
+//     and tenant code residency), and an overload controller sheds
+//     low-Request.Priority work when the wait EWMA crosses the latency
+//     budget. See AdaptConfig, and the control-plane map below.
 //   - dataflow pipelines (Tenant.NewPipeline / SubmitFlow) — multi-stage
 //     flows compiled once from Stage declarations (handler + routing
 //     derivation) whose intermediate values are chained shard-to-shard:
@@ -78,15 +78,15 @@
 // Submit/SubmitFunc/SubmitMany/SubmitFlow methods carry the resolved
 // identity, so the per-request hot path performs no map lookup and no
 // string hashing. Handlers are error-aware — func(*Ctx, Request) (any,
-// error) — and compose through Middleware chains (server-wide and
-// per-tenant), resolved once at registration.
+// error) — and compose through a per-tenant Middleware chain, resolved
+// once at registration.
 //
 // Every request, whichever surface submitted it, lives one lifecycle,
 // and each step is one function:
 //
 //	route      routeShard     (tenant, key) hash, or the working set's home locale
-//	construct  construct      the only place a Job is built (deadline default, key
-//	                          sketch, trace context, flow reference, shard.newJob)
+//	construct  construct      the only place a Job is built (deadline, key sketch,
+//	                          trace context, flow reference, shard.newJob)
 //	admit      admit          one ring reservation per shard group; counts acceptance
 //	refuse     refuse         full shard or closing server; counts rejection, seals
 //	                          the trace, delivers StatusRejected or returns the error
@@ -192,12 +192,6 @@ type Config struct {
 	// accumulate in the bounded queue and admission rejects, instead of
 	// the backlog leaking into an unbounded SGT pile.
 	InflightBatches int
-	// DefaultDeadline is applied to jobs submitted without one; zero
-	// means such jobs never expire.
-	DefaultDeadline time.Duration
-	// Middleware wraps every tenant's handler, outermost first. The
-	// chain composes once at registration, never on the hot path.
-	Middleware []Middleware
 	// Adapt configures the closed adaptivity loop (adaptive batch
 	// sizing, shard stealing, overload shedding, locality rebalancing).
 	// Zero value: off.
@@ -413,7 +407,7 @@ func New(sys *litlx.System, cfg Config) *Server {
 		s.install(a.RebalanceEvery, s.rebalance.once)
 		if a.Locality {
 			s.localize = newLocalityController(s)
-			s.install(a.LocalityEvery, s.localize.once)
+			s.install(8*a.RebalanceEvery, s.localize.once)
 		}
 	}
 	if cfg.Compile.Enabled {
@@ -478,17 +472,18 @@ func (t *Tenant) SubmitFunc(req Request, done func(Result)) error {
 // construct is the one place a job record is built. Every surface —
 // plain submits, bursts, a flow's stage 0, stage hops, fan-out elements
 // — hands it the stage to run, that stage's request, and the sink. A
-// plain submission (fl nil) gets the server's default deadline, feeds
-// the tenant's key sketch (wait-free, zero allocations), and draws its
-// own trace sample; a flow job inherits all three from its flow, takes
-// its reference on it, and is counted as a stage job — refuse undoes
-// both. The request is routed here unless the caller already holds its
-// shard (a stage hop or fan-out element, routed by the pipeline).
+// plain submission (fl nil) converts its own deadline onto the clock,
+// feeds the tenant's key sketch (wait-free, zero allocations), and
+// draws its own trace sample; a flow job inherits all three from its
+// flow, takes its reference on it, and is counted as a stage job —
+// refuse undoes both. The request is routed here unless the caller
+// already holds its shard (a stage hop or fan-out element, routed by
+// the pipeline).
 func (s *Server) construct(t *Tenant, st *pipeStage, fl *flowState, req Request, now clock.Nanos, sh *shard, sk sink, idx int32) (*shard, *Job) {
 	var ft *FlowTrace
 	var dl clock.Nanos
 	if fl == nil {
-		dl = s.deadline(&req, now)
+		dl = clock.Of(req.Deadline)
 		if t.sketch != nil {
 			t.sketch.Update(req.Key)
 		}
@@ -504,19 +499,6 @@ func (s *Server) construct(t *Tenant, st *pipeStage, fl *flowState, req Request,
 	j := sh.newJob()
 	j.tenant, j.req, j.enqueued, j.deadline, j.stage, j.sink, j.idx, j.flow, j.ft = t, req, now, dl, st, sk, idx, fl, ft
 	return sh, j
-}
-
-// deadline converts a submission's deadline onto the clock, once, at
-// admission. One that carries none gets Config.DefaultDeadline from
-// now, written back to req as well, where the handler and Ctx.Deadline
-// see it.
-func (s *Server) deadline(req *Request, now clock.Nanos) clock.Nanos {
-	dl := clock.Of(req.Deadline)
-	if dl == clock.Never && s.cfg.DefaultDeadline != 0 {
-		dl = now + clock.Nanos(s.cfg.DefaultDeadline)
-		req.Deadline = dl.Time()
-	}
-	return dl
 }
 
 // submit constructs one job and offers it to its shard; see construct

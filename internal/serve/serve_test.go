@@ -182,12 +182,12 @@ func TestMiddlewareChainOrder(t *testing.T) {
 			}
 		}
 	}
-	s := New(sys, Config{Shards: 1, Middleware: []Middleware{record("server1"), record("server2")}})
+	s := New(sys, Config{Shards: 1})
 	defer s.Close()
 
 	tn, err := s.RegisterTenant(TenantConfig{
 		Name:       "chained",
-		Middleware: []Middleware{record("tenant")},
+		Middleware: []Middleware{record("outer"), record("inner")},
 		Handler: func(_ *Ctx, req Request) (any, error) {
 			mu.Lock()
 			order = append(order, "handler")
@@ -205,7 +205,7 @@ func TestMiddlewareChainOrder(t *testing.T) {
 	if res := tk.Wait(); res.Status != StatusOK {
 		t.Fatalf("status = %v", res.Status)
 	}
-	want := []string{"server1", "server2", "tenant", "handler"}
+	want := []string{"outer", "inner", "handler"}
 	mu.Lock()
 	defer mu.Unlock()
 	if len(order) != len(want) {
@@ -750,34 +750,6 @@ func TestWallOnlyDeadline(t *testing.T) {
 	}
 	if cause != "deadline expired in queue" {
 		t.Errorf("shed cause %q, want the drain's", cause)
-	}
-}
-
-func TestDefaultDeadlineApplied(t *testing.T) {
-	sys := newTestSystem(t)
-	defer sys.Close()
-	s := New(sys, Config{Shards: 1, DefaultDeadline: -time.Millisecond})
-	defer s.Close()
-	tn, err := s.RegisterTenant(TenantConfig{
-		Name:    "t",
-		Handler: func(_ *Ctx, _ Request) (any, error) { return nil, nil },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A negative default deadline expires every job instantly — it must
-	// be applied to deadline-less submissions, on both submit paths.
-	tk, err := tn.Submit(Request{Key: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res := tk.Wait(); res.Status != StatusShed {
-		t.Fatalf("status = %v, want shed via default deadline", res.Status)
-	}
-	for _, tk := range tn.SubmitMany([]Request{{Key: 2}}) {
-		if res := tk.Wait(); res.Status != StatusShed {
-			t.Fatalf("SubmitMany status = %v, want shed via default deadline", res.Status)
-		}
 	}
 }
 

@@ -14,21 +14,22 @@ import (
 
 // TestStressSubmitManyStealClose races every moving part at once:
 // concurrent SubmitMany bursts, the stealing rebalancer on a hot
-// control-loop period, and a Close that lands mid-traffic. The
-// invariant under all of it: every submitted request resolves exactly
-// once — accepted jobs complete or shed, refused ones reject, nothing
-// is lost and nothing fires twice. Run with -race (CI does).
+// control-loop period, and a Close that lands mid-traffic. Every burst
+// lands on one of the four shards, so the rebalancer sees an imbalance
+// of 4 against the system load controller's threshold of 2 and steals.
+// The invariant under all of it: every submitted request resolves
+// exactly once — accepted jobs complete or shed, refused ones reject,
+// nothing is lost and nothing fires twice. Run with -race (CI does).
 func TestStressSubmitManyStealClose(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
+	const shards = 4
 	s := New(sys, Config{
-		Shards: 4, QueueDepth: 128, Batch: 4, InflightBatches: 2,
+		Shards: shards, QueueDepth: 128, Batch: 4, InflightBatches: 2,
 		Adapt: AdaptConfig{
 			Enabled:        true,
-			BatchMin:       1,
 			BatchMax:       32,
 			RebalanceEvery: 100 * time.Microsecond, // steal aggressively
-			StealThreshold: 1.1,
 			LatencyBudget:  2 * time.Millisecond,
 		},
 	})
@@ -39,27 +40,37 @@ func TestStressSubmitManyStealClose(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The keys all route to one shard, as SameShardScenario picks them.
+	// So few keys for bursts of 32 force same-key collisions in the
+	// queue, exercising the sibling check in the stealer under race,
+	// while leaving singleton keys it may move.
+	var keys []uint64
+	target := shardIndex(tn.hash, 0, shards)
+	for k := uint64(0); len(keys) < 32; k++ {
+		if shardIndex(tn.hash, k, shards) == target {
+			keys = append(keys, k)
+		}
+	}
 
 	const (
 		clients = 6
-		rounds  = 60
 		burst   = 32
 	)
 	var submitted, resolved, doubleFired, refused atomic.Int64
+	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
 			rng := stats.NewRNG(uint64(c + 1))
-			for r := 0; r < rounds; r++ {
+			// Submitters run until the server has closed, so Close lands
+			// mid-traffic however slowly the stealer gets going.
+			for !stop.Load() {
 				reqs := make([]Request, burst)
 				for i := range reqs {
 					reqs[i] = Request{
-						// A narrow key space forces same-key collisions in
-						// the queues, exercising the sibling check in the
-						// stealer under race.
-						Key:      rng.Uint64() % 64,
+						Key:      keys[rng.Uint64()%uint64(len(keys))],
 						Priority: int(rng.Uint64() % 3),
 					}
 				}
@@ -79,10 +90,20 @@ func TestStressSubmitManyStealClose(t *testing.T) {
 			}
 		}(c)
 	}
+	// Let the rebalancer steal before the server closes under the
+	// still-running submitters.
+	for deadline := time.Now().Add(10 * time.Second); s.AdaptStats().Steals == 0; {
+		if time.Now().After(deadline) {
+			t.Error("rebalancer never stole from the hot shard")
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 	// Close while the submitters are still running: late bursts must
 	// resolve as rejected, earlier ones must drain.
 	time.Sleep(3 * time.Millisecond)
 	s.Close()
+	stop.Store(true)
 	wg.Wait()
 
 	deadline := time.Now().Add(10 * time.Second)

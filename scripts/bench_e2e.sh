@@ -16,6 +16,15 @@
 # them in turn on each workload and seed, alternating which goes first,
 # so a drift in the machine's speed lands on every tree alike. A tree
 # with uncommitted changes is recorded as <commit>-dirty.
+#
+# Given exactly two trees, a parent and then a change, it also judges
+# the change: it runs `bash bench/run.sh -compare` (this checkout's
+# bench and bounds) on the two trees' runs and stores, in the change's
+# record under compare, the parent's commit and per workload and
+# end-to-end metric the ratio of the change's median to the parent's,
+# the verdict, and the pair wins. A pair is the two trees' runs at one
+# seed; a pair counts as a win for the side whose value is better in
+# the direction BENCHMARK.json gives the metric, and a tie for neither.
 set -euo pipefail
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 seeds=5
@@ -40,9 +49,9 @@ for w in $(jq -r ".workloads[].name" "$here/BENCHMARK.json"); do
 done
 
 cpu="$(awk -F': ' '/^model name/ {print $2; exit}' /proc/cpuinfo)"
-[ -s "$out" ] || echo '[]' > "$out"
+records=()
 for k in "${!trees[@]}"; do
-  record="$(jq -s --arg commit "$(git -C "${trees[k]}" describe --always --dirty --abbrev=7)" \
+  records+=("$(jq -s --arg commit "$(git -C "${trees[k]}" describe --always --dirty --abbrev=7)" \
     --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" --arg cpu "$cpu" \
     --argjson seeds "$seeds" --argjson seconds "$seconds" '
     def median: sort | if length % 2 == 1 then .[length / 2 | floor]
@@ -58,7 +67,32 @@ for k in "${!trees[@]}"; do
      } as $per | {key: .[0].workload, value: (($per | map_values(median)) + {
        failed_share: ((map(.failed) | add) / ([(map(.attempted) | add), 1] | max)),
        per_seed: $per
-     })}) | from_entries)}' "$runs/$k.jsonl")"
+     })}) | from_entries)}' "$runs/$k.jsonl")")
+done
+
+if ((${#trees[@]} == 2)); then
+  # -compare exits 1 when a verdict reads worse; its table is kept
+  # either way, and an empty table (a failed build or read) stops here.
+  table="$(cd "$here" && bash bench/run.sh -compare "$runs/0.jsonl" "$runs/1.jsonl" || true)"
+  printf '%s\n' "$table"
+  [ -n "$table" ]
+  compare="$(printf '%s\n' "$table" | awk 'NR > 1 && NF == 9 {print $1 "\t" $2 "\t" $9}' |
+    jq -R -s --argjson a "${records[0]}" --argjson b "${records[1]}" --slurpfile spec "$here/BENCHMARK.json" '
+    ($spec[0].end_to_end | map({key: .name, value: .better}) | from_entries) as $better
+    | {against: $a.commit, workloads: (split("\n") | map(select(length > 0) | split("\t"))
+      | group_by(.[0]) | map({key: .[0][0], value: (map(. as [$w, $m, $v] | {key: $m, value: {
+          ratio: ($b.workloads[$w][$m] / $a.workloads[$w][$m]),
+          verdict: $v,
+          pair_wins: ([$a.workloads[$w].per_seed[$m], $b.workloads[$w].per_seed[$m]] | transpose
+            | map(if .[0] == .[1] then 0
+                  elif (.[1] > .[0]) == ($better[$m] == "higher") then 1 else -1 end)
+            | {change: map(select(. == 1)) | length, parent: map(select(. == -1)) | length})
+        }}) | from_entries)}) | from_entries)}')"
+  records[1]="$(jq --argjson c "$compare" '. + {compare: $c}' <<< "${records[1]}")"
+fi
+
+[ -s "$out" ] || echo '[]' > "$out"
+for record in "${records[@]}"; do
   jq --argjson rec "$record" '. + [$rec]' "$out" > "$out.tmp" && mv "$out.tmp" "$out"
   echo "$record"
 done
