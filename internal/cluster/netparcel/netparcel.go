@@ -36,8 +36,8 @@
 // cheaper than the list's lock — and the list retains at most
 // recycleBytes in all, so a rare large body is left to the garbage
 // collector rather than pinned. Call bodies, replies (a handler may
-// return shared bytes, such as a code image) and sends that a fault
-// dropped or a dead connection never wrote are not recycled.
+// return shared bytes, such as a code image) and sends that a dead
+// connection never wrote are not recycled.
 //
 // The parcel starts its thread where it lands: a one-way frame's
 // handler runs on the connection's read loop itself, so a stage parcel
@@ -120,11 +120,6 @@ type Transport struct {
 
 	seq     atomic.Uint64
 	pending sync.Map // seq -> pendingCall
-
-	// faults, when set, is consulted before every Send/Call — the same
-	// injector surface the in-process fabric offers, so failure
-	// scenarios run identically on real sockets.
-	faults atomic.Pointer[parcel.Faults]
 
 	// Call handlers run through a bounded worker pool (hworkers <=
 	// cfg.Window): a burst of calls from one peer queues here instead of
@@ -398,39 +393,14 @@ func (t *Transport) route(dest parcel.NodeID) (*peer, *wconn, error) {
 	return p, w, nil
 }
 
-// InjectFaults attaches a fault injector consulted before every Send
-// and Call (nil detaches) — the same surface parcel.Fabric.Inject gives
-// in-process scenarios, so chaos runs on real sockets too.
-func (t *Transport) InjectFaults(f *parcel.Faults) { t.faults.Store(f) }
-
-// Send delivers a one-way parcel. Injected faults apply: a partition or
-// crash fails the send, a drop loses it silently, a delay postpones the
-// write.
+// Send delivers a one-way parcel.
 func (t *Transport) Send(dest parcel.NodeID, method string, body []byte) error {
 	_, w, err := t.route(dest)
 	if err != nil {
 		return err
 	}
-	f := frame{Kind: kindSend, Text: method, Body: body}
-	if fl := t.faults.Load(); fl != nil {
-		if fl.Blocked(t.self, dest) {
-			return fmt.Errorf("%w: %s", parcel.ErrPartitioned, dest)
-		}
-		if fl.DropSend() {
-			return nil
-		}
-		if d := fl.SendDelay(); d > 0 {
-			t.parcelsSent.Add(1)
-			time.AfterFunc(d, func() {
-				if _, w, err := t.route(dest); err == nil {
-					_ = w.send(f)
-				}
-			})
-			return nil
-		}
-	}
 	t.parcelsSent.Add(1)
-	return w.send(f)
+	return w.send(frame{Kind: kindSend, Text: method, Body: body})
 }
 
 // Call performs a split transaction: the frame ships to dest, the
@@ -441,9 +411,6 @@ func (t *Transport) Call(dest parcel.NodeID, method string, body []byte) ([]byte
 	p, w, err := t.route(dest)
 	if err != nil {
 		return nil, err
-	}
-	if fl := t.faults.Load(); fl.Blocked(t.self, dest) {
-		return nil, fmt.Errorf("%w: %s", parcel.ErrPartitioned, dest)
 	}
 	p.sem <- struct{}{}
 	defer func() { <-p.sem }()

@@ -415,10 +415,10 @@ func TestInlineEchoStormCompletes(t *testing.T) {
 }
 
 func TestInjectedPartitionFailsTraffic(t *testing.T) {
-	a, b := newPair(t)
+	ta, b := newPair(t)
 	b.Handle("m", func(parcel.NodeID, []byte) ([]byte, error) { return []byte("ok"), nil })
 	fl := parcel.NewFaults(5)
-	a.InjectFaults(fl)
+	a := fl.Wrap(ta)
 	fl.Partition("a", "b")
 	if _, err := a.Call("b", "m", nil); !errors.Is(err, parcel.ErrUnknownPeer) {
 		t.Fatalf("call across injected partition: %v, want ErrUnknownPeer family", err)
@@ -429,6 +429,95 @@ func TestInjectedPartitionFailsTraffic(t *testing.T) {
 	fl.Heal("a", "b")
 	if reply, err := a.Call("b", "m", nil); err != nil || string(reply) != "ok" {
 		t.Fatalf("call after heal = %q, %v", reply, err)
+	}
+}
+
+// TestFaultsSameOnBothTransports runs each injected fault through
+// Faults.Wrap on a fabric pair and on a loopback TCP pair: Send and Call
+// fail with the same error class on both, the handler sees the same
+// deliveries, and undoing the fault lets traffic flow again. A sentinel
+// Send after the undo proves that dropped Sends never arrived: one
+// connection delivers Sends in order, so they would have landed first.
+func TestFaultsSameOnBothTransports(t *testing.T) {
+	type outcome struct {
+		send, call string // error class
+		delivered  int64  // handler runs, the Call's included
+	}
+	partitioned := outcome{send: "partitioned", call: "partitioned", delivered: 0}
+	faults := []struct {
+		name         string
+		inject, undo func(*parcel.Faults)
+		want         outcome
+	}{
+		{"partition", func(f *parcel.Faults) { f.Partition("a", "b") }, func(f *parcel.Faults) { f.Heal("a", "b") }, partitioned},
+		{"crash-receiver", func(f *parcel.Faults) { f.Crash("b") }, func(f *parcel.Faults) { f.Revive("b") }, partitioned},
+		{"crash-sender", func(f *parcel.Faults) { f.Crash("a") }, func(f *parcel.Faults) { f.Revive("a") }, partitioned},
+		{"drop", func(f *parcel.Faults) { f.SetDrop(1) }, func(f *parcel.Faults) { f.SetDrop(0) }, outcome{send: "nil", call: "nil", delivered: 1}},
+	}
+	pairs := []struct {
+		name string
+		pair func(t *testing.T) (a, b parcel.Transport)
+	}{
+		{"fabric", func(*testing.T) (parcel.Transport, parcel.Transport) {
+			f := parcel.NewFabric()
+			return f.Node("a"), f.Node("b")
+		}},
+		{"tcp", func(t *testing.T) (parcel.Transport, parcel.Transport) { return newPair(t) }},
+	}
+	class := func(err error) string {
+		switch {
+		case err == nil:
+			return "nil"
+		case errors.Is(err, parcel.ErrPartitioned):
+			return "partitioned"
+		case errors.Is(err, parcel.ErrUnknownPeer):
+			return "unknown-peer"
+		}
+		return err.Error()
+	}
+	const sends = 5
+	for _, fault := range faults {
+		for _, pair := range pairs {
+			t.Run(fault.name+"/"+pair.name, func(t *testing.T) {
+				ta, b := pair.pair(t)
+				fl := parcel.NewFaults(1)
+				a := fl.Wrap(ta)
+				var delivered atomic.Int64
+				b.Handle("m", func(parcel.NodeID, []byte) ([]byte, error) { delivered.Add(1); return []byte("ok"), nil })
+				sentinel := make(chan struct{}, 1)
+				b.Handle("sentinel", func(parcel.NodeID, []byte) ([]byte, error) { sentinel <- struct{}{}; return nil, nil })
+
+				fault.inject(fl)
+				var got outcome
+				for i := 0; i < sends; i++ {
+					err := a.Send("b", "m", []byte{byte(i)})
+					if i == 0 {
+						got.send = class(err)
+					} else if class(err) != got.send {
+						t.Fatalf("send %d: %v, send 0 read %s", i, err, got.send)
+					}
+				}
+				_, err := a.Call("b", "m", nil)
+				got.call = class(err)
+				fault.undo(fl)
+
+				if err := a.Send("b", "sentinel", nil); err != nil {
+					t.Fatalf("sentinel send after undo: %v", err)
+				}
+				select {
+				case <-sentinel:
+				case <-time.After(10 * time.Second):
+					t.Fatal("the sentinel never arrived after the fault was undone")
+				}
+				got.delivered = delivered.Load()
+				if got != fault.want {
+					t.Fatalf("outcome %+v, want %+v", got, fault.want)
+				}
+				if reply, err := a.Call("b", "m", nil); err != nil || string(reply) != "ok" {
+					t.Fatalf("call after undo = %q, %v", reply, err)
+				}
+			})
+		}
 	}
 }
 

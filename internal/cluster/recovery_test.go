@@ -26,12 +26,11 @@ func recoveryNodes(t *testing.T, count int, handler serve.Handler, tweak func(i 
 	t.Helper()
 	fabric := parcel.NewFabric()
 	faults := parcel.NewFaults(7)
-	fabric.Inject(faults)
 	nodes := make([]*Node, count)
 	pipes := make([]*Pipeline, count)
 	for i := range nodes {
 		cfg := Config{
-			Transport: fabric.Node(parcel.NodeID(fmt.Sprintf("rp%d", i))),
+			Transport: faults.Wrap(fabric.Node(parcel.NodeID(fmt.Sprintf("rp%d", i)))),
 			System:    litlx.Config{Locales: 8, WorkersPerLocale: 2, Seed: uint64(i) + 1},
 			Serve:     serve.Config{Shards: 8, QueueDepth: 1024},
 		}
@@ -487,11 +486,10 @@ func TestTicketWaitReturnsOnPartitionedOrigin(t *testing.T) {
 func TestDetectorEvictsAndTraces(t *testing.T) {
 	fabric := parcel.NewFabric()
 	faults := parcel.NewFaults(11)
-	fabric.Inject(faults)
 	nodes := make([]*Node, 3)
 	for i := range nodes {
 		node, err := NewNode(Config{
-			Transport:  fabric.Node(parcel.NodeID(fmt.Sprintf("de%d", i))),
+			Transport:  faults.Wrap(fabric.Node(parcel.NodeID(fmt.Sprintf("de%d", i)))),
 			System:     litlx.Config{Locales: 8, WorkersPerLocale: 1, Seed: uint64(i) + 1},
 			Serve:      serve.Config{Shards: 8},
 			Detect:     DetectConfig{Every: 5 * time.Millisecond, Misses: 2},
@@ -668,7 +666,6 @@ func TestRecoveryCountsEachLostGlobalOnce(t *testing.T) {
 		t.Run(fmt.Sprintf("replicas-%d", replicas), func(t *testing.T) {
 			fabric := parcel.NewFabric()
 			faults := parcel.NewFaults(13)
-			fabric.Inject(faults)
 			globals := make([]GlobalObject, locales)
 			for i := range globals {
 				globals[i] = GlobalObject{Name: fmt.Sprintf("g%d", i), Size: 64, Home: serve.AutoHome}
@@ -678,7 +675,7 @@ func TestRecoveryCountsEachLostGlobalOnce(t *testing.T) {
 			tenants := make([]*Tenant, 3)
 			for i := range nodes {
 				node, err := NewNode(Config{
-					Transport: fabric.Node(parcel.NodeID(fmt.Sprintf("lg%d", i))),
+					Transport: faults.Wrap(fabric.Node(parcel.NodeID(fmt.Sprintf("lg%d", i)))),
 					System:    litlx.Config{Locales: locales, WorkersPerLocale: 1, Seed: uint64(i) + 1},
 					Serve:     serve.Config{Shards: 4},
 					Detect:    DetectConfig{Every: 10 * time.Millisecond, Misses: 2},

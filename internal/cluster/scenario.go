@@ -194,12 +194,11 @@ func (r scriptedRun) play(read func(live []*Node)) (out runOutcome, err error) {
 	r.seed = cmp.Or(r.seed, 1)
 	fabric := parcel.NewFabric()
 	faults := parcel.NewFaults(r.seed)
-	fabric.Inject(faults)
 	nodes := make([]*Node, runNodes)
 	pipes := make([]*Pipeline, runNodes)
 	for i := range nodes {
 		if nodes[i], err = NewNode(Config{
-			Transport: fabric.Node(parcel.NodeID(fmt.Sprintf("kn-n%d", i))),
+			Transport: faults.Wrap(fabric.Node(parcel.NodeID(fmt.Sprintf("kn-n%d", i)))),
 			System:    litlx.Config{Locales: runLocales, WorkersPerLocale: 2, Seed: r.seed + uint64(i)},
 			Serve:     serve.Config{Shards: runLocales, QueueDepth: 4096},
 			Detect:    DetectConfig{Every: 10 * time.Millisecond, Misses: 2},

@@ -3,18 +3,19 @@ package parcel
 import (
 	"fmt"
 	"sync"
-	"time"
+
+	"repro/internal/stats"
 )
 
 // This file is the transport fault injector. A failure-domain scenario
-// (internal/cluster) needs a cluster to lose parcels, suffer delayed
-// delivery, split into partitions, and watch a node die — without the
-// test depending on real sockets breaking on cue. Faults is that knob
-// box: one instance is shared by every transport of a cluster (the
-// Fabric holds it for in-process nodes; a netparcel Transport accepts
-// one via InjectFaults), and every delivery consults it. All random
-// decisions come from one seeded splitmix64 stream under a lock, so a
-// scenario replays the same drops for the same seed.
+// (internal/cluster) needs a cluster to lose parcels, split into
+// partitions, and watch a node die — without the test depending on
+// real sockets breaking on cue. Faults is that knob box: one instance
+// is shared by every node of a cluster, and Wrap puts it in front of
+// each node's transport, in-process or TCP alike, so every Send and
+// Call consults it before the transport sees the parcel. All random
+// decisions come from one seeded stream under a lock, so a scenario
+// replays the same drops for the same seed.
 
 // ErrPartitioned reports a send or call across an injected partition,
 // or to/from a crashed node. Callers see it exactly like an unreachable
@@ -22,76 +23,65 @@ import (
 // indistinguishable from a real one.
 var ErrPartitioned = fmt.Errorf("%w (injected fault)", ErrUnknownPeer)
 
-// Faults injects transport failures deterministically. The zero value
-// injects nothing; methods are safe for concurrent use. A nil *Faults
-// is inert, so transports pay one pointer check when no scenario is
-// attached.
+// Faults injects transport failures deterministically into the
+// transports it wraps. Its methods are safe for concurrent use.
 type Faults struct {
 	mu      sync.Mutex
-	rng     uint64
-	drop    float64       // probability a one-way Send is silently lost
-	delay   time.Duration // max injected delivery delay for Sends
+	rng     *stats.RNG
+	drop    float64 // probability a one-way Send is silently lost
 	cut     map[NodeID]map[NodeID]bool
 	crashed map[NodeID]bool
-
-	// Dropped / Delayed / Blocked count the injector's decisions, for
-	// scenario reports.
-	dropped, delayed, blocked int64
 }
 
-// NewFaults creates an injector whose random decisions (drop, delay
-// jitter) replay deterministically for the seed.
+// NewFaults creates an injector whose drops replay deterministically
+// for the seed.
 func NewFaults(seed uint64) *Faults {
-	if seed == 0 {
-		seed = 1
-	}
 	return &Faults{
-		rng:     seed,
+		rng:     stats.NewRNG(seed),
 		cut:     make(map[NodeID]map[NodeID]bool),
 		crashed: make(map[NodeID]bool),
 	}
 }
 
-// next draws from the seeded splitmix64 stream (callers hold f.mu).
-func (f *Faults) next() uint64 {
-	f.rng += 0x9E3779B97F4A7C15
-	x := f.rng
-	x ^= x >> 30
-	x *= 0xBF58476D1CE4E5B9
-	x ^= x >> 27
-	x *= 0x94D049BB133111EB
-	x ^= x >> 31
-	return x
+// Wrap returns t with the injector in front of it: a Send or Call
+// across a partition, or to or from a crashed node, fails with
+// ErrPartitioned, and a dropped Send returns nil without reaching t.
+// Every other method is t's own.
+func (f *Faults) Wrap(t Transport) Transport { return faulty{t, f} }
+
+type faulty struct {
+	Transport
+	f *Faults
+}
+
+func (t faulty) Send(dest NodeID, method string, body []byte) error {
+	if t.f.blocked(t.Self(), dest) {
+		return fmt.Errorf("%w: %s", ErrPartitioned, dest)
+	}
+	if t.f.dropSend() {
+		return nil // lost on the wire: the sender cannot tell
+	}
+	return t.Transport.Send(dest, method, body)
+}
+
+func (t faulty) Call(dest NodeID, method string, body []byte) ([]byte, error) {
+	if t.f.blocked(t.Self(), dest) {
+		return nil, fmt.Errorf("%w: %s", ErrPartitioned, dest)
+	}
+	return t.Transport.Call(dest, method, body)
 }
 
 // SetDrop sets the probability in [0,1] that a one-way Send is silently
 // lost on the wire. Calls are never dropped — a lost call surfaces as a
 // transport error or timeout, not silence.
 func (f *Faults) SetDrop(p float64) {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	f.drop = p
 	f.mu.Unlock()
 }
 
-// SetDelay sets the maximum injected delivery delay for Sends; each
-// delayed parcel draws a uniform fraction of it from the seeded stream.
-func (f *Faults) SetDelay(d time.Duration) {
-	if f == nil {
-		return
-	}
-	f.mu.Lock()
-	f.delay = d
-	f.mu.Unlock()
-}
-
 // Partition cuts the link between a and b in both directions.
 func (f *Faults) Partition(a, b NodeID) {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	f.cutLocked(a, b)
 	f.cutLocked(b, a)
@@ -109,9 +99,6 @@ func (f *Faults) cutLocked(a, b NodeID) {
 
 // Heal restores the link between a and b.
 func (f *Faults) Heal(a, b NodeID) {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	delete(f.cut[a], b)
 	delete(f.cut[b], a)
@@ -123,9 +110,6 @@ func (f *Faults) Heal(a, b NodeID) {
 // crashed node keeps running as a zombie: exactly the failure mode a
 // recovery layer has to survive.
 func (f *Faults) Crash(id NodeID) {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	f.crashed[id] = true
 	f.mu.Unlock()
@@ -133,83 +117,22 @@ func (f *Faults) Crash(id NodeID) {
 
 // Revive undoes Crash.
 func (f *Faults) Revive(id NodeID) {
-	if f == nil {
-		return
-	}
 	f.mu.Lock()
 	delete(f.crashed, id)
 	f.mu.Unlock()
 }
 
-// Crashed reports whether the node is currently crash-injected.
-func (f *Faults) Crashed(id NodeID) bool {
-	if f == nil {
-		return false
-	}
+// blocked reports whether delivery from one node to another is
+// currently impossible (partition or crash at either end).
+func (f *Faults) blocked(from, to NodeID) bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.crashed[id]
+	return f.crashed[from] || f.crashed[to] || f.cut[from][to]
 }
 
-// Blocked reports whether delivery from one node to another is
-// currently impossible (partition or crash at either end), counting the
-// decision.
-func (f *Faults) Blocked(from, to NodeID) bool {
-	if f == nil {
-		return false
-	}
+// dropSend decides (from the seeded stream) whether one Send is lost.
+func (f *Faults) dropSend() bool {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if f.crashed[from] || f.crashed[to] || f.cut[from][to] {
-		f.blocked++
-		return true
-	}
-	return false
-}
-
-// DropSend decides (from the seeded stream) whether one Send is lost.
-func (f *Faults) DropSend() bool {
-	if f == nil {
-		return false
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.drop <= 0 {
-		return false
-	}
-	if float64(f.next()>>11)/float64(1<<53) < f.drop {
-		f.dropped++
-		return true
-	}
-	return false
-}
-
-// SendDelay draws the injected delivery delay for one Send (0 when
-// delay injection is off).
-func (f *Faults) SendDelay() time.Duration {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if f.delay <= 0 {
-		return 0
-	}
-	f.delayed++
-	return time.Duration(f.next() % uint64(f.delay))
-}
-
-// FaultStats reports the injector's decision counts.
-type FaultStats struct {
-	Dropped, Delayed, Blocked int64
-}
-
-// Stats snapshots the injector's decision counters.
-func (f *Faults) Stats() FaultStats {
-	if f == nil {
-		return FaultStats{}
-	}
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return FaultStats{Dropped: f.dropped, Delayed: f.delayed, Blocked: f.blocked}
+	return f.drop > 0 && f.rng.Float64() < f.drop
 }

@@ -4,19 +4,17 @@ import (
 	"errors"
 	"sync/atomic"
 	"testing"
-	"time"
 )
 
 func TestFaultsPartitionBlocksBothDirections(t *testing.T) {
 	f := NewFabric()
-	a, b := f.Node("fa"), f.Node("fb")
+	fl := NewFaults(1)
+	a, b := fl.Wrap(f.Node("fa")), fl.Wrap(f.Node("fb"))
 	var got atomic.Int64
 	h := func(NodeID, []byte) ([]byte, error) { got.Add(1); return []byte("ok"), nil }
 	a.Handle("m", h)
 	b.Handle("m", h)
 
-	fl := NewFaults(1)
-	f.Inject(fl)
 	fl.Partition("fa", "fb")
 
 	if _, err := a.Call("fb", "m", nil); !errors.Is(err, ErrUnknownPeer) {
@@ -39,13 +37,12 @@ func TestFaultsPartitionBlocksBothDirections(t *testing.T) {
 
 func TestFaultsCrashIsolatesNode(t *testing.T) {
 	f := NewFabric()
-	a, b, c := f.Node("ca"), f.Node("cb"), f.Node("cc")
+	fl := NewFaults(2)
+	a, b, c := fl.Wrap(f.Node("ca")), fl.Wrap(f.Node("cb")), fl.Wrap(f.Node("cc"))
 	h := func(NodeID, []byte) ([]byte, error) { return nil, nil }
-	for _, n := range []*InProc{a, b, c} {
+	for _, n := range []Transport{a, b, c} {
 		n.Handle("m", h)
 	}
-	fl := NewFaults(2)
-	f.Inject(fl)
 	fl.Crash("cb")
 
 	if _, err := a.Call("cb", "m", nil); err == nil {
@@ -58,41 +55,31 @@ func TestFaultsCrashIsolatesNode(t *testing.T) {
 	if _, err := a.Call("cc", "m", nil); err != nil {
 		t.Fatalf("bystander call: %v", err)
 	}
-	if !fl.Crashed("cb") || fl.Crashed("ca") {
-		t.Fatal("Crashed() does not reflect the injected crash")
-	}
 	fl.Revive("cb")
 	if _, err := a.Call("cb", "m", nil); err != nil {
 		t.Fatalf("call after revive: %v", err)
 	}
 }
 
+// TestFaultsDropIsSeededAndSilent counts deliveries at the handler: a
+// fabric Send runs it before returning, so the count is final once the
+// sends are.
 func TestFaultsDropIsSeededAndSilent(t *testing.T) {
+	const sends = 400
 	run := func(seed uint64) (delivered int64) {
 		f := NewFabric()
-		a, b := f.Node("da"), f.Node("db")
-		var n atomic.Int64
-		b.Handle("m", func(NodeID, []byte) ([]byte, error) { n.Add(1); return nil, nil })
 		fl := NewFaults(seed)
+		a := fl.Wrap(f.Node("da"))
+		var n atomic.Int64
+		f.Node("db").Handle("m", func(NodeID, []byte) ([]byte, error) { n.Add(1); return nil, nil })
 		fl.SetDrop(0.5)
-		f.Inject(fl)
-		const sends = 400
 		for i := 0; i < sends; i++ {
 			if err := a.Send("db", "m", nil); err != nil {
 				t.Fatalf("send %d: %v", i, err)
 			}
 		}
-		st := fl.Stats()
-		if st.Dropped == 0 || st.Dropped == sends {
-			t.Fatalf("dropped %d of %d at p=0.5 — injector not probabilistic", st.Dropped, sends)
-		}
-		want := sends - st.Dropped
-		deadline := time.Now().Add(5 * time.Second)
-		for n.Load() != want {
-			if time.Now().After(deadline) {
-				t.Fatalf("delivered %d, want %d (dropped %d)", n.Load(), want, st.Dropped)
-			}
-			time.Sleep(time.Millisecond)
+		if n.Load() == 0 || n.Load() == sends {
+			t.Fatalf("delivered %d of %d at p=0.5 — injector not probabilistic", n.Load(), sends)
 		}
 		return n.Load()
 	}
@@ -102,44 +89,5 @@ func TestFaultsDropIsSeededAndSilent(t *testing.T) {
 	}
 	if b := run(8); b == a1 {
 		t.Logf("different seed happened to deliver the same count (%d) — fine, but rare", b)
-	}
-}
-
-func TestFaultsDelayPostponesDelivery(t *testing.T) {
-	f := NewFabric()
-	a, b := f.Node("ea"), f.Node("eb")
-	done := make(chan time.Time, 1)
-	b.Handle("m", func(NodeID, []byte) ([]byte, error) { done <- time.Now(); return nil, nil })
-	fl := NewFaults(3)
-	fl.SetDelay(40 * time.Millisecond)
-	f.Inject(fl)
-	// Draw sends until one gets a tangible delay (the draw is uniform in
-	// [0, max)); with 5 tries the odds of all being < 5ms are tiny.
-	for i := 0; i < 5; i++ {
-		start := time.Now()
-		if err := a.Send("eb", "m", nil); err != nil {
-			t.Fatal(err)
-		}
-		at := <-done
-		if at.Sub(start) >= 5*time.Millisecond {
-			return
-		}
-	}
-	t.Fatal("no send was measurably delayed under a 40ms injected delay")
-}
-
-func TestNilFaultsAreInert(t *testing.T) {
-	var fl *Faults
-	if fl.Blocked("a", "b") || fl.DropSend() || fl.SendDelay() != 0 || fl.Crashed("a") {
-		t.Fatal("nil *Faults injected something")
-	}
-	fl.SetDrop(1)
-	fl.Crash("a")
-	fl.Partition("a", "b") // must not panic
-	f := NewFabric()
-	a, b := f.Node("na"), f.Node("nb")
-	b.Handle("m", func(NodeID, []byte) ([]byte, error) { return []byte("r"), nil })
-	if _, err := a.Call("nb", "m", nil); err != nil {
-		t.Fatalf("call with no injector: %v", err)
 	}
 }

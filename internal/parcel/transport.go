@@ -6,7 +6,6 @@ import (
 	"maps"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // This file is the node-to-node transport abstraction under the cluster
@@ -42,11 +41,10 @@ var ErrTransportClosed = errors.New("parcel: transport closed")
 // has written, which is why a sender must not touch a body after Send
 // (see Transport). A handler may return bytes it keeps using (a code
 // image, say): no transport reuses a reply's buffer. A handler
-// delivered by Send runs on the sender's goroutine on the fabric (a
-// fault-delayed parcel excepted) and on the connection's read loop on
-// the TCP transport, so it must not block: a handler that might (a Call
-// back to the sender, a lock held across I/O) hands its own work off to
-// another goroutine.
+// delivered by Send runs on the sender's goroutine on the fabric and on
+// the connection's read loop on the TCP transport, so it must not
+// block: a handler that might (a Call back to the sender, a lock held
+// across I/O) hands its own work off to another goroutine.
 type TransportHandler func(from NodeID, body []byte) ([]byte, error)
 
 // TransportStats counts a transport's traffic: real bytes on the wire
@@ -94,12 +92,11 @@ type Transport interface {
 // Fabric connects in-process InProc transports: every node lives in this
 // process, delivery is a function call, and nothing depends on the
 // network or the wall clock — the deterministic twin the cluster
-// scenarios replay on. A Send's handler runs on the sender's goroutine
-// unless an injected delay postpones it, so it must not block.
+// scenarios replay on. A Send's handler runs on the sender's goroutine,
+// so it must not block. Faults.Wrap puts an injector in front of a node.
 type Fabric struct {
-	mu     sync.Mutex                         // serialises Node
-	nodes  atomic.Pointer[map[NodeID]*InProc] // copied on write: a delivery reads it without a lock
-	faults atomic.Pointer[Faults]
+	mu    sync.Mutex                         // serialises Node
+	nodes atomic.Pointer[map[NodeID]*InProc] // copied on write: a delivery reads it without a lock
 }
 
 // NewFabric creates an empty in-process fabric.
@@ -108,14 +105,6 @@ func NewFabric() *Fabric {
 	f.nodes.Store(&map[NodeID]*InProc{})
 	return f
 }
-
-// Inject attaches a fault injector consulted by every delivery on the
-// fabric (nil detaches). Failure scenarios install one before killing
-// nodes; the normal path pays one atomic load.
-func (f *Fabric) Inject(fl *Faults) { f.faults.Store(fl) }
-
-// Faults returns the currently attached injector (nil when none).
-func (f *Fabric) Faults() *Faults { return f.faults.Load() }
 
 // Node creates (or returns) the in-process transport for id.
 func (f *Fabric) Node(id NodeID) *InProc {
@@ -138,8 +127,7 @@ func (f *Fabric) lookup(id NodeID) (*InProc, bool) {
 }
 
 // InProc is one node of a Fabric. Call and Send both run the
-// destination handler on the caller's goroutine; only a Send that an
-// injected delay postpones is delivered on a goroutine of its own.
+// destination handler on the caller's goroutine.
 type InProc struct {
 	fabric   *Fabric
 	id       NodeID
@@ -204,44 +192,21 @@ func (n *InProc) dest(id NodeID) (*InProc, error) {
 
 // Send delivers a one-way parcel by running its handler right here, on
 // the sender's goroutine, the way the TCP transport runs it on the read
-// loop (handler errors are dropped, as on a real wire). Injected faults
-// apply: a partition or crash fails the send, a drop loses it silently
-// after it "left", and a delay postpones delivery to a goroutine of its
-// own, which drops the parcel if a partition rises meanwhile.
+// loop (handler errors are dropped, as on a real wire).
 func (n *InProc) Send(dest NodeID, method string, body []byte) error {
 	d, err := n.dest(dest)
 	if err != nil {
 		return err
-	}
-	fl := n.fabric.Faults()
-	if fl.Blocked(n.id, dest) {
-		return fmt.Errorf("%w: %s", ErrPartitioned, dest)
-	}
-	if fl.DropSend() {
-		return nil // lost on the wire: the sender cannot tell
-	}
-	if delay := fl.SendDelay(); delay > 0 {
-		go func() {
-			time.Sleep(delay)
-			if !fl.Blocked(n.id, dest) { // else partitioned mid-flight: the parcel dies on the wire
-				_, _ = n.deliver(d, method, body)
-			}
-		}()
-		return nil
 	}
 	_, _ = n.deliver(d, method, body)
 	return nil
 }
 
 // Call runs the destination handler synchronously and returns its reply.
-// A partition or crash between the endpoints fails the call.
 func (n *InProc) Call(dest NodeID, method string, body []byte) ([]byte, error) {
 	d, err := n.dest(dest)
 	if err != nil {
 		return nil, err
-	}
-	if n.fabric.Faults().Blocked(n.id, dest) {
-		return nil, fmt.Errorf("%w: %s", ErrPartitioned, dest)
 	}
 	n.calls.Add(1)
 	reply, err := n.deliver(d, method, body)

@@ -133,57 +133,6 @@ func TestFabricSendDeliversInline(t *testing.T) {
 			t.Fatalf("handler ran on goroutine %q, want the sender's %q, before Send returned", ran, me)
 		}
 	})
-	// delayed wires a -> b under an injector whose first Send draws a
-	// tangible delay, and returns that delay: the draw replays for the
-	// seed, so a twin injector reads it ahead.
-	delayed := func(t *testing.T) (*Faults, *InProc, chan struct{}, time.Duration) {
-		t.Helper()
-		const seed = 5
-		twin := NewFaults(seed)
-		twin.SetDelay(time.Second)
-		d := twin.SendDelay()
-		if d < 50*time.Millisecond {
-			t.Fatalf("seed %d draws a %v delay; the test needs at least 50ms", seed, d)
-		}
-		f := NewFabric()
-		fl := NewFaults(seed)
-		fl.SetDelay(time.Second)
-		f.Inject(fl)
-		ran := make(chan struct{}, 1)
-		f.Node("b").Handle("m", func(NodeID, []byte) ([]byte, error) { ran <- struct{}{}; return nil, nil })
-		return fl, f.Node("a"), ran, d
-	}
-	t.Run("delay", func(t *testing.T) {
-		_, a, ran, _ := delayed(t)
-		if err := a.Send("b", "m", nil); err != nil {
-			t.Fatal(err)
-		}
-		select {
-		case <-ran:
-			t.Fatal("a delayed parcel was delivered before Send returned")
-		default:
-		}
-		select {
-		case <-ran:
-		case <-time.After(5 * time.Second):
-			t.Fatal("the delayed parcel never arrived")
-		}
-	})
-	t.Run("partition-mid-flight", func(t *testing.T) {
-		fl, a, ran, d := delayed(t)
-		if err := a.Send("b", "m", nil); err != nil {
-			t.Fatal(err)
-		}
-		fl.Partition("a", "b")
-		select {
-		case <-ran:
-			t.Fatal("a parcel partitioned during its delay was delivered")
-		case <-time.After(d + 100*time.Millisecond):
-		}
-		if fl.Stats().Blocked != 1 {
-			t.Fatalf("Blocked = %d, want the mid-flight check counted once", fl.Stats().Blocked)
-		}
-	})
 }
 
 // TestFabricHandlerSendsBack bounces one parcel between two nodes, each

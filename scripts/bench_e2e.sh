@@ -25,16 +25,37 @@
 # the verdict, and the pair wins. A pair is the two trees' runs at one
 # seed; a pair counts as a win for the side whose value is better in
 # the direction BENCHMARK.json gives the metric, and a tie for neither.
+#
+# Usage: scripts/bench_e2e.sh --aa COMMIT
+#
+# measures the noise of one pair instead: it extracts COMMIT twice
+# (git archive, into a temporary directory), runs the two copies as a
+# pair the same way, and appends one record with aa: true. Its
+# workloads are the first copy's, twin holds the second copy's, and
+# aa_band gives per workload each end-to-end metric's A/A band: the
+# largest |ratio - 1| over the pairs, where a pair's ratio is the
+# second copy's value over the first's at one seed. A change's ratio
+# inside its metric's band is indistinguishable from no change.
 set -euo pipefail
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 seeds=5
 seconds="$(jq -e .run_seconds "$here/BENCHMARK.json")"
-[ $# -gt 0 ] || set -- "$here"
-trees=()
-for t in "$@"; do trees+=("$(cd "$t" && pwd)"); done
 out="$here/BENCH_e2e.json"
 runs="$(mktemp -d)"
 trap 'rm -rf "$runs"' EXIT
+aa=""
+if [ "${1:-}" = --aa ]; then
+  [ $# -eq 2 ] || { echo "usage: $0 --aa COMMIT" >&2; exit 2; }
+  aa="$(git -C "$here" rev-parse --short=7 "$2^{commit}")"
+  for k in 0 1; do
+    mkdir "$runs/tree$k"
+    git -C "$here" archive "$aa" | tar -x -C "$runs/tree$k"
+  done
+  set -- "$runs/tree0" "$runs/tree1"
+fi
+[ $# -gt 0 ] || set -- "$here"
+trees=()
+for t in "$@"; do trees+=("$(cd "$t" && pwd)"); done
 
 for w in $(jq -r ".workloads[].name" "$here/BENCHMARK.json"); do
   for ((s = 1; s <= seeds; s++)); do
@@ -51,7 +72,8 @@ done
 cpu="$(awk -F': ' '/^model name/ {print $2; exit}' /proc/cpuinfo)"
 records=()
 for k in "${!trees[@]}"; do
-  records+=("$(jq -s --arg commit "$(git -C "${trees[k]}" describe --always --dirty --abbrev=7)" \
+  commit="${aa:-$(git -C "${trees[k]}" describe --always --dirty --abbrev=7)}"
+  records+=("$(jq -s --arg commit "$commit" \
     --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" --arg cpu "$cpu" \
     --argjson seeds "$seeds" --argjson seconds "$seconds" '
     def median: sort | if length % 2 == 1 then .[length / 2 | floor]
@@ -70,7 +92,14 @@ for k in "${!trees[@]}"; do
      })}) | from_entries)}' "$runs/$k.jsonl")")
 done
 
-if ((${#trees[@]} == 2)); then
+if [ -n "$aa" ]; then
+  records=("$(jq -n --argjson a "${records[0]}" --argjson b "${records[1]}" --slurpfile spec "$here/BENCHMARK.json" '
+    ($spec[0].end_to_end | map(.name)) as $metrics
+    | $a + {aa: true, twin: $b.workloads, aa_band: ($a.workloads | keys | map(. as $w | {key: $w,
+        value: ($metrics | map(. as $m | {key: $m, value: ([$a.workloads[$w].per_seed[$m], $b.workloads[$w].per_seed[$m]]
+          | transpose | map(if .[0] == 0 then 0 else (.[1] / .[0] - 1 | fabs) end) | max)}) | from_entries)})
+      | from_entries)}')")
+elif ((${#trees[@]} == 2)); then
   # -compare exits 1 when a verdict reads worse; its table is kept
   # either way, and an empty table (a failed build or read) stops here.
   table="$(cd "$here" && bash bench/run.sh -compare "$runs/0.jsonl" "$runs/1.jsonl" || true)"
