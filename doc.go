@@ -44,8 +44,10 @@
 // and locale they happened on and merge (trace.Merge's deterministic
 // total order) into span trees; a bounded flight recorder that retains
 // shed and failed flows, each carrying the adaptivity decision that
-// killed it; the controllers' shared adapt-decision timeline
-// (Server.TraceDump); and Server.Snapshot metrics export — per-shard
+// killed it; the adapt timeline, which renders the one bounded
+// decision log every controller records into (Server.TraceDump;
+// Server.CompileDecisions filters the same log to the continuous
+// compiler's records); and Server.Snapshot metrics export — per-shard
 // queue-depth/batch-size histograms and per-tenant counters, whose sums
 // are the Stats totals, and wait/latency EWMAs — served by htserved's
 // /debug/serve/ HTTP endpoints.

@@ -3,8 +3,6 @@ package c64
 import (
 	"container/heap"
 	"fmt"
-
-	"repro/internal/trace"
 )
 
 // Proc is the body of a simulated thread. It runs on a simulated thread
@@ -33,7 +31,6 @@ type Machine struct {
 
 	live    int // tasklets spawned but not finished
 	nextTID int64
-	tracer  *trace.Tracer
 	metrics Metrics
 	running bool
 }
@@ -93,9 +90,6 @@ func New(cfg Config) *Machine {
 // Config returns the validated machine configuration.
 func (m *Machine) Config() Config { return m.cfg }
 
-// SetTracer attaches an event tracer (may be nil to disable tracing).
-func (m *Machine) SetTracer(t *trace.Tracer) { m.tracer = t }
-
 // Now returns the current virtual time in cycles.
 func (m *Machine) Now() int64 { return m.now }
 
@@ -117,7 +111,6 @@ func (m *Machine) SpawnAfter(nodeID int, delay int64, f Proc) *TU {
 	tu := &TU{m: m, node: nodeID, id: m.nextTID, unit: -1, resume: make(chan struct{})}
 	m.live++
 	m.metrics.Spawns++
-	m.tracer.Emit(nodeID, trace.Event{Time: m.now, Kind: trace.KindThreadSpawn, Locale: nodeID, Arg: tu.id})
 	m.schedule(m.now+delay, func() { m.enqueue(tu, f) })
 	return tu
 }
@@ -142,7 +135,6 @@ func (m *Machine) enqueue(tu *TU, f Proc) {
 func (m *Machine) start(tu *TU, unit int) {
 	tu.unit = unit
 	tu.startTime = m.now
-	m.tracer.Emit(tu.node, trace.Event{Time: m.now, Kind: trace.KindThreadStart, Locale: tu.node, Arg: tu.id})
 	go func() {
 		defer func() {
 			// Capture panics and re-raise them from the engine (i.e. on
@@ -177,7 +169,6 @@ func (m *Machine) waitYield(tu *TU) {
 	}
 	m.live--
 	m.metrics.Completed++
-	m.tracer.Emit(tu.node, trace.Event{Time: m.now, Kind: trace.KindThreadEnd, Locale: tu.node, Arg: tu.id})
 	tu.finish(m)
 	n := m.nodes[tu.node]
 	if len(n.runq) > 0 {

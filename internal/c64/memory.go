@@ -1,7 +1,5 @@
 package c64
 
-import "repro/internal/trace"
-
 // Region identifies a level of the simulated memory hierarchy.
 type Region uint8
 
@@ -83,7 +81,6 @@ func (tu *TU) Load(a Addr, size int) {
 	m := tu.m
 	m.metrics.Loads++
 	lat := m.accessLat(tu.node, a, size)
-	m.tracer.Emit(tu.node, trace.Event{Time: m.now, Kind: trace.KindMemAccess, Locale: tu.node, Arg: a.Line})
 	tu.Stall(lat)
 }
 

@@ -1,7 +1,5 @@
 package c64
 
-import "repro/internal/trace"
-
 // TU is the execution context handed to a tasklet: a simulated thread
 // running on one hardware thread unit. All its blocking primitives
 // advance virtual time; plain Go computation between calls is free (this
@@ -95,11 +93,4 @@ func (tu *TU) finish(m *Machine) {
 		m.schedule(m.now, func() { m.resume(jj) })
 	}
 	tu.joiners = nil
-}
-
-// Trace emits a user trace event attributed to this tasklet's node.
-func (tu *TU) Trace(kind trace.Kind, arg int64, label string) {
-	tu.m.tracer.Emit(tu.node, trace.Event{
-		Time: tu.m.now, Kind: kind, Locale: tu.node, Arg: arg, Label: label,
-	})
 }

@@ -136,9 +136,8 @@ type Transport struct {
 	// free holds written Send bodies for the read loops to reuse.
 	free bodyList
 
-	bytesSent, bytesRecv     atomic.Int64
-	parcelsSent, parcelsRecv atomic.Int64
-	calls                    atomic.Int64
+	bytesSent, bytesRecv atomic.Int64
+	parcelsSent          atomic.Int64
 }
 
 // peer is one remote node: the connection sends to it go out on and its
@@ -317,14 +316,12 @@ func (t *Transport) readLoop(w *wconn, from parcel.NodeID) {
 				pc.(pendingCall).ch <- f
 			}
 		case kindSend:
-			t.parcelsRecv.Add(1)
 			if h, ok := t.handler(f.Text); ok {
 				t.inline.Add(1)
 				_, _ = h(from, f.Body)
 				t.inline.Add(-1)
 			}
 		case kindCall:
-			t.parcelsRecv.Add(1)
 			h, ok := t.handler(f.Text)
 			t.dispatch(func() {
 				rep := frame{Kind: kindReply, Seq: f.Seq}
@@ -418,7 +415,6 @@ func (t *Transport) Call(dest parcel.NodeID, method string, body []byte) ([]byte
 	ch := make(chan frame, 1)
 	t.pending.Store(seq, pendingCall{w: w, ch: ch})
 	t.parcelsSent.Add(1)
-	t.calls.Add(1)
 	if err := w.send(frame{Kind: kindCall, Seq: seq, Text: method, Body: body}); err != nil {
 		t.pending.Delete(seq)
 		return nil, err
@@ -449,8 +445,6 @@ func (t *Transport) Stats() parcel.TransportStats {
 		BytesSent:   t.bytesSent.Load(),
 		BytesRecv:   t.bytesRecv.Load(),
 		ParcelsSent: t.parcelsSent.Load(),
-		ParcelsRecv: t.parcelsRecv.Load(),
-		Calls:       t.calls.Load(),
 	}
 }
 

@@ -19,10 +19,7 @@
 // target architectures support in hardware.
 package core
 
-import (
-	"repro/internal/monitor"
-	"repro/internal/trace"
-)
+import "repro/internal/monitor"
 
 // StealPolicy controls how far an idle worker may look for work.
 type StealPolicy int
@@ -67,8 +64,6 @@ type Config struct {
 	Steal StealPolicy
 	// Monitor receives runtime counters (may be nil for a private one).
 	Monitor *monitor.Monitor
-	// Tracer receives scheduling events (may be nil).
-	Tracer *trace.Tracer
 	// Seed makes victim selection deterministic across runs.
 	Seed uint64
 }

@@ -9,17 +9,15 @@ import (
 	"repro/internal/mem"
 	"repro/internal/monitor"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Runtime is the HTVM runtime system: the worker pool that executes the
-// SGT/TGT levels, plus the shared services (frame arena, monitor,
-// tracer) every thread level uses. Create one with NewRuntime, submit
-// work, then Wait and Shutdown.
+// SGT/TGT levels, plus the shared services (frame arena, monitor)
+// every thread level uses. Create one with NewRuntime, submit work, then
+// Wait and Shutdown.
 type Runtime struct {
 	cfg     Config
 	mon     *monitor.Monitor
-	tracer  *trace.Tracer
 	arena   *mem.FrameArena
 	workers []*worker
 
@@ -73,7 +71,6 @@ func NewRuntime(cfg Config) *Runtime {
 	rt := &Runtime{
 		cfg:      cfg,
 		mon:      cfg.Monitor,
-		tracer:   cfg.Tracer,
 		arena:    mem.NewFrameArena(),
 		sgtSpawn: cfg.Monitor.Counter("core.sgt.spawn"),
 		sgtDone:  cfg.Monitor.Counter("core.sgt.done"),

@@ -3,7 +3,6 @@ package core
 import (
 	"repro/internal/mem"
 	"repro/internal/syncx"
-	"repro/internal/trace"
 )
 
 // LGT is a large-grain thread: a dedicated goroutine with its own
@@ -36,7 +35,6 @@ func (rt *Runtime) SpawnLGT(locale int, fn func(*LGT)) *LGT {
 	}
 	rt.taskStarted()
 	rt.mon.Counter("core.lgt.spawn").Inc()
-	rt.tracer.Emit(locale, trace.Event{Kind: trace.KindThreadSpawn, Locale: locale, Arg: -id})
 	go func() {
 		defer func() {
 			if r := recover(); r != nil {

@@ -4,7 +4,6 @@ import (
 	"sync"
 
 	"repro/internal/syncx"
-	"repro/internal/trace"
 )
 
 // SGT is a small-grain thread: a frame-carrying task scheduled by the
@@ -72,7 +71,6 @@ func (rt *Runtime) GoAt(locale, frameSize int, fn func(*SGT)) *SGT {
 	s.scheduled = true
 	rt.taskStarted()
 	rt.sgtSpawn.Inc()
-	rt.tracer.Emit(locale, trace.Event{Kind: trace.KindThreadSpawn, Locale: locale, Arg: s.id})
 	rt.submit(s, nil)
 	return s
 }
@@ -106,7 +104,6 @@ func (rt *Runtime) GoAtDetached(locale, frameSize int, fn func(*SGT, any), arg a
 	}
 	rt.taskStarted()
 	rt.sgtSpawn.Inc()
-	rt.tracer.Emit(locale, trace.Event{Kind: trace.KindThreadSpawn, Locale: locale, Arg: s.id})
 	rt.submit(s, nil)
 }
 
@@ -124,7 +121,6 @@ func (s *SGT) SpawnAt(locale, frameSize int, fn func(*SGT)) *SGT {
 	child.scheduled = true
 	rt.taskStarted()
 	rt.sgtSpawn.Inc()
-	rt.tracer.Emit(locale, trace.Event{Kind: trace.KindThreadSpawn, Locale: locale, Arg: child.id})
 	rt.submit(child, s.curWorker())
 	return child
 }
@@ -179,7 +175,6 @@ func (s *SGT) execute(w *worker) {
 	s.mu.Unlock()
 
 	if runMain {
-		s.rt.tracer.Emit(w.id, trace.Event{Kind: trace.KindThreadStart, Locale: w.locale, Arg: s.id})
 		if s.main != nil {
 			s.runGuarded(func() { s.main(s) })
 		} else if s.mainA != nil {
@@ -248,7 +243,6 @@ func (s *SGT) finish() {
 		s.frame = nil
 	}
 	rt.sgtDone.Inc()
-	rt.tracer.Emit(s.locale, trace.Event{Kind: trace.KindThreadEnd, Locale: s.locale, Arg: s.id})
 	if s.done != nil {
 		s.done.Put(struct{}{})
 	}
@@ -297,7 +291,6 @@ func (s *SGT) enqueueFiber(f *Fiber) {
 	}
 	w := s.worker
 	s.mu.Unlock()
-	s.rt.tracer.Emit(s.locale, trace.Event{Kind: trace.KindSyncFire, Locale: s.locale, Arg: f.sgt.id})
 	if resubmit {
 		s.rt.submit(s, w)
 	}

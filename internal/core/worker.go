@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // worker is one scheduling thread of the SGT level: it owns a deque
@@ -156,13 +155,7 @@ func (w *worker) stealScan(vs []*worker) *SGT {
 			} else {
 				w.rt.stealRemote.Inc()
 				w.rt.migrations.Inc()
-				w.rt.tracer.Emit(w.id, trace.Event{
-					Kind: trace.KindMigration, Locale: w.locale, Arg: s.id,
-				})
 			}
-			w.rt.tracer.Emit(w.id, trace.Event{
-				Kind: trace.KindSteal, Locale: w.locale, Arg: s.id,
-			})
 			return s
 		}
 	}

@@ -10,12 +10,12 @@
 //   - futures with localized request buffering -> internal/future;
 //   - percolation of code/data ahead of computation -> internal/percolate
 //     (simulator-backed);
-//   - dataflow synchronization and atomic memory blocks -> syncx
-//     (System.Atomics, core fibers).
+//   - dataflow synchronization and atomic memory blocks -> core fibers
+//     and syncx.AtomicTable.
 //
 // System wires these together with the knowledge database, monitor,
-// continuous compiler and the four adaptivity controllers, so an
-// application touches one object.
+// continuous compiler and the loop, load and locality controllers, so
+// an application touches one object.
 package litlx
 
 import (
@@ -28,7 +28,6 @@ import (
 	"repro/internal/monitor"
 	"repro/internal/parcel"
 	"repro/internal/sched"
-	"repro/internal/syncx"
 )
 
 // Config configures a LITL-X system.
@@ -45,18 +44,16 @@ type Config struct {
 
 // System is a running LITL-X instance.
 type System struct {
-	RT      *core.Runtime
-	Net     *parcel.Net
-	Space   *mem.Space
-	Atomics *syncx.AtomicTable
-	DB      *hints.DB
-	Mon     *monitor.Monitor
-	Comp    *compiler.Compiler
+	RT    *core.Runtime
+	Net   *parcel.Net
+	Space *mem.Space
+	DB    *hints.DB
+	Mon   *monitor.Monitor
+	Comp  *compiler.Compiler
 
 	Loops    *adapt.LoopController
 	Load     *adapt.LoadController
 	Locality *adapt.LocalityManager
-	Latency  *adapt.LatencyController
 }
 
 // New boots a system. Close it with Close.
@@ -85,14 +82,12 @@ func New(cfg Config) (*System, error) {
 		RT:       rt,
 		Net:      parcel.NewNet(rt),
 		Space:    space,
-		Atomics:  syncx.NewAtomicTable(256),
 		DB:       db,
 		Mon:      mon,
 		Comp:     compiler.New(db, loopir.DefaultResources(), mon),
 		Loops:    adapt.NewLoopController(db),
 		Load:     adapt.NewLoadController(),
 		Locality: adapt.NewLocalityManager(space),
-		Latency:  adapt.NewLatencyController(mon),
 	}
 	return s, nil
 }

@@ -49,11 +49,10 @@ type TransportHandler func(from NodeID, body []byte) ([]byte, error)
 
 // TransportStats counts a transport's traffic: real bytes on the wire
 // (frame headers included for the TCP transport, body bytes for the
-// in-process fabric) and parcel volume.
+// in-process fabric) and the parcels it sent.
 type TransportStats struct {
-	BytesSent, BytesRecv     int64
-	ParcelsSent, ParcelsRecv int64
-	Calls                    int64
+	BytesSent, BytesRecv int64
+	ParcelsSent          int64
 }
 
 // Transport carries parcels between cluster nodes.
@@ -135,9 +134,8 @@ type InProc struct {
 	handlers atomic.Pointer[map[string]TransportHandler] // copied on write, like Fabric.nodes
 	closed   atomic.Bool
 
-	bytesSent, bytesRecv     atomic.Int64
-	parcelsSent, parcelsRecv atomic.Int64
-	calls                    atomic.Int64
+	bytesSent, bytesRecv atomic.Int64
+	parcelsSent          atomic.Int64
 }
 
 // Self returns the node's id.
@@ -170,7 +168,6 @@ func (n *InProc) handler(method string) (TransportHandler, error) {
 func (n *InProc) deliver(dest *InProc, method string, body []byte) ([]byte, error) {
 	n.parcelsSent.Add(1)
 	n.bytesSent.Add(int64(len(body)))
-	dest.parcelsRecv.Add(1)
 	dest.bytesRecv.Add(int64(len(body)))
 	h, err := dest.handler(method)
 	if err != nil {
@@ -208,7 +205,6 @@ func (n *InProc) Call(dest NodeID, method string, body []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	n.calls.Add(1)
 	reply, err := n.deliver(d, method, body)
 	if err != nil {
 		return nil, err
@@ -244,8 +240,6 @@ func (n *InProc) Stats() TransportStats {
 		BytesSent:   n.bytesSent.Load(),
 		BytesRecv:   n.bytesRecv.Load(),
 		ParcelsSent: n.parcelsSent.Load(),
-		ParcelsRecv: n.parcelsRecv.Load(),
-		Calls:       n.calls.Load(),
 	}
 }
 

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -9,6 +10,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/mem"
 	"repro/internal/monitor"
+	"repro/internal/serve/contc"
 )
 
 // AdaptConfig switches on the serve layer's closed adaptivity loop —
@@ -148,15 +150,72 @@ func (s *Server) controlLoop() {
 	}
 }
 
-// decide records one control-plane decision on the adapt timeline (see
-// observe.go) — the only caller of observer.adapt, for the loop's
-// controllers and the per-shard batch tuners alike. producer is the
-// deciding shard's id, or len(shards) for the loop. The label is
-// formatted only when an observer is listening.
+// decide records one control-plane decision in the decision log, for
+// the loop's controllers and the per-shard batch tuners alike (the
+// compile controller's record appends its own, carrying the
+// contc.Decision). producer is the deciding shard's id, or len(shards)
+// for the loop.
 func (s *Server) decide(producer int, locale mem.Locale, format string, args ...any) {
-	if s.obs != nil {
-		s.obs.adapt(producer, locale, fmt.Sprintf(format, args...))
+	s.decisions.add(decision{producer: producer, locale: locale, label: fmt.Sprintf(format, args...)})
+}
+
+// decisionLogSize bounds the decision log: it keeps the most recent
+// decisions and overwrites the oldest.
+const decisionLogSize = 4096
+
+// decision is one record of the decision log. A compile controller's
+// record also carries its contc.Decision, which CompileDecisions reads.
+type decision struct {
+	seq      int64 // append order, from 1
+	at       clock.Nanos
+	producer int
+	locale   mem.Locale
+	label    string
+	compile  *contc.Decision
+}
+
+// decisionLog is the control plane's one record of what it decided,
+// present whenever a controller is installed. TraceDump renders it as
+// the adapt timeline, CompileDecisions filters its compile records, and
+// the observe snapshot counts its appends and overwrites.
+type decisionLog struct {
+	mu  sync.Mutex
+	n   int64      // records ever appended
+	buf []decision // record k sits at (k-1) % decisionLogSize
+}
+
+func (l *decisionLog) add(d decision) {
+	l.mu.Lock()
+	l.n++
+	d.seq, d.at = l.n, clock.Now()
+	if len(l.buf) < decisionLogSize {
+		l.buf = append(l.buf, d)
+	} else {
+		l.buf[(l.n-1)%decisionLogSize] = d
 	}
+	l.mu.Unlock()
+}
+
+// records returns the retained records, oldest first (nil for a nil log).
+func (l *decisionLog) records() []decision {
+	if l == nil {
+		return nil
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	// Before the ring fills, oldest = len(buf) and buf[oldest:] is empty.
+	oldest := int(l.n % decisionLogSize)
+	return append(append([]decision(nil), l.buf[oldest:]...), l.buf[:oldest]...)
+}
+
+// appended returns how many records were ever added (0 for a nil log).
+func (l *decisionLog) appended() int64 {
+	if l == nil {
+		return 0
+	}
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.n
 }
 
 // batchController retunes one shard's drain bound. Each batch SGT reads
@@ -165,7 +224,7 @@ func (s *Server) decide(producer int, locale mem.Locale, format string, args ...
 // All state is monitor-backed, so Snapshot exposes the same signals the
 // controller acts on.
 type batchController struct {
-	srv      *Server // retunes land on the adapt timeline through srv.decide
+	srv      *Server // retunes land in the decision log through srv.decide
 	sh       *shard
 	max      int
 	budgetUS float64

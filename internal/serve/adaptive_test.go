@@ -1,8 +1,10 @@
 package serve
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -10,6 +12,7 @@ import (
 	"repro/internal/clock"
 	"repro/internal/litlx"
 	"repro/internal/monitor"
+	"repro/internal/serve/contc"
 )
 
 func newTestBatchController(max, start int, budget time.Duration) *batchController {
@@ -17,7 +20,7 @@ func newTestBatchController(max, start int, budget time.Duration) *batchControll
 		Batch: start,
 		Adapt: AdaptConfig{Enabled: true, BatchMax: max, LatencyBudget: budget},
 	}.withDefaults()
-	srv := &Server{cfg: cfg, sys: &litlx.System{Mon: monitor.New()}}
+	srv := &Server{cfg: cfg, sys: &litlx.System{Mon: monitor.New()}, decisions: &decisionLog{}}
 	return newBatchController(srv, &shard{}, srv.sys.Mon.Counter("grow"), srv.sys.Mon.Counter("shrink"))
 }
 
@@ -64,7 +67,7 @@ func TestBatchControllerShrinksOnLatencyBreach(t *testing.T) {
 func TestOverloadControllerLevelDynamics(t *testing.T) {
 	// An alpha-1 estimator reports exactly the last wait observed, so each
 	// pass sees the wait the test dictates.
-	srv := &Server{waitUS: monitor.NewEWMA(1)}
+	srv := &Server{waitUS: monitor.NewEWMA(1), decisions: &decisionLog{}}
 	o := &overloadController{srv: srv, budgetUS: 1000} // 1ms budget
 	pass := func(waitUS float64) {
 		srv.waitUS.Observe(waitUS)
@@ -639,5 +642,223 @@ func TestStatsSnapshotOneReaderPerCounter(t *testing.T) {
 				t.Errorf("%s is published but backed by no registry instrument", path)
 			}
 		}
+	}
+}
+
+// decisionServer is a compile-enabled server (its loop never fires on
+// its own) with Observe on or off, and a tenant whose key 42 the tests
+// make hot.
+func decisionServer(t *testing.T, observe bool) (*Server, *Tenant) {
+	t.Helper()
+	cfg := Config{Shards: 2, Compile: testCompileConfig()}
+	if observe {
+		cfg.Observe = ObserveConfig{RingSize: 8}
+	}
+	sys := newTestSystem(t)
+	t.Cleanup(sys.Close)
+	s := New(sys, cfg)
+	t.Cleanup(s.Close)
+	tn, err := s.RegisterTenant(TenantConfig{
+		Name:       "dt",
+		Handler:    func(_ *Ctx, req Request) (any, error) { return nil, nil },
+		Specialize: func(uint64) Handler { return func(_ *Ctx, req Request) (any, error) { return nil, nil } },
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s, tn
+}
+
+// promoteAndDemote drives key 42 through a compile promotion and its
+// demotion, with a batch-tuner decision before, between and after.
+func promoteAndDemote(t *testing.T, s *Server, tn *Tenant) {
+	t.Helper()
+	s.decide(0, 0, "batch grow 1 -> 2 (test)")
+	for i := 0; i < 40; i++ {
+		tk, err := tn.Submit(Request{Key: 42})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tk.Wait()
+	}
+	s.comp.once(time.Now())
+	s.decide(1, 1, "batch shrink 2 -> 1 (test)")
+	for i := 0; i < 20 && s.AdaptStats().HotDemotions == 0; i++ {
+		s.comp.once(time.Now())
+	}
+	s.decide(0, 0, "batch grow 1 -> 2 (test)")
+}
+
+// TestDecisionLogCompileView pins CompileDecisions as the decision log
+// filtered to its compile records, and the adapt timeline as the whole
+// log, each compile record labelled "contc <decision>".
+func TestDecisionLogCompileView(t *testing.T) {
+	s, tn := decisionServer(t, true)
+	promoteAndDemote(t, s, tn)
+	var want []contc.Decision
+	var labels []string
+	for _, r := range s.decisions.records() {
+		labels = append(labels, r.label)
+		if r.compile != nil {
+			d := *r.compile
+			d.Seq, d.At = r.seq, r.at.Time()
+			want = append(want, d)
+		}
+	}
+	got := s.CompileDecisions()
+	if len(got) < 2 || !reflect.DeepEqual(got, want) {
+		t.Fatalf("CompileDecisions = %+v, want the log's compile records %+v", got, want)
+	}
+	if got[0].Kind != contc.KindPromote || got[len(got)-1].Kind != contc.KindDemote {
+		t.Fatalf("compile decisions %+v, want a promotion first and a demotion last", got)
+	}
+	adapt := s.TraceDump().Adapt
+	if len(adapt) != len(labels) || len(adapt) != len(got)+3 {
+		t.Fatalf("timeline holds %d events, want the log's %d (%d compile + 3 batch)", len(adapt), len(labels), len(got))
+	}
+	next := 0 // index of the next compile decision to meet on the timeline
+	for i, e := range adapt {
+		if e.Kind != "adapt" || e.Label != labels[i] || (i > 0 && e.AtNS < adapt[i-1].AtNS) {
+			t.Fatalf("timeline event %d = %+v, want kind adapt, label %q, in time order", i, e, labels[i])
+		}
+		if next < len(got) && e.Label == "contc "+got[next].String() {
+			next++
+		}
+	}
+	if next != len(got) {
+		t.Fatalf("timeline carries %d of %d compile decisions in order: %+v", next, len(got), adapt)
+	}
+	if ob := s.Snapshot().Observe; ob.AdaptEvents != int64(len(labels)) || ob.DroppedEvents != 0 {
+		t.Fatalf("observe snapshot = %+v, want %d adapt events and none dropped", ob, len(labels))
+	}
+}
+
+// TestDecisionLogWithoutObserve: the log does not depend on Observe.
+// CompileDecisions still reads it; the trace export stays empty.
+func TestDecisionLogWithoutObserve(t *testing.T) {
+	s, tn := decisionServer(t, false)
+	promoteAndDemote(t, s, tn)
+	if got := s.CompileDecisions(); len(got) < 2 || got[0].Kind != contc.KindPromote {
+		t.Fatalf("CompileDecisions with Observe off = %+v, want the promotion and demotion", got)
+	}
+	if d := s.TraceDump(); len(d.Adapt) != 0 || len(d.Flows) != 0 {
+		t.Fatalf("TraceDump with Observe off = %+v, want empty", d)
+	}
+	if ob := s.Snapshot().Observe; ob != (ObserveSnapshot{}) {
+		t.Fatalf("observe snapshot with Observe off = %+v, want zero", ob)
+	}
+}
+
+// TestDecisionLogBounded: after N+k decisions the log holds the last N,
+// the observe snapshot counts N+k appended and k overwritten, and a
+// compile record ages out of CompileDecisions like any other.
+func TestDecisionLogBounded(t *testing.T) {
+	s, _ := decisionServer(t, true)
+	const k = 5
+	s.comp.record(contc.Decision{Kind: contc.KindPromote, Tenant: "dt", Key: 7, Reason: "test"})
+	if got := s.CompileDecisions(); len(got) != 1 || got[0].Seq != 1 || got[0].Key != 7 {
+		t.Fatalf("CompileDecisions = %+v, want the one promotion at seq 1", got)
+	}
+	for i := 1; i < decisionLogSize+k; i++ {
+		s.decide(i%2, 0, "d%d", i)
+	}
+	recs := s.decisions.records()
+	if len(recs) != decisionLogSize {
+		t.Fatalf("log holds %d records, want %d", len(recs), decisionLogSize)
+	}
+	for i, r := range recs {
+		if want := fmt.Sprintf("d%d", k+i); r.label != want || r.seq != int64(k+i+1) {
+			t.Fatalf("record %d = seq %d %q, want seq %d %q", i, r.seq, r.label, k+i+1, want)
+		}
+	}
+	if got := s.CompileDecisions(); got != nil {
+		t.Fatalf("CompileDecisions = %+v, want the overwritten promotion gone", got)
+	}
+	if n := len(s.TraceDump().Adapt); n != decisionLogSize {
+		t.Fatalf("timeline holds %d events, want %d", n, decisionLogSize)
+	}
+	if ob := s.Snapshot().Observe; ob.AdaptEvents != decisionLogSize+k || ob.DroppedEvents != k {
+		t.Fatalf("observe snapshot = %+v, want %d adapt events, %d dropped", ob, decisionLogSize+k, k)
+	}
+}
+
+// TestDecisionLogCountsDropped pins the cap's edge: a log filled to
+// exactly its size drops nothing, and each append past it overwrites
+// one record and counts one drop while the log stays at its size.
+func TestDecisionLogCountsDropped(t *testing.T) {
+	s, _ := decisionServer(t, true)
+	for i := 0; i < decisionLogSize; i++ {
+		s.decide(0, 0, "d%d", i)
+	}
+	if ob := s.Snapshot().Observe; ob.AdaptEvents != decisionLogSize || ob.DroppedEvents != 0 {
+		t.Fatalf("full log: observe snapshot = %+v, want %d adapt events, none dropped", ob, decisionLogSize)
+	}
+	for k := 1; k <= 3; k++ {
+		s.decide(0, 0, "over%d", k)
+		if n := len(s.decisions.records()); n != decisionLogSize {
+			t.Fatalf("after %d overwrites the log holds %d records, want %d", k, n, decisionLogSize)
+		}
+		if ob := s.Snapshot().Observe; ob.AdaptEvents != int64(decisionLogSize+k) || ob.DroppedEvents != int64(k) {
+			t.Fatalf("after %d overwrites: observe snapshot = %+v, want %d adapt events, %d dropped", k, ob, decisionLogSize+k, k)
+		}
+	}
+}
+
+// TestDecisionLogConcurrentDecideAndRead has many deciders appending
+// while readers export the log: every export is in append order, and
+// every append is counted once.
+func TestDecisionLogConcurrentDecideAndRead(t *testing.T) {
+	s, _ := decisionServer(t, true)
+	const deciders, per = 8, 400
+	var wg sync.WaitGroup
+	for w := 0; w < deciders; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if i%100 == 0 {
+					s.comp.record(contc.Decision{Kind: contc.KindPlan, Tenant: "dt", Stage: fmt.Sprint(w), Reason: "test"})
+				} else {
+					s.decide(w, 0, "d%d.%d", w, i)
+				}
+			}
+		}(w)
+	}
+	stop := make(chan struct{})
+	read := make(chan error)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				read <- nil
+				return
+			default:
+			}
+			adapt := s.TraceDump().Adapt
+			for i := 1; i < len(adapt); i++ {
+				if adapt[i].AtNS < adapt[i-1].AtNS {
+					read <- fmt.Errorf("timeline out of time order at %d: %+v", i, adapt[i-1:i+1])
+					return
+				}
+			}
+			comp := s.CompileDecisions()
+			for i := 1; i < len(comp); i++ {
+				if comp[i].Seq <= comp[i-1].Seq {
+					read <- fmt.Errorf("compile decisions out of log order at %d", i)
+					return
+				}
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	if err := <-read; err != nil {
+		t.Fatal(err)
+	}
+	if ob := s.Snapshot().Observe; ob.AdaptEvents != deciders*per || ob.DroppedEvents != 0 {
+		t.Fatalf("observe snapshot = %+v, want %d adapt events", ob, deciders*per)
+	}
+	if n := len(s.CompileDecisions()); n != deciders*per/100 {
+		t.Fatalf("%d compile decisions, want %d", n, deciders*per/100)
 	}
 }

@@ -103,7 +103,6 @@ type compileController struct {
 	cfg     CompileConfig
 	db      *hints.DB
 	planner *contc.Planner
-	log     *contc.Log
 	tick    int64
 	warmed  map[string]bool // tenants whose warm-start pass already ran
 
@@ -123,7 +122,6 @@ func newCompileController(s *Server) *compileController {
 		cfg:        s.cfg.Compile,
 		db:         db,
 		planner:    contc.NewPlanner(db, mon),
-		log:        contc.NewLog(512),
 		warmed:     make(map[string]bool),
 		plans:      mon.Counter("serve.contc.plans"),
 		swaps:      mon.Counter("serve.contc.swaps"),
@@ -134,10 +132,10 @@ func newCompileController(s *Server) *compileController {
 	}
 }
 
-// record logs one decision and emits its label on the adapt timeline:
-// the label is rendered from the logged record, so the two cannot drift.
+// record appends one decision to the server's decision log, labelled
+// with the decision's own rendering.
 func (c *compileController) record(d contc.Decision) {
-	c.srv.decide(len(c.srv.shards), 0, "contc %v", c.log.Add(d))
+	c.srv.decisions.add(decision{producer: len(c.srv.shards), label: "contc " + d.String(), compile: &d})
 }
 
 // HintsDB returns the controller's knowledge database (nil when
@@ -150,13 +148,22 @@ func (s *Server) HintsDB() *hints.DB {
 	return s.comp.db
 }
 
-// CompileDecisions returns the retained controller decisions, oldest
-// first (nil when Config.Compile is off).
+// CompileDecisions returns the compile records the decision log
+// retains, oldest first, stamped with their log sequence and time (nil
+// when Config.Compile is off).
 func (s *Server) CompileDecisions() []contc.Decision {
 	if s.comp == nil {
 		return nil
 	}
-	return s.comp.log.Snapshot()
+	var out []contc.Decision
+	for _, r := range s.decisions.records() {
+		if r.compile != nil {
+			d := *r.compile
+			d.Seq, d.At = r.seq, r.at.Time()
+			out = append(out, d)
+		}
+	}
+	return out
 }
 
 // ---------------------------------------------------------------------
@@ -357,7 +364,7 @@ func (c *compileController) planStage(t *Tenant, p *Pipeline, st *pipeStage) {
 
 // installPlan publishes a scatter plan and records the decision
 // everywhere it must land: the stage's atomic slot (the hot path),
-// counters, the decision log and adapt timeline (record), and the hints
+// counters, the decision log (record), and the hints
 // DB (facts + a runtime hint) for warm restarts.
 func (c *compileController) installPlan(t *Tenant, p *Pipeline, st *pipeStage, plan *contc.Plan, n int64, kind, reason string) {
 	st.scatter.Store(&scatterPlan{plan: plan, samplesAt: n})

@@ -145,19 +145,3 @@ func TestFactoryForRoundTrip(t *testing.T) {
 		t.Fatal("FactoryFor accepted bogus name")
 	}
 }
-
-func TestDecisionLogBounded(t *testing.T) {
-	l := NewLog(4)
-	for i := 0; i < 10; i++ {
-		l.Add(Decision{Kind: KindPlan, Stage: "s", Fan: i})
-	}
-	snap := l.Snapshot()
-	if len(snap) != 4 || l.Len() != 10 {
-		t.Fatalf("len=%d total=%d, want 4/10", len(snap), l.Len())
-	}
-	for i, d := range snap {
-		if d.Seq != int64(7+i) || d.Fan != 6+i {
-			t.Fatalf("snapshot[%d] = %+v, want seq %d", i, d, 7+i)
-		}
-	}
-}

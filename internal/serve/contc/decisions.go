@@ -2,10 +2,7 @@ package contc
 
 import (
 	"fmt"
-	"sync"
 	"time"
-
-	"repro/internal/clock"
 )
 
 // Decision kinds.
@@ -19,8 +16,9 @@ const (
 )
 
 // Decision is one controller action, recorded for audits and the
-// deterministic replay tests. Seq and At are bookkeeping the tests
-// strip before comparing runs.
+// deterministic replay tests. Seq and At are the serve decision log's
+// stamps (its append sequence and clock time), which the tests strip
+// before comparing runs.
 type Decision struct {
 	Seq      int64
 	At       time.Time
@@ -44,60 +42,4 @@ func (d Decision) String() string {
 		return fmt.Sprintf("%s %s key %d (%s)", d.Kind, d.Tenant, d.Key, d.Reason)
 	}
 	return fmt.Sprintf("%s %s/%s/%s -> %s (%s)", d.Kind, d.Tenant, d.Pipeline, d.Stage, d.Strategy, d.Reason)
-}
-
-// Log is a bounded ring of decisions. Safe for concurrent use.
-type Log struct {
-	mu   sync.Mutex
-	seq  int64
-	max  int
-	buf  []Decision
-	head int // index of oldest when full
-	full bool
-}
-
-// NewLog returns a log keeping the most recent max decisions.
-func NewLog(max int) *Log {
-	if max < 1 {
-		max = 1
-	}
-	return &Log{max: max, buf: make([]Decision, 0, max)}
-}
-
-// Add stamps and records d, returning the stored value.
-func (l *Log) Add(d Decision) Decision {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.seq++
-	d.Seq = l.seq
-	d.At = clock.Now().Time()
-	if len(l.buf) < l.max {
-		l.buf = append(l.buf, d)
-	} else {
-		l.buf[l.head] = d
-		l.head = (l.head + 1) % l.max
-		l.full = true
-	}
-	return d
-}
-
-// Len returns the number of decisions ever recorded.
-func (l *Log) Len() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.seq
-}
-
-// Snapshot returns the retained decisions, oldest first.
-func (l *Log) Snapshot() []Decision {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]Decision, 0, len(l.buf))
-	if l.full {
-		out = append(out, l.buf[l.head:]...)
-		out = append(out, l.buf[:l.head]...)
-	} else {
-		out = append(out, l.buf...)
-	}
-	return out
 }

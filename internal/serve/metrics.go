@@ -54,8 +54,8 @@ type ObserveSnapshot struct {
 	// Recorded is the flight recorder's current occupancy.
 	TracedFlows int64 `json:"traced_flows"`
 	Recorded    int   `json:"recorded"`
-	// AdaptEvents counts controller decisions on the adapt timeline;
-	// DroppedEvents counts adapt events lost to the tracer's shard cap.
+	// AdaptEvents counts the decisions appended to the decision log;
+	// DroppedEvents counts those its bound overwrote.
 	AdaptEvents   int64 `json:"adapt_events"`
 	DroppedEvents int64 `json:"dropped_events"`
 }
@@ -106,13 +106,14 @@ func (s *Server) Snapshot() Snapshot {
 		return snap.Tenants[i].Name < snap.Tenants[j].Name
 	})
 	if o := s.obs; o != nil {
+		n := s.decisions.appended()
 		snap.Observe = ObserveSnapshot{
 			Enabled:       true,
 			SampleRate:    o.cfg.SampleRate,
 			TracedFlows:   o.traced.Value(),
 			Recorded:      o.recorder.Len(),
-			AdaptEvents:   o.adaptc.Value(),
-			DroppedEvents: o.tracer.Dropped(),
+			AdaptEvents:   n,
+			DroppedEvents: max(n-decisionLogSize, 0),
 		}
 	}
 	return snap

@@ -15,10 +15,11 @@ package serve
 //     traces that force-retains any flow ending in shed, failure, or
 //     rejection, so the interesting endings are still there when
 //     someone asks "what happened?";
-//   - the adapt timeline: the adaptivity controllers (batch tuner,
-//     rebalancer, overload shedder, locality manager) record every
-//     decision as a trace.KindAdapt event in a shared trace.Tracer, so
-//     a scenario's behavior is replayable and explainable;
+//   - the adapt timeline: TraceDump renders the control plane's one
+//     decision log (decide, in adaptive.go), where the batch tuner,
+//     rebalancer, overload shedder, locality manager and continuous
+//     compiler record every decision, so a scenario's behavior is
+//     replayable and explainable;
 //   - sampling is deterministic — a submission counter, not a coin
 //     flip — so a replayed scenario traces the same flows.
 //
@@ -70,14 +71,12 @@ type observer struct {
 	cfg      ObserveConfig
 	every    uint64 // trace every Nth submission; 0 = no flow tracing
 	nextID   atomic.Uint64
-	tracer   *trace.Tracer // adapt-decision timeline (producers: shards, then control loop)
 	recorder *FlightRecorder
 
 	traced *monitor.Counter // serve.observe.traced_flows
-	adaptc *monitor.Counter // serve.observe.adapt_events
 }
 
-func newObserver(cfg ObserveConfig, shards int, mon *monitor.Monitor) *observer {
+func newObserver(cfg ObserveConfig, mon *monitor.Monitor) *observer {
 	if cfg.RingSize <= 0 {
 		cfg.RingSize = 256
 	}
@@ -91,10 +90,8 @@ func newObserver(cfg ObserveConfig, shards int, mon *monitor.Monitor) *observer 
 	return &observer{
 		cfg:      cfg,
 		every:    every,
-		tracer:   trace.New(shards+1, 1<<16),
 		recorder: &FlightRecorder{cap: cfg.RingSize},
 		traced:   mon.Counter("serve.observe.traced_flows"),
-		adaptc:   mon.Counter("serve.observe.adapt_events"),
 	}
 }
 
@@ -118,18 +115,6 @@ func (o *observer) sample(t *Tenant, p *Pipeline, key uint64) *FlowTrace {
 		ID: n, Tenant: t.name, Pipeline: p.name, Key: key,
 		Start: clock.Now().Unix(), stageNames: names,
 	}
-}
-
-// adapt records one controller decision on the shared timeline.
-// producer is the deciding shard's id, or the server's control-loop
-// producer (len(shards)) for global controllers. Server.decide is its
-// only caller, and does the nil check before formatting the label.
-func (o *observer) adapt(producer int, locale mem.Locale, label string) {
-	o.tracer.Emit(producer, trace.Event{
-		Time: clock.Now().Unix(), Kind: trace.KindAdapt,
-		Locale: int(locale), Label: label,
-	})
-	o.adaptc.Inc()
 }
 
 // finishFlow seals a flow's trace with its terminal status and offers
@@ -435,26 +420,26 @@ func (s *Server) Recorder() *FlightRecorder {
 	return s.obs.recorder
 }
 
-// TraceDump is the full trace export: the adaptivity controllers'
-// decision timeline plus the flight recorder's span trees. AtNS on
-// adapt events is absolute unix nanoseconds (they are not scoped to
-// one flow).
+// TraceDump is the full trace export: the controllers' decision log
+// (see decide) plus the flight recorder's span trees. AtNS on adapt
+// events is absolute unix nanoseconds (they are not scoped to one
+// flow).
 type TraceDump struct {
 	Adapt []SpanEvent `json:"adapt"`
 	Flows []FlowSpan  `json:"flows"`
 }
 
-// TraceDump snapshots the adapt timeline and the flight recorder.
-// Empty when Config.Observe is zero-valued.
+// TraceDump snapshots the decision log and the flight recorder. Empty
+// when Config.Observe is zero-valued.
 func (s *Server) TraceDump() TraceDump {
 	var d TraceDump
 	if s.obs == nil {
 		return d
 	}
-	for _, e := range s.obs.tracer.Snapshot() {
+	for _, r := range s.decisions.records() {
 		d.Adapt = append(d.Adapt, SpanEvent{
-			AtNS: e.Time, Kind: e.Kind.String(),
-			Shard: e.Producer, Locale: e.Locale, Label: e.Label,
+			AtNS: r.at.Unix(), Kind: trace.KindAdapt.String(),
+			Shard: r.producer, Locale: int(r.locale), Label: r.label,
 		})
 	}
 	for _, f := range s.obs.recorder.Flows() {

@@ -292,7 +292,7 @@ func TestFlowTraceConcurrentEmission(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWorker; i++ {
-				ft.add(trace.KindUser, w, 0, spanArg(0, 0), "")
+				ft.add(trace.KindAdmit, w, 0, spanArg(0, 0), "")
 				if i%50 == 0 {
 					ft.Events() // concurrent merged reads
 					ft.SpanTree()
@@ -317,7 +317,7 @@ func TestFlowTraceConcurrentEmission(t *testing.T) {
 func TestFlowTraceEventCap(t *testing.T) {
 	ft := &FlowTrace{ID: 1}
 	for i := 0; i < maxFlowEvents+100; i++ {
-		ft.add(trace.KindUser, 0, 0, 0, "")
+		ft.add(trace.KindAdmit, 0, 0, 0, "")
 	}
 	if n := len(ft.Events()); n != maxFlowEvents {
 		t.Fatalf("events = %d, want cap %d", n, maxFlowEvents)

@@ -123,9 +123,9 @@
 // compile.go). Four controllers are entries of one clocked loop — step
 // runs each at its own period, nothing else knows them by name — and
 // the batch tuner runs in each batch SGT. Each owns its instruments,
-// reports through one emitter (decide, onto the adapt timeline), is
-// read by AdaptStats, and reaches the hot path through one nil-checked
-// read:
+// records its decisions in the one decision log (decide; TraceDump
+// renders it and CompileDecisions filters it), is read by AdaptStats,
+// and reaches the hot path through one nil-checked read:
 //
 //	controller  input                      decision              counters (AdaptStats)        hot path reads
 //	batch       serve.shardNN.depth,       drain bound x2 / /2   BatchGrows, BatchShrinks     sh.ctrl.batch() in run
@@ -284,6 +284,7 @@ type Server struct {
 	localize    *localityController
 	comp        *compileController
 	controllers []controller
+	decisions   *decisionLog // nil unless a controller is installed
 	quit        chan struct{}
 	control     sync.WaitGroup
 }
@@ -375,7 +376,7 @@ func New(sys *litlx.System, cfg Config) *Server {
 		flowSteals: sys.Mon.Counter("serve.flow.stage_steals"),
 	}
 	if cfg.Observe.enabled() {
-		s.obs = newObserver(cfg.Observe, cfg.Shards, sys.Mon)
+		s.obs = newObserver(cfg.Observe, sys.Mon)
 	}
 	locales := sys.Locales()
 	s.byLocale = make([][]*shard, locales)
@@ -415,6 +416,7 @@ func New(sys *litlx.System, cfg Config) *Server {
 		s.install(cfg.Compile.Every, s.comp.once)
 	}
 	if len(s.controllers) > 0 {
+		s.decisions = &decisionLog{}
 		s.quit = make(chan struct{})
 		s.control.Add(1)
 		go s.controlLoop()

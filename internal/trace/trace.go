@@ -1,41 +1,31 @@
-// Package trace provides a lightweight, lock-minimal event tracing
-// facility shared by the HTVM runtime monitor and the Cyclops-64-like
-// simulator. Events are appended to per-producer shards and merged on
-// read, so tracing perturbs the traced execution as little as possible.
+// Package trace defines the event record the serve and cluster layers
+// trace with and its deterministic total order. Each store keeps its
+// own events where its reader finds them (a serve flow's FlowTrace, the
+// cluster's per-flow records) and merges them on read with Merge, so a
+// replayed scenario renders the same timeline.
 //
 // The paper's Section 4.2 calls for a monitoring methodology whose
 // records feed the adaptive compiler and runtime; this package is the
-// raw event substrate under internal/monitor.
+// record format those monitors share.
 package trace
 
 import (
 	"fmt"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // Kind classifies trace events.
 type Kind uint8
 
-// Event kinds recorded by the runtime and simulator. The serve-layer
-// kinds (KindAdmit onward) mark the lifecycle edges of one served
-// request or flow: admission onto a shard queue, drain into a batch,
-// dispatch onto an executing SGT, a pipeline stage hop, and the
-// terminal outcomes.
+// Event kinds. Most mark the lifecycle edges of one served request or
+// flow: admission onto a shard queue, drain into a batch, a steal onto
+// another shard, a code or data percolation, dispatch onto an executing
+// SGT, a pipeline stage hop, and the terminal outcomes. KindAdapt marks
+// a controller decision that touched the flow.
 const (
-	KindThreadSpawn Kind = iota
-	KindThreadStart
-	KindThreadEnd
-	KindParcelSend
-	KindParcelRecv
-	KindMemAccess
-	KindMigration
-	KindSteal
-	KindSyncFire
+	KindSteal Kind = iota
 	KindPercolate
 	KindAdapt
-	KindUser
 	KindAdmit
 	KindBatch
 	KindDispatch
@@ -51,10 +41,8 @@ const (
 )
 
 var kindNames = [...]string{
-	"spawn", "start", "end", "parcel-send", "parcel-recv", "mem",
-	"migrate", "steal", "sync-fire", "percolate", "adapt", "user",
-	"admit", "batch", "dispatch", "stage-hop", "shed", "fail", "complete",
-	"remote-hop",
+	"steal", "percolate", "adapt", "admit", "batch", "dispatch",
+	"stage-hop", "shed", "fail", "complete", "remote-hop",
 }
 
 // String returns a short human-readable name for the kind.
@@ -65,117 +53,28 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Event is one trace record. Time is in the producer's clock domain:
-// nanoseconds for the native runtime, cycles for the simulator.
+// Event is one trace record. Time is in unix nanoseconds.
 //
 // Producer and Seq pin the event's place in the total order: Producer
 // is the emitting producer's id and Seq its per-producer append
-// sequence. Emit fills both; callers building events by hand (tests,
-// offline merges) may set them directly. Merge breaks equal-Time ties
-// by (Producer, Seq), so a merged timeline is deterministic even when
-// many producers share one timestamp.
+// sequence, both stamped by the store that appends the event. Merge
+// breaks equal-Time ties by (Producer, Seq), so a merged timeline is
+// deterministic even when many producers share one timestamp.
 type Event struct {
 	Time     int64
 	Kind     Kind
 	Locale   int    // node or worker the event occurred on
-	Producer int    // emitting producer id (shard, TU, worker)
-	Seq      uint64 // per-producer append sequence, assigned at Emit
-	Arg      int64  // event-specific argument (thread id, address, bytes...)
+	Producer int    // emitting producer id (shard, node)
+	Seq      uint64 // per-producer append sequence
+	Arg      int64  // event-specific argument (packed stage and element)
 	Label    string // optional, interned by the caller
-}
-
-// shard is a per-producer event buffer padded to avoid false sharing.
-type shard struct {
-	mu     sync.Mutex
-	events []Event
-	seq    uint64 // next per-shard sequence number
-	_      [32]byte
-}
-
-// Tracer collects events from many producers. A nil *Tracer is valid and
-// drops all events, so hot paths can trace unconditionally.
-type Tracer struct {
-	shards  []shard
-	enabled atomic.Bool
-	dropped atomic.Int64
-	limit   int
-}
-
-// New creates a tracer with the given number of producer shards and a
-// per-shard event cap (0 means a default of 1<<16). Producers index
-// shards by worker/locale id modulo the shard count.
-func New(shards, limit int) *Tracer {
-	if shards <= 0 {
-		shards = 1
-	}
-	if limit <= 0 {
-		limit = 1 << 16
-	}
-	t := &Tracer{shards: make([]shard, shards), limit: limit}
-	t.enabled.Store(true)
-	return t
-}
-
-// SetEnabled toggles collection. Disabled tracers drop events cheaply.
-func (t *Tracer) SetEnabled(on bool) {
-	if t != nil {
-		t.enabled.Store(on)
-	}
-}
-
-// Emit records one event, stamping its Producer and per-producer Seq
-// so snapshots merge into a deterministic total order. Safe for
-// concurrent use; nil-safe.
-func (t *Tracer) Emit(producer int, e Event) {
-	if t == nil || !t.enabled.Load() {
-		return
-	}
-	s := &t.shards[producer%len(t.shards)]
-	s.mu.Lock()
-	if len(s.events) >= t.limit {
-		s.mu.Unlock()
-		t.dropped.Add(1)
-		return
-	}
-	e.Producer = producer
-	e.Seq = s.seq
-	s.seq++
-	s.events = append(s.events, e)
-	s.mu.Unlock()
-}
-
-// Dropped reports how many events were discarded due to the shard cap.
-func (t *Tracer) Dropped() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.dropped.Load()
-}
-
-// Snapshot returns all collected events merged into the deterministic
-// total order (see Merge). The tracer keeps its events; call Reset to
-// clear.
-func (t *Tracer) Snapshot() []Event {
-	if t == nil {
-		return nil
-	}
-	streams := make([][]Event, 0, len(t.shards))
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		if len(s.events) > 0 {
-			streams = append(streams, append([]Event(nil), s.events...))
-		}
-		s.mu.Unlock()
-	}
-	return Merge(streams...)
 }
 
 // Before reports whether a precedes b in the merged total order: by
 // Time, then by Producer, then by per-producer Seq. The tie-breaks are
 // what make a merge of many producer streams deterministic — two
-// producers stamping the same timestamp (coarse clocks, simulator
-// cycles) always interleave the same way, so a replayed scenario's
+// producers stamping the same timestamp (coarse or virtual clocks)
+// always interleave the same way, so a replayed scenario's
 // merged trace is bit-identical run to run.
 func Before(a, b Event) bool {
 	if a.Time != b.Time {
@@ -204,28 +103,4 @@ func Merge(streams ...[]Event) []Event {
 	}
 	sort.SliceStable(all, func(i, j int) bool { return Before(all[i], all[j]) })
 	return all
-}
-
-// Reset discards all collected events.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	for i := range t.shards {
-		s := &t.shards[i]
-		s.mu.Lock()
-		s.events = s.events[:0]
-		s.seq = 0
-		s.mu.Unlock()
-	}
-	t.dropped.Store(0)
-}
-
-// CountByKind tallies a snapshot by event kind.
-func CountByKind(events []Event) map[Kind]int {
-	m := make(map[Kind]int)
-	for _, e := range events {
-		m[e.Kind]++
-	}
-	return m
 }

@@ -1,92 +1,6 @@
 package trace
 
-import (
-	"sync"
-	"testing"
-)
-
-func TestNilTracerIsSafe(t *testing.T) {
-	var tr *Tracer
-	tr.Emit(0, Event{Kind: KindUser})
-	tr.SetEnabled(true)
-	tr.Reset()
-	if got := tr.Snapshot(); got != nil {
-		t.Errorf("nil tracer snapshot = %v, want nil", got)
-	}
-	if tr.Dropped() != 0 {
-		t.Error("nil tracer should report zero drops")
-	}
-}
-
-func TestEmitAndSnapshotSorted(t *testing.T) {
-	tr := New(4, 0)
-	tr.Emit(0, Event{Time: 30, Kind: KindThreadEnd})
-	tr.Emit(1, Event{Time: 10, Kind: KindThreadSpawn})
-	tr.Emit(2, Event{Time: 20, Kind: KindThreadStart})
-	evs := tr.Snapshot()
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3", len(evs))
-	}
-	for i := 1; i < len(evs); i++ {
-		if evs[i].Time < evs[i-1].Time {
-			t.Fatalf("snapshot not sorted: %v", evs)
-		}
-	}
-}
-
-func TestDisabledDropsEvents(t *testing.T) {
-	tr := New(1, 0)
-	tr.SetEnabled(false)
-	tr.Emit(0, Event{Time: 1})
-	if n := len(tr.Snapshot()); n != 0 {
-		t.Errorf("disabled tracer collected %d events", n)
-	}
-}
-
-func TestShardCapDrops(t *testing.T) {
-	tr := New(1, 2)
-	for i := 0; i < 5; i++ {
-		tr.Emit(0, Event{Time: int64(i)})
-	}
-	if n := len(tr.Snapshot()); n != 2 {
-		t.Errorf("got %d events, want 2 (capped)", n)
-	}
-	if d := tr.Dropped(); d != 3 {
-		t.Errorf("Dropped = %d, want 3", d)
-	}
-}
-
-func TestConcurrentEmit(t *testing.T) {
-	tr := New(8, 1<<20)
-	var wg sync.WaitGroup
-	const workers, per = 16, 1000
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				tr.Emit(w, Event{Time: int64(i), Locale: w, Kind: KindMemAccess})
-			}
-		}(w)
-	}
-	wg.Wait()
-	if n := len(tr.Snapshot()); n != workers*per {
-		t.Errorf("got %d events, want %d", n, workers*per)
-	}
-}
-
-func TestResetClears(t *testing.T) {
-	tr := New(2, 1)
-	tr.Emit(0, Event{Time: 1})
-	tr.Emit(0, Event{Time: 2}) // dropped
-	tr.Reset()
-	if n := len(tr.Snapshot()); n != 0 {
-		t.Errorf("after reset got %d events", n)
-	}
-	if tr.Dropped() != 0 {
-		t.Error("reset should clear drop counter")
-	}
-}
+import "testing"
 
 func TestMergeTieBreakDeterministic(t *testing.T) {
 	// Events with equal timestamps from different producers must merge
@@ -112,82 +26,6 @@ func TestMergeTieBreakDeterministic(t *testing.T) {
 				t.Fatalf("merge order differs at %d: got %+v, want %+v", i, got[i], want[i])
 			}
 		}
-	}
-}
-
-func TestEmitStampsProducerAndSeq(t *testing.T) {
-	tr := New(2, 0)
-	// Producers 1 and 3 share tracer shard 1; their events still carry
-	// their own producer ids and strictly increasing sequence numbers.
-	tr.Emit(1, Event{Time: 9})
-	tr.Emit(3, Event{Time: 9})
-	tr.Emit(1, Event{Time: 9})
-	evs := tr.Snapshot()
-	if len(evs) != 3 {
-		t.Fatalf("got %d events, want 3", len(evs))
-	}
-	// Equal times: total order is by producer then seq.
-	wantProd := []int{1, 1, 3}
-	for i, e := range evs {
-		if e.Producer != wantProd[i] {
-			t.Fatalf("event %d producer = %d, want %d (%+v)", i, e.Producer, wantProd[i], evs)
-		}
-	}
-	if !(evs[0].Seq < evs[1].Seq) {
-		t.Errorf("same-producer events not in seq order: %+v", evs)
-	}
-}
-
-func TestConcurrentEmitSnapshotRace(t *testing.T) {
-	// Many producers appending while a reader snapshots concurrently —
-	// the -race guarantee the serve layer's tracing relies on.
-	tr := New(4, 1<<20)
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	const workers, per = 8, 500
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < per; i++ {
-				tr.Emit(w, Event{Time: int64(i), Kind: KindAdmit, Locale: w})
-			}
-		}(w)
-	}
-	var readers sync.WaitGroup
-	readers.Add(1)
-	go func() {
-		defer readers.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				evs := tr.Snapshot()
-				for i := 1; i < len(evs); i++ {
-					if Before(evs[i], evs[i-1]) {
-						t.Error("snapshot not in total order")
-						return
-					}
-				}
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	readers.Wait()
-	if n := len(tr.Snapshot()); n != workers*per {
-		t.Errorf("got %d events, want %d", n, workers*per)
-	}
-}
-
-func TestCountByKind(t *testing.T) {
-	evs := []Event{
-		{Kind: KindSteal}, {Kind: KindSteal}, {Kind: KindParcelSend},
-	}
-	m := CountByKind(evs)
-	if m[KindSteal] != 2 || m[KindParcelSend] != 1 {
-		t.Errorf("CountByKind = %v", m)
 	}
 }
 

@@ -36,11 +36,67 @@
 # largest |ratio - 1| over the pairs, where a pair's ratio is the
 # second copy's value over the first's at one seed. A change's ratio
 # inside its metric's band is indistinguishable from no change.
+#
+# Usage: scripts/bench_e2e.sh --check
+#
+# runs no benchmark: it recomputes, from per_seed, every figure a
+# record carrying per_seed derives from it — each workload's medians
+# (twin's too), each compare ratio and pair_wins against the record
+# just before, whose commit must be compare.against, and each aa_band —
+# and exits 1 at the first mismatch, naming it.
 set -euo pipefail
 here="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 seeds=5
 seconds="$(jq -e .run_seconds "$here/BENCHMARK.json")"
 out="$here/BENCH_e2e.json"
+
+# The derivations both the recording path and --check use. pair_wins
+# and band read [first tree's values, second tree's values] in seed
+# order; pair_wins counts the seeds each side wins in the direction
+# higher (true when higher is better), band is the largest
+# |second / first - 1| over the seeds.
+defs='
+def median: sort | if length % 2 == 1 then .[length / 2 | floor]
+                   else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+def pair_wins($higher): transpose
+  | map(if .[0] == .[1] then 0 elif (.[1] > .[0]) == $higher then 1 else -1 end)
+  | {change: map(select(. == 1)) | length, parent: map(select(. == -1)) | length};
+def band: transpose | map(if .[0] == 0 then 0 else (.[1] / .[0] - 1 | fabs) end) | max;
+'
+
+if [ "${1:-}" = --check ]; then
+  [ $# -eq 1 ] || { echo "usage: $0 --check" >&2; exit 2; }
+  bad="$(jq -r --slurpfile spec "$here/BENCHMARK.json" "$defs"'
+    def medians($at): to_entries[] | .key as $w | .value as $v | $v.per_seed | to_entries[]
+      | (.value | median) as $m | select($v[.key] != $m)
+      | "\($at) \($w) \(.key): median \($v[.key]), per_seed gives \($m)";
+    ($spec[0].end_to_end | map({key: .name, value: (.better == "higher")}) | from_entries) as $higher
+    | . as $recs
+    | first(range(length) as $i | $recs[$i] as $r | "record \($i) (\($r.commit))" as $at
+      | select([$r.workloads[] | has("per_seed")] | any)
+      | ($r.workloads | medians($at)),
+        ($r.twin // {} | medians("\($at) twin")),
+        ($r.compare // empty | if $i == 0 or $recs[$i - 1].commit != .against
+            then "\($at): compare.against \(.against), record before is \(if $i > 0 then $recs[$i - 1].commit else "none" end)"
+            else $recs[$i - 1] as $p | .workloads | to_entries[] | .key as $w | .value | to_entries[]
+              | .key as $m | .value as $c
+              | ($r.workloads[$w][$m] / $p.workloads[$w][$m]) as $ratio
+              | ([$p.workloads[$w].per_seed[$m], $r.workloads[$w].per_seed[$m]] | pair_wins($higher[$m])) as $wins
+              | (select($c.ratio != $ratio) | "\($at) \($w) \($m): ratio \($c.ratio), medians give \($ratio)"),
+                (select($c.pair_wins != $wins) | "\($at) \($w) \($m): pair_wins \($c.pair_wins), per_seed gives \($wins)")
+            end),
+        ($r.aa_band // {} | to_entries[] | .key as $w | .value | to_entries[]
+          | ([$r.workloads[$w].per_seed[.key], $r.twin[$w].per_seed[.key]] | band) as $b
+          | select(.value != $b) | "\($at) \($w) \(.key): aa_band \(.value), per_seed and twin give \($b)")
+    )' "$out")"
+  if [ -n "$bad" ]; then
+    echo "bench_e2e: $bad" >&2
+    exit 1
+  fi
+  echo "bench_e2e: every per_seed record in $(basename "$out") recomputes"
+  exit 0
+fi
+
 runs="$(mktemp -d)"
 trap 'rm -rf "$runs"' EXIT
 aa=""
@@ -75,9 +131,7 @@ for k in "${!trees[@]}"; do
   commit="${aa:-$(git -C "${trees[k]}" describe --always --dirty --abbrev=7)}"
   records+=("$(jq -s --arg commit "$commit" \
     --arg date "$(date -u +%Y-%m-%dT%H:%M:%SZ)" --arg cpu "$cpu" \
-    --argjson seeds "$seeds" --argjson seconds "$seconds" '
-    def median: sort | if length % 2 == 1 then .[length / 2 | floor]
-                       else (.[length / 2 - 1] + .[length / 2]) / 2 end;
+    --argjson seeds "$seeds" --argjson seconds "$seconds" "$defs"'
     {commit: $commit, date: $date, seeds: $seeds, seconds: $seconds,
      machine: {cpu: $cpu, nproc: .[0].env.nproc, go: .[0].env.go},
      workloads: (group_by(.workload) | map(sort_by(.seed) | {
@@ -93,11 +147,10 @@ for k in "${!trees[@]}"; do
 done
 
 if [ -n "$aa" ]; then
-  records=("$(jq -n --argjson a "${records[0]}" --argjson b "${records[1]}" --slurpfile spec "$here/BENCHMARK.json" '
+  records=("$(jq -n --argjson a "${records[0]}" --argjson b "${records[1]}" --slurpfile spec "$here/BENCHMARK.json" "$defs"'
     ($spec[0].end_to_end | map(.name)) as $metrics
     | $a + {aa: true, twin: $b.workloads, aa_band: ($a.workloads | keys | map(. as $w | {key: $w,
-        value: ($metrics | map(. as $m | {key: $m, value: ([$a.workloads[$w].per_seed[$m], $b.workloads[$w].per_seed[$m]]
-          | transpose | map(if .[0] == 0 then 0 else (.[1] / .[0] - 1 | fabs) end) | max)}) | from_entries)})
+        value: ($metrics | map(. as $m | {key: $m, value: ([$a.workloads[$w].per_seed[$m], $b.workloads[$w].per_seed[$m]] | band)}) | from_entries)})
       | from_entries)}')")
 elif ((${#trees[@]} == 2)); then
   # -compare exits 1 when a verdict reads worse; its table is kept
@@ -106,16 +159,13 @@ elif ((${#trees[@]} == 2)); then
   printf '%s\n' "$table"
   [ -n "$table" ]
   compare="$(printf '%s\n' "$table" | awk 'NR > 1 && NF == 9 {print $1 "\t" $2 "\t" $9}' |
-    jq -R -s --argjson a "${records[0]}" --argjson b "${records[1]}" --slurpfile spec "$here/BENCHMARK.json" '
-    ($spec[0].end_to_end | map({key: .name, value: .better}) | from_entries) as $better
+    jq -R -s --argjson a "${records[0]}" --argjson b "${records[1]}" --slurpfile spec "$here/BENCHMARK.json" "$defs"'
+    ($spec[0].end_to_end | map({key: .name, value: (.better == "higher")}) | from_entries) as $higher
     | {against: $a.commit, workloads: (split("\n") | map(select(length > 0) | split("\t"))
       | group_by(.[0]) | map({key: .[0][0], value: (map(. as [$w, $m, $v] | {key: $m, value: {
           ratio: ($b.workloads[$w][$m] / $a.workloads[$w][$m]),
           verdict: $v,
-          pair_wins: ([$a.workloads[$w].per_seed[$m], $b.workloads[$w].per_seed[$m]] | transpose
-            | map(if .[0] == .[1] then 0
-                  elif (.[1] > .[0]) == ($better[$m] == "higher") then 1 else -1 end)
-            | {change: map(select(. == 1)) | length, parent: map(select(. == -1)) | length})
+          pair_wins: ([$a.workloads[$w].per_seed[$m], $b.workloads[$w].per_seed[$m]] | pair_wins($higher[$m]))
         }}) | from_entries)}) | from_entries)}')"
   records[1]="$(jq --argjson c "$compare" '. + {compare: $c}' <<< "${records[1]}")"
 fi
