@@ -5,7 +5,8 @@
 // admission, request batching, deadline shedding, and percolation
 // warm-up, all on one shared litlx.System. Tenants are driven through
 // the v2 handle API (identity resolved once at registration), each
-// tick's arrivals admitted through the shard-grouped SubmitMany path.
+// arrival admitted on its own: through SubmitFunc, or as a flow under
+// -pipeline and in cluster mode.
 //
 // -scenario picks the script, sized by -rate and -duration: open (the
 // default: steady traffic over Zipf-skewed tenants) | bursty | ramp |

@@ -81,7 +81,7 @@
 //	                    error-aware handlers + middleware, locale-pinned
 //	                    sharded admission where the submit spawns the
 //	                    shard's batch SGT (no dispatcher thread),
-//	                    batching + burst admission,
+//	                    batching,
 //	                    shard-chained dataflow pipelines (SubmitFlow)
 //	                    with same-shard continuations,
 //	                    shedding, code/data residency and the locality-

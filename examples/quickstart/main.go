@@ -5,7 +5,7 @@
 // It spawns a coarse-grain thread (LGT), fans work out as small-grain
 // threads (SGTs), wires tiny-grain fibers (TGTs) through dataflow sync
 // slots, ships a parcel to another locale, chains futures, runs an
-// adaptively scheduled parallel loop, and serves a request burst
+// adaptively scheduled parallel loop, and serves five requests
 // through the job service layer's tenant-handle API.
 package main
 
@@ -87,8 +87,8 @@ func main() {
 
 	// 6. The serving layer: register a tenant once, get a handle, and
 	// submit through it — no per-request name lookup. Middleware wraps
-	// the handler; SubmitMany admits a burst with one shard lock per
-	// destination shard.
+	// the handler; each Submit admits one request with one tail CAS on
+	// its shard's ring.
 	srv := serve.New(sys, serve.Config{Shards: 2})
 	var served atomic.Int64
 	counting := func(next serve.Handler) serve.Handler {
@@ -107,12 +107,14 @@ func main() {
 	if err != nil {
 		panic(err)
 	}
-	reqs := make([]serve.Request, 5)
-	for i := range reqs {
-		reqs[i] = serve.Request{Key: uint64(i + 1)}
+	tickets := make([]*serve.Ticket, 5)
+	for i := range tickets {
+		if tickets[i], err = cubes.Submit(serve.Request{Key: uint64(i + 1)}); err != nil {
+			panic(err)
+		}
 	}
 	sum := uint64(0)
-	for _, tk := range cubes.SubmitMany(reqs) {
+	for _, tk := range tickets {
 		if res := tk.Wait(); res.Status == serve.StatusOK {
 			sum += res.Value.(uint64)
 		}

@@ -32,13 +32,6 @@ func (c *Chan[T]) Send(v T) {
 	m.schedule(m.now+c.lat, func() { c.deliver(v) })
 }
 
-// SendFrom charges the sending tasklet a one-cycle issue slot and then
-// enqueues v; use it when the send itself should consume unit time.
-func (c *Chan[T]) SendFrom(tu *TU, v T) {
-	c.Send(v)
-	tu.Compute(1)
-}
-
 // deliver runs in engine context.
 func (c *Chan[T]) deliver(v T) {
 	if len(c.waiters) > 0 {

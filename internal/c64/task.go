@@ -68,13 +68,6 @@ func (tu *TU) Stall(c int64) {
 	tu.wait()
 }
 
-// Yield lets equally-timed events run before the tasklet continues.
-func (tu *TU) Yield() {
-	m := tu.m
-	m.schedule(m.now, func() { m.resume(tu) })
-	tu.wait()
-}
-
 // Join blocks until other has finished. Joining an already finished
 // tasklet returns immediately.
 func (tu *TU) Join(other *TU) {

@@ -193,15 +193,19 @@ func ExpPipelineDataflow(scale int) *Result {
 				panic(fmt.Sprintf("exp V4: resubmit parse ended %v", r.Status))
 			}
 			ps := r.Value.([]any)
-			reqs := make([]serve.Request, len(ps))
+			etks := make([]*serve.Ticket, len(ps))
 			for j, part := range ps {
-				reqs[j] = serve.Request{
+				etk, err := tn.Submit(serve.Request{
 					Key: elemKey(part.(int)), Payload: v4Enrich{part.(int)},
 					WorkingSet: elems[part.(int) : part.(int)+1],
+				})
+				if err != nil {
+					panic(err)
 				}
+				etks[j] = etk
 			}
 			vals := make([]any, len(ps))
-			for j, etk := range tn.SubmitMany(reqs) {
+			for j, etk := range etks {
 				er := etk.Wait()
 				if er.Status != serve.StatusOK {
 					panic(fmt.Sprintf("exp V4: resubmit enrich ended %v", er.Status))

@@ -99,9 +99,9 @@ func ExpServeLoadtest(scale int) *Result {
 	// roughly cores/handler-time (~2000 jobs/s per core at 0.5ms), so
 	// 8000/s per core keeps the offered load ~4x over capacity whether
 	// this runs on one core or sixteen. Both legs play a seeded open
-	// script and admit each tick's arrivals as shard-grouped SubmitMany
-	// groups: 100 ticks of 2.5ms, half the jobs on a 4-tick (10ms)
-	// deadline and the rest on 40 ticks (100ms).
+	// script and admit each arrival on its own through PlayScenario's
+	// default SubmitFunc: 100 ticks of 2.5ms, half the jobs on a 4-tick
+	// (10ms) deadline and the rest on 40 ticks (100ms).
 	cores := runtime.GOMAXPROCS(0)
 	if cores > 16 {
 		cores = 16 // the system only has 16 workers

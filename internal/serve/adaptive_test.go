@@ -195,9 +195,6 @@ func testJob(tn *Tenant, req Request) *Job {
 	return &Job{tenant: tn, req: req, deadline: clock.Of(req.Deadline), stage: tn.solo.stages[0]}
 }
 
-// enqueue offers one job to a shard the way admit does: a group of one.
-func enqueue(sh *shard, j *Job) bool { return sh.enqueueMany([]*Job{j}) == 1 }
-
 func queueKeys(sh *shard) []uint64 {
 	r := &sh.ring
 	r.consMu.Lock()
@@ -218,7 +215,7 @@ func TestStealJobsPreservesSameKeyOrder(t *testing.T) {
 	src, dst := newShard(0, 64), newShard(1, 64)
 	tn := stealTenant(42, 2, true)
 	for _, k := range []uint64{1, 2, 2, 3, 4, 2, 5} {
-		if !enqueue(src, testJob(tn, Request{Key: k})) {
+		if !src.enqueue(testJob(tn, Request{Key: k})) {
 			t.Fatal("enqueue failed")
 		}
 	}
@@ -255,13 +252,13 @@ func TestStealJobsRespectsResidency(t *testing.T) {
 	cold := stealTenant(7, 2, false)
 	cold.resident[0].Store(true) // resident at home only
 	for k := uint64(0); k < 8; k++ {
-		enqueue(src, testJob(cold, Request{Key: k}))
+		src.enqueue(testJob(cold, Request{Key: k}))
 	}
 	if moved := stealJobsInto(src, dst, 8, &stealScratch{}); moved != 0 {
 		t.Fatalf("stole %d jobs onto a shard without the tenant's image, want 0", moved)
 	}
 	warm := stealTenant(9, 2, true)
-	enqueue(src, testJob(warm, Request{Key: 100}))
+	src.enqueue(testJob(warm, Request{Key: 100}))
 	if moved := stealJobsInto(src, dst, 8, &stealScratch{}); moved != 1 {
 		t.Fatalf("moved %d, want exactly the resident tenant's job", moved)
 	}
@@ -271,9 +268,9 @@ func TestStealJobsRespectsCapacityAndShutdown(t *testing.T) {
 	src, dst := newShard(0, 64), newShard(1, 4)
 	tn := stealTenant(3, 2, true)
 	for k := uint64(0); k < 16; k++ {
-		enqueue(src, testJob(tn, Request{Key: k}))
+		src.enqueue(testJob(tn, Request{Key: k}))
 	}
-	enqueue(dst, testJob(tn, Request{Key: 1000}))
+	dst.enqueue(testJob(tn, Request{Key: 1000}))
 	// Destination has 3 free slots: a request for 10 moves at most 3.
 	if moved := stealJobsInto(src, dst, 10, &stealScratch{}); moved != 3 {
 		t.Fatalf("moved %d into a shard with 3 free slots, want 3", moved)

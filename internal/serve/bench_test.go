@@ -207,36 +207,35 @@ func BenchmarkSubmitFlowFan(b *testing.B) {
 	}
 }
 
-func BenchmarkSubmitManyBurst(b *testing.B) {
+// BenchmarkSubmitBurst admits bursts of 64 requests, one SubmitFunc
+// call each with one shared callback, and waits out each burst before
+// the next. ns/op is a full submit→drain→execute→complete cycle for 64
+// requests.
+func BenchmarkSubmitBurst(b *testing.B) {
 	_, tn := newBenchServer(b)
 	const burst = 64
-	reqs := make([]Request, burst)
-	// Warm the burst-scatter scratch pool and deepen the job pools to
-	// burst-rate in-flight levels.
 	var wg sync.WaitGroup
-	wg.Add(burst * 16)
-	wdone := func(int, Result) { wg.Done() }
-	for k := 0; k < 16; k++ {
-		for j := range reqs {
-			reqs[j].Key = uint64(k*burst + j)
+	wdone := func(Result) { wg.Done() }
+	submit := func(i int) {
+		wg.Add(burst)
+		for j := 0; j < burst; j++ {
+			for tn.SubmitFunc(Request{Key: uint64(i*burst + j)}, wdone) == ErrOverload {
+			}
 		}
-		tn.SubmitManyFunc(reqs, wdone)
+		wg.Wait()
 	}
-	wg.Wait()
+	// Deepen the job pools to burst-rate in-flight levels.
+	for k := 0; k < 16; k++ {
+		submit(k)
+	}
 	// Closed loop per burst: waiting out each burst keeps the in-flight
 	// population (and so the pooled-record population) constant, which
 	// makes allocs/op independent of -benchtime — the property the CI
-	// gate relies on. ns/op is a full submit→drain→execute→complete
-	// cycle for 64 requests.
+	// gate relies on.
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		for j := range reqs {
-			reqs[j].Key = uint64(i*burst + j)
-		}
-		wg.Add(burst)
-		tn.SubmitManyFunc(reqs, wdone)
-		wg.Wait()
+		submit(i)
 	}
 }
 
@@ -300,18 +299,18 @@ func BenchmarkSubmitOpenLoopP99(b *testing.B) {
 
 // The ring micro-benchmarks isolate the queue itself from routing,
 // execution, and completion: the produce/consume cycle cost with one
-// producer (the uncontended CAS floor) and the drain cost per job at
-// batch width — a batch SGT's per-drain bill.
+// producer (the uncontended CAS floor) and the cost per job of 64
+// pushes drained at batch width — a batch SGT's per-drain bill.
 
 func BenchmarkRingPushPop(b *testing.B) {
 	var r jobRing
 	r.init(1 << 10)
-	one := []*Job{testJob(stealTenant(1, 1, true), Request{})}
+	one := testJob(stealTenant(1, 1, true), Request{})
 	buf := make([]*Job, 0, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r.push(one) // a single submit is a group of one
+		r.push(one)
 		r.consMu.Lock()
 		buf, _ = r.popMany(1, buf[:0])
 		r.consMu.Unlock()
@@ -332,7 +331,9 @@ func BenchmarkRingBatchDrain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i += batch {
-		r.push(jobs)
+		for _, j := range jobs {
+			r.push(j)
+		}
 		r.consMu.Lock()
 		buf, _ = r.popMany(batch, buf[:0])
 		r.consMu.Unlock()

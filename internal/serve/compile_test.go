@@ -102,8 +102,8 @@ func TestCompileDisabledIsInert(t *testing.T) {
 	}
 }
 
-// TestCompileSketchFedOnAdmission verifies both admission paths fold
-// keys into the tenant sketch.
+// TestCompileSketchFedOnAdmission verifies both plain submission
+// surfaces (Submit, SubmitFunc) fold keys into the tenant sketch.
 func TestCompileSketchFedOnAdmission(t *testing.T) {
 	sys, s, tn := newCompileServer(t, testCompileConfig())
 	defer sys.Close()
@@ -117,11 +117,11 @@ func TestCompileSketchFedOnAdmission(t *testing.T) {
 	}
 	var wg sync.WaitGroup
 	wg.Add(16)
-	reqs := make([]Request, 16)
-	for i := range reqs {
-		reqs[i] = Request{Key: 99}
+	for i := 0; i < 16; i++ {
+		if err := tn.SubmitFunc(Request{Key: 99}, func(Result) { wg.Done() }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	tn.SubmitManyFunc(reqs, func(int, Result) { wg.Done() })
 	wg.Wait()
 	if est := tn.sketch.Estimate(99); est < 48 {
 		t.Fatalf("sketch estimate = %d, want >= 48 (both submit paths)", est)
@@ -367,7 +367,7 @@ func s0kind(s string) string {
 // TestCompileShiftScenarioDeterministic plays the seeded regime-change
 // script through real admission twice and requires the controller's
 // promotion decisions to replay identically — the deterministic
-// policy-switch contract end to end, sketch fed by SubmitManyFunc.
+// policy-switch contract end to end, sketch fed by PlayScenario.
 func TestCompileShiftScenarioDeterministic(t *testing.T) {
 	const keys = 64
 	sc := ShiftScenario(11, 1, 20, 40, keys, 0.5)

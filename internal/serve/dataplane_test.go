@@ -213,7 +213,7 @@ func TestStealJobsRespectsDataResidency(t *testing.T) {
 	src, dst := newShard(0, 64), newShard(1, 64)
 	src.locale, dst.locale = 0, 1
 	for k := uint64(0); k < 8; k++ {
-		enqueue(src, testJob(tn, Request{Key: k, WorkingSet: []mem.ObjID{obj}}))
+		src.enqueue(testJob(tn, Request{Key: k, WorkingSet: []mem.ObjID{obj}}))
 	}
 	if moved := stealJobsInto(src, dst, 8, &stealScratch{}); moved != 0 {
 		t.Fatalf("stole %d jobs onto a locale missing their working set, want 0", moved)
@@ -226,7 +226,7 @@ func TestStealJobsRespectsDataResidency(t *testing.T) {
 	}
 	// A write invalidates the replica: back to unstealable.
 	for k := uint64(8); k < 12; k++ {
-		enqueue(src, testJob(tn, Request{Key: k, WorkingSet: []mem.ObjID{obj}}))
+		src.enqueue(testJob(tn, Request{Key: k, WorkingSet: []mem.ObjID{obj}}))
 	}
 	space.WriteAccess(0, obj, 0)
 	if moved := stealJobsInto(src, dst, 8, &stealScratch{}); moved != 0 {

@@ -89,8 +89,9 @@ const (
 	StatusOK Status = iota
 	// StatusRejected: the shard queue was full at admission, or the
 	// server was closed (backpressure; the request never entered the
-	// system). Surfaced through Result by SubmitMany; single submits
-	// report the same condition as ErrOverload / ErrClosed.
+	// system). Surfaced through Result where the refused job is a stage
+	// hop or fan-out element; a submission reports the same condition as
+	// ErrOverload / ErrClosed.
 	StatusRejected
 	// StatusShed: the request was admitted but its deadline expired
 	// before its batch SGT could start it (load shedding).
@@ -134,7 +135,7 @@ type Result struct {
 // completion): a flow sink that chains may append the next stage's job
 // to it (see batchRun.fits); every other sink ignores it.
 // Every implementer is pointer-shaped, so storing one in a Job never
-// allocates: *Ticket, callbackSink, indexedSink, joinSink, *flowState.
+// allocates: *Ticket, callbackSink, joinSink, *flowState.
 type sink interface {
 	resolve(idx int32, r Result, br *batchRun)
 }
@@ -143,12 +144,6 @@ type sink interface {
 type callbackSink func(Result)
 
 func (f callbackSink) resolve(_ int32, r Result, _ *batchRun) { f(r) }
-
-// indexedSink is a burst's shared callback: one func for the whole
-// SubmitManyFunc call, told apart by the request's index in the burst.
-type indexedSink func(int, Result)
-
-func (f indexedSink) resolve(idx int32, r Result, _ *batchRun) { f(int(idx), r) }
 
 // Job is one admitted unit of work, queued on a shard until a batch
 // SGT drains it. Job records are pooled: Server.construct is the
@@ -166,7 +161,7 @@ type Job struct {
 	// nil.
 	stage *pipeStage
 	// sink receives the Result; idx tells it which of its requests this
-	// is: the position in a burst, the stage index of a scalar flow job,
+	// is: the stage index of a scalar flow job,
 	// the element index of a fan-out job, inlineFan for the one job of
 	// an inline fan (zero for plain submits).
 	sink sink

@@ -24,7 +24,6 @@ type sinkKind int
 const (
 	kindTicket      sinkKind = iota // Tenant.Submit
 	kindCallback                    // Tenant.SubmitFunc
-	kindIndexed                     // Tenant.SubmitManyFunc, a burst of three
 	kindElement                     // a flow whose stage b is a Map over three elements
 	kindFlowLocal                   // a flow whose scalar stage b chains in-process
 	kindFlowRemote                  // a flow whose stage b a fake RemoteRouter takes
@@ -34,7 +33,7 @@ const (
 	numSinkKinds
 )
 
-var sinkKindNames = [numSinkKinds]string{"ticket", "callback", "indexed", "element", "flow-local", "flow-remote", "flow-entered",
+var sinkKindNames = [numSinkKinds]string{"ticket", "callback", "element", "flow-local", "flow-remote", "flow-entered",
 	"flow-same-shard", "element-same-shard"}
 
 func (k sinkKind) flow() bool { return k >= kindElement }
@@ -271,21 +270,17 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 	}
 
 	// Submit. Every resolution — a sink firing, or the error a refused
-	// single submit returns instead — lands in got[i], counted.
-	n := 1
-	if kind == kindIndexed {
-		n = 3
-	}
-	var fired [3]atomic.Int32
-	var got [3]Result
-	var resolved atomic.Int32
-	resolve := func(i int, r Result) {
-		if fired[i].Add(1) == 1 {
-			got[i] = r
-			resolved.Add(1)
+	// submission returns instead — lands in got, counted.
+	var fired atomic.Int32
+	var got Result
+	var resolved atomic.Bool
+	resolve := func(r Result) {
+		if fired.Add(1) == 1 {
+			got = r
+			resolved.Store(true)
 		}
 	}
-	refusedWith := func(err error) { resolve(0, Result{Status: StatusRejected, Err: err}) }
+	refusedWith := func(err error) { resolve(Result{Status: StatusRejected, Err: err}) }
 	var deadline time.Time
 	if out == outShedDrain || out == outShedQueue {
 		deadline = time.Now().Add(150 * time.Millisecond)
@@ -302,32 +297,30 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 		if viaErr = err != nil; viaErr {
 			refusedWith(err)
 		} else {
-			go func() { resolve(0, tk.Wait()) }()
+			go func() { resolve(tk.Wait()) }()
 		}
 	case kindCallback:
-		err := tn.SubmitFunc(req, func(r Result) { resolve(0, r) })
+		err := tn.SubmitFunc(req, func(r Result) { resolve(r) })
 		if viaErr = err != nil; viaErr {
 			refusedWith(err)
 		}
-	case kindIndexed:
-		tn.SubmitManyFunc([]Request{req, req, req}, resolve)
 	case kindFlowLocal:
 		tk, err := tn.SubmitFlow(pipe, flowReq)
 		if err != nil {
 			t.Fatal(err)
 		}
-		go func() { resolve(0, tk.Wait()) }()
+		go func() { resolve(tk.Wait()) }()
 	case kindFlowRemote:
-		if err := tn.SubmitFlowAt(pipe, 0, flowReq, router, func(r Result) { resolve(0, r) }); err != nil {
+		if err := tn.SubmitFlowAt(pipe, 0, flowReq, router, func(r Result) { resolve(r) }); err != nil {
 			t.Fatal(err)
 		}
 	case kindFlowEntered:
-		err := tn.SubmitFlowAt(pipe, 1, flowReq, nil, func(r Result) { resolve(0, r) })
+		err := tn.SubmitFlowAt(pipe, 1, flowReq, nil, func(r Result) { resolve(r) })
 		if viaErr = err != nil; viaErr {
 			refusedWith(err)
 		}
 	default:
-		if err := tn.SubmitFlowFunc(pipe, flowReq, func(r Result) { resolve(0, r) }); err != nil {
+		if err := tn.SubmitFlowFunc(pipe, flowReq, func(r Result) { resolve(r) }); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -365,7 +358,7 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 		// until their deadline has passed.
 		queued := 1
 		switch kind {
-		case kindIndexed, kindElement:
+		case kindElement:
 			queued = 3
 		case kindFlowRemote:
 			queued = 0
@@ -385,13 +378,12 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 	if !deadline.IsZero() {
 		time.Sleep(time.Until(deadline) + 50*time.Millisecond)
 	}
-	allResolved := func() bool { return int(resolved.Load()) == n }
 	if out == outOverload {
-		waitFor(t, "the refusals, with the shard still clogged", allResolved)
+		waitFor(t, "the refusal, with the shard still clogged", resolved.Load)
 	}
 	unclog()
 	unhold()
-	waitFor(t, "every request to resolve", allResolved)
+	waitFor(t, "the request to resolve", resolved.Load)
 	router.wg.Wait() // the duplicate parcel has landed too
 	s.Close()
 	if n := router.ended.Load(); n != 0 {
@@ -399,27 +391,24 @@ func runLifecycleCase(t *testing.T, kind sinkKind, out outcome) {
 	}
 
 	want := out.want()
-	if wantErr := (out == outOverload || out == outClose) && kind.direct() && kind != kindIndexed; viaErr != wantErr {
+	if wantErr := (out == outOverload || out == outClose) && kind.direct(); viaErr != wantErr {
 		t.Errorf("refusal surfaced as an error = %v, want %v", viaErr, wantErr)
 	}
-	for i := 0; i < n; i++ {
-		if c := fired[i].Load(); c != 1 {
-			t.Errorf("request %d resolved %d times, want exactly once", i, c)
+	if c := fired.Load(); c != 1 {
+		t.Errorf("request resolved %d times, want exactly once", c)
+	}
+	if got.Status != want.Status {
+		t.Errorf("status %v (err %v), want %v", got.Status, got.Err, want.Status)
+	}
+	if want.Status == StatusOK && got.Value != want.Value && kind != kindElement && kind != kindElementSame {
+		t.Errorf("value %v, want %v", got.Value, want.Value)
+	}
+	if out == outPanic && kind != kindFlowRemote {
+		if got.Err == nil || !strings.Contains(got.Err.Error(), "panic") {
+			t.Errorf("err %v, want the recovered panic", got.Err)
 		}
-		r := got[i]
-		if r.Status != want.Status {
-			t.Errorf("request %d: status %v (err %v), want %v", i, r.Status, r.Err, want.Status)
-		}
-		if want.Status == StatusOK && r.Value != want.Value && kind != kindElement && kind != kindElementSame {
-			t.Errorf("request %d: value %v, want %v", i, r.Value, want.Value)
-		}
-		if out == outPanic && kind != kindFlowRemote {
-			if r.Err == nil || !strings.Contains(r.Err.Error(), "panic") {
-				t.Errorf("request %d: err %v, want the recovered panic", i, r.Err)
-			}
-		} else if want.Err != nil && !errors.Is(r.Err, want.Err) {
-			t.Errorf("request %d: err %v, want %v", i, r.Err, want.Err)
-		}
+	} else if want.Err != nil && !errors.Is(got.Err, want.Err) {
+		t.Errorf("err %v, want %v", got.Err, want.Err)
 	}
 	st := s.Stats()
 	if st.Accepted != st.Done+st.Shed {

@@ -87,7 +87,8 @@ func (r *jobRing) begin() bool {
 func (r *jobRing) end() { r.inflight.Add(-1) }
 
 // reserve claims up to want contiguous positions starting at pos,
-// returning how many it got (0 when full). Tail is read before head: a
+// returning how many it got (0 when full): one for a push, a group for
+// the rebalancer's steal, which may be granted part of it. Tail is read before head: a
 // head read first can go stale while consumers advance it, and then a
 // ring with room reads as full. Read after, head is never older than
 // the tail the CAS confirms, so the free count only errs low.
@@ -119,15 +120,15 @@ func (r *jobRing) publish(pos uint64, j *Job) {
 	c.seq.Store(pos + 1)
 }
 
-// push publishes the longest prefix of jobs that fits and returns its
-// length (0 when full) — one reservation for the whole group; a single
-// submit is a group of one. The caller is inside begin/end.
-func (r *jobRing) push(jobs []*Job) int {
-	n, pos := r.reserve(len(jobs))
-	for i := 0; i < n; i++ {
-		r.publish(pos+uint64(i), jobs[i])
+// push publishes j and reports whether the ring had room for it. The
+// caller is inside begin/end.
+func (r *jobRing) push(j *Job) bool {
+	n, pos := r.reserve(1)
+	if n == 0 {
+		return false
 	}
-	return n
+	r.publish(pos, j)
+	return true
 }
 
 // popMany moves up to max published jobs into buf and returns the

@@ -51,11 +51,12 @@ func checkExactlyOnce(t *testing.T, seen []int32, keys []uint64) {
 	}
 }
 
-// TestRingConcurrentExactlyOnce hammers one shard ring with mixed
-// single and burst producers against its batch SGTs and checks every
-// job is delivered exactly once — no loss, no duplicate — across
-// full-queue refusals and the drain at Close. Run under -race this is
-// the ring's memory-order audit.
+// TestRingConcurrentExactlyOnce hammers one shard ring with concurrent
+// producers against its batch SGTs, each producer retrying every
+// request the full queue refuses, and checks every job is delivered
+// exactly once — no loss, no duplicate — across full-queue refusals and
+// the drain at Close. Run under -race this is the ring's memory-order
+// audit.
 func TestRingConcurrentExactlyOnce(t *testing.T) {
 	const producers = 8
 	const perProd = 2000
@@ -72,25 +73,8 @@ func TestRingConcurrentExactlyOnce(t *testing.T) {
 		go func(p int) {
 			defer wg.Done()
 			base := uint64(p * perProd)
-			if p%2 == 0 {
-				// Single-submit producer: retry refusals (queue full).
-				for i := 0; i < perProd; i++ {
-					for tn.SubmitFunc(Request{Key: base + uint64(i)}, func(Result) {}) != nil {
-						runtime.Gosched()
-					}
-				}
-				return
-			}
-			// Burst producer: one shard, so a burst admits a prefix;
-			// re-offer the rest.
-			reqs := make([]Request, perProd)
-			for i := range reqs {
-				reqs[i] = Request{Key: base + uint64(i)}
-			}
-			for len(reqs) > 0 {
-				n := tn.SubmitManyFunc(reqs, func(int, Result) {})
-				reqs = reqs[n:]
-				if n == 0 {
+			for i := 0; i < perProd; i++ {
+				for tn.SubmitFunc(Request{Key: base + uint64(i)}, func(Result) {}) != nil {
 					runtime.Gosched()
 				}
 			}
@@ -196,7 +180,7 @@ func TestRingShutdownDuringProduce(t *testing.T) {
 	}
 }
 
-// TestRingSpuriousWakeups pins the spawn rule: a burst onto an idle
+// TestRingSpuriousWakeups pins the spawn rule: a push onto an idle
 // shard starts exactly one batch SGT; a push onto a shard whose batch
 // SGTs are all executing starts another up to InflightBatches and none
 // past it; and what queued meanwhile costs one successor when they
@@ -233,37 +217,69 @@ func TestRingSpuriousWakeups(t *testing.T) {
 			t.Fatalf("%s: %d batch SGT spawns in all, want %d", what, got, n)
 		}
 	}
-	ignore := func(int, Result) {}
 	submit := func(k uint64, payload any) {
 		t.Helper()
 		if err := tn.SubmitFunc(Request{Key: k, Payload: payload}, func(Result) {}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if n := tn.SubmitManyFunc([]Request{{Key: 0, Payload: "block"}, {Key: 1}, {Key: 2}}, ignore); n != 3 {
-		t.Fatalf("burst admitted %d, want 3", n)
-	}
-	want(1, "a burst onto an idle shard")
+	submit(0, "block")
+	want(1, "a push onto an idle shard")
 	<-started
-	submit(3, "block") // the only batch SGT is executing: one more
+	submit(1, "block") // the only batch SGT is executing: one more
 	want(2, "a push onto a shard whose one batch SGT executes")
 	<-started
 	// Both batch SGTs are executing: InflightBatches is reached.
-	for k := uint64(4); k < 7; k++ {
+	for k := uint64(2); k < 7; k++ {
 		submit(k, nil)
-	}
-	if n := tn.SubmitManyFunc([]Request{{Key: 7}, {Key: 8}}, ignore); n != 2 {
-		t.Fatalf("burst admitted %d, want 2", n)
 	}
 	want(2, "pushes onto a shard at InflightBatches")
 	unblock()
-	waitFor(t, "every job to run", func() bool { return ran.Load() == 9 })
+	waitFor(t, "every job to run", func() bool { return ran.Load() == 7 })
 	waitFor(t, "the shard to go idle", func() bool { return s.shards[0].sgts.Load() == 0 })
 	want(3, "the five jobs queued at InflightBatches")
-	if n := tn.SubmitManyFunc([]Request{{Key: 9}, {Key: 10}}, ignore); n != 2 {
-		t.Fatalf("burst admitted %d, want 2", n)
+	submit(7, nil)
+	want(4, "a push onto the idle shard again")
+}
+
+// TestRingReservePartialGrant pins the group reservation the
+// rebalancer's steal makes on its destination ring: reserve grants what
+// fits, at consecutive positions, and nothing when full, also across
+// the wrap of the cell array; a push takes one slot and refuses at the
+// limit, which is exact although the cell array rounds up.
+func TestRingReservePartialGrant(t *testing.T) {
+	var r jobRing
+	r.init(6) // 8 cells, limit 6
+	j := testJob(stealTenant(1, 1, true), Request{})
+	if !r.push(j) {
+		t.Fatal("push into an empty ring refused")
 	}
-	want(4, "a burst onto the idle shard again")
+	for _, c := range []struct {
+		want, n int
+		pos     uint64
+	}{{3, 3, 1}, {4, 2, 4}, {1, 0, 0}} {
+		if n, pos := r.reserve(c.want); n != c.n || pos != c.pos {
+			t.Fatalf("reserve(%d) = %d at %d, want %d at %d", c.want, n, pos, c.n, c.pos)
+		}
+	}
+	if r.push(j) {
+		t.Fatal("push into a full ring accepted")
+	}
+	for pos := uint64(1); pos < 6; pos++ {
+		r.publish(pos, j)
+	}
+	r.consMu.Lock()
+	buf, depth := r.popMany(4, nil)
+	r.consMu.Unlock()
+	if len(buf) != 4 || depth != 6 {
+		t.Fatalf("popped %d of depth %d, want 4 of 6", len(buf), depth)
+	}
+	if n, pos := r.reserve(8); n != 4 || pos != 6 {
+		t.Fatalf("reserve(8) after the pop = %d at %d, want 4 at 6", n, pos)
+	}
+	if p := r.pending(); p != 6 {
+		t.Fatalf("pending %d, want 6", p)
+	}
 }
 
 // TestStrandProducerRacesLastBatchExit races closed-loop producers
@@ -356,17 +372,15 @@ func TestStrandStealLeavesJobsOnIdleSource(t *testing.T) {
 		}
 	}()
 	defer func() { close(stop); stealer.Wait() }()
-	// Bursts of six onto the source: a Batch of 4 leaves two behind, so
-	// each round retires a batch SGT with work queued while the stealer
-	// compacts the same ring.
+	// Rounds of six submits onto the source: a Batch of 4 can leave work
+	// behind, so a round may retire a batch SGT with work queued while
+	// the stealer compacts the same ring.
 	done := make(chan struct{}, 6)
 	for r := 3; r+6 <= len(keys); r += 6 {
-		reqs := make([]Request, 6)
-		for i := range reqs {
-			reqs[i] = Request{Key: keys[r+i]}
-		}
-		if n := tn.SubmitManyFunc(reqs, func(int, Result) { done <- struct{}{} }); n != 6 {
-			t.Fatalf("burst admitted %d, want 6", n)
+		for i := 0; i < 6; i++ {
+			if err := tn.SubmitFunc(Request{Key: keys[r+i]}, func(Result) { done <- struct{}{} }); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for i := 0; i < 6; i++ {
 			select {

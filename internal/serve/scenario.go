@@ -314,14 +314,13 @@ type PlayConfig struct {
 	Tick time.Duration
 	// MaxSamples bounds the latency reservoir (default 1<<20).
 	MaxSamples int
-	// Submit, when non-nil, admits each arrival on its own instead of
-	// the per-tick SubmitManyFunc groups: it receives the arrival and its
-	// resolved request (key, priority, deadline and working sets; the
-	// payload is the hook's to set) and must call done exactly once with
-	// the terminal result — unless it returns an error, in which case it
-	// must not call done and the player counts the arrival rejected. A
-	// pipeline flow (Tenant.SubmitFlowFunc) or a cluster flow is one
-	// such hook.
+	// Submit admits each arrival (default: the arrival's tenant's
+	// SubmitFunc). It receives the arrival and its resolved request
+	// (key, priority, deadline and working sets; the payload is the
+	// hook's to set) and must call done exactly once with the terminal
+	// result — unless it returns an error, in which case it must not
+	// call done and the player counts the arrival rejected. A pipeline
+	// flow (Tenant.SubmitFlowFunc) or a cluster flow is one such hook.
 	Submit func(a Arrival, req Request, done func(Result)) error
 }
 
@@ -331,15 +330,14 @@ type PlayConfig struct {
 const playDrain = time.Minute
 
 // PlayScenario plays the script against s, tick by tick: each tick's
-// arrivals are grouped per tenant and admitted through the shard-
-// grouped SubmitManyFunc path (or handed one by one to cfg.Submit),
-// deadlines are resolved from DeadlineTicks against the injected clock,
-// and playback paces itself to the tick grid (a playback that falls
-// behind submits late rather than dropping script entries). It blocks
-// until every offered request has resolved, or playDrain past the
-// last tick, and returns the aggregate report — rejected submissions
-// surface as StatusRejected outcomes, and a Census counts each arrival
-// once however often it resolves.
+// arrivals are admitted one by one through cfg.Submit, deadlines are
+// resolved from DeadlineTicks against the injected clock, and playback
+// paces itself to the tick grid (a playback that falls behind submits
+// late rather than dropping script entries). It blocks until every
+// offered request has resolved, or playDrain past the last tick, and
+// returns the aggregate report — rejected submissions surface as
+// StatusRejected outcomes, and a Census counts each arrival once, in
+// the slot of its index in the script, however often it resolves.
 func PlayScenario(s *Server, sc Scenario, cfg PlayConfig) LoadReport {
 	if len(cfg.Tenants) == 0 {
 		panic("serve: PlayScenario: no tenant handles")
@@ -352,8 +350,13 @@ func PlayScenario(s *Server, sc Scenario, cfg PlayConfig) LoadReport {
 		cfg.MaxSamples = 1 << 20
 	}
 	col := &collector{Census: NewCensus(played), samples: make([]atomic.Int64, cfg.MaxSamples)}
-	perTenant := make([][]Request, len(cfg.Tenants))
-	i, next := 0, 0 // next is the census index of the next admitted request
+	submit := cfg.Submit
+	if submit == nil {
+		submit = func(a Arrival, req Request, done func(Result)) error {
+			return cfg.Tenants[a.Tenant].SubmitFunc(req, done)
+		}
+	}
+	i := 0
 	start := clock.Now()
 	for tick := 0; tick < sc.Ticks; tick++ {
 		if d := time.Duration(tick)*cfg.Tick - time.Duration(clock.Now()-start); d > 0 {
@@ -371,24 +374,10 @@ func PlayScenario(s *Server, sc Scenario, cfg PlayConfig) LoadReport {
 				WorkingSet: resolveObjs(cfg.Tenants[a.Tenant], a.WorkingSet),
 				WriteSet:   resolveObjs(cfg.Tenants[a.Tenant], a.WriteSet),
 			}
-			if cfg.Submit == nil {
-				perTenant[a.Tenant] = append(perTenant[a.Tenant], req)
-				continue
-			}
-			k := next
-			next++
-			if err := cfg.Submit(a, req, func(r Result) { col.done(k, r) }); err != nil {
+			k := i // the arrival's census slot
+			if err := submit(a, req, func(r Result) { col.done(k, r) }); err != nil {
 				col.done(k, Result{Status: StatusRejected, Err: err, Priority: a.Priority})
 			}
-		}
-		for ti, reqs := range perTenant {
-			if len(reqs) == 0 {
-				continue
-			}
-			base := next
-			next += len(reqs)
-			cfg.Tenants[ti].SubmitManyFunc(reqs, func(j int, r Result) { col.done(base+j, r) })
-			perTenant[ti] = perTenant[ti][:0]
 		}
 	}
 	col.Wait(playDrain)

@@ -13,9 +13,8 @@
 //   - batching — a batch SGT drains up to Batch requests and runs them
 //     in one activation, then retires, starting its successor if it
 //     left work queued: one spawn per batch, amortizing spawn overhead
-//     the way parcels amortize round trips; Tenant.SubmitMany extends
-//     the same amortization up to admission, reserving each destination
-//     shard's ring once per burst;
+//     the way parcels amortize round trips; admission itself stays one
+//     job per call, as one parcel starts one thread;
 //   - allocation-free steady state — each shard's queue is a bounded
 //     MPSC ring (producers admit with one tail CAS and one slot
 //     publish, no lock), Job records and flow state recycle through
@@ -75,9 +74,9 @@
 //     compile.go.
 //
 // The surface is handle-based: RegisterTenant returns a *Tenant whose
-// Submit/SubmitFunc/SubmitMany/SubmitFlow methods carry the resolved
-// identity, so the per-request hot path performs no map lookup and no
-// string hashing. Handlers are error-aware — func(*Ctx, Request) (any,
+// Submit/SubmitFunc/SubmitFlow/SubmitFlowFunc/SubmitFlowAt methods
+// carry the resolved identity, so the per-request hot path performs no
+// map lookup and no string hashing. Handlers are error-aware — func(*Ctx, Request) (any,
 // error) — and compose through a per-tenant Middleware chain, resolved
 // once at registration.
 //
@@ -87,7 +86,7 @@
 //	route      routeShard     (tenant, key) hash, or the working set's home locale
 //	construct  construct      the only place a Job is built (deadline, key sketch,
 //	                          trace context, flow reference, shard.newJob)
-//	admit      admit          one ring reservation per shard group; counts acceptance
+//	admit      admit          one ring slot per job; counts acceptance
 //	refuse     refuse         full shard or closing server; counts rejection, seals
 //	                          the trace, delivers StatusRejected or returns the error
 //	ring       jobRing        bounded MPSC queue (ring.go)
@@ -102,9 +101,8 @@
 //	                          element for an inline fan), or sheds (shed) a job whose
 //	                          deadline passed after draining
 //	sink       finishJob      counts the stage outcome, hands the Result to Job.sink:
-//	                          a *Ticket, a callback, a burst's indexed callback, a
-//	                          fan-out element's join (joinSink), or the flow
-//	                          (flowState.resolve)
+//	                          a *Ticket, a callback, a fan-out element's join
+//	                          (joinSink), or the flow (flowState.resolve)
 //	release    shard.recycle  record zeroed and pooled before the sink runs; the
 //	                          job's flow reference dropped after
 //	hand-off   chain          the next scalar stage (and a scalar entry stage) goes
@@ -472,8 +470,8 @@ func (t *Tenant) SubmitFunc(req Request, done func(Result)) error {
 }
 
 // construct is the one place a job record is built. Every surface —
-// plain submits, bursts, a flow's stage 0, stage hops, fan-out elements
-// — hands it the stage to run, that stage's request, and the sink. A
+// plain submits, a flow's stage 0, stage hops, fan-out elements — hands
+// it the stage to run, that stage's request, and the sink. A
 // plain submission (fl nil) converts its own deadline onto the clock,
 // feeds the tenant's key sketch (wait-free, zero allocations), and
 // draws its own trace sample; a flow job inherits all three from its
@@ -507,77 +505,55 @@ func (s *Server) construct(t *Tenant, st *pipeStage, fl *flowState, req Request,
 // and admit for the parameters.
 func (s *Server) submit(t *Tenant, st *pipeStage, fl *flowState, req Request, now clock.Nanos, sh *shard, sk sink, idx int32, deliver bool) error {
 	sh, j := s.construct(t, st, fl, req, now, sh, sk, idx)
-	_, err := s.admit(sh, []*Job{j}, deliver)
-	return err
+	return s.admit(sh, j, deliver)
 }
 
-// admitMark is the trace context of one sampled job in an admit group.
-type admitMark struct {
-	pos int
-	ft  *FlowTrace
-	arg int64
-}
-
-// admit offers constructed jobs of one tenant, all routed to sh, to the
-// shard's ring in one reservation — a burst pays each destination
-// shard's tail CAS once — and returns how many the ring took. That is
-// always a prefix, so the earlier requests of a burst win the slots; the
-// rest go to refuse, and err says why (nil when everything fit). This is
-// the one place acceptance through a ring is accounted, for every
-// submission surface; batchRun.take accounts a continuation the same way.
-func (s *Server) admit(sh *shard, g []*Job, deliver bool) (n int, err error) {
-	t := g[0].tenant
-	// Capture what the admit events need BEFORE enqueue: the moment a job
-	// enters the ring it is drainable, and by the time enqueueMany returns
-	// it may already have executed and been recycled.
-	var buf [4]admitMark
-	marks := buf[:0]
-	if s.obs != nil {
-		for i, j := range g {
-			if j.ft != nil {
-				marks = append(marks, admitMark{i, j.ft, j.spanArg()})
-			}
-		}
+// admit offers one constructed job, routed to sh, to the shard's ring
+// and returns nil when the ring took it; otherwise the job goes to
+// refuse and the error says why. This is the one place acceptance
+// through a ring is accounted, for every submission surface;
+// batchRun.take accounts a continuation the same way.
+func (s *Server) admit(sh *shard, j *Job, deliver bool) error {
+	t := j.tenant
+	// Capture what the admit event needs BEFORE enqueue: the moment the
+	// job enters the ring it is drainable, and by the time enqueue
+	// returns it may already have executed and been recycled.
+	ft := j.ft
+	var arg int64
+	if ft != nil {
+		arg = j.spanArg()
 	}
 	if !s.closed.Load() {
-		// Count acceptance before the jobs become drainable — a batch SGT
-		// may finish one before enqueueMany returns, and Stats relies on
-		// accepted never trailing done + shed — and take refusals back.
-		t.acc.Add(int64(len(g)))
-		n = sh.enqueueMany(g)
-		if r := int64(n - len(g)); r != 0 {
-			t.acc.Add(r)
-		}
-	}
-	if n > 0 {
-		for _, m := range marks {
-			if m.pos < n {
-				m.ft.add(trace.KindAdmit, sh.id, sh.locale, m.arg, "")
+		// Count acceptance before the job becomes drainable — a batch SGT
+		// may finish it before enqueue returns, and Stats relies on
+		// accepted never trailing done + shed — and take a refusal back.
+		t.acc.Inc()
+		if sh.enqueue(j) {
+			if ft != nil {
+				ft.add(trace.KindAdmit, sh.id, sh.locale, arg, "")
 			}
+			return nil
 		}
-	}
-	if n == len(g) {
-		return n, nil
+		t.acc.Add(-1)
 	}
 	// Shards only refuse when full or shut; Close sets s.closed before
 	// shutting shards, so the flag distinguishes the two.
-	err = ErrOverload
+	err := ErrOverload
 	if s.closed.Load() {
 		err = ErrClosed
 	}
-	for _, j := range g[n:] {
-		s.refuse(sh, j, err, deliver)
-	}
-	return n, err
+	s.refuse(sh, j, err, deliver)
+	return err
 }
 
 // refuse is the one refusal path: a job its shard would not take is
 // accounted, traced and recycled here, whichever surface built it. Only
 // backpressure counts as a rejection — a closed server refuses with
 // ErrClosed without inflating the rejected counters. deliver is what
-// the surface promised its caller: a uniform Result (bursts, stage hops,
-// fan-out elements: the sink hears StatusRejected) or an error return
-// (single submits and a flow's scalar stage 0: the sink never fires).
+// the surface promised its caller: a uniform Result (stage hops, fan-out
+// elements: the sink hears StatusRejected) or an error return
+// (submissions, a flow's scalar entry stage among them: the sink never
+// fires).
 func (s *Server) refuse(sh *shard, j *Job, err error, deliver bool) {
 	if err == ErrOverload {
 		j.tenant.rej.Inc()
@@ -601,109 +577,6 @@ func (s *Server) refuse(sh *shard, j *Job, err error, deliver bool) {
 		sk.resolve(idx, Result{Status: StatusRejected, Err: err, Priority: pri}, nil)
 	}
 	fl.unref()
-}
-
-// SubmitMany admits a burst of requests as a unit, grouping them by
-// destination shard so each shard's ring is reserved at most once per
-// call. Every request gets a ticket: refused ones (full shard or closed
-// server) resolve immediately with StatusRejected and Err set to
-// ErrOverload or ErrClosed, so a burst's outcomes are uniform Results
-// rather than a special-cased error.
-func (t *Tenant) SubmitMany(reqs []Request) []*Ticket {
-	tickets := make([]*Ticket, len(reqs))
-	for i := range tickets {
-		tickets[i] = &Ticket{}
-	}
-	t.SubmitManyFunc(reqs, func(i int, r Result) { tickets[i].cell.Put(r) })
-	return tickets
-}
-
-// manyScratch is SubmitManyFunc's reusable working memory: the
-// constructed jobs, their destination shards, and the counting-sort
-// scaffolding that groups a burst into per-shard contiguous runs. Pooled
-// package-wide (submitters are arbitrary goroutines), so a steady stream
-// of bursts allocates nothing once the pool is warm.
-type manyScratch struct {
-	jobs    []*Job
-	home    []int32
-	counts  []int32
-	next    []int32
-	grouped []*Job
-}
-
-var manyPool sync.Pool
-
-// release clears the job pointers (so the pool never pins a recycled
-// Job's next life) and returns the scratch.
-func (m *manyScratch) release() {
-	clear(m.jobs)
-	clear(m.grouped)
-	manyPool.Put(m)
-}
-
-func getManyScratch(nreqs, nshards int) *manyScratch {
-	m, _ := manyPool.Get().(*manyScratch)
-	if m == nil {
-		m = &manyScratch{}
-	}
-	if cap(m.jobs) < nreqs {
-		m.jobs = make([]*Job, nreqs)
-		m.home = make([]int32, nreqs)
-		m.grouped = make([]*Job, nreqs)
-	}
-	m.jobs = m.jobs[:nreqs]
-	m.home = m.home[:nreqs]
-	m.grouped = m.grouped[:nreqs]
-	if cap(m.counts) < nshards {
-		m.counts = make([]int32, nshards)
-		m.next = make([]int32, nshards)
-	}
-	m.counts = m.counts[:nshards]
-	m.next = m.next[:nshards]
-	clear(m.counts)
-	return m
-}
-
-// SubmitManyFunc is SubmitMany without the ticket allocations: done is
-// invoked exactly once per request with its index — immediately (with
-// StatusRejected) for refused requests, at resolution for admitted
-// ones. It returns the number admitted. When a shard has room for only
-// part of its group, the earlier-indexed requests win, preserving
-// admission order within the burst.
-func (t *Tenant) SubmitManyFunc(reqs []Request, done func(i int, r Result)) int {
-	s := t.srv
-	if len(reqs) == 0 {
-		return 0
-	}
-	now := clock.Now()
-	m := getManyScratch(len(reqs), len(s.shards))
-	defer m.release()
-	for i, r := range reqs {
-		sh, j := s.construct(t, t.solo.stages[0], nil, r, now, nil, indexedSink(done), int32(i))
-		m.jobs[i] = j
-		m.home[i] = int32(sh.id)
-		m.counts[sh.id]++
-	}
-	// Scatter jobs into per-shard contiguous groups of one backing array.
-	sum := int32(0)
-	for si, c := range m.counts {
-		m.next[si] = sum
-		sum += c
-	}
-	for i, j := range m.jobs {
-		m.grouped[m.next[m.home[i]]] = j
-		m.next[m.home[i]]++
-	}
-	accepted := 0
-	for si, c := range m.counts {
-		if c == 0 {
-			continue
-		}
-		// After the scatter pass next[si] is one past the group's end.
-		n, _ := s.admit(s.shards[si], m.grouped[m.next[si]-c:m.next[si]], true)
-		accepted += n
-	}
-	return accepted
 }
 
 // execute runs one admitted request on the batch SGT, paying the

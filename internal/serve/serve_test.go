@@ -315,67 +315,9 @@ func TestBackpressureRejects(t *testing.T) {
 	}
 }
 
-func TestSubmitManyMixedOutcomes(t *testing.T) {
-	sys := newTestSystem(t)
-	defer sys.Close()
-	s := New(sys, Config{Shards: 1, QueueDepth: 2, Batch: 1, InflightBatches: 1})
-	defer s.Close()
-
-	started := make(chan struct{})
-	release := make(chan struct{})
-	tn, err := s.RegisterTenant(TenantConfig{
-		Name: "bursty",
-		Handler: func(_ *Ctx, req Request) (any, error) {
-			if req.Payload == "block" {
-				started <- struct{}{}
-				<-release
-			}
-			return req.Key, nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Occupy the single in-flight batch so the queue (depth 2) is the
-	// only capacity left, then land one burst of six: exactly two fit.
-	if _, err := tn.Submit(Request{Key: 100, Payload: "block"}); err != nil {
-		t.Fatal(err)
-	}
-	<-started
-
-	reqs := make([]Request, 6)
-	for i := range reqs {
-		reqs[i] = Request{Key: uint64(i)}
-	}
-	tickets := tn.SubmitMany(reqs)
-	if len(tickets) != len(reqs) {
-		t.Fatalf("got %d tickets for %d requests", len(tickets), len(reqs))
-	}
-	// The rejected suffix resolves immediately, before the blocker is
-	// released: earlier-indexed requests win the queue slots.
-	for i := 2; i < 6; i++ {
-		res := tickets[i].Wait()
-		if res.Status != StatusRejected {
-			t.Fatalf("ticket %d: status %v, want rejected", i, res.Status)
-		}
-		if !errors.Is(res.Err, ErrOverload) {
-			t.Fatalf("ticket %d: err %v, want ErrOverload", i, res.Err)
-		}
-	}
-	close(release)
-	for i := 0; i < 2; i++ {
-		res := tickets[i].Wait()
-		if res.Status != StatusOK || res.Value.(uint64) != uint64(i) {
-			t.Fatalf("ticket %d: %+v, want ok value %d", i, res, i)
-		}
-	}
-	st := s.Stats()
-	if st.Accepted != 3 || st.Rejected != 4 {
-		t.Errorf("stats = %+v, want accepted=3 rejected=4", st)
-	}
-}
-
-func TestSubmitManySpreadsShards(t *testing.T) {
+// TestSubmitSpreadsShards: requests of one tenant route by key across
+// the shards, each to the shard its (tenant, key) hash names.
+func TestSubmitSpreadsShards(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
 	s := New(sys, Config{Shards: 8})
@@ -389,11 +331,12 @@ func TestSubmitManySpreadsShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	const n = 500
-	reqs := make([]Request, n)
-	for i := range reqs {
-		reqs[i] = Request{Key: uint64(i)}
+	tickets := make([]*Ticket, n)
+	for i := range tickets {
+		if tickets[i], err = tn.Submit(Request{Key: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	tickets := tn.SubmitMany(reqs)
 	shardsSeen := make(map[int]bool)
 	for i, tk := range tickets {
 		res := tk.Wait()
@@ -411,7 +354,7 @@ func TestSubmitManySpreadsShards(t *testing.T) {
 		shardsSeen[gotShard] = true
 	}
 	if len(shardsSeen) < 2 {
-		t.Errorf("burst of %d keys landed on %d shards; grouping should spread", n, len(shardsSeen))
+		t.Errorf("%d keys landed on %d shards; routing should spread", n, len(shardsSeen))
 	}
 }
 
@@ -474,12 +417,6 @@ func TestSubmitAfterCloseErrClosed(t *testing.T) {
 	}
 	if _, err := tn.SubmitFlow(tn.Solo(), Request{Key: 1}); !errors.Is(err, ErrClosed) {
 		t.Errorf("SubmitFlow after Close = %v, want ErrClosed", err)
-	}
-	for i, tk := range tn.SubmitMany([]Request{{Key: 1}, {Key: 2}}) {
-		res := tk.Wait()
-		if res.Status != StatusRejected || !errors.Is(res.Err, ErrClosed) {
-			t.Errorf("SubmitMany[%d] after Close = %+v, want rejected/ErrClosed", i, res)
-		}
 	}
 }
 
@@ -548,9 +485,16 @@ func TestDegenerateConfigMinimalEverything(t *testing.T) {
 	s := New(sys, Config{Shards: 1, QueueDepth: 1, Batch: 1, InflightBatches: 1})
 	defer s.Close()
 
+	started, release := make(chan struct{}), make(chan struct{})
 	tn, err := s.RegisterTenant(TenantConfig{
-		Name:    "tiny",
-		Handler: func(_ *Ctx, req Request) (any, error) { return req.Key * 3, nil },
+		Name: "tiny",
+		Handler: func(_ *Ctx, req Request) (any, error) {
+			if req.Payload == "hold" {
+				started <- struct{}{}
+				<-release
+			}
+			return req.Key * 3, nil
+		},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -578,16 +522,25 @@ func TestDegenerateConfigMinimalEverything(t *testing.T) {
 	if st := s.Stats(); st.Done != n {
 		t.Fatalf("stats done = %d, want %d", st.Done, n)
 	}
-	// A burst through the same degenerate config: the idle queue has
-	// exactly one slot, so one accept and the rest reject — and nothing
-	// wedges.
-	tickets := tn.SubmitMany([]Request{{Key: 1}, {Key: 2}, {Key: 3}, {Key: 4}})
-	if res := tickets[0].Wait(); res.Status != StatusOK || res.Value.(uint64) != 3 {
-		t.Fatalf("burst head: %+v, want ok value 3", res)
+	// Overflow through the same degenerate config: with the one batch
+	// SGT held on a job, the queue's one slot takes the next request and
+	// refuses the one after — and nothing wedges.
+	hold, err := tn.Submit(Request{Key: 0, Payload: "hold"})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := 1; i < 4; i++ {
-		if res := tickets[i].Wait(); res.Status != StatusRejected || !errors.Is(res.Err, ErrOverload) {
-			t.Fatalf("burst[%d]: %+v, want rejected/ErrOverload", i, res)
+	<-started
+	queued, err := tn.Submit(Request{Key: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tn.Submit(Request{Key: 2}); !errors.Is(err, ErrOverload) {
+		t.Fatalf("submit past the one queue slot = %v, want ErrOverload", err)
+	}
+	close(release)
+	for i, tk := range []*Ticket{hold, queued} {
+		if res := tk.Wait(); res.Status != StatusOK || res.Value.(uint64) != uint64(i)*3 {
+			t.Fatalf("job %d: %+v, want ok value %d", i, res, i*3)
 		}
 	}
 }
@@ -616,27 +569,29 @@ func TestPanicInMultiJobBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Pin the single in-flight slot so the next burst drains as ONE
+	// Pin the single in-flight slot so the next six submits drain as ONE
 	// multi-job batch (the shard's one batch SGT is executing, so none
-	// starts mid-burst; Batch=8 >= 6 keeps it whole).
+	// starts meanwhile; Batch=8 >= 6 keeps it whole).
 	if _, err := tn.Submit(Request{Key: 99, Payload: "block"}); err != nil {
 		t.Fatal(err)
 	}
 	<-started
 
-	reqs := make([]Request, 6)
-	for i := range reqs {
-		reqs[i] = Request{Key: uint64(i)}
-	}
-	reqs[2].Payload = "panic" // a sibling mid-batch blows up
-
 	results := make([]Result, 6)
 	var wg sync.WaitGroup
 	wg.Add(6)
-	tn.SubmitManyFunc(reqs, func(i int, r Result) {
-		results[i] = r
-		wg.Done()
-	})
+	for i := range results {
+		req := Request{Key: uint64(i)}
+		if i == 2 {
+			req.Payload = "panic" // a sibling mid-batch blows up
+		}
+		if err := tn.SubmitFunc(req, func(r Result) {
+			results[i] = r
+			wg.Done()
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
 	close(release)
 	wg.Wait()
 	s.Close() // flush everything before inspecting

@@ -81,23 +81,21 @@ func (sh *shard) recycle(j *Job) {
 	sh.jobs.Put(j)
 }
 
-// enqueueMany admits as many of jobs as fit in one ring reservation and
-// returns the accepted prefix length (0 when shut): the rest are refused
-// because the queue is at capacity or the server is closing
-// (backpressure: the caller sheds at admission rather than queueing
-// unboundedly). A SubmitMany call pays each destination shard's tail CAS
-// once, not once per request, and starts at most one batch SGT (kick).
-func (sh *shard) enqueueMany(jobs []*Job) int {
+// enqueue publishes j on the shard's ring and starts a batch SGT if
+// none is about to drain it (kick). It reports false when the ring is
+// full or shut: the caller refuses the job at admission (backpressure)
+// rather than queueing unboundedly.
+func (sh *shard) enqueue(j *Job) bool {
 	r := &sh.ring
-	if len(jobs) == 0 || !r.begin() {
-		return 0
+	if !r.begin() {
+		return false
 	}
-	n := r.push(jobs)
-	if n > 0 {
+	ok := r.push(j)
+	if ok {
 		sh.kick()
 	}
 	r.end()
-	return n
+	return ok
 }
 
 // freshSGT is one fresh batch SGT in shard.sgts.

@@ -12,15 +12,16 @@ import (
 	"repro/internal/stats"
 )
 
-// TestStressSubmitManyStealClose races every moving part at once:
-// concurrent SubmitMany bursts, the stealing rebalancer on a hot
-// control-loop period, and a Close that lands mid-traffic. Every burst
-// lands on one of the four shards, so the rebalancer sees an imbalance
-// of 4 against the system load controller's threshold of 2 and steals.
-// The invariant under all of it: every submitted request resolves
-// exactly once — accepted jobs complete or shed, refused ones reject,
-// nothing is lost and nothing fires twice. Run with -race (CI does).
-func TestStressSubmitManyStealClose(t *testing.T) {
+// TestStressSubmitStealClose races every moving part at once:
+// concurrent SubmitFunc producers, the stealing rebalancer on a hot
+// control-loop period, and a Close that lands mid-traffic. Every
+// request lands on one of the four shards, so the rebalancer sees an
+// imbalance of 4 against the system load controller's threshold of 2
+// and steals. The invariant under all of it: every submitted request
+// resolves exactly once — accepted jobs complete or shed, refused ones
+// return their error and never fire — nothing is lost and nothing
+// fires twice. Run with -race (CI does).
+func TestStressSubmitStealClose(t *testing.T) {
 	sys := newTestSystem(t)
 	defer sys.Close()
 	const shards = 4
@@ -41,8 +42,8 @@ func TestStressSubmitManyStealClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The keys all route to one shard, as SameShardScenario picks them.
-	// So few keys for bursts of 32 force same-key collisions in the
-	// queue, exercising the sibling check in the stealer under race,
+	// So few keys for rounds of 32 submits force same-key collisions in
+	// the queue, exercising the sibling check in the stealer under race,
 	// while leaving singleton keys it may move.
 	var keys []uint64
 	target := shardIndex(tn.hash, 0, shards)
@@ -56,7 +57,7 @@ func TestStressSubmitManyStealClose(t *testing.T) {
 		clients = 6
 		burst   = 32
 	)
-	var submitted, resolved, doubleFired, refused atomic.Int64
+	var submitted, resolved, doubleFired, refused, overloaded atomic.Int64
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -67,25 +68,28 @@ func TestStressSubmitManyStealClose(t *testing.T) {
 			// Submitters run until the server has closed, so Close lands
 			// mid-traffic however slowly the stealer gets going.
 			for !stop.Load() {
-				reqs := make([]Request, burst)
-				for i := range reqs {
-					reqs[i] = Request{
+				for i := 0; i < burst; i++ {
+					req := Request{
 						Key:      keys[rng.Uint64()%uint64(len(keys))],
 						Priority: int(rng.Uint64() % 3),
 					}
-				}
-				fired := make([]atomic.Int32, burst)
-				submitted.Add(burst)
-				tn.SubmitManyFunc(reqs, func(i int, r Result) {
-					if fired[i].Add(1) == 1 {
-						if r.Status == StatusRejected {
-							refused.Add(1)
+					fired := new(atomic.Int32)
+					once := func() {
+						if fired.Add(1) == 1 {
+							resolved.Add(1)
+						} else {
+							doubleFired.Add(1)
 						}
-						resolved.Add(1)
-					} else {
-						doubleFired.Add(1)
 					}
-				})
+					submitted.Add(1)
+					if err := tn.SubmitFunc(req, func(Result) { once() }); err != nil {
+						refused.Add(1)
+						if errors.Is(err, ErrOverload) {
+							overloaded.Add(1)
+						}
+						once()
+					}
+				}
 				time.Sleep(50 * time.Microsecond)
 			}
 		}(c)
@@ -99,8 +103,8 @@ func TestStressSubmitManyStealClose(t *testing.T) {
 		}
 		time.Sleep(100 * time.Microsecond)
 	}
-	// Close while the submitters are still running: late bursts must
-	// resolve as rejected, earlier ones must drain.
+	// Close while the submitters are still running: late submits must
+	// be refused, earlier ones must drain.
 	time.Sleep(3 * time.Millisecond)
 	s.Close()
 	stop.Store(true)
@@ -128,14 +132,14 @@ func TestStressSubmitManyStealClose(t *testing.T) {
 	if st.InFlight() != 0 {
 		t.Errorf("in-flight %d at quiescence", st.InFlight())
 	}
-	// Every refused submission surfaced a StatusRejected result
-	// (backpressure rejections count in Stats.Rejected; post-Close
-	// refusals deliberately do not), and the rest were admitted.
+	// Every refused submission returned its error (backpressure
+	// rejections count in Stats.Rejected; post-Close refusals
+	// deliberately do not), and the rest were admitted.
 	if st.Accepted+refused.Load() != submitted.Load() {
 		t.Errorf("accepted %d + refused %d != submitted %d", st.Accepted, refused.Load(), submitted.Load())
 	}
-	if st.Rejected > refused.Load() {
-		t.Errorf("stats count %d rejections but only %d results were refused", st.Rejected, refused.Load())
+	if st.Rejected != overloaded.Load() {
+		t.Errorf("stats count %d rejections, submitters saw %d ErrOverload", st.Rejected, overloaded.Load())
 	}
 }
 
@@ -213,13 +217,12 @@ func TestStatsSnapshotConsistency(t *testing.T) {
 
 	var offered int64
 	for r := 0; r < 40; r++ {
-		reqs := make([]Request, 25)
-		for i := range reqs {
-			reqs[i] = Request{Key: uint64(r*len(reqs) + i)}
-		}
-		offered += int64(len(reqs))
-		for _, tk := range tn.SubmitMany(reqs) {
-			_ = tk // resolved below via Close drain
+		for i := 0; i < 25; i++ {
+			offered++
+			// Admitted jobs resolve in the Close drain below.
+			if _, err := tn.Submit(Request{Key: uint64(r*25 + i)}); err != nil && !errors.Is(err, ErrOverload) {
+				t.Error(err)
+			}
 		}
 		time.Sleep(200 * time.Microsecond)
 	}

@@ -21,8 +21,9 @@
 # drifts with hardware, but the ratio between two benchmarks of the
 # same run does not, so it catches order-of-magnitude collapses (a
 # contended ring, a lost batch amortization) that an allocs-only gate
-# would miss. SubmitManyBurst/64 vs SubmitHandle: the per-request cost
-# of a burst must stay within 6x of a single submit. The bound is
+# would miss. SubmitBurst/64 vs SubmitHandle: the per-request cost of a
+# closed-loop burst of 64 single submits must stay within 6x of a
+# single submit. The bound is
 # deliberately loose — CI runs at -benchtime 100x where per-run noise
 # is large, and the burst cycle is closed-loop (execution included).
 # SubmitHandleSketch vs SubmitHandle bounds the continuous-compilation
@@ -95,8 +96,8 @@ if [ "${1:-}" = "-check" ]; then
         if (checked == 0) { print "bench-check: no benchmarks compared"; failed = 1 }
         # Same-machine throughput ratios (see header comment). The burst
         # benchmark admits 64 requests per op.
-        if ("SubmitManyBurst" in cns) cns["SubmitManyBurstPerReq"] = cns["SubmitManyBurst"] / 64
-        failed += ratio_gate("burst-per-req/single", "SubmitManyBurstPerReq", "SubmitHandle", 6.0)
+        if ("SubmitBurst" in cns) cns["SubmitBurstPerReq"] = cns["SubmitBurst"] / 64
+        failed += ratio_gate("burst-per-req/single", "SubmitBurstPerReq", "SubmitHandle", 6.0)
         failed += ratio_gate("sketch/handle", "SubmitHandleSketch", "SubmitHandle", 3.0)
         exit (failed > 0 ? 1 : 0)
     }' BENCH_serve.json "$raw"
